@@ -6,6 +6,8 @@ Library layout:
   fidelities) and density-matrix validation.
 * ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi correlation
   coefficients, Redfield N/C coefficients, principal-value quadrature.
+* ``propagation`` -- the RK4 engine for x' = A(t) x: per-phase step maps
+  composed into record maps.
 * ``floquet`` -- propagator integration, Floquet decomposition with branch
   unfolding, Fourier operator harmonics, jump-operator tables, Magnus+BCH
   approximants and their fidelity benchmarks.

@@ -156,8 +156,17 @@ def _graded_edges(lo: float, hi: float, dense_at: str, first: float, growth: flo
     return lo + np.concatenate([[0.0], np.cumsum(widths)])
 
 
-def _gl_nodes_weights(edges: np.ndarray, order: int):
+@lru_cache(maxsize=16)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per order, read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes_weights(edges: np.ndarray, order: int):
+    x, w = _leggauss(order)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     nodes = 0.5 * (b - a) * x[None, :] + 0.5 * (b + a)
@@ -174,11 +183,12 @@ def _integrate_panels(f, edges: np.ndarray, order: int) -> float:
 
 def _checked(f, edges: np.ndarray, order: int, label: str) -> float:
     """Integrate at two Gauss orders and demand relative agreement."""
-    coarse = _integrate_panels(f, edges, order)
-    fine = _integrate_panels(f, edges, 2 * order)
     nodes, weights = _gl_nodes_weights(edges, order)
     with np.errstate(under="ignore", over="ignore"):
-        scale = float(np.dot(np.abs(weights), np.abs(np.asarray(f(nodes), dtype=float))))
+        vals = np.asarray(f(nodes), dtype=float)
+    coarse = float(np.dot(weights, vals))
+    scale = float(np.dot(np.abs(weights), np.abs(vals)))
+    fine = _integrate_panels(f, edges, 2 * order)
     tol = TOLERANCES.quadrature_rel * max(abs(fine), 1e-9 * scale, 1e-300)
     if abs(fine - coarse) > tol:
         raise NumericalError(

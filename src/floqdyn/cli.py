@@ -10,7 +10,8 @@ Commands::
 Configs are JSON, validated against a strict schema (unknown keys are
 rejected) before any computation.  Exit codes: 0 success, 2 configuration
 error, 3 numerical error.  CSV output uses 17-significant-digit floats,
-'\\n' line endings, and a '.' decimal separator.
+'\\n' line endings, and a '.' decimal separator; a cell that contains a
+comma is double-quoted.
 """
 
 import argparse
@@ -36,6 +37,7 @@ from .scenarios import (
     decompose_scenario,
     efficiency,
     evolve,
+    step_grid,
     trajectory_diagnostics,
 )
 
@@ -355,10 +357,18 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT % value
 
 
+def _csv_cell(value) -> str:
+    """Floats at 17 significant digits; a cell containing a comma is quoted."""
+    text = _fmt(value) if isinstance(value, float) else str(value)
+    if "," in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(_csv_cell(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -471,23 +481,24 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
             f"incompatible level structures: {scen_a.dim} vs {scen_b.dim} levels")
     metric = cfg.get("metric", "eta_series")
     integ = cfg["integration"]
-    # one shared integration grid so series align row by row; build the
-    # generators up front so the stability guard cannot desynchronize dt
+    # one shared integration grid so series align row by row: the finer of
+    # the two steps evolve would take, which evolve then keeps for both
     gens = [build_generator(s) for s in (scen_a, scen_b)]
     dt = min(s.default_dt() if integ.get("dt") is None else integ["dt"]
              for s in (scen_a, scen_b))
-    bound = max(float(np.linalg.norm(g.superop_at(0.0), 2)) for g in gens)
-    if bound * dt > 1.5:
-        dt = dt / int(np.ceil(bound * dt / 1.5))
     results = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        dt = min(step_grid(g, dt)[0] for g in gens)
         for scen, gen in zip((scen_a, scen_b), gens):
             traj = evolve(scen, t_final=integ["t_final"], dt=dt,
                           stride=integ.get("stride"), generator=gen)
             results.append((traj, efficiency(traj)))
     (traj_a, eff_a), (traj_b, eff_b) = results
-    n = min(len(traj_a.times), len(traj_b.times))
+    if not np.array_equal(traj_a.times, traj_b.times):
+        raise ConfigError("scenarios a and b have no common time grid: their drive "
+                          "periods admit no shared step")
+    n = len(traj_a.times)
     if metric == "eta_series":
         rows = ([float(traj_a.times[k]), float(eff_a.cumulative[k]),
                  float(eff_b.cumulative[k]),
@@ -531,28 +542,28 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     axes = cfg["axes"]
     names = sorted(axes)
     grid = list(product(*(axes[name] for name in names)))
+    results = [None] * len(grid)     # in grid order; axis values may be unhashable
     jobs = []
-    failed = {}
-    for values in grid:
+    for i, values in enumerate(grid):
         # override the raw config so preset-level axes still take effect,
         # then canonicalize (preset expansion deep-merges partial sections)
         try:
             run = apply_overrides(copy.deepcopy(base),
                                   [f"{n}={json.dumps(v)}" for n, v in zip(names, values)])
             run = validate_schema(canonical_run_dict(run), RUN_SCHEMA)
-            jobs.append((run, values))
+            jobs.append((i, (run, values)))
         except FloqdynError:
-            failed[values] = {"values": values, "status": "error:2", "eta": float("nan"),
-                              "final_populations": [], "positivity_min": float("nan")}
+            results[i] = {"values": values, "status": "error:2", "eta": float("nan"),
+                          "final_populations": [], "positivity_min": float("nan")}
     workers = cfg.get("parallelism", 1)
+    points = [job for _, job in jobs]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_sweep_point, jobs))
+            computed = list(pool.map(_sweep_point, points))
     else:
-        computed = [_sweep_point(j) for j in jobs]
-    by_values = {tuple(r["values"]): r for r in computed}
-    by_values.update({tuple(k): v for k, v in failed.items()})
-    results = [by_values[tuple(v)] for v in grid]
+        computed = [_sweep_point(p) for p in points]
+    for (i, _), res in zip(jobs, computed):
+        results[i] = res
 
     dim = scenario_from_dict(canonical_scenario_dict(base["scenario"])).dim
     header = list(names) + ["status", "eta"] + [f"pop_{i}" for i in range(dim)] \

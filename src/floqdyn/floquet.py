@@ -4,19 +4,23 @@ Given a time-periodic Hamiltonian H(t) = H(t + tau), the propagator factors
 as U(t,0) = P(t,0) exp(-i*Hbar*t) with Hbar Hermitian (the Floquet
 Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
 
-* the monodromy U(tau,0) by RK4 integration and Hbar by the principal
-  matrix logarithm, with quasienergy branches unfolded against the
-  undriven reference so Hbar is continuous in the drive amplitude;
+* the monodromy U(tau,0) by RK4 integration (the step maps of
+  :mod:`floqdyn.propagation`, built per sample interval in array calls)
+  and Hbar by the principal matrix logarithm, with quasienergy branches
+  unfolded against the undriven reference so Hbar is continuous in the
+  drive amplitude;
 * the sampled periodic operator P(t,0) and the Fourier coefficients S(q)
   of P†(t) S P(t) for any system operator S;
 * the jump-operator table S(q, omega) resolved on quasienergy gaps;
 * a Magnus + Baker-Campbell-Hausdorff approximation of the propagator for
-  a single cosine-driven level pair, and the fidelity benchmarks comparing
-  it against the integrated propagator.
+  a single cosine-driven level pair (nested Gauss-Legendre integrals,
+  self-checked against a lower node count), and the fidelity benchmarks
+  comparing it against the integrated propagator.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
@@ -30,6 +34,7 @@ from .operators import (
     unitarity_defect,
     unitary_fidelity,
 )
+from .propagation import propagate
 from .tolerances import TOLERANCES
 
 
@@ -62,14 +67,18 @@ class DriveSpec:
 
 
 def drive_hamiltonian(h0, drive: DriveSpec | None):
-    """Callable t -> H(t) = h0 + mu*cos(Omega*t)*(|i><j| + |j><i|)."""
+    """Callable t -> H(t) = h0 + mu*cos(Omega*t)*(|i><j| + |j><i|).
+
+    An array of times gives the stacked Hamiltonians, shape t.shape + (d, d).
+    """
     h0 = require_hermitian(h0)
     if drive is None or drive.mu == 0:
         return lambda t: h0
     x = drive.coupling_matrix(h0.shape[0])
 
     def h(t):
-        return h0 + drive.mu * np.cos(drive.omega_drive * t) * x
+        c = drive.mu * np.cos(drive.omega_drive * np.asarray(t, dtype=float))
+        return h0 + c[..., None, None] * x
 
     return h
 
@@ -78,38 +87,29 @@ def drive_hamiltonian(h0, drive: DriveSpec | None):
 # propagator integration
 
 
-def _rk4_unitary_samples(h_of_t, t0: float, n_samples: int, dt_sample: float,
-                         substeps: int) -> np.ndarray:
-    """RK4-integrate dU/dt = -i H(t) U, returning U at n_samples+1 sample times."""
-    d = np.asarray(h_of_t(t0)).shape[0]
-    out = np.empty((n_samples + 1, d, d), dtype=complex)
-    u = np.eye(d, dtype=complex)
-    out[0] = u
-    h = dt_sample / substeps
-    step = 0
-    for k in range(n_samples):
-        for _ in range(substeps):
-            t = t0 + step * h
-            k1 = -1j * (h_of_t(t) @ u)
-            hm = -1j * h_of_t(t + 0.5 * h)
-            k2 = hm @ (u + 0.5 * h * k1)
-            k3 = hm @ (u + 0.5 * h * k2)
-            k4 = -1j * (h_of_t(t + h) @ (u + h * k3))
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            step += 1
-        out[k + 1] = u
-    return out
+def _unitary_samples(h_of_t, dim: int, n_samples: int, dt_sample: float,
+                     substeps: int, period_samples: int, t0: float = 0.0) -> np.ndarray:
+    """U(t0 + k*dt_sample, t0) for k = 0..n_samples, with ``substeps`` RK4 steps per sample.
+
+    H must repeat every ``period_samples`` samples over the integrated span.
+    """
+    return propagate(lambda t: -1j * np.asarray(h_of_t(t), dtype=complex),
+                     np.eye(dim, dtype=complex), dt_sample / substeps,
+                     period_samples * substeps, substeps, n_samples * substeps, t0=t0)
 
 
 def propagate_schrodinger(h_of_t, t0: float, t1: float, steps: int) -> np.ndarray:
     """U(t1, t0) by fixed-step RK4; deterministic for fixed inputs.
 
-    Raises :class:`StepSizeError` when the result drifts off the unitary
-    manifold beyond tolerance, advising a finer step.
+    ``h_of_t`` is called with 1-D arrays of times and returns the stacked
+    Hamiltonians, or one matrix when H is constant.  Raises
+    :class:`StepSizeError` when the result drifts off the unitary manifold
+    beyond tolerance, advising a finer step.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    u = _rk4_unitary_samples(h_of_t, t0, 1, t1 - t0, steps)[1]
+    dim = np.shape(h_of_t(np.array([t0])))[-1]
+    u = _unitary_samples(h_of_t, dim, 1, t1 - t0, steps, 1, t0=t0)[1]
     defect = unitarity_defect(u)
     if defect > TOLERANCES.propagator_unitarity:
         raise StepSizeError(
@@ -156,30 +156,36 @@ class FloquetDecomposition:
     def p_at_index(self, k: int) -> np.ndarray:
         return self.p_samples[k % self.grid_m]
 
-    def p_at(self, t: float) -> np.ndarray:
+    def p_at(self, t) -> np.ndarray:
         """P(t mod tau): exact on the sample grid, geodesic interpolation off it.
 
         The geodesic step P_k exp(frac * log(P_k† P_{k+1})) is unitary by
         construction, so trace preservation of downstream picture transforms
-        is exact even between samples.
+        is exact even between samples.  An array of times gives the stack,
+        shape t.shape + (d, d); grid times are gathered in one indexing step.
         """
+        t = np.asarray(t, dtype=float)
         m = self.grid_m
-        pos = (t / self.tau) * m
-        k = int(np.floor(pos))
+        pos = (t.ravel() / self.tau) * m
+        k = np.floor(pos)
         frac = pos - k
-        if abs(frac) < 1e-9 * max(1.0, abs(pos)) or 1 - frac < 1e-9 * max(1.0, abs(pos)):
-            return self.p_samples[int(round(pos)) % m]
-        p0 = self.p_samples[k % m]
-        p1 = self.p_samples[(k + 1) % m]
-        step = principal_unitary_log(p0.conj().T @ p1, tol=1e-6)
-        v, w = np.linalg.eigh(step)
-        return p0 @ ((w * np.exp(-1j * frac * v)) @ w.conj().T)
+        slack = 1e-9 * np.maximum(1.0, np.abs(pos))
+        on_grid = (np.abs(frac) < slack) | (1 - frac < slack)
+        out = self.p_samples[np.rint(pos).astype(np.int64) % m]
+        for j in np.flatnonzero(~on_grid):
+            p0 = self.p_samples[int(k[j]) % m]
+            p1 = self.p_samples[(int(k[j]) + 1) % m]
+            step = principal_unitary_log(p0.conj().T @ p1, tol=1e-6)
+            v, w = np.linalg.eigh(step)
+            out[j] = p0 @ ((w * np.exp(-1j * frac[j] * v)) @ w.conj().T)
+        return out.reshape(t.shape + out.shape[1:])
 
-    def propagator_at(self, t: float) -> np.ndarray:
-        """U(t,0) = P(t mod tau) exp(-i*Hbar*t)."""
-        phases = np.exp(-1j * self.quasi.energies * t)
+    def propagator_at(self, t) -> np.ndarray:
+        """U(t,0) = P(t mod tau) exp(-i*Hbar*t); an array of times gives the stack."""
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(-1j * self.quasi.energies * t[..., None])
         v = self.quasi.vectors
-        return self.p_at(t) @ ((v * phases) @ v.conj().T)
+        return self.p_at(t) @ ((v * phases[..., None, :]) @ v.conj().T)
 
 
 def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
@@ -209,12 +215,14 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int = 1024,
                       substeps: int = 16, unfold: bool = True) -> FloquetDecomposition:
     """Monodromy-based Floquet decomposition of a tau-periodic Hamiltonian.
 
-    ``reference`` is the undriven Hamiltonian used for branch unfolding;
-    pass ``unfold=False`` to keep the principal branch (eigenphases of the
-    monodromy in (-pi, pi]).
+    ``h_of_t`` is called with 1-D arrays of times and returns the stacked
+    Hamiltonians (or one matrix when H is constant).  ``reference`` is the
+    undriven Hamiltonian used for branch unfolding; pass ``unfold=False``
+    to keep the principal branch (eigenphases of the monodromy in (-pi, pi]).
     """
     reference = require_hermitian(reference)
-    u_samples = _rk4_unitary_samples(h_of_t, 0.0, grid_m, tau / grid_m, substeps)
+    u_samples = _unitary_samples(h_of_t, reference.shape[0], grid_m, tau / grid_m,
+                                 substeps, grid_m)
     u_tau = u_samples[-1]
     defect = unitarity_defect(u_tau)
     if defect > TOLERANCES.propagator_unitarity:
@@ -408,9 +416,14 @@ def bch_compose(x: np.ndarray, y: np.ndarray, terms: int = 12) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=8)
 def _gl_unit(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1], cached per order, read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _drive_vector(omega_gap: float, omega_drive: float, t):
@@ -421,18 +434,18 @@ def _drive_vector(omega_gap: float, omega_drive: float, t):
                      np.zeros_like(t)], axis=-1)
 
 
-def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t: float,
-                             order: int = 3, gl_points: int = 64) -> list[np.ndarray]:
-    """Pauli vectors of the first Magnus integrals Lambda_n(t), n = 1..order.
+#: Gauss-Legendre nodes per dimension of the nested Magnus integrals, the
+#: lower count each result is checked against, and the relative agreement
+#: demanded of every order.
+MAGNUS_NODES = 32
+MAGNUS_CHECK_NODES = 24
+MAGNUS_CHECK_RTOL = 1e-8
 
-    The interaction-picture drive of a single coupled pair lives in su(2),
-    so nested commutators reduce to cross products of the real coefficient
-    vector a(t); each nested integral is evaluated with Gauss-Legendre
-    nodes per dimension.
-    """
-    if not (1 <= order <= 3):
-        raise ValidationError("magnus order must be 1, 2, or 3")
-    xi, wi = _gl_unit(gl_points)
+
+def _magnus_terms(drive: DriveSpec, omega_gap: float, t: float, order: int,
+                  nodes: int) -> list[np.ndarray]:
+    """Lambda_1..Lambda_order on ``nodes`` Gauss-Legendre nodes per dimension."""
+    xi, wi = _gl_unit(nodes)
     t1 = t * xi                      # (n,)
     w1 = t * wi
     a1 = _drive_vector(omega_gap, drive.omega_drive, t1)
@@ -451,12 +464,38 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t: float,
     t3 = t2[..., None] * xi[None, None, :]           # (n, n, n)
     w3 = t2[..., None] * wi[None, None, :]
     a3 = _drive_vector(omega_gap, drive.omega_drive, t3)
-    inner = (np.cross(a2[:, :, None, :], a3)         # a2 x a3
-             )
+    inner = np.cross(a2[:, :, None, :], a3)          # a2 x a3
     term1 = np.cross(a1[:, None, None, :], inner)    # a1 x (a2 x a3)
     term2 = np.cross(cross12[:, :, None, :], a3)     # (a1 x a2) x a3
     out.append((1.0 / 6.0) * np.einsum("i,ij,ijl,ijlk->k", w1, w2, w3, term1 + term2))
     return out
+
+
+def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t: float,
+                             order: int = 3) -> list[np.ndarray]:
+    """Pauli vectors of the first Magnus integrals Lambda_n(t), n = 1..order.
+
+    The interaction-picture drive of a single coupled pair lives in su(2),
+    so nested commutators reduce to cross products of the real coefficient
+    vector a(t); each nested integral is evaluated with ``MAGNUS_NODES``
+    Gauss-Legendre nodes per dimension.  The result is checked against
+    ``MAGNUS_CHECK_NODES`` nodes: every order must agree to
+    ``MAGNUS_CHECK_RTOL`` relative, else :class:`NumericalError`.
+    """
+    if not (1 <= order <= 3):
+        raise ValidationError("magnus order must be 1, 2, or 3")
+    terms = _magnus_terms(drive, omega_gap, t, order, MAGNUS_NODES)
+    check = _magnus_terms(drive, omega_gap, t, order, MAGNUS_CHECK_NODES)
+    for n, (fine, coarse) in enumerate(zip(terms, check), start=1):
+        gap = float(np.linalg.norm(fine - coarse))
+        size = float(np.linalg.norm(fine))
+        if gap > MAGNUS_CHECK_RTOL * size:
+            raise NumericalError(
+                f"Magnus integral of order {n} at t={t:.6g} did not converge: "
+                f"{MAGNUS_NODES} and {MAGNUS_CHECK_NODES} Gauss nodes differ by "
+                f"{gap:.3e} (relative {gap / size if size else float('inf'):.3e})"
+            )
+    return terms
 
 
 def _pair_paulis(dim: int, pair: tuple[int, int]):
@@ -473,7 +512,7 @@ def _pair_paulis(dim: int, pair: tuple[int, int]):
 
 
 def magnus_bch_propagator(drive: DriveSpec, h0, t: float, magnus_order: int = 3,
-                          bch_terms: int = 12, gl_points: int = 64) -> np.ndarray:
+                          bch_terms: int = 12) -> np.ndarray:
     """Approximate U(t,0) = exp(E) with E = BCH(-i*t*h0, Magnus exponent).
 
     ``h0`` must be diagonal in the level basis the drive pair refers to.
@@ -493,7 +532,7 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t: float, magnus_order: int = 3,
     paulis = (sx, sy, sz)
     lam = np.zeros((dim, dim), dtype=complex)
     if drive.mu > 0 and t != 0:
-        vecs = magnus_interaction_terms(drive, omega_gap, t, magnus_order, gl_points)
+        vecs = magnus_interaction_terms(drive, omega_gap, t, magnus_order)
         for n, vec in enumerate(vecs, start=1):
             block = sum(vec[k] * paulis[k] for k in range(3))
             lam = lam + (-1j * drive.mu) ** n * block
@@ -556,7 +595,7 @@ def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
     n = grid_points - 1
     if exact is None:
         h_of_t = drive_hamiltonian(h0, drive)
-        u_two = _rk4_unitary_samples(h_of_t, 0.0, 2 * n, tau / n, substeps_per_point)
+        u_two = _unitary_samples(h_of_t, h0.shape[0], 2 * n, tau / n, substeps_per_point, n)
     else:
         u_two = np.array([exact(k * tau / n) for k in range(2 * n + 1)])
     ts = np.arange(grid_points) * (tau / n)

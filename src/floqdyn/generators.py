@@ -163,9 +163,9 @@ class Generator:
     precomputed superoperator; tau-periodic kinds hold superoperators on a
     uniform period grid (endpoints included) with linear interpolation in t
     -- interpolation is exact for trace/Hermiticity preservation since both
-    are linear constraints.  ``propagator`` maps t to U_S(t,0) for
-    transforming interaction-picture solutions back to the Schrodinger
-    picture; it is None for Schrodinger-picture kinds.
+    are linear constraints.  ``propagator`` maps t, or an array of times,
+    to U_S(t,0) for transforming interaction-picture solutions back to the
+    Schrodinger picture; it is None for Schrodinger-picture kinds.
     """
 
     kind: str
@@ -178,16 +178,19 @@ class Generator:
     propagator: object = None
     meta: dict = field(default_factory=dict)
 
-    def superop_at(self, t: float) -> np.ndarray:
+    def superop_at(self, t) -> np.ndarray:
+        """L(t); an array of times gives the stack, shape t.shape + (d*d, d*d)."""
         if self.superop is not None:
-            return self.superop
+            if np.ndim(t) == 0:
+                return self.superop
+            return np.broadcast_to(self.superop, np.shape(t) + self.superop.shape)
         n = self.superop_samples.shape[0] - 1
-        pos = (t % self.tau) / self.tau * n
-        k = int(np.floor(pos))
+        pos = (np.asarray(t, dtype=float) % self.tau) / self.tau * n
+        k = np.floor(pos).astype(np.int64)
         frac = pos - k
-        if frac < 1e-12:
-            return self.superop_samples[k]
-        return (1.0 - frac) * self.superop_samples[k] + frac * self.superop_samples[k + 1]
+        frac = np.where(frac < 1e-12, 0.0, frac)[..., None, None]
+        return ((1.0 - frac) * self.superop_samples[k]
+                + frac * self.superop_samples[np.minimum(k + 1, n)])
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         v = self.superop_at(t) @ np.asarray(rho, dtype=complex).ravel()
@@ -323,7 +326,8 @@ def _finish_lindblad(h0, spec, spectrum, diss, h_lamb, picture) -> Generator:
         sop = sop_commutator(np.asarray(lamb_total, dtype=complex)) + diss
 
         def prop(t, _spec=spectrum):
-            return (_spec.vectors * np.exp(-1j * _spec.energies * t)) @ _spec.vectors.conj().T
+            phases = np.exp(-1j * _spec.energies * np.asarray(t, dtype=float)[..., None])
+            return (_spec.vectors * phases[..., None, :]) @ _spec.vectors.conj().T
     else:
         raise ValidationError(f"unknown picture {picture!r}")
     return Generator(kind="lindblad", picture=picture, dim=d, superop=sop,

@@ -9,10 +9,13 @@ Basis ordering convention: 3-level scenarios use
 {|0>, |1>, |2>, |b>} (energies 0, 3, 3+gap, 2.5; target index 3).
 
 Trajectories integrate d(rho)/dt = L(t)[rho] with fixed-step RK4 on the
-vectorized state.  Interaction-picture generators (Lindblad kinds) have
-their recorded states transformed back to the Schrodinger picture with the
-exact propagator on the sample grid; Schrodinger-picture generators
-(Redfield kinds) record directly.
+vectorized state, through the step maps of :mod:`floqdyn.propagation`: a
+static generator has one step map, a tau-periodic one (steps of tau/N) one
+per period phase, and each recorded interval costs one matrix-vector
+product.  Interaction-picture generators (Lindblad kinds) have their
+recorded states transformed back to the Schrodinger picture with the exact
+propagator on the sample grid, in array calls over chunks of records;
+Schrodinger-picture generators (Redfield kinds) record directly.
 """
 
 import warnings
@@ -33,6 +36,7 @@ from .generators import (
     redfield_generator,
 )
 from .operators import DensityMatrix
+from .propagation import propagate
 from .tolerances import TOLERANCES
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
@@ -260,7 +264,11 @@ def build_generator(config: ScenarioConfig,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded Schrodinger-picture states on a uniform coarse grid."""
+    """Recorded Schrodinger-picture states on a uniform coarse grid.
+
+    The last record is at exactly the requested end time, so the last
+    interval may be shorter than the others.
+    """
 
     times: np.ndarray
     states: np.ndarray                 # (n, d, d)
@@ -281,27 +289,57 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step_matrix(sop: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step of an autonomous linear system == 4th-order Taylor map."""
-    n = sop.shape[0]
-    a = dt * sop
-    m = np.eye(n, dtype=complex) + a
-    a2 = a @ a
-    m += 0.5 * a2
-    a3 = a2 @ a
-    m += a3 / 6.0
-    m += (a3 @ a) / 24.0
-    return m
+#: Records per array call of the picture transform and the positivity scan
+#: in ``evolve``.
+RECORD_CHUNK = 2048
 
 
-def _spectral_bound(sop: np.ndarray) -> float:
-    return float(np.linalg.norm(sop, 2))
+def step_grid(generator: Generator, dt: float) -> tuple[float, int]:
+    """The RK4 step length ``evolve`` takes for a requested ``dt``, and the steps per period.
+
+    A tau-periodic generator steps by tau/N, with N the smallest integer
+    >= tau/dt (1e-9 relative slack), so the step phases repeat every
+    period; a static generator keeps ``dt`` and has one phase.  The
+    stability guard then divides the step until dt * max ||L(t)||_2 <= 1.5,
+    the norm's maximum taken over every step phase, and warns when it does.
+    """
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    if generator.is_static:
+        n_phase = 1
+    else:
+        n_phase = max(1, int(np.ceil(generator.tau / dt * (1 - 1e-9))))
+        dt = generator.tau / n_phase
+    sops = generator.superop_at(np.arange(n_phase) * dt)
+    bound = float(np.max(np.linalg.norm(sops, 2, axis=(1, 2))))
+    # keep RK4 comfortably inside its stability region
+    if bound * dt > 1.5:
+        dt_old = dt
+        n_sub = int(np.ceil(bound * dt / 1.5))
+        if generator.is_static:
+            dt = dt / n_sub
+        else:
+            n_phase *= n_sub
+            dt = generator.tau / n_phase
+        warnings.warn(
+            f"dt={dt_old:.4g} too coarse for generator norm {bound:.3g}; using {dt:.4g}",
+            RuntimeWarning, stacklevel=3,
+        )
+    return dt, n_phase
 
 
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
            stride: int | None = None, generator: Generator | None = None,
            max_records: int = 20000, transform: bool = True) -> Trajectory:
     """Integrate the scenario's master equation with fixed-step RK4.
+
+    The step is ``step_grid(generator, dt)``: a tau-periodic generator
+    steps by tau/N, N the smallest integer >= tau/dt, so one RK4 step map
+    per period phase serves the whole run (:mod:`floqdyn.propagation`).
+    States are recorded every ``stride`` steps (by default the smallest
+    stride giving at most ``max_records`` intervals).  After the last
+    whole stride the run takes its remaining whole steps and one partial
+    step, and records the end state at exactly ``t_final``.
 
     Recorded states are Schrodinger picture (interaction-picture kinds are
     transformed with the exact grid-aligned propagator).  Trace drift beyond
@@ -312,79 +350,47 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         generator = build_generator(config)
     if dt is None:
         dt = config.default_dt()
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    # keep RK4 comfortably inside its stability region
-    bound = _spectral_bound(generator.superop_at(0.0))
-    if bound * dt > 1.5:
-        dt_old = dt
-        n_sub = int(np.ceil(bound * dt / 1.5))
-        dt = dt / n_sub
-        warnings.warn(
-            f"dt={dt_old:.4g} too coarse for generator norm {bound:.3g}; using {dt:.4g}",
-            RuntimeWarning, stacklevel=2,
-        )
-    n_steps = max(1, int(np.ceil(t_final / dt - 1e-9)))
+    if t_final <= 0:
+        raise ValidationError("t_final must be positive")
+    dt, n_phase = step_grid(generator, dt)
+    n_steps = int(np.floor(t_final / dt + 1e-9))
+    partial = t_final - n_steps * dt
+    if partial <= 1e-9 * dt and n_steps > 0:
+        partial = 0.0
     if stride is None:
-        stride = max(1, int(np.ceil(n_steps / max_records)))
-    n_rec = n_steps // stride + 1
+        stride = max(1, int(np.ceil((n_steps + (partial > 0)) / max_records)))
+    if stride < 1:
+        raise ValidationError("stride must be >= 1")
 
     d = generator.dim
     rho0 = config.initial_state().matrix
-    v = rho0.ravel().astype(complex)
-    rec_states = np.empty((n_rec, d, d), dtype=complex)
-    rec_times = np.empty(n_rec)
-
-    static = generator.is_static
-    if static:
-        step_m = _rk4_step_matrix(generator.superop, dt)
-        stride_m = np.linalg.matrix_power(step_m, stride)
-    rec_states[0] = rho0
-    rec_times[0] = 0.0
-    idx = 1
-    if static:
-        for k in range(1, n_rec):
-            v = stride_m @ v
-            rec_times[k] = k * stride * dt
-            rec_states[k] = v.reshape(d, d)
-        idx = n_rec
-    else:
-        step = 0
-        for k in range(1, n_rec):
-            for _ in range(stride):
-                t = step * dt
-                l1 = generator.superop_at(t)
-                lm = generator.superop_at(t + 0.5 * dt)
-                l2 = generator.superop_at(t + dt)
-                k1 = l1 @ v
-                k2 = lm @ (v + 0.5 * dt * k1)
-                k3 = lm @ (v + 0.5 * dt * k2)
-                k4 = l2 @ (v + dt * k3)
-                v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                step += 1
-            rec_times[k] = step * dt
-            rec_states[k] = v.reshape(d, d)
-        idx = n_rec
-    rec_states = rec_states[:idx]
-    rec_times = rec_times[:idx]
+    states = propagate(generator.superop_at, rho0.ravel().astype(complex), dt, n_phase,
+                       stride, n_steps, partial).reshape(-1, d, d)
+    times = np.arange(len(states)) * stride * dt
+    times[-1] = t_final
 
     issued = []
-    if transform and generator.picture == "interaction":
-        if generator.propagator is None:
-            raise NumericalError("interaction-picture generator lacks a propagator")
-        for k in range(len(rec_times)):
-            u = generator.propagator(rec_times[k])
-            rec_states[k] = u @ rec_states[k] @ u.conj().T
+    transform = transform and generator.picture == "interaction"
+    if transform and generator.propagator is None:
+        raise NumericalError("interaction-picture generator lacks a propagator")
+    # chunks keep the temporaries of these array calls small beside the records
+    min_eigs = np.empty(len(times))
+    for lo in range(0, len(times), RECORD_CHUNK):
+        chunk = slice(lo, lo + RECORD_CHUNK)
+        if transform:
+            u = generator.propagator(times[chunk])
+            states[chunk] = u @ states[chunk] @ u.conj().swapaxes(-1, -2)
+        s = states[chunk]
+        min_eigs[chunk] = np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2)))[:, 0]
 
-    traces = np.einsum("tii->t", rec_states)
+    traces = np.einsum("tii->t", states)
     trace_err = np.abs(traces - 1.0)
     if np.max(trace_err) > TOLERANCES.trace_drift:
         raise NumericalError(
             f"trace drift {np.max(trace_err):.2e} exceeds "
             f"{TOLERANCES.trace_drift:.0e}; decrease dt"
         )
-    pops = np.einsum("tii->ti", rec_states).real
-    min_eigs = np.array([np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] for s in rec_states])
+    pops = np.einsum("tii->ti", states).real
     worst = float(min_eigs.min())
     if worst < TOLERANCES.redfield_positivity:
         msg = (f"state positivity violated beyond soft bound: min eigenvalue "
@@ -392,7 +398,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
         issued.append(msg)
 
-    return Trajectory(times=rec_times, states=rec_states, populations=pops,
+    return Trajectory(times=times, states=states, populations=pops,
                       positivity_log=min_eigs, trace_errors=trace_err,
                       config=config, warnings_issued=tuple(issued))
 

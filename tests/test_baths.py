@@ -215,3 +215,28 @@ class TestQuadratureConvergenceGuard:
             with pytest.raises(NumericalError, match="did not converge"):
                 pv_quadrature(lambda nu: np.exp(-np.asarray(nu, float)), 3.0,
                               (0.0, 1.0e4), PARAMS)
+
+
+class TestGaussLegendreRules:
+    def test_cached_rule_is_read_only_and_exact(self):
+        from floqdyn.baths import _leggauss
+
+        x, w = _leggauss(96)
+        want_x, want_w = np.polynomial.legendre.leggauss(96)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        assert _leggauss(96)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_checked_evaluates_each_order_once(self):
+        from floqdyn.baths import _checked
+
+        orders = []
+
+        def f(nu):
+            orders.append(len(nu))
+            return np.exp(-nu)
+
+        value = _checked(f, np.array([0.0, 1.0, 3.0]), 64, "exp")
+        assert orders == [128, 256]
+        assert value == pytest.approx(1.0 - np.exp(-3.0), rel=1e-14)

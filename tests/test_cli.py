@@ -142,6 +142,31 @@ class TestCompare:
         # calibrated kinds agree closely on the shared grid
         assert max(float(r["trace_distance"]) for r in rows) < 1e-3
 
+    def test_periodic_and_static_kinds_share_the_periodic_grid(self, tmp_path):
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({
+            "a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
+            "b": {"preset": "three_level_v1", "q_max": 2},
+            "integration": {"t_final": 5.0, "dt": 0.05},
+        }))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        times = [float(r["t"]) for r in read_csv(tmp_path / "compare.csv")]
+        # the step divides the drive period (tau/N, after the stability guard)
+        steps_per_period = (2 * np.pi / 2.25) / times[1]
+        assert steps_per_period == pytest.approx(round(steps_per_period), abs=1e-9)
+        assert times[1] <= 0.05
+        assert times[-1] == 5.0
+
+    def test_incommensurate_drive_periods_exit_2(self, tmp_path):
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({
+            "a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
+            "b": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2,
+                  "drive": {"omega": 2.0}},
+            "integration": {"t_final": 2.0, "dt": 0.05},
+        }))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
     def test_dimension_mismatch_exit_2(self, tmp_path):
         cfg = tmp_path / "cmp.json"
         cfg.write_text(json.dumps({
@@ -215,6 +240,22 @@ class TestSweep:
         statuses = {r["scenario.kind"]: r["status"] for r in rows}
         assert statuses["lindblad"] == "ok"
         assert statuses["not_a_kind"].startswith("error")
+
+    def test_list_valued_axis(self, tmp_path):
+        energies = [[0.0, 3.0, 3.0, 2.5], [0.0, 3.0, 3.05, 2.5]]
+        sweep = {"base": {"scenario": {"preset": "four_level_degenerate"},
+                          "integration": {"t_final": 50.0}},
+                 "axes": {"scenario.energies": energies},
+                 "parallelism": 1}
+        assert main(["sweep", "--config", str(self._write(tmp_path, "s.json", sweep)),
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [json.loads(r["scenario.energies"]) for r in rows] == energies
+        assert all(r["status"] == "ok" for r in rows)
+        # only the comma-bearing cells are quoted
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1].startswith('"[0.0, 3.0, 3.0, 2.5]",ok,')
+        assert lines[1].count('"') == 2
 
     @staticmethod
     def _write(tmp_path, name, payload):

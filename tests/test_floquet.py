@@ -184,6 +184,25 @@ class TestMagnusBch:
             for k in range(9)]
         assert min(fids) > 0.97
 
+    @pytest.mark.parametrize("pair,t", [((0, 2), TAU), ((0, 2), 2 * TAU),
+                                        ((1, 2), TAU), ((1, 2), 2 * TAU)])
+    def test_nodes_match_64_point_rule(self, pair, t):
+        from floqdyn.floquet import _magnus_terms
+
+        omega_gap = H0[pair[0], pair[0]].real - H0[pair[1], pair[1]].real
+        drive = DriveSpec(0.1, OMEGA, pair)
+        got = magnus_interaction_terms(drive, omega_gap, t)
+        want = _magnus_terms(drive, omega_gap, t, 3, 64)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_unresolved_integrand_raises(self):
+        from floqdyn.errors import NumericalError
+
+        # 40 drive periods are far beyond what 24 or 32 nodes resolve
+        with pytest.raises(NumericalError, match="did not converge"):
+            magnus_interaction_terms(V0, -2.5, 40 * TAU)
+
     def test_requires_diagonal_h0(self):
         h = H0.copy()
         h[0, 1] = h[1, 0] = 0.3
