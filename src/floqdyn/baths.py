@@ -308,16 +308,6 @@ def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
     )
 
 
-def gamma_xi_ohmic_cross(spec: OhmicSpec, beta: float, x: float) -> CorrelationCoefficients:
-    """Cross coefficients between the two quadrature couplings of one bath.
-
-    For an odd spectral density the two-sided integrals fold onto each other
-    exactly (substituting nu -> -nu and using nbar(-nu) = -(nbar(nu)+1)), so
-    both the cross rate and the cross shift vanish identically.
-    """
-    return CorrelationCoefficients(gamma=0.0, xi=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Redfield N / C coefficients
 

@@ -20,6 +20,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, asdict, fields
 from itertools import product
 from pathlib import Path
 
@@ -29,6 +30,7 @@ import numpy as np
 from .baths import BathSpec, LambIntegralParams, OhmicSpec
 from .errors import ConfigError, FloqdynError, NumericalError
 from .floquet import DriveSpec, benchmark_fidelities
+from .generators import GENERATOR_KINDS
 from .operators import trace_distance
 from .scenarios import (
     PRESETS,
@@ -60,7 +62,7 @@ _SCENARIO_SCHEMA = {
         "label": {"type": "string"},
         "energies": {"type": "array", "items": {"type": "number"}},
         "target_level": {"type": "integer"},
-        "kind": {"enum": ["lindblad", "floquet_lindblad", "redfield", "floquet_redfield"]},
+        "kind": {"enum": list(GENERATOR_KINDS)},
         "lamb_shift": {"type": "boolean"},
         "q_max": {"type": "integer"},
         "initial_level": {"type": "integer"},
@@ -248,7 +250,11 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def canonical_scenario_dict(data: dict) -> dict:
-    """Expand a preset reference into the canonical full form."""
+    """Expand a preset reference into the canonical full form.
+
+    A custom scenario takes the field defaults of :class:`ScenarioConfig`
+    (``lamb_params`` merged key by key) and the label "custom".
+    """
     data = copy.deepcopy(data)
     preset = data.pop("preset", None)
     if preset is not None:
@@ -260,18 +266,9 @@ def canonical_scenario_dict(data: dict) -> dict:
     missing = [k for k in required if k not in data]
     if missing:
         raise ConfigError(f"scenario missing required keys: {missing}")
-    defaults = {
-        "label": "custom", "lamb_shift": True, "q_max": 0, "initial_level": 0,
-        "grid_m": 1024, "period_nodes": 256, "substeps": 16, "dt": None,
-        "drive": None,
-        "lamb_params": {"w_cutoff": 4.0e4, "quadrature_points": 96, "pv_window": 0.1},
-    }
-    for key, val in defaults.items():
-        data.setdefault(key, val)
-    lp_defaults = defaults["lamb_params"]
-    for key, val in lp_defaults.items():
-        data["lamb_params"].setdefault(key, val)
-    return data
+    defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
+    lamb_params = {**asdict(defaults.pop("lamb_params")), **data.pop("lamb_params", {})}
+    return {"label": "custom", **defaults, **data, "lamb_params": lamb_params}
 
 
 def canonical_run_dict(data: dict) -> dict:

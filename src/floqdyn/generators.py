@@ -1,20 +1,25 @@
 """Master-equation generators as superoperators on density matrices.
 
-Four kinds are assembled here, all in the Born-Markov weak-coupling regime:
+Four kinds, all in the Born-Markov weak-coupling regime, are assembled over
+one harmonic frame: a quasienergy spectrum, the drive frequency Omega, and
+the resolver from a system operator S to its harmonics S(q), which the jump
+table splits into S(q, omega) on the quasienergy gaps.  A Floquet kind
+takes the frame from its decomposition.  A static kind is the trivial
+Floquet case P = 1, Hbar = h0, q_max = 0: the spectrum of h0, Omega = 0 and
+S(0) = S.  Two assembly paths run over the frame:
 
-* ``lindblad`` -- static system, full secular approximation; jump operators
-  from the system Hamiltonian's gaps, rates/shifts from the Ohmic bath
-  coefficients.  Time independent.
-* ``floquet_lindblad`` -- periodically driven system, full secular
-  approximation in the Floquet basis: jump operators S(q, omega) with
-  coefficients evaluated at omega + q*Omega.  Time independent in the
-  interaction picture.
-* ``redfield`` -- static system, Born-Markov only (no secular); dipole
-  couplings via the radiation-bath N1/N2 rates and C1/C2 Lamb integrals.
-  Schrodinger picture, time independent.
-* ``floquet_redfield`` -- driven system with the partial secular
-  approximation that keeps only equal-harmonic (q' = q) terms; the
-  tau-periodic generator is cached on a period grid and interpolated.
+* the secular path -- ``lindblad`` and ``floquet_lindblad``: per channel,
+  dissipators gamma D[S(q, omega)] and Lamb terms xi S†S with the Ohmic
+  bath coefficients at omega + q*Omega.  Time independent in the
+  interaction picture, mapped back by the frame propagator
+  P(t) exp(-i Hbar t); static Lindblad may also be built in the
+  Schrodinger picture, and with collective (shared-mode) channels.
+* the Redfield path -- ``redfield`` and ``floquet_redfield``: dipole
+  couplings via the radiation-bath N1/N2 rates and C1/C2 Lamb integrals,
+  with the partial secular filter that keeps only equal-harmonic (q' = q)
+  terms (optionally omega' = omega as well).  Five dipole-weighted jump
+  sums per harmonic are rotated by P(t) on the nodes of a period grid and
+  interpolated in t; static Redfield is the one-node case with P = I.
 
 Density matrices are vectorized row-major: vec(A rho B) = (A kron B^T) vec(rho).
 Lindblad kinds treat every (bath, transition) channel independently; the
@@ -22,6 +27,7 @@ Redfield kinds keep all cross-transition dipole products within each bath,
 which is what couples populations to coherences.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +35,6 @@ import numpy as np
 from .baths import (
     BathSpec,
     LambIntegralParams,
-    RedfieldCoefficients,
     gamma_xi_ohmic,
     redfield_coefficients,
 )
@@ -37,12 +42,13 @@ from .errors import ConfigError, ValidationError
 from .floquet import (
     DriveSpec,
     FloquetDecomposition,
+    JumpOperatorTable,
     drive_hamiltonian,
     fourier_operator_coefficients,
     jump_operator_table,
     static_fourier_set,
 )
-from .operators import hermitian_eigensystem, require_hermitian
+from .operators import Spectrum, hermitian_eigensystem, require_hermitian
 
 #: 1/(6*pi*c^3*hbar*epsilon_0) in natural units, the dipole-dissipator prefactor.
 DIPOLE_PREFACTOR = 1.0 / (6.0 * np.pi)
@@ -208,71 +214,119 @@ class Generator:
 
 
 # ---------------------------------------------------------------------------
-# Lindblad / Floquet-Lindblad
+# the harmonic frame
 
 
-def _channel_tables(channel: CouplingChannel, spec: GeneratorSpec,
-                    static_spectrum=None):
-    """Jump tables for the channel's sigma_x/sigma_y operators.
+@dataclass(frozen=True)
+class _HarmonicFrame:
+    """Where jump operators are resolved, and the propagator of the frame.
 
-    Static kinds use the trivial q = 0 harmonic set on the system spectrum;
-    Floquet kinds Fourier-resolve on the decomposition.
+    ``harmonics`` maps a system operator S to its harmonics S(q);
+    ``jump_table`` resolves those onto the gaps of ``spectrum``, each entry
+    S(q, omega) to be evaluated at omega + q*``omega``.
     """
-    tables = []
-    for op in channel.operators:
-        if spec.floquet is None:
-            fset = static_fourier_set(op)
-            table = jump_operator_table(fset, static_spectrum)
-        else:
-            fset = fourier_operator_coefficients(spec.floquet, op, spec.q_max)
-            table = jump_operator_table(fset, spec.floquet.quasi)
-        if not table.entries:
-            raise ConfigError(
-                f"channel {channel.bath.name}/{channel.transition}: the Fourier "
-                "floor removed every jump operator; raise q_max or lower the floor"
-            )
-        tables.append(table)
-    return tables
+
+    spectrum: Spectrum
+    omega: float
+    harmonics: Callable
+    propagator: Callable
+    decomposition: FloquetDecomposition | None = None
+
+    def jump_table(self, op: np.ndarray) -> JumpOperatorTable:
+        return jump_operator_table(self.harmonics(op), self.spectrum)
 
 
-def _secular_channel_terms(channel: CouplingChannel, spec: GeneratorSpec,
-                           omega_shift: float, tables) -> tuple[np.ndarray, np.ndarray]:
-    """Dissipator superoperator and Lamb Hamiltonian of one channel.
+def _harmonic_frame(h0, spec: GeneratorSpec) -> _HarmonicFrame:
+    """The Floquet frame of ``spec.floquet``; for a static kind, the trivial
+    frame: the spectrum of h0, Omega = 0, S(0) = S and U(t) = exp(-i h0 t)."""
+    decomp = spec.floquet
+    if decomp is not None:
+        return _HarmonicFrame(
+            decomp.quasi, decomp.omega_drive,
+            lambda op: fourier_operator_coefficients(decomp, op, spec.q_max),
+            decomp.propagator_at, decomp)
+    spectrum = hermitian_eigensystem(h0)
 
-    Sums gamma/xi at omega + q*Omega over the channel's jump tables.  Cross
-    terms between sigma_x and sigma_y vanish for the Ohmic bath and are
-    omitted (see baths.gamma_xi_ohmic_cross).
-    """
-    d = channel.dim
-    diss = np.zeros((d * d, d * d), dtype=complex)
-    h_lamb = np.zeros((d, d), dtype=complex)
-    bath = channel.bath
-    for table in tables:
-        for q, omega, s_op in table.items():
-            x = omega + q * omega_shift
-            cc = gamma_xi_ohmic(bath.spectral, bath.beta, x, spec.lamb_params)
-            diss += cc.gamma * sop_dissipator(s_op, s_op)
-            if spec.lamb_shift:
-                h_lamb += cc.xi * (s_op.conj().T @ s_op)
-    return diss, h_lamb
+    def propagator(t):
+        phases = np.exp(-1j * spectrum.energies * np.asarray(t, dtype=float)[..., None])
+        return (spectrum.vectors * phases[..., None, :]) @ spectrum.vectors.conj().T
+
+    return _HarmonicFrame(spectrum, 0.0, static_fourier_set, propagator)
 
 
-def _collective_channels(channels) -> list:
-    """Merge each bath's transitions into one channel with summed quadrature ops.
-
-    This is the shared-bath-mode (textbook secular) variant: transitions of
-    one bath interfere through common jump operators.  The default per-
-    transition treatment keeps them as independent decoherence channels.
-    """
-    merged = []
-    by_bath: dict = {}
+def _by_bath(channels) -> dict:
+    """Channels grouped by bath, baths in first-seen order."""
+    groups: dict = {}
     for ch in channels:
-        by_bath.setdefault(ch.bath, []).append(ch)
-    for bath, group in by_bath.items():
-        ops = [sum(c.sigma_x for c in group), sum(c.sigma_y for c in group)]
-        merged.append((bath, ops,
-                       f"{bath.name}:collective{tuple(c.transition for c in group)}"))
-    return merged
+        groups.setdefault(ch.bath, []).append(ch)
+    return groups
+
+
+# ---------------------------------------------------------------------------
+# secular path: Lindblad / Floquet-Lindblad
+
+
+def _secular_channels(channels, collective: bool) -> list:
+    """(bath, quadrature operators, Lamb key) of every secular channel.
+
+    By default each (bath, transition) pair is an independent decoherence
+    channel.  ``collective`` merges each bath's transitions into one channel
+    with summed quadrature ops: the shared-bath-mode (textbook secular)
+    variant, in which transitions of one bath interfere through common jump
+    operators.
+    """
+    if not collective:
+        return [(ch.bath, ch.operators, f"{ch.bath.name}:{ch.transition}") for ch in channels]
+    return [(bath, [sum(c.sigma_x for c in group), sum(c.sigma_y for c in group)],
+             f"{bath.name}:collective{tuple(c.transition for c in group)}")
+            for bath, group in _by_bath(channels).items()]
+
+
+def _secular_generator(h0, spec: GeneratorSpec, channels, picture: str) -> Generator:
+    """Secular generator of ``channels`` over the frame of ``spec``.
+
+    Each channel sums gamma D[S] and (iff lamb_shift) xi S†S over the jump
+    tables of its operators, gamma/xi at omega + q*Omega.  Cross terms
+    between sigma_x and sigma_y vanish for the Ohmic bath and are omitted:
+    the spectral density is odd, so the two-sided cross integrals fold onto
+    each other (nu -> -nu, nbar(-nu) = -(nbar(nu) + 1)) and cancel, as
+    ``test_baths.py::test_cross_coefficients_vanish`` checks by quadrature.
+    The Schrodinger picture adds -i[h0, .]; the interaction picture
+    attaches the frame propagator.
+    """
+    frame = _harmonic_frame(h0, spec)
+    d = h0.shape[0]
+    diss = np.zeros((d * d, d * d), dtype=complex)
+    h_lamb = {}
+    for bath, ops, key in channels:
+        lamb = np.zeros((d, d), dtype=complex)
+        for op in ops:
+            table = frame.jump_table(op)
+            if not table.entries:
+                raise ConfigError(
+                    f"channel {key}: the Fourier floor removed every jump operator; "
+                    "raise q_max or lower the floor"
+                )
+            for q, omega, s_op in table.items():
+                cc = gamma_xi_ohmic(bath.spectral, bath.beta, omega + q * frame.omega,
+                                    spec.lamb_params)
+                diss += cc.gamma * sop_dissipator(s_op, s_op)
+                if spec.lamb_shift:
+                    lamb += cc.xi * (s_op.conj().T @ s_op)
+        h_lamb[key] = lamb
+
+    lamb_total = sum(h_lamb.values(), np.zeros((d, d), dtype=complex))
+    if picture == "schrodinger":
+        sop, prop = sop_commutator(h0 + lamb_total) + diss, None
+    elif picture == "interaction":
+        sop, prop = sop_commutator(lamb_total) + diss, frame.propagator
+    else:
+        raise ValidationError(f"unknown picture {picture!r}")
+    decomp = frame.decomposition
+    return Generator(kind=spec.kind, picture=picture, dim=d, superop=sop,
+                     tau=None if decomp is None else decomp.tau, h_lamb=h_lamb,
+                     propagator=prop,
+                     meta={"h0": h0} if decomp is None else {"h0": h0, "decomposition": decomp})
 
 
 def lindblad_generator(h0, spec: GeneratorSpec, picture: str = "schrodinger",
@@ -290,48 +344,7 @@ def lindblad_generator(h0, spec: GeneratorSpec, picture: str = "schrodinger",
     h0 = require_hermitian(h0)
     if spec.kind != "lindblad":
         raise ValidationError(f"expected kind 'lindblad', got {spec.kind!r}")
-    spectrum = hermitian_eigensystem(h0)
-    d = h0.shape[0]
-    diss = np.zeros((d * d, d * d), dtype=complex)
-    h_lamb = {}
-    if collective:
-        for bath, ops, key in _collective_channels(spec.channels):
-            lamb_ch = np.zeros((d, d), dtype=complex)
-            for op in ops:
-                table = jump_operator_table(static_fourier_set(op), spectrum)
-                for q, omega, s_op in table.items():
-                    cc = gamma_xi_ohmic(bath.spectral, bath.beta, omega, spec.lamb_params)
-                    diss += cc.gamma * sop_dissipator(s_op, s_op)
-                    if spec.lamb_shift:
-                        lamb_ch += cc.xi * (s_op.conj().T @ s_op)
-            h_lamb[key] = lamb_ch
-        return _finish_lindblad(h0, spec, spectrum, diss, h_lamb, picture)
-    for ch in spec.channels:
-        tables = _channel_tables(ch, spec, static_spectrum=spectrum)
-        ch_diss, ch_lamb = _secular_channel_terms(ch, spec, 0.0, tables)
-        diss += ch_diss
-        key = f"{ch.bath.name}:{ch.transition}"
-        h_lamb[key] = ch_lamb
-    return _finish_lindblad(h0, spec, spectrum, diss, h_lamb, picture)
-
-
-def _finish_lindblad(h0, spec, spectrum, diss, h_lamb, picture) -> Generator:
-    d = h0.shape[0]
-
-    lamb_total = sum(h_lamb.values()) if spec.lamb_shift else np.zeros((d, d))
-    if picture == "schrodinger":
-        sop = sop_commutator(h0 + lamb_total) + diss
-        prop = None
-    elif picture == "interaction":
-        sop = sop_commutator(np.asarray(lamb_total, dtype=complex)) + diss
-
-        def prop(t, _spec=spectrum):
-            phases = np.exp(-1j * _spec.energies * np.asarray(t, dtype=float)[..., None])
-            return (_spec.vectors * phases[..., None, :]) @ _spec.vectors.conj().T
-    else:
-        raise ValidationError(f"unknown picture {picture!r}")
-    return Generator(kind="lindblad", picture=picture, dim=d, superop=sop,
-                     h_lamb=h_lamb, propagator=prop, meta={"h0": h0})
+    return _secular_generator(h0, spec, _secular_channels(spec.channels, collective), picture)
 
 
 def floquet_lindblad_generator(h0, spec: GeneratorSpec) -> Generator:
@@ -344,28 +357,11 @@ def floquet_lindblad_generator(h0, spec: GeneratorSpec) -> Generator:
     h0 = require_hermitian(h0)
     if spec.kind != "floquet_lindblad":
         raise ValidationError(f"expected kind 'floquet_lindblad', got {spec.kind!r}")
-    decomp = spec.floquet
-    d = decomp.dim
-    omega_drive = decomp.omega_drive
-    diss = np.zeros((d * d, d * d), dtype=complex)
-    h_lamb = {}
-    for ch in spec.channels:
-        tables = _channel_tables(ch, spec)
-        ch_diss, ch_lamb = _secular_channel_terms(ch, spec, omega_drive, tables)
-        diss += ch_diss
-        key = f"{ch.bath.name}:{ch.transition}"
-        h_lamb[key] = ch_lamb
-
-    lamb_total = sum(h_lamb.values()) if spec.lamb_shift else np.zeros((d, d))
-    sop = sop_commutator(np.asarray(lamb_total, dtype=complex)) + diss
-    return Generator(kind="floquet_lindblad", picture="interaction", dim=d,
-                     superop=sop, tau=decomp.tau, h_lamb=h_lamb,
-                     propagator=decomp.propagator_at,
-                     meta={"h0": h0, "decomposition": decomp})
+    return _secular_generator(h0, spec, _secular_channels(spec.channels, False), "interaction")
 
 
 # ---------------------------------------------------------------------------
-# Redfield (static)
+# Redfield path: Redfield / Floquet-Redfield
 
 
 def _require_diagonal(h0) -> np.ndarray:
@@ -375,124 +371,81 @@ def _require_diagonal(h0) -> np.ndarray:
     return h0
 
 
-def _group_by_bath(channels) -> dict:
-    groups: dict = {}
-    for ch in channels:
-        if ch.dipole is None:
-            raise ConfigError(
-                f"channel {ch.bath.name}/{ch.transition} lacks a dipole magnitude "
-                "required by Redfield kinds"
-            )
-        groups.setdefault(ch.bath, []).append(ch)
-    return groups
+def _redfield_sums(h0, spec: GeneratorSpec, full_secular: bool) -> list:
+    """Dipole-weighted jump sums (plain, u2, t1m, u1, t2m) over the frame of ``spec``.
+
+    Each entry S = S(q, omega) of the jump tables of a bath's pair operators
+    |i><j|, weighted by the transition dipole mu, adds mu S, (N2 + iC2) mu S†,
+    (N1 - iC1) mu S, (N1 + iC1) mu S† and (N2 - iC2) mu S, with N/C at
+    omega + q*Omega, to the sums of its key.  The key is q under the partial
+    secular (q' = q) filter: the free omega sum then collapses to S(q) by
+    completeness, while the primed sums carry the coefficients.  With
+    ``full_secular`` the key is (q, gap index), which also imposes
+    omega' = omega.  Transitions of one bath share keys, so their
+    cross-transition dipole products are kept.  Returns the sums of every
+    bath and key.
+    """
+    missing = [f"{ch.bath.name}/{ch.transition}" for ch in spec.channels if ch.dipole is None]
+    if missing:
+        raise ConfigError(f"channels {missing} lack the dipole magnitude Redfield kinds require")
+    frame = _harmonic_frame(h0, spec)
+    terms = []
+    for bath, group in _by_bath(spec.channels).items():
+        sums: dict = {}
+        for ch in group:
+            table = frame.jump_table(ch.pair_op)
+            for (q, gi), op in table.entries.items():
+                rc = redfield_coefficients(table.gaps[gi] + q * frame.omega, bath.beta,
+                                           spec.lamb_params)
+                c1, c2 = (rc.c1_imag, rc.c2_imag) if spec.lamb_shift else (0.0, 0.0)
+                z1 = rc.n1 + 1j * c1
+                z2 = rc.n2 + 1j * c2
+                s = ch.dipole * op
+                sd = s.conj().T
+                new = (s, z2 * sd, z1.conjugate() * s, z1 * sd, z2.conjugate() * s)
+                key = (q, gi) if full_secular else q
+                old = sums.get(key)
+                sums[key] = new if old is None else tuple(a + b for a, b in zip(old, new))
+        terms.extend(sums.values())
+    return terms
 
 
-def _redfield_z(bath: BathSpec, x: float, spec: GeneratorSpec) -> RedfieldCoefficients:
-    rc = redfield_coefficients(x, bath.beta, spec.lamb_params)
-    if not spec.lamb_shift:
-        rc = RedfieldCoefficients(n1=rc.n1, n2=rc.n2, c1_imag=0.0, c2_imag=0.0)
-    return rc
+def _redfield_superop(h: np.ndarray, p: np.ndarray, terms) -> np.ndarray:
+    """Redfield superoperator at one period node: -i[h, .] plus the
+    dissipator of every sum set of :func:`_redfield_sums`, rotated to the
+    node by the periodic operator P (P = I in the trivial frame)."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    pd = p.conj().T
+    sop = sop_commutator(h)
+    for sums in terms:
+        a, u2, t1m, u1, t2m = (p @ o @ pd for o in sums)
+        ad = a.conj().T
+        left = a @ u2 + ad @ t1m
+        right = t2m @ ad + u1 @ a
+        sop += -DIPOLE_PREFACTOR * (
+            np.kron(left, eye) + np.kron(eye, right.T)
+            - np.kron(a, u1.T) - np.kron(ad, t2m.T)
+            - np.kron(t1m, ad.T) - np.kron(u2, a.T)
+        )
+    return sop
 
 
 def redfield_generator(h0, spec: GeneratorSpec) -> Generator:
     """Static Redfield generator in the Schrodinger picture.
 
-    Implements the dipole-coupled Born-Markov equation block by block: the
-    one-sided and sandwich N1/N2 dissipative sums over all ordered pairs of
-    a bath's transitions, plus (iff lamb_shift) the C1/C2 blocks carrying
-    the explicit factor i.  Coefficients are evaluated at the second pair's
-    gap.  Trace and Hermiticity preservation are exact by construction.
+    The one-node case of the Floquet-Redfield assembly in the trivial frame
+    (P = I, Hbar = h0, q = 0): N/C are evaluated at each transition's
+    clustered gap, and all ordered transition pairs of a bath couple.  Trace
+    and Hermiticity preservation are exact by construction.
     """
     h0 = _require_diagonal(h0)
     if spec.kind != "redfield":
         raise ValidationError(f"expected kind 'redfield', got {spec.kind!r}")
     d = h0.shape[0]
-    energies = np.diag(h0).real
-    k0 = DIPOLE_PREFACTOR
-
-    def unit(i, j):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    sop = sop_commutator(h0)
-    for bath, group in _group_by_bath(spec.channels).items():
-        pairs = [ch.transition for ch in group]
-        mus = {ch.transition: ch.dipole for ch in group}
-        for (i2, j2) in pairs:            # the primed pair carries the frequency
-            x = energies[i2] - energies[j2]
-            rc = _redfield_z(bath, x, spec)
-            for (i1, j1) in pairs:
-                m = mus[(i1, j1)] * mus[(i2, j2)]
-                # sandwich N block
-                sop += k0 * m * rc.n1 * (sop_sandwich(unit(i1, j1), unit(j2, i2))
-                                         + sop_sandwich(unit(i2, j2), unit(j1, i1)))
-                sop += k0 * m * rc.n2 * (sop_sandwich(unit(j1, i1), unit(i2, j2))
-                                         + sop_sandwich(unit(j2, i2), unit(i1, j1)))
-                # sandwich C blocks (explicit factor i)
-                if spec.lamb_shift:
-                    sop += 1j * k0 * m * rc.c1_imag * (
-                        sop_sandwich(unit(i1, j1), unit(j2, i2))
-                        - sop_sandwich(unit(i2, j2), unit(j1, i1)))
-                    sop += 1j * k0 * m * rc.c2_imag * (
-                        sop_sandwich(unit(j2, i2), unit(i1, j1))
-                        - sop_sandwich(unit(j1, i1), unit(i2, j2)))
-                # one-sided blocks need a shared level between the pairs
-                if i1 == i2:              # shared upper level
-                    op_l = sop_left(unit(j1, j2))
-                    op_r = sop_right(unit(j2, j1))
-                    sop += -k0 * m * rc.n1 * (op_l + op_r)
-                    if spec.lamb_shift:
-                        sop += -1j * k0 * m * rc.c1_imag * (op_r - op_l)
-                if j1 == j2:              # shared lower level
-                    op_l = sop_left(unit(i1, i2))
-                    op_r = sop_right(unit(i2, i1))
-                    sop += -k0 * m * rc.n2 * (op_l + op_r)
-                    if spec.lamb_shift:
-                        sop += -1j * k0 * m * rc.c2_imag * (op_l - op_r)
+    sop = _redfield_superop(h0, np.eye(d), _redfield_sums(h0, spec, full_secular=False))
     return Generator(kind="redfield", picture="schrodinger", dim=d, superop=sop,
                      meta={"h0": h0})
-
-
-# ---------------------------------------------------------------------------
-# Floquet-Redfield
-
-
-def _weighted_jump_sums(table, qs, omega_drive, bath, spec):
-    """Per-q operators entering the partial-secular dissipator.
-
-    For each harmonic q, the free omega sum collapses to sigma(q) by
-    completeness, while the primed sum weights sigma(q, omega') (or its
-    dagger) with the coefficient combinations N +- i*C at omega' + q*Omega.
-    Returns dict q -> (plain, u2, t1m, u1, t2m).
-    """
-    d = None
-    by_q: dict = {}
-    for q, omega, op in table.items():
-        d = op.shape[0]
-        by_q.setdefault(q, []).append((omega, op))
-    out = {}
-    for q in qs:
-        if q not in by_q:
-            continue
-        plain = np.zeros((d, d), dtype=complex)
-        u2 = np.zeros((d, d), dtype=complex)
-        t1m = np.zeros((d, d), dtype=complex)
-        u1 = np.zeros((d, d), dtype=complex)
-        t2m = np.zeros((d, d), dtype=complex)
-        for omega, op in by_q[q]:
-            rc = _redfield_z(bath, omega + q * omega_drive, spec)
-            z_n2p = rc.n2 + 1j * rc.c2_imag
-            z_n2m = rc.n2 - 1j * rc.c2_imag
-            z_n1p = rc.n1 + 1j * rc.c1_imag
-            z_n1m = rc.n1 - 1j * rc.c1_imag
-            plain += op
-            u2 += z_n2p * op.conj().T
-            t1m += z_n1m * op
-            u1 += z_n1p * op.conj().T
-            t2m += z_n2m * op
-        out[q] = (plain, u2, t1m, u1, t2m)
-    return out
 
 
 def floquet_redfield_generator(h0, spec: GeneratorSpec,
@@ -509,86 +462,23 @@ def floquet_redfield_generator(h0, spec: GeneratorSpec,
         raise ValidationError(f"expected kind 'floquet_redfield', got {spec.kind!r}")
     decomp = spec.floquet
     d = decomp.dim
-    omega_drive = decomp.omega_drive
-    k0 = DIPOLE_PREFACTOR
     n_nodes = spec.period_nodes
     if decomp.grid_m % n_nodes != 0:
         raise ValidationError(
             f"period_nodes={n_nodes} must divide the decomposition grid {decomp.grid_m}"
         )
     stride = decomp.grid_m // n_nodes
-    qs = range(-spec.q_max, spec.q_max + 1)
-
-    # Dipole-weighted operator sums in the Floquet frame, one entry per bath.
-    # Partial secular: keyed by q with the five factorized sums.  Full
-    # secular: keyed by (q, gap index) with sigma-bar(q, omega) and its
-    # coefficient set, since omega' = omega blocks the omega factorization.
-    per_bath: list = []
-    for bath, group in _group_by_bath(spec.channels).items():
-        sums: dict = {}
-        for ch in group:
-            fset = fourier_operator_coefficients(decomp, ch.pair_op, spec.q_max)
-            table = jump_operator_table(fset, decomp.quasi)
-            if full_secular:
-                for q, omega, op in table.items():
-                    gi = table.gap_index(omega)
-                    rc = _redfield_z(bath, omega + q * omega_drive, spec)
-                    prev = sums.get((q, gi))
-                    acc = ch.dipole * op if prev is None else prev[1] + ch.dipole * op
-                    sums[(q, gi)] = (rc, acc)
-            else:
-                contrib = _weighted_jump_sums(table, qs, omega_drive, bath, spec)
-                for q, ops in contrib.items():
-                    if q in sums:
-                        sums[q] = tuple(s + ch.dipole * o for s, o in zip(sums[q], ops))
-                    else:
-                        sums[q] = tuple(ch.dipole * o for o in ops)
-        per_bath.append(sums)
-
+    terms = _redfield_sums(h0, spec, full_secular)
     h_of_t = drive_hamiltonian(h0, spec.drive)
-    eye = np.eye(d)
     samples = np.empty((n_nodes + 1, d * d, d * d), dtype=complex)
     for node in range(n_nodes + 1):
-        t = (node % n_nodes) * decomp.tau / n_nodes
-        p = decomp.p_samples[(node % n_nodes) * stride]
-        sop = sop_commutator(h_of_t(t))
-        for sums in per_bath:
-            if full_secular:
-                for rc, op in sums.values():
-                    sop += _full_secular_block(rc, p @ op @ p.conj().T, k0)
-                continue
-            for q, ops in sums.items():
-                a, u2, t1m, u1, t2m = (p @ o @ p.conj().T for o in ops)
-                ad = a.conj().T
-                left = a @ u2 + ad @ t1m
-                right = t2m @ ad + u1 @ a
-                sop += -k0 * (
-                    np.kron(left, eye) + np.kron(eye, right.T)
-                    - np.kron(a, u1.T) - np.kron(ad, t2m.T)
-                    - np.kron(t1m, ad.T) - np.kron(u2, a.T)
-                )
-        samples[node] = sop
+        k = node % n_nodes
+        samples[node] = _redfield_superop(h_of_t(k * decomp.tau / n_nodes),
+                                          decomp.p_samples[k * stride], terms)
     return Generator(kind="floquet_redfield", picture="schrodinger", dim=d,
                      superop_samples=samples, tau=decomp.tau,
                      meta={"h0": h0, "decomposition": decomp,
                            "full_secular": full_secular})
-
-
-def _full_secular_block(rc: RedfieldCoefficients, a: np.ndarray, k0: float) -> np.ndarray:
-    """Eight-term block with both operators at the same (q, omega)."""
-    d = a.shape[0]
-    eye = np.eye(d)
-    ad = a.conj().T
-    z_n2p = rc.n2 + 1j * rc.c2_imag
-    z_n2m = rc.n2 - 1j * rc.c2_imag
-    z_n1p = rc.n1 + 1j * rc.c1_imag
-    z_n1m = rc.n1 - 1j * rc.c1_imag
-    return -k0 * (
-        z_n2p * np.kron(a @ ad, eye) + z_n1m * np.kron(ad @ a, eye)
-        - (z_n1p + z_n1m) * np.kron(a, a.conj())
-        - (z_n2m + z_n2p) * np.kron(ad, a.T)
-        + z_n2m * np.kron(eye, (a @ ad).T) + z_n1p * np.kron(eye, (ad @ a).T)
-    )
 
 
 __all__ = [

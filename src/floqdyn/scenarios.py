@@ -336,6 +336,8 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     The step is ``step_grid(generator, dt)``: a tau-periodic generator
     steps by tau/N, N the smallest integer >= tau/dt, so one RK4 step map
     per period phase serves the whole run (:mod:`floqdyn.propagation`).
+    The stability guard warns when it cuts a step the caller gave (``dt``
+    or ``config.dt``), not when it cuts ``config.default_dt()``.
     States are recorded every ``stride`` steps (by default the smallest
     stride giving at most ``max_records`` intervals).  After the last
     whole stride the run takes its remaining whole steps and one partial
@@ -348,11 +350,15 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     """
     if generator is None:
         generator = build_generator(config)
-    if dt is None:
-        dt = config.default_dt()
     if t_final <= 0:
         raise ValidationError("t_final must be positive")
-    dt, n_phase = step_grid(generator, dt)
+    if dt is None and config.dt is None:
+        # the default step is only a starting point: take the guard's step silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dt, n_phase = step_grid(generator, config.default_dt())
+    else:
+        dt, n_phase = step_grid(generator, config.default_dt() if dt is None else dt)
     n_steps = int(np.floor(t_final / dt + 1e-9))
     partial = t_final - n_steps * dt
     if partial <= 1e-9 * dt and n_steps > 0:

@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 
 from floqdyn.baths import spectral_density
+from floqdyn.floquet import fourier_operator_coefficients, jump_operator_table
 from floqdyn.scenarios import (
     build_generator,
     build_three_level,
@@ -112,3 +113,30 @@ def xi_oracle(spec, beta, x):
         i1, i2 = 0.0, scipy.integrate.quad(
             lambda w: spec.j0 * np.exp(-w**2 / spec.omega_cutoff**2), 0, hi)[0]
     return -2.0 * (i1 + i2)
+
+
+@pytest.fixture(scope="session")
+def lamb_oracle(cfg_v0, dec_v0):
+    """Per bath: the sum of xi(omega + q Omega) S†S over the channel's jump
+    table, with xi from QUADPACK, and the error bound XI_ORACLE_RTOL allows.
+
+    ``level1_weight`` is the summed weight on the undriven level |1>, so
+    |H_lamb[1, 1]| <= level1_weight * xi_max.
+    """
+    out = {}
+    omega_drive = cfg_v0.drive.omega_drive
+    for ch in cfg_v0.channels():
+        want = np.zeros((ch.dim, ch.dim), dtype=complex)
+        bound, weight, xi_max = 0.0, 0.0, 0.0
+        for op in ch.operators:
+            fset = fourier_operator_coefficients(dec_v0, op, cfg_v0.q_max)
+            for q, omega, s_op in jump_operator_table(fset, dec_v0.quasi).items():
+                xi = xi_oracle(ch.bath.spectral, ch.bath.beta, omega + q * omega_drive)
+                sds = s_op.conj().T @ s_op
+                want += xi * sds
+                bound += abs(xi) * float(np.max(np.abs(sds)))
+                weight += sds[1, 1].real
+                xi_max = max(xi_max, abs(xi))
+        out[ch.bath.name] = {"want": want, "tol": XI_ORACLE_RTOL * bound + 1e-12,
+                             "level1_weight": weight, "xi_max": xi_max}
+    return out

@@ -52,7 +52,7 @@ from floqdyn.scenarios import (
     trajectory_diagnostics,
 )
 
-from conftest import XI_ORACLE_RTOL, random_density, xi_oracle
+from conftest import random_density
 
 # tabulated reference values, basis {|0>, |1>, |b>}
 REF_V1_HBAR = np.array([[0.0, 0.0, 0.0],
@@ -229,33 +229,6 @@ def criterion2_data(cfg_v0, cfg_v1, dec_v0, dec_v1, gen_v0, gen_v1):
 @pytest.fixture(scope="module")
 def floquet_oracles(cfg_v0, cfg_v1):
     return {"v0": floquet_oracle(cfg_v0), "v1": floquet_oracle(cfg_v1)}
-
-
-@pytest.fixture(scope="module")
-def lamb_oracle(cfg_v0, dec_v0):
-    """Per bath: the sum of xi(omega + q Omega) S†S over the channel's jump
-    table, with xi from QUADPACK, and the error bound XI_ORACLE_RTOL allows.
-
-    ``level1_weight`` is the summed weight on the undriven level |1>, so
-    |H_lamb[1, 1]| <= level1_weight * xi_max.
-    """
-    out = {}
-    omega_drive = cfg_v0.drive.omega_drive
-    for ch in cfg_v0.channels():
-        want = np.zeros((ch.dim, ch.dim), dtype=complex)
-        bound, weight, xi_max = 0.0, 0.0, 0.0
-        for op in ch.operators:
-            fset = fourier_operator_coefficients(dec_v0, op, cfg_v0.q_max)
-            for q, omega, s_op in jump_operator_table(fset, dec_v0.quasi).items():
-                xi = xi_oracle(ch.bath.spectral, ch.bath.beta, omega + q * omega_drive)
-                sds = s_op.conj().T @ s_op
-                want += xi * sds
-                bound += abs(xi) * float(np.max(np.abs(sds)))
-                weight += sds[1, 1].real
-                xi_max = max(xi_max, abs(xi))
-        out[ch.bath.name] = {"want": want, "tol": XI_ORACLE_RTOL * bound + 1e-12,
-                             "level1_weight": weight, "xi_max": xi_max}
-    return out
 
 
 def test_criterion_2_runtime_bound():

@@ -13,8 +13,9 @@ from floqdyn.cli import (
     scenario_to_dict,
     validate_schema,
 )
+from floqdyn.baths import BathSpec, OhmicSpec
 from floqdyn.errors import ConfigError
-from floqdyn.scenarios import PRESETS
+from floqdyn.scenarios import PRESETS, ScenarioConfig
 
 
 def read_csv(path):
@@ -28,6 +29,13 @@ class TestConfigRoundTrip:
         d1 = scenario_to_dict(PRESETS[preset]())
         d2 = scenario_to_dict(scenario_from_dict(d1))
         assert d1 == d2
+
+    def test_minimal_custom_scenario_takes_dataclass_defaults(self):
+        bath = BathSpec("b", beta=1.0, spectral=OhmicSpec(1e-3, 1.0), transitions=((1, 0),))
+        full = scenario_to_dict(ScenarioConfig(label="custom", energies=(0.0, 1.0),
+                                               target_level=1, baths=(bath,), kind="lindblad"))
+        minimal = {key: full[key] for key in ("energies", "target_level", "kind", "baths")}
+        assert canonical_scenario_dict(minimal) == full
 
     def test_preset_expansion_rejects_unknown(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,17 @@ class TestEvolve:
     def test_lindblad_positivity_along_trajectory(self):
         traj = evolve(build_three_level("nondriven"), 1000.0)
         assert traj.positivity_log.min() >= -1e-7
+
+    def test_guard_cuts_default_dt_silently(self):
+        # the guard cuts the 0.05 default step to 0.0125 here; evolve chose
+        # that step itself, so only a caller-supplied step warns
+        cfg = build_four_level(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(cfg, 1.0)
+        assert np.array_equal(traj.states, evolve(cfg, 1.0, dt=0.05 / 4).states)
+        with pytest.warns(RuntimeWarning, match="too coarse"):
+            evolve(cfg, 1.0, dt=0.05)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValidationError):
