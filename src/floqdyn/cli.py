@@ -337,12 +337,24 @@ def load_config(path: str | None, preset: str | None, overrides: list[str],
     return data
 
 
+#: id(schema) -> (schema, validator); holding the schema keeps its id unique
+_VALIDATORS: dict = {}
+
+
 def validate_schema(data: dict, schema: dict) -> dict:
-    """Strict JSON-schema check; unknown keys are rejected."""
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    """Strict JSON-schema check; unknown keys are rejected.
+
+    A schema is checked and its validator built once, on first use (schemas
+    are not mutated after that); the error reported is the best match, as
+    ``jsonschema.validate`` reports it.
+    """
+    if id(schema) not in _VALIDATORS:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATORS[id(schema)] = (schema, cls(schema))
+    error = jsonschema.exceptions.best_match(_VALIDATORS[id(schema)][1].iter_errors(data))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
     return data
 
 

@@ -13,16 +13,18 @@ Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
   of P†(t) S P(t) for any system operator S;
 * the jump-operator table S(q, omega) resolved on quasienergy gaps;
 * a Magnus + Baker-Campbell-Hausdorff approximation of the propagator for
-  a single cosine-driven level pair (nested Gauss-Legendre integrals,
-  self-checked against a lower node count), and the fidelity benchmarks
-  comparing it against the integrated propagator.
+  a single cosine-driven level pair (the nested integrals exact, from
+  exponentials of small bidiagonal matrices, stepped along a uniform time
+  grid), and the fidelity benchmarks comparing it against the integrated
+  propagator in array calls over that grid.
 """
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import product
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .errors import NumericalError, ResolutionError, StepSizeError, ValidationError
@@ -152,9 +154,6 @@ class FloquetDecomposition:
     @property
     def omega_drive(self) -> float:
         return 2.0 * np.pi / self.tau
-
-    def p_at_index(self, k: int) -> np.ndarray:
-        return self.p_samples[k % self.grid_m]
 
     def p_at(self, t) -> np.ndarray:
         """P(t mod tau): exact on the sample grid, geodesic interpolation off it.
@@ -416,86 +415,87 @@ def bch_compose(x: np.ndarray, y: np.ndarray, terms: int = 12) -> np.ndarray:
     return total
 
 
-@lru_cache(maxsize=8)
-def _gl_unit(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1], cached per order, read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _drive_exponentials(omega_gap: float, omega_drive: float):
+    """Exponents lambda_j and Pauli coefficient vectors c_j of the drive shape.
+
+    The interaction-picture drive on the pair block is a(t) = sum_j c_j
+    exp(i*lambda_j*t): a_x + i*a_y = cos(Omega*t) exp(-i*omega*t) =
+    (exp(i(Omega-omega)t) + exp(-i(Omega+omega)t)) / 2, a_x - i*a_y is its
+    conjugate, and a_z = 0.
+    """
+    lam = np.array([omega_drive - omega_gap, -(omega_drive + omega_gap),
+                    omega_gap - omega_drive, omega_drive + omega_gap])
+    coef = 0.25 * np.array([[1, -1j, 0], [1, -1j, 0], [1, 1j, 0], [1, 1j, 0]])
+    return lam, coef
 
 
-def _drive_vector(omega_gap: float, omega_drive: float, t):
-    """Pauli components of the interaction-picture drive shape on the pair block."""
-    t = np.asarray(t, dtype=float)
-    c = np.cos(omega_drive * t)
-    return np.stack([c * np.cos(omega_gap * t), -c * np.sin(omega_gap * t),
-                     np.zeros_like(t)], axis=-1)
+def _time_grid(t) -> tuple[np.ndarray, float, np.ndarray]:
+    """(times, h, k) with times = k*h, k consecutive integers >= 0.
+
+    ``t`` is a scalar, the one-step grid h = t, k = 1, or a 1-D array of
+    equally spaced times on one grid k*h whose step h is their spacing.
+    """
+    try:
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"times must be real numbers: {exc}") from exc
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValidationError("times must be a finite scalar or a non-empty 1-D array")
+    if times.size == 1:
+        return times, float(times[0]), np.ones(1, dtype=np.int64)
+    h = float(times[1] - times[0])
+    k = np.rint(times / h).astype(np.int64) if h != 0 else None
+    if k is None or k[0] < 0 or np.any(np.diff(k) != 1) \
+            or np.max(np.abs(times - k * h)) > 1e-9 * np.max(np.abs(times)):
+        raise ValidationError("times must lie on one uniform grid k*h, k = k0, k0+1, ... >= 0")
+    return times, h, k
 
 
-#: Gauss-Legendre nodes per dimension of the nested Magnus integrals, the
-#: lower count each result is checked against, and the relative agreement
-#: demanded of every order.
-MAGNUS_NODES = 32
-MAGNUS_CHECK_NODES = 24
-MAGNUS_CHECK_RTOL = 1e-8
-
-
-def _magnus_terms(drive: DriveSpec, omega_gap: float, t: float, order: int,
-                  nodes: int) -> list[np.ndarray]:
-    """Lambda_1..Lambda_order on ``nodes`` Gauss-Legendre nodes per dimension."""
-    xi, wi = _gl_unit(nodes)
-    t1 = t * xi                      # (n,)
-    w1 = t * wi
-    a1 = _drive_vector(omega_gap, drive.omega_drive, t1)
-    out = [np.einsum("i,ik->k", w1, a1)]
-    if order == 1:
-        return out
-
-    t2 = t1[:, None] * xi[None, :]   # (n, n)
-    w2 = t1[:, None] * wi[None, :]
-    a2 = _drive_vector(omega_gap, drive.omega_drive, t2)
-    cross12 = np.cross(a1[:, None, :], a2)           # a(t1) x a(t2)
-    out.append(0.5 * np.einsum("i,ij,ijk->k", w1, w2, cross12))
-    if order == 2:
-        return out
-
-    t3 = t2[..., None] * xi[None, None, :]           # (n, n, n)
-    w3 = t2[..., None] * wi[None, None, :]
-    a3 = _drive_vector(omega_gap, drive.omega_drive, t3)
-    inner = np.cross(a2[:, :, None, :], a3)          # a2 x a3
-    term1 = np.cross(a1[:, None, None, :], inner)    # a1 x (a2 x a3)
-    term2 = np.cross(cross12[:, :, None, :], a3)     # (a1 x a2) x a3
-    out.append((1.0 / 6.0) * np.einsum("i,ij,ijl,ijlk->k", w1, w2, w3, term1 + term2))
-    return out
-
-
-def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t: float,
+def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t,
                              order: int = 3) -> list[np.ndarray]:
     """Pauli vectors of the first Magnus integrals Lambda_n(t), n = 1..order.
 
     The interaction-picture drive of a single coupled pair lives in su(2),
-    so nested commutators reduce to cross products of the real coefficient
-    vector a(t); each nested integral is evaluated with ``MAGNUS_NODES``
-    Gauss-Legendre nodes per dimension.  The result is checked against
-    ``MAGNUS_CHECK_NODES`` nodes: every order must agree to
-    ``MAGNUS_CHECK_RTOL`` relative, else :class:`NumericalError`.
+    so nested commutators reduce to cross products of the drive vector
+    a(t) = sum_j c_j exp(i*lambda_j*t), and every Lambda_n is a sum of
+    iterated integrals of exponentials over ordered exponent tuples.  For
+    a tuple (lambda_1..lambda_order), row 0 of exp(t*M) holds all of them
+    at once, M the bidiagonal chain with ones above the diagonal and the
+    cumulative sums 0, i*lambda_1, i*(lambda_1 + lambda_2), ... on it
+    (Van Loan, IEEE TAC 23, 395 (1978)).  The integrals are exact up to
+    rounding, with no node count to choose.
+
+    ``t`` is a scalar, giving vectors of shape (3,), or a 1-D array of
+    equally spaced times on one grid k*h, giving shape (len(t), 3): one
+    batched exponential of h*M, then row 0 of exp(k*h*M) by one row-vector
+    product per grid step.  A scalar is the one-step grid h = t.
     """
     if not (1 <= order <= 3):
         raise ValidationError("magnus order must be 1, 2, or 3")
-    terms = _magnus_terms(drive, omega_gap, t, order, MAGNUS_NODES)
-    check = _magnus_terms(drive, omega_gap, t, order, MAGNUS_CHECK_NODES)
-    for n, (fine, coarse) in enumerate(zip(terms, check), start=1):
-        gap = float(np.linalg.norm(fine - coarse))
-        size = float(np.linalg.norm(fine))
-        if gap > MAGNUS_CHECK_RTOL * size:
-            raise NumericalError(
-                f"Magnus integral of order {n} at t={t:.6g} did not converge: "
-                f"{MAGNUS_NODES} and {MAGNUS_CHECK_NODES} Gauss nodes differ by "
-                f"{gap:.3e} (relative {gap / size if size else float('inf'):.3e})"
-            )
-    return terms
+    _, h, ks = _time_grid(t)
+    lam, coef = _drive_exponentials(omega_gap, drive.omega_drive)
+    tuples = np.array(list(product(range(len(lam)), repeat=order)))
+    diag = np.concatenate([np.zeros((len(tuples), 1)),
+                           np.cumsum(1j * lam[tuples], axis=1)], axis=1)
+    chain = diag[:, :, None] * np.eye(order + 1) + np.eye(order + 1, k=1)
+    step = scipy.linalg.expm(h * chain)
+    rows = np.empty((ks[-1] + 1, len(tuples), order + 1), dtype=complex)
+    rows[0] = np.eye(order + 1)[0]
+    for k in range(1, ks[-1] + 1):
+        rows[k] = (rows[k - 1][:, None, :] @ step)[:, 0]
+    rows = rows[ks].reshape((len(ks),) + (len(lam),) * order + (order + 1,))
+
+    # coefficient tensors: Lambda_1 = int a, Lambda_2 = 1/2 int a1 x a2,
+    # Lambda_3 = 1/6 int [a1 x (a2 x a3) + (a1 x a2) x a3], over t > s1 > s2 > s3
+    c2 = np.cross(coef[:, None], coef[None, :])
+    weights = (coef, 0.5 * c2,
+               (np.cross(coef[:, None, None], c2[None]) + np.cross(c2[:, :, None], coef)) / 6.0)
+    out = []
+    for n in range(1, order + 1):
+        integrals = rows[(slice(None),) * (n + 1) + (0,) * (order - n) + (n,)]
+        vec = np.tensordot(integrals, weights[n - 1], axes=n).real
+        out.append(vec if np.ndim(t) else vec[0])
+    return out
 
 
 def _pair_paulis(dim: int, pair: tuple[int, int]):
@@ -511,48 +511,54 @@ def _pair_paulis(dim: int, pair: tuple[int, int]):
     return sx, sy, sz
 
 
-def magnus_bch_propagator(drive: DriveSpec, h0, t: float, magnus_order: int = 3,
+def magnus_bch_propagator(drive: DriveSpec, h0, t, magnus_order: int = 3,
                           bch_terms: int = 12) -> np.ndarray:
     """Approximate U(t,0) = exp(E) with E = BCH(-i*t*h0, Magnus exponent).
 
-    ``h0`` must be diagonal in the level basis the drive pair refers to.
-    Emits a warning (never fails) when the leading neglected BCH order is
-    no longer small against the kept terms.
+    ``t`` is a scalar, giving one propagator, or a 1-D array of times on
+    one uniform grid k*h (see :func:`magnus_interaction_terms`), giving
+    the stack of shape (len(t), d, d).  ``h0`` must be diagonal in the
+    level basis the drive pair refers to.  Emits one warning (never fails)
+    when, at any of the times, the leading neglected BCH order is no longer
+    small against the kept terms.
     """
     h0 = require_hermitian(h0)
     if np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12:
         raise ValidationError("magnus_bch_propagator requires a diagonal h0")
+    times, _, _ = _time_grid(t)
     energies = np.diag(h0).real
     i, j = drive.pair
     omega_gap = energies[i] - energies[j]
-    dim = h0.shape[0]
 
-    theta = -1j * t * h0
-    sx, sy, sz = _pair_paulis(dim, drive.pair)
-    paulis = (sx, sy, sz)
-    lam = np.zeros((dim, dim), dtype=complex)
-    if drive.mu > 0 and t != 0:
-        vecs = magnus_interaction_terms(drive, omega_gap, t, magnus_order)
+    theta = -1j * times[:, None, None] * h0
+    lam = np.zeros_like(theta)
+    if drive.mu > 0:
+        paulis = np.array(_pair_paulis(h0.shape[0], drive.pair))
+        vecs = magnus_interaction_terms(drive, omega_gap, times, magnus_order)
         for n, vec in enumerate(vecs, start=1):
-            block = sum(vec[k] * paulis[k] for k in range(3))
-            lam = lam + (-1j * drive.mu) ** n * block
+            lam = lam + (-1j * drive.mu) ** n * np.tensordot(vec, paulis, axes=1)
 
     _warn_if_bch_strained(theta, lam)
     e = bch_compose(theta, lam, bch_terms)
-    m = 0.5j * (e - e.conj().T)  # Hermitian generator: e = -i m up to rounding
-    spec = hermitian_eigensystem(m, tol=1e-8)
-    return (spec.vectors * np.exp(-1j * spec.energies)) @ spec.vectors.conj().T
+    m = 0.5j * (e - e.conj().swapaxes(-1, -2))  # Hermitian generator: e = -i m up to rounding
+    w, v = np.linalg.eigh(m)
+    u = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return u if np.ndim(t) else u[0]
 
 
 def _warn_if_bch_strained(theta: np.ndarray, lam: np.ndarray):
-    nt = np.linalg.norm(theta, 2)
-    nl = np.linalg.norm(lam, 2)
+    """One warning for a stack of BCH arguments, naming the strained times."""
+    nt = np.linalg.norm(theta, 2, axis=(-2, -1))
+    nl = np.linalg.norm(lam, 2, axis=(-2, -1))
     # crude size of the first neglected (6th) BCH order
     estimate = nt**4 * nl**2 / 1440.0
-    if estimate > 1.0 and nl > 0:
+    strained = (estimate > 1.0) & (nl > 0)
+    if np.any(strained):
         warnings.warn(
-            f"BCH truncation strained: |Theta|={nt:.2f}, |Lambda|={nl:.2e}; "
-            "approximation error may grow",
+            f"BCH truncation strained at {np.count_nonzero(strained)} of "
+            f"{strained.size} times: worst |Theta|={nt[strained].max():.2f}, "
+            f"|Lambda|={nl[strained].max():.2e}, neglected-order estimate "
+            f"{estimate[strained].max():.2e}; approximation error may grow",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -588,9 +594,12 @@ def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
     by default the drive Hamiltonian is RK4-integrated over two periods.
     The periodicity check is reported both for the reference propagator's P
     and for the Magnus-only P (the latter probes the approximation, the
-    former the decomposition itself).
+    former the decomposition itself).  Every series is computed in array
+    calls over the two-period grid.
     """
     h0 = require_hermitian(h0)
+    if grid_points < 2:
+        raise ValidationError("benchmark grid_points must be >= 2")
     tau = decomp.tau
     n = grid_points - 1
     if exact is None:
@@ -598,36 +607,21 @@ def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
         u_two = _unitary_samples(h_of_t, h0.shape[0], 2 * n, tau / n, substeps_per_point, n)
     else:
         u_two = np.array([exact(k * tau / n) for k in range(2 * n + 1)])
-    ts = np.arange(grid_points) * (tau / n)
+    times = np.arange(2 * n + 1) * (tau / n)
+    ts = times[:grid_points]
+    u_app = magnus_bch_propagator(drive, h0, times, magnus_order, bch_terms)
+    h_app = principal_unitary_log(u_app[n], tol=1e-6) / tau
 
-    quasi = decomp.quasi
-    v = quasi.vectors
+    def periodicity(u, spec):
+        # F[P(t,0), P(t+tau,tau)] with P(t,0) = U(t,0) exp(i*H*t)
+        x = (spec.vectors * np.exp(1j * spec.energies * ts[:, None])[:, None, :]) \
+            @ spec.vectors.conj().T
+        return unitary_fidelity(u[:grid_points] @ x, u[n:] @ u[n].conj().T @ x, tol=1e-6)
 
-    def exp_ihbar(t):
-        return (v * np.exp(1j * quasi.energies * t)) @ v.conj().T
-
-    u_tau = u_two[n]
-    fid_u = np.empty(grid_points)
-    fid_p = np.empty(grid_points)
-    fid_pm = np.empty(grid_points)
-    u_app_tau = magnus_bch_propagator(drive, h0, tau, magnus_order, bch_terms)
-    h_app = principal_unitary_log(u_app_tau, tol=1e-6) / tau
-    spec_app = hermitian_eigensystem(h_app)
-
-    def exp_ih_app(t):
-        return (spec_app.vectors * np.exp(1j * spec_app.energies * t)) @ spec_app.vectors.conj().T
-
-    for k, t in enumerate(ts):
-        u_app = magnus_bch_propagator(drive, h0, t, magnus_order, bch_terms)
-        fid_u[k] = unitary_fidelity(u_app, u_two[k], tol=1e-6)
-        p1 = u_two[k] @ exp_ihbar(t)
-        p2 = u_two[n + k] @ u_tau.conj().T @ exp_ihbar(t)
-        fid_p[k] = unitary_fidelity(p1, p2, tol=1e-6)
-        u_app2 = magnus_bch_propagator(drive, h0, t + tau, magnus_order, bch_terms)
-        pm1 = u_app @ exp_ih_app(t)
-        pm2 = u_app2 @ u_app_tau.conj().T @ exp_ih_app(t)
-        fid_pm[k] = unitary_fidelity(pm1, pm2, tol=1e-6)
-
-    return BenchmarkReport(times=ts, fidelity_propagator=fid_u,
-                           fidelity_periodicity=fid_p,
-                           fidelity_periodicity_magnus=fid_pm)
+    return BenchmarkReport(
+        times=ts,
+        fidelity_propagator=unitary_fidelity(u_app[:grid_points], u_two[:grid_points],
+                                             tol=1e-6),
+        fidelity_periodicity=periodicity(u_two, decomp.quasi),
+        fidelity_periodicity_magnus=periodicity(u_app, hermitian_eigensystem(h_app)),
+    )

@@ -232,8 +232,16 @@ class _HarmonicFrame:
     propagator: Callable
     decomposition: FloquetDecomposition | None = None
 
-    def jump_table(self, op: np.ndarray) -> JumpOperatorTable:
-        return jump_operator_table(self.harmonics(op), self.spectrum)
+    def jump_table(self, op: np.ndarray, key: str) -> JumpOperatorTable:
+        """The jump table of ``op``, which channel ``key`` uses; raises
+        :class:`ConfigError` when the Fourier floor left it empty."""
+        table = jump_operator_table(self.harmonics(op), self.spectrum)
+        if not table.entries:
+            raise ConfigError(
+                f"channel {key}: the Fourier floor removed every jump operator; "
+                "raise q_max or lower the floor"
+            )
+        return table
 
 
 def _harmonic_frame(h0, spec: GeneratorSpec) -> _HarmonicFrame:
@@ -301,13 +309,7 @@ def _secular_generator(h0, spec: GeneratorSpec, channels, picture: str) -> Gener
     for bath, ops, key in channels:
         lamb = np.zeros((d, d), dtype=complex)
         for op in ops:
-            table = frame.jump_table(op)
-            if not table.entries:
-                raise ConfigError(
-                    f"channel {key}: the Fourier floor removed every jump operator; "
-                    "raise q_max or lower the floor"
-                )
-            for q, omega, s_op in table.items():
+            for q, omega, s_op in frame.jump_table(op, key).items():
                 cc = gamma_xi_ohmic(bath.spectral, bath.beta, omega + q * frame.omega,
                                     spec.lamb_params)
                 diss += cc.gamma * sop_dissipator(s_op, s_op)
@@ -393,7 +395,7 @@ def _redfield_sums(h0, spec: GeneratorSpec, full_secular: bool) -> list:
     for bath, group in _by_bath(spec.channels).items():
         sums: dict = {}
         for ch in group:
-            table = frame.jump_table(ch.pair_op)
+            table = frame.jump_table(ch.pair_op, f"{bath.name}:{ch.transition}")
             for (q, gi), op in table.entries.items():
                 rc = redfield_coefficients(table.gaps[gi] + q * frame.omega, bath.beta,
                                            spec.lamb_params)

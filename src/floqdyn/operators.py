@@ -22,14 +22,22 @@ from .tolerances import TOLERANCES
 CONSTANTS = MappingProxyType({"hbar": 1.0, "c": 1.0, "k_B": 1.0, "epsilon_0": 1.0})
 
 
-def as_operator(m) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def _as_operators(m) -> np.ndarray:
+    """Coerce to square complex matrices with finite entries, shape (..., d, d)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"operator must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("operator has non-finite entries")
     return a
+
+
+def as_operator(m) -> np.ndarray:
+    """Coerce to a square complex matrix with finite entries."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValidationError(f"operator must be square, got shape {a.shape}")
+    return _as_operators(a)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -37,8 +45,9 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    d = m.shape[0]
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
+    """Largest entry of |m† m - 1|, over every matrix of a stack (..., d, d)."""
+    d = m.shape[-1]
+    return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(d))))
 
 
 def require_hermitian(m, tol: float | None = None) -> np.ndarray:
@@ -51,7 +60,10 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
 
 
 def require_unitary(m, tol: float | None = None) -> np.ndarray:
-    a = as_operator(m)
+    return _checked_unitary(as_operator(m), tol)
+
+
+def _checked_unitary(a: np.ndarray, tol: float | None) -> np.ndarray:
     tol = TOLERANCES.unitary if tol is None else tol
     defect = unitarity_defect(a)
     if defect > tol:
@@ -98,12 +110,6 @@ def unitary_from_hermitian(h, t: float) -> np.ndarray:
     return (spec.vectors * phases) @ spec.vectors.conj().T
 
 
-def expm_hermitian(h, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale*h) for Hermitian ``h``; ``scale`` may be complex."""
-    spec = hermitian_eigensystem(h)
-    return (spec.vectors * np.exp(scale * spec.energies)) @ spec.vectors.conj().T
-
-
 def principal_unitary_log(u, tol: float | None = None) -> np.ndarray:
     """Hermitian K with ``u = exp(-i K)`` and eigenphases of ``u`` in (-pi, pi].
 
@@ -119,14 +125,18 @@ def principal_unitary_log(u, tol: float | None = None) -> np.ndarray:
     return 0.5 * (k + k.conj().T)
 
 
-def unitary_fidelity(u, v, tol: float | None = None) -> float:
-    """(1/d) |Tr[u v†]| for two unitaries of equal dimension."""
-    a = require_unitary(u, tol)
-    b = require_unitary(v, tol)
+def unitary_fidelity(u, v, tol: float | None = None):
+    """(1/d) |Tr[u v†]| for two unitaries of equal dimension.
+
+    Two stacks of shape (..., d, d) give the array of pairwise fidelities;
+    every matrix in them is checked unitary like a single one.
+    """
+    a = _checked_unitary(_as_operators(u), tol)
+    b = _checked_unitary(_as_operators(v), tol)
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    return float(np.abs(np.trace(a @ b.conj().T)) / d)
+    f = np.abs(np.einsum("...ab,...ab->...", a, b.conj())) / a.shape[-1]
+    return float(f) if f.ndim == 0 else f
 
 
 @dataclass(frozen=True)

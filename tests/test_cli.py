@@ -48,6 +48,29 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             validate_schema(run, RUN_SCHEMA)
 
+    @pytest.mark.parametrize("path,value", [
+        (("scenario", "mystery"), 1),
+        (("scenario", "kind"), "no_such_kind"),
+        (("integration", "t_final"), "long"),
+        (("scenario", "drive", "mu"), [0.1]),
+        (("outputs", "formats"), ["csv", 3]),
+    ])
+    def test_rejection_message_matches_jsonschema_validate(self, path, value):
+        import jsonschema
+
+        run = canonical_run_dict({"scenario": {"preset": "three_level_v0"},
+                                  "integration": {"t_final": 1.0}})
+        node = run
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(run, RUN_SCHEMA)
+        for _ in range(2):  # the validator built on first use gives the same error
+            with pytest.raises(ConfigError) as got:
+                validate_schema(run, RUN_SCHEMA)
+            assert str(got.value) == f"config schema violation: {want.value.message}"
+
     def test_partial_override_merges_into_preset(self):
         d = canonical_scenario_dict({"preset": "three_level_v0", "drive": {"mu": 0.0}})
         assert d["drive"]["mu"] == 0.0

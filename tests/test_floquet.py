@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +18,12 @@ from floqdyn.floquet import (
     propagate_schrodinger,
     static_fourier_set,
 )
-from floqdyn.operators import hermitian_eigensystem, unitary_fidelity, unitary_from_hermitian
+from floqdyn.operators import (
+    hermitian_eigensystem,
+    principal_unitary_log,
+    unitary_fidelity,
+    unitary_from_hermitian,
+)
 
 from conftest import random_hermitian
 
@@ -24,6 +32,82 @@ OMEGA = 2.25
 TAU = 2 * np.pi / OMEGA
 V0 = DriveSpec(mu=0.1, omega_drive=OMEGA, pair=(0, 2))
 V1 = DriveSpec(mu=0.1, omega_drive=OMEGA, pair=(1, 2))
+
+#: agreement per Magnus order between the exact integrals and the quadrature
+MAGNUS_RTOL = 1e-10
+
+
+def _drive_vector(omega_gap, omega_drive, t):
+    """Pauli components of the interaction-picture drive shape on the pair block."""
+    c = np.cos(omega_drive * t)
+    return np.stack([c * np.cos(omega_gap * t), -c * np.sin(omega_gap * t),
+                     np.zeros_like(t)], axis=-1)
+
+
+def magnus_terms_quadrature(drive, omega_gap, t, nodes=64):
+    """Lambda_1..Lambda_3 by nested Gauss-Legendre quadrature, ``nodes`` per
+    dimension: the construction the exact integrals replaced, kept as their
+    reference."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    xi, wi = 0.5 * (x + 1.0), 0.5 * w
+    t1 = t * xi
+    w1 = t * wi
+    a1 = _drive_vector(omega_gap, drive.omega_drive, t1)
+    t2 = t1[:, None] * xi[None, :]
+    w2 = t1[:, None] * wi[None, :]
+    a2 = _drive_vector(omega_gap, drive.omega_drive, t2)
+    cross12 = np.cross(a1[:, None, :], a2)
+    t3 = t2[..., None] * xi[None, None, :]
+    w3 = t2[..., None] * wi[None, None, :]
+    a3 = _drive_vector(omega_gap, drive.omega_drive, t3)
+    term1 = np.cross(a1[:, None, None, :], np.cross(a2[:, :, None, :], a3))
+    term2 = np.cross(cross12[:, :, None, :], a3)
+    return [np.einsum("i,ik->k", w1, a1),
+            0.5 * np.einsum("i,ij,ijk->k", w1, w2, cross12),
+            (1.0 / 6.0) * np.einsum("i,ij,ijl,ijlk->k", w1, w2, w3, term1 + term2)]
+
+
+def first_magnus_term(omega_gap, t):
+    """Closed-form Lambda_1(t) of a cosine drive at OMEGA on a pair with gap omega_gap."""
+    w = omega_gap
+    int_cc = 0.5 * (np.sin((OMEGA + w) * t) / (OMEGA + w)
+                    + np.sin((OMEGA - w) * t) / (OMEGA - w))
+    int_cs = 0.5 * ((1 - np.cos((w + OMEGA) * t)) / (w + OMEGA)
+                    + (1 - np.cos((w - OMEGA) * t)) / (w - OMEGA))
+    return np.array([int_cc, -int_cs, 0.0])
+
+
+def benchmark_fidelities_loop(drive, h0, decomp, grid_points, exact):
+    """The per-time loop ``benchmark_fidelities`` replaced, one Magnus+BCH
+    propagator per time; kept as its reference."""
+    tau = decomp.tau
+    n = grid_points - 1
+    u_two = np.array([exact(k * tau / n) for k in range(2 * n + 1)])
+    ts = np.arange(grid_points) * (tau / n)
+    v = decomp.quasi.vectors
+
+    def exp_ihbar(t):
+        return (v * np.exp(1j * decomp.quasi.energies * t)) @ v.conj().T
+
+    u_tau = u_two[n]
+    u_app_tau = magnus_bch_propagator(drive, h0, tau)
+    spec_app = hermitian_eigensystem(principal_unitary_log(u_app_tau, tol=1e-6) / tau)
+
+    def exp_ih_app(t):
+        return (spec_app.vectors * np.exp(1j * spec_app.energies * t)) @ spec_app.vectors.conj().T
+
+    rows = []
+    for k, t in enumerate(ts):
+        u_app = magnus_bch_propagator(drive, h0, t)
+        u_app2 = magnus_bch_propagator(drive, h0, t + tau)
+        rows.append((
+            unitary_fidelity(u_app, u_two[k], tol=1e-6),
+            unitary_fidelity(u_two[k] @ exp_ihbar(t), u_two[n + k] @ u_tau.conj().T @ exp_ihbar(t),
+                             tol=1e-6),
+            unitary_fidelity(u_app @ exp_ih_app(t), u_app2 @ u_app_tau.conj().T @ exp_ih_app(t),
+                             tol=1e-6),
+        ))
+    return ts, np.array(rows).T
 
 
 class TestPropagate:
@@ -161,21 +245,9 @@ class TestMagnusBch:
         assert np.linalg.norm(u - unitary_from_hermitian(H0, 1.7)) < 1e-12
 
     def test_first_term_analytic_oracle(self):
-        # closed-form antiderivative of the single integral
         omega_gap = -2.5
-        t = TAU
-        vec = magnus_interaction_terms(V0, omega_gap, t, order=1)[0]
-
-        def int_cc(w):
-            return 0.5 * (np.sin((OMEGA + w) * t) / (OMEGA + w)
-                          + np.sin((OMEGA - w) * t) / (OMEGA - w))
-
-        def int_cs(w):
-            return 0.5 * ((1 - np.cos((w + OMEGA) * t)) / (w + OMEGA)
-                          + (1 - np.cos((w - OMEGA) * t)) / (w - OMEGA))
-
-        want = np.array([int_cc(omega_gap), -int_cs(omega_gap), 0.0])
-        assert np.max(np.abs(vec - want)) < 1e-8
+        vec = magnus_interaction_terms(V0, omega_gap, TAU, order=1)[0]
+        assert np.max(np.abs(vec - first_magnus_term(omega_gap, TAU))) < 1e-8
 
     def test_fidelity_against_rk4_v0(self, dec_v0):
         fids = [unitary_fidelity(
@@ -187,21 +259,61 @@ class TestMagnusBch:
     @pytest.mark.parametrize("pair,t", [((0, 2), TAU), ((0, 2), 2 * TAU),
                                         ((1, 2), TAU), ((1, 2), 2 * TAU)])
     def test_nodes_match_64_point_rule(self, pair, t):
-        from floqdyn.floquet import _magnus_terms
-
         omega_gap = H0[pair[0], pair[0]].real - H0[pair[1], pair[1]].real
         drive = DriveSpec(0.1, OMEGA, pair)
-        got = magnus_interaction_terms(drive, omega_gap, t)
-        want = _magnus_terms(drive, omega_gap, t, 3, 64)
-        for g, w in zip(got, want):
-            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+        want = magnus_terms_quadrature(drive, omega_gap, t)
+        # the scalar (one-step grid) and the period grid k*tau/64 reaching t
+        grid = np.arange(round(64 * t / TAU) + 1) * (TAU / 64)
+        got_grid = magnus_interaction_terms(drive, omega_gap, grid)
+        for n, (g, gg, w) in enumerate(zip(magnus_interaction_terms(drive, omega_gap, t),
+                                           got_grid, want), start=1):
+            assert np.linalg.norm(g - w) <= MAGNUS_RTOL * np.linalg.norm(w), n
+            assert np.linalg.norm(gg[-1] - w) <= MAGNUS_RTOL * np.linalg.norm(w), n
 
-    def test_unresolved_integrand_raises(self):
-        from floqdyn.errors import NumericalError
+    @pytest.mark.parametrize("periods", [1, 2])
+    def test_resonant_drive_matches_quadrature_reference(self, periods):
+        # omega_drive == |omega_gap|: the chain matrices repeat diagonal
+        # entries, where a closed-form divided difference would divide by zero
+        drive = DriveSpec(0.1, 2.5, (0, 2))
+        want = magnus_terms_quadrature(drive, -2.5, periods * drive.tau)
+        grid = np.arange(64 * periods + 1) * (drive.tau / 64)
+        got = magnus_interaction_terms(drive, -2.5, grid)
+        for n, (g, w) in enumerate(zip(got, want), start=1):
+            assert np.linalg.norm(g[-1] - w) <= MAGNUS_RTOL * np.linalg.norm(w), n
 
-        # 40 drive periods are far beyond what 24 or 32 nodes resolve
-        with pytest.raises(NumericalError, match="did not converge"):
-            magnus_interaction_terms(V0, -2.5, 40 * TAU)
+    def test_first_term_analytic_oracle_at_forty_periods(self):
+        # far beyond what a fixed Gauss rule resolves; the exact integrals
+        # have no node count, so they stay on the closed form
+        omega_gap = -2.5
+        t = 40 * TAU
+        got = magnus_interaction_terms(V0, omega_gap, t, order=1)[0]
+        assert np.max(np.abs(got - first_magnus_term(omega_gap, t))) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore:BCH truncation strained:RuntimeWarning")
+    def test_grid_matches_single_times(self):
+        grid = np.arange(17) * (TAU / 8)
+        u_grid = magnus_bch_propagator(V0, H0, grid)
+        assert u_grid.shape == (17, 3, 3)
+        for k in (0, 1, 8, 16):
+            assert np.max(np.abs(u_grid[k] - magnus_bch_propagator(V0, H0, grid[k]))) < 1e-12
+        # a grid that does not start at 0: k = 3, 4, ...
+        assert np.max(np.abs(magnus_bch_propagator(V0, H0, grid[3:6]) - u_grid[3:6])) < 1e-12
+
+    @pytest.mark.parametrize("t", [np.zeros((2, 2)), np.array([]), [0.0, np.nan],
+                                   [0.0, 0.1, 0.3], [0.05, 0.15], [0.1, 0.1], "tau",
+                                   [0.0, -0.1, 0.1]])
+    def test_rejects_times_off_one_uniform_grid(self, t):
+        with pytest.raises(ValidationError):
+            magnus_bch_propagator(V0, H0, t)
+
+    def test_grid_call_warns_once(self):
+        grid = np.arange(129) * (TAU / 64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            magnus_bch_propagator(V0, H0, grid)
+        strained = [w for w in caught if "BCH truncation strained" in str(w.message)]
+        assert len(strained) == 1
+        assert re.match(r"BCH truncation strained at \d+ of 129 times", str(strained[0].message))
 
     def test_requires_diagonal_h0(self):
         h = H0.copy()
@@ -248,6 +360,11 @@ class TestBenchmarkReport:
                                        exact=magnus_handle)
         assert rep.fidelity_propagator.min() >= 1 - 1e-12
 
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_rejects_fewer_than_two_points(self, dec_v1, grid_points):
+        with pytest.raises(ValidationError, match="grid_points"):
+            benchmark_fidelities(V1, H0, dec_v1, grid_points=grid_points)
+
     def test_rows_iterate_all_columns(self, dec_v1):
         import warnings
 
@@ -256,3 +373,14 @@ class TestBenchmarkReport:
             rep = benchmark_fidelities(V1, H0, dec_v1, grid_points=5)
         rows = list(rep.rows())
         assert len(rows) == 5 and len(rows[0]) == 4
+
+    def test_matches_per_time_loop(self, dec_v0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = benchmark_fidelities(V0, H0, dec_v0, grid_points=17,
+                                       exact=dec_v0.propagator_at)
+            ts, want = benchmark_fidelities_loop(V0, H0, dec_v0, 17, dec_v0.propagator_at)
+        assert np.array_equal(rep.times, ts)
+        got = np.array([rep.fidelity_propagator, rep.fidelity_periodicity,
+                        rep.fidelity_periodicity_magnus])
+        assert np.max(np.abs(got - want)) <= 1e-12

@@ -279,6 +279,16 @@ class TestFloquetLindblad:
             with pytest.raises(ConfigError):
                 floquet_lindblad_generator(H0_3, spec)
 
+    @pytest.mark.parametrize("kind", ["floquet_lindblad", "floquet_redfield"])
+    def test_floor_starvation_raises_for_both_floquet_kinds(self, kind):
+        from floqdyn.tolerances import tolerance_overrides
+
+        config = scenario_with(PRESETS["four_level_degenerate_driven"](), kind=kind)
+        decomp = decompose_scenario(config)
+        with tolerance_overrides(fourier_floor=10.0):
+            with pytest.raises(ConfigError, match="Fourier floor removed every jump operator"):
+                build_generator(config, decomposition=decomp)
+
 
 class TestRedfield:
     def test_hermiticity_on_random_states(self):

@@ -127,6 +127,18 @@ class TestUnitaryFidelity:
         with pytest.raises(ValidationError):
             unitary_fidelity(np.eye(2), np.eye(3))
 
+    def test_stacks_give_pairwise_fidelities(self):
+        rng = np.random.default_rng(3)
+        us = np.array([unitary_from_hermitian(random_hermitian(rng, 3), 0.7) for _ in range(5)])
+        vs = np.array([unitary_from_hermitian(random_hermitian(rng, 3), 0.9) for _ in range(5)])
+        want = [unitary_fidelity(u, v) for u, v in zip(us, vs)]
+        assert_allclose(unitary_fidelity(us, vs), want, rtol=0, atol=1e-15)
+        vs[3, 0, 0] += 1e-3
+        with pytest.raises(ValidationError, match="not unitary"):
+            unitary_fidelity(us, vs)
+        with pytest.raises(ValidationError):
+            unitary_fidelity(us, vs[:4])
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.floats(-np.pi, np.pi))
     def test_symmetry_and_phase_invariance(self, seed, phi):
