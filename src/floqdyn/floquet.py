@@ -161,7 +161,9 @@ class FloquetDecomposition:
         The geodesic step P_k exp(frac * log(P_k† P_{k+1})) is unitary by
         construction, so trace preservation of downstream picture transforms
         is exact even between samples.  An array of times gives the stack,
-        shape t.shape + (d, d); grid times are gathered in one indexing step.
+        shape t.shape + (d, d): grid times are gathered in one indexing
+        step, and the log of each grid interval holding an off-grid time is
+        taken once, its powers formed in array calls.
         """
         t = np.asarray(t, dtype=float)
         m = self.grid_m
@@ -169,14 +171,17 @@ class FloquetDecomposition:
         k = np.floor(pos)
         frac = pos - k
         slack = 1e-9 * np.maximum(1.0, np.abs(pos))
-        on_grid = (np.abs(frac) < slack) | (1 - frac < slack)
+        off = np.flatnonzero((np.abs(frac) >= slack) & (1 - frac >= slack))
         out = self.p_samples[np.rint(pos).astype(np.int64) % m]
-        for j in np.flatnonzero(~on_grid):
-            p0 = self.p_samples[int(k[j]) % m]
-            p1 = self.p_samples[(int(k[j]) + 1) % m]
-            step = principal_unitary_log(p0.conj().T @ p1, tol=1e-6)
-            v, w = np.linalg.eigh(step)
-            out[j] = p0 @ ((w * np.exp(-1j * frac[j] * v)) @ w.conj().T)
+        if off.size:
+            cells, cell_of = np.unique(k[off].astype(np.int64) % m, return_inverse=True)
+            p0 = self.p_samples[cells]
+            steps = [principal_unitary_log(a.conj().T @ b, tol=1e-6)
+                     for a, b in zip(p0, self.p_samples[(cells + 1) % m])]
+            v, w = np.linalg.eigh(np.array(steps))
+            w = w[cell_of]
+            phases = np.exp(-1j * frac[off, None] * v[cell_of])
+            out[off] = p0[cell_of] @ ((w * phases[:, None, :]) @ w.conj().swapaxes(-1, -2))
         return out.reshape(t.shape + out.shape[1:])
 
     def propagator_at(self, t) -> np.ndarray:

@@ -18,8 +18,14 @@ S(0) = S.  Two assembly paths run over the frame:
   couplings via the radiation-bath N1/N2 rates and C1/C2 Lamb integrals,
   with the partial secular filter that keeps only equal-harmonic (q' = q)
   terms (optionally omega' = omega as well).  Five dipole-weighted jump
-  sums per harmonic are rotated by P(t) on the nodes of a period grid and
-  interpolated in t; static Redfield is the one-node case with P = I.
+  sums per harmonic give one dissipator D.  Under the q' = q filter the
+  only time dependence left is the micromotion: with U(t) = P(t)
+  exp(-i Hbar t), the Schrodinger-picture generator is
+  -i[H(t), .] + Ad_P(t) D Ad_P(t)†, Ad_P the conjugation by P, so in the
+  frame rho~ = P† rho P it is exactly the static -i[Hbar, .] + D
+  (Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  Floquet-Redfield is
+  built in that frame and mapped back by P(t); static Redfield is the
+  trivial frame, Hbar = h0, in the Schrodinger picture.
 
 Density matrices are vectorized row-major: vec(A rho B) = (A kron B^T) vec(rho).
 Lindblad kinds treat every (bath, transition) channel independently; the
@@ -40,10 +46,8 @@ from .baths import (
 )
 from .errors import ConfigError, ValidationError
 from .floquet import (
-    DriveSpec,
     FloquetDecomposition,
     JumpOperatorTable,
-    drive_hamiltonian,
     fourier_operator_coefficients,
     jump_operator_table,
     static_fourier_set,
@@ -117,10 +121,8 @@ class GeneratorSpec:
     channels: tuple[CouplingChannel, ...]
     lamb_shift: bool = True
     floquet: FloquetDecomposition | None = None
-    drive: DriveSpec | None = None
     lamb_params: LambIntegralParams = LambIntegralParams()
     q_max: int = 0
-    period_nodes: int = 256
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -165,46 +167,33 @@ def sop_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Generator:
     """A built master-equation generator.
 
-    ``apply(t, rho)`` returns d(rho)/dt.  Time-independent kinds hold one
-    precomputed superoperator; tau-periodic kinds hold superoperators on a
-    uniform period grid (endpoints included) with linear interpolation in t
-    -- interpolation is exact for trace/Hermiticity preservation since both
-    are linear constraints.  ``propagator`` maps t, or an array of times,
-    to U_S(t,0) for transforming interaction-picture solutions back to the
-    Schrodinger picture; it is None for Schrodinger-picture kinds.
+    ``apply(t, rho)`` returns d(rho)/dt.  Every kind is time independent in
+    its picture and holds one superoperator: the Floquet kinds live in a
+    frame that absorbs the drive, so nothing is sampled or interpolated in
+    t.  ``propagator`` maps t, or an array of times, to the frame operator
+    that takes interaction-picture states back to the Schrodinger picture,
+    rho = V rho~ V†: V(t) = P(t) exp(-i Hbar t) for the Lindblad kinds and
+    the micromotion P(t) for Floquet-Redfield.  It is None for
+    Schrodinger-picture kinds.
     """
 
     kind: str
     picture: str
     dim: int
-    superop: np.ndarray | None = None
-    superop_samples: np.ndarray | None = field(default=None, repr=False)
-    tau: float | None = None
+    superop: np.ndarray
     h_lamb: dict = field(default_factory=dict)
     propagator: object = None
     meta: dict = field(default_factory=dict)
 
     def superop_at(self, t) -> np.ndarray:
-        """L(t); an array of times gives the stack, shape t.shape + (d*d, d*d)."""
-        if self.superop is not None:
-            if np.ndim(t) == 0:
-                return self.superop
-            return np.broadcast_to(self.superop, np.shape(t) + self.superop.shape)
-        n = self.superop_samples.shape[0] - 1
-        pos = (np.asarray(t, dtype=float) % self.tau) / self.tau * n
-        k = np.floor(pos).astype(np.int64)
-        frac = pos - k
-        frac = np.where(frac < 1e-12, 0.0, frac)[..., None, None]
-        return ((1.0 - frac) * self.superop_samples[k]
-                + frac * self.superop_samples[np.minimum(k + 1, n)])
+        """L at t; an array of times gives the broadcast stack, shape t.shape + (d*d, d*d)."""
+        if np.ndim(t) == 0:
+            return self.superop
+        return np.broadcast_to(self.superop, np.shape(t) + self.superop.shape)
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         v = self.superop_at(t) @ np.asarray(rho, dtype=complex).ravel()
         return v.reshape(self.dim, self.dim)
-
-    @property
-    def is_static(self) -> bool:
-        return self.superop is not None
 
     def h_lamb_total(self) -> np.ndarray:
         total = np.zeros((self.dim, self.dim), dtype=complex)
@@ -325,8 +314,7 @@ def _secular_generator(h0, spec: GeneratorSpec, channels, picture: str) -> Gener
     else:
         raise ValidationError(f"unknown picture {picture!r}")
     decomp = frame.decomposition
-    return Generator(kind=spec.kind, picture=picture, dim=d, superop=sop,
-                     tau=None if decomp is None else decomp.tau, h_lamb=h_lamb,
+    return Generator(kind=spec.kind, picture=picture, dim=d, superop=sop, h_lamb=h_lamb,
                      propagator=prop,
                      meta={"h0": h0} if decomp is None else {"h0": h0, "decomposition": decomp})
 
@@ -412,16 +400,12 @@ def _redfield_sums(h0, spec: GeneratorSpec, full_secular: bool) -> list:
     return terms
 
 
-def _redfield_superop(h: np.ndarray, p: np.ndarray, terms) -> np.ndarray:
-    """Redfield superoperator at one period node: -i[h, .] plus the
-    dissipator of every sum set of :func:`_redfield_sums`, rotated to the
-    node by the periodic operator P (P = I in the trivial frame)."""
+def _redfield_superop(h: np.ndarray, terms) -> np.ndarray:
+    """-i[h, .] plus the dissipator D of every sum set of :func:`_redfield_sums`."""
     d = h.shape[0]
     eye = np.eye(d)
-    pd = p.conj().T
     sop = sop_commutator(h)
-    for sums in terms:
-        a, u2, t1m, u1, t2m = (p @ o @ pd for o in sums)
+    for a, u2, t1m, u1, t2m in terms:
         ad = a.conj().T
         left = a @ u2 + ad @ t1m
         right = t2m @ ad + u1 @ a
@@ -433,54 +417,51 @@ def _redfield_superop(h: np.ndarray, p: np.ndarray, terms) -> np.ndarray:
     return sop
 
 
+def _redfield_generator(h0, spec: GeneratorSpec, full_secular: bool) -> Generator:
+    """-i[Hbar, .] + D over the frame of ``spec`` (see the module docstring).
+
+    The trivial frame gives the Schrodinger-picture generator with
+    Hbar = h0; a Floquet frame gives the micromotion-frame generator with
+    the Floquet Hamiltonian, and P(t) as its propagator.
+    """
+    h0 = _require_diagonal(h0)
+    decomp = spec.floquet
+    terms = _redfield_sums(h0, spec, full_secular)
+    if decomp is None:
+        return Generator(kind=spec.kind, picture="schrodinger", dim=h0.shape[0],
+                         superop=_redfield_superop(h0, terms), meta={"h0": h0})
+    return Generator(kind=spec.kind, picture="interaction", dim=decomp.dim,
+                     superop=_redfield_superop(decomp.hbar_floquet, terms),
+                     propagator=decomp.p_at,
+                     meta={"h0": h0, "decomposition": decomp,
+                           "full_secular": full_secular})
+
+
 def redfield_generator(h0, spec: GeneratorSpec) -> Generator:
     """Static Redfield generator in the Schrodinger picture.
 
-    The one-node case of the Floquet-Redfield assembly in the trivial frame
-    (P = I, Hbar = h0, q = 0): N/C are evaluated at each transition's
-    clustered gap, and all ordered transition pairs of a bath couple.  Trace
-    and Hermiticity preservation are exact by construction.
+    The trivial-frame case of the Floquet-Redfield assembly (P = I,
+    Hbar = h0, q = 0): N/C are evaluated at each transition's clustered
+    gap, and all ordered transition pairs of a bath couple.  Trace and
+    Hermiticity preservation are exact by construction.
     """
-    h0 = _require_diagonal(h0)
     if spec.kind != "redfield":
         raise ValidationError(f"expected kind 'redfield', got {spec.kind!r}")
-    d = h0.shape[0]
-    sop = _redfield_superop(h0, np.eye(d), _redfield_sums(h0, spec, full_secular=False))
-    return Generator(kind="redfield", picture="schrodinger", dim=d, superop=sop,
-                     meta={"h0": h0})
+    return _redfield_generator(h0, spec, full_secular=False)
 
 
 def floquet_redfield_generator(h0, spec: GeneratorSpec,
                                full_secular: bool = False) -> Generator:
     """Floquet-Redfield generator with the q' = q partial secular filter.
 
-    The tau-periodic superoperator is cached on ``spec.period_nodes`` grid
-    nodes and linearly interpolated in t.  ``full_secular=True`` restricts
-    additionally to omega' = omega (consistency checks against the
-    Floquet-Lindblad construction).
+    Time independent in the micromotion frame rho~ = P† rho P, with P(t)
+    attached as the propagator that maps recorded states back.
+    ``full_secular=True`` restricts additionally to omega' = omega
+    (consistency checks against the Floquet-Lindblad construction).
     """
-    h0 = _require_diagonal(h0)
     if spec.kind != "floquet_redfield":
         raise ValidationError(f"expected kind 'floquet_redfield', got {spec.kind!r}")
-    decomp = spec.floquet
-    d = decomp.dim
-    n_nodes = spec.period_nodes
-    if decomp.grid_m % n_nodes != 0:
-        raise ValidationError(
-            f"period_nodes={n_nodes} must divide the decomposition grid {decomp.grid_m}"
-        )
-    stride = decomp.grid_m // n_nodes
-    terms = _redfield_sums(h0, spec, full_secular)
-    h_of_t = drive_hamiltonian(h0, spec.drive)
-    samples = np.empty((n_nodes + 1, d * d, d * d), dtype=complex)
-    for node in range(n_nodes + 1):
-        k = node % n_nodes
-        samples[node] = _redfield_superop(h_of_t(k * decomp.tau / n_nodes),
-                                          decomp.p_samples[k * stride], terms)
-    return Generator(kind="floquet_redfield", picture="schrodinger", dim=d,
-                     superop_samples=samples, tau=decomp.tau,
-                     meta={"h0": h0, "decomposition": decomp,
-                           "full_secular": full_secular})
+    return _redfield_generator(h0, spec, full_secular)
 
 
 __all__ = [

@@ -1,8 +1,8 @@
 """Fixed-step RK4 for the linear ODEs x' = A(t) x, as products of step maps.
 
-Both linear ODEs floqdyn integrates have a generator that is static or
-periodic in time: the Schrodinger equation U' = -iH(t)U behind every
-Floquet decomposition, and the master equation v' = L(t)v of a trajectory.
+floqdyn integrates two linear ODEs: the Schrodinger equation
+U' = -iH(t)U behind every Floquet decomposition, periodic in time, and
+the master equation v' = Lv of a trajectory, static in its picture.
 One RK4 step of a linear ODE is a linear map of the state,
 
     x(t + h) = M(t) x(t),   M(t) = I + h/6 (K1 + 2 K2 + 2 K3 + K4),

@@ -8,14 +8,14 @@ Basis ordering convention: 3-level scenarios use
 {|0>, |1>, |b>} (energies 0, 3, 2.5; target index 2); 4-level scenarios use
 {|0>, |1>, |2>, |b>} (energies 0, 3, 3+gap, 2.5; target index 3).
 
-Trajectories integrate d(rho)/dt = L(t)[rho] with fixed-step RK4 on the
-vectorized state, through the step maps of :mod:`floqdyn.propagation`: a
-static generator has one step map, a tau-periodic one (steps of tau/N) one
-per period phase, and each recorded interval costs one matrix-vector
-product.  Interaction-picture generators (Lindblad kinds) have their
-recorded states transformed back to the Schrodinger picture with the exact
-propagator on the sample grid, in array calls over chunks of records;
-Schrodinger-picture generators (Redfield kinds) record directly.
+Trajectories integrate d(rho)/dt = L[rho] with fixed-step RK4 on the
+vectorized state, through the step maps of :mod:`floqdyn.propagation`.
+Every generator is time independent in its picture, so one step map serves
+the whole run and each recorded interval costs one matrix-vector product.
+Interaction-picture generators (the Floquet kinds and interaction-picture
+Lindblad) have their recorded states mapped back to the Schrodinger
+picture by the generator's propagator on the record grid, in array calls
+over chunks of records; Schrodinger-picture generators record directly.
 """
 
 import warnings
@@ -63,7 +63,6 @@ class ScenarioConfig:
     lamb_params: LambIntegralParams = LambIntegralParams()
     initial_level: int = 0
     grid_m: int = 1024
-    period_nodes: int = 256
     substeps: int = 16
     dt: float | None = None
 
@@ -242,10 +241,8 @@ def build_generator(config: ScenarioConfig,
         channels=config.channels(),
         lamb_shift=config.lamb_shift,
         floquet=decomposition if is_floquet else None,
-        drive=config.drive,
         lamb_params=config.lamb_params,
         q_max=config.q_max,
-        period_nodes=config.period_nodes,
     )
     h0 = config.h0
     if config.kind == "lindblad":
@@ -294,38 +291,25 @@ class Trajectory:
 RECORD_CHUNK = 2048
 
 
-def step_grid(generator: Generator, dt: float) -> tuple[float, int]:
-    """The RK4 step length ``evolve`` takes for a requested ``dt``, and the steps per period.
+def step_grid(generator: Generator, dt: float) -> float:
+    """The RK4 step ``evolve`` takes for a requested ``dt``.
 
-    A tau-periodic generator steps by tau/N, with N the smallest integer
-    >= tau/dt (1e-9 relative slack), so the step phases repeat every
-    period; a static generator keeps ``dt`` and has one phase.  The
-    stability guard then divides the step until dt * max ||L(t)||_2 <= 1.5,
-    the norm's maximum taken over every step phase, and warns when it does.
+    Every generator is time independent, so the step is ``dt`` unless the
+    stability guard divides it until dt * ||L||_2 <= 1.5; the guard warns
+    when it does.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    if generator.is_static:
-        n_phase = 1
-    else:
-        n_phase = max(1, int(np.ceil(generator.tau / dt * (1 - 1e-9))))
-        dt = generator.tau / n_phase
-    sops = generator.superop_at(np.arange(n_phase) * dt)
-    bound = float(np.max(np.linalg.norm(sops, 2, axis=(1, 2))))
+    bound = float(np.linalg.norm(generator.superop, 2))
     # keep RK4 comfortably inside its stability region
     if bound * dt > 1.5:
         dt_old = dt
-        n_sub = int(np.ceil(bound * dt / 1.5))
-        if generator.is_static:
-            dt = dt / n_sub
-        else:
-            n_phase *= n_sub
-            dt = generator.tau / n_phase
+        dt = dt / int(np.ceil(bound * dt / 1.5))
         warnings.warn(
             f"dt={dt_old:.4g} too coarse for generator norm {bound:.3g}; using {dt:.4g}",
             RuntimeWarning, stacklevel=3,
         )
-    return dt, n_phase
+    return dt
 
 
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
@@ -333,18 +317,19 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
            max_records: int = 20000, transform: bool = True) -> Trajectory:
     """Integrate the scenario's master equation with fixed-step RK4.
 
-    The step is ``step_grid(generator, dt)``: a tau-periodic generator
-    steps by tau/N, N the smallest integer >= tau/dt, so one RK4 step map
-    per period phase serves the whole run (:mod:`floqdyn.propagation`).
-    The stability guard warns when it cuts a step the caller gave (``dt``
-    or ``config.dt``), not when it cuts ``config.default_dt()``.
-    States are recorded every ``stride`` steps (by default the smallest
-    stride giving at most ``max_records`` intervals).  After the last
-    whole stride the run takes its remaining whole steps and one partial
-    step, and records the end state at exactly ``t_final``.
+    The step is ``step_grid(generator, dt)``, and one RK4 step map serves
+    the whole run (:mod:`floqdyn.propagation`).  The stability guard warns
+    when it cuts a step the caller gave (``dt`` or ``config.dt``), not when
+    it cuts ``config.default_dt()``.  States are recorded every ``stride``
+    steps (by default the smallest stride giving at most ``max_records``
+    intervals).  After the last whole stride the run takes its remaining
+    whole steps and one partial step, and records the end state at exactly
+    ``t_final``.
 
-    Recorded states are Schrodinger picture (interaction-picture kinds are
-    transformed with the exact grid-aligned propagator).  Trace drift beyond
+    Recorded states are Schrodinger picture: interaction-picture kinds are
+    mapped back with the generator's propagator at the record times (exact
+    on the decomposition grid, which the default Floquet step divides;
+    geodesic interpolation of P between grid nodes).  Trace drift beyond
     tolerance raises; Redfield positivity excursions beyond the soft bound
     are Warnings logged on the trajectory, and the run continues.
     """
@@ -356,9 +341,9 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         # the default step is only a starting point: take the guard's step silently
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            dt, n_phase = step_grid(generator, config.default_dt())
+            dt = step_grid(generator, config.default_dt())
     else:
-        dt, n_phase = step_grid(generator, config.default_dt() if dt is None else dt)
+        dt = step_grid(generator, config.default_dt() if dt is None else dt)
     n_steps = int(np.floor(t_final / dt + 1e-9))
     partial = t_final - n_steps * dt
     if partial <= 1e-9 * dt and n_steps > 0:
@@ -370,8 +355,8 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
 
     d = generator.dim
     rho0 = config.initial_state().matrix
-    states = propagate(generator.superop_at, rho0.ravel().astype(complex), dt, n_phase,
-                       stride, n_steps, partial).reshape(-1, d, d)
+    states = propagate(generator.superop_at, rho0.ravel().astype(complex), dt, 1, stride,
+                       n_steps, partial).reshape(-1, d, d)
     times = np.arange(len(states)) * stride * dt
     times[-1] = t_final
 
@@ -452,9 +437,7 @@ def efficiency(traj: Trajectory, target: int | None = None,
 @dataclass(frozen=True)
 class DiagnosticsReport:
     min_eigenvalue: float
-    min_eigenvalue_series: np.ndarray
     max_trace_error: float
-    coherence_norms: dict
     stationarity: float
 
     def rows(self):
@@ -464,12 +447,7 @@ class DiagnosticsReport:
 
 
 def trajectory_diagnostics(traj: Trajectory, stationarity_window: int = 10) -> DiagnosticsReport:
-    """Positivity, trace-drift, coherence-magnitude, and stationarity summary."""
-    d = traj.dim
-    coh = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            coh[f"rho_{i}{j}"] = np.abs(traj.states[:, i, j])
+    """Positivity, trace-drift and stationarity summary."""
     n = len(traj.times)
     w = min(stationarity_window, n - 1)
     if w >= 1:
@@ -479,9 +457,7 @@ def trajectory_diagnostics(traj: Trajectory, stationarity_window: int = 10) -> D
         stat = 0.0
     return DiagnosticsReport(
         min_eigenvalue=float(traj.positivity_log.min()),
-        min_eigenvalue_series=traj.positivity_log,
         max_trace_error=float(traj.trace_errors.max()),
-        coherence_norms=coh,
         stationarity=stat,
     )
 

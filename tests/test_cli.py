@@ -1,8 +1,10 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from floqdyn.cli import (
     RUN_SCHEMA,
@@ -70,6 +72,21 @@ class TestConfigRoundTrip:
             with pytest.raises(ConfigError) as got:
                 validate_schema(run, RUN_SCHEMA)
             assert str(got.value) == f"config schema violation: {want.value.message}"
+
+    def test_period_nodes_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "scenario": {"preset": "four_level_degenerate_driven", "period_nodes": 512},
+            "integration": {"t_final": 1.0}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "'period_nodes' was unexpected" in capsys.readouterr().err
+
+    def test_period_nodes_override_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", "--preset", "four_level_degenerate_driven",
+                     "--set", "scenario.period_nodes=512", "--set", "integration.t_final=1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "'period_nodes' was unexpected" in capsys.readouterr().err
 
     def test_partial_override_merges_into_preset(self):
         d = canonical_scenario_dict({"preset": "three_level_v0", "drive": {"mu": 0.0}})
@@ -173,30 +190,41 @@ class TestCompare:
         # calibrated kinds agree closely on the shared grid
         assert max(float(r["trace_distance"]) for r in rows) < 1e-3
 
+    @staticmethod
+    def _shared_step(sides, dt):
+        from floqdyn.scenarios import build_generator, step_grid
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return min(step_grid(build_generator(scenario_from_dict(side)), dt)
+                       for side in sides)
+
     def test_periodic_and_static_kinds_share_the_periodic_grid(self, tmp_path):
+        sides = {"a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
+                 "b": {"preset": "three_level_v1", "q_max": 2}}
         cfg = tmp_path / "cmp.json"
-        cfg.write_text(json.dumps({
-            "a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
-            "b": {"preset": "three_level_v1", "q_max": 2},
-            "integration": {"t_final": 5.0, "dt": 0.05},
-        }))
+        cfg.write_text(json.dumps({**sides, "integration": {"t_final": 5.0, "dt": 0.05}}))
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        times = [float(r["t"]) for r in read_csv(tmp_path / "compare.csv")]
-        # the step divides the drive period (tau/N, after the stability guard)
-        steps_per_period = (2 * np.pi / 2.25) / times[1]
-        assert steps_per_period == pytest.approx(round(steps_per_period), abs=1e-9)
-        assert times[1] <= 0.05
+        times = np.array([float(r["t"]) for r in read_csv(tmp_path / "compare.csv")])
+        # both sides step by the finer guarded dt; the last record is t_final
+        step = self._shared_step(sides.values(), 0.05)
+        assert step <= 0.05
+        assert_allclose(times[:-1], np.arange(len(times) - 1) * step, rtol=1e-15, atol=0)
         assert times[-1] == 5.0
 
-    def test_incommensurate_drive_periods_exit_2(self, tmp_path):
+    def test_incommensurate_drive_periods_share_one_grid(self, tmp_path):
+        sides = {"a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
+                 "b": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2,
+                       "drive": {"omega": 2.0}}}
         cfg = tmp_path / "cmp.json"
-        cfg.write_text(json.dumps({
-            "a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
-            "b": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2,
-                  "drive": {"omega": 2.0}},
-            "integration": {"t_final": 2.0, "dt": 0.05},
-        }))
-        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        cfg.write_text(json.dumps({**sides, "integration": {"t_final": 2.0, "dt": 0.05}}))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "compare.csv")
+        times = np.array([float(r["t"]) for r in rows])
+        step = self._shared_step(sides.values(), 0.05)
+        assert_allclose(times[:-1], np.arange(len(times) - 1) * step, rtol=1e-15, atol=0)
+        assert times[-1] == 2.0
+        assert all(np.isfinite(float(r["difference"])) for r in rows)
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         cfg = tmp_path / "cmp.json"

@@ -167,6 +167,50 @@ class TestDecompose:
         assert rep.fidelity_periodicity.min() >= 1 - 1e-4
 
 
+def p_at_loop(decomp, t):
+    """P(t mod tau) one time at a time: the grid sample, or the geodesic step
+    P_k exp(frac * log(P_k† P_{k+1})) from the log of each time's interval."""
+    out = []
+    m = decomp.grid_m
+    for tk in np.ravel(t):
+        pos = tk / decomp.tau * m
+        k = np.floor(pos)
+        frac = pos - k
+        slack = 1e-9 * max(1.0, abs(pos))
+        if abs(frac) < slack or 1 - frac < slack:
+            out.append(decomp.p_samples[int(np.rint(pos)) % m])
+            continue
+        p0 = decomp.p_samples[int(k) % m]
+        p1 = decomp.p_samples[(int(k) + 1) % m]
+        v, w = np.linalg.eigh(principal_unitary_log(p0.conj().T @ p1, tol=1e-6))
+        out.append(p0 @ ((w * np.exp(-1j * frac * v)) @ w.conj().T))
+    return np.array(out).reshape(np.shape(t) + (decomp.dim, decomp.dim))
+
+
+class TestPAt:
+    def test_batched_off_grid_matches_per_time_loop(self, dec_v0):
+        rng = np.random.default_rng(11)
+        h = dec_v0.tau / dec_v0.grid_m
+        on_grid = np.arange(0, 3 * dec_v0.grid_m, 97) * h
+        # several times share a grid interval; some lie past the first period
+        off_grid = np.concatenate([rng.uniform(0, 5 * dec_v0.tau, 300),
+                                   (17 + rng.uniform(0.01, 0.99, 6)) * h,
+                                   (dec_v0.grid_m - 1 + np.array([0.25, 0.75])) * h])
+        t = rng.permutation(np.concatenate([on_grid, off_grid])).reshape(-1, 4)
+        got = dec_v0.p_at(t)
+        assert got.shape == t.shape + (3, 3)
+        assert np.max(np.abs(got - p_at_loop(dec_v0, t))) <= 1e-13
+        assert np.array_equal(dec_v0.p_at(on_grid), dec_v0.p_samples[np.arange(
+            0, 3 * dec_v0.grid_m, 97) % dec_v0.grid_m])
+
+    def test_scalar_time(self, dec_v0):
+        t = 0.3 * dec_v0.tau / dec_v0.grid_m + 2 * dec_v0.tau
+        got = dec_v0.p_at(t)
+        assert got.shape == (3, 3)
+        assert np.max(np.abs(got - p_at_loop(dec_v0, [t])[0])) <= 1e-13
+        assert np.max(np.abs(got.conj().T @ got - np.eye(3))) < 1e-9
+
+
 class TestFourierCoefficients:
     def test_static_p_gives_single_harmonic(self):
         dec = floquet_decompose(lambda t: H0, TAU, H0, grid_m=256, substeps=16)

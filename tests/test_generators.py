@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from floqdyn.baths import BathSpec, OhmicSpec, RedfieldCoefficients, redfield_coefficients
 from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.floquet import drive_hamiltonian, fourier_operator_coefficients, jump_operator_table
+from floqdyn import generators
 from floqdyn.generators import (
     DIPOLE_PREFACTOR,
     CouplingChannel,
@@ -41,6 +42,10 @@ H0_3 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 #: Largest entry gap allowed between an assembled Redfield superoperator and
 #: its reference construction below.
 REDFIELD_REF_TOL = 1e-12
+#: Largest entry gap allowed between the Floquet-Redfield generator mapped
+#: back to the Schrodinger picture and the node-by-node reference; set by the
+#: unitarity defect of the sampled P (entries reach ~50).
+REDFIELD_NODE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +124,12 @@ def full_secular_block_reference(rc, a):
 
 
 def full_secular_reference(h0, spec):
-    """Floquet-Redfield samples restricted to omega' = omega: per bath, the
-    dipole-weighted sigma-bar(q, omega) summed per (q, gap index) and put
-    through the eight-term block at every period node."""
+    """Floquet-Redfield superoperator restricted to omega' = omega, in the
+    micromotion frame: -i[Hbar, .] plus, per bath, the dipole-weighted
+    sigma-bar(q, omega) summed per (q, gap index) and put through the
+    eight-term block."""
     decomp = spec.floquet
-    blocks = []
+    sop = sop_commutator(decomp.hbar_floquet)
     for bath, group in _bath_groups(spec.channels).items():
         sums = {}
         for ch in group:
@@ -134,18 +140,51 @@ def full_secular_reference(h0, spec):
                 key = (q, table.gap_index(omega))
                 acc = ch.dipole * op if key not in sums else sums[key][1] + ch.dipole * op
                 sums[key] = (rc, acc)
-        blocks.extend(sums.values())
-    n = spec.period_nodes
-    stride = decomp.grid_m // n
-    h_of_t = drive_hamiltonian(h0, spec.drive)
-    samples = []
-    for node in range(n + 1):
-        p = decomp.p_samples[(node % n) * stride]
-        sop = sop_commutator(h_of_t((node % n) * decomp.tau / n))
-        for rc, op in blocks:
-            sop += full_secular_block_reference(rc, p @ op @ p.conj().T)
-        samples.append(sop)
-    return np.array(samples)
+        for rc, op in sums.values():
+            sop += full_secular_block_reference(rc, op)
+    return sop
+
+
+def floquet_redfield_nodes_reference(h0, drive, spec, full_secular):
+    """The Schrodinger-picture Floquet-Redfield superoperator at every node
+    of the decomposition grid, built node by node as the looped period-node
+    assembly did: -i[H(t), .] plus the dissipator of the jump sums rotated
+    to the node by P(t) o P(t)†."""
+    decomp = spec.floquet
+    d = decomp.dim
+    eye = np.eye(d)
+    terms = generators._redfield_sums(h0, spec, full_secular)
+    h_of_t = drive_hamiltonian(h0, drive)
+    samples = np.empty((decomp.grid_m, d * d, d * d), dtype=complex)
+    for k in range(decomp.grid_m):
+        p = decomp.p_samples[k]
+        pd = p.conj().T
+        sop = sop_commutator(h_of_t(k * decomp.tau / decomp.grid_m))
+        for sums in terms:
+            a, u2, t1m, u1, t2m = (p @ o @ pd for o in sums)
+            ad = a.conj().T
+            left = a @ u2 + ad @ t1m
+            right = t2m @ ad + u1 @ a
+            sop += -DIPOLE_PREFACTOR * (
+                np.kron(left, eye) + np.kron(eye, right.T)
+                - np.kron(a, u1.T) - np.kron(ad, t2m.T)
+                - np.kron(t1m, ad.T) - np.kron(u2, a.T)
+            )
+        samples[k] = sop
+    return samples
+
+
+def schrodinger_superops(gen, h0, drive):
+    """The micromotion-frame generator mapped back to the Schrodinger picture
+    at every decomposition-grid node: -i[H(t), .] + Ad_P D Ad_P†, with
+    D = gen.superop + i[Hbar, .] and Ad_P = P kron conj(P)."""
+    decomp = gen.meta["decomposition"]
+    diss = gen.superop - sop_commutator(decomp.hbar_floquet)
+    ts = np.arange(decomp.grid_m) * (decomp.tau / decomp.grid_m)
+    p = gen.propagator(ts)
+    ad_p = np.einsum("tac,tbd->tabcd", p, p.conj()).reshape(len(ts), *diss.shape)
+    h = drive_hamiltonian(h0, drive)(ts)
+    return np.array([sop_commutator(hk) for hk in h]) + ad_p @ diss @ ad_p.conj().swapaxes(1, 2)
 
 
 def three_level_spec(kind="lindblad", lamb=True):
@@ -193,7 +232,7 @@ def _all_kind_generators(gen_v0):
         "floquet_lindblad": gen_v0,
         "redfield": build_generator(cfg4),
     }
-    cfg4d = build_four_level(0.0, driven=True, period_nodes=64, grid_m=256)
+    cfg4d = build_four_level(0.0, driven=True, grid_m=256)
     gens["floquet_redfield"] = build_generator(cfg4d)
     return gens
 
@@ -206,8 +245,7 @@ class TestTracePreservation:
         for kind, gen in generators.items():
             for _ in range(100):
                 rho = random_density(rng, gen.dim)
-                t = ts[_ % 3] if not gen.is_static else 0.0
-                drho = gen.apply(t, rho)
+                drho = gen.apply(ts[_ % 3], rho)
                 assert abs(np.trace(drho)) < 1e-11, kind
                 assert np.max(np.abs(drho - drho.conj().T)) < 1e-10, kind
 
@@ -351,7 +389,7 @@ class TestRedfield:
 
 @pytest.fixture(scope="module")
 def fr_setup():
-    cfg = build_four_level(0.0, driven=True, period_nodes=64, grid_m=256, q_max=8)
+    cfg = build_four_level(0.0, driven=True, grid_m=256, q_max=8)
     dec = decompose_scenario(cfg)
     return cfg, dec, build_generator(cfg, decomposition=dec)
 
@@ -366,7 +404,7 @@ class TestFloquetRedfield:
             assert abs(np.trace(gen.apply(t, rho))) < 1e-11
 
     def test_mu_zero_matches_static_redfield(self):
-        cfg = build_four_level(0.0, driven=True, period_nodes=64, grid_m=256, q_max=2)
+        cfg = build_four_level(0.0, driven=True, grid_m=256, q_max=2)
         from floqdyn.floquet import DriveSpec
 
         cfg0 = scenario_with(cfg, drive=DriveSpec(0.0, 2.25, (0, 3)))
@@ -384,16 +422,36 @@ class TestFloquetRedfield:
         assert r12[-1] > 0.05          # bath does not destroy the 1-2 coherence
         assert r0b[-1] < 0.5 * r0b.max()  # drive-induced 0-b coherence is damped
 
+    def test_time_independent_in_the_micromotion_frame(self, fr_setup):
+        cfg, dec, gen = fr_setup
+        assert gen.picture == "interaction"
+        assert gen.superop_at(1.234) is gen.superop
+        ts = np.array([0.0, 0.37, 1.91])
+        assert_allclose(gen.propagator(ts), dec.p_at(ts), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("full_secular", [False, True])
+    @pytest.mark.parametrize("lamb", [True, False])
+    def test_matches_node_reference_in_the_schrodinger_picture(self, fr_setup, lamb,
+                                                               full_secular):
+        cfg, dec, _ = fr_setup
+        cfg = scenario_with(cfg, lamb_shift=lamb)
+        gen = build_generator(cfg, decomposition=dec, full_secular=full_secular)
+        spec = GeneratorSpec(kind="floquet_redfield", channels=cfg.channels(),
+                             lamb_shift=lamb, floquet=dec, lamb_params=cfg.lamb_params,
+                             q_max=cfg.q_max)
+        want = floquet_redfield_nodes_reference(cfg.h0, cfg.drive, spec, full_secular)
+        gap = np.max(np.abs(schrodinger_superops(gen, cfg.h0, cfg.drive) - want))
+        assert gap <= REDFIELD_NODE_TOL
+
     @pytest.mark.parametrize("lamb", [True, False])
     def test_full_secular_matches_eight_term_reference(self, fr_setup, lamb):
         cfg, dec, _ = fr_setup
         cfg = scenario_with(cfg, lamb_shift=lamb)
         gen = build_generator(cfg, decomposition=dec, full_secular=True)
         spec = GeneratorSpec(kind="floquet_redfield", channels=cfg.channels(),
-                             lamb_shift=lamb, floquet=dec, drive=cfg.drive,
-                             lamb_params=cfg.lamb_params, q_max=cfg.q_max,
-                             period_nodes=cfg.period_nodes)
-        gap = np.max(np.abs(gen.superop_samples - full_secular_reference(cfg.h0, spec)))
+                             lamb_shift=lamb, floquet=dec,
+                             lamb_params=cfg.lamb_params, q_max=cfg.q_max)
+        gap = np.max(np.abs(gen.superop - full_secular_reference(cfg.h0, spec)))
         assert gap <= REDFIELD_REF_TOL
 
     def test_full_secular_matches_lindblad_form_populations(self, fr_setup):
@@ -408,29 +466,19 @@ class TestFloquetRedfield:
         gen_fs = build_generator(cfg_nl, decomposition=dec, full_secular=True)
         # Lindblad form: same construction channel by channel, so the
         # cross-transition products never form
-        from floqdyn.generators import sop_commutator
-        from floqdyn.floquet import drive_hamiltonian
-
-        singles = []
-        for ch in cfg_nl.channels():
-            spec1 = scenario_with(cfg_nl)
-            gen1 = floquet_redfield_generator(
-                cfg_nl.h0,
-                GeneratorSpec(kind="floquet_redfield", channels=(ch,),
-                              lamb_shift=False, floquet=dec, drive=cfg_nl.drive,
-                              q_max=cfg_nl.q_max, period_nodes=cfg_nl.period_nodes),
-                full_secular=True)
-            singles.append(gen1)
-        h = drive_hamiltonian(cfg_nl.h0, cfg_nl.drive)
-        samples = sum(g.superop_samples for g in singles)
-        n = singles[0].superop_samples.shape[0] - 1
-        for node in range(n + 1):
-            t = (node % n) * dec.tau / n
-            samples[node] -= (len(singles) - 1) * sop_commutator(h(t))
         from floqdyn.generators import Generator
 
-        gen_lf = Generator(kind="floquet_redfield", picture="schrodinger", dim=4,
-                           superop_samples=samples, tau=dec.tau)
+        singles = [
+            floquet_redfield_generator(
+                cfg_nl.h0,
+                GeneratorSpec(kind="floquet_redfield", channels=(ch,), lamb_shift=False,
+                              floquet=dec, q_max=cfg_nl.q_max),
+                full_secular=True)
+            for ch in cfg_nl.channels()]
+        sop = (sum(g.superop for g in singles)
+               - (len(singles) - 1) * sop_commutator(dec.hbar_floquet))
+        gen_lf = Generator(kind="floquet_redfield", picture="interaction", dim=4,
+                           superop=sop, propagator=dec.p_at)
         tau = cfg.drive.tau
         traj_fs = evolve(cfg_nl, tau, dt=tau / 256, generator=gen_fs)
         traj_lf = evolve(cfg_nl, tau, dt=tau / 256, generator=gen_lf)

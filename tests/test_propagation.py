@@ -74,7 +74,7 @@ def _rk4_vector_step(generator, v, t, h):
 
 def evolve_loop(config, generator, t_final, dt, stride):
     """Untransformed states and times of ``evolve``, one RK4 step at a time."""
-    dt, _ = step_grid(generator, dt)
+    dt = step_grid(generator, dt)
     n_steps = int(np.floor(t_final / dt + 1e-9))
     partial = t_final - n_steps * dt
     if partial <= 1e-9 * dt:
@@ -132,52 +132,27 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
 
 
 @pytest.mark.parametrize("preset,n_per_tau,stride,t_final", [
-    ("three_level_nondriven", None, 7, T_SHORT),            # static: N = 1 < stride
-    ("four_level_degenerate_driven", None, 300, 10.0),      # N = 256 < stride
-    ("four_level_degenerate_driven", 256.5, 3, T_SHORT),    # dt = tau/256.5 -> tau/257
+    ("three_level_nondriven", None, 7, T_SHORT),            # stride > 1 step map
+    ("four_level_degenerate_driven", None, 300, 10.0),      # stride > steps per period
+    ("four_level_degenerate_driven", 256.5, 3, T_SHORT),    # dt = tau/256.5, off the P grid
 ])
 def test_stride_and_period_edge_cases(preset, n_per_tau, stride, t_final, preset_generators):
     config, gen = preset_generators[preset]
-    dt = config.default_dt() if n_per_tau is None else gen.tau / n_per_tau
-    step, n_phase = step_grid(gen, dt)
-    assert stride > n_phase or n_per_tau is not None
+    dt = config.default_dt() if n_per_tau is None else config.drive.tau / n_per_tau
+    assert step_grid(gen, dt) == dt
     traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen, transform=False)
     times, states = evolve_loop(config, gen, t_final, dt, stride)
-    if not gen.is_static:
-        assert step == gen.tau / n_phase
-        assert n_phase >= gen.tau / dt * (1 - 1e-9)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == t_final
     assert _max_gap(traj.states, states) <= STATE_TOL
 
 
-def test_periodic_step_is_tau_over_n(preset_generators):
-    _, gen = preset_generators["four_level_degenerate_driven"]
-    assert step_grid(gen, gen.tau / 256) == (gen.tau / 256, 256)
-    assert step_grid(gen, gen.tau / 256.5) == (gen.tau / 257, 257)
-    # within the 1e-9 relative slack a dt just below tau/256 keeps N = 256
-    assert step_grid(gen, gen.tau / 256 * (1 - 1e-12))[1] == 256
-
-
 def test_stability_guard_keeps_one_phase_for_static_generator(preset_generators):
     _, gen = preset_generators["four_level_degenerate"]
     with pytest.warns(RuntimeWarning, match="too coarse"):
-        dt, n_phase = step_grid(gen, 0.05)
-    assert n_phase == 1 and dt < 0.05
-
-
-def test_stability_guard_uses_largest_norm_over_phases():
-    from floqdyn.generators import Generator
-
-    tau = 1.0
-    base = -np.eye(4, dtype=complex)
-    samples = np.array([base * (1.0 + 19.0 * np.sin(np.pi * k / 8) ** 2) for k in range(9)])
-    gen = Generator(kind="floquet_redfield", picture="schrodinger", dim=2,
-                    superop_samples=samples, tau=tau)
-    # the t = 0 norm (1) allows dt = tau/8; the largest norm (20) does not
-    with pytest.warns(RuntimeWarning, match="too coarse"):
-        dt, n_phase = step_grid(gen, tau / 8)
-    assert (dt, n_phase) == (tau / 16, 16)
+        dt = step_grid(gen, 0.05)
+    assert dt < 0.05
+    assert 0.05 / dt == pytest.approx(round(0.05 / dt), abs=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["lindblad", "redfield", "floquet_lindblad",
