@@ -264,7 +264,8 @@ def gamma_ohmic(spec: OhmicSpec, beta: float, x: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _xi_ohmic_cached(spec: OhmicSpec, beta: float, x: float,
-                     params: LambIntegralParams) -> float:
+                     params: LambIntegralParams, quadrature_rel: float) -> float:
+    # quadrature_rel only keys the cache; the checks read TOLERANCES themselves
     order = params.quadrature_points
     w_hi = params.w_cutoff
     g_em = _bose_times(spec, beta, plus_one=False)   # J*nbar, pole at nu = x for x > 0
@@ -304,7 +305,7 @@ def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
     """Diagonal correlation coefficients of an Ohmic bath at frequency x."""
     return CorrelationCoefficients(
         gamma=gamma_ohmic(spec, beta, x),
-        xi=_xi_ohmic_cached(spec, float(beta), float(x), params),
+        xi=_xi_ohmic_cached(spec, float(beta), float(x), params, TOLERANCES.quadrature_rel),
     )
 
 
@@ -326,7 +327,9 @@ def _vacuum_replacement(x: float, w_cutoff: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _c1_imag_cached(x: float, beta: float, params: LambIntegralParams) -> float:
+def _c1_imag_cached(x: float, beta: float, params: LambIntegralParams,
+                    quadrature_rel: float) -> float:
+    # quadrature_rel only keys the cache, as in _xi_ohmic_cached
     order = params.quadrature_points
     w_hi = params.w_cutoff
     first = min(0.25, 1.0 / beta)
@@ -361,6 +364,6 @@ def redfield_coefficients(x: float, beta: float,
         occ = thermal_occupation(x, beta)
         n1 = x**3 * occ
         n2 = x**3 * (occ + 1.0)
-    c1 = _c1_imag_cached(x, float(beta), params)
+    c1 = _c1_imag_cached(x, float(beta), params, TOLERANCES.quadrature_rel)
     c2 = c1 + _vacuum_replacement(x, params.w_cutoff) / np.pi
     return RedfieldCoefficients(n1=n1, n2=n2, c1_imag=c1, c2_imag=c2)

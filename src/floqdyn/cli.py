@@ -20,14 +20,17 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from itertools import product
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import jsonschema
 import numpy as np
 
-from .baths import BathSpec, LambIntegralParams, OhmicSpec
+from .baths import BathSpec
 from .errors import ConfigError, FloqdynError, NumericalError
 from .floquet import DriveSpec, benchmark_fidelities
 from .generators import GENERATOR_KINDS
@@ -39,67 +42,105 @@ from .scenarios import (
     decompose_scenario,
     efficiency,
     evolve,
+    scenario_with,
     step_grid,
     trajectory_diagnostics,
 )
 
 FLOAT_FMT = "%.17g"
 
-_LAMB_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "w_cutoff": {"type": "number"},
-        "quadrature_points": {"type": "integer"},
-        "pv_window": {"type": "number"},
-    },
+# ---------------------------------------------------------------------------
+# config schemas; the scenario's JSON form is derived from its dataclasses
+
+#: The only places where the JSON form departs from the dataclass fields,
+#: as (JSON key, schema override): a field under a key of its own, a nested
+#: dataclass whose fields sit in its parent's object (key None), and a schema
+#: narrower than the field's type.  Every other field is (its name, None).
+_JSON_FORM = {
+    (DriveSpec, "omega_drive"): ("omega", None),
+    (BathSpec, "spectral"): (None, None),
+    (ScenarioConfig, "kind"): ("kind", {"enum": list(GENERATOR_KINDS)}),
 }
 
-_SCENARIO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "label": {"type": "string"},
-        "energies": {"type": "array", "items": {"type": "number"}},
-        "target_level": {"type": "integer"},
-        "kind": {"enum": list(GENERATOR_KINDS)},
-        "lamb_shift": {"type": "boolean"},
-        "q_max": {"type": "integer"},
-        "initial_level": {"type": "integer"},
-        "grid_m": {"type": "integer"},
-        "substeps": {"type": "integer"},
-        "dt": {"type": ["number", "null"]},
-        "drive": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "properties": {
-                "mu": {"type": "number"},
-                "omega": {"type": "number"},
-                "pair": {"type": "array", "items": {"type": "integer"},
-                         "minItems": 2, "maxItems": 2},
-            },
-            "required": ["mu", "omega", "pair"],
-        },
-        "baths": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "beta": {"type": "number"},
-                    "j0": {"type": "number"},
-                    "omega_cutoff": {"type": "number"},
-                    "transitions": {"type": "array",
-                                    "items": {"type": "array", "items": {"type": "integer"},
-                                              "minItems": 2, "maxItems": 2}},
-                },
-                "required": ["name", "beta", "j0", "omega_cutoff", "transitions"],
-            },
-        },
-        "lamb_params": _LAMB_SCHEMA,
-    },
-}
+_JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean"}
+
+
+@cache
+def _json_fields(cls) -> tuple:
+    """(JSON key, schema override, field, type) per field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((*_JSON_FORM.get((cls, f.name), (f.name, None)), f, hints[f.name])
+                 for f in fields(cls))
+
+
+@cache
+def _type_form(tp) -> tuple:
+    """(form, inner type) of a field type; any form without a JSON form raises."""
+    args = get_args(tp)
+    if tp in _JSON_TYPES:
+        return "scalar", tp
+    if is_dataclass(tp):
+        return "object", tp
+    if isinstance(tp, UnionType) and len(args) == 2 and type(None) in args:
+        return "optional", next(a for a in args if a is not type(None))
+    if get_origin(tp) is tuple and len(set(args) - {Ellipsis}) == 1:
+        return "array", args[0]     # tuple[X, ...], or tuple[X, X] of fixed length
+    raise TypeError(f"no JSON form for field type {tp!r}")
+
+
+def _json_schema(tp) -> dict:
+    """JSON schema of a field type; a dataclass is a closed object requiring every key."""
+    form, inner = _type_form(tp)
+    if form == "scalar":
+        return {"type": _JSON_TYPES[inner]}
+    if form == "optional":
+        schema = _json_schema(inner)
+        return {**schema, "type": [schema["type"], "null"]}
+    if form == "array":
+        schema = {"type": "array", "items": _json_schema(inner)}
+        if Ellipsis not in get_args(tp):
+            schema["minItems"] = schema["maxItems"] = len(get_args(tp))
+        return schema
+    props = {}
+    for key, override, _, hint in _json_fields(inner):
+        schema = override or _json_schema(hint)
+        props.update(schema["properties"] if key is None else {key: schema})
+    return {"type": "object", "additionalProperties": False,
+            "properties": props, "required": list(props)}
+
+
+def _to_json(value):
+    """JSON form of a field value: a dataclass is an object, a tuple an array."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out = {}
+    for key, _, f, _ in _json_fields(type(value)):
+        item = _to_json(getattr(value, f.name))
+        out.update(item if key is None else {key: item})
+    return out
+
+
+def _from_json(data, tp):
+    """Field value of type ``tp`` from its JSON form (inverse of :func:`_to_json`)."""
+    form, inner = _type_form(tp)
+    if data is None or form == "scalar":
+        return data
+    if form == "optional":
+        return _from_json(data, inner)
+    if form == "array":
+        return tuple(_from_json(v, inner) for v in data)
+    # a flattened field reads its own keys from the same object
+    return inner(**{f.name: _from_json(data if key is None else data[key], hint)
+                    for key, _, f, hint in _json_fields(inner)})
+
+
+SCENARIO_SCHEMA = _json_schema(ScenarioConfig)
+
+#: canonical form of a custom scenario before its own keys are merged in
+_SCENARIO_DEFAULTS = {key: _to_json(f.default) for key, _, f, _ in _json_fields(ScenarioConfig)
+                      if f.default is not MISSING}
 
 _INTEGRATION_SCHEMA = {
     "type": "object",
@@ -125,7 +166,7 @@ RUN_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "scenario": _SCENARIO_SCHEMA,
+        "scenario": SCENARIO_SCHEMA,
         "integration": _INTEGRATION_SCHEMA,
         "outputs": _OUTPUTS_SCHEMA,
     },
@@ -136,8 +177,8 @@ COMPARE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "a": _SCENARIO_SCHEMA,
-        "b": _SCENARIO_SCHEMA,
+        "a": SCENARIO_SCHEMA,
+        "b": SCENARIO_SCHEMA,
         "integration": _INTEGRATION_SCHEMA,
         "metric": {"enum": ["eta_series", "trace_distance"]},
         "outputs": _OUTPUTS_SCHEMA,
@@ -161,76 +202,15 @@ SWEEP_SCHEMA = {
 }
 
 
-# ---------------------------------------------------------------------------
-# scenario <-> dict
-
-
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     """Canonical, fully expanded JSON form of a scenario."""
-    return {
-        "label": config.label,
-        "energies": list(config.energies),
-        "target_level": config.target_level,
-        "kind": config.kind,
-        "lamb_shift": config.lamb_shift,
-        "q_max": config.q_max,
-        "initial_level": config.initial_level,
-        "grid_m": config.grid_m,
-        "substeps": config.substeps,
-        "dt": config.dt,
-        "drive": None if config.drive is None else {
-            "mu": config.drive.mu,
-            "omega": config.drive.omega_drive,
-            "pair": list(config.drive.pair),
-        },
-        "baths": [
-            {
-                "name": b.name,
-                "beta": b.beta,
-                "j0": b.spectral.j0,
-                "omega_cutoff": b.spectral.omega_cutoff,
-                "transitions": [list(t) for t in b.transitions],
-            }
-            for b in config.baths
-        ],
-        "lamb_params": {
-            "w_cutoff": config.lamb_params.w_cutoff,
-            "quadrature_points": config.lamb_params.quadrature_points,
-            "pv_window": config.lamb_params.pv_window,
-        },
-    }
+    return _to_json(config)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a scenario from its canonical dict (or preset + overrides)."""
-    data = canonical_scenario_dict(data)
-    drive = None
-    if data["drive"] is not None:
-        drive = DriveSpec(mu=data["drive"]["mu"], omega_drive=data["drive"]["omega"],
-                          pair=tuple(data["drive"]["pair"]))
-    baths = tuple(
-        BathSpec(name=b["name"], beta=b["beta"],
-                 spectral=OhmicSpec(b["j0"], b["omega_cutoff"]),
-                 transitions=tuple(tuple(t) for t in b["transitions"]))
-        for b in data["baths"]
-    )
-    lp = data["lamb_params"]
     try:
-        return ScenarioConfig(
-            label=data["label"],
-            energies=tuple(data["energies"]),
-            target_level=data["target_level"],
-            baths=baths,
-            kind=data["kind"],
-            drive=drive,
-            lamb_shift=data["lamb_shift"],
-            q_max=data["q_max"],
-            lamb_params=LambIntegralParams(**lp),
-            initial_level=data["initial_level"],
-            grid_m=data["grid_m"],
-            substeps=data["substeps"],
-            dt=data["dt"],
-        )
+        return _from_json(canonical_scenario_dict(data), ScenarioConfig)
     except FloqdynError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -249,9 +229,11 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def canonical_scenario_dict(data: dict) -> dict:
     """Expand a preset reference into the canonical full form.
 
-    A custom scenario takes the field defaults of :class:`ScenarioConfig`
-    (``lamb_params`` merged key by key) and the label "custom".
+    A custom scenario takes the field defaults of :class:`ScenarioConfig`;
+    a default that is an object is merged key by key.
     """
+    if not isinstance(data, dict):
+        raise ConfigError("scenario section must be an object")
     data = copy.deepcopy(data)
     preset = data.pop("preset", None)
     if preset is not None:
@@ -259,23 +241,28 @@ def canonical_scenario_dict(data: dict) -> dict:
             raise ConfigError(
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
         return _deep_merge(scenario_to_dict(PRESETS[preset]()), data)
-    required = ("energies", "target_level", "kind", "baths")
-    missing = [k for k in required if k not in data]
+    missing = [key for key, _, f, _ in _json_fields(ScenarioConfig)
+               if f.default is MISSING and key not in data]
     if missing:
         raise ConfigError(f"scenario missing required keys: {missing}")
-    defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
-    lamb_params = {**asdict(defaults.pop("lamb_params")), **data.pop("lamb_params", {})}
-    return {"label": "custom", **defaults, **data, "lamb_params": lamb_params}
+    return _deep_merge(_SCENARIO_DEFAULTS, data)
+
+
+def _section(data: dict, key: str, default: dict | None = None) -> dict:
+    """The object under ``key`` of a config; ``default`` if absent (required if None)."""
+    value = data.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} section must be an object" if key in data
+                          else f"config missing section {key!r}")
+    return value
 
 
 def canonical_run_dict(data: dict) -> dict:
     data = copy.deepcopy(data)
-    data["scenario"] = canonical_scenario_dict(data["scenario"])
-    data.setdefault("outputs", {})
-    data["outputs"].setdefault("path", None)
-    data["outputs"].setdefault("formats", ["csv", "json"])
-    data["integration"].setdefault("dt", None)
-    data["integration"].setdefault("stride", None)
+    data["scenario"] = canonical_scenario_dict(_section(data, "scenario"))
+    data["outputs"] = {"path": None, "formats": ["csv", "json"],
+                       **_section(data, "outputs", {})}
+    data["integration"] = {"dt": None, "stride": None, **_section(data, "integration")}
     return data
 
 
@@ -325,10 +312,7 @@ def load_config(path: str | None, preset: str | None, overrides: list[str],
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     if preset is not None:
-        data.setdefault("scenario", {})
-        if not isinstance(data["scenario"], dict):
-            raise ConfigError("scenario section must be an object")
-        data["scenario"]["preset"] = preset
+        data["scenario"] = {**_section(data, "scenario", {}), "preset": preset}
     if overrides:
         data = apply_overrides(data, overrides)
     return data
@@ -359,13 +343,9 @@ def validate_schema(data: dict, schema: dict) -> dict:
 # output helpers
 
 
-def _fmt(value: float) -> str:
-    return FLOAT_FMT % value
-
-
 def _csv_cell(value) -> str:
     """Floats at 17 significant digits; a cell containing a comma is quoted."""
-    text = _fmt(value) if isinstance(value, float) else str(value)
+    text = FLOAT_FMT % value if isinstance(value, float) else str(value)
     if "," in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -450,8 +430,6 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
     if config.drive is None:
         raise ConfigError("floquet command requires a scenario with a drive")
     decomp = decompose_scenario(config)
-    from .scenarios import scenario_with
-
     # the per-channel Lamb matrices are defined by the secular construction
     # regardless of which generator kind the scenario runs with
     gen = build_generator(scenario_with(config, kind="floquet_lindblad"),
@@ -569,7 +547,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     for (i, _), res in zip(jobs, computed):
         results[i] = res
 
-    dim = scenario_from_dict(canonical_scenario_dict(base["scenario"])).dim
+    dim = scenario_from_dict(_section(base, "scenario")).dim
     header = list(names) + ["status", "eta"] + [f"pop_{i}" for i in range(dim)] \
         + ["positivity_min"]
     rows = []
@@ -629,9 +607,7 @@ def main(argv: list[str] | None = None) -> int:
             data = load_config(args.config, None, args.overrides)
             data.setdefault("metric", "eta_series")
             for side in ("a", "b"):
-                if side not in data:
-                    raise ConfigError(f"compare config missing scenario {side!r}")
-                data[side] = canonical_scenario_dict(data[side])
+                data[side] = canonical_scenario_dict(_section(data, side))
             validate_schema(data, COMPARE_SCHEMA)
             out_dir.mkdir(parents=True, exist_ok=True)
             return cmd_compare(data, out_dir)

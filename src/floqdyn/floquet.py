@@ -132,8 +132,7 @@ class FloquetDecomposition:
     ``p_samples[k]`` is P(t_k, 0) on the uniform grid t_k = k*tau/m,
     k = 0..m (both endpoints; P at k = m equals the identity up to
     integration error).  ``u_samples`` keeps the propagator on the same
-    grid.  The principal-branch Floquet Hamiltonian (no unfolding) is
-    retained alongside the unfolded one for gauge-invariance checks.
+    grid.
     """
 
     hbar_floquet: np.ndarray
@@ -141,7 +140,6 @@ class FloquetDecomposition:
     p_samples: np.ndarray
     tau: float
     u_samples: np.ndarray = field(repr=False, default=None)
-    hbar_principal: np.ndarray = field(repr=False, default=None)
 
     @property
     def grid_m(self) -> int:
@@ -253,7 +251,6 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int = 1024,
         p_samples=p_samples,
         tau=tau,
         u_samples=u_samples,
-        hbar_principal=h_principal,
     )
 
 

@@ -10,16 +10,12 @@ and most accurate.
 """
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ValidationError
 from .tolerances import TOLERANCES
-
-#: Natural units used throughout: all four constants are identically one.
-CONSTANTS = MappingProxyType({"hbar": 1.0, "c": 1.0, "k_B": 1.0, "epsilon_0": 1.0})
 
 
 def _as_operators(m) -> np.ndarray:
@@ -86,17 +82,13 @@ class Spectrum:
     def dim(self) -> int:
         return len(self.energies)
 
-    def projector(self, k: int) -> np.ndarray:
-        v = self.vectors[:, k]
-        return np.outer(v, v.conj())
-
 
 def hermitian_eigensystem(h, tol: float | None = None) -> Spectrum:
     """Ascending eigensystem of a Hermitian matrix.
 
     Raises :class:`ValidationError` when the input is not Hermitian within
-    tolerance; the reconstruction ``V diag(w) V†`` matches the input to the
-    ``eigen_residual`` tolerance by LAPACK guarantees at these dimensions.
+    tolerance; ``numpy.linalg.eigh`` (LAPACK) returns a reconstruction
+    ``V diag(w) V†`` that matches the input to rounding at these dimensions.
     """
     a = require_hermitian(h, tol)
     w, v = np.linalg.eigh(a)
@@ -158,15 +150,6 @@ class DensityMatrix:
         if abs(tr.real - 1.0) > TOLERANCES.trace or abs(tr.imag) > TOLERANCES.trace:
             raise ValidationError(f"density matrix trace {tr} != 1")
         object.__setattr__(self, "matrix", a)
-
-    def positivity_violations(self) -> list[str]:
-        """Soft positivity report: non-fatal because Redfield dynamics may
-        transiently dip below zero."""
-        low = self.min_eigenvalue
-        if low < TOLERANCES.density_positivity:
-            return [f"minimum eigenvalue {low:.3e} below "
-                    f"{TOLERANCES.density_positivity:.0e}"]
-        return []
 
     @property
     def dim(self) -> int:

@@ -52,11 +52,11 @@ REFERENCE_DRIVE = {"mu": 0.1, "omega": 2.25}
 class ScenarioConfig:
     """A fully specified simulation scenario."""
 
-    label: str
     energies: tuple[float, ...]
     target_level: int
     baths: tuple[BathSpec, ...]
     kind: str
+    label: str = "custom"
     drive: DriveSpec | None = None
     lamb_shift: bool = True
     q_max: int = 0

@@ -16,11 +16,8 @@ from dataclasses import dataclass, fields
 class ToleranceConfig:
     hermitian: float = 1e-10
     unitary: float = 1e-8
-    unitary_strict: float = 1e-10
-    eigen_residual: float = 1e-9
     trace: float = 1e-10
     trace_drift: float = 1e-6
-    density_positivity: float = -1e-8
     redfield_positivity: float = -1e-3
     gap_cluster: float = 1e-4
     fourier_floor: float = 1e-3

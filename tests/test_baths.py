@@ -215,6 +215,22 @@ class TestQuadratureConvergenceGuard:
                               (0.0, 1.0e4), PARAMS)
 
 
+    @pytest.mark.parametrize("coefficients", [
+        lambda x: gamma_xi_ohmic(HOT, 1.3, x, PARAMS),
+        lambda x: redfield_coefficients(x, 1.3, PARAMS),
+    ], ids=["xi", "c1"])
+    def test_cached_coefficient_rechecked_under_tighter_tolerance(self, coefficients):
+        from floqdyn.errors import NumericalError
+        from floqdyn.tolerances import tolerance_overrides
+
+        x = 0.7371  # a frequency no other test asks for
+        want = coefficients(x)  # fills the cache at the default tolerance
+        with tolerance_overrides(quadrature_rel=1e-300):
+            with pytest.raises(NumericalError, match="did not converge"):
+                coefficients(x)
+        assert coefficients(x) == want
+
+
 class TestGaussLegendreRules:
     def test_cached_rule_is_read_only_and_exact(self):
         from floqdyn.baths import _leggauss

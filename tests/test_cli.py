@@ -1,11 +1,15 @@
 import csv
 import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from floqdyn import cli
 from floqdyn.cli import (
     RUN_SCHEMA,
     canonical_run_dict,
@@ -15,8 +19,10 @@ from floqdyn.cli import (
     scenario_to_dict,
     validate_schema,
 )
-from floqdyn.baths import BathSpec, OhmicSpec
+from floqdyn.baths import BathSpec, LambIntegralParams, OhmicSpec
 from floqdyn.errors import ConfigError
+from floqdyn.floquet import DriveSpec
+from floqdyn.generators import GENERATOR_KINDS
 from floqdyn.scenarios import PRESETS, ScenarioConfig
 
 
@@ -92,6 +98,145 @@ class TestConfigRoundTrip:
         d = canonical_scenario_dict({"preset": "three_level_v0", "drive": {"mu": 0.0}})
         assert d["drive"]["mu"] == 0.0
         assert d["drive"]["pair"] == [0, 2]
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+positive = st.floats(1e-3, 1e3, allow_nan=False)
+
+
+@st.composite
+def scenarios(draw):
+    """Random valid scenarios over every field, nested ones included."""
+    dim = draw(st.integers(2, 4))
+    level = st.integers(0, dim - 1)
+    pairs = st.tuples(level, level).filter(lambda p: p[0] != p[1])
+    baths = st.lists(st.builds(
+        BathSpec, name=st.text(max_size=5), beta=positive,
+        spectral=st.builds(OhmicSpec, j0=st.floats(0.0, 1.0), omega_cutoff=positive),
+        transitions=st.lists(pairs, max_size=3, unique=True).map(tuple)), max_size=2)
+    drive = st.none() | st.builds(DriveSpec, mu=st.floats(0.0, 1.0), omega_drive=positive,
+                                  pair=pairs)
+    w_cutoff = draw(st.floats(10.0, 1e5))
+    lamb = st.builds(LambIntegralParams, w_cutoff=st.just(w_cutoff),
+                     quadrature_points=st.integers(64, 256),
+                     pv_window=st.floats(1e-3, w_cutoff / 20))
+    return draw(st.builds(
+        ScenarioConfig, energies=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
+        target_level=level, baths=baths.map(tuple), kind=st.sampled_from(GENERATOR_KINDS),
+        label=st.text(max_size=8), drive=drive, lamb_shift=st.booleans(),
+        q_max=st.integers(0, 30), lamb_params=lamb, initial_level=level,
+        grid_m=st.integers(1, 2048), substeps=st.integers(1, 32), dt=st.none() | positive))
+
+
+def _canonical_run():
+    return canonical_run_dict({"scenario": {"preset": "three_level_v0"},
+                               "integration": {"t_final": 1.0}})
+
+
+_DELETE = object()
+
+
+class TestDerivedConfig:
+    """The scenario schema and (de)serialisers are derived from the dataclasses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios())
+    def test_random_scenario_round_trips_and_validates(self, config):
+        data = scenario_to_dict(config)
+        assert scenario_from_dict(json.loads(json.dumps(data))) == config
+        validate_schema(canonical_run_dict({"scenario": data, "integration": {"t_final": 1.0}}),
+                        RUN_SCHEMA)
+
+    @pytest.mark.parametrize("path,key,value,message", [
+        (("scenario",), "mystery", 1, "('mystery' was unexpected)"),
+        (("scenario",), "q_max", 2.5, "2.5 is not of type 'integer'"),
+        (("scenario",), "kind", "no_such_kind", "'no_such_kind' is not one of ['lindblad', "),
+        (("scenario",), "grid_m", _DELETE, "'grid_m' is a required property"),
+        (("scenario", "drive"), "mystery", 1, "('mystery' was unexpected)"),
+        (("scenario", "drive"), "omega", "fast", "'fast' is not of type 'number'"),
+        (("scenario", "drive"), "pair", [0, 1, 2], "[0, 1, 2] is too long"),
+        (("scenario", "drive"), "pair", [0], "[0] is too short"),
+        (("scenario", "drive"), "omega", _DELETE, "'omega' is a required property"),
+        (("scenario", "baths", 0), "mystery", 1, "('mystery' was unexpected)"),
+        (("scenario", "baths", 0), "beta", "hot", "'hot' is not of type 'number'"),
+        (("scenario", "baths", 0), "transitions", [[1, 0, 2]], "[1, 0, 2] is too long"),
+        (("scenario", "baths", 0), "j0", _DELETE, "'j0' is a required property"),
+        (("scenario", "lamb_params"), "mystery", 1, "('mystery' was unexpected)"),
+        (("scenario", "lamb_params"), "quadrature_points", 96.5,
+         "96.5 is not of type 'integer'"),
+        (("scenario", "lamb_params"), "pv_window", _DELETE,
+         "'pv_window' is a required property"),
+    ])
+    def test_rejections_at_every_nesting_level(self, path, key, value, message):
+        run = _canonical_run()
+        node = run
+        for step in path:
+            node = node[step]
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        with pytest.raises(ConfigError, match="^config schema violation: ") as err:
+            validate_schema(run, RUN_SCHEMA)
+        assert message in str(err.value)
+
+    def test_walker_follows_a_new_dataclass_without_edits(self):
+        @dataclass(frozen=True)
+        class Inner:
+            count: int
+            scale: float | None = None
+
+        @dataclass(frozen=True)
+        class Outer:
+            name: str
+            inner: Inner
+            links: tuple[tuple[int, int], ...] = ()
+            flag: bool = True
+
+        value = Outer("x", Inner(3, 0.5), links=((0, 1), (2, 3)))
+        data = cli._to_json(value)
+        assert data == {"name": "x", "inner": {"count": 3, "scale": 0.5},
+                        "links": [[0, 1], [2, 3]], "flag": True}
+        assert cli._from_json(data, Outer) == value
+        schema = cli._json_schema(Outer)
+        assert schema["required"] == ["name", "inner", "links", "flag"]
+        assert schema["properties"]["inner"]["properties"]["scale"] == {
+            "type": ["number", "null"]}
+        assert schema["properties"]["links"]["items"]["maxItems"] == 2
+        validate_schema(data, schema)
+        with pytest.raises(ConfigError, match="'extra' was unexpected"):
+            validate_schema({**data, "extra": 1}, schema)
+
+    @pytest.mark.parametrize("field_type", [list[int], dict, tuple[int, str], complex])
+    def test_walker_rejects_a_type_without_json_form(self, field_type):
+        Odd = dataclass(type("Odd", (), {"__annotations__": {"x": field_type}}))
+        with pytest.raises(TypeError, match="no JSON form"):
+            cli._json_schema(Odd)
+
+
+class TestMalformedSections:
+    @pytest.mark.parametrize("command,config", [
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"}}),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"}, "integration": 5}),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 1.0}, "outputs": None}),
+        ("compare", {"a": {"preset": "three_level_nondriven"}, "b": 7,
+                     "integration": {"t_final": 1.0}}),
+    ], ids=["no_integration", "integration_not_object", "outputs_null", "compare_side_not_object"])
+    def test_exit_2_and_no_output(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    def test_sweep_base_without_integration_fails_every_point(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": {"scenario": {"preset": "three_level_nondriven"}},
+                                   "axes": {"scenario.lamb_shift": [True, False]}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["error:2"] * 2
 
 
 class TestSimulate:
