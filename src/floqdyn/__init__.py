@@ -6,15 +6,17 @@ Library layout:
   fidelities) and density-matrix validation.
 * ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi correlation
   coefficients, Redfield N/C coefficients, principal-value quadrature.
-* ``propagation`` -- the RK4 engine for x' = A(t) x: per-phase step maps
-  composed into record maps.
+* ``propagation`` -- fixed-step RK4 for the Schrodinger equation of a
+  periodic drive: per-sample-interval maps of one period, one product per
+  sample.
 * ``floquet`` -- propagator integration, Floquet decomposition with branch
   unfolding, Fourier operator harmonics, jump-operator tables, Magnus+BCH
   approximants and their fidelity benchmarks.
 * ``generators`` -- the four master-equation superoperators (Lindblad,
   Floquet-Lindblad, Redfield, Floquet-Redfield).
-* ``scenarios`` -- model presets, trajectory integration, energy-transfer
-  efficiency, diagnostics.
+* ``scenarios`` -- model presets, exact trajectories (one matrix
+  exponential per record interval), energy-transfer efficiency,
+  diagnostics.
 * ``cli`` -- the ``floqdyn`` command-line entry point.
 """
 

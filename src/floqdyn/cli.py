@@ -18,7 +18,6 @@ import argparse
 import copy
 import json
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
@@ -43,9 +42,9 @@ from .scenarios import (
     efficiency,
     evolve,
     scenario_with,
-    step_grid,
     trajectory_diagnostics,
 )
+from .tolerances import TOLERANCES, tolerance_overrides
 
 FLOAT_FMT = "%.17g"
 
@@ -465,20 +464,16 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
             f"incompatible level structures: {scen_a.dim} vs {scen_b.dim} levels")
     metric = cfg.get("metric", "eta_series")
     integ = cfg["integration"]
-    # one shared integration grid so series align row by row: the finer of
-    # the two steps evolve would take, which evolve then keeps for both
-    # (every generator is static, so any step serves both drive periods)
-    gens = [build_generator(s) for s in (scen_a, scen_b)]
-    dt = min(s.default_dt() if integ.get("dt") is None else integ["dt"]
-             for s in (scen_a, scen_b))
+    # one shared record grid so series align row by row: the given dt, or
+    # else the smaller default (every generator is static in its picture,
+    # so any dt serves both drive periods)
+    dt = integ.get("dt")
+    if dt is None:
+        dt = min(scen_a.default_dt(), scen_b.default_dt())
     results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        dt = min(step_grid(g, dt) for g in gens)
-        for scen, gen in zip((scen_a, scen_b), gens):
-            traj = evolve(scen, t_final=integ["t_final"], dt=dt,
-                          stride=integ.get("stride"), generator=gen)
-            results.append((traj, efficiency(traj)))
+    for scen in (scen_a, scen_b):
+        traj = evolve(scen, t_final=integ["t_final"], dt=dt, stride=integ.get("stride"))
+        results.append((traj, efficiency(traj)))
     (traj_a, eff_a), (traj_b, eff_b) = results
     n = len(traj_a.times)
     if metric == "eta_series":
@@ -503,9 +498,11 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
 
 
 def _sweep_point(args):
-    run, values = args
+    run, values, tolerances = args
     try:
-        _, traj, report = _run_trajectory(run)
+        # a worker process does not share the caller's TOLERANCES
+        with tolerance_overrides(**tolerances):
+            _, traj, report = _run_trajectory(run)
         return {
             "values": values,
             "status": "ok",
@@ -525,6 +522,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     names = sorted(axes)
     grid = list(product(*(axes[name] for name in names)))
     results = [None] * len(grid)     # in grid order; axis values may be unhashable
+    tolerances = TOLERANCES.snapshot()
     jobs = []
     for i, values in enumerate(grid):
         # override the raw config so preset-level axes still take effect,
@@ -533,7 +531,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
             run = apply_overrides(copy.deepcopy(base),
                                   [f"{n}={json.dumps(v)}" for n, v in zip(names, values)])
             run = validate_schema(canonical_run_dict(run), RUN_SCHEMA)
-            jobs.append((i, (run, values)))
+            jobs.append((i, (run, values, tolerances)))
         except FloqdynError:
             results[i] = {"values": values, "status": "error:2", "eta": float("nan"),
                           "final_populations": [], "positivity_min": float("nan")}
@@ -547,15 +545,17 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     for (i, _), res in zip(jobs, computed):
         results[i] = res
 
-    dim = scenario_from_dict(_section(base, "scenario")).dim
+    # grid points may differ in dimension; shorter rows are padded with NaN
+    dim = max((len(run["scenario"]["energies"]) for run, _, _ in points), default=0)
     header = list(names) + ["status", "eta"] + [f"pop_{i}" for i in range(dim)] \
         + ["positivity_min"]
     rows = []
     for res in results:
-        pops = res["final_populations"] or [float("nan")] * dim
+        pops = res["final_populations"]
+        pops = pops + [float("nan")] * (dim - len(pops))
         rows.append([json.dumps(v) if not isinstance(v, float) else v
                      for v in res["values"]]
-                    + [res["status"], res["eta"]] + list(pops) + [res["positivity_min"]])
+                    + [res["status"], res["eta"]] + pops + [res["positivity_min"]])
     write_csv(out_dir / "sweep.csv", header, rows)
     if all(r["status"] != "ok" for r in results):
         raise NumericalError("every sweep grid point failed")

@@ -4,11 +4,11 @@ Given a time-periodic Hamiltonian H(t) = H(t + tau), the propagator factors
 as U(t,0) = P(t,0) exp(-i*Hbar*t) with Hbar Hermitian (the Floquet
 Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
 
-* the monodromy U(tau,0) by RK4 integration (the step maps of
-  :mod:`floqdyn.propagation`, built per sample interval in array calls)
-  and Hbar by the principal matrix logarithm, with quasienergy branches
-  unfolded against the undriven reference so Hbar is continuous in the
-  drive amplitude;
+* the monodromy U(tau,0) by RK4 integration (the sampler of
+  :mod:`floqdyn.propagation`: the map of each sample interval of one period
+  built in array calls, then one product per sample) and Hbar by the
+  principal matrix logarithm, with quasienergy branches unfolded against
+  the undriven reference so Hbar is continuous in the drive amplitude;
 * the sampled periodic operator P(t,0) and the Fourier coefficients S(q)
   of P†(t) S P(t) for any system operator S;
 * the jump-operator table S(q, omega) resolved on quasienergy gaps;
@@ -36,7 +36,7 @@ from .operators import (
     unitarity_defect,
     unitary_fidelity,
 )
-from .propagation import propagate
+from .propagation import rk4_samples
 from .tolerances import TOLERANCES
 
 
@@ -95,9 +95,9 @@ def _unitary_samples(h_of_t, dim: int, n_samples: int, dt_sample: float,
 
     H must repeat every ``period_samples`` samples over the integrated span.
     """
-    return propagate(lambda t: -1j * np.asarray(h_of_t(t), dtype=complex),
-                     np.eye(dim, dtype=complex), dt_sample / substeps,
-                     period_samples * substeps, substeps, n_samples * substeps, t0=t0)
+    return rk4_samples(lambda t: -1j * np.asarray(h_of_t(t), dtype=complex),
+                       np.eye(dim, dtype=complex), dt_sample / substeps, substeps,
+                       n_samples, period_samples, t0=t0)
 
 
 def propagate_schrodinger(h_of_t, t0: float, t1: float, steps: int) -> np.ndarray:

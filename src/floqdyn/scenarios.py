@@ -8,20 +8,22 @@ Basis ordering convention: 3-level scenarios use
 {|0>, |1>, |b>} (energies 0, 3, 2.5; target index 2); 4-level scenarios use
 {|0>, |1>, |2>, |b>} (energies 0, 3, 3+gap, 2.5; target index 3).
 
-Trajectories integrate d(rho)/dt = L[rho] with fixed-step RK4 on the
-vectorized state, through the step maps of :mod:`floqdyn.propagation`.
-Every generator is time independent in its picture, so one step map serves
-the whole run and each recorded interval costs one matrix-vector product.
-Interaction-picture generators (the Floquet kinds and interaction-picture
-Lindblad) have their recorded states mapped back to the Schrodinger
-picture by the generator's propagator on the record grid, in array calls
-over chunks of records; Schrodinger-picture generators record directly.
+Trajectories solve d(rho)/dt = L[rho] exactly on the vectorized state.
+Every generator is time independent in its picture, so the state at t is
+exp(L t) rho(0): one matrix exponential of L over the record interval
+serves the whole run, and each recorded interval costs one matrix-vector
+product.  Interaction-picture generators (the Floquet kinds and
+interaction-picture Lindblad) have their recorded states mapped back to
+the Schrodinger picture by the generator's propagator on the record grid,
+in array calls over chunks of records; Schrodinger-picture generators
+record directly.
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .baths import BathSpec, LambIntegralParams, OhmicSpec, spectral_density
 from .errors import ConfigError, NumericalError, ValidationError
@@ -36,7 +38,6 @@ from .generators import (
     redfield_generator,
 )
 from .operators import DensityMatrix
-from .propagation import propagate
 from .tolerances import TOLERANCES
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
@@ -291,44 +292,21 @@ class Trajectory:
 RECORD_CHUNK = 2048
 
 
-def step_grid(generator: Generator, dt: float) -> float:
-    """The RK4 step ``evolve`` takes for a requested ``dt``.
-
-    Every generator is time independent, so the step is ``dt`` unless the
-    stability guard divides it until dt * ||L||_2 <= 1.5; the guard warns
-    when it does.
-    """
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    bound = float(np.linalg.norm(generator.superop, 2))
-    # keep RK4 comfortably inside its stability region
-    if bound * dt > 1.5:
-        dt_old = dt
-        dt = dt / int(np.ceil(bound * dt / 1.5))
-        warnings.warn(
-            f"dt={dt_old:.4g} too coarse for generator norm {bound:.3g}; using {dt:.4g}",
-            RuntimeWarning, stacklevel=3,
-        )
-    return dt
-
-
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
            stride: int | None = None, generator: Generator | None = None,
            max_records: int = 20000, transform: bool = True) -> Trajectory:
-    """Integrate the scenario's master equation with fixed-step RK4.
+    """Solve the scenario's master equation exactly on a record grid.
 
-    The step is ``step_grid(generator, dt)``, and one RK4 step map serves
-    the whole run (:mod:`floqdyn.propagation`).  The stability guard warns
-    when it cuts a step the caller gave (``dt`` or ``config.dt``), not when
-    it cuts ``config.default_dt()``.  States are recorded every ``stride``
-    steps (by default the smallest stride giving at most ``max_records``
-    intervals).  After the last whole stride the run takes its remaining
-    whole steps and one partial step, and records the end state at exactly
-    ``t_final``.
+    ``dt`` (default ``config.default_dt()``) sets only the record grid:
+    states are recorded at k * stride * dt, every ``stride`` multiples of
+    ``dt`` (by default the smallest stride giving at most ``max_records``
+    intervals), and the end state at exactly ``t_final``.  Each record is
+    the previous one advanced by exp(L * stride * dt), and the end record
+    by exp(L * (t_final - last record)).
 
     Recorded states are Schrodinger picture: interaction-picture kinds are
     mapped back with the generator's propagator at the record times (exact
-    on the decomposition grid, which the default Floquet step divides;
+    on the decomposition grid, which the default Floquet dt divides;
     geodesic interpolation of P between grid nodes).  Trace drift beyond
     tolerance raises; Redfield positivity excursions beyond the soft bound
     are Warnings logged on the trajectory, and the run continues.
@@ -337,28 +315,29 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         generator = build_generator(config)
     if t_final <= 0:
         raise ValidationError("t_final must be positive")
-    if dt is None and config.dt is None:
-        # the default step is only a starting point: take the guard's step silently
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            dt = step_grid(generator, config.default_dt())
-    else:
-        dt = step_grid(generator, config.default_dt() if dt is None else dt)
-    n_steps = int(np.floor(t_final / dt + 1e-9))
-    partial = t_final - n_steps * dt
-    if partial <= 1e-9 * dt and n_steps > 0:
-        partial = 0.0
+    dt = config.default_dt() if dt is None else dt
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    n_dt = int(np.floor(t_final / dt + 1e-9))
+    ends_on_dt = n_dt > 0 and t_final - n_dt * dt <= 1e-9 * dt
     if stride is None:
-        stride = max(1, int(np.ceil((n_steps + (partial > 0)) / max_records)))
+        stride = max(1, int(np.ceil((n_dt + (not ends_on_dt)) / max_records)))
     if stride < 1:
         raise ValidationError("stride must be >= 1")
 
-    d = generator.dim
-    rho0 = config.initial_state().matrix
-    states = propagate(generator.superop_at, rho0.ravel().astype(complex), dt, 1, stride,
-                       n_steps, partial).reshape(-1, d, d)
-    times = np.arange(len(states)) * stride * dt
+    n_full = n_dt // stride
+    ends_off_stride = n_dt % stride > 0 or not ends_on_dt
+    times = np.arange(n_full + 1 + ends_off_stride) * stride * dt
     times[-1] = t_final
+    d = generator.dim
+    states = np.empty((len(times), d * d), dtype=complex)
+    states[0] = config.initial_state().matrix.ravel()
+    record_map = scipy.linalg.expm(generator.superop * (stride * dt))
+    for k in range(n_full):
+        states[k + 1] = record_map @ states[k]
+    if ends_off_stride:
+        states[-1] = scipy.linalg.expm(generator.superop * (t_final - times[-2])) @ states[-2]
+    states = states.reshape(-1, d, d)
 
     issued = []
     transform = transform and generator.picture == "interaction"
@@ -379,7 +358,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     if np.max(trace_err) > TOLERANCES.trace_drift:
         raise NumericalError(
             f"trace drift {np.max(trace_err):.2e} exceeds "
-            f"{TOLERANCES.trace_drift:.0e}; decrease dt"
+            f"{TOLERANCES.trace_drift:.0e}: the generator is not trace preserving"
         )
     pops = np.einsum("tii->ti", states).real
     worst = float(min_eigs.min())

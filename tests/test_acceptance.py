@@ -406,13 +406,13 @@ def test_criterion_3_three_level_gains(long_runs, gen_v0, gen_v1):
     gain_v0 = (eta["v0"] - eta["nondriven"]) / eta["nondriven"]
     gain_v1 = (eta["v1"] - eta["nondriven"]) / eta["nondriven"]
     elapsed = long_runs["elapsed"]
-    ok = worst <= 1e-7 and gain_v0 > 0 and gain_v1 > 0 and elapsed <= 300
+    ok = worst <= 1e-8 and gain_v0 > 0 and gain_v1 > 0 and elapsed <= 300
     _report("criterion 3 (3-level efficiency gains)", ok,
-            f"max |eta - exact eta| {worst:.1e} (<=1e-7); v0 gain {100 * gain_v0:.2f}%, "
+            f"max |eta - exact eta| {worst:.1e} (<=1e-8); v0 gain {100 * gain_v0:.2f}%, "
             f"v1 gain {100 * gain_v1:.2f}% (>0; source figures 7% and 8%), "
             f"runtime {elapsed:.0f}s (<=300s)")
     assert elapsed <= 300.0
-    assert worst <= 1e-7
+    assert worst <= 1e-8
     assert gain_v0 > 0 and gain_v1 > 0
 
 
@@ -446,14 +446,14 @@ def test_criterion_4_four_level_gains(four_level_etas):
             worst = max(worst, abs(eta[kind] - exact_eta(gen, cfg, t)))
         gains[label] = (eta["redfield"] - eta["lindblad"]) / eta["lindblad"]
     elapsed = four_level_etas["elapsed"]
-    ok = worst <= 1e-7 and min(gains.values()) > 0 and elapsed <= 600
+    ok = worst <= 1e-8 and min(gains.values()) > 0 and elapsed <= 600
     _report("criterion 4 (4-level efficiency gains)", ok,
-            f"max |eta - exact eta| {worst:.1e} (<=1e-7); Redfield over Lindblad: "
+            f"max |eta - exact eta| {worst:.1e} (<=1e-8); Redfield over Lindblad: "
             f"degenerate {100 * gains['degenerate']:.2f}%, "
             f"nondegenerate {100 * gains['nondegenerate']:.2f}% "
             f"(>0; source figures 8% and 24%), runtime {elapsed:.0f}s (<=600s)")
     assert elapsed <= 600.0
-    assert worst <= 1e-7
+    assert worst <= 1e-8
     assert min(gains.values()) > 0
 
 
@@ -466,10 +466,10 @@ def test_floquet_redfield_eta_matches_schrodinger_oracle(preset):
     t = 80.0
     gap = abs(efficiency(evolve(cfg, t, generator=gen)).eta
               - exact_eta_floquet_redfield(cfg, gen, t))
-    ok = gap <= 1e-7
+    ok = gap <= 1e-8
     _report(f"Floquet-Redfield exact eta ({preset})", ok,
-            f"|eta - exact eta| at t={t:g}: {gap:.1e} (<=1e-7)")
-    assert gap <= 1e-7
+            f"|eta - exact eta| at t={t:g}: {gap:.1e} (<=1e-8)")
+    assert gap <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,12 +336,10 @@ class TestCompare:
 
     @staticmethod
     def _shared_step(sides, dt):
-        from floqdyn.scenarios import build_generator, step_grid
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return min(step_grid(build_generator(scenario_from_dict(side)), dt)
-                       for side in sides)
+        # the given dt, or else the smaller default of the two sides
+        if dt is not None:
+            return dt
+        return min(scenario_from_dict(side).default_dt() for side in sides)
 
     def test_periodic_and_static_kinds_share_the_periodic_grid(self, tmp_path):
         sides = {"a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
@@ -351,9 +348,8 @@ class TestCompare:
         cfg.write_text(json.dumps({**sides, "integration": {"t_final": 5.0, "dt": 0.05}}))
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         times = np.array([float(r["t"]) for r in read_csv(tmp_path / "compare.csv")])
-        # both sides step by the finer guarded dt; the last record is t_final
+        # both sides record on the given dt; the last record is t_final
         step = self._shared_step(sides.values(), 0.05)
-        assert step <= 0.05
         assert_allclose(times[:-1], np.arange(len(times) - 1) * step, rtol=1e-15, atol=0)
         assert times[-1] == 5.0
 
@@ -361,15 +357,16 @@ class TestCompare:
         sides = {"a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
                  "b": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2,
                        "drive": {"omega": 2.0}}}
-        cfg = tmp_path / "cmp.json"
-        cfg.write_text(json.dumps({**sides, "integration": {"t_final": 2.0, "dt": 0.05}}))
-        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        rows = read_csv(tmp_path / "compare.csv")
-        times = np.array([float(r["t"]) for r in rows])
-        step = self._shared_step(sides.values(), 0.05)
-        assert_allclose(times[:-1], np.arange(len(times) - 1) * step, rtol=1e-15, atol=0)
-        assert times[-1] == 2.0
-        assert all(np.isfinite(float(r["difference"])) for r in rows)
+        for dt in (0.05, None):
+            cfg = tmp_path / "cmp.json"
+            cfg.write_text(json.dumps({**sides, "integration": {"t_final": 2.0, "dt": dt}}))
+            assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            rows = read_csv(tmp_path / "compare.csv")
+            times = np.array([float(r["t"]) for r in rows])
+            step = self._shared_step(sides.values(), dt)
+            assert_allclose(times[:-1], np.arange(len(times) - 1) * step, rtol=1e-15, atol=0)
+            assert times[-1] == 2.0
+            assert all(np.isfinite(float(r["difference"])) for r in rows)
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         cfg = tmp_path / "cmp.json"
@@ -460,6 +457,46 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1].startswith('"[0.0, 3.0, 3.0, 2.5]",ok,')
         assert lines[1].count('"') == 2
+
+    def test_custom_base_without_energies_takes_width_from_grid_points(self, tmp_path):
+        # the base alone is no scenario; each grid point is, and their
+        # dimensions differ, so the shorter row is padded with NaN
+        bath = {"name": "hot", "beta": 0.25, "j0": 4e-3, "omega_cutoff": 0.5,
+                "transitions": [[1, 0]]}
+        sweep = {"base": {"scenario": {"target_level": 1, "baths": [bath], "kind": "lindblad"},
+                          "integration": {"t_final": 10.0}},
+                 "axes": {"scenario.energies": [[0, 1], [0, 1, 0.5]]}}
+        assert main(["sweep", "--config", str(self._write(tmp_path, "s.json", sweep)),
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert [k for k in rows[0] if k.startswith("pop_")] == ["pop_0", "pop_1", "pop_2"]
+        assert rows[0]["pop_2"] == "nan"
+        assert float(rows[0]["pop_0"]) + float(rows[0]["pop_1"]) == pytest.approx(1.0)
+        assert rows[1]["pop_2"] != "nan"
+
+    def test_spawned_workers_keep_tolerance_overrides(self, tmp_path, monkeypatch):
+        import functools
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from floqdyn.tolerances import tolerance_overrides
+
+        sweep = {"base": {"scenario": {"preset": "three_level_v1"},
+                          "integration": {"t_final": 5.0}},
+                 "axes": {"scenario.lamb_shift": [True, False]}}
+        rows = {}
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            config = self._write(tmp_path, f"s{workers}.json", {**sweep, "parallelism": workers})
+            # a floor above every harmonic empties the Floquet jump table
+            with tolerance_overrides(fourier_floor=10.0):
+                assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
+            rows[workers] = read_csv(out / "sweep.csv")
+        assert [r["status"] for r in rows[1]] == ["error:2", "error:2"]
+        assert rows[2] == rows[1]
 
     @staticmethod
     def _write(tmp_path, name, payload):

@@ -1,13 +1,17 @@
-"""The period-map propagation engine against the per-step RK4 loops it replaced.
+"""The RK4 sampler against the per-step loops it replaced, and ``evolve``
+against the exact solution.
 
-The loops below are the reference: one RK4 step at a time in Python, the
-generator evaluated at absolute times.  The engine changes the order of the
-floating-point work (step maps composed before they act on the state), so
-agreement is demanded to a tolerance, with identical record times.
+The Schrodinger loops below are the reference: one RK4 step at a time in
+Python, the Hamiltonian evaluated at absolute times.  The sampler changes
+the order of the floating-point work (step maps composed before they act
+on the state), so agreement is demanded to a tolerance.  The master
+equation is static in its picture, so its reference is exp(L t) rho(0),
+one matrix exponential per record time, not composed record to record.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from floqdyn.floquet import (
     DriveSpec,
@@ -16,22 +20,19 @@ from floqdyn.floquet import (
     floquet_decompose,
     propagate_schrodinger,
 )
-from floqdyn.propagation import propagate
+from floqdyn.propagation import rk4_samples
 from floqdyn.scenarios import (
     PRESETS,
     build_generator,
     decompose_scenario,
     evolve,
     scenario_with,
-    step_grid,
 )
 
-pytestmark = [
-    pytest.mark.filterwarnings("ignore:dt=.*too coarse:RuntimeWarning"),
-    pytest.mark.filterwarnings("ignore:BCH truncation strained:RuntimeWarning"),
-]
+pytestmark = pytest.mark.filterwarnings("ignore:BCH truncation strained:RuntimeWarning")
 
 STATE_TOL = 1e-12
+EXACT_REL_TOL = 1e-10
 UNITARY_TOL = 1e-11
 STRIDE = 7
 T_SHORT = 3.0
@@ -61,39 +62,22 @@ def rk4_unitary_samples_loop(h_of_t, t0, n_samples, dt_sample, substeps):
     return out
 
 
-def _rk4_vector_step(generator, v, t, h):
-    l1 = generator.superop_at(t)
-    lm = generator.superop_at(t + 0.5 * h)
-    l2 = generator.superop_at(t + h)
-    k1 = l1 @ v
-    k2 = lm @ (v + 0.5 * h * k1)
-    k3 = lm @ (v + 0.5 * h * k2)
-    k4 = l2 @ (v + h * k3)
-    return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def evolve_loop(config, generator, t_final, dt, stride):
-    """Untransformed states and times of ``evolve``, one RK4 step at a time."""
-    dt = step_grid(generator, dt)
+def record_times(t_final, dt, stride):
+    """Record times of ``evolve``: every ``stride``-th multiple of dt, then t_final."""
     n_steps = int(np.floor(t_final / dt + 1e-9))
-    partial = t_final - n_steps * dt
-    if partial <= 1e-9 * dt:
-        partial = 0.0
-    d = generator.dim
-    v = config.initial_state().matrix.ravel().astype(complex)
-    times, states = [0.0], [v.reshape(d, d)]
-    for step in range(n_steps):
-        v = _rk4_vector_step(generator, v, step * dt, dt)
-        if (step + 1) % stride == 0:
-            times.append((step + 1) * dt)
-            states.append(v.reshape(d, d))
-    if partial > 0:
-        v = _rk4_vector_step(generator, v, n_steps * dt, partial)
-    if partial > 0 or n_steps % stride:
+    times = [0.0] + [(step + 1) * dt for step in range(n_steps) if (step + 1) % stride == 0]
+    if n_steps == 0 or t_final - n_steps * dt > 1e-9 * dt or n_steps % stride:
         times.append(t_final)
-        states.append(v.reshape(d, d))
     times[-1] = t_final
-    return np.array(times), np.array(states)
+    return np.array(times)
+
+
+def exact_records(config, generator, times):
+    """Untransformed states exp(L t) rho(0), one exponential per record time."""
+    d = generator.dim
+    v0 = config.initial_state().matrix.ravel().astype(complex)
+    return np.array([(scipy.linalg.expm(generator.superop * t) @ v0).reshape(d, d)
+                     for t in times])
 
 
 @pytest.fixture(scope="module")
@@ -105,15 +89,20 @@ def _max_gap(a, b):
     return float(np.max(np.abs(a - b)))
 
 
+def _rel_gap(a, b):
+    return _max_gap(a, b) / float(np.max(np.abs(b)))
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_evolve_matches_step_loop(preset, preset_generators):
+    # T_SHORT / dt is not a multiple of STRIDE, so the end record is off stride
     config, gen = preset_generators[preset]
     dt = config.default_dt()
     traj = evolve(config, T_SHORT, dt=dt, stride=STRIDE, generator=gen, transform=False)
-    times, states = evolve_loop(config, gen, T_SHORT, dt, STRIDE)
+    times = record_times(T_SHORT, dt, STRIDE)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == T_SHORT
-    assert _max_gap(traj.states, states) <= STATE_TOL
+    assert _rel_gap(traj.states, exact_records(config, gen, times)) <= EXACT_REL_TOL
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -132,27 +121,19 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
 
 
 @pytest.mark.parametrize("preset,n_per_tau,stride,t_final", [
-    ("three_level_nondriven", None, 7, T_SHORT),            # stride > 1 step map
+    ("three_level_nondriven", None, 7, T_SHORT),            # stride > 1 record map
     ("four_level_degenerate_driven", None, 300, 10.0),      # stride > steps per period
     ("four_level_degenerate_driven", 256.5, 3, T_SHORT),    # dt = tau/256.5, off the P grid
+    ("four_level_nondegenerate", None, 5, 0.02),            # t_final < dt: no whole dt
 ])
 def test_stride_and_period_edge_cases(preset, n_per_tau, stride, t_final, preset_generators):
     config, gen = preset_generators[preset]
     dt = config.default_dt() if n_per_tau is None else config.drive.tau / n_per_tau
-    assert step_grid(gen, dt) == dt
     traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen, transform=False)
-    times, states = evolve_loop(config, gen, t_final, dt, stride)
+    times = record_times(t_final, dt, stride)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == t_final
-    assert _max_gap(traj.states, states) <= STATE_TOL
-
-
-def test_stability_guard_keeps_one_phase_for_static_generator(preset_generators):
-    _, gen = preset_generators["four_level_degenerate"]
-    with pytest.warns(RuntimeWarning, match="too coarse"):
-        dt = step_grid(gen, 0.05)
-    assert dt < 0.05
-    assert 0.05 / dt == pytest.approx(round(0.05 / dt), abs=1e-9)
+    assert _rel_gap(traj.states, exact_records(config, gen, times)) <= EXACT_REL_TOL
 
 
 @pytest.mark.parametrize("kind", ["lindblad", "redfield", "floquet_lindblad",
@@ -204,27 +185,28 @@ def test_decomposition_accepts_constant_hamiltonian():
     assert _max_gap(decomp.u_samples, want) <= UNITARY_TOL
 
 
-def test_propagate_tail_and_partial_step_on_random_periodic_system():
+def test_rk4_samples_on_random_periodic_system():
     rng = np.random.default_rng(3)
-    mats = rng.normal(size=(6, 3, 3)) * 0.3
+    m0, m1, m2 = rng.normal(size=(3, 3, 3)) * 0.3
+    omega = 2.0 * np.pi / 1.2
 
     def a_of_t(t):
-        return mats[np.floor(np.asarray(t) * 6 / 1.2 + 1e-9).astype(int) % 6]
+        t = np.asarray(t)[:, None, None]
+        return m0 + m1 * np.cos(omega * t) + m2 * np.sin(omega * t)
 
-    h = 1.2 / 6
-    for stride, n_steps, partial in ((4, 23, 0.05), (9, 9, 0.0), (12, 5, 0.1), (1, 6, 0.0)):
-        got = propagate(a_of_t, np.eye(3), h, 6, stride, n_steps, partial)
+    # A repeats every 1.2 = period_samples * substeps * h; each run but the
+    # last spans more than one period
+    h, t0 = 1.2 / 12, 0.35
+    for substeps, period_samples, n_samples in ((2, 6, 14), (3, 4, 9), (1, 12, 25),
+                                                (12, 1, 3), (4, 3, 0)):
+        got = rk4_samples(a_of_t, np.eye(3), h, substeps, n_samples, period_samples, t0=t0)
         x = np.eye(3)
         want = [x]
-        for step in range(n_steps):
-            x = _rk4_matrix_step(a_of_t, x, step * h, h)
-            if (step + 1) % stride == 0:
-                want.append(x)
-        if partial:
-            x = _rk4_matrix_step(a_of_t, x, n_steps * h, partial)
-        if partial or n_steps % stride:
+        for k in range(n_samples):
+            for i in range(substeps):
+                x = _rk4_matrix_step(a_of_t, x, t0 + (k * substeps + i) * h, h)
             want.append(x)
-        assert got.shape == (len(want), 3, 3)
+        assert got.shape == (n_samples + 1, 3, 3)
         assert _max_gap(got, np.array(want)) <= STATE_TOL
 
 
