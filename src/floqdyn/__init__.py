@@ -6,11 +6,12 @@ Library layout:
   fidelities) and density-matrix validation.
 * ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi correlation
   coefficients, Redfield N/C coefficients, principal-value quadrature.
-* ``propagation`` -- fixed-step RK4 for the Schrodinger equation of a
-  periodic drive: per-sample-interval maps of one period, one product per
-  sample.
+* ``propagation`` -- the fourth-order Magnus step for the Schrodinger
+  equation, exactly unitary and of any length: the steps of a sample grid
+  in one array call, one product per sample.
 * ``floquet`` -- propagator integration, Floquet decomposition with branch
-  unfolding, Fourier operator harmonics, jump-operator tables, Magnus+BCH
+  unfolding, the periodic operator P(t) on and between its sample grid,
+  Fourier operator harmonics, jump-operator tables, Magnus+BCH
   approximants and their fidelity benchmarks.
 * ``generators`` -- the four master-equation superoperators (Lindblad,
   Floquet-Lindblad, Redfield, Floquet-Redfield).

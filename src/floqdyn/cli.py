@@ -354,6 +354,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -362,6 +363,7 @@ def _json_matrix(m: np.ndarray) -> dict:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -600,7 +602,6 @@ def main(argv: list[str] | None = None) -> int:
             run = validate_schema(canonical_run_dict(data), RUN_SCHEMA)
             if run["outputs"]["path"] and args.out == ".":
                 out_dir = Path(run["outputs"]["path"])
-            out_dir.mkdir(parents=True, exist_ok=True)
             return cmd_simulate(run, out_dir) if args.command == "simulate" \
                 else cmd_floquet(run, out_dir)
         if args.command == "compare":
@@ -609,11 +610,9 @@ def main(argv: list[str] | None = None) -> int:
             for side in ("a", "b"):
                 data[side] = canonical_scenario_dict(_section(data, side))
             validate_schema(data, COMPARE_SCHEMA)
-            out_dir.mkdir(parents=True, exist_ok=True)
             return cmd_compare(data, out_dir)
         data = load_config(args.config, None, args.overrides)
         validate_schema(data, SWEEP_SCHEMA)
-        out_dir.mkdir(parents=True, exist_ok=True)
         return cmd_sweep(data, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -4,13 +4,15 @@ Given a time-periodic Hamiltonian H(t) = H(t + tau), the propagator factors
 as U(t,0) = P(t,0) exp(-i*Hbar*t) with Hbar Hermitian (the Floquet
 Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
 
-* the monodromy U(tau,0) by RK4 integration (the sampler of
-  :mod:`floqdyn.propagation`: the map of each sample interval of one period
-  built in array calls, then one product per sample) and Hbar by the
-  principal matrix logarithm, with quasienergy branches unfolded against
-  the undriven reference so Hbar is continuous in the drive amplitude;
-* the sampled periodic operator P(t,0) and the Fourier coefficients S(q)
-  of P†(t) S P(t) for any system operator S;
+* the monodromy U(tau,0) by fourth-order Magnus steps (the sampler of
+  :mod:`floqdyn.propagation`: the steps of one period in one array call,
+  then one product per sample), checked against the same period at half
+  as many steps, and Hbar by the principal matrix logarithm, with
+  quasienergy branches unfolded against the undriven reference so Hbar is
+  continuous in the drive amplitude;
+* the periodic operator P(t,0), sampled on the grid and one Magnus step
+  from a grid node between samples, and the Fourier coefficients S(q) of
+  P†(t) S P(t) for any system operator S;
 * the jump-operator table S(q, omega) resolved on quasienergy gaps;
 * a Magnus + Baker-Campbell-Hausdorff approximation of the propagator for
   a single cosine-driven level pair (the nested integrals exact, from
@@ -20,6 +22,7 @@ Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
 """
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -36,7 +39,7 @@ from .operators import (
     unitarity_defect,
     unitary_fidelity,
 )
-from .propagation import rk4_samples
+from .propagation import magnus_samples, magnus_steps
 from .tolerances import TOLERANCES
 
 
@@ -89,36 +92,33 @@ def drive_hamiltonian(h0, drive: DriveSpec | None):
 # propagator integration
 
 
-def _unitary_samples(h_of_t, dim: int, n_samples: int, dt_sample: float,
-                     substeps: int, period_samples: int, t0: float = 0.0) -> np.ndarray:
-    """U(t0 + k*dt_sample, t0) for k = 0..n_samples, with ``substeps`` RK4 steps per sample.
+def _checked_samples(h_of_t, t0: float, t1: float, steps: int, advice: str) -> np.ndarray:
+    """U(t0 + k*(t1 - t0)/steps, t0) for k = 0..steps, one Magnus step per interval.
 
-    H must repeat every ``period_samples`` samples over the integrated span.
+    The end is checked against the same span taken at half as many steps
+    (two half steps for a single step); a gap beyond tolerance raises
+    :class:`StepSizeError` with ``advice``.
     """
-    return rk4_samples(lambda t: -1j * np.asarray(h_of_t(t), dtype=complex),
-                       np.eye(dim, dtype=complex), dt_sample / substeps, substeps,
-                       n_samples, period_samples, t0=t0)
+    u = magnus_samples(h_of_t, t0, t1, steps)
+    coarse = steps // 2 or 2
+    gap = float(np.max(np.abs(u[-1] - magnus_samples(h_of_t, t0, t1, coarse)[-1])))
+    if gap > TOLERANCES.propagator_halving_gap:
+        raise StepSizeError(
+            f"propagator changes by {gap:.2e} between {steps} and {coarse} steps, beyond "
+            f"{TOLERANCES.propagator_halving_gap:.0e}; {advice}"
+        )
+    return u
 
 
 def propagate_schrodinger(h_of_t, t0: float, t1: float, steps: int) -> np.ndarray:
-    """U(t1, t0) by fixed-step RK4; deterministic for fixed inputs.
+    """U(t1, t0) by ``steps`` fourth-order Magnus steps; deterministic for fixed inputs.
 
     ``h_of_t`` is called with 1-D arrays of times and returns the stacked
     Hamiltonians, or one matrix when H is constant.  Raises
-    :class:`StepSizeError` when the result drifts off the unitary manifold
-    beyond tolerance, advising a finer step.
+    :class:`StepSizeError` when the result differs from the same span at
+    half as many steps beyond tolerance, advising a finer step.
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    dim = np.shape(h_of_t(np.array([t0])))[-1]
-    u = _unitary_samples(h_of_t, dim, 1, t1 - t0, steps, 1, t0=t0)[1]
-    defect = unitarity_defect(u)
-    if defect > TOLERANCES.propagator_unitarity:
-        raise StepSizeError(
-            f"propagator unitarity defect {defect:.2e} exceeds "
-            f"{TOLERANCES.propagator_unitarity:.0e}; increase `steps`"
-        )
-    return u
+    return _checked_samples(h_of_t, t0, t1, steps, "increase `steps`")[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +132,15 @@ class FloquetDecomposition:
     ``p_samples[k]`` is P(t_k, 0) on the uniform grid t_k = k*tau/m,
     k = 0..m (both endpoints; P at k = m equals the identity up to
     integration error).  ``u_samples`` keeps the propagator on the same
-    grid.
+    grid, and ``hamiltonian`` the callable H(t) it was integrated from.
     """
 
     hbar_floquet: np.ndarray
     quasi: Spectrum
     p_samples: np.ndarray
     tau: float
-    u_samples: np.ndarray = field(repr=False, default=None)
+    u_samples: np.ndarray = field(repr=False)
+    hamiltonian: Callable = field(repr=False)
 
     @property
     def grid_m(self) -> int:
@@ -154,32 +155,31 @@ class FloquetDecomposition:
         return 2.0 * np.pi / self.tau
 
     def p_at(self, t) -> np.ndarray:
-        """P(t mod tau): exact on the sample grid, geodesic interpolation off it.
+        """P(t mod tau): the sample on the grid, one Magnus step from the node below off it.
 
-        The geodesic step P_k exp(frac * log(P_k† P_{k+1})) is unitary by
-        construction, so trace preservation of downstream picture transforms
-        is exact even between samples.  An array of times gives the stack,
+        Off the grid, P(t) = U(t, t_k) P_k exp(i Hbar (t - t_k)) with
+        U(t, t_k) one fourth-order Magnus step of ``hamiltonian`` from the
+        node t_k below t: unitary by construction, so trace preservation of
+        downstream picture transforms is exact even between samples, and
+        as accurate as the samples.  An array of times gives the stack,
         shape t.shape + (d, d): grid times are gathered in one indexing
-        step, and the log of each grid interval holding an off-grid time is
-        taken once, its powers formed in array calls.
+        step, and the steps of the off-grid times taken in one array call.
         """
         t = np.asarray(t, dtype=float)
         m = self.grid_m
         pos = (t.ravel() / self.tau) * m
         k = np.floor(pos)
         frac = pos - k
-        slack = 1e-9 * np.maximum(1.0, np.abs(pos))
+        slack = 1e-13 * np.maximum(1.0, np.abs(pos))
         off = np.flatnonzero((np.abs(frac) >= slack) & (1 - frac >= slack))
         out = self.p_samples[np.rint(pos).astype(np.int64) % m]
         if off.size:
-            cells, cell_of = np.unique(k[off].astype(np.int64) % m, return_inverse=True)
-            p0 = self.p_samples[cells]
-            steps = [principal_unitary_log(a.conj().T @ b, tol=1e-6)
-                     for a, b in zip(p0, self.p_samples[(cells + 1) % m])]
-            v, w = np.linalg.eigh(np.array(steps))
-            w = w[cell_of]
-            phases = np.exp(-1j * frac[off, None] * v[cell_of])
-            out[off] = p0[cell_of] @ ((w * phases[:, None, :]) @ w.conj().swapaxes(-1, -2))
+            node = k[off].astype(np.int64) % m
+            h = frac[off] * (self.tau / m)
+            v = self.quasi.vectors
+            phases = np.exp(1j * self.quasi.energies * h[:, None])
+            out[off] = (magnus_steps(self.hamiltonian, node * (self.tau / m), h)
+                        @ self.p_samples[node] @ ((v * phases[:, None, :]) @ v.conj().T))
         return out.reshape(t.shape + out.shape[1:])
 
     def propagator_at(self, t) -> np.ndarray:
@@ -214,27 +214,32 @@ def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
 
 
 def floquet_decompose(h_of_t, tau: float, reference, grid_m: int = 1024,
-                      substeps: int = 16, unfold: bool = True) -> FloquetDecomposition:
+                      unfold: bool = True) -> FloquetDecomposition:
     """Monodromy-based Floquet decomposition of a tau-periodic Hamiltonian.
 
     ``h_of_t`` is called with 1-D arrays of times and returns the stacked
-    Hamiltonians (or one matrix when H is constant).  ``reference`` is the
-    undriven Hamiltonian used for branch unfolding; pass ``unfold=False``
-    to keep the principal branch (eigenphases of the monodromy in (-pi, pi]).
+    Hamiltonians (or one matrix when H is constant).  The propagator is
+    sampled at ``grid_m`` points per period, one Magnus step each.
+    ``reference`` is the undriven Hamiltonian used for branch unfolding;
+    pass ``unfold=False`` to keep the principal branch (eigenphases of the
+    monodromy in (-pi, pi]).
     """
     reference = require_hermitian(reference)
-    u_samples = _unitary_samples(h_of_t, reference.shape[0], grid_m, tau / grid_m,
-                                 substeps, grid_m)
+    u_samples = _checked_samples(h_of_t, 0.0, tau, grid_m, "refine the grid (`grid_m`)")
     u_tau = u_samples[-1]
-    defect = unitarity_defect(u_tau)
-    if defect > TOLERANCES.propagator_unitarity:
-        raise StepSizeError(f"monodromy unitarity defect {defect:.2e}; refine the grid")
 
     k_log = principal_unitary_log(u_tau, tol=1e-6)
     h_principal = k_log / tau
     omega = 2.0 * np.pi / tau
     h_bar = _unfold_quasienergies(h_principal, reference, omega) if unfold else h_principal
-    quasi = hermitian_eigensystem(h_bar)
+    # Hbar and P are zero where U is, between levels H(t) never connects; the
+    # log leaves rounding there.  With each block's levels adjacent, eigh keeps
+    # the blocks apart exactly, so decoupled coherences of every record stay 0.
+    coupled = np.any(u_samples != 0, axis=0)
+    h_bar = np.where(coupled, h_bar, 0.0)
+    order = np.argsort(np.argmax(coupled, axis=1), kind="stable")
+    quasi = hermitian_eigensystem(h_bar[np.ix_(order, order)])
+    quasi = Spectrum(energies=quasi.energies, vectors=quasi.vectors[np.argsort(order)])
 
     ts = np.arange(grid_m + 1) * (tau / grid_m)
     phases = np.exp(1j * np.outer(ts, quasi.energies))  # exp(+i eps t)
@@ -251,6 +256,7 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int = 1024,
         p_samples=p_samples,
         tau=tau,
         u_samples=u_samples,
+        hamiltonian=h_of_t,
     )
 
 
@@ -586,15 +592,13 @@ class BenchmarkReport:
 
 
 def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
-                         grid_points: int = 65, substeps_per_point: int = 64,
-                         magnus_order: int = 3, bch_terms: int = 12,
-                         exact=None) -> BenchmarkReport:
-    """Fidelities F[U_approx(t), U_exact(t)] on [0, tau] and the periodicity
+                         grid_points: int = 65, magnus_order: int = 3,
+                         bch_terms: int = 12) -> BenchmarkReport:
+    """Fidelities F[U_approx(t), U(t)] on [0, tau] and the periodicity
     fidelity F[P(t,0), P(t+tau,tau)] over two periods of data.
 
-    ``exact`` overrides the reference propagator (a callable t -> U(t,0));
-    by default the drive Hamiltonian is RK4-integrated over two periods.
-    The periodicity check is reported both for the reference propagator's P
+    The reference U(t) is the decomposition's :meth:`propagator_at`.  The
+    periodicity check is reported both for the reference propagator's P
     and for the Magnus-only P (the latter probes the approximation, the
     former the decomposition itself).  Every series is computed in array
     calls over the two-period grid.
@@ -604,12 +608,8 @@ def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
         raise ValidationError("benchmark grid_points must be >= 2")
     tau = decomp.tau
     n = grid_points - 1
-    if exact is None:
-        h_of_t = drive_hamiltonian(h0, drive)
-        u_two = _unitary_samples(h_of_t, h0.shape[0], 2 * n, tau / n, substeps_per_point, n)
-    else:
-        u_two = np.array([exact(k * tau / n) for k in range(2 * n + 1)])
     times = np.arange(2 * n + 1) * (tau / n)
+    u_two = decomp.propagator_at(times)
     ts = times[:grid_points]
     u_app = magnus_bch_propagator(drive, h0, times, magnus_order, bch_terms)
     h_app = principal_unitary_log(u_app[n], tol=1e-6) / tau

@@ -64,7 +64,6 @@ class ScenarioConfig:
     lamb_params: LambIntegralParams = LambIntegralParams()
     initial_level: int = 0
     grid_m: int = 1024
-    substeps: int = 16
     dt: float | None = None
 
     def __post_init__(self):
@@ -74,6 +73,12 @@ class ScenarioConfig:
             raise ValidationError("target_level out of range")
         if not (0 <= self.initial_level < self.dim):
             raise ValidationError("initial_level out of range")
+        if self.drive is not None and not all(0 <= i < self.dim for i in self.drive.pair):
+            raise ValidationError(f"drive pair {self.drive.pair} out of range")
+        if self.grid_m < 1:
+            raise ValidationError("grid_m must be >= 1")
+        if self.q_max < 0:
+            raise ValidationError("q_max must be >= 0")
         for bath in self.baths:
             for up, lo in bath.transitions:
                 if not (0 <= up < self.dim and 0 <= lo < self.dim):
@@ -224,8 +229,7 @@ def decompose_scenario(config: ScenarioConfig) -> FloquetDecomposition:
     if config.drive is None:
         raise ConfigError(f"scenario {config.label!r} has no drive to decompose")
     h = drive_hamiltonian(config.h0, config.drive)
-    return floquet_decompose(h, config.drive.tau, config.h0,
-                             grid_m=config.grid_m, substeps=config.substeps)
+    return floquet_decompose(h, config.drive.tau, config.h0, grid_m=config.grid_m)
 
 
 def build_generator(config: ScenarioConfig,
@@ -305,11 +309,11 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     by exp(L * (t_final - last record)).
 
     Recorded states are Schrodinger picture: interaction-picture kinds are
-    mapped back with the generator's propagator at the record times (exact
-    on the decomposition grid, which the default Floquet dt divides;
-    geodesic interpolation of P between grid nodes).  Trace drift beyond
-    tolerance raises; Redfield positivity excursions beyond the soft bound
-    are Warnings logged on the trajectory, and the run continues.
+    mapped back with the generator's propagator at the record times (the
+    sample on the decomposition grid, which the default Floquet dt divides;
+    one Magnus step from the node below between grid nodes).  Trace drift
+    beyond tolerance raises; Redfield positivity excursions beyond the soft
+    bound are Warnings logged on the trajectory, and the run continues.
     """
     if generator is None:
         generator = build_generator(config)

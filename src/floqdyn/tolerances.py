@@ -22,7 +22,7 @@ class ToleranceConfig:
     gap_cluster: float = 1e-4
     fourier_floor: float = 1e-3
     quadrature_rel: float = 1e-6
-    propagator_unitarity: float = 1e-5
+    propagator_halving_gap: float = 1e-5
 
     def snapshot(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

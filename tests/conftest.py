@@ -71,6 +71,32 @@ def long_runs(cfg_v0, cfg_v1, gen_v0, gen_v1):
     return out
 
 
+def propagator_oracle(cfg):
+    """U(s, 0) over one drive period from scipy's DOP853 at rtol 1e-13.
+
+    H(t) = H0 + mu cos(Omega t)(|i><j| + |j><i|) is written out here rather
+    than taken from floqdyn.  Returns ``(sol, tau)``: ``sol.sol(s)`` is the
+    row-major vec of U(s) for s in [0, tau] and ``sol.y[:, -1]`` that of the
+    monodromy U(tau, 0).
+    """
+    d = cfg.dim
+    h0 = np.diag(np.asarray(cfg.energies, dtype=complex))
+    i, j = cfg.drive.pair
+    x = np.zeros((d, d))
+    x[i, j] = x[j, i] = 1.0
+    mu, omega = cfg.drive.mu, cfg.drive.omega_drive
+    tau = 2.0 * np.pi / omega
+
+    def rhs(t, y):
+        return (-1j * ((h0 + mu * np.cos(omega * t) * x) @ y.reshape(d, d))).ravel()
+
+    sol = scipy.integrate.solve_ivp(rhs, (0.0, tau), np.eye(d, dtype=complex).ravel(),
+                                    method="DOP853", rtol=1e-13, atol=1e-13,
+                                    dense_output=True)
+    assert sol.success, sol.message
+    return sol, tau
+
+
 def random_density(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T

@@ -53,7 +53,7 @@ from floqdyn.scenarios import (
     trajectory_diagnostics,
 )
 
-from conftest import random_density
+from conftest import propagator_oracle, random_density
 
 # tabulated reference values, basis {|0>, |1>, |b>}
 REF_V1_HBAR = np.array([[0.0, 0.0, 0.0],
@@ -82,32 +82,6 @@ def _commutator_max(a, b) -> float:
 
 # ---------------------------------------------------------------------------
 # Oracles for criteria 2-4
-
-
-def propagator_oracle(cfg):
-    """U(s, 0) over one drive period from scipy's DOP853 at rtol 1e-13.
-
-    H(t) = H0 + mu cos(Omega t)(|i><j| + |j><i|) is written out here rather
-    than taken from floqdyn.  Returns ``(sol, tau)``: ``sol.sol(s)`` is the
-    row-major vec of U(s) for s in [0, tau] and ``sol.y[:, -1]`` that of the
-    monodromy U(tau, 0).
-    """
-    d = cfg.dim
-    h0 = np.diag(np.asarray(cfg.energies, dtype=complex))
-    i, j = cfg.drive.pair
-    x = np.zeros((d, d))
-    x[i, j] = x[j, i] = 1.0
-    mu, omega = cfg.drive.mu, cfg.drive.omega_drive
-    tau = 2.0 * np.pi / omega
-
-    def rhs(t, y):
-        return (-1j * ((h0 + mu * np.cos(omega * t) * x) @ y.reshape(d, d))).ravel()
-
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, tau), np.eye(d, dtype=complex).ravel(),
-                                    method="DOP853", rtol=1e-13, atol=1e-13,
-                                    dense_output=True)
-    assert sol.success, sol.message
-    return sol, tau
 
 
 def floquet_oracle(cfg) -> dict:
@@ -183,14 +157,15 @@ def exact_eta_floquet_lindblad(cfg, sop_int, t: float) -> float:
     return float(total.real) / t
 
 
-def exact_eta_floquet_redfield(cfg, gen, t: float) -> float:
-    """eta(t) of a Floquet-Redfield generator, from one DOP853 integration.
+def exact_eta_floquet_redfield(cfg, gen, t: float, times=None) -> tuple[float, np.ndarray]:
+    """eta(t) of a Floquet-Redfield generator and its states at ``times``
+    (sorted, in [0, t]; default t alone), from one DOP853 integration.
 
     U, rho and int rho_bb are integrated jointly in the Schrodinger picture
-    at rtol 1e-12: U' = -iH(t)U and rho' = -i[H, rho] + P D(P† rho P) P†,
+    at rtol 1e-13: U' = -iH(t)U and rho' = -i[H, rho] + P D(P† rho P) P†,
     where D is the dissipator the generator holds (its superoperator less
     -i[Hbar, .]) and P(t) = U(t) exp(i Hbar t) with Hbar from the DOP853
-    monodromy of :func:`floquet_oracle`.  Neither the RK4 engine, the
+    monodromy of :func:`floquet_oracle`.  Neither the Magnus engine, the
     sampled P nor the frame in which floqdyn integrates enters.
     """
     d, n = cfg.dim, cfg.dim ** 2
@@ -215,10 +190,12 @@ def exact_eta_floquet_redfield(cfg, gen, t: float) -> float:
 
     y0 = np.concatenate([np.eye(d, dtype=complex).ravel(),
                          cfg.initial_state().matrix.ravel().astype(complex), [0.0]])
+    times = np.array([t] if times is None else times, dtype=float)
     sol = scipy.integrate.solve_ivp(rhs, (0.0, t), y0, method="DOP853",
-                                    rtol=1e-12, atol=1e-12)
+                                    rtol=1e-13, atol=1e-13, dense_output=True)
     assert sol.success, sol.message
-    return float(sol.y[-1, -1].real) / t
+    states = sol.sol(times)[n:2 * n].T.reshape(-1, d, d)
+    return float(sol.y[-1, -1].real) / t, states
 
 
 def exact_eta(gen, cfg, t: float) -> float:
@@ -460,16 +437,33 @@ def test_criterion_4_four_level_gains(four_level_etas):
 @pytest.mark.parametrize("preset", ["four_level_degenerate_driven", "three_level_v0"])
 def test_floquet_redfield_eta_matches_schrodinger_oracle(preset):
     # about 29 drive periods; t is off the decomposition grid, so the last
-    # record is mapped back through the interpolated P
+    # record is mapped back through P one Magnus step from a grid node
     cfg = scenario_with(PRESETS[preset](), kind="floquet_redfield")
     gen = build_generator(cfg)
     t = 80.0
     gap = abs(efficiency(evolve(cfg, t, generator=gen)).eta
-              - exact_eta_floquet_redfield(cfg, gen, t))
+              - exact_eta_floquet_redfield(cfg, gen, t)[0])
     ok = gap <= 1e-8
     _report(f"Floquet-Redfield exact eta ({preset})", ok,
             f"|eta - exact eta| at t={t:g}: {gap:.1e} (<=1e-8)")
     assert gap <= 1e-8
+
+
+@pytest.mark.parametrize("preset", ["four_level_degenerate_driven", "three_level_v0"])
+def test_floquet_redfield_records_off_the_p_grid_match_schrodinger_oracle(preset):
+    # dt = 0.05 is no multiple of tau/grid_m and t_final is off both grids,
+    # so every record after the first is mapped back through P between grid
+    # nodes; the states are exact, so no trapezoid error enters the gap
+    cfg = scenario_with(PRESETS[preset](), kind="floquet_redfield")
+    gen = build_generator(cfg)
+    traj = evolve(cfg, 80.3, dt=0.05, generator=gen)
+    gap = float(np.max(np.abs(traj.states
+                              - exact_eta_floquet_redfield(cfg, gen, 80.3, traj.times)[1])))
+    ok = gap <= 1e-9
+    _report(f"Floquet-Redfield off-grid records ({preset})", ok,
+            f"max |rho - exact rho| over {len(traj.times)} records to t=80.3: "
+            f"{gap:.1e} (<=1e-9)")
+    assert gap <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +552,7 @@ def test_criterion_5e_jump_table_identities(dec_v0):
 def test_criterion_5f_mu_to_zero_continuity():
     h0 = np.diag([0.0, 3.0, 2.5]).astype(complex)
     tau = 2 * np.pi / 2.25
-    dec = floquet_decompose(lambda t: h0, tau, h0, grid_m=256, substeps=16)
+    dec = floquet_decompose(lambda t: h0, tau, h0, grid_m=256)
     cfg_l = build_three_level("nondriven", kind="lindblad")
     spec_fl = GeneratorSpec(kind="floquet_lindblad", channels=cfg_l.channels(),
                             floquet=dec, q_max=2)
@@ -600,7 +594,7 @@ def test_criterion_5g_qubit_calibration():
 def test_criterion_5h_branch_gauge_invariance(cfg_v0, dec_v0, gen_v0):
     h = drive_hamiltonian(cfg_v0.h0, cfg_v0.drive)
     dec_folded = floquet_decompose(h, cfg_v0.drive.tau, cfg_v0.h0,
-                                   grid_m=1024, substeps=16, unfold=False)
+                                   grid_m=1024, unfold=False)
     gen_folded = build_generator(scenario_with(cfg_v0, q_max=26),
                                  decomposition=dec_folded)
     diff = float(np.linalg.norm(gen_v0.superop - gen_folded.superop, 2))

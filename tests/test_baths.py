@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -15,6 +16,7 @@ from floqdyn.baths import (
     thermal_occupation,
 )
 from floqdyn.errors import ValidationError
+from floqdyn.scenarios import PRESETS, REFERENCE_DRIVE, TABLE_BATHS
 
 from conftest import XI_ORACLE_RTOL, quad_cauchy, xi_oracle
 
@@ -254,3 +256,107 @@ class TestGaussLegendreRules:
         value = _checked(f, np.array([0.0, 1.0, 3.0]), 64, "exp")
         assert orders == [128, 256]
         assert value == pytest.approx(1.0 - np.exp(-3.0), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracle: mpmath's tanh-sinh quadrature at 20 digits
+
+
+def _mp_pv(f, c, top):
+    """PV int_0^top f(nu)/(nu - c) dnu for 0 < c < top, split at the pole:
+    f(c) is subtracted from the integrand and its log term added back."""
+    fc = f(c)
+    return (mpmath.quad(lambda nu: (f(nu) - fc) / (nu - c), [0, c, top])
+            + fc * mpmath.log((top - c) / c))
+
+
+def xi_mpmath(spec, beta, x):
+    """xi(x) = -2 [PV int J nbar/(x - nu) + PV int J (nbar + 1)/(x + nu)] over [0, W].
+
+    The integrands hold the Gaussian cutoff, so the span stops at
+    |x| + 12 omega_c, where they are below 1e-60 of their peak.
+    """
+    j0, wc, beta, x = (mpmath.mpf(v) for v in (spec.j0, spec.omega_cutoff, beta, x))
+    top = abs(x) + 12 * wc
+
+    def em(nu):
+        return j0 * nu * mpmath.exp(-(nu / wc) ** 2) / mpmath.expm1(beta * nu)
+
+    def ab(nu):
+        return em(nu) + j0 * nu * mpmath.exp(-(nu / wc) ** 2)
+
+    if x == 0:
+        return -2 * mpmath.quad(lambda nu: j0 * mpmath.exp(-(nu / wc) ** 2), [0, top])
+    if x > 0:
+        return -2 * (-_mp_pv(em, x, top) + mpmath.quad(lambda nu: ab(nu) / (x + nu), [0, top]))
+    return -2 * (_mp_pv(ab, -x, top) + mpmath.quad(lambda nu: em(nu) / (x - nu), [0, top]))
+
+
+def c1_mpmath(beta, x):
+    """C1(x) = (1/pi) PV int_0^W nu^3 nbar(nu)/(x - nu) dnu; the span stops
+    at |x| + 100/beta, where the integrand is below 1e-40 of its peak."""
+    beta, x = mpmath.mpf(beta), mpmath.mpf(x)
+
+    def h(nu):
+        return nu ** 3 / mpmath.expm1(beta * nu)
+
+    top = abs(x) + 100 / beta
+    if x > 0:
+        return -_mp_pv(h, x, top) / mpmath.pi
+    return mpmath.quad(lambda nu: h(nu) / (x - nu), [0, top]) / mpmath.pi
+
+
+def vacuum_mpmath(x, w):
+    """(1/pi) int_0^W [nu^3/(x - nu) + nu^2 + x nu] dnu for x <= 0: the vacuum
+    part of C2 less the -W^3/3 and -x W^2/2 pieces the model drops."""
+    x, w = mpmath.mpf(x), mpmath.mpf(w)
+    return mpmath.quad(lambda nu: nu ** 3 / (x - nu) + nu ** 2 + x * nu, [0, -x, w]) / mpmath.pi
+
+
+def _preset_frequencies():
+    """Every preset transition gap, both signs, shifted by q*Omega for q = -1, 0, 1;
+    x -> 0; and poles at and beside 0.45 x = pv_window, where the window stops shrinking."""
+    gaps = {abs(cfg.energies[up] - cfg.energies[lo])
+            for cfg in (make() for make in PRESETS.values())
+            for bath in cfg.baths for up, lo in bath.transitions}
+    omega = REFERENCE_DRIVE["omega"]
+    edge = PARAMS.pv_window / 0.45
+    xs = {s * g + q * omega for g in gaps for s in (1, -1) for q in (-1, 0, 1)}
+    return sorted(xs | {0.0, 1e-3, -1e-3, 0.9 * edge, edge, 1.1 * edge, -edge})
+
+
+MPMATH_FREQUENCIES = _preset_frequencies()
+#: relative agreement demanded against the 20-digit oracle (measured <= 3.2e-11)
+MPMATH_RTOL = 1e-9
+
+
+class TestMpmathOracle:
+    @pytest.fixture(autouse=True)
+    def _digits(self):
+        with mpmath.workdps(20):
+            yield
+
+    @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
+    def test_xi_at_preset_frequencies(self, bath):
+        spec = OhmicSpec(TABLE_BATHS[bath]["j0"], TABLE_BATHS[bath]["omega_cutoff"])
+        beta = TABLE_BATHS[bath]["beta"]
+        for x in MPMATH_FREQUENCIES:
+            want = float(xi_mpmath(spec, beta, x))
+            assert gamma_xi_ohmic(spec, beta, x, PARAMS).xi == pytest.approx(
+                want, rel=MPMATH_RTOL), x
+
+    @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
+    def test_c1_at_positive_preset_frequencies(self, bath):
+        beta = TABLE_BATHS[bath]["beta"]
+        for x in (x for x in MPMATH_FREQUENCIES if x > 0):
+            assert redfield_coefficients(x, beta, PARAMS).c1_imag == pytest.approx(
+                float(c1_mpmath(beta, x)), rel=MPMATH_RTOL), x
+
+    def test_c2_at_non_positive_preset_frequencies(self):
+        # the closed form keeps |x|^3 ln(W/|x|) of |x|^3 ln((W + |x|)/|x|),
+        # which leaves out |x|^3 ln(1 + |x|/W) <= x^4/W
+        beta, w = TABLE_BATHS["cold"]["beta"], PARAMS.w_cutoff
+        for x in (x for x in MPMATH_FREQUENCIES if x <= 0):
+            want = float(c1_mpmath(beta, x) + vacuum_mpmath(x, w))
+            got = redfield_coefficients(x, beta, PARAMS).c2_imag
+            assert abs(got - want) <= MPMATH_RTOL * abs(want) + x**4 / (np.pi * w), x

@@ -124,7 +124,7 @@ def scenarios(draw):
         target_level=level, baths=baths.map(tuple), kind=st.sampled_from(GENERATOR_KINDS),
         label=st.text(max_size=8), drive=drive, lamb_shift=st.booleans(),
         q_max=st.integers(0, 30), lamb_params=lamb, initial_level=level,
-        grid_m=st.integers(1, 2048), substeps=st.integers(1, 32), dt=st.none() | positive))
+        grid_m=st.integers(1, 2048), dt=st.none() | positive))
 
 
 def _canonical_run():
@@ -214,20 +214,37 @@ class TestDerivedConfig:
 
 
 class TestMalformedSections:
-    @pytest.mark.parametrize("command,config", [
-        ("simulate", {"scenario": {"preset": "three_level_nondriven"}}),
-        ("simulate", {"scenario": {"preset": "three_level_nondriven"}, "integration": 5}),
+    @pytest.mark.parametrize("command,config,message", [
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"}},
+         "config missing section 'integration'"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"}, "integration": 5},
+         "integration section must be an object"),
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
-                      "integration": {"t_final": 1.0}, "outputs": None}),
+                      "integration": {"t_final": 1.0}, "outputs": None},
+         "outputs section must be an object"),
         ("compare", {"a": {"preset": "three_level_nondriven"}, "b": 7,
-                     "integration": {"t_final": 1.0}}),
-    ], ids=["no_integration", "integration_not_object", "outputs_null", "compare_side_not_object"])
-    def test_exit_2_and_no_output(self, tmp_path, capsys, command, config):
+                     "integration": {"t_final": 1.0}}, "b section must be an object"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"pair": [1, 5]}},
+                      "integration": {"t_final": 1.0}}, "drive pair (1, 5) out of range"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"pair": [-1, 0]}},
+                      "integration": {"t_final": 1.0}}, "drive pair (-1, 0) out of range"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "grid_m": 0},
+                      "integration": {"t_final": 1.0}}, "grid_m must be >= 1"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "q_max": -1},
+                      "integration": {"t_final": 1.0}}, "q_max must be >= 0"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "substeps": 16},
+                      "integration": {"t_final": 1.0}}, "'substeps' was unexpected"),
+    ], ids=["no_integration", "integration_not_object", "outputs_null", "compare_side_not_object",
+            "drive_pair_past_dim", "drive_pair_negative", "grid_m_zero", "q_max_negative",
+            "substeps_unknown"])
+    def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert message in err
         assert not out.exists()
 
     def test_sweep_base_without_integration_fails_every_point(self, tmp_path):

@@ -291,7 +291,7 @@ class TestFloquetLindblad:
         from floqdyn.floquet import floquet_decompose
 
         dec = floquet_decompose(lambda t: H0_3, 2 * np.pi / 2.25, H0_3,
-                                grid_m=256, substeps=16)
+                                grid_m=256)
         spec_fl = GeneratorSpec(kind="floquet_lindblad", channels=cfg.channels(),
                                 floquet=dec, q_max=2)
         gen_fl = floquet_lindblad_generator(H0_3, spec_fl)

@@ -31,7 +31,7 @@ class TestUnitaryFromHermitian:
         assert_allclose(u, want, atol=1e-13)
 
     def test_matches_rk4_integration(self):
-        # independent oracle: direct RK4 integration of the Schrodinger equation
+        # oracle: Magnus integration of the Schrodinger equation, step by step
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 3)
         t = 0.7

@@ -1,26 +1,22 @@
-"""The RK4 sampler against the per-step loops it replaced, and ``evolve``
-against the exact solution.
+"""The Magnus sampler against a one-step-at-a-time loop and DOP853, and
+``evolve`` against the exact solution.
 
-The Schrodinger loops below are the reference: one RK4 step at a time in
-Python, the Hamiltonian evaluated at absolute times.  The sampler changes
-the order of the floating-point work (step maps composed before they act
-on the state), so agreement is demanded to a tolerance.  The master
-equation is static in its picture, so its reference is exp(L t) rho(0),
-one matrix exponential per record time, not composed record to record.
+The Schrodinger references are a Python loop of fourth-order Magnus
+steps, one at a time with the Hamiltonian evaluated at absolute times,
+and scipy's DOP853 at rtol 1e-13 (:func:`conftest.propagator_oracle`).
+The sampler batches the steps and composes them in a different order of
+floating-point work, so agreement is demanded to a tolerance.  The master
+equation is static in its picture, so its
+reference is exp(L t) rho(0), one matrix exponential per record time, not
+composed record to record.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from floqdyn.floquet import (
-    DriveSpec,
-    benchmark_fidelities,
-    drive_hamiltonian,
-    floquet_decompose,
-    propagate_schrodinger,
-)
-from floqdyn.propagation import rk4_samples
+from floqdyn.floquet import drive_hamiltonian, floquet_decompose, propagate_schrodinger
+from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import (
     PRESETS,
     build_generator,
@@ -29,37 +25,43 @@ from floqdyn.scenarios import (
     scenario_with,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:BCH truncation strained:RuntimeWarning")
+from conftest import propagator_oracle
 
 STATE_TOL = 1e-12
 EXACT_REL_TOL = 1e-10
-UNITARY_TOL = 1e-11
+#: DOP853 against the Magnus samples on the 1024-point grid
+ORACLE_TOL = 1e-11
 STRIDE = 7
 T_SHORT = 3.0
 
 DRIVEN = ("three_level_v0", "three_level_v1", "four_level_degenerate_driven")
 
 
-def rk4_unitary_samples_loop(h_of_t, t0, n_samples, dt_sample, substeps):
-    """RK4-integrate dU/dt = -i H(t) U, returning U at n_samples+1 sample times."""
-    d = np.asarray(h_of_t(t0)).shape[0]
-    out = np.empty((n_samples + 1, d, d), dtype=complex)
-    u = np.eye(d, dtype=complex)
-    out[0] = u
-    h = dt_sample / substeps
-    step = 0
+def magnus_unitary_samples_loop(h_of_t, t0, n_samples, dt_sample):
+    """U(t0 + k*dt_sample, t0) for k = 0..n_samples, one Magnus step at a time.
+
+    Each step is exp(-iK), K = h/2 (H1 + H2) - i sqrt(3)/12 h^2 [H2, H1]
+    with H1, H2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h.
+    """
+    d = np.shape(h_of_t(np.array([t0])))[-1]
+
+    def at(t):
+        return np.asarray(h_of_t(np.array([t])), dtype=complex).reshape(-1, d, d)[-1]
+
+    h = dt_sample
+    out = [np.eye(d, dtype=complex)]
     for k in range(n_samples):
-        for _ in range(substeps):
-            t = t0 + step * h
-            k1 = -1j * (h_of_t(t) @ u)
-            hm = -1j * h_of_t(t + 0.5 * h)
-            k2 = hm @ (u + 0.5 * h * k1)
-            k3 = hm @ (u + 0.5 * h * k2)
-            k4 = -1j * (h_of_t(t + h) @ (u + h * k3))
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            step += 1
-        out[k + 1] = u
-    return out
+        t = t0 + k * h
+        h1, h2 = at(t + (0.5 - np.sqrt(3) / 6) * h), at(t + (0.5 + np.sqrt(3) / 6) * h)
+        kk = 0.5 * h * (h1 + h2) - 1j * np.sqrt(3) / 12 * h**2 * (h2 @ h1 - h1 @ h2)
+        out.append(scipy.linalg.expm(-1j * kk) @ out[-1])
+    return np.array(out)
+
+
+def oracle_unitaries(config, times):
+    """U(t, 0) at ``times`` in [0, tau] from DOP853."""
+    sol, _ = propagator_oracle(config)
+    return sol.sol(times).T.reshape(-1, config.dim, config.dim)
 
 
 def record_times(t_final, dt, stride):
@@ -153,67 +155,41 @@ def test_decomposition_samples_match_step_loop(preset):
     config = PRESETS[preset]()
     decomp = decompose_scenario(config)
     h = drive_hamiltonian(config.h0, config.drive)
-    want = rk4_unitary_samples_loop(h, 0.0, config.grid_m, decomp.tau / config.grid_m,
-                                    config.substeps)
-    assert _max_gap(decomp.u_samples, want) <= UNITARY_TOL
-
-
-def test_two_period_reference_matches_step_loop(dec_v0, cfg_v0):
-    n = 16
-    h = drive_hamiltonian(cfg_v0.h0, cfg_v0.drive)
-    u_two = rk4_unitary_samples_loop(h, 0.0, 2 * n, dec_v0.tau / n, 64)
-    tau = dec_v0.tau
-    rep = benchmark_fidelities(cfg_v0.drive, cfg_v0.h0, dec_v0, grid_points=n + 1)
-    ref = benchmark_fidelities(cfg_v0.drive, cfg_v0.h0, dec_v0, grid_points=n + 1,
-                               exact=lambda t: u_two[int(round(t / (tau / n)))])
-    assert _max_gap(rep.fidelity_propagator, ref.fidelity_propagator) <= UNITARY_TOL
-    assert _max_gap(rep.fidelity_periodicity, ref.fidelity_periodicity) <= UNITARY_TOL
+    dt = decomp.tau / config.grid_m
+    assert _max_gap(decomp.u_samples,
+                    magnus_unitary_samples_loop(h, 0.0, config.grid_m, dt)) <= STATE_TOL
+    times = np.arange(config.grid_m + 1) * dt
+    assert _max_gap(decomp.u_samples, oracle_unitaries(config, times)) <= ORACLE_TOL
 
 
 def test_propagate_schrodinger_matches_step_loop():
-    h0 = np.diag([0.0, 3.0, 2.5]).astype(complex)
-    h = drive_hamiltonian(h0, DriveSpec(0.1, 2.25, (0, 2)))
+    config = PRESETS["three_level_v0"]()
+    h = drive_hamiltonian(config.h0, config.drive)
     u = propagate_schrodinger(h, 0.3, 2.1, steps=500)
-    want = rk4_unitary_samples_loop(h, 0.3, 1, 1.8, 500)[1]
-    assert _max_gap(u, want) <= UNITARY_TOL
+    assert _max_gap(u, magnus_unitary_samples_loop(h, 0.3, 500, 1.8 / 500)[-1]) <= STATE_TOL
+    u0, u1 = oracle_unitaries(config, np.array([0.3, 2.1]))
+    assert _max_gap(u, u1 @ u0.conj().T) <= ORACLE_TOL
 
 
 def test_decomposition_accepts_constant_hamiltonian():
     h0 = np.diag([0.0, 1.0]).astype(complex)
-    decomp = floquet_decompose(lambda t: h0, 2.0, h0, grid_m=64, substeps=4)
-    want = rk4_unitary_samples_loop(lambda t: h0, 0.0, 64, 2.0 / 64, 4)
-    assert _max_gap(decomp.u_samples, want) <= UNITARY_TOL
+    decomp = floquet_decompose(lambda t: h0, 2.0, h0, grid_m=64)
+    want = magnus_unitary_samples_loop(lambda t: h0, 0.0, 64, 2.0 / 64)
+    assert _max_gap(decomp.u_samples, want) <= STATE_TOL
 
 
-def test_rk4_samples_on_random_periodic_system():
+def test_magnus_samples_on_random_periodic_system():
     rng = np.random.default_rng(3)
-    m0, m1, m2 = rng.normal(size=(3, 3, 3)) * 0.3
+    m0, m1, m2 = (0.5 * (a + a.conj().T) for a in
+                  rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
     omega = 2.0 * np.pi / 1.2
 
-    def a_of_t(t):
+    def h_of_t(t):
         t = np.asarray(t)[:, None, None]
         return m0 + m1 * np.cos(omega * t) + m2 * np.sin(omega * t)
 
-    # A repeats every 1.2 = period_samples * substeps * h; each run but the
-    # last spans more than one period
-    h, t0 = 1.2 / 12, 0.35
-    for substeps, period_samples, n_samples in ((2, 6, 14), (3, 4, 9), (1, 12, 25),
-                                                (12, 1, 3), (4, 3, 0)):
-        got = rk4_samples(a_of_t, np.eye(3), h, substeps, n_samples, period_samples, t0=t0)
-        x = np.eye(3)
-        want = [x]
-        for k in range(n_samples):
-            for i in range(substeps):
-                x = _rk4_matrix_step(a_of_t, x, t0 + (k * substeps + i) * h, h)
-            want.append(x)
-        assert got.shape == (n_samples + 1, 3, 3)
-        assert _max_gap(got, np.array(want)) <= STATE_TOL
-
-
-def _rk4_matrix_step(a_of_t, x, t, h):
-    a1, am, a2 = (a_of_t(np.array([s]))[0] for s in (t, t + 0.5 * h, t + h))
-    k1 = a1 @ x
-    k2 = am @ (x + 0.5 * h * k1)
-    k3 = am @ (x + 0.5 * h * k2)
-    k4 = a2 @ (x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # spans shorter and longer than the period 1.2, from t0 = 0.35
+    for h, n in ((0.1, 14), (0.3, 9), (0.05, 25), (1.2, 3), (0.07, 1)):
+        got = magnus_samples(h_of_t, 0.35, 0.35 + n * h, n)
+        assert got.shape == (n + 1, 3, 3)
+        assert _max_gap(got, magnus_unitary_samples_loop(h_of_t, 0.35, n, h)) <= STATE_TOL
