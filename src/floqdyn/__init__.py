@@ -16,7 +16,8 @@ Library layout:
 * ``generators`` -- the four master-equation superoperators (Lindblad,
   Floquet-Lindblad, Redfield, Floquet-Redfield).
 * ``scenarios`` -- model presets, exact trajectories (one matrix
-  exponential per record interval), energy-transfer efficiency,
+  exponential of the record interval; the records filled by doubling, with
+  its powers from repeated squaring), energy-transfer efficiency,
   diagnostics.
 * ``cli`` -- the ``floqdyn`` command-line entry point.
 """

@@ -350,12 +350,30 @@ def _csv_cell(value) -> str:
     return text
 
 
+#: Rows per formatting call of a float table in ``write_csv``.
+CSV_BLOCK = 2048
+
+
+def _table_text(table: np.ndarray):
+    """CSV lines of a 2-D float array, a block of rows per string, each cell
+    formatted as :func:`_csv_cell` formats a float."""
+    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    for lo in range(0, len(table), CSV_BLOCK):
+        block = table[lo:lo + CSV_BLOCK]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    """Write ``rows`` under ``header``: a 2-D float array, or an iterable of rows."""
+    if isinstance(rows, np.ndarray):
+        text = _table_text(rows)
+    else:
+        # only rows that hold strings (the sweep's axis values and status) take this path
+        text = [",".join(_csv_cell(v) for v in row) + "\n" for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(text)
 
 
 def _json_matrix(m: np.ndarray) -> dict:
@@ -367,16 +385,12 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def trajectory_rows(traj, eta_cumulative):
-    d = traj.dim
-    for k in range(len(traj.times)):
-        row = [float(traj.times[k])]
-        for i in range(d):
-            for j in range(i, d):
-                row.append(float(traj.states[k, i, j].real))
-                row.append(float(traj.states[k, i, j].imag))
-        row.append(float(eta_cumulative[k]))
-        yield row
+def trajectory_table(traj, eta_cumulative) -> np.ndarray:
+    """Rows of ``trajectory.csv``: t, the upper triangle of each state (re and
+    im interleaved, row by row), eta_cumulative."""
+    rows, cols = np.triu_indices(traj.dim)
+    upper = np.ascontiguousarray(traj.states[:, rows, cols])
+    return np.column_stack([traj.times, upper.view(float), eta_cumulative])
 
 
 def trajectory_header(d: int) -> list[str]:
@@ -407,7 +421,7 @@ def cmd_simulate(run: dict, out_dir: Path) -> int:
     formats = run["outputs"]["formats"]
     if "csv" in formats:
         write_csv(out_dir / "trajectory.csv", trajectory_header(traj.dim),
-                  trajectory_rows(traj, report.cumulative))
+                  trajectory_table(traj, report.cumulative))
     if "json" in formats:
         write_json(out_dir / "summary.json", {
             "label": config.label,
@@ -454,7 +468,8 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
     write_csv(out_dir / "benchmark.csv",
               ["t", "fidelity_propagator", "fidelity_periodicity",
                "fidelity_periodicity_magnus"],
-              ([float(t), float(fu), float(fp), float(fm)] for t, fu, fp, fm in bench.rows()))
+              np.column_stack([bench.times, bench.fidelity_propagator,
+                               bench.fidelity_periodicity, bench.fidelity_periodicity_magnus]))
     return 0
 
 
@@ -477,16 +492,12 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
         traj = evolve(scen, t_final=integ["t_final"], dt=dt, stride=integ.get("stride"))
         results.append((traj, efficiency(traj)))
     (traj_a, eff_a), (traj_b, eff_b) = results
-    n = len(traj_a.times)
     if metric == "eta_series":
-        rows = ([float(traj_a.times[k]), float(eff_a.cumulative[k]),
-                 float(eff_b.cumulative[k]),
-                 float(eff_a.cumulative[k] - eff_b.cumulative[k])] for k in range(n))
+        rows = np.column_stack([traj_a.times, eff_a.cumulative, eff_b.cumulative,
+                                eff_a.cumulative - eff_b.cumulative])
         header = ["t", "eta_a", "eta_b", "difference"]
     else:
-        rows = ([float(traj_a.times[k]),
-                 float(trace_distance(traj_a.states[k], traj_b.states[k]))]
-                for k in range(n))
+        rows = np.column_stack([traj_a.times, trace_distance(traj_a.states, traj_b.states)])
         header = ["t", "trace_distance"]
     write_csv(out_dir / "compare.csv", header, rows)
     rel = (eff_a.eta - eff_b.eta) / eff_b.eta if eff_b.eta != 0 else float("nan")
@@ -494,7 +505,7 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
         "label_a": scen_a.label, "label_b": scen_b.label, "metric": metric,
         "eta_a": eff_a.eta, "eta_b": eff_b.eta,
         "relative_gain_a_over_b": rel,
-        "final_trace_distance": trace_distance(traj_a.states[n - 1], traj_b.states[n - 1]),
+        "final_trace_distance": trace_distance(traj_a.final_state(), traj_b.final_state()),
     })
     return 0
 

@@ -28,7 +28,6 @@ from itertools import product
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import NumericalError, ResolutionError, StepSizeError, ValidationError
 from .operators import (
@@ -190,6 +189,23 @@ class FloquetDecomposition:
         return self.p_at(t) @ ((v * phases[..., None, :]) @ v.conj().T)
 
 
+def _match_branches(overlap: np.ndarray) -> np.ndarray:
+    """Column matched to each row of a doubly stochastic overlap matrix, so
+    that the matched overlaps have the largest sum.
+
+    When every row's largest entry exceeds 1/2 and these entries lie in
+    distinct columns, they are the unique optimum: another assignment takes,
+    in each row where it differs, an entry of at most 1 - (row maximum),
+    below 1/2.  Otherwise the assignment problem is solved in full.
+    """
+    best = np.argmax(overlap, axis=1)
+    if np.all(overlap[np.arange(len(best)), best] > 0.5) \
+            and len(np.unique(best)) == len(best):
+        return best
+    import scipy.optimize     # here, on the rare fallback, to keep it out of start-up
+    return scipy.optimize.linear_sum_assignment(-overlap)[1]
+
+
 def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
                           omega: float) -> np.ndarray:
     """Shift each quasienergy by an integer multiple of omega so that the
@@ -198,9 +214,8 @@ def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
     spec_p = hermitian_eigensystem(h_principal)
     spec_r = hermitian_eigensystem(reference)
     overlap = np.abs(spec_r.vectors.conj().T @ spec_p.vectors) ** 2
-    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
     energies = spec_p.energies.copy()
-    for k, p in zip(rows, cols):
+    for k, p in enumerate(_match_branches(overlap)):
         delta = spec_r.energies[k] - spec_p.energies[p]
         n = round(delta / omega)
         if abs(abs(delta / omega - n) - 0.5) < 1e-6:

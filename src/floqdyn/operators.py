@@ -177,7 +177,10 @@ class DensityMatrix:
         return cls((spec.vectors * w) @ spec.vectors.conj().T)
 
 
-def trace_distance(a, b) -> float:
-    """(1/2) * trace norm of (a - b) for Hermitian matrices."""
+def trace_distance(a, b) -> float | np.ndarray:
+    """(1/2) * trace norm of (a - b) for Hermitian matrices: a float for two
+    matrices, an array of one distance per matrix for (n, d, d) stacks."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+    herm = 0.5 * (diff + diff.conj().swapaxes(-1, -2))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

@@ -10,13 +10,14 @@ Basis ordering convention: 3-level scenarios use
 
 Trajectories solve d(rho)/dt = L[rho] exactly on the vectorized state.
 Every generator is time independent in its picture, so the state at t is
-exp(L t) rho(0): one matrix exponential of L over the record interval
-serves the whole run, and each recorded interval costs one matrix-vector
-product.  Interaction-picture generators (the Floquet kinds and
-interaction-picture Lindblad) have their recorded states mapped back to
-the Schrodinger picture by the generator's propagator on the record grid,
-in array calls over chunks of records; Schrodinger-picture generators
-record directly.
+exp(L t) rho(0): one matrix exponential S of L over the record interval
+serves the whole run.  The records are filled by doubling: the first m
+records times the transposed power S^m give the next m, so n records take
+about log2(n) block products and as many squarings.  Interaction-picture
+generators (the Floquet kinds and interaction-picture Lindblad) have their
+recorded states mapped back to the Schrodinger picture by the generator's
+propagator on the record grid, in array calls over chunks of records;
+Schrodinger-picture generators record directly.
 """
 
 import warnings
@@ -304,9 +305,11 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     ``dt`` (default ``config.default_dt()``) sets only the record grid:
     states are recorded at k * stride * dt, every ``stride`` multiples of
     ``dt`` (by default the smallest stride giving at most ``max_records``
-    intervals), and the end state at exactly ``t_final``.  Each record is
-    the previous one advanced by exp(L * stride * dt), and the end record
-    by exp(L * (t_final - last record)).
+    intervals), and the end state at exactly ``t_final``.  With
+    S = exp(L * stride * dt), record k is S^k rho(0): records m..2m-1 are
+    records 0..m-1 advanced by S^m, one matrix product per doubling, with
+    S^m formed by repeated squaring.  The end record is the last one on
+    the stride advanced by exp(L * (t_final - last record)).
 
     Recorded states are Schrodinger picture: interaction-picture kinds are
     mapped back with the generator's propagator at the record times (the
@@ -337,8 +340,14 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     states = np.empty((len(times), d * d), dtype=complex)
     states[0] = config.initial_state().matrix.ravel()
     record_map = scipy.linalg.expm(generator.superop * (stride * dt))
-    for k in range(n_full):
-        states[k + 1] = record_map @ states[k]
+    # records [m, 2m) are records [0, m) advanced by power = record_map^m
+    power, m = record_map, 1
+    while m <= n_full:
+        count = min(m, n_full + 1 - m)
+        np.matmul(states[:count], power.T, out=states[m:m + count])
+        m += count
+        if m <= n_full:
+            power = power @ power
     if ends_off_stride:
         states[-1] = scipy.linalg.expm(generator.superop * (t_final - times[-2])) @ states[-2]
     states = states.reshape(-1, d, d)

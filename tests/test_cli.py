@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +26,89 @@ from floqdyn.baths import BathSpec, LambIntegralParams, OhmicSpec
 from floqdyn.errors import ConfigError
 from floqdyn.floquet import DriveSpec
 from floqdyn.generators import GENERATOR_KINDS
-from floqdyn.scenarios import PRESETS, ScenarioConfig
+from floqdyn.scenarios import PRESETS, ScenarioConfig, efficiency, evolve
 
 
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def reference_csv(header, rows) -> str:
+    """CSV text formatted cell by cell: floats at 17 significant digits,
+    anything else through str, and a cell holding a comma double-quoted."""
+    def cell(value):
+        text = "%.17g" % value if isinstance(value, float) else str(value)
+        return '"' + text.replace('"', '""') + '"' if "," in text else text
+
+    return "\n".join([",".join(header)] + [",".join(cell(v) for v in row) for row in rows]) + "\n"
+
+
+def reference_trajectory_rows(traj, eta_cumulative):
+    """Rows of trajectory.csv, record by record and element by element."""
+    d = traj.dim
+    for k in range(len(traj.times)):
+        row = [float(traj.times[k])]
+        for i in range(d):
+            for j in range(i, d):
+                row += [float(traj.states[k, i, j].real), float(traj.states[k, i, j].imag)]
+        yield row + [float(eta_cumulative[k])]
+
+
+class TestCsvWriter:
+    SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
+               1e300, -1e300, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0, 2.5e-17]
+
+    def test_float_table_matches_per_cell_reference(self, tmp_path):
+        rng = np.random.default_rng(11)
+        # more than two blocks, the last one partial
+        table = rng.standard_normal((2 * cli.CSV_BLOCK + 3, 5)) * 10.0 ** rng.integers(
+            -20, 20, size=(2 * cli.CSV_BLOCK + 3, 5))
+        table.flat[:len(self.SPECIAL)] = self.SPECIAL
+        table[-1] = self.SPECIAL[-5:]
+        header = [f"c{i}" for i in range(5)]
+        cli.write_csv(tmp_path / "t.csv", header, table)
+        assert (tmp_path / "t.csv").read_bytes() == \
+            reference_csv(header, table.tolist()).encode()
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_short_tables(self, tmp_path, n_rows):
+        table = np.array([self.SPECIAL[:4]] * n_rows).reshape(n_rows, 4)
+        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], table)
+        assert (tmp_path / "t.csv").read_text() == reference_csv(["a", "b", "c", "d"],
+                                                                 table.tolist())
+
+    def test_trajectory_table_matches_per_record_rows(self, tmp_path, cfg_v0, gen_v0):
+        traj = evolve(cfg_v0, 50.0, generator=gen_v0)
+        cumulative = efficiency(traj).cumulative
+        header = cli.trajectory_header(traj.dim)
+        cli.write_csv(tmp_path / "t.csv", header, cli.trajectory_table(traj, cumulative))
+        want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+    def test_sweep_rows_keep_per_cell_quoting(self, tmp_path):
+        rows = [[json.dumps([0.0, 3.0, 3.0, 2.5]), "ok", 0.25, float("nan")],
+                ["true", "error:3", float("nan"), -0.0]]
+        cli.write_csv(tmp_path / "s.csv", ["scenario.energies", "status", "eta", "pop_0"], rows)
+        text = (tmp_path / "s.csv").read_text()
+        assert text == reference_csv(["scenario.energies", "status", "eta", "pop_0"], rows)
+        assert text.splitlines()[1] == '"[0.0, 3.0, 3.0, 2.5]",ok,0.25,nan'
+
+
+def test_cli_import_and_preset_decompositions_leave_scipy_optimize_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, floqdyn.cli\n"
+            "loaded = ['scipy.optimize' in sys.modules]\n"
+            "from floqdyn.scenarios import PRESETS, decompose_scenario\n"
+            "for make in PRESETS.values():\n"
+            "    if make().drive is not None:\n"
+            "        decompose_scenario(make())\n"
+            "loaded.append('scipy.optimize' in sys.modules)\n"
+            "print(loaded)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[False, False]"
 
 
 class TestConfigRoundTrip:
@@ -384,6 +465,29 @@ class TestCompare:
             assert_allclose(times[:-1], np.arange(len(times) - 1) * step, rtol=1e-15, atol=0)
             assert times[-1] == 2.0
             assert all(np.isfinite(float(r["difference"])) for r in rows)
+
+    def test_compare_csv_matches_per_record_computation(self, tmp_path):
+        sides = {"a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
+                 "b": {"preset": "three_level_v1", "q_max": 2}}
+        trajs = [evolve(scenario_from_dict(side), 30.0, dt=0.05) for side in sides.values()]
+        (ta, tb), (ea, eb) = trajs, [efficiency(t).cumulative for t in trajs]
+        for metric in ("eta_series", "trace_distance"):
+            cfg = tmp_path / "cmp.json"
+            cfg.write_text(json.dumps({**sides, "integration": {"t_final": 30.0, "dt": 0.05},
+                                       "metric": metric}))
+            assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            if metric == "eta_series":
+                rows = [[float(ta.times[k]), float(ea[k]), float(eb[k]), float(ea[k] - eb[k])]
+                        for k in range(len(ta.times))]
+                want = reference_csv(["t", "eta_a", "eta_b", "difference"], rows)
+                assert (tmp_path / "compare.csv").read_text() == want
+                continue
+            got = read_csv(tmp_path / "compare.csv")
+            assert [float(r["t"]) for r in got] == ta.times.tolist()
+            for r, a, b in zip(got, ta.states, tb.states):
+                diff = 0.5 * ((a - b) + (a - b).conj().T)
+                want = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)))
+                assert abs(float(r["trace_distance"]) - want) <= 1e-15
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         cfg = tmp_path / "cmp.json"

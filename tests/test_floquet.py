@@ -1,13 +1,19 @@
+import itertools
 import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from floqdyn.errors import ResolutionError, StepSizeError, ValidationError
 from floqdyn.floquet import (
     DriveSpec,
+    _match_branches,
     benchmark_fidelities,
     drive_hamiltonian,
     floquet_decompose,
@@ -406,6 +412,39 @@ class TestUnfoldingAmbiguity:
         with pytest.raises(NumericalError, match="ambiguous"):
             floquet_decompose(lambda t: np.zeros((2, 2), dtype=complex), TAU,
                               ref, grid_m=64)
+
+
+class TestMatchBranches:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.0, 3.0))
+    def test_matches_assignment_solver_on_unitary_overlaps(self, d, seed, scale):
+        # |U|^2 of a permuted exp(-i scale H): near a permutation for small
+        # scale (the row-maximum path), spread out for large scale
+        rng = np.random.default_rng(seed)
+        u = scipy.linalg.expm(-1j * scale * random_hermitian(rng, d))[rng.permutation(d)]
+        overlap = np.abs(u) ** 2
+        want = scipy.optimize.linear_sum_assignment(-overlap)[1]
+        assert np.array_equal(_match_branches(overlap), want)
+
+    @pytest.mark.parametrize("overlap", [
+        # every row maximum exactly 1/2, in distinct columns
+        [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+        # the row maxima share a column; the optimum is (1, 0, 2)
+        [[0.48, 0.42, 0.10], [0.47, 0.13, 0.40], [0.05, 0.45, 0.50]],
+    ])
+    def test_row_maximum_at_most_one_half_takes_the_solver(self, overlap, monkeypatch):
+        calls = []
+        solver = scipy.optimize.linear_sum_assignment
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                            lambda cost: calls.append(cost) or solver(cost))
+        overlap = np.array(overlap)
+        cols = _match_branches(overlap)
+        assert len(calls) == 1
+        best = max(sum(overlap[k, p] for k, p in enumerate(perm))
+                   for perm in itertools.permutations(range(3)))
+        assert sorted(cols) == [0, 1, 2]
+        assert overlap[np.arange(3), cols].sum() == pytest.approx(best, abs=1e-15)
 
 
 class TestBenchmarkReport:

@@ -169,3 +169,12 @@ class TestDensityMatrix:
         a = DensityMatrix.pure(2, 0).matrix
         b = DensityMatrix.pure(2, 1).matrix
         assert trace_distance(a, b) == pytest.approx(1.0)
+
+    def test_trace_distance_of_stacks_is_per_matrix(self):
+        rng = np.random.default_rng(5)
+        a, b = (np.array([DensityMatrix.gibbs(random_hermitian(rng, 3), 1.0).matrix
+                          for _ in range(6)]) for _ in range(2))
+        got = trace_distance(a, b)
+        assert type(trace_distance(a[0], b[0])) is float
+        assert got.shape == (6,)
+        assert np.max(np.abs(got - [trace_distance(x, y) for x, y in zip(a, b)])) <= 1e-15

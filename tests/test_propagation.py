@@ -138,6 +138,26 @@ def test_stride_and_period_edge_cases(preset, n_per_tau, stride, t_final, preset
     assert _rel_gap(traj.states, exact_records(config, gen, times)) <= EXACT_REL_TOL
 
 
+# with no whole record interval (n_full = 0) the end record is always off the stride
+@pytest.mark.parametrize("n_full,off_stride", [(n, off) for n in (0, 1, 2, 3, 5, 64, 65)
+                                               for off in (False, True) if n or off])
+def test_records_by_doubling_match_sequential_products(n_full, off_stride, preset_generators):
+    config, gen = preset_generators["four_level_degenerate_driven"]
+    dt, stride = 0.25, 3
+    t_final = (n_full * stride + 0.4 * off_stride) * dt
+    traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen, transform=False)
+    record_map = scipy.linalg.expm(gen.superop * (stride * dt))
+    states = [config.initial_state().matrix.ravel().astype(complex)]
+    for _ in range(n_full):
+        states.append(record_map @ states[-1])
+    times = np.arange(n_full + 1 + off_stride) * stride * dt
+    times[-1] = t_final
+    if off_stride:
+        states.append(scipy.linalg.expm(gen.superop * (t_final - times[-2])) @ states[-1])
+    assert np.array_equal(traj.times, times)
+    assert _max_gap(traj.states, np.reshape(states, traj.states.shape)) <= STATE_TOL
+
+
 @pytest.mark.parametrize("kind", ["lindblad", "redfield", "floquet_lindblad",
                                   "floquet_redfield"])
 def test_every_kind_ends_on_t_final(kind):
