@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError, ValidationError
 from .tolerances import TOLERANCES
@@ -159,7 +160,7 @@ def _graded_edges(lo: float, hi: float, dense_at: str, first: float, growth: flo
 @lru_cache(maxsize=16)
 def _leggauss(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], cached per order, read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -318,12 +319,12 @@ def _vacuum_replacement(x: float, w_cutoff: float) -> float:
 
     The -W^3/3 piece cancels against the dipole self-energy and the
     -x*W^2/2 piece drops in the low-intensity regime; the surviving terms
-    are -x^2*W + |x|^3*ln(W/|x|) (even continuation for x < 0).
+    are -x^2*W - x^3*ln(W/|x|) for either sign of x, the log term being
+    x^3 PV int_0^W dnu/(x - nu) = -x^3 ln((W - x)/|x|) for |x| << W.
     """
     if x == 0:
         return 0.0
-    ax = abs(x)
-    return -x * x * w_cutoff + ax**3 * np.log(w_cutoff / ax)
+    return -x * x * w_cutoff - x**3 * np.log(w_cutoff / abs(x))
 
 
 @lru_cache(maxsize=4096)

@@ -18,7 +18,6 @@ import argparse
 import copy
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from itertools import product
@@ -551,6 +550,8 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     workers = cfg.get("parallelism", 1)
     points = [job for _, job in jobs]
     if workers > 1 and len(jobs) > 1:
+        # here, only for a pool, to keep concurrent.futures.process out of start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(_sweep_point, points))
     else:

@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.linalg
+from numpy.fft import fft
 
 from .errors import NumericalError, ResolutionError, StepSizeError, ValidationError
 from .operators import (
     Spectrum,
+    expm,
     hermitian_eigensystem,
     principal_unitary_log,
     require_hermitian,
@@ -200,7 +201,7 @@ def _match_branches(overlap: np.ndarray) -> np.ndarray:
     """
     best = np.argmax(overlap, axis=1)
     if np.all(overlap[np.arange(len(best)), best] > 0.5) \
-            and len(np.unique(best)) == len(best):
+            and len(set(best.tolist())) == len(best):
         return best
     import scipy.optimize     # here, on the rare fallback, to keep it out of start-up
     return scipy.optimize.linear_sum_assignment(-overlap)[1]
@@ -316,7 +317,7 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s, q_max: int,
     s = np.asarray(s, dtype=complex)
     p = decomp.p_samples[:m]
     rotated = np.einsum("tba,bc,tcd->tad", p.conj(), s, p)
-    spectrum = np.fft.fft(rotated, axis=0) / m
+    spectrum = fft(rotated, axis=0) / m
     coeffs = np.empty((2 * q_max + 1, s.shape[0], s.shape[1]), dtype=complex)
     for q in range(-q_max, q_max + 1):
         c = spectrum[q % m].copy()
@@ -501,7 +502,7 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t,
     diag = np.concatenate([np.zeros((len(tuples), 1)),
                            np.cumsum(1j * lam[tuples], axis=1)], axis=1)
     chain = diag[:, :, None] * np.eye(order + 1) + np.eye(order + 1, k=1)
-    step = scipy.linalg.expm(h * chain)
+    step = expm(h * chain)
     rows = np.empty((ks[-1] + 1, len(tuples), order + 1), dtype=complex)
     rows[0] = np.eye(order + 1)[0]
     for k in range(1, ks[-1] + 1):
@@ -599,11 +600,6 @@ class BenchmarkReport:
     fidelity_propagator: np.ndarray
     fidelity_periodicity: np.ndarray
     fidelity_periodicity_magnus: np.ndarray
-
-    def rows(self):
-        for k in range(len(self.times)):
-            yield (self.times[k], self.fidelity_propagator[k],
-                   self.fidelity_periodicity[k], self.fidelity_periodicity_magnus[k])
 
 
 def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,

@@ -1,9 +1,10 @@
 """Dense complex-matrix semantics for operators on a few-level Hilbert space.
 
 Operators are plain ``numpy`` complex arrays; this module supplies the
-validated algebra the rest of the package relies on: Hermitian matrix
-exponentials, the principal logarithm of a unitary, eigensystems, and the
-trace fidelity between unitaries.  Everything works in natural units
+validated algebra the rest of the package relies on: matrix exponentials
+(general ones for stacks of matrices, and Hermitian ones by eigensystem),
+the principal logarithm of a unitary, eigensystems, and the trace fidelity
+between unitaries.  Everything works in natural units
 (hbar = c = k_B = epsilon_0 = 1) and targets dimensions of order d <= 8,
 where exact eigendecomposition-based matrix functions are both simplest
 and most accurate.
@@ -12,7 +13,6 @@ and most accurate.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .tolerances import TOLERANCES
@@ -102,18 +102,90 @@ def unitary_from_hermitian(h, t: float) -> np.ndarray:
     return (spec.vectors * phases) @ spec.vectors.conj().T
 
 
+#: Pade degrees of the scaling-and-squaring exponential, with the largest
+#: 1-norm each one serves to double-precision backward error (Higham,
+#: SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+               13: 5.371920351148152e0}
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+
+
+def expm(a) -> np.ndarray:
+    """exp(a) for a square matrix or an (..., n, n) stack of them.
+
+    Scaling and squaring with a diagonal Pade approximant (Higham 2005): the
+    lowest degree whose theta bounds the largest 1-norm of the stack, else
+    degree 13 with each matrix scaled by 2^-s to within theta_13 and squared
+    s times.  The Pade quotient is one batched ``np.linalg.solve``.  Sums,
+    products and LU with partial pivoting never fill an entry that no power
+    of ``a`` reaches, so the zeros between decoupled levels stay exact.
+    """
+    a = np.asarray(a)
+    eye = np.eye(a.shape[-1])
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    degree = next((m for m in (3, 5, 7, 9) if norms.max(initial=0.0) <= _PADE_THETA[m]), 13)
+    # s = 0 for every norm below theta_13, so only degree 13 scales
+    squarings = np.maximum(np.frexp(norms / _PADE_THETA[13])[1], 0)
+    a = a * np.ldexp(1.0, -squarings)[..., None, None]
+    b = _PADE_COEFFS[degree]
+    a2 = a @ a
+    if degree == 13:
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        power, odd, v = a2, b[3] * a2 + b[1] * eye, b[2] * a2 + b[0] * eye
+        for k in range(4, degree + 1, 2):
+            power = power @ a2
+            odd = odd + b[k + 1] * power
+            v = v + b[k] * power
+        u = a @ odd
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(squarings.max(initial=0)):
+        sel = squarings > k
+        if np.all(sel):
+            r = r @ r
+        else:
+            r[sel] = r[sel] @ r[sel]
+    return r
+
+
 def principal_unitary_log(u, tol: float | None = None) -> np.ndarray:
     """Hermitian K with ``u = exp(-i K)`` and eigenphases of ``u`` in (-pi, pi].
 
-    Uses the complex Schur form (diagonal for a normal matrix) and applies the
-    principal branch to the unimodular eigenvalues.  Branch unfolding beyond
-    the principal strip is deliberately out of scope here; the Floquet engine
-    owns that.
+    The eigenphases are the angles of ``u``'s eigenvalues.  The eigenvectors
+    come from the Cayley transform C = i (1 - w)(1 + w)^-1 of w = -e^(-i m) u,
+    with m the middle of the widest gap between the eigenphases: w has no
+    eigenvalue within pi/d of -1, so C is a well-conditioned Hermitian
+    matrix, with eigenvalue tan(psi/2) for each eigenphase psi of w, and its
+    ``eigh`` gives an orthonormal eigenbasis even for repeated eigenphases.
+    Branch unfolding beyond the principal strip is deliberately out of scope
+    here; the Floquet engine owns that.
     """
     a = require_unitary(u, tol)
-    t, z = scipy.linalg.schur(a, output="complex")
-    # u = exp(i*phi) with phi in (-pi, pi]  =>  K eigenvalue is -phi
-    k = (z * (-np.angle(np.diag(t)))) @ z.conj().T
+    phases = np.sort(np.angle(np.linalg.eigvals(a)))
+    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
+    j = int(np.argmax(gaps))
+    w = -np.exp(-1j * (phases[j] + 0.5 * gaps[j])) * a
+    eye = np.eye(len(a))
+    c = 1j * np.linalg.solve(eye + w, eye - w)
+    _, v = np.linalg.eigh(0.5 * (c + c.conj().T))
+    # ascending tan(psi/2) runs round the circle from the eigenphase just past
+    # the gap; u = exp(i*phi)  =>  K eigenvalue is -phi
+    k = (v * -np.roll(phases, -(j + 1))) @ v.conj().T
     return 0.5 * (k + k.conj().T)
 
 

@@ -7,8 +7,9 @@ One step over [t, t + h] is
 with H1 and H2 the Hamiltonian at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), sec. 5; Iserles &
 Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)).  K is Hermitian, so the
-step is unitary by construction.  Its exponential is ``scipy.linalg.expm``:
-the diagonal Pade approximants and squarings it uses keep -iK's unitary
+step is unitary by construction.  Its exponential is
+:func:`floqdyn.operators.expm`, one batched call for every step: the
+diagonal Pade approximants and squarings it uses keep -iK's unitary
 exponential unitary in exact arithmetic, and, unlike ``eigh``, they keep
 the entries between decoupled levels exactly zero, so the zeros of the
 recorded states stay zeros.  The step takes any length, so the same step
@@ -20,9 +21,9 @@ exact exponential.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
+from .operators import expm
 
 #: offset of the two Gauss nodes from the middle of a step, in step lengths
 _NODE = np.sqrt(3.0) / 6.0
@@ -56,7 +57,7 @@ def magnus_steps(h_of_t, t, h) -> np.ndarray:
     h1, h2 = hs[:n], hs[n:]
     h = h[:, None, None]
     k = 0.5 * h * (h1 + h2) - (1j * np.sqrt(3.0) / 12.0) * h**2 * (h2 @ h1 - h1 @ h2)
-    u = scipy.linalg.expm(-1j * k)
+    u = expm(-1j * k)
     return u.reshape(shape + u.shape[-2:])
 
 

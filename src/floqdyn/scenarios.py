@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .baths import BathSpec, LambIntegralParams, OhmicSpec, spectral_density
 from .errors import ConfigError, NumericalError, ValidationError
@@ -38,7 +37,7 @@ from .generators import (
     lindblad_generator,
     redfield_generator,
 )
-from .operators import DensityMatrix
+from .operators import DensityMatrix, expm
 from .tolerances import TOLERANCES
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
@@ -339,7 +338,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     d = generator.dim
     states = np.empty((len(times), d * d), dtype=complex)
     states[0] = config.initial_state().matrix.ravel()
-    record_map = scipy.linalg.expm(generator.superop * (stride * dt))
+    record_map = expm(generator.superop * (stride * dt))
     # records [m, 2m) are records [0, m) advanced by power = record_map^m
     power, m = record_map, 1
     while m <= n_full:
@@ -349,7 +348,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         if m <= n_full:
             power = power @ power
     if ends_off_stride:
-        states[-1] = scipy.linalg.expm(generator.superop * (t_final - times[-2])) @ states[-2]
+        states[-1] = expm(generator.superop * (t_final - times[-2])) @ states[-2]
     states = states.reshape(-1, d, d)
 
     issued = []
@@ -431,11 +430,6 @@ class DiagnosticsReport:
     min_eigenvalue: float
     max_trace_error: float
     stationarity: float
-
-    def rows(self):
-        yield ("min_eigenvalue", self.min_eigenvalue)
-        yield ("max_trace_error", self.max_trace_error)
-        yield ("stationarity", self.stationarity)
 
 
 def trajectory_diagnostics(traj: Trajectory, stationarity_window: int = 10) -> DiagnosticsReport:

@@ -167,7 +167,7 @@ class TestRedfieldCoefficients:
         assert rc_m.n2 == pytest.approx(rc_p.n1, rel=1e-12)
 
     def test_c2_against_brute_force_and_refinement(self):
-        # oracle: QUADPACK thermal PV plus the regularized vacuum replacement
+        # oracle: QUADPACK thermal PV plus mpmath's regularized vacuum PV
         x, beta, w = 2.5, 4.0, PARAMS.w_cutoff
 
         def thermal_integrand(nu):
@@ -175,8 +175,7 @@ class TestRedfieldCoefficients:
 
         rc = redfield_coefficients(x, beta, PARAMS)
         thermal = -quad_cauchy(thermal_integrand, x, 120.0)
-        vac = -x**2 * w + x**3 * np.log(w / x)
-        want = (thermal + vac) / np.pi
+        want = thermal / np.pi + float(vacuum_mpmath(x, w))
         assert rc.c2_imag == pytest.approx(want, rel=1e-6)
         fine = redfield_coefficients(x, beta, LambIntegralParams(quadrature_points=192))
         assert rc.c2_imag == pytest.approx(fine.c2_imag, rel=1e-6)
@@ -307,9 +306,12 @@ def c1_mpmath(beta, x):
 
 
 def vacuum_mpmath(x, w):
-    """(1/pi) int_0^W [nu^3/(x - nu) + nu^2 + x nu] dnu for x <= 0: the vacuum
-    part of C2 less the -W^3/3 and -x W^2/2 pieces the model drops."""
+    """(1/pi) PV int_0^W [nu^3/(x - nu) + nu^2 + x nu] dnu: the vacuum part of
+    C2 less the -W^3/3 and -x W^2/2 pieces the model drops.  The integrand
+    equals x^2 nu/(x - nu), whose pole for x > 0 is split off as in _mp_pv."""
     x, w = mpmath.mpf(x), mpmath.mpf(w)
+    if x > 0:
+        return -x ** 2 * _mp_pv(lambda nu: nu, x, w) / mpmath.pi
     return mpmath.quad(lambda nu: nu ** 3 / (x - nu) + nu ** 2 + x * nu, [0, -x, w]) / mpmath.pi
 
 
@@ -357,6 +359,16 @@ class TestMpmathOracle:
         # which leaves out |x|^3 ln(1 + |x|/W) <= x^4/W
         beta, w = TABLE_BATHS["cold"]["beta"], PARAMS.w_cutoff
         for x in (x for x in MPMATH_FREQUENCIES if x <= 0):
+            want = float(c1_mpmath(beta, x) + vacuum_mpmath(x, w))
+            got = redfield_coefficients(x, beta, PARAMS).c2_imag
+            assert abs(got - want) <= MPMATH_RTOL * abs(want) + x**4 / (np.pi * w), x
+
+    @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
+    def test_c2_at_positive_preset_frequencies(self, bath):
+        # the closed form keeps -x^3 ln(W/x) of -x^3 ln((W - x)/x),
+        # which leaves out x^3 ln(W/(W - x)) ~ x^4/W
+        beta, w = TABLE_BATHS[bath]["beta"], PARAMS.w_cutoff
+        for x in (x for x in MPMATH_FREQUENCIES if x > 0):
             want = float(c1_mpmath(beta, x) + vacuum_mpmath(x, w))
             got = redfield_coefficients(x, beta, PARAMS).c2_imag
             assert abs(got - want) <= MPMATH_RTOL * abs(want) + x**4 / (np.pi * w), x

@@ -95,20 +95,44 @@ class TestCsvWriter:
         assert text.splitlines()[1] == '"[0.0, 3.0, 3.0, 2.5]",ok,0.25,nan'
 
 
-def test_cli_import_and_preset_decompositions_leave_scipy_optimize_unloaded():
+def test_cli_import_and_preset_commands_leave_scipy_unloaded(tmp_path):
+    # scipy is a test reference and the rare fallback of branch matching;
+    # no preset command may import any of it, and only a parallel sweep
+    # needs the process pool (~8 ms to import).  Nor may a command import
+    # anything else that `import floqdyn.cli` left out: its cost would land
+    # in every run instead of once in start-up (numpy.ma, imported by
+    # np.unique, costs ~13 ms)
+    cmp_cfg = tmp_path / "cmp.json"
+    cmp_cfg.write_text(json.dumps({"a": {"preset": "three_level_v1"},
+                                   "b": {"preset": "three_level_nondriven"},
+                                   "integration": {"t_final": 5.0}}))
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps({
+        "base": {"scenario": {"preset": "four_level_degenerate_driven"},
+                 "integration": {"t_final": 5.0}},
+        "axes": {"scenario.kind": ["floquet_lindblad", "floquet_redfield"]},
+        "parallelism": 1}))
+    commands = [["simulate", "--preset", name, "--set", "integration.t_final=5"]
+                for name in sorted(PRESETS)]
+    commands += [["floquet", "--preset", name] for name in sorted(PRESETS)
+                 if PRESETS[name]().drive is not None]
+    commands += [["compare", "--config", str(cmp_cfg)], ["sweep", "--config", str(sweep_cfg)]]
+    commands = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(commands)]
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, floqdyn.cli\n"
-            "loaded = ['scipy.optimize' in sys.modules]\n"
-            "from floqdyn.scenarios import PRESETS, decompose_scenario\n"
-            "for make in PRESETS.values():\n"
-            "    if make().drive is not None:\n"
-            "        decompose_scenario(make())\n"
-            "loaded.append('scipy.optimize' in sys.modules)\n"
-            "print(loaded)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    code = ("import json, sys, floqdyn.cli\n"
+            "def unwanted():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                  or m == 'concurrent.futures.process')\n"
+            "loaded, before = [unwanted()], set(sys.modules)\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert floqdyn.cli.main(argv) == 0, argv\n"
+            "loaded += [unwanted(), sorted(set(sys.modules) - before)]\n"
+            "print(json.dumps(loaded))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[False, False]"
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[], [], []]
 
 
 class TestConfigRoundTrip:
@@ -597,9 +621,9 @@ class TestSweep:
         assert rows[1]["pop_2"] != "nan"
 
     def test_spawned_workers_keep_tolerance_overrides(self, tmp_path, monkeypatch):
+        import concurrent.futures
         import functools
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         from floqdyn.tolerances import tolerance_overrides
 
@@ -607,8 +631,10 @@ class TestSweep:
                           "integration": {"t_final": 5.0}},
                  "axes": {"scenario.lamb_shift": [True, False]}}
         rows = {}
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        # cmd_sweep imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("spawn")))
         for workers in (1, 2):
             out = tmp_path / str(workers)
             config = self._write(tmp_path, f"s{workers}.json", {**sweep, "parallelism": workers})

@@ -453,15 +453,6 @@ class TestBenchmarkReport:
         with pytest.raises(ValidationError, match="grid_points"):
             benchmark_fidelities(V1, H0, dec_v1, grid_points=grid_points)
 
-    def test_rows_iterate_all_columns(self, dec_v1):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = benchmark_fidelities(V1, H0, dec_v1, grid_points=5)
-        rows = list(rep.rows())
-        assert len(rows) == 5 and len(rows[0]) == 4
-
     def test_matches_per_time_loop(self, dec_v0):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

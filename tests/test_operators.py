@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from floqdyn.errors import ValidationError
-from floqdyn.floquet import propagate_schrodinger
+from floqdyn.floquet import _drive_exponentials, propagate_schrodinger
 from floqdyn.operators import (
     DensityMatrix,
+    expm,
     hermitian_eigensystem,
     principal_unitary_log,
     trace_distance,
@@ -15,9 +17,98 @@ from floqdyn.operators import (
     unitary_from_hermitian,
 )
 
+from floqdyn.scenarios import PRESETS, REFERENCE_DRIVE, build_generator
+
 from conftest import random_hermitian
 
 TAU = 2 * np.pi / 2.25
+#: relative 1-norm error of expm against scipy's (measured <= 6.5e-14, at d = 1)
+EXPM_RTOL = 1e-13
+
+
+def expm_rel_error(got, want):
+    """Largest relative 1-norm error over the matrices of a stack."""
+    return float(np.max(np.linalg.norm(got - want, 1, axis=(-2, -1))
+                        / np.linalg.norm(want, 1, axis=(-2, -1))))
+
+
+def schur_log(u):
+    """The principal log of a unitary from scipy's complex Schur form."""
+    t, z = scipy.linalg.schur(u, output="complex")
+    k = (z * -np.angle(np.diag(t))) @ z.conj().T
+    return 0.5 * (k + k.conj().T)
+
+
+class TestExpm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+    def test_random_stacks_match_scipy(self, seed, d, n):
+        # 1-norms from 1e-3 to 40 take every Pade degree and up to four squarings
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        a *= (10 ** rng.uniform(-3, np.log10(40), n)
+              / np.linalg.norm(a, 1, axis=(-2, -1)))[:, None, None]
+        got = expm(a)
+        assert got.shape == a.shape
+        assert expm_rel_error(got, scipy.linalg.expm(a)) <= EXPM_RTOL
+        single = expm(a[0])
+        assert single.shape == (d, d)
+        assert expm_rel_error(single, scipy.linalg.expm(a[0])) <= EXPM_RTOL
+
+    def test_real_input_and_zero(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert_allclose(expm(a), [[np.cos(1), np.sin(1)], [-np.sin(1), np.cos(1)]],
+                        rtol=0, atol=1e-15)
+        assert np.array_equal(expm(np.zeros((3, 2, 2))), np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_record_maps_of_every_preset(self, preset):
+        # the argument of evolve's record map at the largest t_final any workload
+        # asks for, 6000, with the default 20000 records
+        config = PRESETS[preset]()
+        dt = config.default_dt()
+        stride = int(np.ceil((np.floor(6000 / dt + 1e-9) + 1) / 20000))
+        a = build_generator(config).superop * (stride * dt)
+        got, want = expm(a), scipy.linalg.expm(a)
+        assert expm_rel_error(got, want) <= EXPM_RTOL
+        assert np.array_equal(got == 0, want == 0)
+
+    @pytest.mark.parametrize("h", [TAU / 64, TAU])
+    def test_van_loan_chains(self, h):
+        # the upper-bidiagonal chains of magnus_interaction_terms, as one stack
+        lam = _drive_exponentials(0.5, REFERENCE_DRIVE["omega"])[0]
+        tuples = np.array(np.meshgrid(*[range(len(lam))] * 3, indexing="ij")).reshape(3, -1).T
+        diag = np.concatenate([np.zeros((len(tuples), 1)),
+                               np.cumsum(1j * lam[tuples], axis=1)], axis=1)
+        chain = h * (diag[:, :, None] * np.eye(4) + np.eye(4, k=1))
+        got, want = expm(chain), scipy.linalg.expm(chain)
+        assert got.shape == (64, 4, 4)
+        assert expm_rel_error(got, want) <= EXPM_RTOL
+        assert np.all(np.tril(got, -1) == 0)
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0])
+    def test_keeps_zeros_between_decoupled_blocks(self, scale):
+        # a block-diagonal superoperator seen in a permuted basis: no power of
+        # it couples two blocks, so neither may its exponential, to the bit
+        rng = np.random.default_rng(17)
+        sizes = (3, 4, 2)
+        a = scipy.linalg.block_diag(*(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+                                      for m in sizes))
+        a *= scale / np.linalg.norm(a, 1)
+        perm = rng.permutation(len(a))
+        a = a[perm][:, perm]
+        block = np.repeat(np.arange(len(sizes)), sizes)[perm]
+        coupled = block[:, None] == block[None, :]
+        got = expm(a)
+        assert np.all(got[~coupled] == 0)
+        assert expm_rel_error(got, scipy.linalg.expm(a)) <= EXPM_RTOL
+
+    def test_unitary_stacks(self):
+        rng = np.random.default_rng(4)
+        k = np.array([random_hermitian(rng, 4, scale) for scale in (0.01, 0.3, 2.0, 10.0)])
+        got = expm(-1j * k)
+        assert np.max(np.abs(got - scipy.linalg.expm(-1j * k))) <= 1e-13
+        assert np.max(np.abs(got - [unitary_from_hermitian(x, 1.0) for x in k])) <= 1e-13
 
 
 class TestUnitaryFromHermitian:
@@ -77,6 +168,40 @@ class TestPrincipalUnitaryLog:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             principal_unitary_log(np.diag([2.0, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+           st.lists(st.sampled_from([-2.0, -0.3, 0.0, 1e-12, 1.1, 2.9, "cut"]),
+                    min_size=5, max_size=5),
+           st.sampled_from([-np.pi + 1e-9, np.pi - 1e-9]), st.booleans())
+    def test_matches_schur_log(self, seed, d, pool, cut, repeat):
+        # eigenphases drawn from a few values (repeats), one of them within
+        # 1e-9 of the branch cut at -1 on either side, or from the whole
+        # circle.  Phases on both sides of the cut at once would leave the
+        # principal log itself ill-conditioned (eigenvectors mixed across the
+        # cut), so each example takes one side.
+        pool = [cut if p == "cut" else p for p in pool]
+        rng = np.random.default_rng(seed)
+        phases = np.array(pool[:d]) if repeat else rng.uniform(-np.pi, np.pi, d)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        u = (q * np.exp(1j * phases)) @ q.conj().T
+        k = principal_unitary_log(u)
+        assert np.max(np.abs(k - schur_log(u))) <= 1e-11
+        assert np.max(np.abs(k - (q * -phases) @ q.conj().T)) <= 1e-11
+
+    @pytest.mark.parametrize("u", [
+        np.diag([-1.0 + 0j]),
+        np.diag([-1.0 + 0j, 1.0, -1.0, 0.6 + 0.8j]),
+        np.array([[0, -1], [-1, 0]], dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, 0, -1], [1, 0, 0], [0, 1, 0]], dtype=complex),
+    ])
+    def test_eigenphase_pi_takes_principal_branch(self, u):
+        # an eigenvalue -1 has eigenphase pi, so K has eigenvalue -pi there
+        k = principal_unitary_log(u)
+        assert np.max(np.abs(k - schur_log(u))) <= 1e-11
+        assert np.min(np.linalg.eigvalsh(k)) == pytest.approx(-np.pi, abs=1e-12)
+        assert np.max(np.abs(scipy.linalg.expm(-1j * k) - u)) <= 1e-13
 
 
 class TestHermitianEigensystem:
