@@ -11,7 +11,7 @@ Two coefficient families live here:
   integrals of the dipole-coupled (Redfield-type) equations.  The vacuum
   part of C2 diverges with the radiation cutoff W and is regularized by
   dropping the self-energy and low-intensity terms, keeping
-  ``-x^2 W + |x|^3 ln(W/|x|)``.
+  ``-x^2 W - x^3 ln(W/|x|)``.
 
 Sign convention: coefficients are stored as real numbers.  C1/C2 carry an
 explicit factor i in the master equations; the generator assembly applies
@@ -21,7 +21,9 @@ All principal-value integrals use a symmetric window around the pole whose
 interior is handled exactly through the odd-part cancellation
 ``PV int_{c-w}^{c+w} f/(nu-c) = int_0^w [f(c+u)-f(c-u)]/u du``,
 plus composite Gauss-Legendre panels (log-graded toward the pole and the
-Bose scale 1/beta) on the rest of the interval.
+Bose scale 1/beta) on the rest of the interval.  ``xi`` at a frequency
+below the first panel's width is instead folded about its pole into one
+regular integral.
 """
 
 from dataclasses import dataclass
@@ -282,6 +284,16 @@ def _xi_ohmic_cached(spec: OhmicSpec, beta: float, x: float,
 
         total = _regular_interval(integrand, 0.0, w_hi, order, "xi(x=0)", first=first)
         return -2.0 * total
+
+    if abs(x) < first:
+        # xi = -2 PV int_{-W}^{W} F(nu)/(nu + x) with F = J*(nbar+1), smooth through
+        # nu = 0 (F(-nu) = J*nbar); folded about the pole it is a regular integral.  The
+        # split below would leave the pole inside the first panel, in two parts that
+        # each grow as ln|x| and cancel
+        def folded(t):
+            return (g_ab(t - x) - g_ab(-t - x)) / t
+
+        return -2.0 * _regular_interval(folded, 0.0, w_hi, order, "xi(small x)", first=first)
 
     if x > 0:
         part_pv = -pv_quadrature(g_em, x, (0.0, w_hi), params)

@@ -8,15 +8,20 @@ Commands::
     floqdyn sweep    --config sweep.json ...
 
 Configs are JSON, validated against a strict schema (unknown keys are
-rejected) before any computation.  Exit codes: 0 success, 2 configuration
-error, 3 numerical error.  CSV output uses 17-significant-digit floats,
-'\\n' line endings, and a '.' decimal separator; a cell that contains a
-comma is double-quoted.
+rejected) before any computation.  The checker is in-house: it knows the
+nine JSON Schema keywords the schemas use and words each violation as
+jsonschema does, except that an integer must be a JSON integer (``3.0`` is
+not one).  Exit codes: 0 success, 2 configuration error, 3 numerical
+error.  CSV output uses 17-significant-digit floats, '\\n' line endings,
+and a '.' decimal separator; a cell that contains a comma is double-quoted.
 """
 
 import argparse
 import copy
 import json
+# argparse's gettext imports locale on the first parser build; imported here,
+# it is part of start-up instead of the first command
+import locale  # noqa: F401
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
@@ -25,7 +30,6 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import jsonschema
 import numpy as np
 
 from .baths import BathSpec
@@ -316,24 +320,74 @@ def load_config(path: str | None, preset: str | None, overrides: list[str],
     return data
 
 
-#: id(schema) -> (schema, validator); holding the schema keeps its id unique
-_VALIDATORS: dict = {}
+#: the Python types of each JSON type (a bool is an int too; _is_type excludes it)
+_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+             "null": type(None), "integer": int, "number": (int, float)}
+
+#: the keywords the config schemas use; any other one is a TypeError
+_KEYWORDS = {"type", "enum", "properties", "required", "additionalProperties",
+             "items", "minItems", "maxItems", "minimum"}
+
+
+def _is_type(data, name: str) -> bool:
+    """JSON type test; a bool is only a boolean, and an integral float is not an integer."""
+    return isinstance(data, _PY_TYPES[name]) and (name == "boolean" or not isinstance(data, bool))
+
+
+def _violations(data, schema: dict, path: tuple = ()):
+    """(path, message) of each violation, in schema order, worded as jsonschema
+    words them."""
+    if not schema.keys() <= _KEYWORDS:
+        raise TypeError(f"unsupported schema keywords {sorted(schema.keys() - _KEYWORDS)}")
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    is_object, is_array = isinstance(data, dict), isinstance(data, list)
+    for key, arg in schema.items():
+        message = None
+        if key == "type" and not any(_is_type(data, t) for t in types):
+            message = f"{data!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum" and data not in arg:
+            message = f"{data!r} is not one of {arg!r}"
+        elif key == "minimum" and _is_type(data, "number") and data < arg:
+            message = f"{data!r} is less than the minimum of {arg!r}"
+        elif key == "minItems" and is_array and len(data) < arg:
+            message = f"{data!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif key == "maxItems" and is_array and len(data) > arg:
+            message = f"{data!r} " + ("is expected to be empty" if arg == 0 else "is too long")
+        elif key == "items" and is_array:
+            for i, item in enumerate(data):
+                yield from _violations(item, arg, (*path, i))
+        elif key == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in data:
+                    yield from _violations(data[name], sub, (*path, name))
+        elif key == "required" and is_object:
+            yield from ((path, f"{name!r} is a required property")
+                        for name in arg if name not in data)
+        elif key == "additionalProperties" and is_object:
+            extras = [name for name in data if name not in schema.get("properties", {})]
+            if arg is not False:
+                for name in extras:
+                    yield from _violations(data[name], arg, (*path, name))
+            elif extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(map(repr, sorted(extras)))
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+        if message is not None:
+            yield path, message
 
 
 def validate_schema(data: dict, schema: dict) -> dict:
     """Strict JSON-schema check; unknown keys are rejected.
 
-    A schema is checked and its validator built once, on first use (schemas
-    are not mutated after that); the error reported is the best match, as
-    ``jsonschema.validate`` reports it.
+    The error reported is the one ``jsonschema.exceptions.best_match`` picks:
+    the shallowest, then the last by path, the first of equals winning.  (Its
+    preference for a value of the wrong type cannot apply: with these nine
+    keywords one subschema governs each path, so errors at a path agree on it.)
     """
-    if id(schema) not in _VALIDATORS:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        _VALIDATORS[id(schema)] = (schema, cls(schema))
-    error = jsonschema.exceptions.best_match(_VALIDATORS[id(schema)][1].iter_errors(data))
+    error = max(_violations(data, schema), key=lambda e: (-len(e[0]), e[0]), default=None)
     if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}") from error
+        raise ConfigError(f"config schema violation: {error[1]}")
     return data
 
 

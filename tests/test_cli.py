@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -95,13 +96,14 @@ class TestCsvWriter:
         assert text.splitlines()[1] == '"[0.0, 3.0, 3.0, 2.5]",ok,0.25,nan'
 
 
-def test_cli_import_and_preset_commands_leave_scipy_unloaded(tmp_path):
-    # scipy is a test reference and the rare fallback of branch matching;
-    # no preset command may import any of it, and only a parallel sweep
-    # needs the process pool (~8 ms to import).  Nor may a command import
-    # anything else that `import floqdyn.cli` left out: its cost would land
-    # in every run instead of once in start-up (numpy.ma, imported by
-    # np.unique, costs ~13 ms)
+def test_cli_import_and_commands_leave_scipy_and_jsonschema_unloaded(tmp_path):
+    # scipy and jsonschema are test references (scipy also the rare fallback
+    # of branch matching); no preset command, and no rejected config, may
+    # import any of either, jsonschema's dependencies included, and only a
+    # parallel sweep needs the process pool (~8 ms to import).  Nor may a
+    # command import anything else that `import floqdyn.cli` left out: its
+    # cost would land in every run instead of once in start-up (numpy.ma,
+    # imported by np.unique, costs ~13 ms)
     cmp_cfg = tmp_path / "cmp.json"
     cmp_cfg.write_text(json.dumps({"a": {"preset": "three_level_v1"},
                                    "b": {"preset": "three_level_nondriven"},
@@ -117,22 +119,29 @@ def test_cli_import_and_preset_commands_leave_scipy_unloaded(tmp_path):
     commands += [["floquet", "--preset", name] for name in sorted(PRESETS)
                  if PRESETS[name]().drive is not None]
     commands += [["compare", "--config", str(cmp_cfg)], ["sweep", "--config", str(sweep_cfg)]]
-    commands = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(commands)]
+    rejected = ["simulate", "--preset", "three_level_v1", "--set", "scenario.q_max=3.0"]
+    commands = [argv + ["--out", str(tmp_path / str(i))]
+                for i, argv in enumerate(commands + [rejected])]
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import json, sys, floqdyn.cli\n"
+            "banned = {'scipy', 'jsonschema', 'jsonschema_specifications', 'referencing',\n"
+            "          'rpds', 'attr', 'attrs'}\n"
             "def unwanted():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in banned\n"
             "                  or m == 'concurrent.futures.process')\n"
             "loaded, before = [unwanted()], set(sys.modules)\n"
-            "for argv in json.loads(sys.argv[1]):\n"
+            "*runs, reject = json.loads(sys.argv[1])\n"
+            "for argv in runs:\n"
             "    assert floqdyn.cli.main(argv) == 0, argv\n"
             "loaded += [unwanted(), sorted(set(sys.modules) - before)]\n"
+            "assert floqdyn.cli.main(reject) == 2\n"
+            "loaded.append(unwanted())\n"
             "print(json.dumps(loaded))\n")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[], [], []]
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[], [], [], []]
 
 
 class TestConfigRoundTrip:
@@ -178,10 +187,9 @@ class TestConfigRoundTrip:
         node[path[-1]] = value
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(run, RUN_SCHEMA)
-        for _ in range(2):  # the validator built on first use gives the same error
-            with pytest.raises(ConfigError) as got:
-                validate_schema(run, RUN_SCHEMA)
-            assert str(got.value) == f"config schema violation: {want.value.message}"
+        with pytest.raises(ConfigError) as got:
+            validate_schema(run, RUN_SCHEMA)
+        assert str(got.value) == f"config schema violation: {want.value.message}"
 
     def test_period_nodes_in_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -316,6 +324,168 @@ class TestDerivedConfig:
         Odd = dataclass(type("Odd", (), {"__annotations__": {"x": field_type}}))
         with pytest.raises(TypeError, match="no JSON form"):
             cli._json_schema(Odd)
+
+
+class TestIntegerSlots:
+    """JSON Schema's integer takes an integral float such as 3.0, which the
+    run cannot use as a count or an index; the checker rejects it, so the
+    command exits 2 instead of crashing."""
+
+    @pytest.mark.parametrize("path", [
+        ("scenario", "q_max"), ("scenario", "grid_m"), ("scenario", "target_level"),
+        ("scenario", "initial_level"), ("scenario", "lamb_params", "quadrature_points"),
+        ("integration", "stride"), ("scenario", "drive", "pair", 1),
+        ("scenario", "baths", 0, "transitions", 0, 0),
+    ], ids=lambda p: ".".join(map(str, p)))
+    def test_run_config_exits_2(self, tmp_path, capsys, path):
+        run = canonical_run_dict({"scenario": {"preset": "three_level_v1"},
+                                  "integration": {"t_final": 1.0, "stride": 2}})
+        node = run
+        for key in path[:-1]:
+            node = node[key]
+        value = node[path[-1]] = float(node[path[-1]])
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(run))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: config schema violation: {value!r} is not of type "
+            "'integer'")
+        assert not out.exists()
+
+    def test_sweep_parallelism_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "base": {"scenario": {"preset": "three_level_nondriven"},
+                     "integration": {"t_final": 1.0}},
+            "axes": {"scenario.lamb_shift": [True]}, "parallelism": 2.0}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "2.0 is not of type 'integer'" in capsys.readouterr().err
+
+    def test_integral_float_is_the_one_departure_from_jsonschema(self):
+        import jsonschema
+
+        run = _canonical_run()
+        run["scenario"]["q_max"] = 3.0
+        jsonschema.validate(run, RUN_SCHEMA)
+        with pytest.raises(ConfigError, match="3.0 is not of type 'integer'"):
+            validate_schema(run, RUN_SCHEMA)
+
+
+def _valid_configs():
+    """(config, schema) pairs that pass, in the form each command validates."""
+    runs = [canonical_run_dict({"scenario": {"preset": name},
+                                "integration": {"t_final": 1.0, "dt": 0.1, "stride": 2},
+                                "outputs": {"path": "out", "formats": ["csv"]}})
+            for name in ("three_level_v1", "four_level_nondegenerate")]
+    compare = {"a": canonical_scenario_dict({"preset": "four_level_degenerate_driven"}),
+               "b": canonical_scenario_dict({"preset": "three_level_nondriven"}),
+               "integration": {"t_final": 1.0}, "metric": "trace_distance",
+               "outputs": {"path": None, "formats": ["json"]}}
+    sweep = {"base": {"scenario": {"preset": "three_level_v0"}},
+             "axes": {"scenario.q_max": [1, 2], "scenario.kind": ["lindblad"]},
+             "parallelism": 2, "outputs": {"formats": ["csv", "json"]}}
+    return [(runs[0], RUN_SCHEMA), (runs[1], RUN_SCHEMA), (compare, cli.COMPARE_SCHEMA),
+            (sweep, cli.SWEEP_SCHEMA)]
+
+
+VALID_CONFIGS = _valid_configs()
+#: replacement values: wrong types, bools for numbers, null, bad enums, a
+#: value below the sweep's minimum; never an integral float, the one place
+#: where the checker departs from jsonschema
+MUTANTS = st.sampled_from(["x", "lindblad", 2.5, -1, 0, 1, True, False, None, [], [0.5, "y"],
+                           {}, {"k": 1}]).map(copy.deepcopy)
+
+
+def _nodes(data, path=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield path, data
+    items = data.items() if isinstance(data, dict) else \
+        enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+def _set_path(data, path, value):
+    """``data`` with the node at ``path`` replaced (the root if ``path`` is empty)."""
+    if not path:
+        return value
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with 1-3 mutations, and its schema."""
+    config, schema = draw(st.sampled_from(VALID_CONFIGS))
+    config = copy.deepcopy(config)
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(config))))
+        kinds = ["replace"] + (["add_key", "delete_key"] if isinstance(node, dict) and node
+                               else ["add_key"] if isinstance(node, dict) else []) \
+            + (["append", "pop", "empty"] if isinstance(node, list) else []) \
+            + (["no_workers"] if isinstance(node, dict) and "parallelism" in node else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "replace":
+            config = _set_path(config, path, draw(MUTANTS))
+        elif kind == "add_key":
+            for key in draw(st.lists(st.sampled_from(["zz", "extra", "a"]), min_size=1,
+                                     max_size=2, unique=True)):
+                node[key] = draw(MUTANTS)
+        elif kind == "delete_key":
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif kind == "append":
+            node.append(copy.deepcopy(node[-1]) if node else 0)
+        elif kind == "pop":
+            node[-1:] = []
+        elif kind == "empty":
+            node.clear()
+        else:
+            node["parallelism"] = 0
+    return config, schema
+
+
+class TestJsonschemaOracle:
+    """The in-house checker accepts, rejects and words errors as jsonschema's
+    best match does (jsonschema is the test reference only)."""
+
+    @pytest.mark.parametrize("schema", [RUN_SCHEMA, cli.COMPARE_SCHEMA, cli.SWEEP_SCHEMA,
+                                        cli.SCENARIO_SCHEMA])
+    def test_schemas_are_valid_draft_2020_12(self, schema):
+        from jsonschema import Draft202012Validator
+
+        Draft202012Validator.check_schema(schema)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_configs())
+    def test_mutated_configs_match_best_match(self, mutated):
+        from jsonschema import Draft202012Validator
+        from jsonschema.exceptions import best_match
+
+        config, schema = mutated
+        want = best_match(Draft202012Validator(schema).iter_errors(config))
+        if want is None:
+            assert validate_schema(config, schema) is config
+        else:
+            with pytest.raises(ConfigError) as got:
+                validate_schema(config, schema)
+            assert str(got.value) == f"config schema violation: {want.message}"
+
+    @pytest.mark.parametrize("config,schema", VALID_CONFIGS)
+    def test_valid_configs_pass(self, config, schema):
+        assert validate_schema(config, schema) is config
+
+    @pytest.mark.parametrize("schema,data", [
+        ({"type": "object", "pattern": "^a"}, {}),
+        ({"properties": {"a": {"type": "string", "format": "date"}}}, {"a": "x"}),
+        ({"type": "array", "items": {"exclusiveMinimum": 0}}, [1]),
+    ])
+    def test_unsupported_keyword_raises_type_error(self, schema, data):
+        with pytest.raises(TypeError, match="unsupported schema keywords"):
+            validate_schema(data, schema)
 
 
 class TestMalformedSections:
