@@ -14,7 +14,8 @@ Library layout:
   Fourier operator harmonics, jump-operator tables, Magnus+BCH
   approximants and their fidelity benchmarks.
 * ``generators`` -- the four master-equation superoperators (Lindblad,
-  Floquet-Lindblad, Redfield, Floquet-Redfield).
+  Floquet-Lindblad, Redfield, Floquet-Redfield), each static in the
+  micromotion frame P† rho P.
 * ``scenarios`` -- model presets, exact trajectories (one matrix
   exponential of the record interval; the records filled by doubling, with
   its powers from repeated squaring), energy-transfer efficiency,

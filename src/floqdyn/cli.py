@@ -535,8 +535,8 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
     metric = cfg.get("metric", "eta_series")
     integ = cfg["integration"]
     # one shared record grid so series align row by row: the given dt, or
-    # else the smaller default (every generator is static in its picture,
-    # so any dt serves both drive periods)
+    # else the smaller default (every generator is static in its
+    # micromotion frame, so any dt serves both drive periods)
     dt = integ.get("dt")
     if dt is None:
         dt = min(scen_a.default_dt(), scen_b.default_dt())

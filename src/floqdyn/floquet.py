@@ -159,11 +159,12 @@ class FloquetDecomposition:
 
         Off the grid, P(t) = U(t, t_k) P_k exp(i Hbar (t - t_k)) with
         U(t, t_k) one fourth-order Magnus step of ``hamiltonian`` from the
-        node t_k below t: unitary by construction, so trace preservation of
-        downstream picture transforms is exact even between samples, and
-        as accurate as the samples.  An array of times gives the stack,
-        shape t.shape + (d, d): grid times are gathered in one indexing
-        step, and the steps of the off-grid times taken in one array call.
+        node t_k below t: unitary by construction, so mapping frame states
+        back, rho = P rho~ P†, preserves the trace exactly even between
+        samples, and as accurate as the samples.  An array of times gives
+        the stack, shape t.shape + (d, d): grid times are gathered in one
+        indexing step, and the steps of the off-grid times taken in one
+        array call.
         """
         t = np.asarray(t, dtype=float)
         m = self.grid_m

@@ -1,31 +1,35 @@
 """Master-equation generators as superoperators on density matrices.
 
-Four kinds, all in the Born-Markov weak-coupling regime, are assembled over
-one harmonic frame: a quasienergy spectrum, the drive frequency Omega, and
-the resolver from a system operator S to its harmonics S(q), which the jump
-table splits into S(q, omega) on the quasienergy gaps.  A Floquet kind
-takes the frame from its decomposition.  A static kind is the trivial
-Floquet case P = 1, Hbar = h0, q_max = 0: the spectrum of h0, Omega = 0 and
-S(0) = S.  Two assembly paths run over the frame:
+Every kind is one static superoperator L acting on the frame state
+rho~ = P† rho P, where P(t) is the periodic micromotion of the drive:
+
+    d(rho~)/dt = L rho~,   L = -i[Hbar + H_lamb, .] + D,
+
+with Hbar the Floquet Hamiltonian.  A static kind is the trivial frame
+P = I, Hbar = h0, and L is its Schrodinger-picture generator.  L is built
+over one harmonic frame: a quasienergy spectrum, the drive frequency Omega,
+and the resolver from a system operator S to its harmonics S(q), which the
+jump table splits into S(q, omega) on the quasienergy gaps.  A Floquet kind
+takes the frame from its decomposition; a static kind uses the spectrum of
+h0, Omega = 0 and S(0) = S.  The coherent term -i[Hbar + H_lamb, .] is
+added in one place; two assembly paths give H_lamb and D:
 
 * the secular path -- ``lindblad`` and ``floquet_lindblad``: per channel,
   dissipators gamma D[S(q, omega)] and Lamb terms xi S†S with the Ohmic
-  bath coefficients at omega + q*Omega.  Time independent in the
-  interaction picture, mapped back by the frame propagator
-  P(t) exp(-i Hbar t); static Lindblad may also be built in the
-  Schrodinger picture, and with collective (shared-mode) channels.
+  bath coefficients at omega + q*Omega; static Lindblad may also be built
+  with collective (shared-mode) channels.  D and -i[H_lamb, .] commute
+  with -i[Hbar, .], so evolving in this frame equals evolving in the
+  interaction picture of P(t) exp(-i Hbar t).
 * the Redfield path -- ``redfield`` and ``floquet_redfield``: dipole
   couplings via the radiation-bath N1/N2 rates and C1/C2 Lamb integrals,
   with the partial secular filter that keeps only equal-harmonic (q' = q)
   terms (optionally omega' = omega as well).  Five dipole-weighted jump
-  sums per harmonic give one dissipator D.  Under the q' = q filter the
-  only time dependence left is the micromotion: with U(t) = P(t)
-  exp(-i Hbar t), the Schrodinger-picture generator is
-  -i[H(t), .] + Ad_P(t) D Ad_P(t)†, Ad_P the conjugation by P, so in the
-  frame rho~ = P† rho P it is exactly the static -i[Hbar, .] + D
-  (Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  Floquet-Redfield is
-  built in that frame and mapped back by P(t); static Redfield is the
-  trivial frame, Hbar = h0, in the Schrodinger picture.
+  sums per harmonic give D, the Lamb terms included.  Under the q' = q
+  filter the only time dependence left is the micromotion: the
+  Schrodinger-picture generator is -i[H(t), .] + Ad_P(t) D Ad_P(t)†,
+  Ad_P the conjugation by P, so in the frame it is exactly the static
+  -i[Hbar, .] + D (Grifoni & Hanggi, Phys. Rep. 304, 229 (1998); Kohler,
+  Dittrich & Hanggi, Phys. Rev. E 55, 300 (1997)).
 
 Density matrices are vectorized row-major: vec(A rho B) = (A kron B^T) vec(rho).
 Lindblad kinds treat every (bath, transition) channel independently; the
@@ -165,41 +169,26 @@ def sop_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Generator:
-    """A built master-equation generator.
+    """A built master-equation generator: the static L of the frame state P† rho P.
 
-    ``apply(t, rho)`` returns d(rho)/dt.  Every kind is time independent in
-    its picture and holds one superoperator: the Floquet kinds live in a
-    frame that absorbs the drive, so nothing is sampled or interpolated in
-    t.  ``propagator`` maps t, or an array of times, to the frame operator
-    that takes interaction-picture states back to the Schrodinger picture,
-    rho = V rho~ V†: V(t) = P(t) exp(-i Hbar t) for the Lindblad kinds and
-    the micromotion P(t) for Floquet-Redfield.  It is None for
-    Schrodinger-picture kinds.
+    ``decomposition`` gives the micromotion P(t) (its ``p_at``) that maps
+    frame states back, rho = P rho~ P†; it is None for the static kinds,
+    whose frame is the Schrodinger picture.  ``h_lamb`` holds the Lamb
+    matrix of each secular channel.
     """
 
     kind: str
-    picture: str
     dim: int
     superop: np.ndarray
     h_lamb: dict = field(default_factory=dict)
-    propagator: object = None
-    meta: dict = field(default_factory=dict)
+    decomposition: FloquetDecomposition | None = None
 
+    # kept because the benchmark tracer patches it by name
     def superop_at(self, t) -> np.ndarray:
         """L at t; an array of times gives the broadcast stack, shape t.shape + (d*d, d*d)."""
         if np.ndim(t) == 0:
             return self.superop
         return np.broadcast_to(self.superop, np.shape(t) + self.superop.shape)
-
-    def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
-        v = self.superop_at(t) @ np.asarray(rho, dtype=complex).ravel()
-        return v.reshape(self.dim, self.dim)
-
-    def h_lamb_total(self) -> np.ndarray:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for h in self.h_lamb.values():
-            total = total + h
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +197,18 @@ class Generator:
 
 @dataclass(frozen=True)
 class _HarmonicFrame:
-    """Where jump operators are resolved, and the propagator of the frame.
+    """Where jump operators are resolved.
 
     ``harmonics`` maps a system operator S to its harmonics S(q);
     ``jump_table`` resolves those onto the gaps of ``spectrum``, each entry
-    S(q, omega) to be evaluated at omega + q*``omega``.
+    S(q, omega) to be evaluated at omega + q*``omega``.  ``hbar`` is the
+    Hamiltonian of the frame's coherent term.
     """
 
     spectrum: Spectrum
     omega: float
     harmonics: Callable
-    propagator: Callable
-    decomposition: FloquetDecomposition | None = None
+    hbar: np.ndarray
 
     def jump_table(self, op: np.ndarray, key: str) -> JumpOperatorTable:
         """The jump table of ``op``, which channel ``key`` uses; raises
@@ -232,23 +221,26 @@ class _HarmonicFrame:
             )
         return table
 
+    def generator(self, spec: GeneratorSpec, h_lamb: dict, dissipators) -> Generator:
+        """-i[Hbar + H_lamb, .] plus each of ``dissipators`` in turn: the one
+        place the coherent term enters."""
+        sop = sop_commutator(self.hbar + sum(h_lamb.values(), np.zeros_like(self.hbar)))
+        for diss in dissipators:
+            sop += diss
+        return Generator(kind=spec.kind, dim=self.hbar.shape[0], superop=sop, h_lamb=h_lamb,
+                         decomposition=spec.floquet)
+
 
 def _harmonic_frame(h0, spec: GeneratorSpec) -> _HarmonicFrame:
     """The Floquet frame of ``spec.floquet``; for a static kind, the trivial
-    frame: the spectrum of h0, Omega = 0, S(0) = S and U(t) = exp(-i h0 t)."""
+    frame: the spectrum of h0, Omega = 0, S(0) = S and Hbar = h0."""
     decomp = spec.floquet
     if decomp is not None:
         return _HarmonicFrame(
             decomp.quasi, decomp.omega_drive,
             lambda op: fourier_operator_coefficients(decomp, op, spec.q_max),
-            decomp.propagator_at, decomp)
-    spectrum = hermitian_eigensystem(h0)
-
-    def propagator(t):
-        phases = np.exp(-1j * spectrum.energies * np.asarray(t, dtype=float)[..., None])
-        return (spectrum.vectors * phases[..., None, :]) @ spectrum.vectors.conj().T
-
-    return _HarmonicFrame(spectrum, 0.0, static_fourier_set, propagator)
+            decomp.hbar_floquet)
+    return _HarmonicFrame(hermitian_eigensystem(h0), 0.0, static_fourier_set, h0)
 
 
 def _by_bath(channels) -> dict:
@@ -279,7 +271,7 @@ def _secular_channels(channels, collective: bool) -> list:
             for bath, group in _by_bath(channels).items()]
 
 
-def _secular_generator(h0, spec: GeneratorSpec, channels, picture: str) -> Generator:
+def _secular_generator(h0, spec: GeneratorSpec, channels) -> Generator:
     """Secular generator of ``channels`` over the frame of ``spec``.
 
     Each channel sums gamma D[S] and (iff lamb_shift) xi S†S over the jump
@@ -288,8 +280,6 @@ def _secular_generator(h0, spec: GeneratorSpec, channels, picture: str) -> Gener
     the spectral density is odd, so the two-sided cross integrals fold onto
     each other (nu -> -nu, nbar(-nu) = -(nbar(nu) + 1)) and cancel, as
     ``test_baths.py::test_cross_coefficients_vanish`` checks by quadrature.
-    The Schrodinger picture adds -i[h0, .]; the interaction picture
-    attaches the frame propagator.
     """
     frame = _harmonic_frame(h0, spec)
     d = h0.shape[0]
@@ -305,49 +295,32 @@ def _secular_generator(h0, spec: GeneratorSpec, channels, picture: str) -> Gener
                 if spec.lamb_shift:
                     lamb += cc.xi * (s_op.conj().T @ s_op)
         h_lamb[key] = lamb
-
-    lamb_total = sum(h_lamb.values(), np.zeros((d, d), dtype=complex))
-    if picture == "schrodinger":
-        sop, prop = sop_commutator(h0 + lamb_total) + diss, None
-    elif picture == "interaction":
-        sop, prop = sop_commutator(lamb_total) + diss, frame.propagator
-    else:
-        raise ValidationError(f"unknown picture {picture!r}")
-    decomp = frame.decomposition
-    return Generator(kind=spec.kind, picture=picture, dim=d, superop=sop, h_lamb=h_lamb,
-                     propagator=prop,
-                     meta={"h0": h0} if decomp is None else {"h0": h0, "decomposition": decomp})
+    return frame.generator(spec, h_lamb, [diss])
 
 
-def lindblad_generator(h0, spec: GeneratorSpec, picture: str = "schrodinger",
-                       collective: bool = False) -> Generator:
-    """Static Lindblad generator.
+def lindblad_generator(h0, spec: GeneratorSpec, collective: bool = False) -> Generator:
+    """Static Lindblad generator -i[h0 + H_lamb, .] + D.
 
-    In the default Schrodinger picture the coherent term -i[h0 + H_lamb, .]
-    is included (the secular dissipator is picture invariant).  Pass
-    ``picture="interaction"`` to get the bare interaction-picture form used
-    by the picture-transform consistency checks.  ``collective=True`` sums
-    each bath's transition operators into shared jump operators (bath modes
-    common to the transitions) instead of treating transitions as
-    independent channels.
+    ``collective=True`` sums each bath's transition operators into shared
+    jump operators (bath modes common to the transitions) instead of
+    treating transitions as independent channels.
     """
     h0 = require_hermitian(h0)
     if spec.kind != "lindblad":
         raise ValidationError(f"expected kind 'lindblad', got {spec.kind!r}")
-    return _secular_generator(h0, spec, _secular_channels(spec.channels, collective), picture)
+    return _secular_generator(h0, spec, _secular_channels(spec.channels, collective))
 
 
 def floquet_lindblad_generator(h0, spec: GeneratorSpec) -> Generator:
-    """Floquet-Lindblad generator, time independent in the interaction picture.
+    """Floquet-Lindblad generator -i[Hbar + H_lamb, .] + D in the micromotion frame.
 
     Rates and shifts are evaluated at omega + q*Omega on the jump-operator
-    table of each channel; the Schrodinger-picture transform
-    U_S(t) = P(t) exp(-i Hbar t) is attached for the trajectory recorder.
+    table of each channel.
     """
     h0 = require_hermitian(h0)
     if spec.kind != "floquet_lindblad":
         raise ValidationError(f"expected kind 'floquet_lindblad', got {spec.kind!r}")
-    return _secular_generator(h0, spec, _secular_channels(spec.channels, False), "interaction")
+    return _secular_generator(h0, spec, _secular_channels(spec.channels, False))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +334,8 @@ def _require_diagonal(h0) -> np.ndarray:
     return h0
 
 
-def _redfield_sums(h0, spec: GeneratorSpec, full_secular: bool) -> list:
-    """Dipole-weighted jump sums (plain, u2, t1m, u1, t2m) over the frame of ``spec``.
+def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: bool) -> list:
+    """Dipole-weighted jump sums (plain, u2, t1m, u1, t2m) over ``frame``.
 
     Each entry S = S(q, omega) of the jump tables of a bath's pair operators
     |i><j|, weighted by the transition dipole mu, adds mu S, (N2 + iC2) mu S†,
@@ -378,7 +351,6 @@ def _redfield_sums(h0, spec: GeneratorSpec, full_secular: bool) -> list:
     missing = [f"{ch.bath.name}/{ch.transition}" for ch in spec.channels if ch.dipole is None]
     if missing:
         raise ConfigError(f"channels {missing} lack the dipole magnitude Redfield kinds require")
-    frame = _harmonic_frame(h0, spec)
     terms = []
     for bath, group in _by_bath(spec.channels).items():
         sums: dict = {}
@@ -400,45 +372,29 @@ def _redfield_sums(h0, spec: GeneratorSpec, full_secular: bool) -> list:
     return terms
 
 
-def _redfield_superop(h: np.ndarray, terms) -> np.ndarray:
-    """-i[h, .] plus the dissipator D of every sum set of :func:`_redfield_sums`."""
-    d = h.shape[0]
-    eye = np.eye(d)
-    sop = sop_commutator(h)
+def _redfield_dissipators(terms):
+    """The dissipator of each sum set of :func:`_redfield_sums`; together they make D."""
     for a, u2, t1m, u1, t2m in terms:
+        eye = np.eye(a.shape[0])
         ad = a.conj().T
         left = a @ u2 + ad @ t1m
         right = t2m @ ad + u1 @ a
-        sop += -DIPOLE_PREFACTOR * (
+        yield -DIPOLE_PREFACTOR * (
             np.kron(left, eye) + np.kron(eye, right.T)
             - np.kron(a, u1.T) - np.kron(ad, t2m.T)
             - np.kron(t1m, ad.T) - np.kron(u2, a.T)
         )
-    return sop
 
 
 def _redfield_generator(h0, spec: GeneratorSpec, full_secular: bool) -> Generator:
-    """-i[Hbar, .] + D over the frame of ``spec`` (see the module docstring).
-
-    The trivial frame gives the Schrodinger-picture generator with
-    Hbar = h0; a Floquet frame gives the micromotion-frame generator with
-    the Floquet Hamiltonian, and P(t) as its propagator.
-    """
-    h0 = _require_diagonal(h0)
-    decomp = spec.floquet
-    terms = _redfield_sums(h0, spec, full_secular)
-    if decomp is None:
-        return Generator(kind=spec.kind, picture="schrodinger", dim=h0.shape[0],
-                         superop=_redfield_superop(h0, terms), meta={"h0": h0})
-    return Generator(kind=spec.kind, picture="interaction", dim=decomp.dim,
-                     superop=_redfield_superop(decomp.hbar_floquet, terms),
-                     propagator=decomp.p_at,
-                     meta={"h0": h0, "decomposition": decomp,
-                           "full_secular": full_secular})
+    """-i[Hbar, .] + D over the frame of ``spec`` (see the module docstring)."""
+    frame = _harmonic_frame(_require_diagonal(h0), spec)
+    terms = _redfield_sums(frame, spec, full_secular)
+    return frame.generator(spec, {}, _redfield_dissipators(terms))
 
 
 def redfield_generator(h0, spec: GeneratorSpec) -> Generator:
-    """Static Redfield generator in the Schrodinger picture.
+    """Static Redfield generator -i[h0, .] + D.
 
     The trivial-frame case of the Floquet-Redfield assembly (P = I,
     Hbar = h0, q = 0): N/C are evaluated at each transition's clustered
@@ -454,8 +410,7 @@ def floquet_redfield_generator(h0, spec: GeneratorSpec,
                                full_secular: bool = False) -> Generator:
     """Floquet-Redfield generator with the q' = q partial secular filter.
 
-    Time independent in the micromotion frame rho~ = P† rho P, with P(t)
-    attached as the propagator that maps recorded states back.
+    Time independent in the micromotion frame rho~ = P† rho P.
     ``full_secular=True`` restricts additionally to omega' = omega
     (consistency checks against the Floquet-Lindblad construction).
     """

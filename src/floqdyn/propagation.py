@@ -16,8 +16,8 @@ recorded states stay zeros.  The step takes any length, so the same step
 fills a sample grid and reaches a time between two grid nodes.
 
 The master equation is not integrated here: every generator is time
-independent in its picture, so :func:`floqdyn.scenarios.evolve` takes its
-exact exponential.
+independent in the micromotion frame P† rho P, so
+:func:`floqdyn.scenarios.evolve` takes its exact exponential.
 """
 
 import numpy as np

@@ -8,16 +8,15 @@ Basis ordering convention: 3-level scenarios use
 {|0>, |1>, |b>} (energies 0, 3, 2.5; target index 2); 4-level scenarios use
 {|0>, |1>, |2>, |b>} (energies 0, 3, 3+gap, 2.5; target index 3).
 
-Trajectories solve d(rho)/dt = L[rho] exactly on the vectorized state.
-Every generator is time independent in its picture, so the state at t is
-exp(L t) rho(0): one matrix exponential S of L over the record interval
-serves the whole run.  The records are filled by doubling: the first m
-records times the transposed power S^m give the next m, so n records take
-about log2(n) block products and as many squarings.  Interaction-picture
-generators (the Floquet kinds and interaction-picture Lindblad) have their
-recorded states mapped back to the Schrodinger picture by the generator's
-propagator on the record grid, in array calls over chunks of records;
-Schrodinger-picture generators record directly.
+Trajectories solve d(rho~)/dt = L[rho~] exactly for the frame state
+rho~ = P† rho P.  Every generator is time independent in that frame, so
+the frame state at t is exp(L t) rho(0): one matrix exponential S of L
+over the record interval serves the whole run.  The records are filled by
+doubling: the first m records times the transposed power S^m give the
+next m, so n records take about log2(n) block products and as many
+squarings.  The Floquet kinds have their recorded states mapped back by
+the micromotion P(t) of their decomposition on the record grid, in array
+calls over chunks of records; the static kinds (P = I) record directly.
 """
 
 import warnings
@@ -234,7 +233,6 @@ def decompose_scenario(config: ScenarioConfig) -> FloquetDecomposition:
 
 def build_generator(config: ScenarioConfig,
                     decomposition: FloquetDecomposition | None = None,
-                    picture: str | None = None,
                     full_secular: bool = False,
                     collective: bool = False) -> Generator:
     """Assemble the generator selected by ``config.kind``."""
@@ -251,8 +249,7 @@ def build_generator(config: ScenarioConfig,
     )
     h0 = config.h0
     if config.kind == "lindblad":
-        return lindblad_generator(h0, spec, picture=picture or "schrodinger",
-                                  collective=collective)
+        return lindblad_generator(h0, spec, collective=collective)
     if config.kind == "floquet_lindblad":
         return floquet_lindblad_generator(h0, spec)
     if config.kind == "redfield":
@@ -291,14 +288,14 @@ class Trajectory:
         return self.states[-1]
 
 
-#: Records per array call of the picture transform and the positivity scan
+#: Records per array call of the micromotion map and the positivity scan
 #: in ``evolve``.
 RECORD_CHUNK = 2048
 
 
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
            stride: int | None = None, generator: Generator | None = None,
-           max_records: int = 20000, transform: bool = True) -> Trajectory:
+           max_records: int = 20000) -> Trajectory:
     """Solve the scenario's master equation exactly on a record grid.
 
     ``dt`` (default ``config.default_dt()``) sets only the record grid:
@@ -310,12 +307,13 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     S^m formed by repeated squaring.  The end record is the last one on
     the stride advanced by exp(L * (t_final - last record)).
 
-    Recorded states are Schrodinger picture: interaction-picture kinds are
-    mapped back with the generator's propagator at the record times (the
-    sample on the decomposition grid, which the default Floquet dt divides;
-    one Magnus step from the node below between grid nodes).  Trace drift
-    beyond tolerance raises; Redfield positivity excursions beyond the soft
-    bound are Warnings logged on the trajectory, and the run continues.
+    Recorded states are Schrodinger picture: a generator with a
+    decomposition has its frame states mapped back by P(t) at the record
+    times (the sample on the decomposition grid, which the default Floquet
+    dt divides; one Magnus step from the node below between grid nodes).
+    Trace drift beyond tolerance raises; Redfield positivity excursions
+    beyond the soft bound are Warnings logged on the trajectory, and the
+    run continues.
     """
     if generator is None:
         generator = build_generator(config)
@@ -352,16 +350,14 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     states = states.reshape(-1, d, d)
 
     issued = []
-    transform = transform and generator.picture == "interaction"
-    if transform and generator.propagator is None:
-        raise NumericalError("interaction-picture generator lacks a propagator")
+    decomp = generator.decomposition
     # chunks keep the temporaries of these array calls small beside the records
     min_eigs = np.empty(len(times))
     for lo in range(0, len(times), RECORD_CHUNK):
         chunk = slice(lo, lo + RECORD_CHUNK)
-        if transform:
-            u = generator.propagator(times[chunk])
-            states[chunk] = u @ states[chunk] @ u.conj().swapaxes(-1, -2)
+        if decomp is not None:
+            p = decomp.p_at(times[chunk])
+            states[chunk] = p @ states[chunk] @ p.conj().swapaxes(-1, -2)
         s = states[chunk]
         min_eigs[chunk] = np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2)))[:, 0]
 

@@ -348,14 +348,17 @@ class TestMpmathOracle:
                 want, rel=MPMATH_RTOL), x
 
     @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
-    @pytest.mark.parametrize("x", [1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4])
+    @pytest.mark.parametrize("x", [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4])
     def test_xi_near_zero_frequency(self, bath, x):
         # below the first panel xi is folded about its pole into a regular
-        # integral; split at the pole, its two parts each grow as ln|x|
+        # integral; split at the pole, its two parts each grow as ln|x|.
+        # The oracle's pole sits |x| from the end of its first interval,
+        # where 20 digits leave it 2e-10 off at |x| = 1e-12; it runs at 40
         spec = OhmicSpec(TABLE_BATHS[bath]["j0"], TABLE_BATHS[bath]["omega_cutoff"])
         beta = TABLE_BATHS[bath]["beta"]
-        assert gamma_xi_ohmic(spec, beta, x, PARAMS).xi == pytest.approx(
-            float(xi_mpmath(spec, beta, x)), rel=MPMATH_RTOL)
+        with mpmath.workdps(40):
+            want = float(xi_mpmath(spec, beta, x))
+        assert gamma_xi_ohmic(spec, beta, x, PARAMS).xi == pytest.approx(want, rel=MPMATH_RTOL)
 
     @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
     def test_c1_at_positive_preset_frequencies(self, bath):

@@ -6,9 +6,9 @@ steps, one at a time with the Hamiltonian evaluated at absolute times,
 and scipy's DOP853 at rtol 1e-13 (:func:`conftest.propagator_oracle`).
 The sampler batches the steps and composes them in a different order of
 floating-point work, so agreement is demanded to a tolerance.  The master
-equation is static in its picture, so its
-reference is exp(L t) rho(0), one matrix exponential per record time, not
-composed record to record.
+equation is static in the micromotion frame, so the reference of the frame
+states P(t)† rho(t) P(t) is exp(L t) rho(0), one matrix exponential per
+record time, not composed record to record.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 
 from floqdyn.floquet import drive_hamiltonian, floquet_decompose, propagate_schrodinger
+from floqdyn.generators import sop_commutator
 from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import (
     PRESETS,
@@ -75,11 +76,19 @@ def record_times(t_final, dt, stride):
 
 
 def exact_records(config, generator, times):
-    """Untransformed states exp(L t) rho(0), one exponential per record time."""
+    """Frame states exp(L t) rho(0), one exponential per record time."""
     d = generator.dim
     v0 = config.initial_state().matrix.ravel().astype(complex)
     return np.array([(scipy.linalg.expm(generator.superop * t) @ v0).reshape(d, d)
                      for t in times])
+
+
+def frame_states(traj, generator):
+    """P(t)† rho(t) P(t) of each record; the records themselves for a static kind."""
+    if generator.decomposition is None:
+        return traj.states
+    p = generator.decomposition.p_at(traj.times)
+    return p.conj().swapaxes(-1, -2) @ traj.states @ p
 
 
 @pytest.fixture(scope="module")
@@ -100,23 +109,24 @@ def test_evolve_matches_step_loop(preset, preset_generators):
     # T_SHORT / dt is not a multiple of STRIDE, so the end record is off stride
     config, gen = preset_generators[preset]
     dt = config.default_dt()
-    traj = evolve(config, T_SHORT, dt=dt, stride=STRIDE, generator=gen, transform=False)
+    traj = evolve(config, T_SHORT, dt=dt, stride=STRIDE, generator=gen)
     times = record_times(T_SHORT, dt, STRIDE)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == T_SHORT
-    assert _rel_gap(traj.states, exact_records(config, gen, times)) <= EXACT_REL_TOL
+    assert _rel_gap(frame_states(traj, gen), exact_records(config, gen, times)) <= EXACT_REL_TOL
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_picture_transform_matches_per_record_propagator(preset, preset_generators):
     config, gen = preset_generators[preset]
+    # each record is P(t) exp(L t) rho(0) P(t)†, with P taken one time at a time
     traj = evolve(config, T_SHORT, stride=STRIDE, generator=gen)
-    raw = evolve(config, T_SHORT, stride=STRIDE, generator=gen, transform=False)
-    if gen.picture == "interaction":
-        u = [gen.propagator(float(t)) for t in raw.times]
-        want = np.array([uk @ s @ uk.conj().T for uk, s in zip(u, raw.states)])
+    frame = exact_records(config, gen, traj.times)
+    if gen.decomposition is not None:
+        p = [gen.decomposition.p_at(float(t)) for t in traj.times]
+        want = np.array([pk @ s @ pk.conj().T for pk, s in zip(p, frame)])
     else:
-        want = raw.states
+        want = frame
     assert _max_gap(traj.states, want) <= STATE_TOL
     min_eigs = [np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] for s in traj.states]
     assert np.array_equal(traj.positivity_log, min_eigs)
@@ -131,11 +141,11 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
 def test_stride_and_period_edge_cases(preset, n_per_tau, stride, t_final, preset_generators):
     config, gen = preset_generators[preset]
     dt = config.default_dt() if n_per_tau is None else config.drive.tau / n_per_tau
-    traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen, transform=False)
+    traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen)
     times = record_times(t_final, dt, stride)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == t_final
-    assert _rel_gap(traj.states, exact_records(config, gen, times)) <= EXACT_REL_TOL
+    assert _rel_gap(frame_states(traj, gen), exact_records(config, gen, times)) <= EXACT_REL_TOL
 
 
 # with no whole record interval (n_full = 0) the end record is always off the stride
@@ -145,7 +155,7 @@ def test_records_by_doubling_match_sequential_products(n_full, off_stride, prese
     config, gen = preset_generators["four_level_degenerate_driven"]
     dt, stride = 0.25, 3
     t_final = (n_full * stride + 0.4 * off_stride) * dt
-    traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen, transform=False)
+    traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen)
     record_map = scipy.linalg.expm(gen.superop * (stride * dt))
     states = [config.initial_state().matrix.ravel().astype(complex)]
     for _ in range(n_full):
@@ -155,7 +165,7 @@ def test_records_by_doubling_match_sequential_products(n_full, off_stride, prese
     if off_stride:
         states.append(scipy.linalg.expm(gen.superop * (t_final - times[-2])) @ states[-1])
     assert np.array_equal(traj.times, times)
-    assert _max_gap(traj.states, np.reshape(states, traj.states.shape)) <= STATE_TOL
+    assert _max_gap(frame_states(traj, gen), np.reshape(states, traj.states.shape)) <= STATE_TOL
 
 
 @pytest.mark.parametrize("kind", ["lindblad", "redfield", "floquet_lindblad",
@@ -213,3 +223,27 @@ def test_magnus_samples_on_random_periodic_system():
         got = magnus_samples(h_of_t, 0.35, 0.35 + n * h, n)
         assert got.shape == (n + 1, 3, 3)
         assert _max_gap(got, magnus_unitary_samples_loop(h_of_t, 0.35, n, h)) <= STATE_TOL
+
+
+@pytest.mark.parametrize("preset", DRIVEN)
+def test_floquet_lindblad_frame_matches_interaction_picture_reference(preset):
+    # Floquet-Lindblad was once built as L_int = L + i[Hbar, .] in the
+    # interaction picture of U(t) = P(t) exp(-i Hbar t); the frame generator
+    # L evolves alike because L_int commutes with ad_Hbar.  T_SHORT is off
+    # the stride, so the end record is reached by its own exponential.
+    config = scenario_with(PRESETS[preset](), kind="floquet_lindblad")
+    gen = build_generator(config)
+    decomp = gen.decomposition
+    ad_hbar = sop_commutator(decomp.hbar_floquet)
+    l_int = gen.superop - ad_hbar
+    assert np.linalg.norm(l_int @ ad_hbar - ad_hbar @ l_int, 2) <= 1e-12
+    traj = evolve(config, T_SHORT, stride=STRIDE, generator=gen)
+    v0 = config.initial_state().matrix.ravel().astype(complex)
+    want = []
+    for t in traj.times:
+        u = decomp.p_at(t) @ scipy.linalg.expm(-1j * t * decomp.hbar_floquet)
+        rho = (scipy.linalg.expm(l_int * t) @ v0).reshape(u.shape)
+        want.append(u @ rho @ u.conj().T)
+    assert traj.times[-1] == T_SHORT
+    assert traj.times[-1] - traj.times[-2] < traj.times[1]  # the end record is off the stride
+    assert _max_gap(traj.states, np.array(want)) <= 1e-12

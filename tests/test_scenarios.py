@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from floqdyn.baths import BathSpec, OhmicSpec, spectral_density
 from floqdyn.errors import ValidationError
@@ -120,14 +121,14 @@ class TestEvolve:
         t2 = evolve(cfg, 50.0, dt=0.05)
         assert np.array_equal(t1.states, t2.states)
 
-    def test_picture_transform_consistency(self):
-        # interaction-picture integration + transform == direct Schrodinger
-        cfg = build_three_level("nondriven")
-        gen_s = build_generator(cfg)
-        gen_i = build_generator(cfg, picture="interaction")
-        traj_s = evolve(cfg, 100.0, dt=0.02, generator=gen_s)
-        traj_i = evolve(cfg, 100.0, dt=0.02, generator=gen_i)
-        assert trace_distance(traj_s.final_state(), traj_i.final_state()) < 1e-6
+    def test_picture_transform_consistency(self, cfg_v1, gen_v1):
+        # the recorded state mapped into the micromotion frame, P† rho P,
+        # is the frame state exp(L t) rho(0)
+        traj = evolve(cfg_v1, 100.0, generator=gen_v1)
+        p = gen_v1.decomposition.p_at(100.0)
+        frame = p.conj().T @ traj.final_state() @ p
+        want = scipy.linalg.expm(gen_v1.superop * 100.0) @ cfg_v1.initial_state().matrix.ravel()
+        assert trace_distance(frame, want.reshape(frame.shape)) < 1e-6
 
     def test_lindblad_positivity_along_trajectory(self):
         traj = evolve(build_three_level("nondriven"), 1000.0)
@@ -234,7 +235,7 @@ class TestIntegrationGuards:
         from floqdyn.generators import Generator, sop_left
 
         cfg = build_three_level("nondriven")
-        leaky = Generator(kind="lindblad", picture="schrodinger", dim=3,
+        leaky = Generator(kind="lindblad", dim=3,
                           superop=1e-4 * sop_left(np.eye(3, dtype=complex)))
         with pytest.raises(NumericalError, match="not trace preserving"):
             evolve(cfg, 10.0, dt=0.05, generator=leaky)
