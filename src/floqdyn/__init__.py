@@ -71,6 +71,7 @@ from .operators import (
     DensityMatrix,
     Spectrum,
     hermitian_eigensystem,
+    min_eigenvalues,
     principal_unitary_log,
     trace_distance,
     unitary_fidelity,

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the report of non-fatal events, shared across the package."""
+
+import logging
+import warnings
+
+#: Non-fatal events go to this logger as well as to ``warnings``.  The
+#: package itself adds only a NullHandler: applications choose the handlers.
+LOGGER = logging.getLogger("floqdyn")
+LOGGER.addHandler(logging.NullHandler())
 
 
 class FloqdynError(Exception):
@@ -23,3 +31,13 @@ class StepSizeError(NumericalError):
 
 class ResolutionError(NumericalError):
     """Sampling grid too coarse for the requested harmonic content."""
+
+
+def warn(message: str, stacklevel: int = 2) -> None:
+    """Report a non-fatal event as a ``RuntimeWarning`` and a WARNING record
+    on :data:`LOGGER`, which still receives it when callers silence
+    warnings.  ``stacklevel`` is that of ``warnings.warn`` called in place
+    of this function.
+    """
+    LOGGER.warning(message)
+    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)

@@ -21,7 +21,6 @@ Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
   propagator in array calls over that grid.
 """
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
@@ -29,7 +28,7 @@ from itertools import product
 import numpy as np
 from numpy.fft import fft
 
-from .errors import NumericalError, ResolutionError, StepSizeError, ValidationError
+from .errors import NumericalError, ResolutionError, StepSizeError, ValidationError, warn
 from .operators import (
     Spectrum,
     expm,
@@ -579,12 +578,11 @@ def _warn_if_bch_strained(theta: np.ndarray, lam: np.ndarray):
     estimate = nt**4 * nl**2 / 1440.0
     strained = (estimate > 1.0) & (nl > 0)
     if np.any(strained):
-        warnings.warn(
+        warn(
             f"BCH truncation strained at {np.count_nonzero(strained)} of "
             f"{strained.size} times: worst |Theta|={nt[strained].max():.2f}, "
             f"|Lambda|={nl[strained].max():.2e}, neglected-order estimate "
             f"{estimate[strained].max():.2e}; approximation error may grow",
-            RuntimeWarning,
             stacklevel=3,
         )
 

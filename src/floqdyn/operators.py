@@ -3,11 +3,11 @@
 Operators are plain ``numpy`` complex arrays; this module supplies the
 validated algebra the rest of the package relies on: matrix exponentials
 (general ones for stacks of matrices, and Hermitian ones by eigensystem),
-the principal logarithm of a unitary, eigensystems, and the trace fidelity
-between unitaries.  Everything works in natural units
-(hbar = c = k_B = epsilon_0 = 1) and targets dimensions of order d <= 8,
-where exact eigendecomposition-based matrix functions are both simplest
-and most accurate.
+the principal logarithm of a unitary, eigensystems, minimum eigenvalues of
+Hermitian stacks, and the trace fidelity between unitaries.  Everything
+works in natural units (hbar = c = k_B = epsilon_0 = 1) and targets
+dimensions of order d <= 8, where exact eigendecomposition-based matrix
+functions are both simplest and most accurate.
 """
 
 from dataclasses import dataclass, field
@@ -93,6 +93,40 @@ def hermitian_eigensystem(h, tol: float | None = None) -> Spectrum:
     a = require_hermitian(h, tol)
     w, v = np.linalg.eigh(a)
     return Spectrum(energies=w, vectors=v)
+
+
+def min_eigenvalues(h) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of an (n, d, d) Hermitian stack.
+
+    Levels coupled by a nonzero entry in any matrix of the stack form one
+    block, and the spectrum of each matrix is the union of its blocks'
+    spectra.  A 1-level block is its real diagonal entry, a 2-level block
+    [[a, c], [c*, b]] has smallest eigenvalue (a + b)/2 - hypot((a - b)/2, |c|),
+    and a larger block goes to ``eigvalsh`` on its sub-stack.  Any nonzero
+    coupling, rounding noise included, merges blocks, so no coupling is
+    ever dropped: the structure sets only the speed, never the result.
+    """
+    h = np.asarray(h)
+    d = h.shape[-1]
+    reach = np.eye(d, dtype=bool) | np.any(h != 0, axis=0)
+    reach |= reach.T
+    # transitive closure by squaring: path lengths double each time, up to d - 1
+    for _ in range(d.bit_length()):
+        reach = (reach.astype(int) @ reach) > 0
+    out = np.full(h.shape[0], np.inf)
+    for block in {tuple(np.flatnonzero(row)) for row in reach}:
+        if len(block) == 1:
+            (k,) = block
+            lowest = h[:, k, k].real
+        elif len(block) == 2:
+            i, j = block
+            a, b = h[:, i, i].real, h[:, j, j].real
+            lowest = 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(h[:, j, i]))
+        else:
+            sub = np.array(block)
+            lowest = np.linalg.eigvalsh(h[:, sub[:, None], sub])[:, 0]
+        np.minimum(out, lowest, out=out)
+    return out
 
 
 def unitary_from_hermitian(h, t: float) -> np.ndarray:
@@ -233,7 +267,7 @@ class DensityMatrix:
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(min_eigenvalues(self.matrix[None])[0])
 
     @classmethod
     def pure(cls, dim: int, level: int) -> "DensityMatrix":

@@ -17,15 +17,17 @@ next m, so n records take about log2(n) block products and as many
 squarings.  The Floquet kinds have their recorded states mapped back by
 the micromotion P(t) of their decomposition on the record grid, in array
 calls over chunks of records; the static kinds (P = I) record directly.
+Each record is stored as its Hermitian part, so its diagonal is exactly
+real, and every record's minimum eigenvalue is scanned in closed form per
+block of coupled levels (``operators.min_eigenvalues``).
 """
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .baths import BathSpec, LambIntegralParams, OhmicSpec, spectral_density
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError, warn
 from .floquet import DriveSpec, FloquetDecomposition, drive_hamiltonian, floquet_decompose
 from .generators import (
     CouplingChannel,
@@ -36,7 +38,7 @@ from .generators import (
     lindblad_generator,
     redfield_generator,
 )
-from .operators import DensityMatrix, expm
+from .operators import DensityMatrix, expm, min_eigenvalues
 from .tolerances import TOLERANCES
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
@@ -272,7 +274,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray                 # (n, d, d)
     populations: np.ndarray            # (n, d), real
-    positivity_log: np.ndarray         # min eigenvalue per recorded state
+    positivity_log: np.ndarray         # min eigenvalue of every recorded state, none skipped
     trace_errors: np.ndarray
     config: ScenarioConfig | None = None
     warnings_issued: tuple[str, ...] = ()
@@ -288,8 +290,8 @@ class Trajectory:
         return self.states[-1]
 
 
-#: Records per array call of the micromotion map and the positivity scan
-#: in ``evolve``.
+#: Records per array call of the micromotion map and the Hermitian part in
+#: ``evolve``; the positivity scan takes the whole record stack at once.
 RECORD_CHUNK = 2048
 
 
@@ -311,9 +313,13 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     decomposition has its frame states mapped back by P(t) at the record
     times (the sample on the decomposition grid, which the default Floquet
     dt divides; one Magnus step from the node below between grid nodes).
-    Trace drift beyond tolerance raises; Redfield positivity excursions
-    beyond the soft bound are Warnings logged on the trajectory, and the
-    run continues.
+    Each record is stored as its Hermitian part (s + s†)/2, which leaves the
+    real diagonal, and so the populations, unchanged bit for bit and makes
+    the imaginary diagonal exactly zero.  ``positivity_log`` holds the
+    minimum eigenvalue of every record, from ``min_eigenvalues``.  Trace
+    drift beyond tolerance raises; Redfield positivity excursions beyond
+    the soft bound are warned, logged on the ``floqdyn`` logger and on the
+    trajectory, and the run continues.
     """
     if generator is None:
         generator = build_generator(config)
@@ -352,14 +358,14 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     issued = []
     decomp = generator.decomposition
     # chunks keep the temporaries of these array calls small beside the records
-    min_eigs = np.empty(len(times))
     for lo in range(0, len(times), RECORD_CHUNK):
         chunk = slice(lo, lo + RECORD_CHUNK)
+        s = states[chunk]
         if decomp is not None:
             p = decomp.p_at(times[chunk])
-            states[chunk] = p @ states[chunk] @ p.conj().swapaxes(-1, -2)
-        s = states[chunk]
-        min_eigs[chunk] = np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2)))[:, 0]
+            s = p @ s @ p.conj().swapaxes(-1, -2)
+        states[chunk] = 0.5 * (s + s.conj().swapaxes(-1, -2))
+    min_eigs = min_eigenvalues(states)
 
     traces = np.einsum("tii->t", states)
     trace_err = np.abs(traces - 1.0)
@@ -373,7 +379,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     if worst < TOLERANCES.redfield_positivity:
         msg = (f"state positivity violated beyond soft bound: min eigenvalue "
                f"{worst:.3e} < {TOLERANCES.redfield_positivity:.0e}")
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+        warn(msg)
         issued.append(msg)
 
     return Trajectory(times=times, states=states, populations=pops,

@@ -3,6 +3,7 @@ expensive, so they are computed once per session and reused across modules."""
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -106,6 +107,14 @@ def random_density(rng, d):
 def random_hermitian(rng, d, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * 0.5 * (a + a.conj().T)
+
+
+def mp_min_eigenvalue(h, dps=30):
+    """Smallest eigenvalue of an exactly Hermitian matrix: mpmath's ``eighe``
+    at ``dps`` digits on its entries, rounded once to a float."""
+    with mpmath.workdps(dps):
+        return float(min(mpmath.eighe(mpmath.matrix(np.asarray(h).tolist()),
+                                      eigvals_only=True)))
 
 
 #: Relative agreement demanded between floqdyn's xi and :func:`xi_oracle`.

@@ -544,6 +544,15 @@ class TestSimulate:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 0 <= summary["eta"] <= 1
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_diagonal_imaginary_parts_are_exact_zeros(self, tmp_path, preset):
+        # records are exactly Hermitian, so no rounding noise reaches rho_kk_im
+        assert main(["simulate", "--preset", preset, "--set", "integration.t_final=20",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "trajectory.csv")
+        d = PRESETS[preset]().dim
+        assert {r[f"rho_{k}{k}_im"] for r in rows for k in range(d)} == {"0"}
+
     def test_malformed_config_exit_2_no_files(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import re
 import warnings
 
@@ -374,14 +375,19 @@ class TestMagnusBch:
         with pytest.raises(ValidationError):
             magnus_bch_propagator(V0, H0, t)
 
-    def test_grid_call_warns_once(self):
+    def test_grid_call_warns_once(self, caplog):
         grid = np.arange(129) * (TAU / 64)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            magnus_bch_propagator(V0, H0, grid)
+            with caplog.at_level(logging.WARNING, logger="floqdyn"):
+                magnus_bch_propagator(V0, H0, grid)
         strained = [w for w in caught if "BCH truncation strained" in str(w.message)]
         assert len(strained) == 1
         assert re.match(r"BCH truncation strained at \d+ of 129 times", str(strained[0].message))
+        assert strained[0].filename == __file__
+        # the same event on the package logger
+        assert [(r.name, r.getMessage()) for r in caplog.records] == \
+            [("floqdyn", str(strained[0].message))]
 
     def test_requires_diagonal_h0(self):
         h = H0.copy()

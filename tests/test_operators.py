@@ -11,6 +11,7 @@ from floqdyn.operators import (
     DensityMatrix,
     expm,
     hermitian_eigensystem,
+    min_eigenvalues,
     principal_unitary_log,
     trace_distance,
     unitary_fidelity,
@@ -19,11 +20,12 @@ from floqdyn.operators import (
 
 from floqdyn.scenarios import PRESETS, REFERENCE_DRIVE, build_generator
 
-from conftest import random_hermitian
+from conftest import mp_min_eigenvalue, random_hermitian
 
 TAU = 2 * np.pi / 2.25
 #: relative 1-norm error of expm against scipy's (measured <= 6.5e-14, at d = 1)
 EXPM_RTOL = 1e-13
+EPS = np.finfo(float).eps
 
 
 def expm_rel_error(got, want):
@@ -232,6 +234,85 @@ class TestHermitianEigensystem:
         spec = hermitian_eigensystem(h)
         recon = (spec.vectors * spec.energies) @ spec.vectors.conj().T
         assert np.linalg.norm(recon - h) < 1e-9
+
+
+@st.composite
+def block_stacks(draw):
+    """Exactly Hermitian (n, d, d) stacks, d <= 6, block-diagonal after a random
+    permutation of levels into blocks of 1-4 levels.  Each coupling is
+    missing from some matrices of the stack, and each matrix has its own
+    scale, from 1e-3 to 1e3."""
+    d = draw(st.integers(1, 6))
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(draw(st.integers(1, min(4, d - sum(sizes)))))
+    levels = draw(st.permutations(range(d)))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = np.zeros((n, d, d), dtype=complex)
+    lo = 0
+    for size in sizes:
+        block = np.array(levels[lo:lo + size])
+        lo += size
+        h[:, block[:, None], block] = [random_hermitian(rng, size) for _ in range(n)]
+    h *= 10.0 ** rng.uniform(-3, 3, n)[:, None, None]
+    drop = ~np.eye(d, dtype=bool) & (rng.random((n, d, d)) < 0.3)
+    h[drop | drop.swapaxes(-1, -2)] = 0.0
+    return h
+
+
+def assert_min_eigenvalues_exact(h):
+    """Each result within 4 eps ||h_k||_2 of the 30-digit oracle."""
+    got = min_eigenvalues(h)
+    want = np.array([mp_min_eigenvalue(m) for m in h])
+    bound = 4 * EPS * np.linalg.norm(h, 2, axis=(-2, -1))
+    assert np.all(np.abs(got - want) <= bound), (got, want)
+    return got
+
+
+class TestMinEigenvalues:
+    # Mutation check: dropping the hypot (taking min(a, b) for a 2-level
+    # block) or ignoring one coupling (blocks from the first matrix of the
+    # stack alone, or without the transitive closure) fails
+    # test_random_block_stacks_match_mpmath.
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_stacks())
+    def test_random_block_stacks_match_mpmath(self, h):
+        assert min_eigenvalues(h).shape == (len(h),)
+        assert_min_eigenvalues_exact(h)
+
+    def test_zero_stack(self):
+        assert np.array_equal(min_eigenvalues(np.zeros((3, 4, 4), dtype=complex)),
+                              np.zeros(3))
+
+    def test_exactly_degenerate_two_level_block(self):
+        # the second matrix couples the levels; 0.5 * I keeps hypot(0, 0) = 0
+        h = np.array([[[0.5, 0.0], [0.0, 0.5]],
+                      [[0.7, 0.1j], [-0.1j, 0.3]]])
+        assert assert_min_eigenvalues_exact(h)[0] == 0.5
+
+    def test_near_singular_trace_one_two_level(self):
+        # (1 - 1e-12)|u><u| + 1e-12 |v><v| in a basis off the axes
+        u = np.array([np.cos(0.7), np.exp(1.3j) * np.sin(0.7)])
+        v = np.array([-np.exp(-1.3j) * np.sin(0.7), np.cos(0.7)])
+        rho = (1 - 1e-12) * np.outer(u, u.conj()) + 1e-12 * np.outer(v, v.conj())
+        rho = 0.5 * (rho + rho.conj().T)
+        assert mp_min_eigenvalue(rho) == pytest.approx(1e-12, rel=1e-3)
+        assert_min_eigenvalues_exact(rho[None])
+
+    def test_single_tiny_coupling_merges_blocks(self, monkeypatch):
+        # one 1e-300 entry in one matrix joins level 2 to the block {0, 1}
+        h = np.zeros((2, 3, 3), dtype=complex)
+        h[:, [0, 1, 2], [0, 1, 2]] = [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]
+        h[:, 0, 1] = h[:, 1, 0] = 0.25
+        h[1, 1, 2] = h[1, 2, 1] = 1e-300
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: shapes.append(a.shape) or eigvalsh(a))
+        assert_min_eigenvalues_exact(h)
+        assert shapes == [(2, 3, 3)]
 
 
 class TestUnitaryFidelity:

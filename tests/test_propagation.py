@@ -26,9 +26,10 @@ from floqdyn.scenarios import (
     scenario_with,
 )
 
-from conftest import propagator_oracle
+from conftest import mp_min_eigenvalue, propagator_oracle
 
 STATE_TOL = 1e-12
+EPS = np.finfo(float).eps
 EXACT_REL_TOL = 1e-10
 #: DOP853 against the Magnus samples on the 1024-point grid
 ORACLE_TOL = 1e-11
@@ -128,8 +129,15 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
     else:
         want = frame
     assert _max_gap(traj.states, want) <= STATE_TOL
-    min_eigs = [np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] for s in traj.states]
-    assert np.array_equal(traj.positivity_log, min_eigs)
+    # records are their Hermitian parts, so the scan sees exactly what is recorded
+    assert np.array_equal(traj.states, traj.states.conj().swapaxes(-1, -2))
+    # the scan and LAPACK each within 4 eps ||rho||_2 of a 30-digit oracle
+    bound = 4 * EPS * np.max(np.linalg.norm(traj.states, 2, axis=(-2, -1)))
+    lapack = np.linalg.eigvalsh(traj.states)[:, 0]
+    assert np.max(np.abs(traj.positivity_log - lapack)) <= bound
+    oracle = np.array([mp_min_eigenvalue(s) for s in traj.states])
+    assert np.max(np.abs(lapack - oracle)) <= bound
+    assert np.max(np.abs(traj.positivity_log - oracle)) <= bound
 
 
 @pytest.mark.parametrize("preset,n_per_tau,stride,t_final", [

@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -18,6 +19,9 @@ from floqdyn.scenarios import (
     qubit_dipole_calibration,
     trajectory_diagnostics,
 )
+from floqdyn.tolerances import tolerance_overrides
+
+from conftest import mp_min_eigenvalue
 
 
 class TestPresets:
@@ -208,6 +212,15 @@ class TestDiagnostics:
         assert diag.max_trace_error < 1e-8
         assert diag.stationarity >= 0.0
 
+    def test_nondegenerate_redfield_transient_excursion(self):
+        # the 4-level nondegenerate Redfield state dips below zero at t = 0.3
+        traj = evolve(build_four_level(0.05), 1.0)
+        worst = trajectory_diagnostics(traj).min_eigenvalue
+        assert worst == pytest.approx(-2.556455894650646e-06, abs=1e-15)
+        k = int(np.argmin(traj.positivity_log))
+        assert traj.times[k] == pytest.approx(0.3)
+        assert abs(worst - mp_min_eigenvalue(traj.states[k])) <= 1e-15
+
     def test_nondegenerate_redfield_positivity_with_lamb(self):
         # the radiation cutoff W = 4e4 keeps the dynamics positive
         import warnings
@@ -241,8 +254,6 @@ class TestIntegrationGuards:
             evolve(cfg, 10.0, dt=0.05, generator=leaky)
 
     def test_redfield_negativity_is_warning_not_fatal(self):
-        from floqdyn.tolerances import tolerance_overrides
-
         cfg = build_three_level("nondriven")
         gen = build_generator(cfg)
         with tolerance_overrides(redfield_positivity=1e-3):
@@ -250,6 +261,16 @@ class TestIntegrationGuards:
             with pytest.warns(RuntimeWarning, match="positivity"):
                 traj = evolve(cfg, 5.0, dt=0.05, generator=gen)
         assert traj.warnings_issued
+
+    def test_silenced_excursion_warning_still_reaches_the_logger(self, caplog):
+        cfg = build_three_level("nondriven")
+        with tolerance_overrides(redfield_positivity=1e-3), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with caplog.at_level(logging.WARNING, logger="floqdyn"):
+                traj = evolve(cfg, 5.0, dt=0.05)
+        assert len(traj.warnings_issued) == 1
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == \
+            [("floqdyn", logging.WARNING, traj.warnings_issued[0])]
 
 
 class TestRateEquationOracle:
