@@ -17,13 +17,15 @@ Sign convention: coefficients are stored as real numbers.  C1/C2 carry an
 explicit factor i in the master equations; the generator assembly applies
 it, which keeps Hermiticity of the resulting Lamb commutators auditable.
 
-All principal-value integrals use a symmetric window around the pole whose
-interior is handled exactly through the odd-part cancellation
+Every Lamb-shift coefficient is one or two ``pv_quadrature`` calls over
+(0, W): ``xi`` is the absorption transform (pole -x) less the emission one
+(pole x), ``C1`` the transform of nu^3 nbar (pole x).  A pole outside
+(0, W) gives a regular integral; one inside gets a symmetric window handled
+exactly through the odd-part cancellation
 ``PV int_{c-w}^{c+w} f/(nu-c) = int_0^w [f(c+u)-f(c-u)]/u du``,
-plus composite Gauss-Legendre panels (log-graded toward the pole and the
-Bose scale 1/beta) on the rest of the interval.  ``xi`` at a frequency
-below the first panel's width is instead folded about its pole into one
-regular integral.
+plus composite Gauss-Legendre panels log-graded toward the pole.  ``xi``
+at a frequency below the first panel's width, x = 0 included, is instead
+folded about its pole into one regular integral.
 """
 
 from dataclasses import dataclass
@@ -275,42 +277,19 @@ def _xi_ohmic_cached(spec: OhmicSpec, beta: float, x: float,
     g_ab = _bose_times(spec, beta, plus_one=True)    # J*(nbar+1), pole at nu = -x for x < 0
     first = min(0.25, 1.0 / beta, spec.omega_cutoff)
 
-    if x == 0:
-        # both 1/(x -+ nu) poles merge into J(nu)/nu, which is regular
-        def integrand(nu):
-            nu = np.asarray(nu, dtype=float)
-            with np.errstate(under="ignore"):
-                return spec.j0 * np.exp(-(nu**2) / spec.omega_cutoff**2)
-
-        total = _regular_interval(integrand, 0.0, w_hi, order, "xi(x=0)", first=first)
-        return -2.0 * total
-
     if abs(x) < first:
         # xi = -2 PV int_{-W}^{W} F(nu)/(nu + x) with F = J*(nbar+1), smooth through
-        # nu = 0 (F(-nu) = J*nbar); folded about the pole it is a regular integral.  The
-        # split below would leave the pole inside the first panel, in two parts that
-        # each grow as ln|x| and cancel
+        # nu = 0 (F(-nu) = J*nbar); folded about the pole it is a regular integral,
+        # J(t)/t at x = 0.  The split below would leave the pole inside the first
+        # panel, in two parts that each grow as ln|x| and cancel
         def folded(t):
             return (g_ab(t - x) - g_ab(-t - x)) / t
 
         return -2.0 * _regular_interval(folded, 0.0, w_hi, order, "xi(small x)", first=first)
 
-    if x > 0:
-        part_pv = -pv_quadrature(g_em, x, (0.0, w_hi), params)
-
-        def reg(nu):
-            return g_ab(nu) / (x + nu)
-
-        part_reg = _regular_interval(reg, 0.0, w_hi, order, "xi(reg+)", first=first)
-    else:
-        part_pv = pv_quadrature(g_ab, -x, (0.0, w_hi), params)
-
-        def reg(nu):
-            return g_em(nu) / (x - nu)
-
-        part_reg = _regular_interval(reg, 0.0, w_hi, order, "xi(reg-)", first=first)
-
-    return -2.0 * (part_pv + part_reg)
+    # at most one of the poles nu = -x, nu = x lies in (0, W)
+    return -2.0 * (pv_quadrature(g_ab, -x, (0.0, w_hi), params)
+                   - pv_quadrature(g_em, x, (0.0, w_hi), params))
 
 
 def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
@@ -343,22 +322,12 @@ def _vacuum_replacement(x: float, w_cutoff: float) -> float:
 def _c1_imag_cached(x: float, beta: float, params: LambIntegralParams,
                     quadrature_rel: float) -> float:
     # quadrature_rel only keys the cache, as in _xi_ohmic_cached
-    order = params.quadrature_points
-    w_hi = params.w_cutoff
-    first = min(0.25, 1.0 / beta)
-
     def h(nu):
         nu = np.asarray(nu, dtype=float)
         with np.errstate(under="ignore", over="ignore"):
             return nu**3 / np.expm1(beta * nu)
 
-    if x > 0:
-        return -pv_quadrature(h, x, (0.0, w_hi), params) / np.pi
-
-    def reg(nu):
-        return h(nu) / (x - nu)
-
-    return _regular_interval(reg, 0.0, w_hi, order, "c1(x<=0)", first=first) / np.pi
+    return -pv_quadrature(h, x, (0.0, params.w_cutoff), params) / np.pi
 
 
 def redfield_coefficients(x: float, beta: float,

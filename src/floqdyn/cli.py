@@ -183,22 +183,22 @@ COMPARE_SCHEMA = {
         "b": SCENARIO_SCHEMA,
         "integration": _INTEGRATION_SCHEMA,
         "metric": {"enum": ["eta_series", "trace_distance"]},
-        "outputs": _OUTPUTS_SCHEMA,
     },
     "required": ["a", "b", "integration"],
 }
 
 # the base run is validated in canonical form per grid point, so the raw
-# sweep schema only constrains the sweep-level structure
+# sweep schema only constrains the sweep-level structure, and that a sweep,
+# which writes only into --out, takes no outputs section at either level
 SWEEP_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "base": {"type": "object"},
+        "base": {"type": "object", "additionalProperties": False,
+                 "properties": {"scenario": {}, "integration": {}}},
         "axes": {"type": "object",
                  "additionalProperties": {"type": "array", "minItems": 1}},
         "parallelism": {"type": "integer", "minimum": 1},
-        "outputs": _OUTPUTS_SCHEMA,
     },
     "required": ["base", "axes"],
 }
@@ -498,31 +498,34 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
     if config.drive is None:
         raise ConfigError("floquet command requires a scenario with a drive")
     decomp = decompose_scenario(config)
-    # the per-channel Lamb matrices are defined by the secular construction
-    # regardless of which generator kind the scenario runs with
-    gen = build_generator(scenario_with(config, kind="floquet_lindblad"),
-                          decomposition=decomp)
-    gaps = sorted({round(float(ea - eb), 10)
-                   for ea in decomp.quasi.energies for eb in decomp.quasi.energies})
-    payload = {
-        "label": config.label,
-        "tau": decomp.tau,
-        "omega_drive": decomp.omega_drive,
-        "hbar_floquet": _json_matrix(decomp.hbar_floquet),
-        "quasienergies": decomp.quasi.energies.tolist(),
-        "gaps": gaps,
-        "q_range": [-config.q_max, config.q_max],
-        "lamb_shift_per_channel": {
-            key: _json_matrix(h) for key, h in gen.h_lamb.items()
-        },
-    }
-    write_json(out_dir / "floquet.json", payload)
-    bench = benchmark_fidelities(config.drive, config.h0, decomp)
-    write_csv(out_dir / "benchmark.csv",
-              ["t", "fidelity_propagator", "fidelity_periodicity",
-               "fidelity_periodicity_magnus"],
-              np.column_stack([bench.times, bench.fidelity_propagator,
-                               bench.fidelity_periodicity, bench.fidelity_periodicity_magnus]))
+    formats = run["outputs"]["formats"]
+    if "json" in formats:
+        # the per-channel Lamb matrices are defined by the secular construction
+        # regardless of which generator kind the scenario runs with
+        gen = build_generator(scenario_with(config, kind="floquet_lindblad"),
+                              decomposition=decomp)
+        gaps = sorted({round(float(ea - eb), 10)
+                       for ea in decomp.quasi.energies for eb in decomp.quasi.energies})
+        write_json(out_dir / "floquet.json", {
+            "label": config.label,
+            "tau": decomp.tau,
+            "omega_drive": decomp.omega_drive,
+            "hbar_floquet": _json_matrix(decomp.hbar_floquet),
+            "quasienergies": decomp.quasi.energies.tolist(),
+            "gaps": gaps,
+            "q_range": [-config.q_max, config.q_max],
+            "lamb_shift_per_channel": {
+                key: _json_matrix(h) for key, h in gen.h_lamb.items()
+            },
+        })
+    if "csv" in formats:
+        bench = benchmark_fidelities(config.drive, config.h0, decomp)
+        write_csv(out_dir / "benchmark.csv",
+                  ["t", "fidelity_propagator", "fidelity_periodicity",
+                   "fidelity_periodicity_magnus"],
+                  np.column_stack([bench.times, bench.fidelity_propagator,
+                                   bench.fidelity_periodicity,
+                                   bench.fidelity_periodicity_magnus]))
     return 0
 
 
@@ -532,7 +535,7 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
     if scen_a.dim != scen_b.dim:
         raise ConfigError(
             f"incompatible level structures: {scen_a.dim} vs {scen_b.dim} levels")
-    metric = cfg.get("metric", "eta_series")
+    metric = cfg["metric"]
     integ = cfg["integration"]
     # one shared record grid so series align row by row: the given dt, or
     # else the smaller default (every generator is static in its

@@ -286,7 +286,6 @@ class FourierOperatorSet:
 
     q_max: int
     coefficients: np.ndarray  # shape (2*q_max+1, d, d); index q_max + q
-    floor: float
 
     def op(self, q: int) -> np.ndarray:
         if abs(q) > self.q_max:
@@ -323,13 +322,13 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s, q_max: int,
         c = spectrum[q % m].copy()
         c[np.abs(c) < floor] = 0.0
         coeffs[q_max + q] = c
-    return FourierOperatorSet(q_max=q_max, coefficients=coeffs, floor=floor)
+    return FourierOperatorSet(q_max=q_max, coefficients=coeffs)
 
 
 def static_fourier_set(s) -> FourierOperatorSet:
     """Trivial harmonic content of a static (undriven) problem: S(0) = S."""
     s = np.asarray(s, dtype=complex)
-    return FourierOperatorSet(q_max=0, coefficients=s[None, :, :].copy(), floor=0.0)
+    return FourierOperatorSet(q_max=0, coefficients=s[None, :, :].copy())
 
 
 @dataclass(frozen=True)
@@ -343,7 +342,6 @@ class JumpOperatorTable:
 
     gaps: np.ndarray
     entries: dict
-    q_max: int
 
     def items(self):
         for (q, gi), op in self.entries.items():
@@ -400,7 +398,7 @@ def jump_operator_table(fset: FourierOperatorSet, quasi: Spectrum,
             if not np.any(block):
                 continue
             entries[(q, gi)] = v @ block @ v.conj().T
-    return JumpOperatorTable(gaps=gaps, entries=entries, q_max=fset.q_max)
+    return JumpOperatorTable(gaps=gaps, entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,6 @@ class ScenarioConfig:
     def h0(self) -> np.ndarray:
         return np.diag(np.asarray(self.energies, dtype=complex))
 
-    @property
-    def driven(self) -> bool:
-        return self.drive is not None and self.drive.mu > 0
-
     def initial_state(self) -> DensityMatrix:
         return DensityMatrix.pure(self.dim, self.initial_level)
 
@@ -134,10 +130,8 @@ def qubit_dipole_calibration(spec: OhmicSpec, omega10: float) -> float:
     return float(np.sqrt(6.0 * np.pi**2 * j / omega10**3))
 
 
-def _bath(name: str, transitions, overrides: dict | None = None) -> BathSpec:
-    params = dict(TABLE_BATHS[name])
-    if overrides:
-        params.update(overrides)
+def _bath(name: str, transitions) -> BathSpec:
+    params = TABLE_BATHS[name]
     return BathSpec(
         name=name,
         beta=params["beta"],
@@ -146,16 +140,15 @@ def _bath(name: str, transitions, overrides: dict | None = None) -> BathSpec:
     )
 
 
-def build_three_level(variant: str, table2: dict | None = None,
-                      kind: str | None = None, **overrides) -> ScenarioConfig:
+def build_three_level(variant: str, kind: str | None = None,
+                      **overrides) -> ScenarioConfig:
     """3-level presets: hot bath on 0<->1, cold on b<->1, optional drive.
 
     variant 'v0' drives the (0, b) pair near resonance; 'v1' drives (1, b)
     off resonance; 'nondriven' has no field.  Basis order {|0>, |1>, |b>}.
     """
-    table2 = table2 or {}
-    hot = _bath("hot", [(1, 0)], table2.get("hot"))
-    cold = _bath("cold", [(1, 2)], table2.get("cold"))
+    hot = _bath("hot", [(1, 0)])
+    cold = _bath("cold", [(1, 2)])
     drive = None
     q_max = 0
     if variant == "v0":
@@ -182,7 +175,7 @@ def build_three_level(variant: str, table2: dict | None = None,
 
 
 def build_four_level(gap12: float, driven: bool = False, kind: str | None = None,
-                     table2: dict | None = None, **overrides) -> ScenarioConfig:
+                     **overrides) -> ScenarioConfig:
     """4-level presets: hot bath on 0<->1 and 0<->2, cold on b<->1 and b<->2.
 
     gap12 is the |1>-|2> splitting (0 for the degenerate preset, 0.05 for
@@ -191,9 +184,8 @@ def build_four_level(gap12: float, driven: bool = False, kind: str | None = None
     """
     if gap12 < 0:
         raise ConfigError("gap12 must be >= 0")
-    table2 = table2 or {}
-    hot = _bath("hot", [(1, 0), (2, 0)], table2.get("hot"))
-    cold = _bath("cold", [(1, 3), (2, 3)], table2.get("cold"))
+    hot = _bath("hot", [(1, 0), (2, 0)])
+    cold = _bath("cold", [(1, 3), (2, 3)])
     drive = DriveSpec(REFERENCE_DRIVE["mu"], REFERENCE_DRIVE["omega"], (0, 3)) if driven else None
     if kind is None:
         kind = "floquet_redfield" if driven else "redfield"
@@ -283,9 +275,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def coherence(self, i: int, j: int) -> np.ndarray:
-        return self.states[:, i, j]
-
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
@@ -294,15 +283,17 @@ class Trajectory:
 #: ``evolve``; the positivity scan takes the whole record stack at once.
 RECORD_CHUNK = 2048
 
+#: Most record intervals ``evolve`` takes when no stride is given.
+MAX_RECORDS = 20000
+
 
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
-           stride: int | None = None, generator: Generator | None = None,
-           max_records: int = 20000) -> Trajectory:
+           stride: int | None = None, generator: Generator | None = None) -> Trajectory:
     """Solve the scenario's master equation exactly on a record grid.
 
     ``dt`` (default ``config.default_dt()``) sets only the record grid:
     states are recorded at k * stride * dt, every ``stride`` multiples of
-    ``dt`` (by default the smallest stride giving at most ``max_records``
+    ``dt`` (by default the smallest stride giving at most ``MAX_RECORDS``
     intervals), and the end state at exactly ``t_final``.  With
     S = exp(L * stride * dt), record k is S^k rho(0): records m..2m-1 are
     records 0..m-1 advanced by S^m, one matrix product per doubling, with
@@ -331,7 +322,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     n_dt = int(np.floor(t_final / dt + 1e-9))
     ends_on_dt = n_dt > 0 and t_final - n_dt * dt <= 1e-9 * dt
     if stride is None:
-        stride = max(1, int(np.ceil((n_dt + (not ends_on_dt)) / max_records)))
+        stride = max(1, int(np.ceil((n_dt + (not ends_on_dt)) / MAX_RECORDS)))
     if stride < 1:
         raise ValidationError("stride must be >= 1")
 
@@ -434,10 +425,15 @@ class DiagnosticsReport:
     stationarity: float
 
 
-def trajectory_diagnostics(traj: Trajectory, stationarity_window: int = 10) -> DiagnosticsReport:
+#: Records back from the end over which ``trajectory_diagnostics`` measures
+#: stationarity.
+STATIONARITY_WINDOW = 10
+
+
+def trajectory_diagnostics(traj: Trajectory) -> DiagnosticsReport:
     """Positivity, trace-drift and stationarity summary."""
     n = len(traj.times)
-    w = min(stationarity_window, n - 1)
+    w = min(STATIONARITY_WINDOW, n - 1)
     if w >= 1:
         diff = traj.states[-1] - traj.states[-1 - w]
         stat = float(np.linalg.norm(diff))

@@ -330,6 +330,10 @@ def _preset_frequencies():
 MPMATH_FREQUENCIES = _preset_frequencies()
 #: relative agreement demanded against the 20-digit oracle (measured <= 3.2e-11)
 MPMATH_RTOL = 1e-9
+#: the table baths and a colder, sharper one whose 1/beta and omega_c lie below
+#: 0.25, the first panel of pv_quadrature's regular integrals; xi's fold grades
+#: its own first panel down to them
+ORACLE_BATHS = {**TABLE_BATHS, "sharp": {"beta": 20.0, "j0": 1e-3, "omega_cutoff": 0.2}}
 
 
 class TestMpmathOracle:
@@ -338,10 +342,10 @@ class TestMpmathOracle:
         with mpmath.workdps(20):
             yield
 
-    @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
+    @pytest.mark.parametrize("bath", sorted(ORACLE_BATHS))
     def test_xi_at_preset_frequencies(self, bath):
-        spec = OhmicSpec(TABLE_BATHS[bath]["j0"], TABLE_BATHS[bath]["omega_cutoff"])
-        beta = TABLE_BATHS[bath]["beta"]
+        spec = OhmicSpec(ORACLE_BATHS[bath]["j0"], ORACLE_BATHS[bath]["omega_cutoff"])
+        beta = ORACLE_BATHS[bath]["beta"]
         for x in MPMATH_FREQUENCIES:
             want = float(xi_mpmath(spec, beta, x))
             assert gamma_xi_ohmic(spec, beta, x, PARAMS).xi == pytest.approx(
@@ -360,10 +364,17 @@ class TestMpmathOracle:
             want = float(xi_mpmath(spec, beta, x))
         assert gamma_xi_ohmic(spec, beta, x, PARAMS).xi == pytest.approx(want, rel=MPMATH_RTOL)
 
-    @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
+    @pytest.mark.parametrize("bath", sorted(ORACLE_BATHS))
     def test_c1_at_positive_preset_frequencies(self, bath):
-        beta = TABLE_BATHS[bath]["beta"]
+        beta = ORACLE_BATHS[bath]["beta"]
         for x in (x for x in MPMATH_FREQUENCIES if x > 0):
+            assert redfield_coefficients(x, beta, PARAMS).c1_imag == pytest.approx(
+                float(c1_mpmath(beta, x)), rel=MPMATH_RTOL), x
+
+    @pytest.mark.parametrize("bath", sorted(ORACLE_BATHS))
+    def test_c1_at_non_positive_preset_frequencies(self, bath):
+        beta = ORACLE_BATHS[bath]["beta"]
+        for x in (x for x in MPMATH_FREQUENCIES if x <= 0):
             assert redfield_coefficients(x, beta, PARAMS).c1_imag == pytest.approx(
                 float(c1_mpmath(beta, x)), rel=MPMATH_RTOL), x
 

@@ -380,11 +380,10 @@ def _valid_configs():
             for name in ("three_level_v1", "four_level_nondegenerate")]
     compare = {"a": canonical_scenario_dict({"preset": "four_level_degenerate_driven"}),
                "b": canonical_scenario_dict({"preset": "three_level_nondriven"}),
-               "integration": {"t_final": 1.0}, "metric": "trace_distance",
-               "outputs": {"path": None, "formats": ["json"]}}
+               "integration": {"t_final": 1.0}, "metric": "trace_distance"}
     sweep = {"base": {"scenario": {"preset": "three_level_v0"}},
              "axes": {"scenario.q_max": [1, 2], "scenario.kind": ["lindblad"]},
-             "parallelism": 2, "outputs": {"formats": ["csv", "json"]}}
+             "parallelism": 2}
     return [(runs[0], RUN_SCHEMA), (runs[1], RUN_SCHEMA), (compare, cli.COMPARE_SCHEMA),
             (sweep, cli.SWEEP_SCHEMA)]
 
@@ -509,9 +508,20 @@ class TestMalformedSections:
                       "integration": {"t_final": 1.0}}, "q_max must be >= 0"),
         ("simulate", {"scenario": {"preset": "three_level_v1", "substeps": 16},
                       "integration": {"t_final": 1.0}}, "'substeps' was unexpected"),
+        # compare and sweep write only into --out, so they take no outputs section
+        ("compare", {"a": {"preset": "three_level_nondriven"},
+                     "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 1.0},
+                     "outputs": {"path": "wanted_dir"}}, "'outputs' was unexpected"),
+        ("sweep", {"base": {"scenario": {"preset": "three_level_nondriven"},
+                            "integration": {"t_final": 1.0}},
+                   "axes": {"scenario.lamb_shift": [True]}, "outputs": {"formats": ["csv"]}},
+         "'outputs' was unexpected"),
+        ("sweep", {"base": {"scenario": {"preset": "three_level_nondriven"},
+                            "integration": {"t_final": 1.0}, "outputs": {"path": "wanted_dir"}},
+                   "axes": {"scenario.lamb_shift": [True]}}, "'outputs' was unexpected"),
     ], ids=["no_integration", "integration_not_object", "outputs_null", "compare_side_not_object",
             "drive_pair_past_dim", "drive_pair_negative", "grid_m_zero", "q_max_negative",
-            "substeps_unknown"])
+            "substeps_unknown", "compare_outputs", "sweep_outputs", "sweep_base_outputs"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -589,6 +599,14 @@ class TestFloquetCommand:
         bench = read_csv(tmp_path / "benchmark.csv")
         assert min(float(r["fidelity_propagator"]) for r in bench) > 0.97
         assert min(float(r["fidelity_periodicity"]) for r in bench) > 0.96
+
+    @pytest.mark.parametrize("formats,written", [
+        (["json"], {"floquet.json"}), (["csv"], {"benchmark.csv"}), ([], set())])
+    def test_writes_only_requested_formats(self, tmp_path, formats, written):
+        code = main(["floquet", "--preset", "three_level_v1",
+                     "--set", f"outputs.formats={json.dumps(formats)}", "--out", str(tmp_path)])
+        assert code == 0
+        assert {p.name for p in tmp_path.iterdir()} == written
 
     def test_nondriven_exits_2(self, tmp_path):
         code = main(["floquet", "--preset", "three_level_nondriven",
