@@ -90,9 +90,8 @@ from .scenarios import (
     efficiency,
     evolve,
     qubit_dipole_calibration,
-    scenario_with,
     trajectory_diagnostics,
 )
-from .tolerances import TOLERANCES, ToleranceConfig, set_tolerances, tolerance_overrides
+from .tolerances import TOLERANCES, ToleranceConfig, tolerance_overrides
 
 __version__ = "0.1.0"

@@ -143,8 +143,8 @@ def spectral_density(spec: OhmicSpec, x) -> np.ndarray | float:
 # composite Gauss-Legendre machinery
 
 
-def _graded_edges(lo: float, hi: float, dense_at: str, first: float, growth: float = 3.0):
-    """Panel edges on [lo, hi], geometrically graded from the dense end."""
+def _graded_edges(lo: float, hi: float, dense_at: str, first: float):
+    """Panel edges on [lo, hi], the widths tripling from the dense end."""
     length = hi - lo
     if length <= 0:
         return np.array([lo, hi])
@@ -154,7 +154,7 @@ def _graded_edges(lo: float, hi: float, dense_at: str, first: float, growth: flo
     while total + w < length:
         widths.append(w)
         total += w
-        w *= growth
+        w *= 3.0
     widths.append(length - total)
     if dense_at == "hi":
         widths = widths[::-1]
@@ -203,8 +203,8 @@ def _checked(f, edges: np.ndarray, order: int, label: str) -> float:
     return fine
 
 
-def _regular_interval(f, lo: float, hi: float, order: int, label: str,
-                      dense_at: str = "lo", first: float = 0.25) -> float:
+def _regular_interval(f, lo: float, hi: float, order: int, label: str, first: float,
+                      dense_at: str = "lo") -> float:
     edges = _graded_edges(lo, hi, dense_at, first)
     return _checked(f, edges, order, label)
 

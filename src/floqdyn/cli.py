@@ -23,7 +23,7 @@ import json
 # it is part of start-up instead of the first command
 import locale  # noqa: F401
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -44,7 +44,6 @@ from .scenarios import (
     decompose_scenario,
     efficiency,
     evolve,
-    scenario_with,
     trajectory_diagnostics,
 )
 from .tolerances import TOLERANCES, tolerance_overrides
@@ -159,7 +158,6 @@ _OUTPUTS_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "path": {"type": ["string", "null"]},
         "formats": {"type": "array", "items": {"enum": ["csv", "json"]}},
     },
 }
@@ -259,12 +257,15 @@ def _section(data: dict, key: str, default: dict | None = None) -> dict:
     return value
 
 
+#: integration keys a config may leave out; None lets evolve choose the record grid
+_INTEGRATION_DEFAULTS = {"dt": None, "stride": None}
+
+
 def canonical_run_dict(data: dict) -> dict:
     data = copy.deepcopy(data)
     data["scenario"] = canonical_scenario_dict(_section(data, "scenario"))
-    data["outputs"] = {"path": None, "formats": ["csv", "json"],
-                       **_section(data, "outputs", {})}
-    data["integration"] = {"dt": None, "stride": None, **_section(data, "integration")}
+    data["outputs"] = {"formats": ["csv", "json"], **_section(data, "outputs", {})}
+    data["integration"] = {**_INTEGRATION_DEFAULTS, **_section(data, "integration")}
     return data
 
 
@@ -462,8 +463,7 @@ def trajectory_header(d: int) -> list[str]:
 def _run_trajectory(run: dict):
     config = scenario_from_dict(run["scenario"])
     integ = run["integration"]
-    traj = evolve(config, t_final=integ["t_final"], dt=integ.get("dt"),
-                  stride=integ.get("stride"))
+    traj = evolve(config, t_final=integ["t_final"], dt=integ["dt"], stride=integ["stride"])
     report = efficiency(traj)
     return config, traj, report
 
@@ -502,7 +502,7 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
     if "json" in formats:
         # the per-channel Lamb matrices are defined by the secular construction
         # regardless of which generator kind the scenario runs with
-        gen = build_generator(scenario_with(config, kind="floquet_lindblad"),
+        gen = build_generator(replace(config, kind="floquet_lindblad"),
                               decomposition=decomp)
         gaps = sorted({round(float(ea - eb), 10)
                        for ea in decomp.quasi.energies for eb in decomp.quasi.energies})
@@ -540,12 +540,12 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
     # one shared record grid so series align row by row: the given dt, or
     # else the smaller default (every generator is static in its
     # micromotion frame, so any dt serves both drive periods)
-    dt = integ.get("dt")
+    dt = integ["dt"]
     if dt is None:
         dt = min(scen_a.default_dt(), scen_b.default_dt())
     results = []
     for scen in (scen_a, scen_b):
-        traj = evolve(scen, t_final=integ["t_final"], dt=dt, stride=integ.get("stride"))
+        traj = evolve(scen, t_final=integ["t_final"], dt=dt, stride=integ["stride"])
         results.append((traj, efficiency(traj)))
     (traj_a, eff_a), (traj_b, eff_b) = results
     if metric == "eta_series":
@@ -566,6 +566,11 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+def _failed_point(values, code: int) -> dict:
+    return {"values": values, "status": f"error:{code}", "eta": float("nan"),
+            "final_populations": [], "positivity_min": float("nan")}
+
+
 def _sweep_point(args):
     run, values, tolerances = args
     try:
@@ -580,9 +585,7 @@ def _sweep_point(args):
             "positivity_min": float(traj.positivity_log.min()),
         }
     except FloqdynError as exc:
-        code = 2 if isinstance(exc, ConfigError) else 3
-        return {"values": values, "status": f"error:{code}", "eta": float("nan"),
-                "final_populations": [], "positivity_min": float("nan")}
+        return _failed_point(values, 2 if isinstance(exc, ConfigError) else 3)
 
 
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
@@ -591,7 +594,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     names = sorted(axes)
     grid = list(product(*(axes[name] for name in names)))
     results = [None] * len(grid)     # in grid order; axis values may be unhashable
-    tolerances = TOLERANCES.snapshot()
+    tolerances = asdict(TOLERANCES)
     jobs = []
     for i, values in enumerate(grid):
         # override the raw config so preset-level axes still take effect,
@@ -602,8 +605,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
             run = validate_schema(canonical_run_dict(run), RUN_SCHEMA)
             jobs.append((i, (run, values, tolerances)))
         except FloqdynError:
-            results[i] = {"values": values, "status": "error:2", "eta": float("nan"),
-                          "final_populations": [], "positivity_min": float("nan")}
+            results[i] = _failed_point(values, 2)
     workers = cfg.get("parallelism", 1)
     points = [job for _, job in jobs]
     if workers > 1 and len(jobs) > 1:
@@ -669,8 +671,6 @@ def main(argv: list[str] | None = None) -> int:
             data = load_config(args.config, args.preset, args.overrides,
                                default=_DEFAULT_RUN)
             run = validate_schema(canonical_run_dict(data), RUN_SCHEMA)
-            if run["outputs"]["path"] and args.out == ".":
-                out_dir = Path(run["outputs"]["path"])
             return cmd_simulate(run, out_dir) if args.command == "simulate" \
                 else cmd_floquet(run, out_dir)
         if args.command == "compare":
@@ -678,6 +678,7 @@ def main(argv: list[str] | None = None) -> int:
             data.setdefault("metric", "eta_series")
             for side in ("a", "b"):
                 data[side] = canonical_scenario_dict(_section(data, side))
+            data["integration"] = {**_INTEGRATION_DEFAULTS, **_section(data, "integration")}
             validate_schema(data, COMPARE_SCHEMA)
             return cmd_compare(data, out_dir)
         data = load_config(args.config, None, args.overrides)

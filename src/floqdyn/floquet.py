@@ -191,20 +191,34 @@ class FloquetDecomposition:
 
 
 def _match_branches(overlap: np.ndarray) -> np.ndarray:
-    """Column matched to each row of a doubly stochastic overlap matrix, so
-    that the matched overlaps have the largest sum.
-
-    When every row's largest entry exceeds 1/2 and these entries lie in
-    distinct columns, they are the unique optimum: another assignment takes,
-    in each row where it differs, an entry of at most 1 - (row maximum),
-    below 1/2.  Otherwise the assignment problem is solved in full.
-    """
-    best = np.argmax(overlap, axis=1)
-    if np.all(overlap[np.arange(len(best)), best] > 0.5) \
-            and len(set(best.tolist())) == len(best):
-        return best
-    import scipy.optimize     # here, on the rare fallback, to keep it out of start-up
-    return scipy.optimize.linear_sum_assignment(-overlap)[1]
+    """Column matched to each row of a square overlap matrix, so that the
+    matched overlaps have the largest sum: the Hungarian method with row and
+    column potentials, adding one row at a time by a shortest augmenting path
+    from a root column 0 (Jonker & Volgenant, Computing 38, 325 (1987))."""
+    n = len(overlap)
+    cost = np.pad(-overlap, ((1, 0), (1, 0)))
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=np.int64)   # row held by each column, 0 for none
+    for i in range(1, n + 1):
+        row_of[0], col = i, 0
+        slack = np.full(n + 1, np.inf)
+        prev = np.zeros(n + 1, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[col]:
+            used[col] = True
+            reduced = cost[row_of[col]] - u[row_of[col]] - v
+            lower = ~used & (reduced < slack)
+            slack[lower] = reduced[lower]
+            prev[lower] = col
+            col = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[col]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while col:
+            row_of[col] = row_of[prev[col]]
+            col = prev[col]
+    return np.argsort(row_of[1:])
 
 
 def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
@@ -229,7 +243,7 @@ def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
     return (spec_p.vectors * energies) @ spec_p.vectors.conj().T
 
 
-def floquet_decompose(h_of_t, tau: float, reference, grid_m: int = 1024,
+def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
                       unfold: bool = True) -> FloquetDecomposition:
     """Monodromy-based Floquet decomposition of a tau-periodic Hamiltonian.
 
@@ -263,7 +277,7 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int = 1024,
     rot = np.einsum("ab,tb,cb->tac", v, phases, v.conj())
     p_samples = u_samples @ rot
 
-    worst = max(unitarity_defect(p_samples[k]) for k in range(0, grid_m + 1, max(1, grid_m // 16)))
+    worst = unitarity_defect(p_samples[::max(1, grid_m // 16)])
     if worst > 1e-7:
         raise NumericalError(f"periodic operator unitarity defect {worst:.2e}")
     return FloquetDecomposition(
@@ -297,12 +311,11 @@ class FourierOperatorSet:
         return range(-self.q_max, self.q_max + 1)
 
 
-def fourier_operator_coefficients(decomp: FloquetDecomposition, s, q_max: int,
-                                  floor: float | None = None) -> FourierOperatorSet:
+def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
+                                  q_max: int) -> FourierOperatorSet:
     """Trapezoidal (DFT) Fourier coefficients of P†(t) S P(t) on the sample grid.
 
-    Entries with magnitude below ``floor`` are offset to zero (default from
-    the central tolerance configuration).
+    Entries with magnitude below ``TOLERANCES.fourier_floor`` are set to zero.
     """
     if q_max < 0:
         raise ValidationError("q_max must be >= 0")
@@ -312,7 +325,6 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s, q_max: int,
             f"grid of {m} samples/period is too coarse for q_max={q_max} "
             f"(need at least {8 * q_max})"
         )
-    floor = TOLERANCES.fourier_floor if floor is None else floor
     s = np.asarray(s, dtype=complex)
     p = decomp.p_samples[:m]
     rotated = np.einsum("tba,bc,tcd->tad", p.conj(), s, p)
@@ -320,7 +332,7 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s, q_max: int,
     coeffs = np.empty((2 * q_max + 1, s.shape[0], s.shape[1]), dtype=complex)
     for q in range(-q_max, q_max + 1):
         c = spectrum[q % m].copy()
-        c[np.abs(c) < floor] = 0.0
+        c[np.abs(c) < TOLERANCES.fourier_floor] = 0.0
         coeffs[q_max + q] = c
     return FourierOperatorSet(q_max=q_max, coefficients=coeffs)
 
@@ -350,9 +362,9 @@ class JumpOperatorTable:
     def op(self, q: int, gap_index: int, dim: int) -> np.ndarray:
         return self.entries.get((q, gap_index), np.zeros((dim, dim), dtype=complex))
 
-    def gap_index(self, omega: float, tol: float = 1e-9) -> int:
+    def gap_index(self, omega: float) -> int:
         idx = int(np.argmin(np.abs(self.gaps - omega)))
-        if abs(self.gaps[idx] - omega) > tol:
+        if abs(self.gaps[idx] - omega) > 1e-9:
             raise ValidationError(f"{omega} is not a tabulated gap")
         return idx
 
@@ -380,12 +392,10 @@ def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.n
     return np.array(means), labels.reshape(d, d)
 
 
-def jump_operator_table(fset: FourierOperatorSet, quasi: Spectrum,
-                        gap_tol: float | None = None) -> JumpOperatorTable:
+def jump_operator_table(fset: FourierOperatorSet, quasi: Spectrum) -> JumpOperatorTable:
     """Resolve each S(q) onto quasienergy gaps: S(q, omega) sums the
     |eps><eps| S(q) |eps'><eps'| blocks with eps - eps' in the omega cluster."""
-    gap_tol = TOLERANCES.gap_cluster if gap_tol is None else gap_tol
-    gaps, labels = cluster_gaps(quasi.energies, gap_tol)
+    gaps, labels = cluster_gaps(quasi.energies, TOLERANCES.gap_cluster)
     v = quasi.vectors
     entries = {}
     for q in fset.qs:
@@ -422,13 +432,11 @@ _BCH_TERMS = (
 )
 
 
-def bch_compose(x: np.ndarray, y: np.ndarray, terms: int = 12) -> np.ndarray:
-    """Truncated Baker-Campbell-Hausdorff series for log(e^x e^y)."""
-    if not (1 <= terms <= len(_BCH_TERMS)):
-        raise ValidationError(f"bch terms must be in [1, {len(_BCH_TERMS)}]")
+def bch_compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Baker-Campbell-Hausdorff series for log(e^x e^y), through its fifth order."""
     ops = {"X": x, "Y": y}
     total = np.zeros_like(x)
-    for coeff, word in _BCH_TERMS[:terms]:
+    for coeff, word in _BCH_TERMS:
         acc = ops[word[-1]]
         for ch in word[-2::-1]:
             m = ops[ch]
@@ -473,17 +481,16 @@ def _time_grid(t) -> tuple[np.ndarray, float, np.ndarray]:
     return times, h, k
 
 
-def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t,
-                             order: int = 3) -> list[np.ndarray]:
-    """Pauli vectors of the first Magnus integrals Lambda_n(t), n = 1..order.
+def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t) -> list[np.ndarray]:
+    """Pauli vectors of the first three Magnus integrals Lambda_1..Lambda_3(t).
 
     The interaction-picture drive of a single coupled pair lives in su(2),
     so nested commutators reduce to cross products of the drive vector
     a(t) = sum_j c_j exp(i*lambda_j*t), and every Lambda_n is a sum of
     iterated integrals of exponentials over ordered exponent tuples.  For
-    a tuple (lambda_1..lambda_order), row 0 of exp(t*M) holds all of them
-    at once, M the bidiagonal chain with ones above the diagonal and the
-    cumulative sums 0, i*lambda_1, i*(lambda_1 + lambda_2), ... on it
+    a tuple (lambda_1, lambda_2, lambda_3), row 0 of exp(t*M) holds all of
+    them at once, M the bidiagonal chain with ones above the diagonal and
+    the cumulative sums 0, i*lambda_1, i*(lambda_1 + lambda_2), ... on it
     (Van Loan, IEEE TAC 23, 395 (1978)).  The integrals are exact up to
     rounding, with no node count to choose.
 
@@ -492,10 +499,15 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t,
     batched exponential of h*M, then row 0 of exp(k*h*M) by one row-vector
     product per grid step.  A scalar is the one-step grid h = t.
     """
-    if not (1 <= order <= 3):
-        raise ValidationError("magnus order must be 1, 2, or 3")
     _, h, ks = _time_grid(t)
     lam, coef = _drive_exponentials(omega_gap, drive.omega_drive)
+    # coefficient tensors: Lambda_1 = int a, Lambda_2 = 1/2 int a1 x a2,
+    # Lambda_3 = 1/6 int [a1 x (a2 x a3) + (a1 x a2) x a3], over t > s1 > s2 > s3
+    c2 = np.cross(coef[:, None], coef[None, :])
+    weights = (coef, 0.5 * c2,
+               (np.cross(coef[:, None, None], c2[None]) + np.cross(c2[:, :, None], coef)) / 6.0)
+    order = len(weights)
+
     tuples = np.array(list(product(range(len(lam)), repeat=order)))
     diag = np.concatenate([np.zeros((len(tuples), 1)),
                            np.cumsum(1j * lam[tuples], axis=1)], axis=1)
@@ -507,11 +519,6 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t,
         rows[k] = (rows[k - 1][:, None, :] @ step)[:, 0]
     rows = rows[ks].reshape((len(ks),) + (len(lam),) * order + (order + 1,))
 
-    # coefficient tensors: Lambda_1 = int a, Lambda_2 = 1/2 int a1 x a2,
-    # Lambda_3 = 1/6 int [a1 x (a2 x a3) + (a1 x a2) x a3], over t > s1 > s2 > s3
-    c2 = np.cross(coef[:, None], coef[None, :])
-    weights = (coef, 0.5 * c2,
-               (np.cross(coef[:, None, None], c2[None]) + np.cross(c2[:, :, None], coef)) / 6.0)
     out = []
     for n in range(1, order + 1):
         integrals = rows[(slice(None),) * (n + 1) + (0,) * (order - n) + (n,)]
@@ -533,8 +540,7 @@ def _pair_paulis(dim: int, pair: tuple[int, int]):
     return sx, sy, sz
 
 
-def magnus_bch_propagator(drive: DriveSpec, h0, t, magnus_order: int = 3,
-                          bch_terms: int = 12) -> np.ndarray:
+def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
     """Approximate U(t,0) = exp(E) with E = BCH(-i*t*h0, Magnus exponent).
 
     ``t`` is a scalar, giving one propagator, or a 1-D array of times on
@@ -556,12 +562,12 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t, magnus_order: int = 3,
     lam = np.zeros_like(theta)
     if drive.mu > 0:
         paulis = np.array(_pair_paulis(h0.shape[0], drive.pair))
-        vecs = magnus_interaction_terms(drive, omega_gap, times, magnus_order)
+        vecs = magnus_interaction_terms(drive, omega_gap, times)
         for n, vec in enumerate(vecs, start=1):
             lam = lam + (-1j * drive.mu) ** n * np.tensordot(vec, paulis, axes=1)
 
     _warn_if_bch_strained(theta, lam)
-    e = bch_compose(theta, lam, bch_terms)
+    e = bch_compose(theta, lam)
     m = 0.5j * (e - e.conj().swapaxes(-1, -2))  # Hermitian generator: e = -i m up to rounding
     w, v = np.linalg.eigh(m)
     u = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -600,8 +606,7 @@ class BenchmarkReport:
 
 
 def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
-                         grid_points: int = 65, magnus_order: int = 3,
-                         bch_terms: int = 12) -> BenchmarkReport:
+                         grid_points: int = 65) -> BenchmarkReport:
     """Fidelities F[U_approx(t), U(t)] on [0, tau] and the periodicity
     fidelity F[P(t,0), P(t+tau,tau)] over two periods of data.
 
@@ -619,7 +624,7 @@ def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
     times = np.arange(2 * n + 1) * (tau / n)
     u_two = decomp.propagator_at(times)
     ts = times[:grid_points]
-    u_app = magnus_bch_propagator(drive, h0, times, magnus_order, bch_terms)
+    u_app = magnus_bch_propagator(drive, h0, times)
     h_app = principal_unitary_log(u_app[n], tol=1e-6) / tau
 
     def periodicity(u, spec):

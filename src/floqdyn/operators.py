@@ -46,17 +46,13 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(d))))
 
 
-def require_hermitian(m, tol: float | None = None) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = as_operator(m)
-    tol = TOLERANCES.hermitian if tol is None else tol
+    tol = TOLERANCES.hermitian
     defect = hermiticity_defect(a)
     if defect > tol:
         raise ValidationError(f"matrix not Hermitian: defect {defect:.3e} > {tol:.1e}")
     return a
-
-
-def require_unitary(m, tol: float | None = None) -> np.ndarray:
-    return _checked_unitary(as_operator(m), tol)
 
 
 def _checked_unitary(a: np.ndarray, tol: float | None) -> np.ndarray:
@@ -78,19 +74,15 @@ class Spectrum:
     energies: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.energies)
 
-
-def hermitian_eigensystem(h, tol: float | None = None) -> Spectrum:
+def hermitian_eigensystem(h) -> Spectrum:
     """Ascending eigensystem of a Hermitian matrix.
 
     Raises :class:`ValidationError` when the input is not Hermitian within
     tolerance; ``numpy.linalg.eigh`` (LAPACK) returns a reconstruction
     ``V diag(w) V†`` that matches the input to rounding at these dimensions.
     """
-    a = require_hermitian(h, tol)
+    a = require_hermitian(h)
     w, v = np.linalg.eigh(a)
     return Spectrum(energies=w, vectors=v)
 
@@ -209,7 +201,7 @@ def principal_unitary_log(u, tol: float | None = None) -> np.ndarray:
     Branch unfolding beyond the principal strip is deliberately out of scope
     here; the Floquet engine owns that.
     """
-    a = require_unitary(u, tol)
+    a = _checked_unitary(as_operator(u), tol)
     phases = np.sort(np.angle(np.linalg.eigvals(a)))
     gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
     j = int(np.argmax(gaps))
@@ -256,10 +248,6 @@ class DensityMatrix:
         if abs(tr.real - 1.0) > TOLERANCES.trace or abs(tr.imag) > TOLERANCES.trace:
             raise ValidationError(f"density matrix trace {tr} != 1")
         object.__setattr__(self, "matrix", a)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def populations(self) -> np.ndarray:

@@ -22,7 +22,7 @@ real, and every record's minimum eigenvalue is scanned in closed form per
 block of coupled levels (``operators.min_eigenvalues``).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,8 +111,8 @@ class ScenarioConfig:
         if self.dt is not None:
             return self.dt
         if self.drive is not None and self.kind.startswith("floquet"):
-            # divisor of the P(t) sample grid: recorded times hit exact samples
-            return (2.0 * np.pi / self.drive.omega_drive) / 256.0
+            # whole P(t) grid steps, about tau/256: recorded times hit exact samples
+            return (self.drive.tau / self.grid_m) * max(1, self.grid_m // 256)
         return 0.05
 
 
@@ -140,8 +140,7 @@ def _bath(name: str, transitions) -> BathSpec:
     )
 
 
-def build_three_level(variant: str, kind: str | None = None,
-                      **overrides) -> ScenarioConfig:
+def build_three_level(variant: str, kind: str | None = None) -> ScenarioConfig:
     """3-level presets: hot bath on 0<->1, cold on b<->1, optional drive.
 
     variant 'v0' drives the (0, b) pair near resonance; 'v1' drives (1, b)
@@ -161,7 +160,7 @@ def build_three_level(variant: str, kind: str | None = None,
         raise ConfigError(f"unknown 3-level variant {variant!r}")
     if kind is None:
         kind = "floquet_lindblad" if drive is not None else "lindblad"
-    fields = dict(
+    return ScenarioConfig(
         label=f"three_level_{variant}",
         energies=(0.0, 3.0, 2.5),
         target_level=2,
@@ -170,12 +169,10 @@ def build_three_level(variant: str, kind: str | None = None,
         drive=drive,
         q_max=q_max,
     )
-    fields.update(overrides)
-    return ScenarioConfig(**fields)
 
 
-def build_four_level(gap12: float, driven: bool = False, kind: str | None = None,
-                     **overrides) -> ScenarioConfig:
+def build_four_level(gap12: float, driven: bool = False,
+                     kind: str | None = None) -> ScenarioConfig:
     """4-level presets: hot bath on 0<->1 and 0<->2, cold on b<->1 and b<->2.
 
     gap12 is the |1>-|2> splitting (0 for the degenerate preset, 0.05 for
@@ -190,7 +187,7 @@ def build_four_level(gap12: float, driven: bool = False, kind: str | None = None
     if kind is None:
         kind = "floquet_redfield" if driven else "redfield"
     tag = "degenerate" if gap12 == 0 else "nondegenerate"
-    fields = dict(
+    return ScenarioConfig(
         label=f"four_level_{tag}" + ("_driven" if driven else ""),
         energies=(0.0, 3.0, 3.0 + gap12, 2.5),
         target_level=3,
@@ -199,8 +196,6 @@ def build_four_level(gap12: float, driven: bool = False, kind: str | None = None
         drive=drive,
         q_max=24 if driven else 0,
     )
-    fields.update(overrides)
-    return ScenarioConfig(**fields)
 
 
 PRESETS = {
@@ -388,8 +383,6 @@ class EfficiencyReport:
 
     eta: float
     t_final: float
-    times: np.ndarray
-    integrand: np.ndarray
     cumulative: np.ndarray
 
     def __post_init__(self):
@@ -397,25 +390,15 @@ class EfficiencyReport:
             raise ValidationError(f"efficiency {self.eta} outside [0, 1]")
 
 
-def efficiency(traj: Trajectory, target: int | None = None,
-               t_final: float | None = None) -> EfficiencyReport:
+def efficiency(traj: Trajectory) -> EfficiencyReport:
     """eta(t_f) = (1/t_f) * int_0^{t_f} rho_bb(s) ds, trapezoid on the record grid."""
-    if target is None:
-        target = traj.config.target_level
-    times = traj.times
-    if t_final is None:
-        t_final = float(times[-1])
-    if t_final > times[-1] + 1e-9:
-        raise ValidationError(f"t_final={t_final} beyond trajectory end {times[-1]}")
-    mask = times <= t_final + 1e-12
-    ts = times[mask]
-    pb = traj.populations[mask, target]
+    ts = traj.times
+    pb = traj.populations[:, traj.config.target_level]
     areas = np.concatenate([[0.0], np.cumsum(0.5 * (pb[1:] + pb[:-1]) * np.diff(ts))])
     with np.errstate(invalid="ignore", divide="ignore"):
         cumulative = np.where(ts > 0, areas / np.where(ts > 0, ts, 1.0), pb[0])
     eta = float(areas[-1] / ts[-1]) if ts[-1] > 0 else float(pb[0])
-    return EfficiencyReport(eta=eta, t_final=float(ts[-1]), times=ts,
-                            integrand=pb, cumulative=cumulative)
+    return EfficiencyReport(eta=eta, t_final=float(ts[-1]), cumulative=cumulative)
 
 
 @dataclass(frozen=True)
@@ -444,8 +427,3 @@ def trajectory_diagnostics(traj: Trajectory) -> DiagnosticsReport:
         max_trace_error=float(traj.trace_errors.max()),
         stationarity=stat,
     )
-
-
-def scenario_with(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    """dataclasses.replace wrapper so callers need not import dataclasses."""
-    return replace(config, **changes)

@@ -2,14 +2,15 @@
 
 Every structural check in the package (Hermiticity, unitarity, trace
 normalization, positivity, ...) reads its default threshold from the
-module-level :data:`TOLERANCES` singleton, so a single override point
-exists for studies that need looser thresholds (e.g. Redfield positivity
-checks).  The singleton is mutated in place so that modules holding a
-reference always see the active values.
+module-level :data:`TOLERANCES` singleton.  Studies that need other
+thresholds (e.g. looser Redfield positivity checks) assign its attributes,
+or override them within a ``with`` block by :func:`tolerance_overrides`.
+The singleton is mutated in place so that modules holding a reference
+always see the active values.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -24,32 +25,22 @@ class ToleranceConfig:
     quadrature_rel: float = 1e-6
     propagator_halving_gap: float = 1e-5
 
-    def snapshot(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def restore(self, values: dict) -> None:
-        for name, value in values.items():
-            setattr(self, name, value)
-
 
 TOLERANCES = ToleranceConfig()
 
 
-def set_tolerances(**overrides) -> ToleranceConfig:
-    """Update fields of the global tolerance configuration in place."""
-    for name, value in overrides.items():
-        if not hasattr(TOLERANCES, name):
-            raise AttributeError(f"unknown tolerance field {name!r}")
-        setattr(TOLERANCES, name, value)
-    return TOLERANCES
-
-
 @contextmanager
 def tolerance_overrides(**overrides):
-    """Temporarily override tolerance fields within a ``with`` block."""
-    saved = TOLERANCES.snapshot()
-    set_tolerances(**overrides)
+    """Temporarily override tolerance fields within a ``with`` block; an
+    unknown name raises ``AttributeError`` before any field is set."""
+    saved = asdict(TOLERANCES)
+    unknown = sorted(overrides.keys() - saved.keys())
+    if unknown:
+        raise AttributeError(f"unknown tolerance fields {unknown}")
     try:
+        for name, value in overrides.items():
+            setattr(TOLERANCES, name, value)
         yield TOLERANCES
     finally:
-        TOLERANCES.restore(saved)
+        for name, value in saved.items():
+            setattr(TOLERANCES, name, value)

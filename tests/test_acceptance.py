@@ -25,6 +25,7 @@ Floquet Hamiltonian.
 
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,6 @@ from floqdyn.scenarios import (
     decompose_scenario,
     efficiency,
     evolve,
-    scenario_with,
     trajectory_diagnostics,
 )
 
@@ -449,7 +449,7 @@ def test_criterion_4_four_level_gains(four_level_etas):
 def test_floquet_redfield_eta_matches_schrodinger_oracle(preset):
     # about 29 drive periods; t is off the decomposition grid, so the last
     # record is mapped back through P one Magnus step from a grid node
-    cfg = scenario_with(PRESETS[preset](), kind="floquet_redfield")
+    cfg = replace(PRESETS[preset](), kind="floquet_redfield")
     gen = build_generator(cfg)
     t = 80.0
     gap = abs(efficiency(evolve(cfg, t, generator=gen)).eta
@@ -465,7 +465,7 @@ def test_floquet_redfield_records_off_the_p_grid_match_schrodinger_oracle(preset
     # dt = 0.05 is no multiple of tau/grid_m and t_final is off both grids,
     # so every record after the first is mapped back through P between grid
     # nodes; the states are exact, so no trapezoid error enters the gap
-    cfg = scenario_with(PRESETS[preset](), kind="floquet_redfield")
+    cfg = replace(PRESETS[preset](), kind="floquet_redfield")
     gen = build_generator(cfg)
     traj = evolve(cfg, 80.3, dt=0.05, generator=gen)
     gap = float(np.max(np.abs(traj.states
@@ -490,7 +490,7 @@ def test_criterion_5a_trace_hermiticity_all_kinds(gen_v0):
             "floquet_lindblad": gen_v0,
             "redfield": build_generator(build_four_level(0.05)),
             "floquet_redfield": build_generator(
-                build_four_level(0.0, driven=True, grid_m=256, q_max=8)),
+                replace(build_four_level(0.0, driven=True), grid_m=256, q_max=8)),
         }
     worst_tr, worst_h = 0.0, 0.0
     for kind, gen in gens.items():
@@ -575,8 +575,8 @@ def test_criterion_5f_mu_to_zero_continuity():
 
     from floqdyn.floquet import DriveSpec
 
-    cfg_fr = build_four_level(0.0, driven=True, grid_m=256, q_max=2)
-    cfg_fr0 = scenario_with(cfg_fr, drive=DriveSpec(0.0, 2.25, (0, 3)))
+    cfg_fr = replace(build_four_level(0.0, driven=True), grid_m=256, q_max=2)
+    cfg_fr0 = replace(cfg_fr, drive=DriveSpec(0.0, 2.25, (0, 3)))
     traj_fr = evolve(cfg_fr0, 50.0, dt=0.01)
     traj_r = evolve(build_four_level(0.0, kind="redfield"), 50.0, dt=0.01)
     td = trace_distance(traj_fr.final_state(), traj_r.final_state())
@@ -606,7 +606,7 @@ def test_criterion_5h_branch_gauge_invariance(cfg_v0, dec_v0, gen_v0):
     h = drive_hamiltonian(cfg_v0.h0, cfg_v0.drive)
     dec_folded = floquet_decompose(h, cfg_v0.drive.tau, cfg_v0.h0,
                                    grid_m=1024, unfold=False)
-    gen_folded = build_generator(scenario_with(cfg_v0, q_max=26),
+    gen_folded = build_generator(replace(cfg_v0, q_max=26),
                                  decomposition=dec_folded)
     # the two gauges differ in Hbar, so their frames differ; the
     # interaction-picture generators must agree
@@ -647,7 +647,7 @@ def fr_driven_runs():
         cfg = build_four_level(0.0, driven=True)
         dec = decompose_scenario(cfg)
         traj = evolve(cfg, 1000.0, generator=build_generator(cfg, decomposition=dec))
-        cfg_nl = scenario_with(cfg, lamb_shift=False)
+        cfg_nl = replace(cfg, lamb_shift=False)
         traj_nl = evolve(cfg_nl, 1000.0,
                          generator=build_generator(cfg_nl, decomposition=dec))
     return traj, traj_nl
@@ -676,8 +676,8 @@ def test_criterion_6_degenerate_lamb_insensitivity(fr_driven_runs):
 def test_criterion_6_degenerate_static_lamb_and_c_insensitivity():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        t_on = evolve(build_four_level(0.0, lamb_shift=True), 400.0, dt=0.02)
-        t_off = evolve(build_four_level(0.0, lamb_shift=False), 400.0, dt=0.02)
+        t_on = evolve(replace(build_four_level(0.0), lamb_shift=True), 400.0, dt=0.02)
+        t_off = evolve(replace(build_four_level(0.0), lamb_shift=False), 400.0, dt=0.02)
     worst = max(trace_distance(a, b) for a, b in zip(t_on.states[::200], t_off.states[::200]))
     ok = worst < 1e-4
     _report("criterion 6 (degenerate static: C-coefficients do not matter)", ok,
@@ -697,7 +697,7 @@ def test_criterion_6_cutoff_keeps_positivity():
 
 
 def test_criterion_6_degenerate_redfield_coherence_growth():
-    traj = evolve(build_four_level(0.0, lamb_shift=False), 200.0, dt=0.02)
+    traj = evolve(replace(build_four_level(0.0), lamb_shift=False), 200.0, dt=0.02)
     r12 = np.abs(traj.states[:, 1, 2])
     ok = r12[0] == 0.0 and r12[-1] > 1e-3
     _report("criterion 6 (degenerate Redfield generates rho12 from diagonal start)", ok,

@@ -97,9 +97,8 @@ class TestCsvWriter:
 
 
 def test_cli_import_and_commands_leave_scipy_and_jsonschema_unloaded(tmp_path):
-    # scipy and jsonschema are test references (scipy also the rare fallback
-    # of branch matching); no preset command, and no rejected config, may
-    # import any of either, jsonschema's dependencies included, and only a
+    # scipy and jsonschema are test references only; no preset command, and
+    # no rejected config, may import any of either, jsonschema's dependencies included, and only a
     # parallel sweep needs the process pool (~8 ms to import).  Nor may a
     # command import anything else that `import floqdyn.cli` left out: its
     # cost would land in every run instead of once in start-up (numpy.ma,
@@ -376,7 +375,7 @@ def _valid_configs():
     """(config, schema) pairs that pass, in the form each command validates."""
     runs = [canonical_run_dict({"scenario": {"preset": name},
                                 "integration": {"t_final": 1.0, "dt": 0.1, "stride": 2},
-                                "outputs": {"path": "out", "formats": ["csv"]}})
+                                "outputs": {"formats": ["csv"]}})
             for name in ("three_level_v1", "four_level_nondegenerate")]
     compare = {"a": canonical_scenario_dict({"preset": "four_level_degenerate_driven"}),
                "b": canonical_scenario_dict({"preset": "three_level_nondriven"}),
@@ -496,6 +495,10 @@ class TestMalformedSections:
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
                       "integration": {"t_final": 1.0}, "outputs": None},
          "outputs section must be an object"),
+        # --out is the one source of the output directory
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 1.0}, "outputs": {"path": "wanted_dir"}},
+         "'path' was unexpected"),
         ("compare", {"a": {"preset": "three_level_nondriven"}, "b": 7,
                      "integration": {"t_final": 1.0}}, "b section must be an object"),
         ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"pair": [1, 5]}},
@@ -519,9 +522,10 @@ class TestMalformedSections:
         ("sweep", {"base": {"scenario": {"preset": "three_level_nondriven"},
                             "integration": {"t_final": 1.0}, "outputs": {"path": "wanted_dir"}},
                    "axes": {"scenario.lamb_shift": [True]}}, "'outputs' was unexpected"),
-    ], ids=["no_integration", "integration_not_object", "outputs_null", "compare_side_not_object",
-            "drive_pair_past_dim", "drive_pair_negative", "grid_m_zero", "q_max_negative",
-            "substeps_unknown", "compare_outputs", "sweep_outputs", "sweep_base_outputs"])
+    ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
+            "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
+            "grid_m_zero", "q_max_negative", "substeps_unknown", "compare_outputs",
+            "sweep_outputs", "sweep_base_outputs"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,7 +33,6 @@ from floqdyn.scenarios import (
     build_three_level,
     decompose_scenario,
     evolve,
-    scenario_with,
 )
 from floqdyn.tolerances import TOLERANCES
 
@@ -193,7 +194,7 @@ def apply(gen, rho):
 
 
 def three_level_spec(kind="lindblad", lamb=True):
-    cfg = build_three_level("nondriven", kind=kind, lamb_shift=lamb)
+    cfg = replace(build_three_level("nondriven", kind=kind), lamb_shift=lamb)
     return cfg, GeneratorSpec(kind=kind, channels=cfg.channels(), lamb_shift=lamb)
 
 
@@ -237,7 +238,7 @@ def _all_kind_generators(gen_v0):
         "floquet_lindblad": gen_v0,
         "redfield": build_generator(cfg4),
     }
-    cfg4d = build_four_level(0.0, driven=True, grid_m=256)
+    cfg4d = replace(build_four_level(0.0, driven=True), grid_m=256)
     gens["floquet_redfield"] = build_generator(cfg4d)
     return gens
 
@@ -325,7 +326,7 @@ class TestFloquetLindblad:
     def test_floor_starvation_raises_for_both_floquet_kinds(self, kind):
         from floqdyn.tolerances import tolerance_overrides
 
-        config = scenario_with(PRESETS["four_level_degenerate_driven"](), kind=kind)
+        config = replace(PRESETS["four_level_degenerate_driven"](), kind=kind)
         decomp = decompose_scenario(config)
         with tolerance_overrides(fourier_floor=10.0):
             with pytest.raises(ConfigError, match="Fourier floor removed every jump operator"):
@@ -352,14 +353,14 @@ class TestRedfield:
         assert max(tds) < 1e-4
 
     def test_degenerate_coherence_growth(self):
-        cfg = build_four_level(0.0, lamb_shift=False)
+        cfg = replace(build_four_level(0.0), lamb_shift=False)
         traj = evolve(cfg, 200.0, dt=0.02)
         r12 = np.abs(traj.states[:, 1, 2])
         assert r12[0] == 0.0
         assert r12[-1] > 1e-3
 
     def test_nondegenerate_coherence_generated(self):
-        cfg = build_four_level(0.05, lamb_shift=False)
+        cfg = replace(build_four_level(0.05), lamb_shift=False)
         traj = evolve(cfg, 200.0, dt=0.02)
         assert np.abs(traj.states[:, 1, 2]).max() > 1e-4
 
@@ -373,7 +374,7 @@ class TestRedfield:
     @pytest.mark.parametrize("lamb", [True, False])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_matches_pair_reference(self, preset, lamb):
-        cfg = scenario_with(PRESETS[preset](), kind="redfield", lamb_shift=lamb)
+        cfg = replace(PRESETS[preset](), kind="redfield", lamb_shift=lamb)
         spec = GeneratorSpec(kind="redfield", channels=cfg.channels(), lamb_shift=lamb,
                              lamb_params=cfg.lamb_params)
         gap = np.max(np.abs(build_generator(cfg).superop - redfield_pairs_reference(cfg.h0, spec)))
@@ -393,7 +394,7 @@ class TestRedfield:
 
 @pytest.fixture(scope="module")
 def fr_setup():
-    cfg = build_four_level(0.0, driven=True, grid_m=256, q_max=8)
+    cfg = replace(build_four_level(0.0, driven=True), grid_m=256, q_max=8)
     dec = decompose_scenario(cfg)
     return cfg, dec, build_generator(cfg, decomposition=dec)
 
@@ -408,10 +409,10 @@ class TestFloquetRedfield:
             assert abs(np.trace(apply(gen, rho))) < 1e-11
 
     def test_mu_zero_matches_static_redfield(self):
-        cfg = build_four_level(0.0, driven=True, grid_m=256, q_max=2)
+        cfg = replace(build_four_level(0.0, driven=True), grid_m=256, q_max=2)
         from floqdyn.floquet import DriveSpec
 
-        cfg0 = scenario_with(cfg, drive=DriveSpec(0.0, 2.25, (0, 3)))
+        cfg0 = replace(cfg, drive=DriveSpec(0.0, 2.25, (0, 3)))
         gen0 = build_generator(cfg0)
         traj0 = evolve(cfg0, 50.0, dt=0.01, generator=gen0)
         cfg_r = build_four_level(0.0, kind="redfield")
@@ -436,7 +437,7 @@ class TestFloquetRedfield:
     def test_matches_node_reference_in_the_schrodinger_picture(self, fr_setup, lamb,
                                                                full_secular):
         cfg, dec, _ = fr_setup
-        cfg = scenario_with(cfg, lamb_shift=lamb)
+        cfg = replace(cfg, lamb_shift=lamb)
         gen = build_generator(cfg, decomposition=dec, full_secular=full_secular)
         spec = GeneratorSpec(kind="floquet_redfield", channels=cfg.channels(),
                              lamb_shift=lamb, floquet=dec, lamb_params=cfg.lamb_params,
@@ -448,7 +449,7 @@ class TestFloquetRedfield:
     @pytest.mark.parametrize("lamb", [True, False])
     def test_full_secular_matches_eight_term_reference(self, fr_setup, lamb):
         cfg, dec, _ = fr_setup
-        cfg = scenario_with(cfg, lamb_shift=lamb)
+        cfg = replace(cfg, lamb_shift=lamb)
         gen = build_generator(cfg, decomposition=dec, full_secular=True)
         spec = GeneratorSpec(kind="floquet_redfield", channels=cfg.channels(),
                              lamb_shift=lamb, floquet=dec,
@@ -464,7 +465,7 @@ class TestFloquetRedfield:
         # (Comparing against the Ohmic-J Floquet-Lindblad instead would mix
         # in the nu^3-vs-J spectral profile at the drive sidebands.)
         cfg, dec, _ = fr_setup
-        cfg_nl = scenario_with(cfg, lamb_shift=False)
+        cfg_nl = replace(cfg, lamb_shift=False)
         gen_fs = build_generator(cfg_nl, decomposition=dec, full_secular=True)
         # Lindblad form: same construction channel by channel, so the
         # cross-transition products never form

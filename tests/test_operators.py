@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 from floqdyn.errors import ValidationError
 from floqdyn.floquet import _drive_exponentials, propagate_schrodinger
@@ -262,10 +263,20 @@ def block_stacks(draw):
 
 
 def assert_min_eigenvalues_exact(h):
-    """Each result within 4 eps ||h_k||_2 of the 30-digit oracle."""
+    """Each result within the error bound of its path of the 30-digit oracle.
+
+    Blocks of 1 or 2 coupled levels have closed forms, held to 4 eps ||h_k||_2.
+    A stack with an n-level block, n >= 3, goes to LAPACK's Hermitian
+    eigensolver, held to its bound p(n) u ||h_k||_2 (LAPACK Users' Guide,
+    3rd ed., sec. 4.7.1), with u = eps/2 the unit roundoff and the modestly
+    growing p(n) (sec. 4.1) taken as 10 n.
+    """
     got = min_eigenvalues(h)
     want = np.array([mp_min_eigenvalue(m) for m in h])
-    bound = 4 * EPS * np.linalg.norm(h, 2, axis=(-2, -1))
+    _, block_of = connected_components(np.any(h != 0, axis=0), directed=False)
+    n = np.bincount(block_of).max()
+    factor = 4 if n <= 2 else 10 * n / 2
+    bound = factor * EPS * np.linalg.norm(h, 2, axis=(-2, -1))
     assert np.all(np.abs(got - want) <= bound), (got, want)
     return got
 

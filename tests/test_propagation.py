@@ -11,6 +11,8 @@ states P(t)† rho(t) P(t) is exp(L t) rho(0), one matrix exponential per
 record time, not composed record to record.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +25,6 @@ from floqdyn.scenarios import (
     build_generator,
     decompose_scenario,
     evolve,
-    scenario_with,
 )
 
 from conftest import mp_min_eigenvalue, propagator_oracle
@@ -181,7 +182,7 @@ def test_records_by_doubling_match_sequential_products(n_full, off_stride, prese
 def test_every_kind_ends_on_t_final(kind):
     config = PRESETS["three_level_v1" if kind.startswith("floquet")
                      else "three_level_nondriven"]()
-    config = scenario_with(config, kind=kind)
+    config = replace(config, kind=kind)
     for t_final in (7.3, 10.0):
         traj = evolve(config, t_final)
         assert traj.times[-1] == t_final
@@ -239,7 +240,7 @@ def test_floquet_lindblad_frame_matches_interaction_picture_reference(preset):
     # interaction picture of U(t) = P(t) exp(-i Hbar t); the frame generator
     # L evolves alike because L_int commutes with ad_Hbar.  T_SHORT is off
     # the stride, so the end record is reached by its own exponential.
-    config = scenario_with(PRESETS[preset](), kind="floquet_lindblad")
+    config = replace(PRESETS[preset](), kind="floquet_lindblad")
     gen = build_generator(config)
     decomp = gen.decomposition
     ad_hbar = sop_commutator(decomp.hbar_floquet)

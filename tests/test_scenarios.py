@@ -1,5 +1,6 @@
 import logging
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,17 +10,19 @@ from floqdyn.baths import BathSpec, OhmicSpec, spectral_density
 from floqdyn.errors import ValidationError
 from floqdyn.operators import trace_distance
 from floqdyn.scenarios import (
+    PRESETS,
     ScenarioConfig,
     Trajectory,
     build_four_level,
     build_generator,
     build_three_level,
+    decompose_scenario,
     efficiency,
     evolve,
     qubit_dipole_calibration,
     trajectory_diagnostics,
 )
-from floqdyn.tolerances import tolerance_overrides
+from floqdyn.tolerances import TOLERANCES, tolerance_overrides
 
 from conftest import mp_min_eigenvalue
 
@@ -119,6 +122,16 @@ class TestEvolve:
         herm = [np.max(np.abs(s - s.conj().T)) for s in traj.states[::50]]
         assert max(herm) < 1e-9
 
+    @pytest.mark.parametrize("grid_m", [100, 1000, 1024])
+    def test_default_records_land_on_the_p_grid(self, grid_m):
+        # every on-stride record is mapped back by a P sample, none by a
+        # Magnus step from the node below
+        cfg = replace(PRESETS["three_level_v1"](), grid_m=grid_m)
+        dec = decompose_scenario(cfg)
+        times = evolve(cfg, 30.0, generator=build_generator(cfg, decomposition=dec)).times[:-1]
+        nodes = np.rint(times / dec.tau * grid_m).astype(np.int64) % grid_m
+        assert np.array_equal(dec.p_at(times), dec.p_samples[nodes])
+
     def test_determinism_bit_identical(self):
         cfg = build_three_level("nondriven")
         t1 = evolve(cfg, 50.0, dt=0.05)
@@ -189,10 +202,6 @@ class TestEfficiency:
         rep = efficiency(traj)
         assert 0.0 <= rep.eta <= traj.populations[:, 2].max() + 1e-9
 
-    def test_t_final_beyond_trajectory_rejected(self):
-        with pytest.raises(ValidationError):
-            efficiency(self._const_traj(0.5), t_final=99.0)
-
     def test_stride_refinement_stability(self):
         cfg = build_three_level("nondriven")
         e1 = efficiency(evolve(cfg, 600.0, dt=0.05, stride=24)).eta
@@ -234,8 +243,8 @@ class TestDiagnostics:
 
 class TestDegenerateLambInsensitivity:
     def test_static_redfield_lamb_on_off(self):
-        cfg_on = build_four_level(0.0, kind="redfield", lamb_shift=True)
-        cfg_off = build_four_level(0.0, kind="redfield", lamb_shift=False)
+        cfg_on = replace(build_four_level(0.0, kind="redfield"), lamb_shift=True)
+        cfg_off = replace(build_four_level(0.0, kind="redfield"), lamb_shift=False)
         t_on = evolve(cfg_on, 400.0, dt=0.01)
         t_off = evolve(cfg_off, 400.0, dt=0.01)
         tds = [trace_distance(a, b) for a, b in zip(t_on.states[::100], t_off.states[::100])]
@@ -271,6 +280,15 @@ class TestIntegrationGuards:
         assert len(traj.warnings_issued) == 1
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == \
             [("floqdyn", logging.WARNING, traj.warnings_issued[0])]
+
+
+class TestToleranceOverrides:
+    def test_unknown_name_sets_no_field(self):
+        before = asdict(TOLERANCES)
+        with pytest.raises(AttributeError, match="bogus"):
+            with tolerance_overrides(hermitian=0.5, bogus=1):
+                pass
+        assert asdict(TOLERANCES) == before
 
 
 class TestRateEquationOracle:
