@@ -3,7 +3,7 @@
 Library layout:
 
 * ``operators`` -- dense matrix algebra (exponentials, logs, eigensystems,
-  fidelities) and density-matrix validation.
+  fidelities, trace distances).
 * ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi correlation
   coefficients, Redfield N/C coefficients, principal-value quadrature.
 * ``propagation`` -- the fourth-order Magnus step for the Schrodinger
@@ -47,7 +47,6 @@ from .floquet import (
     BenchmarkReport,
     DriveSpec,
     FloquetDecomposition,
-    FourierOperatorSet,
     JumpOperatorTable,
     benchmark_fidelities,
     drive_hamiltonian,
@@ -68,7 +67,6 @@ from .generators import (
     redfield_generator,
 )
 from .operators import (
-    DensityMatrix,
     Spectrum,
     hermitian_eigensystem,
     min_eigenvalues,

@@ -481,7 +481,7 @@ def cmd_simulate(run: dict, out_dir: Path) -> int:
             "kind": config.kind,
             "eta": report.eta,
             "t_final": report.t_final,
-            "final_state": _json_matrix(traj.final_state()),
+            "final_state": _json_matrix(traj.states[-1]),
             "final_populations": traj.populations[-1].tolist(),
             "diagnostics": {
                 "min_eigenvalue": diag.min_eigenvalue,
@@ -561,7 +561,7 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
         "label_a": scen_a.label, "label_b": scen_b.label, "metric": metric,
         "eta_a": eff_a.eta, "eta_b": eff_b.eta,
         "relative_gain_a_over_b": rel,
-        "final_trace_distance": trace_distance(traj_a.final_state(), traj_b.final_state()),
+        "final_trace_distance": trace_distance(traj_a.states[-1], traj_b.states[-1]),
     })
     return 0
 

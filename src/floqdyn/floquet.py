@@ -258,7 +258,7 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
     u_samples = _checked_samples(h_of_t, 0.0, tau, grid_m, "refine the grid (`grid_m`)")
     u_tau = u_samples[-1]
 
-    k_log = principal_unitary_log(u_tau, tol=1e-6)
+    k_log = principal_unitary_log(u_tau)
     h_principal = k_log / tau
     omega = 2.0 * np.pi / tau
     h_bar = _unfold_quasienergies(h_principal, reference, omega) if unfold else h_principal
@@ -294,28 +294,13 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
 # Fourier operator coefficients and the jump table
 
 
-@dataclass(frozen=True)
-class FourierOperatorSet:
-    """Harmonics S(q) of P†(t) S P(t) = sum_q S(q) exp(i*q*Omega*t)."""
-
-    q_max: int
-    coefficients: np.ndarray  # shape (2*q_max+1, d, d); index q_max + q
-
-    def op(self, q: int) -> np.ndarray:
-        if abs(q) > self.q_max:
-            raise ValidationError(f"|q|={abs(q)} exceeds q_max={self.q_max}")
-        return self.coefficients[self.q_max + q]
-
-    @property
-    def qs(self) -> range:
-        return range(-self.q_max, self.q_max + 1)
-
-
 def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
-                                  q_max: int) -> FourierOperatorSet:
-    """Trapezoidal (DFT) Fourier coefficients of P†(t) S P(t) on the sample grid.
+                                  q_max: int) -> np.ndarray:
+    """Harmonics S(q) of P†(t) S P(t) = sum_q S(q) exp(i*q*Omega*t), |q| <= q_max.
 
-    Entries with magnitude below ``TOLERANCES.fourier_floor`` are set to zero.
+    Trapezoidal (DFT) coefficients on the sample grid, shape
+    (2*q_max + 1, d, d) with S(q) at index q_max + q.  Entries with
+    magnitude below ``TOLERANCES.fourier_floor`` are set to zero.
     """
     if q_max < 0:
         raise ValidationError("q_max must be >= 0")
@@ -328,19 +313,9 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
     s = np.asarray(s, dtype=complex)
     p = decomp.p_samples[:m]
     rotated = np.einsum("tba,bc,tcd->tad", p.conj(), s, p)
-    spectrum = fft(rotated, axis=0) / m
-    coeffs = np.empty((2 * q_max + 1, s.shape[0], s.shape[1]), dtype=complex)
-    for q in range(-q_max, q_max + 1):
-        c = spectrum[q % m].copy()
-        c[np.abs(c) < TOLERANCES.fourier_floor] = 0.0
-        coeffs[q_max + q] = c
-    return FourierOperatorSet(q_max=q_max, coefficients=coeffs)
-
-
-def static_fourier_set(s) -> FourierOperatorSet:
-    """Trivial harmonic content of a static (undriven) problem: S(0) = S."""
-    s = np.asarray(s, dtype=complex)
-    return FourierOperatorSet(q_max=0, coefficients=s[None, :, :].copy())
+    coeffs = fft(rotated, axis=0)[np.arange(-q_max, q_max + 1) % m] / m
+    coeffs[np.abs(coeffs) < TOLERANCES.fourier_floor] = 0.0
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -392,14 +367,15 @@ def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.n
     return np.array(means), labels.reshape(d, d)
 
 
-def jump_operator_table(fset: FourierOperatorSet, quasi: Spectrum) -> JumpOperatorTable:
-    """Resolve each S(q) onto quasienergy gaps: S(q, omega) sums the
-    |eps><eps| S(q) |eps'><eps'| blocks with eps - eps' in the omega cluster."""
+def jump_operator_table(harmonics: np.ndarray, quasi: Spectrum) -> JumpOperatorTable:
+    """Resolve each S(q) of ``harmonics`` (S(q) at index q_max + q) onto
+    quasienergy gaps: S(q, omega) sums the |eps><eps| S(q) |eps'><eps'|
+    blocks with eps - eps' in the omega cluster."""
     gaps, labels = cluster_gaps(quasi.energies, TOLERANCES.gap_cluster)
     v = quasi.vectors
     entries = {}
-    for q in fset.qs:
-        sq = fset.op(q)
+    q_max = len(harmonics) // 2
+    for q, sq in zip(range(-q_max, q_max + 1), harmonics):
         if not np.any(sq):
             continue
         sq_eig = v.conj().T @ sq @ v
@@ -605,10 +581,14 @@ class BenchmarkReport:
     fidelity_periodicity_magnus: np.ndarray
 
 
-def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
-                         grid_points: int = 65) -> BenchmarkReport:
+#: Points of the fidelity benchmark's grid on [0, tau], both ends included.
+BENCHMARK_GRID_POINTS = 65
+
+
+def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition) -> BenchmarkReport:
     """Fidelities F[U_approx(t), U(t)] on [0, tau] and the periodicity
-    fidelity F[P(t,0), P(t+tau,tau)] over two periods of data.
+    fidelity F[P(t,0), P(t+tau,tau)] over two periods of data, on
+    ``BENCHMARK_GRID_POINTS`` times per period.
 
     The reference U(t) is the decomposition's :meth:`propagator_at`.  The
     periodicity check is reported both for the reference propagator's P
@@ -617,26 +597,23 @@ def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition,
     calls over the two-period grid.
     """
     h0 = require_hermitian(h0)
-    if grid_points < 2:
-        raise ValidationError("benchmark grid_points must be >= 2")
     tau = decomp.tau
-    n = grid_points - 1
+    n = BENCHMARK_GRID_POINTS - 1
     times = np.arange(2 * n + 1) * (tau / n)
     u_two = decomp.propagator_at(times)
-    ts = times[:grid_points]
+    ts = times[:n + 1]
     u_app = magnus_bch_propagator(drive, h0, times)
-    h_app = principal_unitary_log(u_app[n], tol=1e-6) / tau
+    h_app = principal_unitary_log(u_app[n]) / tau
 
     def periodicity(u, spec):
         # F[P(t,0), P(t+tau,tau)] with P(t,0) = U(t,0) exp(i*H*t)
         x = (spec.vectors * np.exp(1j * spec.energies * ts[:, None])[:, None, :]) \
             @ spec.vectors.conj().T
-        return unitary_fidelity(u[:grid_points] @ x, u[n:] @ u[n].conj().T @ x, tol=1e-6)
+        return unitary_fidelity(u[:n + 1] @ x, u[n:] @ u[n].conj().T @ x)
 
     return BenchmarkReport(
         times=ts,
-        fidelity_propagator=unitary_fidelity(u_app[:grid_points], u_two[:grid_points],
-                                             tol=1e-6),
+        fidelity_propagator=unitary_fidelity(u_app[:n + 1], u_two[:n + 1]),
         fidelity_periodicity=periodicity(u_two, decomp.quasi),
         fidelity_periodicity_magnus=periodicity(u_app, hermitian_eigensystem(h_app)),
     )

@@ -54,7 +54,6 @@ from .floquet import (
     JumpOperatorTable,
     fourier_operator_coefficients,
     jump_operator_table,
-    static_fourier_set,
 )
 from .operators import Spectrum, hermitian_eigensystem, require_hermitian
 
@@ -240,7 +239,7 @@ def _harmonic_frame(h0, spec: GeneratorSpec) -> _HarmonicFrame:
             decomp.quasi, decomp.omega_drive,
             lambda op: fourier_operator_coefficients(decomp, op, spec.q_max),
             decomp.hbar_floquet)
-    return _HarmonicFrame(hermitian_eigensystem(h0), 0.0, static_fourier_set, h0)
+    return _HarmonicFrame(hermitian_eigensystem(h0), 0.0, lambda op: op[None], h0)
 
 
 def _by_bath(channels) -> dict:

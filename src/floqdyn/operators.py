@@ -10,7 +10,7 @@ dimensions of order d <= 8, where exact eigendecomposition-based matrix
 functions are both simplest and most accurate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,8 @@ def require_hermitian(m) -> np.ndarray:
     return a
 
 
-def _checked_unitary(a: np.ndarray, tol: float | None) -> np.ndarray:
-    tol = TOLERANCES.unitary if tol is None else tol
+def _checked_unitary(a: np.ndarray) -> np.ndarray:
+    tol = TOLERANCES.unitary
     defect = unitarity_defect(a)
     if defect > tol:
         raise ValidationError(f"matrix not unitary: defect {defect:.3e} > {tol:.1e}")
@@ -189,7 +189,7 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def principal_unitary_log(u, tol: float | None = None) -> np.ndarray:
+def principal_unitary_log(u) -> np.ndarray:
     """Hermitian K with ``u = exp(-i K)`` and eigenphases of ``u`` in (-pi, pi].
 
     The eigenphases are the angles of ``u``'s eigenvalues.  The eigenvectors
@@ -201,7 +201,7 @@ def principal_unitary_log(u, tol: float | None = None) -> np.ndarray:
     Branch unfolding beyond the principal strip is deliberately out of scope
     here; the Floquet engine owns that.
     """
-    a = _checked_unitary(as_operator(u), tol)
+    a = _checked_unitary(as_operator(u))
     phases = np.sort(np.angle(np.linalg.eigvals(a)))
     gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
     j = int(np.argmax(gaps))
@@ -215,60 +215,18 @@ def principal_unitary_log(u, tol: float | None = None) -> np.ndarray:
     return 0.5 * (k + k.conj().T)
 
 
-def unitary_fidelity(u, v, tol: float | None = None):
+def unitary_fidelity(u, v):
     """(1/d) |Tr[u v†]| for two unitaries of equal dimension.
 
     Two stacks of shape (..., d, d) give the array of pairwise fidelities;
     every matrix in them is checked unitary like a single one.
     """
-    a = _checked_unitary(_as_operators(u), tol)
-    b = _checked_unitary(_as_operators(v), tol)
+    a = _checked_unitary(_as_operators(u))
+    b = _checked_unitary(_as_operators(v))
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
     f = np.abs(np.einsum("...ab,...ab->...", a, b.conj())) / a.shape[-1]
     return float(f) if f.ndim == 0 else f
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Trace-one Hermitian state of the system.
-
-    Hermiticity and normalization are enforced at construction; positivity is
-    a soft check because Redfield-type dynamics may transiently violate it.
-    Violations are surfaced through ``min_eigenvalue``, not as errors.
-    """
-
-    matrix: np.ndarray = field()
-
-    def __post_init__(self):
-        a = as_operator(self.matrix)
-        if hermiticity_defect(a) > TOLERANCES.hermitian:
-            raise ValidationError("density matrix not Hermitian")
-        tr = np.trace(a)
-        if abs(tr.real - 1.0) > TOLERANCES.trace or abs(tr.imag) > TOLERANCES.trace:
-            raise ValidationError(f"density matrix trace {tr} != 1")
-        object.__setattr__(self, "matrix", a)
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diag(self.matrix).real
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(min_eigenvalues(self.matrix[None])[0])
-
-    @classmethod
-    def pure(cls, dim: int, level: int) -> "DensityMatrix":
-        m = np.zeros((dim, dim), dtype=complex)
-        m[level, level] = 1.0
-        return cls(m)
-
-    @classmethod
-    def gibbs(cls, h, beta: float) -> "DensityMatrix":
-        spec = hermitian_eigensystem(h)
-        w = np.exp(-beta * (spec.energies - spec.energies.min()))
-        w /= w.sum()
-        return cls((spec.vectors * w) @ spec.vectors.conj().T)
 
 
 def trace_distance(a, b) -> float | np.ndarray:

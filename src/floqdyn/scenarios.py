@@ -38,7 +38,7 @@ from .generators import (
     lindblad_generator,
     redfield_generator,
 )
-from .operators import DensityMatrix, expm, min_eigenvalues
+from .operators import expm, min_eigenvalues
 from .tolerances import TOLERANCES
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
@@ -65,7 +65,6 @@ class ScenarioConfig:
     lamb_params: LambIntegralParams = LambIntegralParams()
     initial_level: int = 0
     grid_m: int = 1024
-    dt: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
@@ -93,8 +92,11 @@ class ScenarioConfig:
     def h0(self) -> np.ndarray:
         return np.diag(np.asarray(self.energies, dtype=complex))
 
-    def initial_state(self) -> DensityMatrix:
-        return DensityMatrix.pure(self.dim, self.initial_level)
+    def initial_state(self) -> np.ndarray:
+        """The pure state |initial_level><initial_level|."""
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho[self.initial_level, self.initial_level] = 1.0
+        return rho
 
     def channels(self) -> tuple[CouplingChannel, ...]:
         out = []
@@ -108,8 +110,6 @@ class ScenarioConfig:
         return tuple(out)
 
     def default_dt(self) -> float:
-        if self.dt is not None:
-            return self.dt
         if self.drive is not None and self.kind.startswith("floquet"):
             # whole P(t) grid steps, about tau/256: recorded times hit exact samples
             return (self.drive.tau / self.grid_m) * max(1, self.grid_m // 256)
@@ -270,9 +270,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 #: Records per array call of the micromotion map and the Hermitian part in
 #: ``evolve``; the positivity scan takes the whole record stack at once.
@@ -327,7 +324,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     times[-1] = t_final
     d = generator.dim
     states = np.empty((len(times), d * d), dtype=complex)
-    states[0] = config.initial_state().matrix.ravel()
+    states[0] = config.initial_state().ravel()
     record_map = expm(generator.superop * (stride * dt))
     # records [m, 2m) are records [0, m) advanced by power = record_map^m
     power, m = record_map, 1

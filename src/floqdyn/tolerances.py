@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass
 @dataclass
 class ToleranceConfig:
     hermitian: float = 1e-10
-    unitary: float = 1e-8
-    trace: float = 1e-10
+    unitary: float = 1e-6
     trace_drift: float = 1e-6
     redfield_positivity: float = -1e-3
     gap_cluster: float = 1e-4

@@ -19,6 +19,13 @@ from floqdyn.scenarios import (
 )
 
 
+def gibbs_state(h, beta: float) -> np.ndarray:
+    """exp(-beta h) / Tr exp(-beta h), from the eigensystem of ``h``."""
+    w, v = np.linalg.eigh(h)
+    p = np.exp(-beta * (w - w.min()))
+    return (v * (p / p.sum())) @ v.conj().T
+
+
 @pytest.fixture(scope="session")
 def h0_three():
     return np.diag([0.0, 3.0, 2.5]).astype(complex)
@@ -164,8 +171,8 @@ def lamb_oracle(cfg_v0, dec_v0):
         want = np.zeros((ch.dim, ch.dim), dtype=complex)
         bound, weight, xi_max = 0.0, 0.0, 0.0
         for op in ch.operators:
-            fset = fourier_operator_coefficients(dec_v0, op, cfg_v0.q_max)
-            for q, omega, s_op in jump_operator_table(fset, dec_v0.quasi).items():
+            harmonics = fourier_operator_coefficients(dec_v0, op, cfg_v0.q_max)
+            for q, omega, s_op in jump_operator_table(harmonics, dec_v0.quasi).items():
                 xi = xi_oracle(ch.bath.spectral, ch.bath.beta, omega + q * omega_drive)
                 sds = s_op.conj().T @ s_op
                 want += xi * sds

@@ -236,7 +236,7 @@ def scenarios(draw):
         target_level=level, baths=baths.map(tuple), kind=st.sampled_from(GENERATOR_KINDS),
         label=st.text(max_size=8), drive=drive, lamb_shift=st.booleans(),
         q_max=st.integers(0, 30), lamb_params=lamb, initial_level=level,
-        grid_m=st.integers(1, 2048), dt=st.none() | positive))
+        grid_m=st.integers(1, 2048)))
 
 
 def _canonical_run():
@@ -511,6 +511,9 @@ class TestMalformedSections:
                       "integration": {"t_final": 1.0}}, "q_max must be >= 0"),
         ("simulate", {"scenario": {"preset": "three_level_v1", "substeps": 16},
                       "integration": {"t_final": 1.0}}, "'substeps' was unexpected"),
+        # integration.dt is the one source of the record step
+        ("simulate", {"scenario": {"preset": "three_level_v1", "dt": 0.1},
+                      "integration": {"t_final": 1.0}}, "'dt' was unexpected"),
         # compare and sweep write only into --out, so they take no outputs section
         ("compare", {"a": {"preset": "three_level_nondriven"},
                      "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 1.0},
@@ -524,7 +527,8 @@ class TestMalformedSections:
                    "axes": {"scenario.lamb_shift": [True]}}, "'outputs' was unexpected"),
     ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
             "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
-            "grid_m_zero", "q_max_negative", "substeps_unknown", "compare_outputs",
+            "grid_m_zero", "q_max_negative", "substeps_unknown", "scenario_dt",
+            "compare_outputs",
             "sweep_outputs", "sweep_base_outputs"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"

@@ -24,7 +24,7 @@ from floqdyn.generators import (
     sop_right,
     sop_sandwich,
 )
-from floqdyn.operators import DensityMatrix, trace_distance
+from floqdyn.operators import trace_distance
 from floqdyn.scenarios import (
     PRESETS,
     ScenarioConfig,
@@ -36,7 +36,7 @@ from floqdyn.scenarios import (
 )
 from floqdyn.tolerances import TOLERANCES
 
-from conftest import random_density
+from conftest import gibbs_state, random_density
 
 H0_3 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 
@@ -134,8 +134,8 @@ def full_secular_reference(h0, spec):
     for bath, group in _bath_groups(spec.channels).items():
         sums = {}
         for ch in group:
-            fset = fourier_operator_coefficients(decomp, ch.pair_op, spec.q_max)
-            table = jump_operator_table(fset, decomp.quasi)
+            harmonics = fourier_operator_coefficients(decomp, ch.pair_op, spec.q_max)
+            table = jump_operator_table(harmonics, decomp.quasi)
             for q, omega, op in table.items():
                 rc = _coefficients(bath, omega + q * decomp.omega_drive, spec)
                 key = (q, table.gap_index(omega))
@@ -262,7 +262,7 @@ class TestLindblad:
         spec = GeneratorSpec(kind="lindblad",
                              channels=(CouplingChannel(bath, (1, 0), 2),))
         gen = lindblad_generator(np.diag([0.0, 3.0]).astype(complex), spec)
-        rho_g = DensityMatrix.gibbs(np.diag([0.0, 3.0]), 1 / 30).matrix
+        rho_g = gibbs_state(np.diag([0.0, 3.0]), 1 / 30)
         assert np.max(np.abs(apply(gen, rho_g))) < 1e-9
 
     def test_zero_coupling_reduces_to_commutator(self):
@@ -417,7 +417,7 @@ class TestFloquetRedfield:
         traj0 = evolve(cfg0, 50.0, dt=0.01, generator=gen0)
         cfg_r = build_four_level(0.0, kind="redfield")
         traj_r = evolve(cfg_r, 50.0, dt=0.01)
-        assert trace_distance(traj0.final_state(), traj_r.final_state()) < 1e-6
+        assert trace_distance(traj0.states[-1], traj_r.states[-1]) < 1e-6
 
     def test_driven_coherence_structure(self, fr_setup):
         cfg, dec, gen = fr_setup

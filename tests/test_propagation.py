@@ -80,7 +80,7 @@ def record_times(t_final, dt, stride):
 def exact_records(config, generator, times):
     """Frame states exp(L t) rho(0), one exponential per record time."""
     d = generator.dim
-    v0 = config.initial_state().matrix.ravel().astype(complex)
+    v0 = config.initial_state().ravel().astype(complex)
     return np.array([(scipy.linalg.expm(generator.superop * t) @ v0).reshape(d, d)
                      for t in times])
 
@@ -166,7 +166,7 @@ def test_records_by_doubling_match_sequential_products(n_full, off_stride, prese
     t_final = (n_full * stride + 0.4 * off_stride) * dt
     traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen)
     record_map = scipy.linalg.expm(gen.superop * (stride * dt))
-    states = [config.initial_state().matrix.ravel().astype(complex)]
+    states = [config.initial_state().ravel().astype(complex)]
     for _ in range(n_full):
         states.append(record_map @ states[-1])
     times = np.arange(n_full + 1 + off_stride) * stride * dt
@@ -247,7 +247,7 @@ def test_floquet_lindblad_frame_matches_interaction_picture_reference(preset):
     l_int = gen.superop - ad_hbar
     assert np.linalg.norm(l_int @ ad_hbar - ad_hbar @ l_int, 2) <= 1e-12
     traj = evolve(config, T_SHORT, stride=STRIDE, generator=gen)
-    v0 = config.initial_state().matrix.ravel().astype(complex)
+    v0 = config.initial_state().ravel().astype(complex)
     want = []
     for t in traj.times:
         u = decomp.p_at(t) @ scipy.linalg.expm(-1j * t * decomp.hbar_floquet)

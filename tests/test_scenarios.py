@@ -110,6 +110,16 @@ class TestEvolve:
         for s in traj.states[:: len(traj.states) // 5]:
             assert np.max(np.abs(s - traj.states[0])) < 1e-12
 
+    @pytest.mark.parametrize("cfg", [build_three_level("nondriven"),
+                                     build_four_level(0.05, kind="lindblad")],
+                             ids=["3-level", "4-level"])
+    def test_first_record_is_the_initial_projector(self, cfg):
+        for level in range(cfg.dim):
+            traj = evolve(replace(cfg, initial_level=level), 1.0)
+            want = np.zeros((cfg.dim, cfg.dim))
+            want[level, level] = 1.0
+            assert np.array_equal(traj.states[0], want)
+
     def test_nondriven_coherences_stay_zero(self):
         traj = evolve(build_three_level("nondriven"), 300.0)
         off = [np.max(np.abs(s - np.diag(np.diag(s)))) for s in traj.states]
@@ -143,8 +153,8 @@ class TestEvolve:
         # is the frame state exp(L t) rho(0)
         traj = evolve(cfg_v1, 100.0, generator=gen_v1)
         p = gen_v1.decomposition.p_at(100.0)
-        frame = p.conj().T @ traj.final_state() @ p
-        want = scipy.linalg.expm(gen_v1.superop * 100.0) @ cfg_v1.initial_state().matrix.ravel()
+        frame = p.conj().T @ traj.states[-1] @ p
+        want = scipy.linalg.expm(gen_v1.superop * 100.0) @ cfg_v1.initial_state().ravel()
         assert trace_distance(frame, want.reshape(frame.shape)) < 1e-6
 
     def test_lindblad_positivity_along_trajectory(self):
