@@ -405,15 +405,18 @@ def _csv_cell(value) -> str:
 
 
 #: Rows per formatting call of a float table in ``write_csv``.
-CSV_BLOCK = 2048
+CSV_BLOCK = 1024
 
 
 def _table_text(table: np.ndarray):
     """CSV lines of a 2-D float array, a block of rows per string, each cell
-    formatted as :func:`_csv_cell` formats a float."""
-    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    formatted as :func:`_csv_cell` formats a float.  A column of nothing but
+    +0.0 (every bit clear) is a literal ``0`` in the line format, so only
+    the other columns are formatted."""
+    keep = np.any(table.view(np.uint64), axis=0)
+    line = ",".join([FLOAT_FMT if k else "0" for k in keep]) + "\n"
     for lo in range(0, len(table), CSV_BLOCK):
-        block = table[lo:lo + CSV_BLOCK]
+        block = table[lo:lo + CSV_BLOCK, keep]
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 

@@ -334,15 +334,6 @@ class JumpOperatorTable:
         for (q, gi), op in self.entries.items():
             yield q, self.gaps[gi], op
 
-    def op(self, q: int, gap_index: int, dim: int) -> np.ndarray:
-        return self.entries.get((q, gap_index), np.zeros((dim, dim), dtype=complex))
-
-    def gap_index(self, omega: float) -> int:
-        idx = int(np.argmin(np.abs(self.gaps - omega)))
-        if abs(self.gaps[idx] - omega) > 1e-9:
-            raise ValidationError(f"{omega} is not a tabulated gap")
-        return idx
-
 
 def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise energy differences merged into clusters of width gap_tol.

@@ -15,13 +15,16 @@ over the record interval serves the whole run.  The records are filled by
 doubling: the first m records times the transposed power S^m give the
 next m, so n records take about log2(n) block products and as many
 squarings.  The Floquet kinds have their recorded states mapped back by
-the micromotion P(t) of their decomposition on the record grid, in array
-calls over chunks of records; the static kinds (P = I) record directly.
+the micromotion P(t) of their decomposition.  P is tau-periodic, so on a
+record step of whole P-grid steps the records fall on a few drive phases,
+and one superoperator P ⊗ P* per phase maps all records of that phase in
+one product; the static kinds (P = I) record directly.
 Each record is stored as its Hermitian part, so its diagonal is exactly
 real, and every record's minimum eigenvalue is scanned in closed form per
 block of coupled levels (``operators.min_eigenvalues``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +299,11 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     decomposition has its frame states mapped back by P(t) at the record
     times (the sample on the decomposition grid, which the default Floquet
     dt divides; one Magnus step from the node below between grid nodes).
+    P is tau-periodic, so on a step of g whole grid steps the on-stride
+    records take only grid_m / gcd(g, grid_m) phases, and all records of a
+    phase map by one superoperator (``_map_back_by_phase``); off the grid
+    every record is its own phase.  The off-stride end record is mapped by
+    P(t_final).
     Each record is stored as its Hermitian part (s + s†)/2, which leaves the
     real diagonal, and so the populations, unchanged bit for bit and makes
     the imaginary diagonal exactly zero.  ``positivity_log`` holds the
@@ -336,18 +344,19 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
             power = power @ power
     if ends_off_stride:
         states[-1] = expm(generator.superop * (t_final - times[-2])) @ states[-2]
-    states = states.reshape(-1, d, d)
 
     issued = []
     decomp = generator.decomposition
+    if decomp is not None:
+        _map_back_by_phase(states[:n_full + 1], times, decomp, stride * dt)
+        if ends_off_stride:
+            p = decomp.p_at(t_final)
+            states[-1] = states[-1] @ np.kron(p, p.conj()).T
+    states = states.reshape(-1, d, d)
     # chunks keep the temporaries of these array calls small beside the records
     for lo in range(0, len(times), RECORD_CHUNK):
-        chunk = slice(lo, lo + RECORD_CHUNK)
-        s = states[chunk]
-        if decomp is not None:
-            p = decomp.p_at(times[chunk])
-            s = p @ s @ p.conj().swapaxes(-1, -2)
-        states[chunk] = 0.5 * (s + s.conj().swapaxes(-1, -2))
+        s = states[lo:lo + RECORD_CHUNK]
+        s[...] = 0.5 * (s + s.conj().swapaxes(-1, -2))
     min_eigs = min_eigenvalues(states)
 
     traces = np.einsum("tii->t", states)
@@ -368,6 +377,61 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     return Trajectory(times=times, states=states, populations=pops,
                       positivity_log=min_eigs, trace_errors=trace_err,
                       config=config, warnings_issued=tuple(issued))
+
+
+def _phase_count(decomp: FloquetDecomposition, step: float, n_records: int) -> int:
+    """Distinct drive phases t mod tau among the records k * step, k < n_records.
+
+    A step of g whole P-grid steps puts record k on the sample (k g) mod
+    grid_m, so the phases repeat every grid_m / gcd(g, grid_m) records; the
+    bound on g's defect is the one ``p_at`` puts on a grid time.  Any other
+    step gives every record its own phase.
+    """
+    m = decomp.grid_m
+    g = step * m / decomp.tau
+    whole = round(g)
+    if whole < 1 or abs(g - whole) > 1e-13 * g:
+        return n_records
+    return min(m // math.gcd(whole, m), n_records)
+
+
+def _map_back_by_phase(states: np.ndarray, times: np.ndarray,
+                       decomp: FloquetDecomposition, step: float) -> None:
+    """Map the raveled frame records k * step back in place, rho = P rho~ P†.
+
+    Record k has phase k mod N (``_phase_count``), so every record of phase
+    j shares P_j = P(times[j]) and the superoperator K_j = P_j ⊗ P_j*
+    (row-major vec(P s P†) = (P ⊗ P*) vec(s)): one product maps them all.
+    Phases go in groups whose K_j take no more room than a chunk of
+    records, and the records of a group in blocks of whole cycles of about
+    a chunk; the cycle left partial at the end takes one matrix-vector
+    product per record.  Phases that do not recur in two whole cycles are
+    not worth a K_j (off the P grid none recur): those records are mapped
+    one by one, P s P†, a chunk per array call.
+    """
+    n, dd = states.shape
+    n_phase = _phase_count(decomp, step, n)
+    n_cycles = n // n_phase
+    if n_cycles < 2:
+        for lo in range(0, n, RECORD_CHUNK):
+            p = decomp.p_at(times[lo:min(lo + RECORD_CHUNK, n)])
+            s = states[lo:lo + RECORD_CHUNK].reshape(p.shape)
+            s[...] = p @ s @ p.conj().swapaxes(-1, -2)
+        return
+    cycles = states[:n_cycles * n_phase].reshape(n_cycles, n_phase, dd)
+    rest = states[n_cycles * n_phase:]             # phases 0 .. len(rest) - 1
+    group = max(1, RECORD_CHUNK // dd)
+    for lo in range(0, n_phase, group):
+        p = decomp.p_at(times[lo:min(lo + group, n_phase)])
+        j = slice(lo, lo + len(p))
+        # K_j^T, so that the raveled records (rows) map by a right product
+        kt = np.einsum("jac,jbd->jcdab", p, p.conj()).reshape(len(p), dd, dd)
+        per_block = max(1, RECORD_CHUNK // len(p))
+        for c in range(0, n_cycles, per_block):
+            block = cycles[c:c + per_block, j]
+            block[...] = np.matmul(block.swapaxes(0, 1), kt).swapaxes(0, 1)
+        tail = rest[j]
+        tail[...] = np.matmul(tail[:, None], kt[:len(tail)])[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,15 @@ def gibbs_state(h, beta: float) -> np.ndarray:
     return (v * (p / p.sum())) @ v.conj().T
 
 
+def jump_entry(table, q: int, omega: float) -> np.ndarray:
+    """S(q, omega) of a jump table: its entry at the tabulated gap omega, or
+    zero where the projection was omitted."""
+    gi = int(np.argmin(np.abs(table.gaps - omega)))
+    assert abs(table.gaps[gi] - omega) <= 1e-9, f"{omega} is not a tabulated gap"
+    zero = np.zeros_like(next(iter(table.entries.values())))
+    return table.entries.get((q, gi), zero)
+
+
 @pytest.fixture(scope="session")
 def h0_three():
     return np.diag([0.0, 3.0, 2.5]).astype(complex)

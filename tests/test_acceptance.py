@@ -58,7 +58,7 @@ from floqdyn.scenarios import (
     trajectory_diagnostics,
 )
 
-from conftest import gibbs_state, propagator_oracle, random_density
+from conftest import gibbs_state, jump_entry, propagator_oracle, random_density
 
 # tabulated reference values, basis {|0>, |1>, |b>}
 REF_V1_HBAR = np.array([[0.0, 0.0, 0.0],
@@ -552,7 +552,7 @@ def test_criterion_5e_jump_table_identities(dec_v0):
                 total += op
         worst_sum = max(worst_sum, float(np.max(np.abs(total - harmonics[24 + q]))))
     for (q, gi), op in table.entries.items():
-        partner = table.op(-q, table.gap_index(-table.gaps[gi]), 3)
+        partner = jump_entry(table, -q, -table.gaps[gi])
         worst_dag = max(worst_dag, float(np.max(np.abs(op.conj().T - partner))))
     ok = worst_sum < 1e-8 and worst_dag < 1e-8
     _report("criterion 5e (jump-table identities)", ok,

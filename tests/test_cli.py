@@ -67,7 +67,13 @@ class TestCsvWriter:
             -20, 20, size=(2 * cli.CSV_BLOCK + 3, 5))
         table.flat[:len(self.SPECIAL)] = self.SPECIAL
         table[-1] = self.SPECIAL[-5:]
-        header = [f"c{i}" for i in range(5)]
+        # zero columns: only the all +0.0 one may be a literal 0 in the line format
+        zeros = np.zeros(len(table))
+        mixed = np.where(rng.random(len(table)) < 0.5, 0.0, -0.0)
+        late = zeros.copy()
+        late[cli.CSV_BLOCK - 1] = 1.5                      # last row of the first block
+        table = np.column_stack([table, zeros, -zeros, mixed, late])
+        header = [f"c{i}" for i in range(table.shape[1])]
         cli.write_csv(tmp_path / "t.csv", header, table)
         assert (tmp_path / "t.csv").read_bytes() == \
             reference_csv(header, table.tolist()).encode()

@@ -35,7 +35,7 @@ from floqdyn.operators import (
 from floqdyn.scenarios import PRESETS, decompose_scenario
 from floqdyn.tolerances import TOLERANCES, tolerance_overrides
 
-from conftest import propagator_oracle, random_hermitian
+from conftest import jump_entry, propagator_oracle, random_hermitian
 
 H0 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 OMEGA = 2.25
@@ -190,7 +190,6 @@ class TestDecompose:
 
     def test_periodicity_of_p(self, dec_v0):
         # P(t + tau, tau) = P(t, 0): fidelity over a second period of data
-        h = drive_hamiltonian(H0, V0)
         rep = benchmark_fidelities(V0, H0, dec_v0)
         assert rep.fidelity_periodicity.min() >= 1 - 1e-4
 
@@ -276,7 +275,7 @@ class TestJumpTable:
         table = jump_operator_table(sx[None], hermitian_eigensystem(h))
         assert_allclose(np.sort(table.gaps), [-3.0, 0.0, 3.0], atol=1e-12)
         # omega = -3 selects the component mapping level 1 down to level 0
-        lower = table.op(0, table.gap_index(-3.0), 2)
+        lower = jump_entry(table, 0, -3.0)
         assert_allclose(lower, [[0, 0.5], [0, 0]], atol=1e-12)
 
     def test_completeness_identity(self, dec_v0):
@@ -298,7 +297,7 @@ class TestJumpTable:
         table = jump_operator_table(harmonics, dec_v0.quasi)
         for (q, gi), op in table.entries.items():
             omega = table.gaps[gi]
-            partner = table.op(-q, table.gap_index(-omega), 3)
+            partner = jump_entry(table, -q, -omega)
             assert np.max(np.abs(op.conj().T - partner)) < 1e-8
 
     def test_v0_gap_count(self, dec_v0):

@@ -136,9 +136,9 @@ def full_secular_reference(h0, spec):
         for ch in group:
             harmonics = fourier_operator_coefficients(decomp, ch.pair_op, spec.q_max)
             table = jump_operator_table(harmonics, decomp.quasi)
-            for q, omega, op in table.items():
+            for key, op in table.entries.items():
+                q, omega = key[0], table.gaps[key[1]]
                 rc = _coefficients(bath, omega + q * decomp.omega_drive, spec)
-                key = (q, table.gap_index(omega))
                 acc = ch.dipole * op if key not in sums else sums[key][1] + ch.dipole * op
                 sums[key] = (rc, acc)
         for rc, op in sums.values():

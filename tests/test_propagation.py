@@ -22,6 +22,7 @@ from floqdyn.generators import sop_commutator
 from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import (
     PRESETS,
+    _phase_count,
     build_generator,
     decompose_scenario,
     evolve,
@@ -139,6 +140,31 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
     oracle = np.array([mp_min_eigenvalue(s) for s in traj.states])
     assert np.max(np.abs(lapack - oracle)) <= bound
     assert np.max(np.abs(traj.positivity_log - oracle)) <= bound
+
+
+@pytest.mark.parametrize("preset,t_final,dt,n_phase", [
+    ("three_level_v0", 6000.0, None, 64),                  # stride 28: 112 grid steps
+    ("four_level_degenerate_driven", 1000.0, None, 256),   # stride 5: 20 grid steps
+    ("three_level_v0", 60.0, 0.0123, None),                # off the P grid: every record
+])
+def test_map_back_by_phase_matches_per_record_map(preset, t_final, dt, n_phase,
+                                                  preset_generators):
+    # the records of one drive phase share one superoperator P ⊗ P*; the
+    # reference maps the same frame records one by one, P(t) s P(t)†
+    config, gen = preset_generators[preset]
+    traj = evolve(config, t_final, dt=dt, generator=gen)
+    frame = evolve(config, t_final, dt=dt, generator=replace(gen, decomposition=None)).states
+    times = traj.times
+    step = times[1] - times[0]
+    assert times[-1] - times[-2] < step                    # the end record is off the stride
+    n_on = len(times) - 1
+    assert _phase_count(gen.decomposition, step, n_on) == (n_phase or n_on)
+    p = gen.decomposition.p_at(times)
+    want = p @ frame @ p.conj().swapaxes(-1, -2)
+    want = 0.5 * (want + want.conj().swapaxes(-1, -2))
+    assert _max_gap(traj.states, want) <= 1e-13
+    assert np.all(traj.states.real[want.real == 0] == 0)
+    assert np.all(traj.states.imag[want.imag == 0] == 0)
 
 
 @pytest.mark.parametrize("preset,n_per_tau,stride,t_final", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from floqdyn.baths import BathSpec, OhmicSpec, spectral_density
+from floqdyn.baths import BathSpec, OhmicSpec
 from floqdyn.errors import ValidationError
 from floqdyn.operators import trace_distance
 from floqdyn.scenarios import (
