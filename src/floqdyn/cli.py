@@ -34,6 +34,7 @@ import numpy as np
 
 from .baths import BathSpec
 from .errors import ConfigError, FloqdynError, NumericalError
+from .floattext import FLOAT_FMT, TEXT_WIDTH, float_text
 from .floquet import DriveSpec, benchmark_fidelities
 from .generators import GENERATOR_KINDS
 from .operators import trace_distance
@@ -47,8 +48,6 @@ from .scenarios import (
     trajectory_diagnostics,
 )
 from .tolerances import TOLERANCES, tolerance_overrides
-
-FLOAT_FMT = "%.17g"
 
 # ---------------------------------------------------------------------------
 # config schemas; the scenario's JSON form is derived from its dataclasses
@@ -408,29 +407,45 @@ def _csv_cell(value) -> str:
 CSV_BLOCK = 1024
 
 
-def _table_text(table: np.ndarray):
-    """CSV lines of a 2-D float array, a block of rows per string, each cell
-    formatted as :func:`_csv_cell` formats a float.  A column of nothing but
-    +0.0 (every bit clear) is a literal ``0`` in the line format, so only
-    the other columns are formatted."""
-    keep = np.any(table.view(np.uint64), axis=0)
-    line = ",".join([FLOAT_FMT if k else "0" for k in keep]) + "\n"
+def _table_bytes(table: np.ndarray):
+    """CSV lines of a 2-D float array, a block of rows per bytes object, each
+    cell formatted as :func:`_csv_cell` formats a float.  A column of nothing
+    but +0.0 (every bit clear) is never formatted: its ``0`` is part of the
+    text after the kept cell before it."""
+    n_cols = table.shape[1]
+    kept = np.flatnonzero(np.any(table.view(np.uint64), axis=0))
+    if not kept.size:
+        line = (",".join("0" * n_cols) + "\n").encode()
+        for lo in range(0, len(table), CSV_BLOCK):
+            yield line * len(table[lo:lo + CSV_BLOCK])
+        return
+    # the text after each kept cell, NUL-padded: the separator and the zero
+    # columns up to the next kept one; zero columns that start a line end the
+    # line before, and each block moves them to its front
+    lead = b"0," * kept[0]
+    after = [b"," + b"0," * (end - col - 1) for col, end in zip(kept, kept[1:])]
+    after.append(b",0" * (n_cols - kept[-1] - 1) + b"\n" + lead)
+    after = np.array(after, dtype=bytes).view(np.uint8).reshape(len(kept), -1)
     for lo in range(0, len(table), CSV_BLOCK):
-        block = table[lo:lo + CSV_BLOCK, keep]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        block = table[lo:lo + CSV_BLOCK, kept]
+        out = np.empty((*block.shape, TEXT_WIDTH + after.shape[1]), np.uint8)
+        out[:, :, :TEXT_WIDTH] = float_text(block.ravel()).reshape(*block.shape, -1)
+        out[:, :, TEXT_WIDTH:] = after
+        text = out[out != 0].tobytes()
+        yield lead + text[:len(text) - len(lead)]
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``rows`` under ``header``: a 2-D float array, or an iterable of rows."""
     if isinstance(rows, np.ndarray):
-        text = _table_text(rows)
+        lines = _table_bytes(rows)
     else:
         # only rows that hold strings (the sweep's axis values and status) take this path
-        text = [",".join(_csv_cell(v) for v in row) + "\n" for row in rows]
+        lines = [(",".join(_csv_cell(v) for v in row) + "\n").encode() for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(text)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(lines)
 
 
 def _json_matrix(m: np.ndarray) -> dict:
@@ -445,9 +460,14 @@ def write_json(path: Path, payload: dict) -> None:
 def trajectory_table(traj, eta_cumulative) -> np.ndarray:
     """Rows of ``trajectory.csv``: t, the upper triangle of each state (re and
     im interleaved, row by row), eta_cumulative."""
-    rows, cols = np.triu_indices(traj.dim)
-    upper = np.ascontiguousarray(traj.states[:, rows, cols])
-    return np.column_stack([traj.times, upper.view(float), eta_cumulative])
+    d = traj.dim
+    table = np.empty((len(traj.times), 2 + d * (d + 1)))
+    table[:, 0] = traj.times
+    upper = table[:, 1:-1].view(complex)      # the (re, im) column pairs
+    for col, (i, j) in enumerate(zip(*np.triu_indices(d))):
+        upper[:, col] = traj.states[:, i, j]
+    table[:, -1] = eta_cumulative
+    return table
 
 
 def trajectory_header(d: int) -> list[str]:

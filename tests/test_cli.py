@@ -1,10 +1,12 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from floqdyn import cli
+from floqdyn import cli, floattext
 from floqdyn.cli import (
     RUN_SCHEMA,
     canonical_run_dict,
@@ -100,6 +102,147 @@ class TestCsvWriter:
         text = (tmp_path / "s.csv").read_text()
         assert text == reference_csv(["scenario.energies", "status", "eta", "pop_0"], rows)
         assert text.splitlines()[1] == '"[0.0, 3.0, 3.0, 2.5]",ok,0.25,nan'
+
+    def test_driven_trajectory_table_matches_per_record_rows(self, tmp_path):
+        config = PRESETS["four_level_degenerate_driven"]()
+        traj = evolve(config, 40.0)
+        cumulative = efficiency(traj).cumulative
+        table = cli.trajectory_table(traj, cumulative)
+        # d = 4: 22 columns, 12 of them +0.0 in every row
+        assert table.shape[1] == 22
+        assert np.sum(~np.any(table.view(np.uint64), axis=0)) == 12
+        header = cli.trajectory_header(traj.dim)
+        cli.write_csv(tmp_path / "t.csv", header, table)
+        want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+def tie_values() -> list:
+    """Doubles whose 18-digit decimal expansion ends in 5, so that 17 digits
+    are an exact tie: m / 2^j with m odd and m 5^j of 18 digits (j = 17 is
+    odd / 2^17 in [1, 10)).  Each comes with its multiples by 2^-3 .. 2^3;
+    those with a factor other than 1 are not ties."""
+    rng = np.random.default_rng(5)
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        ties += [(int(m) | 1) / 2 ** j for m in rng.integers(lo, hi - 1, size=20)]
+    return [t * 2.0 ** i for t in ties for i in range(-3, 4)]
+
+
+def decade_values() -> list:
+    """Every power of ten from 1e-323 to 1e308 (10^±30 among them) with its
+    two neighbours, and values that round up into the next decade at 17
+    digits."""
+    values = []
+    for n in range(-323, 309):
+        x = float(f"1e{n}")
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+        if -300 < n < 300:
+            y = float(f"9.99999999999999995e{n}")
+            values += [y, math.nextafter(y, 0.0), math.nextafter(y, math.inf)]
+    return values
+
+
+def three_digit_exponents() -> list:
+    rng = np.random.default_rng(6)
+    exponents = np.concatenate([np.arange(-308, -99), np.arange(100, 308)])
+    return list(rng.uniform(1.0, 10.0, exponents.size) * 10.0 ** exponents)
+
+
+def written_cells(values) -> list:
+    """The writer's text of each value, written as a one-column table."""
+    table = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return b"".join(cli._table_bytes(table)).decode().splitlines()
+
+
+class TestExactFormatter:
+    """Every cell of a float table is byte-identical to its per-cell '%.17g'."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+    def test_raw_bit_patterns(self, bits):
+        # every exponent, subnormals, ±0, ±inf and NaN payloads
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert written_cells(values) == ["%.17g" % v for v in values.tolist()]
+
+    @pytest.mark.parametrize("family", [tie_values, decade_values, three_digit_exponents])
+    def test_fixed_families(self, family):
+        values = np.array(family())
+        values = np.concatenate([values, -values])
+        assert written_cells(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_ties_are_exact(self):
+        for x in tie_values()[3::7]:        # the unscaled ones
+            digits = Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))
+            assert digits - math.floor(digits) == Fraction(1, 2)
+
+    def test_cells_that_take_the_percent_text(self, monkeypatch):
+        # mark the '%' text, no longer than before, to see which cells take it
+        monkeypatch.setattr(floattext, "FLOAT_FMT", "<%.15g")
+        fallback = tie_values()[3::7] + [1.0, 1e3, 1e16, 5e-324, 2.5e-310, float("inf"),
+                                         float("nan"), 1e-300, 1e300]
+        scaled = [0.3, 1.0 / 3.0, -2.5e-17, 123.456, 6000.5, 0.0, -0.0, 2e-290, 9e289]
+        cells = written_cells(fallback + scaled)
+        assert all(c.startswith("<") for c in cells[:len(fallback)])
+        assert not any(c.startswith("<") for c in cells[len(fallback):])
+
+    def test_pow10_table_is_exact(self):
+        def significant_bits(v):
+            m = abs(Fraction(v).numerator)
+            return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+        hi, upper, lower, lo = floattext._pow10_table()
+        scales = range(floattext._S_MIN, floattext._S_MAX + 1)
+        for s, h, u, w, l in zip(scales, hi, upper, lower, lo):
+            exact = Fraction(10) ** s
+            assert float(exact) == h
+            assert float(exact - Fraction(h)) == l
+            assert abs(exact - Fraction(h) - Fraction(l)) <= exact / 2**104
+            # Dekker's product is exact for halves of at most 26 bits
+            assert u + w == h
+            assert significant_bits(u) <= 26 and significant_bits(w) <= 26
+
+    def test_fast_and_fallback_cells_spliced_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = cli.CSV_BLOCK + 40
+        # subnormal, non-finite, out of the scaled range, next to a power of
+        # ten, and exact ties
+        fallback = [5e-324, -2.5e-310, float("inf"), -float("inf"), float("nan"),
+                    1e-300, -1e300, 1e16, 1e17, 1.0, 100.0] + tie_values()[3::7][:20]
+        mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        # fallback cells on both sides of the block boundary and at the ends
+        where = [0, 1, cli.CSV_BLOCK - 2, cli.CSV_BLOCK - 1, cli.CSV_BLOCK,
+                 cli.CSV_BLOCK + 1, n - 1] + list(rng.choice(n, 25, replace=False))
+        for i, pos in enumerate(where):
+            mixed[pos] = fallback[i % len(fallback)]
+        zeros = np.zeros(n)
+        late = zeros.copy()
+        late[cli.CSV_BLOCK] = -3.25                     # first row of the second block
+        negative_zeros = -zeros
+        columns = [zeros, zeros, mixed, negative_zeros, zeros, late, zeros, zeros, zeros,
+                   -mixed[::-1], zeros]
+        table = np.column_stack(columns)
+        header = [f"c{i}" for i in range(table.shape[1])]
+        cli.write_csv(tmp_path / "t.csv", header, table)
+        assert (tmp_path / "t.csv").read_bytes() == \
+            reference_csv(header, table.tolist()).encode()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2 * cli.CSV_BLOCK + 1])
+    def test_all_zero_table(self, tmp_path, n_rows):
+        table = np.zeros((n_rows, 3))
+        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_text() == reference_csv(["a", "b", "c"],
+                                                                 table.tolist())
+
+    def test_tables_built_on_first_write_not_at_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import floqdyn.cli, floqdyn.floattext as f\n"
+                "assert f._pow10_table.cache_info().currsize == 0\n"
+                "assert f._layouts.cache_info().currsize == 0\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.returncode == 0, out.stderr
 
 
 def test_cli_import_and_commands_leave_scipy_and_jsonschema_unloaded(tmp_path):
