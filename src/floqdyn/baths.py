@@ -17,15 +17,14 @@ Sign convention: coefficients are stored as real numbers.  C1/C2 carry an
 explicit factor i in the master equations; the generator assembly applies
 it, which keeps Hermiticity of the resulting Lamb commutators auditable.
 
-Every Lamb-shift coefficient is one or two ``pv_quadrature`` calls over
-(0, W): ``xi`` is the absorption transform (pole -x) less the emission one
-(pole x), ``C1`` the transform of nu^3 nbar (pole x).  A pole outside
-(0, W) gives a regular integral; one inside gets a symmetric window handled
-exactly through the odd-part cancellation
-``PV int_{c-w}^{c+w} f/(nu-c) = int_0^w [f(c+u)-f(c-u)]/u du``,
-plus composite Gauss-Legendre panels log-graded toward the pole.  ``xi``
-at a frequency below the first panel's width, x = 0 included, is instead
-folded about its pole into one regular integral.
+Every Lamb-shift coefficient is one ``pv_quadrature`` call: ``xi`` over
+(-W, W) of F = J (nbar + 1), which is smooth through nu = 0, with pole -x;
+``C1`` over (0, W) of nu^3 nbar with pole x.  A pole inside the interval is
+subtracted,
+``PV int_lo^hi f/(nu-c) = int_lo^hi (f(nu)-f(c))/(nu-c) dnu + f(c) ln((hi-c)/(c-lo))``,
+so every integral left is regular.  It runs on composite Gauss-Legendre
+panels whose widths triple outward from 0, the first as wide as the bath's
+scale, min(0.25, 1/beta, omega_c); the grid does not depend on the pole.
 """
 
 from dataclasses import dataclass
@@ -84,21 +83,18 @@ class LambIntegralParams:
 
     ``w_cutoff`` is the radiation cutoff W bounding every coefficient
     integral; the default follows the value used to keep the Redfield
-    dynamics positive.  ``pv_window`` is the half-width excluded
-    symmetrically around the pole (treated analytically via the odd part).
+    dynamics positive.  ``quadrature_points`` is the Gauss-Legendre order
+    per panel; every integral is checked against twice that order.
     """
 
     w_cutoff: float = 4.0e4
     quadrature_points: int = 96
-    pv_window: float = 0.1
 
     def __post_init__(self):
         if self.w_cutoff <= 0:
             raise ValidationError("w_cutoff must be positive")
         if self.quadrature_points < 64:
             raise ValidationError("quadrature_points must be >= 64")
-        if not (0 < self.pv_window < self.w_cutoff / 10):
-            raise ValidationError("pv_window must lie in (0, w_cutoff/10)")
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,13 @@ def spectral_density(spec: OhmicSpec, x) -> np.ndarray | float:
 # composite Gauss-Legendre machinery
 
 
-def _graded_edges(lo: float, hi: float, dense_at: str, first: float):
-    """Panel edges on [lo, hi], the widths tripling from the dense end."""
+def _graded_edges(lo: float, hi: float, first: float):
+    """Panel edges on [lo, hi], the widths tripling from lo, or outward from 0
+    where 0 lies inside."""
+    if lo < 0 < hi:
+        return np.concatenate([-_graded_edges(0.0, -lo, first)[:0:-1],
+                               _graded_edges(0.0, hi, first)])
     length = hi - lo
-    if length <= 0:
-        return np.array([lo, hi])
     widths = []
     w = min(first, length)
     total = 0.0
@@ -156,8 +154,6 @@ def _graded_edges(lo: float, hi: float, dense_at: str, first: float):
         total += w
         w *= 3.0
     widths.append(length - total)
-    if dense_at == "hi":
-        widths = widths[::-1]
     return lo + np.concatenate([[0.0], np.cumsum(widths)])
 
 
@@ -170,32 +166,21 @@ def _leggauss(order: int):
     return x, w
 
 
-def _gl_nodes_weights(edges: np.ndarray, order: int):
-    x, w = _leggauss(order)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = 0.5 * (b - a) * x[None, :] + 0.5 * (b + a)
-    weights = 0.5 * (b - a) * w[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
-def _integrate_panels(f, edges: np.ndarray, order: int) -> float:
-    nodes, weights = _gl_nodes_weights(edges, order)
-    with np.errstate(under="ignore", over="ignore"):
-        vals = np.asarray(f(nodes), dtype=float)
-    return float(np.dot(weights, vals))
-
-
 def _checked(f, edges: np.ndarray, order: int, label: str) -> float:
-    """Integrate at two Gauss orders and demand relative agreement."""
-    nodes, weights = _gl_nodes_weights(edges, order)
-    with np.errstate(under="ignore", over="ignore"):
-        vals = np.asarray(f(nodes), dtype=float)
-    coarse = float(np.dot(weights, vals))
+    """Integrate on the panels at two Gauss orders and demand relative agreement."""
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    sums = []
+    for n in (order, 2 * order):
+        x, w = _leggauss(n)
+        weights = (half * w).ravel()
+        with np.errstate(under="ignore", over="ignore"):
+            vals = np.asarray(f((half * x + mid).ravel()), dtype=float)
+        sums.append(float(np.dot(weights, vals)))
+    coarse, fine = sums
     scale = float(np.dot(np.abs(weights), np.abs(vals)))
-    fine = _integrate_panels(f, edges, 2 * order)
     tol = TOLERANCES.quadrature_rel * max(abs(fine), 1e-9 * scale, 1e-300)
-    if abs(fine - coarse) > tol:
+    if not abs(fine - coarse) <= tol:  # a NaN fails too
         raise NumericalError(
             f"quadrature for {label} did not converge: "
             f"order {order} -> {coarse:.12e}, order {2*order} -> {fine:.12e}"
@@ -203,59 +188,46 @@ def _checked(f, edges: np.ndarray, order: int, label: str) -> float:
     return fine
 
 
-def _regular_interval(f, lo: float, hi: float, order: int, label: str, first: float,
-                      dense_at: str = "lo") -> float:
-    edges = _graded_edges(lo, hi, dense_at, first)
-    return _checked(f, edges, order, label)
-
-
-def pv_quadrature(f, pole: float, interval, params: LambIntegralParams) -> float:
+def pv_quadrature(f, pole: float, interval, params: LambIntegralParams,
+                  first: float = 0.25) -> float:
     """Cauchy principal value of ``int f(nu)/(nu - pole) dnu`` over ``interval``.
 
-    If the pole lies outside the (open) interval the integral is regular and
-    evaluated directly.  Otherwise a symmetric window of half-width
-    ``params.pv_window`` (shrunk to fit) around the pole is mapped to the
-    odd-part integral, and the remaining panels are integrated with
-    log-graded composite Gauss-Legendre rules densest near the pole.
+    A pole c inside the open interval is subtracted,
+    ``int (f(nu) - f(c))/(nu - c) dnu + f(c) ln((hi - c)/(c - lo))``; any
+    other pole leaves a regular integrand.  Either integral runs on panels
+    whose widths triple outward from 0 starting at ``first``.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise ValidationError(f"empty integration interval [{lo}, {hi}]")
-    order = params.quadrature_points
     c = float(pole)
+    inside = lo < c < hi
+    fc = float(f(c)) if inside else 0.0
 
     def g(nu):
-        return np.asarray(f(nu), dtype=float) / (nu - c)
+        return (np.asarray(f(nu), dtype=float) - fc) / (nu - c)
 
-    if not (lo < c < hi):
-        return _regular_interval(g, lo, hi, order, "pv(regular)", dense_at="lo",
-                                 first=min(0.25, (hi - lo) / 8))
-
-    w = min(params.pv_window, 0.45 * (c - lo), 0.45 * (hi - c))
-
-    def odd_part(u):
-        return (np.asarray(f(c + u), dtype=float) - np.asarray(f(c - u), dtype=float)) / u
-
-    total = _checked(odd_part, np.array([0.0, w]), order, "pv(window)")
-    total += _regular_interval(g, lo, c - w, order, "pv(left)", dense_at="hi", first=w)
-    total += _regular_interval(g, c + w, hi, order, "pv(right)", dense_at="lo", first=w)
-    return total
+    total = _checked(g, _graded_edges(lo, hi, first), params.quadrature_points, f"pv(pole {c:g})")
+    return total + fc * np.log((hi - c) / (c - lo)) if inside else total
 
 
 # ---------------------------------------------------------------------------
 # Ohmic gamma / xi
 
 
-def _bose_times(spec: OhmicSpec, beta: float, plus_one: bool):
-    """J(nu)*nbar(nu) or J(nu)*(nbar(nu)+1), regular at nu = 0."""
+def _bose_times(spec: OhmicSpec, beta: float):
+    """F(nu) = J(nu)*(nbar(nu)+1), smooth through nu = 0 where it is j0/beta.
+
+    Written J(|nu|)*(nbar(|nu|) + [nu > 0]), so that F(-nu) = J(nu)*nbar(nu)
+    loses no digits to 1 + nbar(-nu) -> 0.
+    """
 
     def f(nu):
         nu = np.asarray(nu, dtype=float)
-        with np.errstate(under="ignore", over="ignore"):
-            occ = 1.0 / np.expm1(beta * nu)
-            if plus_one:
-                occ = occ + 1.0
-            return spectral_density(spec, nu) * occ
+        a = np.abs(nu)
+        with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
+            out = spectral_density(spec, a) * (1.0 / np.expm1(beta * a) + (nu > 0))
+        return np.where(nu == 0, spec.j0 / beta, out)
 
     return f
 
@@ -271,25 +243,9 @@ def gamma_ohmic(spec: OhmicSpec, beta: float, x: float) -> float:
 def _xi_ohmic_cached(spec: OhmicSpec, beta: float, x: float,
                      params: LambIntegralParams, quadrature_rel: float) -> float:
     # quadrature_rel only keys the cache; the checks read TOLERANCES themselves
-    order = params.quadrature_points
-    w_hi = params.w_cutoff
-    g_em = _bose_times(spec, beta, plus_one=False)   # J*nbar, pole at nu = x for x > 0
-    g_ab = _bose_times(spec, beta, plus_one=True)    # J*(nbar+1), pole at nu = -x for x < 0
-    first = min(0.25, 1.0 / beta, spec.omega_cutoff)
-
-    if abs(x) < first:
-        # xi = -2 PV int_{-W}^{W} F(nu)/(nu + x) with F = J*(nbar+1), smooth through
-        # nu = 0 (F(-nu) = J*nbar); folded about the pole it is a regular integral,
-        # J(t)/t at x = 0.  The split below would leave the pole inside the first
-        # panel, in two parts that each grow as ln|x| and cancel
-        def folded(t):
-            return (g_ab(t - x) - g_ab(-t - x)) / t
-
-        return -2.0 * _regular_interval(folded, 0.0, w_hi, order, "xi(small x)", first=first)
-
-    # at most one of the poles nu = -x, nu = x lies in (0, W)
-    return -2.0 * (pv_quadrature(g_ab, -x, (0.0, w_hi), params)
-                   - pv_quadrature(g_em, x, (0.0, w_hi), params))
+    w = params.w_cutoff
+    return -2.0 * pv_quadrature(_bose_times(spec, beta), -x, (-w, w), params,
+                                min(0.25, 1.0 / beta, spec.omega_cutoff))
 
 
 def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
@@ -327,7 +283,7 @@ def _c1_imag_cached(x: float, beta: float, params: LambIntegralParams,
         with np.errstate(under="ignore", over="ignore"):
             return nu**3 / np.expm1(beta * nu)
 
-    return -pv_quadrature(h, x, (0.0, params.w_cutoff), params) / np.pi
+    return -pv_quadrature(h, x, (0.0, params.w_cutoff), params, min(0.25, 1.0 / beta)) / np.pi
 
 
 def redfield_coefficients(x: float, beta: float,

@@ -73,21 +73,22 @@ class TestPvQuadrature:
         got = pv_quadrature(lambda nu: np.ones_like(nu), -1.0, (0.0, 1.0), PARAMS)
         assert got == pytest.approx(np.log(2.0), rel=1e-10)
 
-    def test_window_stability(self):
-        # even integrand around a mid-interval pole, window halved twice
-        f = lambda nu: np.exp(-((nu - 5.0) ** 2))
-        vals = [pv_quadrature(f, 5.0, (0.0, 10.0),
-                              LambIntegralParams(w_cutoff=4e4, pv_window=w))
-                for w in (0.2, 0.1, 0.05)]
-        assert abs(vals[0] - vals[2]) < 1e-8
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.floats(0.025, 0.4))
-    def test_window_independence_property(self, window):
-        f = lambda nu: np.asarray(nu, float) ** 3 / np.expm1(0.25 * np.asarray(nu, float))
-        base = pv_quadrature(f, 3.0, (0.0, 100.0), LambIntegralParams(w_cutoff=4e4, pv_window=0.1))
-        got = pv_quadrature(f, 3.0, (0.0, 100.0), LambIntegralParams(w_cutoff=4e4, pv_window=window))
-        assert got == pytest.approx(base, rel=1e-7)
+    @settings(max_examples=40, deadline=None)
+    @given(pole=st.floats(1e-6, 200.0, exclude_max=True)
+           | st.sampled_from([0.25, 1.0, 3.25, 10.0, 30.25, 91.0])
+           | st.floats(1e-3, 0.25, exclude_max=True),
+           bose=st.booleans())
+    def test_against_quadpack_cauchy_at_any_pole(self, pole, bose):
+        # the grid on (0, 200) has edges 0.25 (3^k - 1)/2 whatever the pole,
+        # so poles on those edges and inside the first panel are drawn too
+        if bose:
+            f_arr = lambda nu: np.asarray(nu, float) ** 3 / np.expm1(0.25 * np.asarray(nu, float))
+            f_sca = lambda nu: nu ** 3 / np.expm1(0.25 * nu) if nu > 0 else 0.0
+        else:
+            f_arr = lambda nu: np.exp(-0.1 * np.asarray(nu, float)) * np.asarray(nu, float)
+            f_sca = lambda nu: np.exp(-0.1 * nu) * nu
+        got = pv_quadrature(f_arr, pole, (0.0, 200.0), PARAMS)
+        assert got == pytest.approx(quad_cauchy(f_sca, pole, 200.0), rel=1e-8)
 
     def test_against_quadpack_cauchy(self):
         f_arr = lambda nu: np.exp(-0.1 * np.asarray(nu, float)) * np.asarray(nu, float)
@@ -200,8 +201,6 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             LambIntegralParams(quadrature_points=32)
         with pytest.raises(ValidationError):
-            LambIntegralParams(pv_window=5e3)
-        with pytest.raises(ValidationError):
             LambIntegralParams(w_cutoff=-1.0)
 
 
@@ -215,6 +214,19 @@ class TestQuadratureConvergenceGuard:
                 pv_quadrature(lambda nu: np.exp(-np.asarray(nu, float)), 3.0,
                               (0.0, 1.0e4), PARAMS)
 
+
+    def test_pole_on_a_gauss_node_raises(self):
+        # the subtracted quotient (f(nu) - f(c))/(nu - c) is 0/0 at a node equal
+        # to the pole; the NaN must fail the order-doubling check, not pass it
+        from floqdyn.baths import _graded_edges, _leggauss
+        from floqdyn.errors import NumericalError
+
+        a, b = _graded_edges(0.0, 200.0, 0.25)[4:6]
+        x, _ = _leggauss(2 * PARAMS.quadrature_points)
+        pole = 0.5 * (b - a) * x[10] + 0.5 * (b + a)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="did not converge"):
+            pv_quadrature(lambda nu: np.exp(-0.1 * np.asarray(nu, float)), pole, (0.0, 200.0),
+                          PARAMS)
 
     @pytest.mark.parametrize("coefficients", [
         lambda x: gamma_xi_ohmic(HOT, 1.3, x, PARAMS),
@@ -317,22 +329,22 @@ def vacuum_mpmath(x, w):
 
 def _preset_frequencies():
     """Every preset transition gap, both signs, shifted by q*Omega for q = -1, 0, 1;
-    x -> 0; and poles at and beside 0.45 x = pv_window, where the window stops shrinking."""
+    x -> 0; and four poles 0.2 to 0.245 from 0, about the widest first panel
+    (0.25) of pv_quadrature's grid."""
     gaps = {abs(cfg.energies[up] - cfg.energies[lo])
             for cfg in (make() for make in PRESETS.values())
             for bath in cfg.baths for up, lo in bath.transitions}
     omega = REFERENCE_DRIVE["omega"]
-    edge = PARAMS.pv_window / 0.45
     xs = {s * g + q * omega for g in gaps for s in (1, -1) for q in (-1, 0, 1)}
-    return sorted(xs | {0.0, 1e-3, -1e-3, 0.9 * edge, edge, 1.1 * edge, -edge})
+    return sorted(xs | {0.0, 1e-3, -1e-3, 0.2, 0.22222222222222224, 0.2444444444444445,
+                        -0.22222222222222224})
 
 
 MPMATH_FREQUENCIES = _preset_frequencies()
 #: relative agreement demanded against the 20-digit oracle (measured <= 3.2e-11)
 MPMATH_RTOL = 1e-9
 #: the table baths and a colder, sharper one whose 1/beta and omega_c lie below
-#: 0.25, the first panel of pv_quadrature's regular integrals; xi's fold grades
-#: its own first panel down to them
+#: 0.25, so the first panel of xi's and C1's grids is narrower than 0.25
 ORACLE_BATHS = {**TABLE_BATHS, "sharp": {"beta": 20.0, "j0": 1e-3, "omega_cutoff": 0.2}}
 
 
@@ -354,9 +366,9 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
     @pytest.mark.parametrize("x", [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4])
     def test_xi_near_zero_frequency(self, bath, x):
-        # below the first panel xi is folded about its pole into a regular
-        # integral; split at the pole, its two parts each grow as ln|x|.
-        # The oracle's pole sits |x| from the end of its first interval,
+        # the pole -x sits |x| from the panel edge at 0, where F(-x) is
+        # subtracted; split at the pole, the oracle's two parts each grow as
+        # ln|x|.  The oracle's pole sits |x| from the end of its first interval,
         # where 20 digits leave it 2e-10 off at |x| = 1e-12; it runs at 40
         spec = OhmicSpec(TABLE_BATHS[bath]["j0"], TABLE_BATHS[bath]["omega_cutoff"])
         beta = TABLE_BATHS[bath]["beta"]

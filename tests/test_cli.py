@@ -378,8 +378,7 @@ def scenarios(draw):
                                   pair=pairs)
     w_cutoff = draw(st.floats(10.0, 1e5))
     lamb = st.builds(LambIntegralParams, w_cutoff=st.just(w_cutoff),
-                     quadrature_points=st.integers(64, 256),
-                     pv_window=st.floats(1e-3, w_cutoff / 20))
+                     quadrature_points=st.integers(64, 256))
     return draw(st.builds(
         ScenarioConfig, energies=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
         target_level=level, baths=baths.map(tuple), kind=st.sampled_from(GENERATOR_KINDS),
@@ -424,8 +423,7 @@ class TestDerivedConfig:
         (("scenario", "lamb_params"), "mystery", 1, "('mystery' was unexpected)"),
         (("scenario", "lamb_params"), "quadrature_points", 96.5,
          "96.5 is not of type 'integer'"),
-        (("scenario", "lamb_params"), "pv_window", _DELETE,
-         "'pv_window' is a required property"),
+        (("scenario", "lamb_params"), "pv_window", 0.1, "('pv_window' was unexpected)"),
     ])
     def test_rejections_at_every_nesting_level(self, path, key, value, message):
         run = _canonical_run()
@@ -663,6 +661,10 @@ class TestMalformedSections:
         # integration.dt is the one source of the record step
         ("simulate", {"scenario": {"preset": "three_level_v1", "dt": 0.1},
                       "integration": {"t_final": 1.0}}, "'dt' was unexpected"),
+        # the principal values take no window
+        ("simulate", {"scenario": {"preset": "three_level_v1",
+                                   "lamb_params": {"pv_window": 0.1}},
+                      "integration": {"t_final": 1.0}}, "'pv_window' was unexpected"),
         # compare and sweep write only into --out, so they take no outputs section
         ("compare", {"a": {"preset": "three_level_nondriven"},
                      "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 1.0},
@@ -677,7 +679,7 @@ class TestMalformedSections:
     ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
             "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
             "grid_m_zero", "q_max_negative", "substeps_unknown", "scenario_dt",
-            "compare_outputs",
+            "lamb_params_pv_window", "compare_outputs",
             "sweep_outputs", "sweep_base_outputs"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
