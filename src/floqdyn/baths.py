@@ -79,22 +79,18 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class LambIntegralParams:
-    """Quadrature controls for the principal-value (Lamb-shift) integrals.
+    """Controls of the principal-value (Lamb-shift) integrals.
 
     ``w_cutoff`` is the radiation cutoff W bounding every coefficient
     integral; the default follows the value used to keep the Redfield
-    dynamics positive.  ``quadrature_points`` is the Gauss-Legendre order
-    per panel; every integral is checked against twice that order.
-    """
+    dynamics positive.  The Gauss order is not a setting: it doubles until
+    two orders agree."""
 
     w_cutoff: float = 4.0e4
-    quadrature_points: int = 96
 
     def __post_init__(self):
         if self.w_cutoff <= 0:
             raise ValidationError("w_cutoff must be positive")
-        if self.quadrature_points < 64:
-            raise ValidationError("quadrature_points must be >= 64")
 
 
 @dataclass(frozen=True)
@@ -166,30 +162,36 @@ def _leggauss(order: int):
     return x, w
 
 
-def _checked(f, edges: np.ndarray, order: int, label: str) -> float:
-    """Integrate on the panels at two Gauss orders and demand relative agreement."""
+#: Gauss orders per panel at which ``_checked`` starts and stops doubling, and the least
+#: distance, in panel half-widths, from pole to node before (f(nu) - f(c))/(nu - c) cancels.
+GAUSS_ORDER_START, GAUSS_ORDER_CAP, NODE_GUARD = 96, 1536, 1e-5
+
+
+def _checked(f, edges: np.ndarray, pole: float, label: str) -> float:
+    """Integrate on the panels at Gauss orders doubling from ``GAUSS_ORDER_START``
+    until two successive orders agree and ``pole`` is ``NODE_GUARD`` clear of
+    every node of the finer one, whose value is returned."""
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    sums = []
-    for n in (order, 2 * order):
-        x, w = _leggauss(n)
+    order, coarse = GAUSS_ORDER_START, np.nan  # a NaN fails the check
+    while True:
+        x, w = _leggauss(order)
+        nodes = half * x + mid
         weights = (half * w).ravel()
-        with np.errstate(under="ignore", over="ignore"):
-            vals = np.asarray(f((half * x + mid).ravel()), dtype=float)
-        sums.append(float(np.dot(weights, vals)))
-    coarse, fine = sums
-    scale = float(np.dot(np.abs(weights), np.abs(vals)))
-    tol = TOLERANCES.quadrature_rel * max(abs(fine), 1e-9 * scale, 1e-300)
-    if not abs(fine - coarse) <= tol:  # a NaN fails too
-        raise NumericalError(
-            f"quadrature for {label} did not converge: "
-            f"order {order} -> {coarse:.12e}, order {2*order} -> {fine:.12e}"
-        )
-    return fine
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(nodes.ravel()), dtype=float)
+        fine = float(np.dot(weights, vals))
+        scale = float(np.dot(np.abs(weights), np.abs(vals)))
+        tol = TOLERANCES.quadrature_rel * max(abs(fine), 1e-9 * scale, 1e-300)
+        if abs(fine - coarse) <= tol and np.all(np.abs(nodes - pole) >= NODE_GUARD * half):
+            return fine
+        if order >= GAUSS_ORDER_CAP:
+            raise NumericalError(f"quadrature for {label} did not converge: order "
+                                 f"{order // 2} -> {coarse:.12e}, order {order} -> {fine:.12e}")
+        order, coarse = 2 * order, fine
 
 
-def pv_quadrature(f, pole: float, interval, params: LambIntegralParams,
-                  first: float = 0.25) -> float:
+def pv_quadrature(f, pole: float, interval, first: float = 0.25) -> float:
     """Cauchy principal value of ``int f(nu)/(nu - pole) dnu`` over ``interval``.
 
     A pole c inside the open interval is subtracted,
@@ -207,7 +209,7 @@ def pv_quadrature(f, pole: float, interval, params: LambIntegralParams,
     def g(nu):
         return (np.asarray(f(nu), dtype=float) - fc) / (nu - c)
 
-    total = _checked(g, _graded_edges(lo, hi, first), params.quadrature_points, f"pv(pole {c:g})")
+    total = _checked(g, _graded_edges(lo, hi, first), c, f"pv(pole {c:g})")
     return total + fc * np.log((hi - c) / (c - lo)) if inside else total
 
 
@@ -244,7 +246,7 @@ def _xi_ohmic_cached(spec: OhmicSpec, beta: float, x: float,
                      params: LambIntegralParams, quadrature_rel: float) -> float:
     # quadrature_rel only keys the cache; the checks read TOLERANCES themselves
     w = params.w_cutoff
-    return -2.0 * pv_quadrature(_bose_times(spec, beta), -x, (-w, w), params,
+    return -2.0 * pv_quadrature(_bose_times(spec, beta), -x, (-w, w),
                                 min(0.25, 1.0 / beta, spec.omega_cutoff))
 
 
@@ -283,7 +285,7 @@ def _c1_imag_cached(x: float, beta: float, params: LambIntegralParams,
         with np.errstate(under="ignore", over="ignore"):
             return nu**3 / np.expm1(beta * nu)
 
-    return -pv_quadrature(h, x, (0.0, params.w_cutoff), params, min(0.25, 1.0 / beta)) / np.pi
+    return -pv_quadrature(h, x, (0.0, params.w_cutoff), min(0.25, 1.0 / beta)) / np.pi
 
 
 def redfield_coefficients(x: float, beta: float,

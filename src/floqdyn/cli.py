@@ -518,8 +518,6 @@ def cmd_simulate(run: dict, out_dir: Path) -> int:
 
 def cmd_floquet(run: dict, out_dir: Path) -> int:
     config = scenario_from_dict(run["scenario"])
-    if config.drive is None:
-        raise ConfigError("floquet command requires a scenario with a drive")
     decomp = decompose_scenario(config)
     formats = run["outputs"]["formats"]
     if "json" in formats:

@@ -67,7 +67,6 @@ class ScenarioConfig:
     q_max: int = 0
     lamb_params: LambIntegralParams = LambIntegralParams()
     initial_level: int = 0
-    grid_m: int = 1024
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
@@ -78,8 +77,6 @@ class ScenarioConfig:
             raise ValidationError("initial_level out of range")
         if self.drive is not None and not all(0 <= i < self.dim for i in self.drive.pair):
             raise ValidationError(f"drive pair {self.drive.pair} out of range")
-        if self.grid_m < 1:
-            raise ValidationError("grid_m must be >= 1")
         if self.q_max < 0:
             raise ValidationError("q_max must be >= 0")
         for bath in self.baths:
@@ -114,8 +111,8 @@ class ScenarioConfig:
 
     def default_dt(self) -> float:
         if self.drive is not None and self.kind.startswith("floquet"):
-            # whole P(t) grid steps, about tau/256: recorded times hit exact samples
-            return (self.drive.tau / self.grid_m) * max(1, self.grid_m // 256)
+            # whole steps of every P(t) grid of decompose_scenario: records hit samples
+            return self.drive.tau / 256
         return 0.05
 
 
@@ -212,23 +209,26 @@ PRESETS = {
 
 
 def decompose_scenario(config: ScenarioConfig) -> FloquetDecomposition:
-    """Floquet decomposition at the scenario's drive period.
-
-    A zero-amplitude drive is allowed (the decomposition degenerates to
-    Hbar = H0, P = 1); a scenario with no drive at all has no period.
+    """Floquet decomposition at the scenario's drive period, its P grid from
+    1024 samples, or the power of two >= 8*q_max if larger.  A zero-amplitude
+    drive is allowed (Hbar = H0, P = 1); a scenario with no drive has no period.
     """
     if config.drive is None:
         raise ConfigError(f"scenario {config.label!r} has no drive to decompose")
     h = drive_hamiltonian(config.h0, config.drive)
-    return floquet_decompose(h, config.drive.tau, config.h0, grid_m=config.grid_m)
+    grid_m = max(1024, 1 << (8 * config.q_max - 1).bit_length())
+    return floquet_decompose(h, config.drive.tau, config.h0, grid_m=grid_m)
 
 
 def build_generator(config: ScenarioConfig,
                     decomposition: FloquetDecomposition | None = None,
                     full_secular: bool = False,
                     collective: bool = False) -> Generator:
-    """Assemble the generator selected by ``config.kind``."""
+    """Assemble the generator selected by ``config.kind``; a static kind takes no drive."""
     is_floquet = config.kind.startswith("floquet")
+    if not is_floquet and config.drive is not None:
+        raise ConfigError(f'static kind {config.kind!r} would drop the drive of scenario '
+                          f'{config.label!r}; set "drive": null to run it undriven')
     if is_floquet and decomposition is None:
         decomposition = decompose_scenario(config)
     spec = GeneratorSpec(

@@ -490,7 +490,7 @@ def test_criterion_5a_trace_hermiticity_all_kinds(gen_v0):
             "floquet_lindblad": gen_v0,
             "redfield": build_generator(build_four_level(0.05)),
             "floquet_redfield": build_generator(
-                replace(build_four_level(0.0, driven=True), grid_m=256, q_max=8)),
+                replace(build_four_level(0.0, driven=True), q_max=8)),
         }
     worst_tr, worst_h = 0.0, 0.0
     for kind, gen in gens.items():
@@ -575,7 +575,7 @@ def test_criterion_5f_mu_to_zero_continuity():
 
     from floqdyn.floquet import DriveSpec
 
-    cfg_fr = replace(build_four_level(0.0, driven=True), grid_m=256, q_max=2)
+    cfg_fr = replace(build_four_level(0.0, driven=True), q_max=2)
     cfg_fr0 = replace(cfg_fr, drive=DriveSpec(0.0, 2.25, (0, 3)))
     traj_fr = evolve(cfg_fr0, 50.0, dt=0.01)
     traj_r = evolve(build_four_level(0.0, kind="redfield"), 50.0, dt=0.01)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from floqdyn import baths
 from floqdyn.baths import (
     BathSpec,
     LambIntegralParams,
@@ -16,13 +19,36 @@ from floqdyn.baths import (
     thermal_occupation,
 )
 from floqdyn.errors import ValidationError
-from floqdyn.scenarios import PRESETS, REFERENCE_DRIVE, TABLE_BATHS
+from floqdyn.scenarios import PRESETS, REFERENCE_DRIVE, TABLE_BATHS, build_generator
+from floqdyn.tolerances import tolerance_overrides
 
 from conftest import XI_ORACLE_RTOL, quad_cauchy, xi_oracle
 
 HOT = OhmicSpec(4e-4, np.sqrt(2.0))
 COLD = OhmicSpec(4e-3, np.sqrt(0.2))
 PARAMS = LambIntegralParams()
+
+
+def _record_orders(monkeypatch) -> list:
+    """Patch ``baths._leggauss`` to append every Gauss order asked for to the list returned."""
+    orders, leggauss = [], baths._leggauss
+
+    def recording(n):
+        orders.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(baths, "_leggauss", recording)
+    return orders
+
+
+def _near_node(order, panel, node, delta, side):
+    """A pole ``delta`` panel half-widths to one ``side`` of a Gauss node of ``order``
+    on a panel of pv_quadrature's grid on (0, 200); delta = 0 puts it on the node."""
+    edges = baths._graded_edges(0.0, 200.0, 0.25)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    x, _ = baths._leggauss(order)
+    p = panel % len(half)
+    return half[p] * (x[node % order] + side * delta) + mid[p]
 
 
 class TestThermalOccupation:
@@ -60,40 +86,47 @@ class TestPvQuadrature:
     def test_constant_integrand(self):
         w = PARAMS.w_cutoff
         for c in (0.5, 2.5, 40.0):
-            got = pv_quadrature(lambda nu: np.ones_like(nu), c, (0.0, w), PARAMS)
+            got = pv_quadrature(lambda nu: np.ones_like(nu), c, (0.0, w))
             assert got == pytest.approx(np.log((w - c) / c), rel=1e-10)
 
     def test_linear_integrand(self):
         w = PARAMS.w_cutoff
         c = 2.5
-        got = pv_quadrature(lambda nu: np.asarray(nu, float), c, (0.0, w), PARAMS)
+        got = pv_quadrature(lambda nu: np.asarray(nu, float), c, (0.0, w))
         assert got == pytest.approx(w + c * np.log((w - c) / c), rel=1e-10)
 
     def test_pole_outside_interval_is_regular(self):
-        got = pv_quadrature(lambda nu: np.ones_like(nu), -1.0, (0.0, 1.0), PARAMS)
+        got = pv_quadrature(lambda nu: np.ones_like(nu), -1.0, (0.0, 1.0))
         assert got == pytest.approx(np.log(2.0), rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
-    @given(pole=st.floats(1e-6, 200.0, exclude_max=True)
+    @given(pole=st.floats(1e-6, 199.9999)
            | st.sampled_from([0.25, 1.0, 3.25, 10.0, 30.25, 91.0])
-           | st.floats(1e-3, 0.25, exclude_max=True),
+           | st.floats(1e-3, 0.25, exclude_max=True)
+           | st.builds(_near_node, st.sampled_from([96, 192]), st.integers(0, 6),
+                       st.integers(0, 191), st.sampled_from([0.0, 1e-13, 1e-10, 1e-8, 1e-6]),
+                       st.sampled_from([-1.0, 1.0])),
            bose=st.booleans())
     def test_against_quadpack_cauchy_at_any_pole(self, pole, bose):
         # the grid on (0, 200) has edges 0.25 (3^k - 1)/2 whatever the pole,
-        # so poles on those edges and inside the first panel are drawn too
+        # so poles on those edges, inside the first panel and on or near the
+        # nodes of orders 96 and 192 are drawn too.  QUADPACK's Cauchy weight
+        # loses digits for a pole within ~1e-11 relative of the upper end
+        # (1.7e-8 at 199.99999999999994, where pv_quadrature is within 2e-15
+        # of a 40-digit mpmath value), so the uniform draw stops short of it
         if bose:
             f_arr = lambda nu: np.asarray(nu, float) ** 3 / np.expm1(0.25 * np.asarray(nu, float))
             f_sca = lambda nu: nu ** 3 / np.expm1(0.25 * nu) if nu > 0 else 0.0
         else:
             f_arr = lambda nu: np.exp(-0.1 * np.asarray(nu, float)) * np.asarray(nu, float)
             f_sca = lambda nu: np.exp(-0.1 * nu) * nu
-        got = pv_quadrature(f_arr, pole, (0.0, 200.0), PARAMS)
-        assert got == pytest.approx(quad_cauchy(f_sca, pole, 200.0), rel=1e-8)
+        got = pv_quadrature(f_arr, pole, (0.0, 200.0))
+        assert got == pytest.approx(quad_cauchy(f_sca, pole, 200.0), rel=1e-12)
 
     def test_against_quadpack_cauchy(self):
         f_arr = lambda nu: np.exp(-0.1 * np.asarray(nu, float)) * np.asarray(nu, float)
         f_sca = lambda nu: np.exp(-0.1 * nu) * nu
-        got = pv_quadrature(f_arr, 7.0, (0.0, 200.0), PARAMS)
+        got = pv_quadrature(f_arr, 7.0, (0.0, 200.0))
         want = quad_cauchy(f_sca, 7.0, 200.0)
         assert got == pytest.approx(want, rel=1e-8)
 
@@ -167,7 +200,7 @@ class TestRedfieldCoefficients:
         assert rc_m.n1 == pytest.approx(rc_p.n2, rel=1e-12)
         assert rc_m.n2 == pytest.approx(rc_p.n1, rel=1e-12)
 
-    def test_c2_against_brute_force_and_refinement(self):
+    def test_c2_against_brute_force_and_refinement(self, monkeypatch):
         # oracle: QUADPACK thermal PV plus mpmath's regularized vacuum PV
         x, beta, w = 2.5, 4.0, PARAMS.w_cutoff
 
@@ -178,7 +211,10 @@ class TestRedfieldCoefficients:
         thermal = -quad_cauchy(thermal_integrand, x, 120.0)
         want = thermal / np.pi + float(vacuum_mpmath(x, w))
         assert rc.c2_imag == pytest.approx(want, rel=1e-6)
-        fine = redfield_coefficients(x, beta, LambIntegralParams(quadrature_points=192))
+        # start the doubling one order up; the tighter tolerance is a fresh cache key
+        monkeypatch.setattr(baths, "GAUSS_ORDER_START", 2 * baths.GAUSS_ORDER_START)
+        with tolerance_overrides(quadrature_rel=1e-7):
+            fine = redfield_coefficients(x, beta, PARAMS)
         assert rc.c2_imag == pytest.approx(fine.c2_imag, rel=1e-6)
 
     def test_c1_negative_argument_no_pole(self):
@@ -199,34 +235,27 @@ class TestSpecValidation:
 
     def test_lamb_params_invariants(self):
         with pytest.raises(ValidationError):
-            LambIntegralParams(quadrature_points=32)
-        with pytest.raises(ValidationError):
             LambIntegralParams(w_cutoff=-1.0)
 
 
 class TestQuadratureConvergenceGuard:
     def test_non_convergence_raises_with_diagnostics(self):
         from floqdyn.errors import NumericalError
-        from floqdyn.tolerances import tolerance_overrides
 
         with tolerance_overrides(quadrature_rel=1e-18):
-            with pytest.raises(NumericalError, match="did not converge"):
-                pv_quadrature(lambda nu: np.exp(-np.asarray(nu, float)), 3.0,
-                              (0.0, 1.0e4), PARAMS)
+            with pytest.raises(NumericalError, match="order 768 -> .*, order 1536 -> "):
+                pv_quadrature(lambda nu: np.exp(-np.asarray(nu, float)), 3.0, (0.0, 1.0e4))
 
-
-    def test_pole_on_a_gauss_node_raises(self):
+    def test_pole_on_a_gauss_node_refines_past_it(self, monkeypatch):
         # the subtracted quotient (f(nu) - f(c))/(nu - c) is 0/0 at a node equal
-        # to the pole; the NaN must fail the order-doubling check, not pass it
-        from floqdyn.baths import _graded_edges, _leggauss
-        from floqdyn.errors import NumericalError
-
-        a, b = _graded_edges(0.0, 200.0, 0.25)[4:6]
-        x, _ = _leggauss(2 * PARAMS.quadrature_points)
-        pole = 0.5 * (b - a) * x[10] + 0.5 * (b + a)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="did not converge"):
-            pv_quadrature(lambda nu: np.exp(-0.1 * np.asarray(nu, float)), pole, (0.0, 200.0),
-                          PARAMS)
+        # to the pole: order 192 gives NaN, which fails against 96 and 384, and
+        # order 768, clear of the pole, is checked against 384
+        pole = _near_node(192, 4, 10, 0.0, 1.0)
+        orders = _record_orders(monkeypatch)
+        got = pv_quadrature(lambda nu: np.exp(-0.1 * np.asarray(nu, float)), pole, (0.0, 200.0))
+        assert orders == [96, 192, 384, 768]
+        assert got == pytest.approx(quad_cauchy(lambda nu: np.exp(-0.1 * nu), pole, 200.0),
+                                    rel=1e-12)
 
     @pytest.mark.parametrize("coefficients", [
         lambda x: gamma_xi_ohmic(HOT, 1.3, x, PARAMS),
@@ -234,7 +263,6 @@ class TestQuadratureConvergenceGuard:
     ], ids=["xi", "c1"])
     def test_cached_coefficient_rechecked_under_tighter_tolerance(self, coefficients):
         from floqdyn.errors import NumericalError
-        from floqdyn.tolerances import tolerance_overrides
 
         x = 0.7371  # a frequency no other test asks for
         want = coefficients(x)  # fills the cache at the default tolerance
@@ -264,9 +292,21 @@ class TestGaussLegendreRules:
             orders.append(len(nu))
             return np.exp(-nu)
 
-        value = _checked(f, np.array([0.0, 1.0, 3.0]), 64, "exp")
-        assert orders == [128, 256]
+        value = _checked(f, np.array([0.0, 1.0, 3.0]), -1.0, "exp")
+        assert orders == [192, 384]
         assert value == pytest.approx(1.0 - np.exp(-3.0), rel=1e-14)
+
+    def test_no_preset_coefficient_refines_past_order_192(self, monkeypatch):
+        # every preset generator of every kind its drive allows, from cold caches
+        orders = _record_orders(monkeypatch)
+        baths._xi_ohmic_cached.cache_clear()
+        baths._c1_imag_cached.cache_clear()
+        for make in PRESETS.values():
+            cfg = make()
+            for kind in ("floquet_lindblad", "floquet_redfield") if cfg.drive \
+                    else ("lindblad", "redfield"):
+                build_generator(replace(cfg, kind=kind))
+        assert orders and max(orders) == 192
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +429,26 @@ class TestMpmathOracle:
         for x in (x for x in MPMATH_FREQUENCIES if x <= 0):
             assert redfield_coefficients(x, beta, PARAMS).c1_imag == pytest.approx(
                 float(c1_mpmath(beta, x)), rel=MPMATH_RTOL), x
+
+    @pytest.mark.parametrize("bath", ["cold", "hot"])
+    def test_refined_coefficients_stay_on_the_oracle(self, bath, monkeypatch):
+        # at 1e-13 some xi and C1 need orders past 192 (up to 768), not the cap
+        spec = OhmicSpec(ORACLE_BATHS[bath]["j0"], ORACLE_BATHS[bath]["omega_cutoff"])
+        beta = ORACLE_BATHS[bath]["beta"]
+        orders = _record_orders(monkeypatch)
+        refined = []
+        with tolerance_overrides(quadrature_rel=1e-13):
+            for x in MPMATH_FREQUENCIES:
+                for name, get in (("xi", lambda: gamma_xi_ohmic(spec, beta, x, PARAMS).xi),
+                                  ("c1", lambda: redfield_coefficients(x, beta, PARAMS).c1_imag)):
+                    orders.clear()
+                    got = get()
+                    if max(orders) > 192:
+                        refined.append((name, x, got))
+        assert {name for name, _, _ in refined} == {"xi", "c1"}
+        for name, x, got in refined:
+            want = xi_mpmath(spec, beta, x) if name == "xi" else c1_mpmath(beta, x)
+            assert got == pytest.approx(float(want), rel=MPMATH_RTOL), (name, x)
 
     def test_c2_at_non_positive_preset_frequencies(self):
         # the closed form keeps |x|^3 ln(W/|x|) of |x|^3 ln((W + |x|)/|x|),

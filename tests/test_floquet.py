@@ -32,6 +32,7 @@ from floqdyn.operators import (
     unitary_fidelity,
     unitary_from_hermitian,
 )
+from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import PRESETS, decompose_scenario
 from floqdyn.tolerances import TOLERANCES, tolerance_overrides
 
@@ -136,16 +137,37 @@ class TestPropagate:
         assert unitary_fidelity(u1, u2) >= 1 - 1e-9
 
     def test_coarse_steps_raise(self):
+        # refined four times from 3 steps, 48 against 24 still leaves a gap of 2.1e-5
         h = drive_hamiltonian(100.0 * H0, V0)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError, match="between 48 and 24 steps"):
             propagate_schrodinger(h, 0.0, TAU, steps=3)
 
 
 class TestDecompose:
     def test_coarse_odd_grid_raises(self):
-        # 15 steps against 7: the halving gap is ~2e-4, beyond the 1e-5 bound
-        with pytest.raises(StepSizeError, match="between 15 and 7 steps"):
-            floquet_decompose(drive_hamiltonian(H0, V0), TAU, H0, grid_m=15)
+        # a drive of mu = 300 leaves a halving gap of ~5e-3 at the last doubling
+        h = drive_hamiltonian(H0, DriveSpec(300.0, OMEGA, (0, 2)))
+        with pytest.raises(StepSizeError, match="between 240 and 120 steps"):
+            floquet_decompose(h, TAU, H0, grid_m=15)
+
+    def test_coarse_odd_grid_refines(self):
+        # 15 steps against 7 leave a halving gap of ~2e-4; the grid doubles past it
+        h = drive_hamiltonian(H0, V0)
+        dec = floquet_decompose(h, TAU, H0, grid_m=15)
+        assert dec.grid_m in (30, 60, 120, 240)
+        coarse = magnus_samples(h, 0.0, TAU, dec.grid_m // 2)[-1]
+        assert np.max(np.abs(dec.u_samples[-1] - coarse)) <= TOLERANCES.propagator_halving_gap
+
+    @pytest.mark.parametrize("preset", ["three_level_v0", "three_level_v1",
+                                        "four_level_degenerate_driven"])
+    def test_presets_pass_the_halving_check_on_the_first_grid(self, preset):
+        assert decompose_scenario(PRESETS[preset]()).grid_m == 1024
+
+    def test_tighter_halving_gap_refines_the_grid(self, cfg_v0, dec_v0):
+        with tolerance_overrides(propagator_halving_gap=1e-12):
+            fine = decompose_scenario(cfg_v0)
+        assert fine.grid_m == 2048
+        assert np.max(np.abs(fine.quasi.energies - dec_v0.quasi.energies)) <= 1e-10
 
     @pytest.mark.parametrize("preset", ["three_level_v0", "three_level_v1",
                                         "four_level_degenerate_driven"])

@@ -8,7 +8,12 @@ from numpy.testing import assert_allclose
 
 from floqdyn.baths import BathSpec, OhmicSpec, RedfieldCoefficients, redfield_coefficients
 from floqdyn.errors import ConfigError, ValidationError
-from floqdyn.floquet import drive_hamiltonian, fourier_operator_coefficients, jump_operator_table
+from floqdyn.floquet import (
+    drive_hamiltonian,
+    floquet_decompose,
+    fourier_operator_coefficients,
+    jump_operator_table,
+)
 from floqdyn import generators
 from floqdyn.generators import (
     DIPOLE_PREFACTOR,
@@ -238,8 +243,7 @@ def _all_kind_generators(gen_v0):
         "floquet_lindblad": gen_v0,
         "redfield": build_generator(cfg4),
     }
-    cfg4d = replace(build_four_level(0.0, driven=True), grid_m=256)
-    gens["floquet_redfield"] = build_generator(cfg4d)
+    gens["floquet_redfield"] = build_generator(build_four_level(0.0, driven=True))
     return gens
 
 
@@ -374,7 +378,7 @@ class TestRedfield:
     @pytest.mark.parametrize("lamb", [True, False])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_matches_pair_reference(self, preset, lamb):
-        cfg = replace(PRESETS[preset](), kind="redfield", lamb_shift=lamb)
+        cfg = replace(PRESETS[preset](), kind="redfield", lamb_shift=lamb, drive=None)
         spec = GeneratorSpec(kind="redfield", channels=cfg.channels(), lamb_shift=lamb,
                              lamb_params=cfg.lamb_params)
         gap = np.max(np.abs(build_generator(cfg).superop - redfield_pairs_reference(cfg.h0, spec)))
@@ -394,8 +398,10 @@ class TestRedfield:
 
 @pytest.fixture(scope="module")
 def fr_setup():
-    cfg = replace(build_four_level(0.0, driven=True), grid_m=256, q_max=8)
-    dec = decompose_scenario(cfg)
+    # a 256-sample P grid keeps the per-sample node reference quick
+    cfg = replace(build_four_level(0.0, driven=True), q_max=8)
+    dec = floquet_decompose(drive_hamiltonian(cfg.h0, cfg.drive), cfg.drive.tau, cfg.h0,
+                            grid_m=256)
     return cfg, dec, build_generator(cfg, decomposition=dec)
 
 
@@ -409,7 +415,7 @@ class TestFloquetRedfield:
             assert abs(np.trace(apply(gen, rho))) < 1e-11
 
     def test_mu_zero_matches_static_redfield(self):
-        cfg = replace(build_four_level(0.0, driven=True), grid_m=256, q_max=2)
+        cfg = replace(build_four_level(0.0, driven=True), q_max=2)
         from floqdyn.floquet import DriveSpec
 
         cfg0 = replace(cfg, drive=DriveSpec(0.0, 2.25, (0, 3)))

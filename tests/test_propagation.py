@@ -220,10 +220,10 @@ def test_decomposition_samples_match_step_loop(preset):
     config = PRESETS[preset]()
     decomp = decompose_scenario(config)
     h = drive_hamiltonian(config.h0, config.drive)
-    dt = decomp.tau / config.grid_m
+    dt = decomp.tau / decomp.grid_m
     assert _max_gap(decomp.u_samples,
-                    magnus_unitary_samples_loop(h, 0.0, config.grid_m, dt)) <= STATE_TOL
-    times = np.arange(config.grid_m + 1) * dt
+                    magnus_unitary_samples_loop(h, 0.0, decomp.grid_m, dt)) <= STATE_TOL
+    times = np.arange(decomp.grid_m + 1) * dt
     assert _max_gap(decomp.u_samples, oracle_unitaries(config, times)) <= ORACLE_TOL
 
 
