@@ -260,11 +260,22 @@ def _section(data: dict, key: str, default: dict | None = None) -> dict:
 _INTEGRATION_DEFAULTS = {"dt": None, "stride": None}
 
 
+def _integration(data: dict) -> dict:
+    """The integration section with its defaults.  t_final, and dt and stride
+    when given, must be finite and > 0; a value of the wrong type is left to
+    the schema."""
+    integ = {**_INTEGRATION_DEFAULTS, **_section(data, "integration")}
+    for key in ("t_final", "dt", "stride"):
+        if _is_type(integ.get(key), "number") and not 0 < integ[key] < np.inf:
+            raise ConfigError(f"integration.{key} must be finite and > 0, got {integ[key]!r}")
+    return integ
+
+
 def canonical_run_dict(data: dict) -> dict:
     data = copy.deepcopy(data)
     data["scenario"] = canonical_scenario_dict(_section(data, "scenario"))
     data["outputs"] = {"formats": ["csv", "json"], **_section(data, "outputs", {})}
-    data["integration"] = {**_INTEGRATION_DEFAULTS, **_section(data, "integration")}
+    data["integration"] = _integration(data)
     return data
 
 
@@ -699,7 +710,7 @@ def main(argv: list[str] | None = None) -> int:
             data.setdefault("metric", "eta_series")
             for side in ("a", "b"):
                 data[side] = canonical_scenario_dict(_section(data, side))
-            data["integration"] = {**_INTEGRATION_DEFAULTS, **_section(data, "integration")}
+            data["integration"] = _integration(data)
             validate_schema(data, COMPARE_SCHEMA)
             return cmd_compare(data, out_dir)
         data = load_config(args.config, None, args.overrides)

@@ -11,23 +11,26 @@ over one harmonic frame: a quasienergy spectrum, the drive frequency Omega,
 and the resolver from a system operator S to its harmonics S(q), which the
 jump table splits into S(q, omega) on the quasienergy gaps.  A Floquet kind
 takes the frame from its decomposition; a static kind uses the spectrum of
-h0, Omega = 0 and S(0) = S.  The coherent term -i[Hbar + H_lamb, .] is
-added in one place; two assembly paths give H_lamb and D:
+h0, Omega = 0 and S(0) = S.  The coherent term and every dissipator enter
+in one place; D takes the one Born-Markov form (Breuer & Petruccione, The
+Theory of Open Quantum Systems, 2002, sec. 3.3) over two stacks of jump terms,
+D rho = sum_k (A_k rho B_k† - B_k† A_k rho) + h.c., and the kinds differ
+only in the stacks:
 
-* the secular path -- ``lindblad`` and ``floquet_lindblad``: per channel,
-  dissipators gamma D[S(q, omega)] and Lamb terms xi S†S with the Ohmic
-  bath coefficients at omega + q*Omega; static Lindblad may also be built
-  with collective (shared-mode) channels.  D and -i[H_lamb, .] commute
-  with -i[Hbar, .], so evolving in this frame equals evolving in the
-  interaction picture of P(t) exp(-i Hbar t).
-* the Redfield path -- ``redfield`` and ``floquet_redfield``: dipole
-  couplings via the radiation-bath N1/N2 rates and C1/C2 Lamb integrals,
-  with the partial secular filter that keeps only equal-harmonic (q' = q)
-  terms (optionally omega' = omega as well).  Five dipole-weighted jump
-  sums per harmonic give D, the Lamb terms included.  Under the q' = q
-  filter the only time dependence left is the micromotion: the
-  Schrodinger-picture generator is -i[H(t), .] + Ad_P(t) D Ad_P(t)†,
-  Ad_P the conjugation by P, so in the frame it is exactly the static
+* secular -- ``lindblad`` and ``floquet_lindblad``: A = (gamma/2) S, B = S
+  for every jump entry S = S(q, omega) of each channel (gamma D[S]), and
+  H_lamb = sum xi S†S, gamma/xi the Ohmic coefficients at omega + q*Omega;
+  static Lindblad may also use collective (shared-mode) channels.  D and
+  -i[H_lamb, .] commute with -i[Hbar, .], so evolving in this frame equals
+  evolving in the interaction picture of P(t) exp(-i Hbar t).
+* Redfield -- ``redfield`` and ``floquet_redfield``: dipole couplings via
+  the radiation-bath N1/N2 rates and C1/C2 Lamb integrals, keeping only
+  equal-harmonic (q' = q) terms (optionally omega' = omega as well).  Three
+  dipole-weighted jump sums a, u1, u2 per harmonic give A = kappa (u2, u1†)
+  and B = (a†, a), kappa = DIPOLE_PREFACTOR, Lamb terms included.  Under
+  the q' = q filter the only time dependence left is the micromotion: the
+  Schrodinger-picture generator is -i[H(t), .] + Ad_P(t) D Ad_P(t)†, Ad_P
+  the conjugation by P, so in the frame it is exactly the static
   -i[Hbar, .] + D (Grifoni & Hanggi, Phys. Rep. 304, 229 (1998); Kohler,
   Dittrich & Hanggi, Phys. Rev. E 55, 300 (1997)).
 
@@ -160,12 +163,6 @@ def sop_commutator(h: np.ndarray) -> np.ndarray:
     return -1j * (sop_left(h) - sop_right(h))
 
 
-def sop_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> a rho b† - (1/2){b† a, rho}."""
-    bd_a = b.conj().T @ a
-    return sop_sandwich(a, b.conj().T) - 0.5 * (sop_left(bd_a) + sop_right(bd_a))
-
-
 @dataclass
 class Generator:
     """A built master-equation generator: the static L of the frame state P† rho P.
@@ -220,13 +217,20 @@ class _HarmonicFrame:
             )
         return table
 
-    def generator(self, spec: GeneratorSpec, h_lamb: dict, dissipators) -> Generator:
-        """-i[Hbar + H_lamb, .] plus each of ``dissipators`` in turn: the one
-        place the coherent term enters."""
+    def generator(self, spec: GeneratorSpec, h_lamb: dict, a, b) -> Generator:
+        """-i[Hbar + H_lamb, .] + sum_k (a_k rho b_k† - b_k† a_k rho) + h.c.
+        for the (possibly empty) lists ``a``, ``b`` of jump terms: the one
+        place the coherent term and the dissipator enter.  That is
+        sum_k (a_k kron b_k* + b_k kron a_k*) - M kron I - I kron M*, M = sum_k b_k† a_k.
+        """
+        d = self.hbar.shape[0]
+        a, b = (np.reshape(np.array(s, dtype=complex), (-1, d, d)) for s in (a, b))
+        t = np.tensordot(a, b.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
+        m = np.einsum("kji,kjl->il", b.conj(), a)
         sop = sop_commutator(self.hbar + sum(h_lamb.values(), np.zeros_like(self.hbar)))
-        for diss in dissipators:
-            sop += diss
-        return Generator(kind=spec.kind, dim=self.hbar.shape[0], superop=sop, h_lamb=h_lamb,
+        sop += (t + t.transpose(1, 0, 3, 2).conj()).reshape(d * d, d * d)
+        sop -= sop_left(m) + sop_right(m.conj().T)
+        return Generator(kind=spec.kind, dim=d, superop=sop, h_lamb=h_lamb,
                          decomposition=spec.floquet)
 
 
@@ -281,20 +285,17 @@ def _secular_generator(h0, spec: GeneratorSpec, channels) -> Generator:
     ``test_baths.py::test_cross_coefficients_vanish`` checks by quadrature.
     """
     frame = _harmonic_frame(h0, spec)
-    d = h0.shape[0]
-    diss = np.zeros((d * d, d * d), dtype=complex)
-    h_lamb = {}
+    a, b, h_lamb = [], [], {}
     for bath, ops, key in channels:
-        lamb = np.zeros((d, d), dtype=complex)
-        for op in ops:
-            for q, omega, s_op in frame.jump_table(op, key).items():
-                cc = gamma_xi_ohmic(bath.spectral, bath.beta, omega + q * frame.omega,
-                                    spec.lamb_params)
-                diss += cc.gamma * sop_dissipator(s_op, s_op)
-                if spec.lamb_shift:
-                    lamb += cc.xi * (s_op.conj().T @ s_op)
-        h_lamb[key] = lamb
-    return frame.generator(spec, h_lamb, [diss])
+        jumps = [jump for op in ops for jump in frame.jump_table(op, key).items()]
+        s = np.array([jump[2] for jump in jumps])
+        cc = [gamma_xi_ohmic(bath.spectral, bath.beta, omega + q * frame.omega, spec.lamb_params)
+              for q, omega, _ in jumps]
+        a.extend(c.gamma / 2 * sk for c, sk in zip(cc, s))
+        b.extend(s)
+        xi = [c.xi if spec.lamb_shift else 0.0 for c in cc]
+        h_lamb[key] = np.einsum("k,kji,kjl->il", xi, s.conj(), s)
+    return frame.generator(spec, h_lamb, a, b)
 
 
 def lindblad_generator(h0, spec: GeneratorSpec, collective: bool = False) -> Generator:
@@ -326,22 +327,16 @@ def floquet_lindblad_generator(h0, spec: GeneratorSpec) -> Generator:
 # Redfield path: Redfield / Floquet-Redfield
 
 
-def _require_diagonal(h0) -> np.ndarray:
-    h0 = require_hermitian(h0)
-    if np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12:
-        raise ValidationError("Redfield kinds require h0 diagonal in the level basis")
-    return h0
-
-
 def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: bool) -> list:
-    """Dipole-weighted jump sums (plain, u2, t1m, u1, t2m) over ``frame``.
+    """Dipole-weighted jump sums (a, u1, u2) over ``frame``.
 
     Each entry S = S(q, omega) of the jump tables of a bath's pair operators
-    |i><j|, weighted by the transition dipole mu, adds mu S, (N2 + iC2) mu S†,
-    (N1 - iC1) mu S, (N1 + iC1) mu S† and (N2 - iC2) mu S, with N/C at
-    omega + q*Omega, to the sums of its key.  The key is q under the partial
-    secular (q' = q) filter: the free omega sum then collapses to S(q) by
-    completeness, while the primed sums carry the coefficients.  With
+    |i><j|, weighted by the transition dipole mu, adds mu S, (N1 + iC1) mu S†
+    and (N2 + iC2) mu S†, with N/C at omega + q*Omega, to the sums of its
+    key; its dissipator is G(u2, a†) + G(u1†, a) times ``DIPOLE_PREFACTOR``,
+    G the form of :meth:`_HarmonicFrame.generator`.  The key is q under the
+    partial secular (q' = q) filter: the free omega sum then collapses to
+    S(q) by completeness, while the primed sums carry the coefficients.  With
     ``full_secular`` the key is (q, gap index), which also imposes
     omega' = omega.  Transitions of one bath share keys, so their
     cross-transition dipole products are kept.  Returns the sums of every
@@ -359,11 +354,8 @@ def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: boo
                 rc = redfield_coefficients(table.gaps[gi] + q * frame.omega, bath.beta,
                                            spec.lamb_params)
                 c1, c2 = (rc.c1_imag, rc.c2_imag) if spec.lamb_shift else (0.0, 0.0)
-                z1 = rc.n1 + 1j * c1
-                z2 = rc.n2 + 1j * c2
                 s = ch.dipole * op
-                sd = s.conj().T
-                new = (s, z2 * sd, z1.conjugate() * s, z1 * sd, z2.conjugate() * s)
+                new = (s, (rc.n1 + 1j * c1) * s.conj().T, (rc.n2 + 1j * c2) * s.conj().T)
                 key = (q, gi) if full_secular else q
                 old = sums.get(key)
                 sums[key] = new if old is None else tuple(a + b for a, b in zip(old, new))
@@ -371,25 +363,16 @@ def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: boo
     return terms
 
 
-def _redfield_dissipators(terms):
-    """The dissipator of each sum set of :func:`_redfield_sums`; together they make D."""
-    for a, u2, t1m, u1, t2m in terms:
-        eye = np.eye(a.shape[0])
-        ad = a.conj().T
-        left = a @ u2 + ad @ t1m
-        right = t2m @ ad + u1 @ a
-        yield -DIPOLE_PREFACTOR * (
-            np.kron(left, eye) + np.kron(eye, right.T)
-            - np.kron(a, u1.T) - np.kron(ad, t2m.T)
-            - np.kron(t1m, ad.T) - np.kron(u2, a.T)
-        )
-
-
 def _redfield_generator(h0, spec: GeneratorSpec, full_secular: bool) -> Generator:
     """-i[Hbar, .] + D over the frame of ``spec`` (see the module docstring)."""
-    frame = _harmonic_frame(_require_diagonal(h0), spec)
+    h0 = require_hermitian(h0)
+    if np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12:
+        raise ValidationError("Redfield kinds require h0 diagonal in the level basis")
+    frame = _harmonic_frame(h0, spec)
     terms = _redfield_sums(frame, spec, full_secular)
-    return frame.generator(spec, {}, _redfield_dissipators(terms))
+    a = [DIPOLE_PREFACTOR * u for _, u1, u2 in terms for u in (u2, u1.conj().T)]
+    b = [op for s, _, _ in terms for op in (s.conj().T, s)]
+    return frame.generator(spec, {}, a, b)
 
 
 def redfield_generator(h0, spec: GeneratorSpec) -> Generator:
@@ -429,7 +412,6 @@ __all__ = [
     "lindblad_generator",
     "redfield_generator",
     "sop_commutator",
-    "sop_dissipator",
     "sop_left",
     "sop_right",
     "sop_sandwich",

@@ -674,11 +674,32 @@ class TestMalformedSections:
         ("sweep", {"base": {"scenario": {"preset": "three_level_nondriven"},
                             "integration": {"t_final": 1.0}, "outputs": {"path": "wanted_dir"}},
                    "axes": {"scenario.lamb_shift": [True]}}, "'outputs' was unexpected"),
+        # integration values evolve cannot take are configuration errors
+        ("simulate", {"scenario": {"preset": "three_level_v1"}, "integration": {"t_final": 0}},
+         "integration.t_final must be finite and > 0"),
+        ("simulate", {"scenario": {"preset": "three_level_v1"}, "integration": {"t_final": -1}},
+         "integration.t_final must be finite and > 0"),
+        ("simulate", {"scenario": {"preset": "three_level_v1"},
+                      "integration": {"t_final": 1e400}},
+         "integration.t_final must be finite and > 0, got inf"),
+        ("simulate", {"scenario": {"preset": "three_level_v1"},
+                      "integration": {"t_final": float("nan")}},
+         "integration.t_final must be finite and > 0, got nan"),
+        ("simulate", {"scenario": {"preset": "three_level_v1"},
+                      "integration": {"t_final": 1.0, "dt": 0}},
+         "integration.dt must be finite and > 0"),
+        ("simulate", {"scenario": {"preset": "three_level_v1"},
+                      "integration": {"t_final": 1.0, "stride": 0}},
+         "integration.stride must be finite and > 0"),
+        ("compare", {"a": {"preset": "three_level_nondriven"},
+                     "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 0}},
+         "integration.t_final must be finite and > 0"),
     ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
             "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
             "grid_m_zero", "q_max_negative", "substeps_unknown", "scenario_dt",
             "lamb_params_pv_window", "compare_outputs",
-            "sweep_outputs", "sweep_base_outputs"])
+            "sweep_outputs", "sweep_base_outputs", "t_final_zero", "t_final_negative",
+            "t_final_inf", "t_final_nan", "dt_zero", "stride_zero", "compare_t_final_zero"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -703,6 +724,19 @@ class TestMalformedSections:
                                    "axes": {"scenario.lamb_shift": [True, False]}}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["error:2"] * 2
+
+    def test_sweep_point_with_invalid_t_final_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": {"scenario": {"preset": "three_level_nondriven"}},
+                                   "axes": {"integration.t_final": [1.0, 0.0]}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["ok", "error:2"]
+
+    def test_bathless_scenario_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"preset": "three_level_nondriven", "baths": []},
+                                   "integration": {"t_final": 1.0}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSimulate:

@@ -17,6 +17,7 @@ from floqdyn.floquet import (
 from floqdyn import generators
 from floqdyn.generators import (
     DIPOLE_PREFACTOR,
+    GENERATOR_KINDS,
     CouplingChannel,
     GeneratorSpec,
     coupling_decomposition,
@@ -41,7 +42,7 @@ from floqdyn.scenarios import (
 )
 from floqdyn.tolerances import TOLERANCES
 
-from conftest import gibbs_state, random_density
+from conftest import gibbs_state, random_density, random_hermitian
 
 H0_3 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 
@@ -167,7 +168,8 @@ def floquet_redfield_nodes_reference(h0, drive, spec, full_secular):
         pd = p.conj().T
         sop = sop_commutator(h_of_t(k * decomp.tau / decomp.grid_m))
         for sums in terms:
-            a, u2, t1m, u1, t2m = (p @ o @ pd for o in sums)
+            a, u1, u2 = (p @ o @ pd for o in sums)
+            t1m, t2m = u1.conj().T, u2.conj().T
             ad = a.conj().T
             left = a @ u2 + ad @ t1m
             right = t2m @ ad + u1 @ a
@@ -568,3 +570,36 @@ class TestRandomizedModels:
         ref = redfield_pairs_reference(h0, spec)
         gap = np.max(np.abs(redfield_generator(h0, spec).superop - ref))
         assert gap <= REDFIELD_REF_TOL * np.max(np.abs(ref))
+
+
+class TestDissipatorForm:
+    """The one form every kind's dissipator takes:
+    D rho = sum_k (a_k rho b_k† - b_k† a_k rho) + h.c."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 6), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_superop_matches_matrix_products(self, k, d, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d)) for _ in range(2))
+        rho = random_hermitian(rng, d)
+        zero = np.zeros((d, d), dtype=complex)
+        spec = GeneratorSpec(kind="lindblad", channels=())
+        gen = generators._harmonic_frame(zero, spec).generator(spec, {}, list(a), list(b))
+        got = apply(gen, rho)
+        half = sum((ak @ rho @ bk.conj().T - bk.conj().T @ ak @ rho for ak, bk in zip(a, b)), zero)
+        want = half + half.conj().T
+        scale = np.linalg.norm(rho) * sum(np.linalg.norm(ak) * np.linalg.norm(bk)
+                                          for ak, bk in zip(a, b))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert abs(np.trace(got)) <= 1e-13 * scale
+        assert np.max(np.abs(got - got.conj().T)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_bathless_scenario_is_the_commutator(self, kind):
+        # no channel gives empty stacks; a Floquet kind keeps v0's drive
+        cfg = replace(PRESETS["three_level_v0"](), kind=kind, baths=())
+        if not kind.startswith("floquet"):
+            cfg = replace(cfg, drive=None)
+        gen = build_generator(cfg)
+        hbar = cfg.h0 if gen.decomposition is None else gen.decomposition.hbar_floquet
+        assert np.array_equal(gen.superop, sop_commutator(hbar))
