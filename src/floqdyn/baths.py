@@ -1,30 +1,24 @@
 """Thermal-bath data: spectral densities, occupation numbers, and the
 frequency-domain coefficients entering the master equations.
 
-Two coefficient families live here:
+Two coefficient families live here, each over an array of frequencies
+(``gamma_xi_ohmic`` and ``redfield_coefficients`` are one-element cases):
+``gamma_xi_arrays``, the Ohmic rate gamma and shift xi, and
+``redfield_arrays``, the N1/N2 rates and C1/C2 shifts of the dipole-coupled
+equations.  The vacuum part of C2 diverges with the radiation cutoff W; it is
+regularized by dropping the self-energy and low-intensity terms, keeping
+``-x^2 W - x^3 ln(W/|x|)``.  Coefficients are stored as real numbers; the
+generator assembly applies the factor i that C1/C2 carry.
 
-* ``gamma_xi_ohmic`` -- the real/imaginary parts of the one-sided Fourier
-  transform of the bath correlation functions for an Ohmic bath with a
-  Gaussian cutoff.  ``gamma`` is the closed-form rate; ``xi`` requires a
-  Cauchy principal-value integral.
-* ``redfield_coefficients`` -- the N1/N2 rates and C1/C2 level-shift
-  integrals of the dipole-coupled (Redfield-type) equations.  The vacuum
-  part of C2 diverges with the radiation cutoff W and is regularized by
-  dropping the self-energy and low-intensity terms, keeping
-  ``-x^2 W - x^3 ln(W/|x|)``.
-
-Sign convention: coefficients are stored as real numbers.  C1/C2 carry an
-explicit factor i in the master equations; the generator assembly applies
-it, which keeps Hermiticity of the resulting Lamb commutators auditable.
-
-Every Lamb-shift coefficient is one ``pv_quadrature`` call: ``xi`` over
-(-W, W) of F = J (nbar + 1), which is smooth through nu = 0, with pole -x;
-``C1`` over (0, W) of nu^3 nbar with pole x.  A pole inside the interval is
-subtracted,
+A bath's shifts at all its frequencies are one checked ``pv_quadrature``
+call, and nothing is cached: xi integrates F = J (nbar + 1), smooth through
+nu = 0, over (-W, W) with pole -x; C1 integrates nu^3 nbar over (0, W) with
+pole x.  A pole inside the interval is subtracted (Davis & Rabinowitz,
+Methods of Numerical Integration, 2nd ed., 1984),
 ``PV int_lo^hi f/(nu-c) = int_lo^hi (f(nu)-f(c))/(nu-c) dnu + f(c) ln((hi-c)/(c-lo))``,
-so every integral left is regular.  It runs on composite Gauss-Legendre
-panels whose widths triple outward from 0, the first as wide as the bath's
-scale, min(0.25, 1/beta, omega_c); the grid does not depend on the pole.
+on Gauss-Legendre panels whose widths triple outward from 0, the first
+min(0.25, 1/beta, omega_c) wide.  The grid does not depend on the pole, so
+f is evaluated once per Gauss order for all of them.
 """
 
 from dataclasses import dataclass
@@ -162,55 +156,74 @@ def _leggauss(order: int):
     return x, w
 
 
-#: Gauss orders per panel at which ``_checked`` starts and stops doubling, and the least
-#: distance, in panel half-widths, from pole to node before (f(nu) - f(c))/(nu - c) cancels.
-GAUSS_ORDER_START, GAUSS_ORDER_CAP, NODE_GUARD = 96, 1536, 1e-5
+#: ``_checked``'s first and last Gauss order per panel, the least pole-node distance in panel
+#: half-widths (closer, (f(nu) - f(c))/(nu - c) cancels), and the poles per quotient array.
+GAUSS_ORDER_START, GAUSS_ORDER_CAP, NODE_GUARD, POLE_BLOCK = 96, 1536, 1e-5, 8
 
 
-def _checked(f, edges: np.ndarray, pole: float, label: str) -> float:
-    """Integrate on the panels at Gauss orders doubling from ``GAUSS_ORDER_START``
-    until two successive orders agree and ``pole`` is ``NODE_GUARD`` clear of
-    every node of the finer one, whose value is returned."""
+def _checked(f, edges: np.ndarray, poles: np.ndarray, fc: np.ndarray) -> np.ndarray:
+    """int (f(nu) - fc_i)/(nu - c_i) dnu on the panels at every pole c_i, f evaluated
+    once per Gauss order, the orders doubling from ``GAUSS_ORDER_START``.  A pole's
+    value is the finer of two successive orders that agree, with c_i ``NODE_GUARD``
+    clear of every node of the finer one; only the poles still open are refined."""
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    order, coarse = GAUSS_ORDER_START, np.nan  # a NaN fails the check
+    value = np.full(len(poles), np.nan)  # at the last order; a NaN fails the check
+    todo, order = np.arange(len(poles)), GAUSS_ORDER_START
     while True:
         x, w = _leggauss(order)
-        nodes = half * x + mid
-        weights = (half * w).ravel()
+        nodes, weights = (half * x + mid).ravel(), (half * w).ravel()
+        guard = np.repeat(NODE_GUARD * half.ravel(), order)
+        fine, scale = np.empty((2, len(todo)))
+        clear = np.empty(len(todo), dtype=bool)
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(nodes.ravel()), dtype=float)
-        fine = float(np.dot(weights, vals))
-        scale = float(np.dot(np.abs(weights), np.abs(vals)))
-        tol = TOLERANCES.quadrature_rel * max(abs(fine), 1e-9 * scale, 1e-300)
-        if abs(fine - coarse) <= tol and np.all(np.abs(nodes - pole) >= NODE_GUARD * half):
-            return fine
-        if order >= GAUSS_ORDER_CAP:
-            raise NumericalError(f"quadrature for {label} did not converge: order "
-                                 f"{order // 2} -> {coarse:.12e}, order {order} -> {fine:.12e}")
-        order, coarse = 2 * order, fine
+            vals = np.asarray(f(nodes), dtype=float)
+            for lo in range(0, len(todo), POLE_BLOCK):
+                block, rows = slice(lo, lo + POLE_BLOCK), todo[lo:lo + POLE_BLOCK]
+                gap, terms = nodes - poles[rows, None], vals - fc[rows, None]
+                terms /= gap
+                terms *= weights  # in place: two (poles x nodes) arrays at a time
+                fine[block], scale[block] = terms.sum(axis=1), np.abs(terms, out=terms).sum(axis=1)
+                clear[block] = np.all(np.abs(gap, out=gap) >= guard, axis=1)
+        tol = TOLERANCES.quadrature_rel * np.maximum(np.maximum(np.abs(fine), 1e-9 * scale),
+                                                     1e-300)
+        done = (np.abs(fine - value[todo]) <= tol) & clear
+        if order >= GAUSS_ORDER_CAP and not done.all():
+            i = np.flatnonzero(~done)[0]
+            raise NumericalError(
+                f"quadrature for pv(pole {poles[todo[i]]:g}) did not converge: order "
+                f"{order // 2} -> {value[todo[i]]:.12e}, order {order} -> {fine[i]:.12e}")
+        value[todo] = fine
+        todo, order = todo[~done], 2 * order
+        if not todo.size:
+            return value
 
 
-def pv_quadrature(f, pole: float, interval, first: float = 0.25) -> float:
-    """Cauchy principal value of ``int f(nu)/(nu - pole) dnu`` over ``interval``.
+def pv_quadrature(f, poles, interval, first: float = 0.25):
+    """Cauchy principal value of ``int f(nu)/(nu - c) dnu`` over ``interval`` at
+    every pole c of ``poles``: an array of their shape, or a float for a scalar.
 
     A pole c inside the open interval is subtracted,
-    ``int (f(nu) - f(c))/(nu - c) dnu + f(c) ln((hi - c)/(c - lo))``; any
-    other pole leaves a regular integrand.  Either integral runs on panels
-    whose widths triple outward from 0 starting at ``first``.
+    ``int (f(nu) - f(c))/(nu - c) dnu + f(c) ln((hi - c)/(c - lo))``.  All run in
+    one ``_checked`` call, on panels whose widths triple outward from 0 starting
+    at ``first``; equal poles, found by sorting, are integrated once.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise ValidationError(f"empty integration interval [{lo}, {hi}]")
-    c = float(pole)
-    inside = lo < c < hi
-    fc = float(f(c)) if inside else 0.0
-
-    def g(nu):
-        return (np.asarray(f(nu), dtype=float) - fc) / (nu - c)
-
-    total = _checked(g, _graded_edges(lo, hi, first), c, f"pv(pole {c:g})")
-    return total + fc * np.log((hi - c) / (c - lo)) if inside else total
+    c = np.asarray(poles, dtype=float)
+    order = np.argsort(c, axis=None)
+    new = np.diff(c.ravel()[order], prepend=np.nan) != 0
+    distinct, inverse = c.ravel()[order][new], np.empty(c.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    inside = (lo < distinct) & (distinct < hi)
+    fc = np.zeros_like(distinct)
+    with np.errstate(all="ignore"):
+        fc[inside] = f(distinct[inside])
+    total = _checked(f, _graded_edges(lo, hi, first), distinct, fc)
+    total[inside] += fc[inside] * np.log((hi - distinct[inside]) / (distinct[inside] - lo))
+    out = total[inverse].reshape(c.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -225,45 +238,51 @@ def _bose_times(spec: OhmicSpec, beta: float):
     """
 
     def f(nu):
-        nu = np.asarray(nu, dtype=float)
         a = np.abs(nu)
-        with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
-            out = spectral_density(spec, a) * (1.0 / np.expm1(beta * a) + (nu > 0))
-        return np.where(nu == 0, spec.j0 / beta, out)
+        return np.where(nu == 0, spec.j0 / beta,
+                        spectral_density(spec, a) * (1.0 / np.expm1(beta * a) + (nu > 0)))
 
     return f
 
 
-def gamma_ohmic(spec: OhmicSpec, beta: float, x: float) -> float:
-    """Closed-form rate 4*pi*nbar(x)*J(x), with the 4*pi*j0/beta limit at x=0."""
-    if x == 0:
-        return 4.0 * np.pi * spec.j0 / beta
-    return 4.0 * np.pi * thermal_occupation(x, beta) * spectral_density(spec, x)
+def gamma_ohmic(spec: OhmicSpec, beta: float, x):
+    """Closed-form rate 4*pi*nbar(x)*J(x), with the 4*pi*j0/beta limit at x=0;
+    elementwise on an array."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.where(x == 0, 4.0 * np.pi * spec.j0 / beta,
+                       4.0 * np.pi * (1.0 / np.expm1(beta * x)) * spectral_density(spec, x))
+    return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=4096)
-def _xi_ohmic_cached(spec: OhmicSpec, beta: float, x: float,
-                     params: LambIntegralParams, quadrature_rel: float) -> float:
-    # quadrature_rel only keys the cache; the checks read TOLERANCES themselves
-    w = params.w_cutoff
-    return -2.0 * pv_quadrature(_bose_times(spec, beta), -x, (-w, w),
-                                min(0.25, 1.0 / beta, spec.omega_cutoff))
+def gamma_xi_arrays(spec: OhmicSpec, beta: float, x, params: LambIntegralParams,
+                    lamb_shift: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and xi of an Ohmic bath at every frequency of the 1-D array ``x``.
+
+    xi(x) = -2 PV int_{-W}^{W} F(nu)/(nu + x) dnu, F = J (nbar + 1), for all
+    of ``x`` in one ``pv_quadrature`` call; it is 0 without ``lamb_shift``.
+    """
+    x = np.asarray(x, dtype=float)
+    xi = np.zeros_like(x)
+    if lamb_shift:
+        w = params.w_cutoff
+        xi = -2.0 * pv_quadrature(_bose_times(spec, beta), -x, (-w, w),
+                                  min(0.25, 1.0 / beta, spec.omega_cutoff))
+    return gamma_ohmic(spec, beta, x), xi
 
 
 def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
                    params: LambIntegralParams) -> CorrelationCoefficients:
-    """Diagonal correlation coefficients of an Ohmic bath at frequency x."""
-    return CorrelationCoefficients(
-        gamma=gamma_ohmic(spec, beta, x),
-        xi=_xi_ohmic_cached(spec, float(beta), float(x), params, TOLERANCES.quadrature_rel),
-    )
+    """Diagonal correlation coefficients of an Ohmic bath at frequency x: the
+    one-element case of :func:`gamma_xi_arrays`."""
+    return CorrelationCoefficients(*(v.item() for v in gamma_xi_arrays(spec, beta, [x], params)))
 
 
 # ---------------------------------------------------------------------------
 # Redfield N / C coefficients
 
 
-def _vacuum_replacement(x: float, w_cutoff: float) -> float:
+def _vacuum_replacement(x: np.ndarray, w_cutoff: float) -> np.ndarray:
     """Regularized PV int_0^W nu^3/(x - nu) dnu.
 
     The -W^3/3 piece cancels against the dipole self-energy and the
@@ -271,39 +290,33 @@ def _vacuum_replacement(x: float, w_cutoff: float) -> float:
     are -x^2*W - x^3*ln(W/|x|) for either sign of x, the log term being
     x^3 PV int_0^W dnu/(x - nu) = -x^3 ln((W - x)/|x|) for |x| << W.
     """
-    if x == 0:
-        return 0.0
-    return -x * x * w_cutoff - x**3 * np.log(w_cutoff / abs(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, -x * x * w_cutoff - x**3 * np.log(w_cutoff / np.abs(x)))
 
 
-@lru_cache(maxsize=4096)
-def _c1_imag_cached(x: float, beta: float, params: LambIntegralParams,
-                    quadrature_rel: float) -> float:
-    # quadrature_rel only keys the cache, as in _xi_ohmic_cached
-    def h(nu):
-        nu = np.asarray(nu, dtype=float)
-        with np.errstate(under="ignore", over="ignore"):
-            return nu**3 / np.expm1(beta * nu)
+def redfield_arrays(x, beta: float, params: LambIntegralParams, lamb_shift: bool = True):
+    """N1, N2 rates and C1, C2 shift magnitudes at every frequency of the 1-D array ``x``.
 
-    return -pv_quadrature(h, x, (0.0, params.w_cutoff), min(0.25, 1.0 / beta)) / np.pi
+    N1 = x^3*nbar(x), N2 = x^3*(nbar(x)+1), both -> 0 as x -> 0.
+    C1 = (1/pi) PV int_0^W nu^3*nbar(nu)/(x-nu) dnu, for all of ``x`` in one
+    ``pv_quadrature`` call; C2 adds the regularized vacuum part.  C1 and C2
+    are 0 without ``lamb_shift``.  The stored values are the real
+    magnitudes; the master equations multiply them by i.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        occ = 1.0 / np.expm1(beta * x)
+        n1, n2 = (np.where(x == 0, 0.0, x**3 * n) for n in (occ, occ + 1.0))
+
+    c1 = c2 = np.zeros_like(x)
+    if lamb_shift:
+        c1 = -pv_quadrature(lambda nu: nu**3 / np.expm1(beta * nu), x, (0.0, params.w_cutoff),
+                            min(0.25, 1.0 / beta)) / np.pi
+        c2 = c1 + _vacuum_replacement(x, params.w_cutoff) / np.pi
+    return n1, n2, c1, c2
 
 
 def redfield_coefficients(x: float, beta: float,
                           params: LambIntegralParams) -> RedfieldCoefficients:
-    """N1, N2 rates and C1/C2 shift magnitudes at frequency x.
-
-    N1 = x^3*nbar(x), N2 = x^3*(nbar(x)+1), both -> 0 as x -> 0.
-    C1 = (1/pi) PV int_0^W nu^3*nbar(nu)/(x-nu) dnu; C2 adds the regularized
-    vacuum part.  The stored values are the real magnitudes; the master
-    equations multiply them by i.
-    """
-    x = float(x)
-    if x == 0:
-        n1 = n2 = 0.0
-    else:
-        occ = thermal_occupation(x, beta)
-        n1 = x**3 * occ
-        n2 = x**3 * (occ + 1.0)
-    c1 = _c1_imag_cached(x, float(beta), params, TOLERANCES.quadrature_rel)
-    c2 = c1 + _vacuum_replacement(x, params.w_cutoff) / np.pi
-    return RedfieldCoefficients(n1=n1, n2=n2, c1_imag=c1, c2_imag=c2)
+    """N1, N2, C1 and C2 at frequency x: the one-element case of :func:`redfield_arrays`."""
+    return RedfieldCoefficients(*(v.item() for v in redfield_arrays([x], beta, params)))

@@ -294,11 +294,11 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
 
 def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
                                   q_max: int) -> np.ndarray:
-    """Harmonics S(q) of P†(t) S P(t) = sum_q S(q) exp(i*q*Omega*t), |q| <= q_max.
-
-    Trapezoidal (DFT) coefficients on the sample grid, shape
-    (2*q_max + 1, d, d) with S(q) at index q_max + q.  Entries with
-    magnitude below ``TOLERANCES.fourier_floor`` are set to zero.
+    """Harmonics S(q) of P†(t) S P(t) = sum_q S(q) exp(i*q*Omega*t), |q| <= q_max,
+    of S or of each of a stack of operators: trapezoidal (DFT) coefficients of
+    one contraction over the sample grid and one FFT, shape
+    s.shape[:-2] + (2*q_max + 1, d, d) with S(q) at index q_max + q.  Entries
+    with magnitude below ``TOLERANCES.fourier_floor`` are set to zero.
     """
     if q_max < 0:
         raise ValidationError("q_max must be >= 0")
@@ -309,28 +309,32 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
             f"(need at least {8 * q_max})"
         )
     s = np.asarray(s, dtype=complex)
-    p = decomp.p_samples[:m]
-    rotated = np.einsum("tba,bc,tcd->tad", p.conj(), s, p)
-    coeffs = fft(rotated, axis=0)[np.arange(-q_max, q_max + 1) % m] / m
+    p, d = decomp.p_samples[:m], decomp.dim
+    # (t, a, k, d): sum_b P*_tba S_kbc, then times P_tcd over c
+    rotated = (np.tensordot(p.conj(), s.reshape(-1, d, d), axes=(1, 1)).reshape(m, -1, d)
+               @ p).reshape(m, d, -1, d)
+    coeffs = fft(rotated, axis=0)[np.arange(-q_max, q_max + 1) % m].transpose(2, 0, 1, 3) / m
     coeffs[np.abs(coeffs) < TOLERANCES.fourier_floor] = 0.0
-    return coeffs
+    return coeffs.reshape(s.shape[:-2] + coeffs.shape[1:])
 
 
 @dataclass(frozen=True)
 class JumpOperatorTable:
     """Operators S(q, omega) indexed by harmonic q and quasienergy gap omega.
 
-    ``gaps`` is the clustered, sorted gap list; ``entries`` maps
-    (q, gap_index) to the projected operator.  All-zero projections are
-    omitted.
+    ``gaps`` is the clustered, sorted gap list.  Row e of the sorted ``keys``
+    is the (q, gap index) of ``ops[e]``, led by the operator's index for a
+    stack of operators.  All-zero projections are omitted.
     """
 
     gaps: np.ndarray
-    entries: dict
+    keys: np.ndarray
+    ops: np.ndarray
 
-    def items(self):
-        for (q, gi), op in self.entries.items():
-            yield q, self.gaps[gi], op
+    @property
+    def entries(self) -> dict:
+        """The operators keyed by the tuples of ``keys``."""
+        return dict(zip(map(tuple, self.keys.tolist()), self.ops))
 
 
 def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -339,41 +343,30 @@ def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.n
     Returns (sorted cluster means, matrix g[a,b] = cluster index of e_a - e_b).
     Ties merge to the cluster mean.
     """
-    d = len(energies)
-    diffs = energies[:, None] - energies[None, :]
-    flat = diffs.ravel()
-    order = np.argsort(flat)
-    labels = np.empty(flat.shape, dtype=int)
-    means = []
-    start = 0
-    sorted_vals = flat[order]
-    for i in range(1, len(sorted_vals) + 1):
-        if i == len(sorted_vals) or sorted_vals[i] - sorted_vals[i - 1] > gap_tol:
-            cluster = sorted_vals[start:i]
-            labels[order[start:i]] = len(means)
-            means.append(cluster.mean())
-            start = i
-    return np.array(means), labels.reshape(d, d)
+    diffs = (energies[:, None] - energies[None, :]).ravel()
+    order = np.argsort(diffs)
+    new = np.diff(diffs[order], prepend=-np.inf) > gap_tol
+    labels = np.empty(diffs.size, dtype=int)
+    labels[order] = np.cumsum(new) - 1
+    means = np.add.reduceat(diffs[order], np.flatnonzero(new)) / np.bincount(labels)
+    return means, labels.reshape(len(energies), -1)
 
 
 def jump_operator_table(harmonics: np.ndarray, quasi: Spectrum) -> JumpOperatorTable:
-    """Resolve each S(q) of ``harmonics`` (S(q) at index q_max + q) onto
-    quasienergy gaps: S(q, omega) sums the |eps><eps| S(q) |eps'><eps'|
-    blocks with eps - eps' in the omega cluster."""
+    """Resolve each S(q) of ``harmonics`` (S(q) at index q_max + q, or a stack
+    of such arrays) onto quasienergy gaps, in one eigenbasis transform and one
+    gather: S(q, omega) sums the |eps><eps| S(q) |eps'><eps'| blocks with
+    eps - eps' in the omega cluster."""
     gaps, labels = cluster_gaps(quasi.energies, TOLERANCES.gap_cluster)
     v = quasi.vectors
-    entries = {}
-    q_max = len(harmonics) // 2
-    for q, sq in zip(range(-q_max, q_max + 1), harmonics):
-        if not np.any(sq):
-            continue
-        sq_eig = v.conj().T @ sq @ v
-        for gi in range(len(gaps)):
-            block = np.where(labels == gi, sq_eig, 0.0)
-            if not np.any(block):
-                continue
-            entries[(q, gi)] = v @ block @ v.conj().T
-    return JumpOperatorTable(gaps=gaps, entries=entries)
+    s_eig = v.conj().T @ np.asarray(harmonics) @ v
+    nonzero = np.nonzero(s_eig)
+    present = np.zeros(s_eig.shape[:-2] + gaps.shape, dtype=bool)
+    present[nonzero[:-2] + (labels[nonzero[-2:]],)] = True
+    keys = np.argwhere(present)
+    blocks = np.where(labels == keys[:, -1, None, None], s_eig[tuple(keys[:, :-1].T)], 0.0)
+    keys[:, -2] -= s_eig.shape[-3] // 2
+    return JumpOperatorTable(gaps=gaps, keys=keys, ops=v @ blocks @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------

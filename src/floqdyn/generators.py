@@ -6,23 +6,21 @@ rho~ = P† rho P, where P(t) is the periodic micromotion of the drive:
     d(rho~)/dt = L rho~,   L = -i[Hbar + H_lamb, .] + D,
 
 with Hbar the Floquet Hamiltonian.  A static kind is the trivial frame
-P = I, Hbar = h0, and L is its Schrodinger-picture generator.  L is built
-over one harmonic frame: a quasienergy spectrum, the drive frequency Omega,
-and the resolver from a system operator S to its harmonics S(q), which the
-jump table splits into S(q, omega) on the quasienergy gaps.  A Floquet kind
-takes the frame from its decomposition; a static kind uses the spectrum of
-h0, Omega = 0 and S(0) = S.  The coherent term and every dissipator enter
-in one place; D takes the one Born-Markov form (Breuer & Petruccione, The
-Theory of Open Quantum Systems, 2002, sec. 3.3) over two stacks of jump terms,
-D rho = sum_k (A_k rho B_k† - B_k† A_k rho) + h.c., and the kinds differ
-only in the stacks:
+P = I, Hbar = h0 (the spectrum of h0, Omega = 0, S(0) = S), and L is its
+Schrodinger-picture generator.  L is built over one harmonic frame: the
+harmonics S(q) of all system operators S in one call, split by one jump
+table into S(q, omega) on the quasienergy gaps, and the coefficients at
+omega + q*Omega in one call per bath.  D takes the one Born-Markov form
+(Breuer & Petruccione, The Theory of Open Quantum Systems, 2002, sec. 3.3)
+over two stacks of jump terms, D rho = sum_k (A_k rho B_k† - B_k† A_k rho)
++ h.c., and the kinds differ only in the stacks:
 
 * secular -- ``lindblad`` and ``floquet_lindblad``: A = (gamma/2) S, B = S
   for every jump entry S = S(q, omega) of each channel (gamma D[S]), and
-  H_lamb = sum xi S†S, gamma/xi the Ohmic coefficients at omega + q*Omega;
-  static Lindblad may also use collective (shared-mode) channels.  D and
-  -i[H_lamb, .] commute with -i[Hbar, .], so evolving in this frame equals
-  evolving in the interaction picture of P(t) exp(-i Hbar t).
+  H_lamb = sum xi S†S, gamma/xi the Ohmic coefficients; static Lindblad may
+  also use collective (shared-mode) channels.  D and -i[H_lamb, .] commute
+  with -i[Hbar, .], so evolving in this frame equals evolving in the
+  interaction picture of P(t) exp(-i Hbar t).
 * Redfield -- ``redfield`` and ``floquet_redfield``: dipole couplings via
   the radiation-bath N1/N2 rates and C1/C2 Lamb integrals, keeping only
   equal-harmonic (q' = q) terms (optionally omega' = omega as well).  Three
@@ -45,16 +43,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baths import (
-    BathSpec,
-    LambIntegralParams,
-    gamma_xi_ohmic,
-    redfield_coefficients,
-)
+from .baths import BathSpec, LambIntegralParams, gamma_xi_arrays, redfield_arrays
+# unused here, kept because the benchmark tracer patches them by name
+from .baths import gamma_xi_ohmic, redfield_coefficients  # noqa: F401
 from .errors import ConfigError, ValidationError
 from .floquet import (
     FloquetDecomposition,
-    JumpOperatorTable,
     fourier_operator_coefficients,
     jump_operator_table,
 )
@@ -193,29 +187,37 @@ class Generator:
 
 @dataclass(frozen=True)
 class _HarmonicFrame:
-    """Where jump operators are resolved.
-
-    ``harmonics`` maps a system operator S to its harmonics S(q);
-    ``jump_table`` resolves those onto the gaps of ``spectrum``, each entry
-    S(q, omega) to be evaluated at omega + q*``omega``.  ``hbar`` is the
-    Hamiltonian of the frame's coherent term.
-    """
+    """Where jump operators are resolved: ``harmonics`` maps a stack of system
+    operators S to their harmonics S(q), which ``resolve`` splits onto the gaps
+    of ``spectrum``, each entry S(q, omega) taken at omega + q*``omega``.
+    ``hbar`` is the Hamiltonian of the frame's coherent term."""
 
     spectrum: Spectrum
     omega: float
     harmonics: Callable
     hbar: np.ndarray
 
-    def jump_table(self, op: np.ndarray, key: str) -> JumpOperatorTable:
-        """The jump table of ``op``, which channel ``key`` uses; raises
-        :class:`ConfigError` when the Fourier floor left it empty."""
-        table = jump_operator_table(self.harmonics(op), self.spectrum)
-        if not table.entries:
+    def resolve(self, terms: list, coefficients):
+        """The jump table of the operators of ``terms``, (bath, operator, channel
+        key) triples, keyed (operator, q, gap index); each entry's bath index,
+        baths in first-seen order; and the arrays ``coefficients(bath, x)`` gives
+        at every entry's x = omega + q*Omega, one row each, in one call per bath.
+        :class:`ConfigError` names the channel of an operator left without entries."""
+        table = jump_operator_table(self.harmonics(np.array([op for _, op, _ in terms])),
+                                    self.spectrum)
+        counts = np.bincount(table.keys[:, 0], minlength=len(terms))
+        if not counts.all():
             raise ConfigError(
-                f"channel {key}: the Fourier floor removed every jump operator; "
-                "raise q_max or lower the floor"
+                f"channel {terms[np.argmin(counts)][2]}: the Fourier floor removed every jump "
+                "operator; raise q_max or lower the floor"
             )
-        return table
+        x = table.gaps[table.keys[:, 2]] + table.keys[:, 1] * self.omega
+        baths = list(dict.fromkeys(bath for bath, _, _ in terms))
+        bath_of = np.array([baths.index(bath) for bath, _, _ in terms])[table.keys[:, 0]]
+        rows = [np.array(coefficients(bath, x[bath_of == i])) for i, bath in enumerate(baths)]
+        values = np.empty((len(rows[0]), len(x)))
+        values[:, np.argsort(bath_of, kind="stable")] = np.concatenate(rows, axis=1)
+        return table, bath_of, values
 
     def generator(self, spec: GeneratorSpec, h_lamb: dict, a, b) -> Generator:
         """-i[Hbar + H_lamb, .] + sum_k (a_k rho b_k† - b_k† a_k rho) + h.c.
@@ -241,17 +243,9 @@ def _harmonic_frame(h0, spec: GeneratorSpec) -> _HarmonicFrame:
     if decomp is not None:
         return _HarmonicFrame(
             decomp.quasi, decomp.omega_drive,
-            lambda op: fourier_operator_coefficients(decomp, op, spec.q_max),
+            lambda ops: fourier_operator_coefficients(decomp, ops, spec.q_max),
             decomp.hbar_floquet)
-    return _HarmonicFrame(hermitian_eigensystem(h0), 0.0, lambda op: op[None], h0)
-
-
-def _by_bath(channels) -> dict:
-    """Channels grouped by bath, baths in first-seen order."""
-    groups: dict = {}
-    for ch in channels:
-        groups.setdefault(ch.bath, []).append(ch)
-    return groups
+    return _HarmonicFrame(hermitian_eigensystem(h0), 0.0, lambda ops: ops[:, None], h0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +263,12 @@ def _secular_channels(channels, collective: bool) -> list:
     """
     if not collective:
         return [(ch.bath, ch.operators, f"{ch.bath.name}:{ch.transition}") for ch in channels]
+    groups: dict = {}   # baths in first-seen order
+    for ch in channels:
+        groups.setdefault(ch.bath, []).append(ch)
     return [(bath, [sum(c.sigma_x for c in group), sum(c.sigma_y for c in group)],
              f"{bath.name}:collective{tuple(c.transition for c in group)}")
-            for bath, group in _by_bath(channels).items()]
+            for bath, group in groups.items()]
 
 
 def _secular_generator(h0, spec: GeneratorSpec, channels) -> Generator:
@@ -285,17 +282,15 @@ def _secular_generator(h0, spec: GeneratorSpec, channels) -> Generator:
     ``test_baths.py::test_cross_coefficients_vanish`` checks by quadrature.
     """
     frame = _harmonic_frame(h0, spec)
-    a, b, h_lamb = [], [], {}
-    for bath, ops, key in channels:
-        jumps = [jump for op in ops for jump in frame.jump_table(op, key).items()]
-        s = np.array([jump[2] for jump in jumps])
-        cc = [gamma_xi_ohmic(bath.spectral, bath.beta, omega + q * frame.omega, spec.lamb_params)
-              for q, omega, _ in jumps]
-        a.extend(c.gamma / 2 * sk for c, sk in zip(cc, s))
-        b.extend(s)
-        xi = [c.xi if spec.lamb_shift else 0.0 for c in cc]
-        h_lamb[key] = np.einsum("k,kji,kjl->il", xi, s.conj(), s)
-    return frame.generator(spec, h_lamb, a, b)
+    if not channels:
+        return frame.generator(spec, {}, [], [])
+    terms = [(bath, op, key) for bath, ops, key in channels for op in ops]
+    table, _, (gamma, xi) = frame.resolve(terms, lambda bath, x: gamma_xi_arrays(
+        bath.spectral, bath.beta, x, spec.lamb_params, spec.lamb_shift))
+    s, key_of = table.ops, np.array([key for _, _, key in terms])[table.keys[:, 0]]
+    h_lamb = {key: np.einsum("k,kji,kjl->il", xi[key_of == key], s[key_of == key].conj(),
+                             s[key_of == key]) for _, _, key in channels}
+    return frame.generator(spec, h_lamb, (gamma / 2)[:, None, None] * s, s)
 
 
 def lindblad_generator(h0, spec: GeneratorSpec, collective: bool = False) -> Generator:
@@ -327,40 +322,34 @@ def floquet_lindblad_generator(h0, spec: GeneratorSpec) -> Generator:
 # Redfield path: Redfield / Floquet-Redfield
 
 
-def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: bool) -> list:
-    """Dipole-weighted jump sums (a, u1, u2) over ``frame``.
+def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: bool) -> tuple:
+    """Dipole-weighted jump sums (a, u1, u2) over ``frame``, one row per sorted key.
 
-    Each entry S = S(q, omega) of the jump tables of a bath's pair operators
+    Each entry S = S(q, omega) of the jump tables of the pair operators
     |i><j|, weighted by the transition dipole mu, adds mu S, (N1 + iC1) mu S†
     and (N2 + iC2) mu S†, with N/C at omega + q*Omega, to the sums of its
-    key; its dissipator is G(u2, a†) + G(u1†, a) times ``DIPOLE_PREFACTOR``,
-    G the form of :meth:`_HarmonicFrame.generator`.  The key is q under the
-    partial secular (q' = q) filter: the free omega sum then collapses to
-    S(q) by completeness, while the primed sums carry the coefficients.  With
-    ``full_secular`` the key is (q, gap index), which also imposes
+    key, in channel order; a key's dissipator is G(u2, a†) + G(u1†, a) times
+    ``DIPOLE_PREFACTOR``, G the form of :meth:`_HarmonicFrame.generator`.
+    The key is (bath, q) under the partial secular (q' = q) filter: the free
+    omega sum then collapses to S(q) by completeness, while the primed sums
+    carry the coefficients.  ``full_secular`` adds the gap index, imposing
     omega' = omega.  Transitions of one bath share keys, so their
-    cross-transition dipole products are kept.  Returns the sums of every
-    bath and key.
+    cross-transition dipole products are kept.
     """
     missing = [f"{ch.bath.name}/{ch.transition}" for ch in spec.channels if ch.dipole is None]
     if missing:
         raise ConfigError(f"channels {missing} lack the dipole magnitude Redfield kinds require")
-    terms = []
-    for bath, group in _by_bath(spec.channels).items():
-        sums: dict = {}
-        for ch in group:
-            table = frame.jump_table(ch.pair_op, f"{bath.name}:{ch.transition}")
-            for (q, gi), op in table.entries.items():
-                rc = redfield_coefficients(table.gaps[gi] + q * frame.omega, bath.beta,
-                                           spec.lamb_params)
-                c1, c2 = (rc.c1_imag, rc.c2_imag) if spec.lamb_shift else (0.0, 0.0)
-                s = ch.dipole * op
-                new = (s, (rc.n1 + 1j * c1) * s.conj().T, (rc.n2 + 1j * c2) * s.conj().T)
-                key = (q, gi) if full_secular else q
-                old = sums.get(key)
-                sums[key] = new if old is None else tuple(a + b for a, b in zip(old, new))
-        terms.extend(sums.values())
-    return terms
+    table, bath_of, (n1, n2, c1, c2) = frame.resolve(
+        [(ch.bath, ch.pair_op, f"{ch.bath.name}:{ch.transition}") for ch in spec.channels],
+        lambda bath, x: redfield_arrays(x, bath.beta, spec.lamb_params, spec.lamb_shift))
+    op, q, gi = table.keys.T
+    s = np.array([ch.dipole for ch in spec.channels])[op, None, None] * table.ops
+    sd = s.conj().transpose(0, 2, 1)
+    keys = np.stack([bath_of, q, gi if full_secular else 0 * gi])
+    order = np.lexsort(keys[::-1])
+    starts = np.flatnonzero(np.r_[True, np.any(np.diff(keys[:, order]), axis=0)])
+    return tuple(np.add.reduceat(t[order], starts) for t in (
+        s, (n1 + 1j * c1)[:, None, None] * sd, (n2 + 1j * c2)[:, None, None] * sd))
 
 
 def _redfield_generator(h0, spec: GeneratorSpec, full_secular: bool) -> Generator:
@@ -369,10 +358,12 @@ def _redfield_generator(h0, spec: GeneratorSpec, full_secular: bool) -> Generato
     if np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12:
         raise ValidationError("Redfield kinds require h0 diagonal in the level basis")
     frame = _harmonic_frame(h0, spec)
-    terms = _redfield_sums(frame, spec, full_secular)
-    a = [DIPOLE_PREFACTOR * u for _, u1, u2 in terms for u in (u2, u1.conj().T)]
-    b = [op for s, _, _ in terms for op in (s.conj().T, s)]
-    return frame.generator(spec, {}, a, b)
+    if not spec.channels:
+        return frame.generator(spec, {}, [], [])
+    a, u1, u2 = _redfield_sums(frame, spec, full_secular)
+    a_dag, u1_dag = (m.conj().transpose(0, 2, 1) for m in (a, u1))
+    return frame.generator(spec, {}, DIPOLE_PREFACTOR * np.concatenate([u2, u1_dag]),
+                           np.concatenate([a_dag, a]))
 
 
 def redfield_generator(h0, spec: GeneratorSpec) -> Generator:

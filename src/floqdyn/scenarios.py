@@ -319,6 +319,8 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     dt = config.default_dt() if dt is None else dt
     if dt <= 0:
         raise ValidationError("dt must be positive")
+    if not t_final / dt <= 2**53:
+        raise ConfigError(f"t_final {t_final!r} over dt {dt!r} is more than 2**53 steps")
     n_dt = int(np.floor(t_final / dt + 1e-9))
     ends_on_dt = n_dt > 0 and t_final - n_dt * dt <= 1e-9 * dt
     if stride is None:

@@ -211,7 +211,7 @@ class TestRedfieldCoefficients:
         thermal = -quad_cauchy(thermal_integrand, x, 120.0)
         want = thermal / np.pi + float(vacuum_mpmath(x, w))
         assert rc.c2_imag == pytest.approx(want, rel=1e-6)
-        # start the doubling one order up; the tighter tolerance is a fresh cache key
+        # start the doubling one order up, at a tighter tolerance
         monkeypatch.setattr(baths, "GAUSS_ORDER_START", 2 * baths.GAUSS_ORDER_START)
         with tolerance_overrides(quadrature_rel=1e-7):
             fine = redfield_coefficients(x, beta, PARAMS)
@@ -236,6 +236,68 @@ class TestSpecValidation:
     def test_lamb_params_invariants(self):
         with pytest.raises(ValidationError):
             LambIntegralParams(w_cutoff=-1.0)
+
+
+class TestBatchedQuadrature:
+    """One pv_quadrature call over an array of poles: f once per Gauss order, a
+    (poles x nodes) array of subtracted quotients, and every check kept per pole."""
+
+    @staticmethod
+    def f(nu):
+        return np.exp(-0.1 * np.asarray(nu, float))
+
+    def test_pole_on_an_order_96_node_refines_only_its_own_row(self, monkeypatch):
+        # the node pole gives 0/0 at order 96, so it alone needs order 384; a
+        # row refined with it would carry its order-384 value, not the
+        # order-192 value of its one-element call
+        node = _near_node(96, 4, 10, 0.0, 1.0)
+        poles = np.array([0.5, 3.0, node, 7.5, 30.25, 91.0, 120.0, 150.0, 170.0, 199.0])
+        orders = _record_orders(monkeypatch)
+        assert pv_quadrature(self.f, node, (0.0, 200.0)) is not None and orders == [96, 192, 384]
+        singles = []
+        for c in poles[poles != node]:
+            orders.clear()
+            singles.append(pv_quadrature(self.f, c, (0.0, 200.0)))
+            assert orders == [96, 192], c
+        orders.clear()
+        got = pv_quadrature(self.f, poles, (0.0, 200.0))
+        assert orders == [96, 192, 384]
+        assert np.array_equal(got[poles != node], singles)
+        assert got[poles == node][0] == pytest.approx(
+            quad_cauchy(lambda nu: np.exp(-0.1 * nu), node, 200.0), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(poles=st.lists(st.floats(1e-6, 199.9999), min_size=1, max_size=12),
+           bose=st.booleans())
+    def test_array_call_matches_quadpack_at_every_pole(self, poles, bose):
+        if bose:
+            f_arr = lambda nu: np.asarray(nu, float) ** 3 / np.expm1(0.25 * np.asarray(nu, float))
+            f_sca = lambda nu: nu ** 3 / np.expm1(0.25 * nu) if nu > 0 else 0.0
+        else:
+            f_arr = lambda nu: np.exp(-0.1 * np.asarray(nu, float)) * np.asarray(nu, float)
+            f_sca = lambda nu: np.exp(-0.1 * nu) * nu
+        got = pv_quadrature(f_arr, np.array(poles), (0.0, 200.0))
+        assert got.shape == (len(poles),)
+        for c, value in zip(poles, got):
+            assert value == pytest.approx(quad_cauchy(f_sca, c, 200.0), rel=1e-12), c
+
+    def test_equal_poles_share_one_value_in_the_callers_shape(self):
+        poles = np.array([[3.0, -1.0], [3.0, 250.0]])
+        got = pv_quadrature(self.f, poles, (0.0, 200.0))
+        assert got.shape == (2, 2) and got[0, 0] == got[1, 0]
+        assert got[0, 1] == pv_quadrature(self.f, -1.0, (0.0, 200.0))
+
+    def test_a_row_that_does_not_converge_names_its_own_pole(self):
+        # f(c) is NaN at c = 7 only, so that row's quotients are NaN at every order
+        from floqdyn.errors import NumericalError
+
+        def f(nu):
+            return np.where(nu == 7.0, np.nan, self.f(nu))
+
+        with pytest.raises(NumericalError, match=r"pv\(pole 7\) did not converge: "
+                                                 r"order 768 -> nan, order 1536 -> nan"):
+            pv_quadrature(f, np.array([3.0, 7.0, 12.0]), (0.0, 200.0))
+        assert np.all(np.isfinite(pv_quadrature(f, np.array([3.0, 12.0]), (0.0, 200.0))))
 
 
 class TestQuadratureConvergenceGuard:
@@ -264,8 +326,8 @@ class TestQuadratureConvergenceGuard:
     def test_cached_coefficient_rechecked_under_tighter_tolerance(self, coefficients):
         from floqdyn.errors import NumericalError
 
-        x = 0.7371  # a frequency no other test asks for
-        want = coefficients(x)  # fills the cache at the default tolerance
+        x = 0.7371
+        want = coefficients(x)
         with tolerance_overrides(quadrature_rel=1e-300):
             with pytest.raises(NumericalError, match="did not converge"):
                 coefficients(x)
@@ -284,23 +346,24 @@ class TestGaussLegendreRules:
             x[0] = 0.0
 
     def test_checked_evaluates_each_order_once(self):
+        # once per order for all poles: (f(nu) - 0)/(nu - c) = exp(-nu) (nu + 2) at
+        # c = -1 and exp(-nu) (nu + 1) at c = -2
         from floqdyn.baths import _checked
 
         orders = []
 
         def f(nu):
             orders.append(len(nu))
-            return np.exp(-nu)
+            return np.exp(-nu) * (nu + 1.0) * (nu + 2.0)
 
-        value = _checked(f, np.array([0.0, 1.0, 3.0]), -1.0, "exp")
+        value = _checked(f, np.array([0.0, 1.0, 3.0]), np.array([-1.0, -2.0]), np.zeros(2))
         assert orders == [192, 384]
-        assert value == pytest.approx(1.0 - np.exp(-3.0), rel=1e-14)
+        assert value == pytest.approx([3.0 - 6.0 * np.exp(-3.0), 2.0 - 5.0 * np.exp(-3.0)],
+                                      rel=1e-14)
 
     def test_no_preset_coefficient_refines_past_order_192(self, monkeypatch):
         # every preset generator of every kind its drive allows, from cold caches
         orders = _record_orders(monkeypatch)
-        baths._xi_ohmic_cached.cache_clear()
-        baths._c1_imag_cached.cache_clear()
         for make in PRESETS.values():
             cfg = make()
             for kind in ("floquet_lindblad", "floquet_redfield") if cfg.drive \

@@ -694,12 +694,20 @@ class TestMalformedSections:
         ("compare", {"a": {"preset": "three_level_nondriven"},
                      "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 0}},
          "integration.t_final must be finite and > 0"),
+        # finite values whose step count no float counts exactly
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 1e300}},
+         "t_final 1e+300 over dt 0.05 is more than 2**53 steps"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 10, "dt": 1e-300}},
+         "t_final 10 over dt 1e-300 is more than 2**53 steps"),
     ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
             "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
             "grid_m_zero", "q_max_negative", "substeps_unknown", "scenario_dt",
             "lamb_params_pv_window", "compare_outputs",
             "sweep_outputs", "sweep_base_outputs", "t_final_zero", "t_final_negative",
-            "t_final_inf", "t_final_nan", "dt_zero", "stride_zero", "compare_t_final_zero"])
+            "t_final_inf", "t_final_nan", "dt_zero", "stride_zero", "compare_t_final_zero",
+            "t_final_1e300", "dt_1e-300"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -729,6 +737,14 @@ class TestMalformedSections:
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"base": {"scenario": {"preset": "three_level_nondriven"}},
                                    "axes": {"integration.t_final": [1.0, 0.0]}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["ok", "error:2"]
+
+    def test_sweep_point_past_2_53_steps_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": {"scenario": {"preset": "three_level_nondriven"},
+                                            "integration": {"t_final": 10.0}},
+                                   "axes": {"integration.dt": [0.5, 1e-300]}}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["ok", "error:2"]
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import re
@@ -18,6 +19,7 @@ from floqdyn.floquet import (
     DriveSpec,
     _match_branches,
     benchmark_fidelities,
+    cluster_gaps,
     drive_hamiltonian,
     floquet_decompose,
     fourier_operator_coefficients,
@@ -288,6 +290,104 @@ class TestFourierCoefficients:
     def test_grid_resolution_guard(self, dec_v0):
         with pytest.raises(ResolutionError):
             fourier_operator_coefficients(dec_v0, H0, q_max=dec_v0.grid_m)
+
+
+def cluster_gaps_reference(energies, gap_tol):
+    """cluster_gaps as a loop over the sorted differences, each cluster's mean
+    from np.mean: the loop the array version replaced."""
+    flat = (energies[:, None] - energies[None, :]).ravel()
+    order = np.argsort(flat)
+    labels, means, start = np.empty(flat.shape, dtype=int), [], 0
+    for i in range(1, len(flat) + 1):
+        if i == len(flat) or flat[order[i]] - flat[order[i - 1]] > gap_tol:
+            labels[order[start:i]] = len(means)
+            means.append(flat[order[start:i]].mean())
+            start = i
+    return np.array(means), labels.reshape(len(energies), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0]), min_size=2, max_size=5),
+       splits=st.lists(st.floats(-5e-5, 5e-5), min_size=5, max_size=5))
+def test_cluster_gaps_match_the_loop(levels, splits):
+    # near-degenerate levels make clusters of several differences; their
+    # means may differ from np.mean's in the order the sum is taken, by at
+    # most the rounding of 25 terms of size <= 3 each way
+    energies = np.array(levels) + np.array(splits[:len(levels)])
+    gaps, labels = cluster_gaps(energies, 1e-4)
+    want_gaps, want_labels = cluster_gaps_reference(energies, 1e-4)
+    assert np.array_equal(labels, want_labels)
+    assert np.max(np.abs(gaps - want_gaps), initial=0.0) <= 2 * 25 * np.finfo(float).eps * 3.0
+
+
+def jump_table_reference(harmonics, quasi) -> dict:
+    """{(q, gap index): S(q, omega)} of one operator's harmonics, one np.where
+    per (q, gap): the loop the gathered table replaced."""
+    gaps, labels = cluster_gaps_reference(quasi.energies, TOLERANCES.gap_cluster)
+    v = quasi.vectors
+    q_max = len(harmonics) // 2
+    entries = {}
+    for q, sq in zip(range(-q_max, q_max + 1), harmonics):
+        sq_eig = v.conj().T @ sq @ v
+        for gi in range(len(gaps)):
+            block = np.where(labels == gi, sq_eig, 0.0)
+            if np.any(block):
+                entries[(q, gi)] = v @ block @ v.conj().T
+    return entries
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_frame(preset: str):
+    """(config, harmonics of an operator stack, spectrum) of a preset's frame:
+    its Floquet decomposition, or the spectrum of h0 with S(0) = S."""
+    cfg = PRESETS[preset]()
+    if cfg.drive is None:
+        return cfg, lambda ops: ops[:, None], hermitian_eigensystem(cfg.h0)
+    dec = decompose_scenario(cfg)
+    return cfg, lambda ops: fourier_operator_coefficients(dec, ops, cfg.q_max), dec.quasi
+
+
+PRESET_KINDS = [(name, kind) for name, make in PRESETS.items()
+                for kind in (("floquet_lindblad", "floquet_redfield") if make().drive
+                             else ("lindblad", "redfield"))]
+
+
+class TestStackedOperators:
+    """One harmonics call and one jump table over a stack of operators."""
+
+    def test_stacked_harmonics_equal_per_operator_results(self, dec_v0, cfg_v0):
+        rng = np.random.default_rng(11)
+        ops = np.array([op for ch in cfg_v0.channels() for op in ch.operators + [ch.pair_op]]
+                       + [random_hermitian(rng, 3) for _ in range(3)])
+        stacked = fourier_operator_coefficients(dec_v0, ops, q_max=24)
+        assert stacked.shape == (len(ops), 49, 3, 3)
+        assert fourier_operator_coefficients(dec_v0, ops.reshape(3, -1, 3, 3), 24).shape \
+            == (3, len(ops) // 3, 49, 3, 3)
+        p = dec_v0.p_samples[:dec_v0.grid_m]
+        for s, got in zip(ops, stacked):
+            single = fourier_operator_coefficients(dec_v0, s, q_max=24)
+            assert np.max(np.abs(got - single)) <= 1e-15
+            assert np.array_equal(got == 0, single == 0)
+            # the per-operator contraction the stacked one replaced
+            rotated = np.einsum("tba,bc,tcd->tad", p.conj(), s, p)
+            want = np.fft.fft(rotated, axis=0)[np.arange(-24, 25) % len(p)] / len(p)
+            assert np.max(np.abs(got[got != 0] - want[got != 0])) <= 1e-15
+            assert np.all(np.abs(want[got == 0]) < TOLERANCES.fourier_floor)
+
+    @pytest.mark.parametrize("preset,kind", PRESET_KINDS)
+    def test_gathered_table_has_the_keys_of_the_reference_loop(self, preset, kind):
+        cfg, harmonics_of, quasi = _preset_frame(preset)
+        ops = np.array([op for ch in cfg.channels()
+                        for op in (ch.operators if kind.endswith("lindblad") else [ch.pair_op])])
+        harmonics = harmonics_of(ops)
+        table = jump_operator_table(harmonics, quasi)
+        want = {(k,) + key: op for k, h in enumerate(harmonics)
+                for key, op in jump_table_reference(h, quasi).items()}
+        got = table.entries
+        assert list(got) == sorted(want)
+        assert table.keys.shape == (len(want), 3) and table.ops.shape == (len(want),) + ops.shape[1:]
+        for key, op in want.items():
+            assert np.max(np.abs(got[key] - op)) <= 1e-15, key
 
 
 class TestJumpTable:

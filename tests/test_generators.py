@@ -160,7 +160,8 @@ def floquet_redfield_nodes_reference(h0, drive, spec, full_secular):
     decomp = spec.floquet
     d = decomp.dim
     eye = np.eye(d)
-    terms = generators._redfield_sums(generators._harmonic_frame(h0, spec), spec, full_secular)
+    terms = list(zip(*generators._redfield_sums(generators._harmonic_frame(h0, spec), spec,
+                                                full_secular)))
     h_of_t = drive_hamiltonian(h0, drive)
     samples = np.empty((decomp.grid_m, d * d, d * d), dtype=complex)
     for k in range(decomp.grid_m):
