@@ -23,6 +23,7 @@ import json
 # it is part of start-up instead of the first command
 import locale  # noqa: F401
 import sys
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from functools import cache
 from itertools import product
@@ -207,9 +208,10 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build a scenario from its canonical dict (or preset + overrides)."""
+    """The scenario of its canonical dict (the inverse of :func:`scenario_to_dict`);
+    :func:`canonical_scenario_dict` expands a preset reference into one."""
     try:
-        return _from_json(canonical_scenario_dict(data), ScenarioConfig)
+        return _from_json(data, ScenarioConfig)
     except FloqdynError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -505,25 +507,27 @@ def _run_trajectory(run: dict):
 def cmd_simulate(run: dict, out_dir: Path) -> int:
     config, traj, report = _run_trajectory(run)
     diag = trajectory_diagnostics(traj)
+    summary = {
+        "label": config.label,
+        "kind": config.kind,
+        "eta": report.eta,
+        "t_final": report.t_final,
+        "final_state": _json_matrix(traj.states[-1]),
+        "final_populations": traj.populations[-1].tolist(),
+        "diagnostics": {
+            "min_eigenvalue": diag.min_eigenvalue,
+            "max_trace_error": diag.max_trace_error,
+            "stationarity": diag.stationarity,
+            "warnings": list(traj.warnings_issued),
+        },
+    }
     formats = run["outputs"]["formats"]
     if "csv" in formats:
-        write_csv(out_dir / "trajectory.csv", trajectory_header(traj.dim),
-                  trajectory_table(traj, report.cumulative))
+        header, table = trajectory_header(traj.dim), trajectory_table(traj, report.cumulative)
+        del traj    # the table holds the records; the CSV's text blocks reuse their memory
+        write_csv(out_dir / "trajectory.csv", header, table)
     if "json" in formats:
-        write_json(out_dir / "summary.json", {
-            "label": config.label,
-            "kind": config.kind,
-            "eta": report.eta,
-            "t_final": report.t_final,
-            "final_state": _json_matrix(traj.states[-1]),
-            "final_populations": traj.populations[-1].tolist(),
-            "diagnostics": {
-                "min_eigenvalue": diag.min_eigenvalue,
-                "max_trace_error": diag.max_trace_error,
-                "stationarity": diag.stationarity,
-                "warnings": list(traj.warnings_issued),
-            },
-        })
+        write_json(out_dir / "summary.json", summary)
     return 0
 
 
@@ -603,11 +607,10 @@ def _failed_point(values, code: int) -> dict:
             "final_populations": [], "positivity_min": float("nan")}
 
 
-def _sweep_point(args):
-    run, values, tolerances = args
+def _sweep_point(run: dict, values, tolerances: dict | None = None) -> dict:
     try:
         # a worker process does not share the caller's TOLERANCES
-        with tolerance_overrides(**tolerances):
+        with tolerance_overrides(**tolerances) if tolerances else nullcontext():
             _, traj, report = _run_trajectory(run)
         return {
             "values": values,
@@ -626,7 +629,6 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     names = sorted(axes)
     grid = list(product(*(axes[name] for name in names)))
     results = [None] * len(grid)     # in grid order; axis values may be unhashable
-    tolerances = asdict(TOLERANCES)
     jobs = []
     for i, values in enumerate(grid):
         # override the raw config so preset-level axes still take effect,
@@ -635,7 +637,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
             run = apply_overrides(copy.deepcopy(base),
                                   [f"{n}={json.dumps(v)}" for n, v in zip(names, values)])
             run = validate_schema(canonical_run_dict(run), RUN_SCHEMA)
-            jobs.append((i, (run, values, tolerances)))
+            jobs.append((i, (run, values)))
         except FloqdynError:
             results[i] = _failed_point(values, 2)
     workers = cfg.get("parallelism", 1)
@@ -644,14 +646,15 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         # here, only for a pool, to keep concurrent.futures.process out of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_sweep_point, points))
+            computed = list(pool.map(_sweep_point, *zip(*points),
+                                     [asdict(TOLERANCES)] * len(points)))
     else:
-        computed = [_sweep_point(p) for p in points]
+        computed = [_sweep_point(run, values) for run, values in points]
     for (i, _), res in zip(jobs, computed):
         results[i] = res
 
     # grid points may differ in dimension; shorter rows are padded with NaN
-    dim = max((len(run["scenario"]["energies"]) for run, _, _ in points), default=0)
+    dim = max((len(run["scenario"]["energies"]) for run, _ in points), default=0)
     header = list(names) + ["status", "eta"] + [f"pop_{i}" for i in range(dim)] \
         + ["positivity_min"]
     rows = []
@@ -672,23 +675,19 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one parser: the commands share every option, and a subparser each costs 4x
     parser = argparse.ArgumentParser(
         prog="floqdyn",
         description="Energy-transfer simulations of driven few-level open systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "integrate a scenario and export the trajectory"),
-        ("floquet", "Floquet decomposition, Lamb matrices, fidelity benchmark"),
-        ("compare", "run two scenarios and export paired series"),
-        ("sweep", "grid of runs over named config axes"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--preset", help="scenario preset name", default=None)
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="dotted-path config override")
+    parser.add_argument("command", choices=("simulate", "floquet", "compare", "sweep"),
+                        help="simulate: run a scenario; floquet: Floquet report; "
+                             "compare: two scenarios; sweep: a grid over config axes")
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--preset", help="scenario preset name", default=None)
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="dotted-path config override")
     return parser
 
 

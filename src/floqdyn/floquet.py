@@ -331,11 +331,6 @@ class JumpOperatorTable:
     keys: np.ndarray
     ops: np.ndarray
 
-    @property
-    def entries(self) -> dict:
-        """The operators keyed by the tuples of ``keys``."""
-        return dict(zip(map(tuple, self.keys.tolist()), self.ops))
-
 
 def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise energy differences merged into clusters of width gap_tol.

@@ -280,6 +280,8 @@ RECORD_CHUNK = 2048
 
 #: Most record intervals ``evolve`` takes when no stride is given.
 MAX_RECORDS = 20000
+#: Most bytes of recorded states per ``evolve`` call (only a given stride asks more).
+MAX_RECORD_BYTES = 2**30
 
 
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
@@ -312,8 +314,6 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     the soft bound are warned, logged on the ``floqdyn`` logger and on the
     trajectory, and the run continues.
     """
-    if generator is None:
-        generator = build_generator(config)
     if t_final <= 0:
         raise ValidationError("t_final must be positive")
     dt = config.default_dt() if dt is None else dt
@@ -330,9 +330,14 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
 
     n_full = n_dt // stride
     ends_off_stride = n_dt % stride > 0 or not ends_on_dt
-    times = np.arange(n_full + 1 + ends_off_stride) * stride * dt
+    n_records, d = n_full + 1 + ends_off_stride, config.dim
+    if n_records * d * d * 16 > MAX_RECORD_BYTES:
+        raise ConfigError(f"{n_records} records of {d}x{d} states (t_final {t_final!r}, "
+                          f"stride {stride}, dt {dt!r}) exceed {MAX_RECORD_BYTES} bytes")
+    if generator is None:
+        generator = build_generator(config)
+    times = np.arange(n_records) * stride * dt
     times[-1] = t_final
-    d = generator.dim
     states = np.empty((len(times), d * d), dtype=complex)
     states[0] = config.initial_state().ravel()
     record_map = expm(generator.superop * (stride * dt))

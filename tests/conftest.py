@@ -26,13 +26,17 @@ def gibbs_state(h, beta: float) -> np.ndarray:
     return (v * (p / p.sum())) @ v.conj().T
 
 
+def table_entries(table) -> dict:
+    """The operators of a jump table keyed by the tuples of its ``keys``."""
+    return dict(zip(map(tuple, table.keys.tolist()), table.ops))
+
+
 def jump_entry(table, q: int, omega: float) -> np.ndarray:
     """S(q, omega) of a jump table: its entry at the tabulated gap omega, or
     zero where the projection was omitted."""
     gi = int(np.argmin(np.abs(table.gaps - omega)))
     assert abs(table.gaps[gi] - omega) <= 1e-9, f"{omega} is not a tabulated gap"
-    zero = np.zeros_like(next(iter(table.entries.values())))
-    return table.entries.get((q, gi), zero)
+    return table_entries(table).get((q, gi), np.zeros_like(table.ops[0]))
 
 
 @pytest.fixture(scope="session")
@@ -184,7 +188,7 @@ def lamb_oracle(cfg_v0, dec_v0):
         for op in ch.operators:
             harmonics = fourier_operator_coefficients(dec_v0, op, cfg_v0.q_max)
             table = jump_operator_table(harmonics, dec_v0.quasi)
-            for (q, gi), s_op in table.entries.items():
+            for (q, gi), s_op in table_entries(table).items():
                 omega = table.gaps[gi]
                 xi = xi_oracle(ch.bath.spectral, ch.bath.beta, omega + q * omega_drive)
                 sds = s_op.conj().T @ s_op

@@ -58,7 +58,8 @@ from floqdyn.scenarios import (
     trajectory_diagnostics,
 )
 
-from conftest import gibbs_state, jump_entry, propagator_oracle, random_density
+from conftest import (gibbs_state, jump_entry, propagator_oracle, random_density,
+                      table_entries)
 
 # tabulated reference values, basis {|0>, |1>, |b>}
 REF_V1_HBAR = np.array([[0.0, 0.0, 0.0],
@@ -547,11 +548,11 @@ def test_criterion_5e_jump_table_identities(dec_v0):
     worst_sum, worst_dag = 0.0, 0.0
     for q in range(-24, 25):
         total = np.zeros((3, 3), dtype=complex)
-        for (qq, gi), op in table.entries.items():
+        for (qq, gi), op in table_entries(table).items():
             if qq == q:
                 total += op
         worst_sum = max(worst_sum, float(np.max(np.abs(total - harmonics[24 + q]))))
-    for (q, gi), op in table.entries.items():
+    for (q, gi), op in table_entries(table).items():
         partner = jump_entry(table, -q, -table.gaps[gi])
         worst_dag = max(worst_dag, float(np.max(np.abs(op.conj().T - partner))))
     ok = worst_sum < 1e-8 and worst_dag < 1e-8

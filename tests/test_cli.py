@@ -701,13 +701,17 @@ class TestMalformedSections:
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
                       "integration": {"t_final": 10, "dt": 1e-300}},
          "t_final 10 over dt 1e-300 is more than 2**53 steps"),
+        # fewer than 2**53 steps, but at a given stride more records than memory holds
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 1e10, "stride": 1}},
+         "200000000001 records of 3x3 states (t_final 10000000000.0, stride 1, dt 0.05)"),
     ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
             "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
             "grid_m_zero", "q_max_negative", "substeps_unknown", "scenario_dt",
             "lamb_params_pv_window", "compare_outputs",
             "sweep_outputs", "sweep_base_outputs", "t_final_zero", "t_final_negative",
             "t_final_inf", "t_final_nan", "dt_zero", "stride_zero", "compare_t_final_zero",
-            "t_final_1e300", "dt_1e-300"])
+            "t_final_1e300", "dt_1e-300", "records_past_bytes_bound"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -753,6 +757,14 @@ class TestMalformedSections:
         cfg.write_text(json.dumps({"scenario": {"preset": "three_level_nondriven", "baths": []},
                                    "integration": {"t_final": 1.0}}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_unknown_or_missing_command_exits_2(self, capsys):
+        for argv, message in ((["bogus"], "invalid choice: 'bogus'"),
+                              ([], "the following arguments are required: command")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -873,7 +885,8 @@ class TestCompare:
         # the given dt, or else the smaller default of the two sides
         if dt is not None:
             return dt
-        return min(scenario_from_dict(side).default_dt() for side in sides)
+        return min(scenario_from_dict(canonical_scenario_dict(side)).default_dt()
+                   for side in sides)
 
     def test_periodic_and_static_kinds_share_the_periodic_grid(self, tmp_path):
         sides = {"a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
@@ -905,7 +918,8 @@ class TestCompare:
     def test_compare_csv_matches_per_record_computation(self, tmp_path):
         sides = {"a": {"preset": "three_level_v1", "kind": "floquet_redfield", "q_max": 2},
                  "b": {"preset": "three_level_v1", "q_max": 2}}
-        trajs = [evolve(scenario_from_dict(side), 30.0, dt=0.05) for side in sides.values()]
+        trajs = [evolve(scenario_from_dict(canonical_scenario_dict(side)), 30.0, dt=0.05)
+                 for side in sides.values()]
         (ta, tb), (ea, eb) = trajs, [efficiency(t).cumulative for t in trajs]
         for metric in ("eta_series", "trace_distance"):
             cfg = tmp_path / "cmp.json"

@@ -38,7 +38,7 @@ from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import PRESETS, decompose_scenario
 from floqdyn.tolerances import TOLERANCES, tolerance_overrides
 
-from conftest import jump_entry, propagator_oracle, random_hermitian
+from conftest import jump_entry, propagator_oracle, random_hermitian, table_entries
 
 H0 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 OMEGA = 2.25
@@ -383,7 +383,7 @@ class TestStackedOperators:
         table = jump_operator_table(harmonics, quasi)
         want = {(k,) + key: op for k, h in enumerate(harmonics)
                 for key, op in jump_table_reference(h, quasi).items()}
-        got = table.entries
+        got = table_entries(table)
         assert list(got) == sorted(want)
         assert table.keys.shape == (len(want), 3) and table.ops.shape == (len(want),) + ops.shape[1:]
         for key, op in want.items():
@@ -408,7 +408,7 @@ class TestJumpTable:
         table = jump_operator_table(harmonics, dec_v0.quasi)
         for q in range(-10, 11):
             total = np.zeros((3, 3), dtype=complex)
-            for (qq, gi), op in table.entries.items():
+            for (qq, gi), op in table_entries(table).items():
                 if qq == q:
                     total += op
             assert np.max(np.abs(total - harmonics[10 + q])) < 1e-8
@@ -417,7 +417,7 @@ class TestJumpTable:
         sx = np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]], dtype=complex)
         harmonics = fourier_operator_coefficients(dec_v0, sx, q_max=10)
         table = jump_operator_table(harmonics, dec_v0.quasi)
-        for (q, gi), op in table.entries.items():
+        for (q, gi), op in table_entries(table).items():
             omega = table.gaps[gi]
             partner = jump_entry(table, -q, -omega)
             assert np.max(np.abs(op.conj().T - partner)) < 1e-8

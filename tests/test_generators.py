@@ -42,7 +42,7 @@ from floqdyn.scenarios import (
 )
 from floqdyn.tolerances import TOLERANCES
 
-from conftest import gibbs_state, random_density, random_hermitian
+from conftest import gibbs_state, random_density, random_hermitian, table_entries
 
 H0_3 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 
@@ -142,7 +142,7 @@ def full_secular_reference(h0, spec):
         for ch in group:
             harmonics = fourier_operator_coefficients(decomp, ch.pair_op, spec.q_max)
             table = jump_operator_table(harmonics, decomp.quasi)
-            for key, op in table.entries.items():
+            for key, op in table_entries(table).items():
                 q, omega = key[0], table.gaps[key[1]]
                 rc = _coefficients(bath, omega + q * decomp.omega_drive, spec)
                 acc = ch.dipole * op if key not in sums else sums[key][1] + ch.dipole * op

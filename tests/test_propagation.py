@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from floqdyn import scenarios
+from floqdyn.errors import ConfigError
 from floqdyn.floquet import drive_hamiltonian, floquet_decompose, propagate_schrodinger
 from floqdyn.generators import sop_commutator
 from floqdyn.propagation import magnus_samples
@@ -181,6 +183,22 @@ def test_stride_and_period_edge_cases(preset, n_per_tau, stride, t_final, preset
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == t_final
     assert _rel_gap(frame_states(traj, gen), exact_records(config, gen, times)) <= EXACT_REL_TOL
+
+
+def test_record_bytes_are_bounded_before_any_work(monkeypatch):
+    """11 records of 3x3 states take 11 * 9 * 16 bytes: at that bound evolve
+    runs, one byte under it evolve refuses before it builds the generator."""
+    config = PRESETS["three_level_nondriven"]()
+    monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 11 * 9 * 16)
+    assert len(evolve(config, 10 * 0.05, dt=0.05, stride=1).times) == 11
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a generator for a grid it refuses")
+
+    monkeypatch.setattr(scenarios, "build_generator", no_build)
+    monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 11 * 9 * 16 - 1)
+    with pytest.raises(ConfigError, match="11 records of 3x3 states"):
+        evolve(config, 10 * 0.05, dt=0.05, stride=1)
 
 
 # with no whole record interval (n_full = 0) the end record is always off the stride
