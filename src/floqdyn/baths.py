@@ -21,6 +21,7 @@ min(0.25, 1/beta, omega_c) wide.  The grid does not depend on the pole, so
 f is evaluated once per Gauss order for all of them.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,10 +43,10 @@ class OhmicSpec:
     omega_cutoff: float
 
     def __post_init__(self):
-        if self.j0 < 0:
-            raise ValidationError(f"j0 must be >= 0, got {self.j0}")
-        if self.omega_cutoff <= 0:
-            raise ValidationError(f"omega_cutoff must be > 0, got {self.omega_cutoff}")
+        if not (math.isfinite(self.j0) and self.j0 >= 0):
+            raise ValidationError(f"j0 must be finite and >= 0, got {self.j0}")
+        if not (math.isfinite(self.omega_cutoff) and self.omega_cutoff > 0):
+            raise ValidationError(f"omega_cutoff must be finite and > 0, got {self.omega_cutoff}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class BathSpec:
     transitions: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValidationError(f"beta must be > 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValidationError(f"beta must be finite and > 0, got {self.beta}")
         object.__setattr__(self, "transitions", tuple(tuple(t) for t in self.transitions))
         if len(set(self.transitions)) != len(self.transitions):
             raise ValidationError("bath transitions must be pairwise distinct")
@@ -83,8 +84,8 @@ class LambIntegralParams:
     w_cutoff: float = 4.0e4
 
     def __post_init__(self):
-        if self.w_cutoff <= 0:
-            raise ValidationError("w_cutoff must be positive")
+        if not (math.isfinite(self.w_cutoff) and self.w_cutoff > 0):
+            raise ValidationError(f"w_cutoff must be finite and > 0, got {self.w_cutoff}")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
   :mod:`floqdyn.propagation`: the steps of one period in one array call,
   then one product per sample), on a grid doubled until the period agrees
   with the one at half as many steps, and Hbar by the principal matrix
-  logarithm, with quasienergy branches unfolded against the undriven
-  reference so Hbar is continuous in the drive amplitude;
+  logarithm, each quasienergy moved by a multiple of Omega to within
+  Omega/2 of the bare energy of the undriven level its eigenvector
+  overlaps most, so Hbar is continuous in the drive amplitude;
 * the periodic operator P(t,0), sampled on the grid and one Magnus step
   from a grid node between samples, and the Fourier coefficients S(q) of
   P†(t) S P(t) for any system operator S;
@@ -21,6 +22,7 @@ Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
   propagator in array calls over that grid.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
@@ -51,10 +53,10 @@ class DriveSpec:
     pair: tuple[int, int]
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValidationError("drive amplitude must be >= 0")
-        if self.omega_drive <= 0:
-            raise ValidationError("drive frequency must be > 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValidationError(f"drive amplitude must be finite and >= 0, got {self.mu}")
+        if not (math.isfinite(self.omega_drive) and self.omega_drive > 0):
+            raise ValidationError(f"drive frequency must be finite and > 0, got {self.omega_drive}")
         if self.pair[0] == self.pair[1]:
             raise ValidationError("drive must couple two distinct levels")
         object.__setattr__(self, "pair", tuple(self.pair))
@@ -187,56 +189,24 @@ class FloquetDecomposition:
         return self.p_at(t) @ ((v * phases[..., None, :]) @ v.conj().T)
 
 
-def _match_branches(overlap: np.ndarray) -> np.ndarray:
-    """Column matched to each row of a square overlap matrix, so that the
-    matched overlaps have the largest sum: the Hungarian method with row and
-    column potentials, adding one row at a time by a shortest augmenting path
-    from a root column 0 (Jonker & Volgenant, Computing 38, 325 (1987))."""
-    n = len(overlap)
-    cost = np.pad(-overlap, ((1, 0), (1, 0)))
-    u, v = np.zeros(n + 1), np.zeros(n + 1)
-    row_of = np.zeros(n + 1, dtype=np.int64)   # row held by each column, 0 for none
-    for i in range(1, n + 1):
-        row_of[0], col = i, 0
-        slack = np.full(n + 1, np.inf)
-        prev = np.zeros(n + 1, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
-        while row_of[col]:
-            used[col] = True
-            reduced = cost[row_of[col]] - u[row_of[col]] - v
-            lower = ~used & (reduced < slack)
-            slack[lower] = reduced[lower]
-            prev[lower] = col
-            col = int(np.argmin(np.where(used, np.inf, slack)))
-            delta = slack[col]
-            u[row_of[used]] += delta
-            v[used] -= delta
-            slack[~used] -= delta
-        while col:
-            row_of[col] = row_of[prev[col]]
-            col = prev[col]
-    return np.argsort(row_of[1:])
-
-
 def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
                           omega: float) -> np.ndarray:
-    """Shift each quasienergy by an integer multiple of omega so that the
-    branch matched (by eigenvector overlap) to reference level k lands
-    within omega/2 of the reference energy."""
+    """Shift each quasienergy by the multiple of omega that brings it within
+    omega/2 of the bare energy of the reference level its eigenvector
+    overlaps most (the argmax of its column of |V_r† V_p|^2)."""
     spec_p = hermitian_eigensystem(h_principal)
     spec_r = hermitian_eigensystem(reference)
     overlap = np.abs(spec_r.vectors.conj().T @ spec_p.vectors) ** 2
-    energies = spec_p.energies.copy()
-    for k, p in enumerate(_match_branches(overlap)):
-        delta = spec_r.energies[k] - spec_p.energies[p]
-        n = round(delta / omega)
-        if abs(abs(delta / omega - n) - 0.5) < 1e-6:
-            raise NumericalError(
-                f"ambiguous branch unfolding for reference level {k} "
-                f"(quasienergy {spec_p.energies[p]:.6f}): both adjacent "
-                "branches are equidistant"
-            )
-        energies[p] = spec_p.energies[p] + n * omega
+    level = np.argmax(overlap, axis=0)
+    turns = (spec_r.energies[level] - spec_p.energies) / omega
+    n = np.round(turns)
+    tied = np.abs(np.abs(turns - n) - 0.5) < 1e-6
+    if np.any(tied):
+        p = int(np.argmax(tied))
+        raise NumericalError(f"ambiguous branch unfolding for reference level {level[p]} "
+                             f"(quasienergy {spec_p.energies[p]:.6f}): both adjacent "
+                             "branches are equidistant")
+    energies = spec_p.energies + n * omega
     return (spec_p.vectors * energies) @ spec_p.vectors.conj().T
 
 

@@ -71,6 +71,8 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "baths", tuple(self.baths))
+        if not all(math.isfinite(e) for e in self.energies):
+            raise ValidationError(f"energies must be finite, got {list(self.energies)}")
         if not (0 <= self.target_level < self.dim):
             raise ValidationError("target_level out of range")
         if not (0 <= self.initial_level < self.dim):
@@ -105,7 +107,8 @@ class ScenarioConfig:
                 gap = abs(self.energies[up] - self.energies[lo])
                 out.append(CouplingChannel(
                     bath, (up, lo), self.dim,
-                    dipole=qubit_dipole_calibration(bath.spectral, gap),
+                    # a zero gap has no dipole; only the Redfield kinds need one
+                    dipole=qubit_dipole_calibration(bath.spectral, gap) if gap else None,
                 ))
         return tuple(out)
 

@@ -37,6 +37,12 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def hot_bath(**values) -> dict:
+    """The hot bath of the 3-level presets in its JSON form, with ``values`` replaced."""
+    return {"name": "hot", "beta": 1 / 30, "j0": 4e-4, "omega_cutoff": 2 ** 0.5,
+            "transitions": [[1, 0]], **values}
+
+
 def reference_csv(header, rows) -> str:
     """CSV text formatted cell by cell: floats at 17 significant digits,
     anything else through str, and a cell holding a comma double-quoted."""
@@ -108,13 +114,26 @@ class TestCsvWriter:
         traj = evolve(config, 40.0)
         cumulative = efficiency(traj).cumulative
         table = cli.trajectory_table(traj, cumulative)
-        # d = 4: 22 columns, 12 of them +0.0 in every row
-        assert table.shape[1] == 22
-        assert np.sum(~np.any(table.view(np.uint64), axis=0)) == 12
         header = cli.trajectory_header(traj.dim)
         cli.write_csv(tmp_path / "t.csv", header, table)
         want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+    # coherences between levels no bath or drive connects stay +0.0 bit for bit,
+    # as do the imaginary diagonals; rounding noise there would print in full
+    @pytest.mark.parametrize("preset,columns,zero", [
+        ("three_level_nondriven", 14, 9),
+        ("three_level_v0", 14, 7),
+        ("three_level_v1", 14, 7),
+        ("four_level_degenerate", 22, 14),
+        ("four_level_nondegenerate", 22, 14),
+        ("four_level_degenerate_driven", 22, 12),
+    ])
+    def test_exact_zero_columns(self, preset, columns, zero):
+        traj = evolve(PRESETS[preset](), 40.0)
+        table = cli.trajectory_table(traj, efficiency(traj).cumulative)
+        assert table.shape[1] == columns
+        assert np.sum(~np.any(table.view(np.uint64), axis=0)) == zero
 
 
 def tie_values() -> list:
@@ -705,13 +724,46 @@ class TestMalformedSections:
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
                       "integration": {"t_final": 1e10, "stride": 1}},
          "200000000001 records of 3x3 states (t_final 10000000000.0, stride 1, dt 0.05)"),
+        # non-finite scenario numbers (JSON 1e400 reads as inf); an infinite beta
+        # used to grade quadrature panels of zero width without end
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "baths": [hot_bath(beta=1e400)]},
+                      "integration": {"t_final": 1.0}}, "beta must be finite and > 0, got inf"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "baths": [hot_bath(beta=float("nan"))]},
+                      "integration": {"t_final": 1.0}}, "beta must be finite and > 0, got nan"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "baths": [hot_bath(j0=1e400)]},
+                      "integration": {"t_final": 1.0}}, "j0 must be finite and >= 0, got inf"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "baths": [hot_bath(omega_cutoff=1e400)]},
+                      "integration": {"t_final": 1.0}},
+         "omega_cutoff must be finite and > 0, got inf"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven", "energies": [0, 1e400, 2.5]},
+                      "integration": {"t_final": 1.0}},
+         "energies must be finite, got [0.0, inf, 2.5]"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "energies": [0, 3, float("nan")]},
+                      "integration": {"t_final": 1.0}},
+         "energies must be finite, got [0.0, 3.0, nan]"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"mu": 1e400}},
+                      "integration": {"t_final": 1.0}},
+         "drive amplitude must be finite and >= 0, got inf"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"omega": float("nan")}},
+                      "integration": {"t_final": 1.0}},
+         "drive frequency must be finite and > 0, got nan"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "lamb_params": {"w_cutoff": 1e400}},
+                      "integration": {"t_final": 1.0}}, "w_cutoff must be finite and > 0, got inf"),
     ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
             "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
             "grid_m_zero", "q_max_negative", "substeps_unknown", "scenario_dt",
             "lamb_params_pv_window", "compare_outputs",
             "sweep_outputs", "sweep_base_outputs", "t_final_zero", "t_final_negative",
             "t_final_inf", "t_final_nan", "dt_zero", "stride_zero", "compare_t_final_zero",
-            "t_final_1e300", "dt_1e-300", "records_past_bytes_bound"])
+            "t_final_1e300", "dt_1e-300", "records_past_bytes_bound", "beta_inf", "beta_nan",
+            "j0_inf", "omega_cutoff_inf", "energy_inf", "energy_nan", "drive_mu_inf",
+            "drive_omega_nan", "w_cutoff_inf"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -749,6 +801,29 @@ class TestMalformedSections:
         cfg.write_text(json.dumps({"base": {"scenario": {"preset": "three_level_nondriven"},
                                             "integration": {"t_final": 10.0}},
                                    "axes": {"integration.dt": [0.5, 1e-300]}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["ok", "error:2"]
+
+    # levels 1 and 2 degenerate: the cold bath's transition (1, 2) has no gap,
+    # so no Redfield dipole; the Lindblad kind never reads one
+    DEGENERATE_TRANSITION = {"preset": "three_level_nondriven", "energies": [0, 1, 1]}
+
+    @pytest.mark.parametrize("kind,code", [("lindblad", 0), ("redfield", 2)])
+    def test_degenerate_transition(self, tmp_path, capsys, kind, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {**self.DEGENERATE_TRANSITION, "kind": kind},
+                                   "integration": {"t_final": 1.0}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            assert "channels ['cold/(1, 2)'] lack the dipole magnitude" in capsys.readouterr().err
+        assert out.exists() == (code == 0)
+
+    def test_sweep_over_kinds_with_a_degenerate_transition(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": {"scenario": self.DEGENERATE_TRANSITION,
+                                            "integration": {"t_final": 1.0}},
+                                   "axes": {"scenario.kind": ["lindblad", "redfield"]}}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["ok", "error:2"]
 

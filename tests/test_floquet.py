@@ -1,5 +1,4 @@
 import functools
-import itertools
 import logging
 import re
 import warnings
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,7 +16,7 @@ from floqdyn.errors import ResolutionError, StepSizeError, ValidationError
 from floqdyn.floquet import (
     BENCHMARK_GRID_POINTS,
     DriveSpec,
-    _match_branches,
+    _unfold_quasienergies,
     benchmark_fidelities,
     cluster_gaps,
     drive_hamiltonian,
@@ -547,32 +546,50 @@ class TestUnfoldingAmbiguity:
                               ref, grid_m=64)
 
 
-class TestMatchBranches:
-    @settings(max_examples=200, deadline=None)
-    @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-           scale=st.floats(0.0, 3.0))
-    def test_matches_assignment_solver_on_unitary_overlaps(self, d, seed, scale):
-        # |U|^2 of a permuted exp(-i scale H): near a permutation for small
-        # scale, spread out for large scale
-        rng = np.random.default_rng(seed)
-        u = scipy.linalg.expm(-1j * scale * random_hermitian(rng, d))[rng.permutation(d)]
-        overlap = np.abs(u) ** 2
-        want = scipy.optimize.linear_sum_assignment(-overlap)[1]
-        assert np.array_equal(_match_branches(overlap), want)
+class TestBranchRule:
+    @staticmethod
+    def unfold(h_principal, reference, omega):
+        """Principal and unfolded quasienergies of each mode, and the energy of
+        its most-overlapped reference level, with the overlaps |V_r† V_p|^2."""
+        spec_p = hermitian_eigensystem(h_principal)
+        spec_r = hermitian_eigensystem(reference)
+        overlap = np.abs(spec_r.vectors.conj().T @ spec_p.vectors) ** 2
+        near = spec_r.energies[np.argmax(overlap, axis=0)]
+        turns = (near - spec_p.energies) / omega
+        # a quasienergy equidistant from two branches refuses (TestUnfoldingAmbiguity)
+        assume(np.all(np.abs(np.abs(turns - np.round(turns)) - 0.5) >= 1e-6))
+        h_bar = _unfold_quasienergies(h_principal, reference, omega)
+        unfolded = np.einsum("am,ab,bm->m", spec_p.vectors.conj(), h_bar, spec_p.vectors).real
+        return spec_p.energies, unfolded, near, overlap
 
-    @pytest.mark.parametrize("overlap", [
-        # every row maximum exactly 1/2, in distinct columns
-        [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
-        # the row maxima share a column; the optimum is (1, 0, 2)
-        [[0.48, 0.42, 0.10], [0.47, 0.13, 0.40], [0.05, 0.45, 0.50]],
-    ])
-    def test_row_maximum_at_most_one_half_takes_the_solver(self, overlap):
-        overlap = np.array(overlap)
-        cols = _match_branches(overlap)
-        best = max(sum(overlap[k, p] for k, p in enumerate(perm))
-                   for perm in itertools.permutations(range(3)))
-        assert sorted(cols) == [0, 1, 2]
-        assert overlap[np.arange(3), cols].sum() == pytest.approx(best, abs=1e-15)
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           omega=st.floats(0.1, 5.0), scale=st.floats(0.1, 10.0))
+    def test_nearest_branch_to_most_overlapped_level(self, d, seed, omega, scale):
+        rng = np.random.default_rng(seed)
+        h_principal = random_hermitian(rng, d)
+        reference = random_hermitian(rng, d, scale)
+        principal, unfolded, near, _ = self.unfold(h_principal, reference, omega)
+        turns = (unfolded - principal) / omega
+        assert np.max(np.abs(turns - np.round(turns))) < 1e-9
+        assert np.all(np.abs(unfolded - near) <= omega / 2 * (1 + 1e-9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1.0))
+    def test_dominant_overlaps_choose_the_assignment_solver_levels(self, d, seed, scale):
+        # modes exp(-i scale H) away from a permutation of a rotated reference basis;
+        # the bare levels 3 Omega apart, so an unfolded quasienergy (within Omega/2 of
+        # its level) names the level it was given
+        rng = np.random.default_rng(seed)
+        w = scipy.linalg.expm(-1j * random_hermitian(rng, d))
+        bare = 3.0 * OMEGA * np.arange(d)
+        reference = (w * bare) @ w.conj().T
+        modes = w @ scipy.linalg.expm(-1j * scale * random_hermitian(rng, d))[:, rng.permutation(d)]
+        h_principal = (modes * rng.uniform(-OMEGA / 2, OMEGA / 2, d)) @ modes.conj().T
+        _, unfolded, _, overlap = self.unfold(h_principal, reference, OMEGA)
+        assume(np.all(overlap.max(axis=0) > 0.5))
+        chosen = np.argmin(np.abs(unfolded[:, None] - bare), axis=1)
+        assert np.array_equal(chosen, scipy.optimize.linear_sum_assignment(-overlap.T)[1])
 
 
 class TestBenchmarkReport:
