@@ -4,8 +4,8 @@ Library layout:
 
 * ``operators`` -- dense matrix algebra (exponentials, logs, eigensystems,
   fidelities, trace distances).
-* ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi correlation
-  coefficients, Redfield N/C coefficients, principal-value quadrature.
+* ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi and Redfield
+  N/C coefficients, the Redfield dipole calibration, principal-value quadrature.
 * ``propagation`` -- the fourth-order Magnus step for the Schrodinger
   equation, exactly unitary and of any length: the steps of a sample grid
   in one array call, one product per sample.
@@ -14,8 +14,8 @@ Library layout:
   Fourier operator harmonics, jump-operator tables, Magnus+BCH
   approximants and their fidelity benchmarks.
 * ``generators`` -- the four master-equation superoperators (Lindblad,
-  Floquet-Lindblad, Redfield, Floquet-Redfield), each static in the
-  micromotion frame P† rho P.
+  Floquet-Lindblad, Redfield, Floquet-Redfield), each built from a scenario
+  (and a Floquet kind's decomposition) and static in the frame P† rho P.
 * ``scenarios`` -- model presets, exact trajectories (one matrix
   exponential of the record interval; the records filled by doubling, with
   its powers from repeated squaring), energy-transfer efficiency,
@@ -31,6 +31,7 @@ from .baths import (
     RedfieldCoefficients,
     gamma_xi_ohmic,
     pv_quadrature,
+    qubit_dipole_calibration,
     redfield_coefficients,
     spectral_density,
     thermal_occupation,
@@ -57,10 +58,7 @@ from .floquet import (
     propagate_schrodinger,
 )
 from .generators import (
-    CouplingChannel,
     Generator,
-    GeneratorSpec,
-    coupling_decomposition,
     floquet_lindblad_generator,
     floquet_redfield_generator,
     lindblad_generator,
@@ -87,7 +85,6 @@ from .scenarios import (
     decompose_scenario,
     efficiency,
     evolve,
-    qubit_dipole_calibration,
     trajectory_diagnostics,
 )
 from .tolerances import TOLERANCES, ToleranceConfig, tolerance_overrides

@@ -279,6 +279,19 @@ def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
     return CorrelationCoefficients(*(v.item() for v in gamma_xi_arrays(spec, beta, [x], params)))
 
 
+def qubit_dipole_calibration(spec: OhmicSpec, omega10: float) -> float:
+    """Dipole magnitude making the Redfield qubit decay match the Lindblad one.
+
+    Equating the two emission rates at the transition gap gives
+    mu^2 = 6*pi^2*J(omega10)/omega10^3 in natural units (J >= 0 for a gap
+    > 0); a gap whose cube overflows a float raises OverflowError.
+    """
+    if omega10 <= 0:
+        raise ValidationError("omega10 must be positive")
+    cube = float(omega10)**3
+    return float(np.sqrt(6.0 * np.pi**2 * spectral_density(spec, omega10) / cube))
+
+
 # ---------------------------------------------------------------------------
 # Redfield N / C coefficients
 

@@ -19,6 +19,7 @@ and a '.' decimal separator; a cell that contains a comma is double-quoted.
 import argparse
 import copy
 import json
+import math
 # argparse's gettext imports locale on the first parser build; imported here,
 # it is part of start-up instead of the first command
 import locale  # noqa: F401
@@ -123,17 +124,28 @@ def _to_json(value):
     return out
 
 
-def _from_json(data, tp):
-    """Field value of type ``tp`` from its JSON form (inverse of :func:`_to_json`)."""
+def _float(data, name: str) -> float:
+    """A JSON number as a float; an integer too large for one is a ConfigError."""
+    try:
+        return float(data)
+    except OverflowError:
+        raise ConfigError(f"{name}: an integer of {len(str(data))} digits is too large "
+                          "for a float") from None
+
+
+def _from_json(data, tp, name: str = "scenario"):
+    """Field value of type ``tp`` from its JSON form (inverse of :func:`_to_json`);
+    a float field converts a JSON integer.  ``name`` is the field's path."""
     form, inner = _type_form(tp)
     if data is None or form == "scalar":
-        return data
+        return _float(data, name) if inner is float and data is not None else data
     if form == "optional":
-        return _from_json(data, inner)
+        return _from_json(data, inner, name)
     if form == "array":
-        return tuple(_from_json(v, inner) for v in data)
+        return tuple(_from_json(v, inner, f"{name}[{i}]") for i, v in enumerate(data))
     # a flattened field reads its own keys from the same object
-    return inner(**{f.name: _from_json(data if key is None else data[key], hint)
+    return inner(**{f.name: _from_json(data if key is None else data[key], hint,
+                                       name if key is None else f"{name}.{key}")
                     for key, _, f, hint in _json_fields(inner)})
 
 
@@ -207,11 +219,11 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return _to_json(config)
 
 
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """The scenario of its canonical dict (the inverse of :func:`scenario_to_dict`);
-    :func:`canonical_scenario_dict` expands a preset reference into one."""
+def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
+    """The scenario of its canonical dict (the inverse of :func:`scenario_to_dict`), ``name``
+    its config key; :func:`canonical_scenario_dict` expands a preset reference into one."""
     try:
-        return _from_json(data, ScenarioConfig)
+        return _from_json(data, ScenarioConfig, name)
     except FloqdynError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -263,12 +275,14 @@ _INTEGRATION_DEFAULTS = {"dt": None, "stride": None}
 
 
 def _integration(data: dict) -> dict:
-    """The integration section with its defaults.  t_final, and dt and stride
-    when given, must be finite and > 0; a value of the wrong type is left to
-    the schema."""
+    """The integration section with its defaults, t_final and dt as floats.
+    t_final, and dt and stride when given, must be finite and > 0; a value of
+    the wrong type is left to the schema."""
     integ = {**_INTEGRATION_DEFAULTS, **_section(data, "integration")}
     for key in ("t_final", "dt", "stride"):
-        if _is_type(integ.get(key), "number") and not 0 < integ[key] < np.inf:
+        if key != "stride" and _is_type(integ.get(key), "integer"):
+            integ[key] = _float(integ[key], f"integration.{key}")
+        if _is_type(integ.get(key), "number") and not 0 < integ[key] < math.inf:
             raise ConfigError(f"integration.{key} must be finite and > 0, got {integ[key]!r}")
     return integ
 
@@ -288,7 +302,7 @@ def canonical_run_dict(data: dict) -> dict:
 def _parse_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:   # not JSON, or an int past the digit limit: the text, as a string
         return text
 
 
@@ -318,7 +332,7 @@ def load_config(path: str | None, preset: str | None, overrides: list[str],
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # bad JSON, or an int past the digit limit
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     elif default is not None:
         data = copy.deepcopy(default)
@@ -566,8 +580,8 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
 
 
 def cmd_compare(cfg: dict, out_dir: Path) -> int:
-    scen_a = scenario_from_dict(cfg["a"])
-    scen_b = scenario_from_dict(cfg["b"])
+    scen_a = scenario_from_dict(cfg["a"], "a")
+    scen_b = scenario_from_dict(cfg["b"], "b")
     if scen_a.dim != scen_b.dim:
         raise ConfigError(
             f"incompatible level structures: {scen_a.dim} vs {scen_b.dim} levels")
@@ -592,7 +606,7 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
         rows = np.column_stack([traj_a.times, trace_distance(traj_a.states, traj_b.states)])
         header = ["t", "trace_distance"]
     write_csv(out_dir / "compare.csv", header, rows)
-    rel = (eff_a.eta - eff_b.eta) / eff_b.eta if eff_b.eta != 0 else float("nan")
+    rel = (eff_a.eta - eff_b.eta) / eff_b.eta if eff_b.eta != 0 else None
     write_json(out_dir / "compare_summary.json", {
         "label_a": scen_a.label, "label_b": scen_b.label, "metric": metric,
         "eta_a": eff_a.eta, "eta_b": eff_b.eta,

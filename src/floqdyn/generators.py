@@ -32,10 +32,13 @@ over two stacks of jump terms, D rho = sum_k (A_k rho B_k† - B_k† A_k rho)
   -i[Hbar, .] + D (Grifoni & Hanggi, Phys. Rep. 304, 229 (1998); Kohler,
   Dittrich & Hanggi, Phys. Rev. E 55, 300 (1997)).
 
+Each builder reads h0, the baths, the Lamb-shift settings and q_max from
+the scenario.  A channel is a bath's (i, j) transition, coupled through
+|i><j|, or for the secular kinds its quadratures; only the Redfield kinds
+calibrate a transition dipole.  Lindblad kinds treat every channel
+independently; the Redfield kinds keep all cross-transition dipole products
+within each bath, which is what couples populations to coherences.
 Density matrices are vectorized row-major: vec(A rho B) = (A kron B^T) vec(rho).
-Lindblad kinds treat every (bath, transition) channel independently; the
-Redfield kinds keep all cross-transition dipole products within each bath,
-which is what couples populations to coherences.
 """
 
 from collections.abc import Callable
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baths import BathSpec, LambIntegralParams, gamma_xi_arrays, redfield_arrays
+from .baths import gamma_xi_arrays, qubit_dipole_calibration, redfield_arrays
 # unused here, kept because the benchmark tracer patches them by name
 from .baths import gamma_xi_ohmic, redfield_coefficients  # noqa: F401
 from .errors import ConfigError, ValidationError
@@ -52,7 +55,7 @@ from .floquet import (
     fourier_operator_coefficients,
     jump_operator_table,
 )
-from .operators import Spectrum, hermitian_eigensystem, require_hermitian
+from .operators import Spectrum, hermitian_eigensystem
 
 #: 1/(6*pi*c^3*hbar*epsilon_0) in natural units, the dipole-dissipator prefactor.
 DIPOLE_PREFACTOR = 1.0 / (6.0 * np.pi)
@@ -60,79 +63,15 @@ DIPOLE_PREFACTOR = 1.0 / (6.0 * np.pi)
 GENERATOR_KINDS = ("lindblad", "floquet_lindblad", "redfield", "floquet_redfield")
 
 
-def coupling_decomposition(transition: tuple[int, int], kind: str, dim: int) -> np.ndarray:
-    """Hermitian quadrature operator of a transition: sigma_x or sigma_y.
-
-    sigma_x = (|i><j| + |j><i|)/2 and sigma_y = i(|i><j| - |j><i|)/2 for
-    transition (i, j).
-    """
-    i, j = transition
-    if i == j:
-        raise ValidationError("transition must couple two distinct levels")
-    m = np.zeros((dim, dim), dtype=complex)
-    if kind == "sigma_x":
-        m[i, j] = m[j, i] = 0.5
-    elif kind == "sigma_y":
-        m[i, j] = 0.5j
-        m[j, i] = -0.5j
-    else:
-        raise ValidationError(f"unknown coupling kind {kind!r}")
-    return m
-
-
-@dataclass(frozen=True)
-class CouplingChannel:
-    """One bath-transition coupling: the sigma_x/sigma_y pair plus, for
-    Redfield kinds, the dipole magnitude of the transition."""
-
-    bath: BathSpec
-    transition: tuple[int, int]
-    dim: int
-    dipole: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "transition", tuple(self.transition))
-
-    @property
-    def sigma_x(self) -> np.ndarray:
-        return coupling_decomposition(self.transition, "sigma_x", self.dim)
-
-    @property
-    def sigma_y(self) -> np.ndarray:
-        return coupling_decomposition(self.transition, "sigma_y", self.dim)
-
-    @property
-    def operators(self) -> list[np.ndarray]:
-        return [self.sigma_x, self.sigma_y]
-
-    @property
-    def pair_op(self) -> np.ndarray:
-        """|i><j| for transition (i, j) (the raising operator of the pair)."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[self.transition[0], self.transition[1]] = 1.0
-        return m
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """What to build: kind, Lamb-shift flag, channels, Floquet data."""
-
-    kind: str
-    channels: tuple[CouplingChannel, ...]
-    lamb_shift: bool = True
-    floquet: FloquetDecomposition | None = None
-    lamb_params: LambIntegralParams = LambIntegralParams()
-    q_max: int = 0
-
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise ValidationError(f"unknown generator kind {self.kind!r}")
-        is_floquet = self.kind.startswith("floquet")
-        if is_floquet and self.floquet is None:
-            raise ValidationError(f"kind {self.kind} requires a FloquetDecomposition")
-        if not is_floquet and self.floquet is not None:
-            raise ValidationError(f"kind {self.kind} must not carry a FloquetDecomposition")
-        object.__setattr__(self, "channels", tuple(self.channels))
+def _transition_operators(i: int, j: int, dim: int) -> np.ndarray:
+    """|i><j| and its quadratures sigma_x = (|i><j| + |j><i|)/2 and sigma_y =
+    i(|i><j| - |j><i|)/2, stacked: the couplings of a bath's (i, j) transition."""
+    ops = np.zeros((3, dim, dim), dtype=complex)
+    ops[0, i, j] = 1.0
+    ops[1, i, j] = ops[1, j, i] = 0.5
+    ops[2, i, j] = 0.5j
+    ops[2, j, i] = -0.5j
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +129,15 @@ class _HarmonicFrame:
     """Where jump operators are resolved: ``harmonics`` maps a stack of system
     operators S to their harmonics S(q), which ``resolve`` splits onto the gaps
     of ``spectrum``, each entry S(q, omega) taken at omega + q*``omega``.
-    ``hbar`` is the Hamiltonian of the frame's coherent term."""
+    ``hbar`` is the Hamiltonian of the frame's coherent term; the generators
+    built here are of ``kind`` and carry ``decomposition``."""
 
     spectrum: Spectrum
     omega: float
     harmonics: Callable
     hbar: np.ndarray
+    kind: str
+    decomposition: FloquetDecomposition | None
 
     def resolve(self, terms: list, coefficients):
         """The jump table of the operators of ``terms``, (bath, operator, channel
@@ -219,7 +161,7 @@ class _HarmonicFrame:
         values[:, np.argsort(bath_of, kind="stable")] = np.concatenate(rows, axis=1)
         return table, bath_of, values
 
-    def generator(self, spec: GeneratorSpec, h_lamb: dict, a, b) -> Generator:
+    def generator(self, h_lamb: dict, a, b) -> Generator:
         """-i[Hbar + H_lamb, .] + sum_k (a_k rho b_k† - b_k† a_k rho) + h.c.
         for the (possibly empty) lists ``a``, ``b`` of jump terms: the one
         place the coherent term and the dissipator enter.  That is
@@ -232,118 +174,123 @@ class _HarmonicFrame:
         sop = sop_commutator(self.hbar + sum(h_lamb.values(), np.zeros_like(self.hbar)))
         sop += (t + t.transpose(1, 0, 3, 2).conj()).reshape(d * d, d * d)
         sop -= sop_left(m) + sop_right(m.conj().T)
-        return Generator(kind=spec.kind, dim=d, superop=sop, h_lamb=h_lamb,
-                         decomposition=spec.floquet)
+        return Generator(kind=self.kind, dim=d, superop=sop, h_lamb=h_lamb,
+                         decomposition=self.decomposition)
 
 
-def _harmonic_frame(h0, spec: GeneratorSpec) -> _HarmonicFrame:
-    """The Floquet frame of ``spec.floquet``; for a static kind, the trivial
-    frame: the spectrum of h0, Omega = 0, S(0) = S and Hbar = h0."""
-    decomp = spec.floquet
-    if decomp is not None:
+def _harmonic_frame(config, decomposition: FloquetDecomposition | None,
+                    kind: str) -> _HarmonicFrame:
+    """The frame of the builder of ``kind``: the Floquet frame of ``decomposition``,
+    or for a static kind the trivial frame, the spectrum of h0, Omega = 0,
+    S(0) = S and Hbar = h0.  A scenario of another kind, and a decomposition
+    that a Floquet kind lacks or a static kind is given, raise."""
+    if config.kind != kind:
+        raise ValidationError(f"expected kind {kind!r}, got {config.kind!r}")
+    if kind.startswith("floquet") != (decomposition is not None):
+        raise ValidationError(f"kind {kind} " + ("must not carry" if decomposition else "requires")
+                              + " a FloquetDecomposition")
+    if decomposition is not None:
         return _HarmonicFrame(
-            decomp.quasi, decomp.omega_drive,
-            lambda ops: fourier_operator_coefficients(decomp, ops, spec.q_max),
-            decomp.hbar_floquet)
-    return _HarmonicFrame(hermitian_eigensystem(h0), 0.0, lambda ops: ops[:, None], h0)
+            decomposition.quasi, decomposition.omega_drive,
+            lambda ops: fourier_operator_coefficients(decomposition, ops, config.q_max),
+            decomposition.hbar_floquet, kind, decomposition)
+    h0 = config.h0
+    return _HarmonicFrame(hermitian_eigensystem(h0), 0.0, lambda ops: ops[:, None], h0, kind, None)
 
 
 # ---------------------------------------------------------------------------
 # secular path: Lindblad / Floquet-Lindblad
 
 
-def _secular_channels(channels, collective: bool) -> list:
-    """(bath, quadrature operators, Lamb key) of every secular channel.
+def _secular_generator(frame: _HarmonicFrame, config, collective: bool) -> Generator:
+    """Secular generator of the scenario's channels over ``frame``.
 
-    By default each (bath, transition) pair is an independent decoherence
-    channel.  ``collective`` merges each bath's transitions into one channel
-    with summed quadrature ops: the shared-bath-mode (textbook secular)
-    variant, in which transitions of one bath interfere through common jump
-    operators.
+    Each (bath, transition) channel is independent, or with ``collective``
+    each bath's summed quadratures are one channel: the shared-bath-mode
+    (textbook secular) variant, whose transitions interfere through common
+    jump operators.  Each channel sums gamma D[S] and (iff lamb_shift) xi S†S
+    over the jump tables of its operators, gamma/xi at omega + q*Omega.
+    Cross terms between sigma_x and sigma_y vanish for the Ohmic bath and
+    are omitted: the spectral density is odd, so the two-sided cross
+    integrals fold onto each other (nu -> -nu, nbar(-nu) = -(nbar(nu) + 1))
+    and cancel, as ``test_baths.py::test_cross_coefficients_vanish`` checks
+    by quadrature.
     """
-    if not collective:
-        return [(ch.bath, ch.operators, f"{ch.bath.name}:{ch.transition}") for ch in channels]
-    groups: dict = {}   # baths in first-seen order
-    for ch in channels:
-        groups.setdefault(ch.bath, []).append(ch)
-    return [(bath, [sum(c.sigma_x for c in group), sum(c.sigma_y for c in group)],
-             f"{bath.name}:collective{tuple(c.transition for c in group)}")
-            for bath, group in groups.items()]
-
-
-def _secular_generator(h0, spec: GeneratorSpec, channels) -> Generator:
-    """Secular generator of ``channels`` over the frame of ``spec``.
-
-    Each channel sums gamma D[S] and (iff lamb_shift) xi S†S over the jump
-    tables of its operators, gamma/xi at omega + q*Omega.  Cross terms
-    between sigma_x and sigma_y vanish for the Ohmic bath and are omitted:
-    the spectral density is odd, so the two-sided cross integrals fold onto
-    each other (nu -> -nu, nbar(-nu) = -(nbar(nu) + 1)) and cancel, as
-    ``test_baths.py::test_cross_coefficients_vanish`` checks by quadrature.
-    """
-    frame = _harmonic_frame(h0, spec)
+    d = config.dim
+    if collective:
+        channels = [(bath, sum(_transition_operators(*t, d) for t in bath.transitions)[1:],
+                     f"{bath.name}:collective{bath.transitions}")
+                    for bath in config.baths if bath.transitions]
+    else:
+        channels = [(bath, _transition_operators(*t, d)[1:], f"{bath.name}:{t}")
+                    for bath in config.baths for t in bath.transitions]
     if not channels:
-        return frame.generator(spec, {}, [], [])
+        return frame.generator({}, [], [])
     terms = [(bath, op, key) for bath, ops, key in channels for op in ops]
     table, _, (gamma, xi) = frame.resolve(terms, lambda bath, x: gamma_xi_arrays(
-        bath.spectral, bath.beta, x, spec.lamb_params, spec.lamb_shift))
+        bath.spectral, bath.beta, x, config.lamb_params, config.lamb_shift))
     s, key_of = table.ops, np.array([key for _, _, key in terms])[table.keys[:, 0]]
     h_lamb = {key: np.einsum("k,kji,kjl->il", xi[key_of == key], s[key_of == key].conj(),
                              s[key_of == key]) for _, _, key in channels}
-    return frame.generator(spec, h_lamb, (gamma / 2)[:, None, None] * s, s)
+    return frame.generator(h_lamb, (gamma / 2)[:, None, None] * s, s)
 
 
-def lindblad_generator(h0, spec: GeneratorSpec, collective: bool = False) -> Generator:
+def lindblad_generator(config, decomposition: None = None, collective: bool = False) -> Generator:
     """Static Lindblad generator -i[h0 + H_lamb, .] + D.
 
     ``collective=True`` sums each bath's transition operators into shared
     jump operators (bath modes common to the transitions) instead of
     treating transitions as independent channels.
     """
-    h0 = require_hermitian(h0)
-    if spec.kind != "lindblad":
-        raise ValidationError(f"expected kind 'lindblad', got {spec.kind!r}")
-    return _secular_generator(h0, spec, _secular_channels(spec.channels, collective))
+    return _secular_generator(_harmonic_frame(config, decomposition, "lindblad"), config,
+                              collective)
 
 
-def floquet_lindblad_generator(h0, spec: GeneratorSpec) -> Generator:
+def floquet_lindblad_generator(config,
+                               decomposition: FloquetDecomposition | None = None) -> Generator:
     """Floquet-Lindblad generator -i[Hbar + H_lamb, .] + D in the micromotion frame.
 
     Rates and shifts are evaluated at omega + q*Omega on the jump-operator
     table of each channel.
     """
-    h0 = require_hermitian(h0)
-    if spec.kind != "floquet_lindblad":
-        raise ValidationError(f"expected kind 'floquet_lindblad', got {spec.kind!r}")
-    return _secular_generator(h0, spec, _secular_channels(spec.channels, False))
+    return _secular_generator(_harmonic_frame(config, decomposition, "floquet_lindblad"), config,
+                              False)
 
 
 # ---------------------------------------------------------------------------
 # Redfield path: Redfield / Floquet-Redfield
 
 
-def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: bool) -> tuple:
+def _redfield_sums(frame: _HarmonicFrame, config, full_secular: bool) -> tuple:
     """Dipole-weighted jump sums (a, u1, u2) over ``frame``, one row per sorted key.
 
     Each entry S = S(q, omega) of the jump tables of the pair operators
-    |i><j|, weighted by the transition dipole mu, adds mu S, (N1 + iC1) mu S†
-    and (N2 + iC2) mu S†, with N/C at omega + q*Omega, to the sums of its
-    key, in channel order; a key's dissipator is G(u2, a†) + G(u1†, a) times
-    ``DIPOLE_PREFACTOR``, G the form of :meth:`_HarmonicFrame.generator`.
+    |i><j|, weighted by the dipole mu that ``qubit_dipole_calibration`` gives
+    the transition, adds mu S, (N1 + iC1) mu S† and (N2 + iC2) mu S†, with N/C
+    at omega + q*Omega, to the sums of its key, in transition order; a key's
+    dissipator is G(u2, a†) + G(u1†, a) times ``DIPOLE_PREFACTOR``, G the form
+    of :meth:`_HarmonicFrame.generator`.
     The key is (bath, q) under the partial secular (q' = q) filter: the free
     omega sum then collapses to S(q) by completeness, while the primed sums
     carry the coefficients.  ``full_secular`` adds the gap index, imposing
     omega' = omega.  Transitions of one bath share keys, so their
     cross-transition dipole products are kept.
     """
-    missing = [f"{ch.bath.name}/{ch.transition}" for ch in spec.channels if ch.dipole is None]
+    pairs = [(bath, t) for bath in config.baths for t in bath.transitions]
+    e, dipoles, missing = config.energies, [], []
+    for bath, (i, j) in pairs:
+        try:
+            dipoles.append(qubit_dipole_calibration(bath.spectral, abs(e[i] - e[j])))
+        except (ValidationError, OverflowError):
+            missing.append(f"{bath.name}/{(i, j)}")
     if missing:
-        raise ConfigError(f"channels {missing} lack the dipole magnitude Redfield kinds require")
+        raise ConfigError(f"channels {missing} lack the dipole magnitude Redfield kinds require "
+                          "(a gap of 0, or one whose cube overflows a float, has none)")
     table, bath_of, (n1, n2, c1, c2) = frame.resolve(
-        [(ch.bath, ch.pair_op, f"{ch.bath.name}:{ch.transition}") for ch in spec.channels],
-        lambda bath, x: redfield_arrays(x, bath.beta, spec.lamb_params, spec.lamb_shift))
+        [(bath, _transition_operators(*t, config.dim)[0], f"{bath.name}:{t}") for bath, t in pairs],
+        lambda bath, x: redfield_arrays(x, bath.beta, config.lamb_params, config.lamb_shift))
     op, q, gi = table.keys.T
-    s = np.array([ch.dipole for ch in spec.channels])[op, None, None] * table.ops
+    s = np.array(dipoles)[op, None, None] * table.ops
     sd = s.conj().transpose(0, 2, 1)
     keys = np.stack([bath_of, q, gi if full_secular else 0 * gi])
     order = np.lexsort(keys[::-1])
@@ -352,21 +299,17 @@ def _redfield_sums(frame: _HarmonicFrame, spec: GeneratorSpec, full_secular: boo
         s, (n1 + 1j * c1)[:, None, None] * sd, (n2 + 1j * c2)[:, None, None] * sd))
 
 
-def _redfield_generator(h0, spec: GeneratorSpec, full_secular: bool) -> Generator:
-    """-i[Hbar, .] + D over the frame of ``spec`` (see the module docstring)."""
-    h0 = require_hermitian(h0)
-    if np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12:
-        raise ValidationError("Redfield kinds require h0 diagonal in the level basis")
-    frame = _harmonic_frame(h0, spec)
-    if not spec.channels:
-        return frame.generator(spec, {}, [], [])
-    a, u1, u2 = _redfield_sums(frame, spec, full_secular)
+def _redfield_generator(frame: _HarmonicFrame, config, full_secular: bool) -> Generator:
+    """-i[Hbar, .] + D over ``frame`` (see the module docstring)."""
+    if not any(bath.transitions for bath in config.baths):
+        return frame.generator({}, [], [])
+    a, u1, u2 = _redfield_sums(frame, config, full_secular)
     a_dag, u1_dag = (m.conj().transpose(0, 2, 1) for m in (a, u1))
-    return frame.generator(spec, {}, DIPOLE_PREFACTOR * np.concatenate([u2, u1_dag]),
+    return frame.generator({}, DIPOLE_PREFACTOR * np.concatenate([u2, u1_dag]),
                            np.concatenate([a_dag, a]))
 
 
-def redfield_generator(h0, spec: GeneratorSpec) -> Generator:
+def redfield_generator(config, decomposition: None = None) -> Generator:
     """Static Redfield generator -i[h0, .] + D.
 
     The trivial-frame case of the Floquet-Redfield assembly (P = I,
@@ -374,12 +317,10 @@ def redfield_generator(h0, spec: GeneratorSpec) -> Generator:
     gap, and all ordered transition pairs of a bath couple.  Trace and
     Hermiticity preservation are exact by construction.
     """
-    if spec.kind != "redfield":
-        raise ValidationError(f"expected kind 'redfield', got {spec.kind!r}")
-    return _redfield_generator(h0, spec, full_secular=False)
+    return _redfield_generator(_harmonic_frame(config, decomposition, "redfield"), config, False)
 
 
-def floquet_redfield_generator(h0, spec: GeneratorSpec,
+def floquet_redfield_generator(config, decomposition: FloquetDecomposition | None = None,
                                full_secular: bool = False) -> Generator:
     """Floquet-Redfield generator with the q' = q partial secular filter.
 
@@ -387,17 +328,13 @@ def floquet_redfield_generator(h0, spec: GeneratorSpec,
     ``full_secular=True`` restricts additionally to omega' = omega
     (consistency checks against the Floquet-Lindblad construction).
     """
-    if spec.kind != "floquet_redfield":
-        raise ValidationError(f"expected kind 'floquet_redfield', got {spec.kind!r}")
-    return _redfield_generator(h0, spec, full_secular)
+    return _redfield_generator(_harmonic_frame(config, decomposition, "floquet_redfield"),
+                               config, full_secular)
 
 
 __all__ = [
-    "CouplingChannel",
     "DIPOLE_PREFACTOR",
     "Generator",
-    "GeneratorSpec",
-    "coupling_decomposition",
     "floquet_lindblad_generator",
     "floquet_redfield_generator",
     "lindblad_generator",

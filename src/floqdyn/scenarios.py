@@ -19,9 +19,9 @@ the micromotion P(t) of their decomposition.  P is tau-periodic, so on a
 record step of whole P-grid steps the records fall on a few drive phases,
 and one superoperator P ⊗ P* per phase maps all records of that phase in
 one product; the static kinds (P = I) record directly.
-Each record is stored as its Hermitian part, so its diagonal is exactly
-real, and every record's minimum eigenvalue is scanned in closed form per
-block of coupled levels (``operators.min_eigenvalues``).
+Each record is stored as its Hermitian part (its diagonal exactly real);
+a record that is not finite raises, and every record's minimum eigenvalue
+is scanned in closed form per coupled block (``operators.min_eigenvalues``).
 """
 
 import math
@@ -29,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, LambIntegralParams, OhmicSpec, spectral_density
+from .baths import BathSpec, LambIntegralParams, OhmicSpec
 from .errors import ConfigError, NumericalError, ValidationError, warn
 from .floquet import DriveSpec, FloquetDecomposition, drive_hamiltonian, floquet_decompose
 from .generators import (
-    CouplingChannel,
+    GENERATOR_KINDS,
     Generator,
-    GeneratorSpec,
     floquet_lindblad_generator,
     floquet_redfield_generator,
     lindblad_generator,
@@ -71,6 +70,11 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "baths", tuple(self.baths))
+        if self.kind not in GENERATOR_KINDS:
+            raise ValidationError(f"unknown generator kind {self.kind!r}")
+        names = [bath.name for bath in self.baths]
+        if len(set(names)) != len(names):
+            raise ValidationError(f"bath names must be distinct, got {names}")
         if not all(math.isfinite(e) for e in self.energies):
             raise ValidationError(f"energies must be finite, got {list(self.energies)}")
         if not (0 <= self.target_level < self.dim):
@@ -100,37 +104,11 @@ class ScenarioConfig:
         rho[self.initial_level, self.initial_level] = 1.0
         return rho
 
-    def channels(self) -> tuple[CouplingChannel, ...]:
-        out = []
-        for bath in self.baths:
-            for up, lo in bath.transitions:
-                gap = abs(self.energies[up] - self.energies[lo])
-                out.append(CouplingChannel(
-                    bath, (up, lo), self.dim,
-                    # a zero gap has no dipole; only the Redfield kinds need one
-                    dipole=qubit_dipole_calibration(bath.spectral, gap) if gap else None,
-                ))
-        return tuple(out)
-
     def default_dt(self) -> float:
         if self.drive is not None and self.kind.startswith("floquet"):
             # whole steps of every P(t) grid of decompose_scenario: records hit samples
             return self.drive.tau / 256
         return 0.05
-
-
-def qubit_dipole_calibration(spec: OhmicSpec, omega10: float) -> float:
-    """Dipole magnitude making the Redfield qubit decay match the Lindblad one.
-
-    Equating the two emission rates at the transition gap gives
-    mu^2 = 6*pi^2*J(omega10)/omega10^3 in natural units.
-    """
-    if omega10 <= 0:
-        raise ValidationError("omega10 must be positive")
-    j = spectral_density(spec, omega10)
-    if j < 0:
-        raise ValidationError(f"spectral density negative at {omega10}")
-    return float(np.sqrt(6.0 * np.pi**2 * j / omega10**3))
 
 
 def _bath(name: str, transitions) -> BathSpec:
@@ -234,22 +212,13 @@ def build_generator(config: ScenarioConfig,
                           f'{config.label!r}; set "drive": null to run it undriven')
     if is_floquet and decomposition is None:
         decomposition = decompose_scenario(config)
-    spec = GeneratorSpec(
-        kind=config.kind,
-        channels=config.channels(),
-        lamb_shift=config.lamb_shift,
-        floquet=decomposition if is_floquet else None,
-        lamb_params=config.lamb_params,
-        q_max=config.q_max,
-    )
-    h0 = config.h0
     if config.kind == "lindblad":
-        return lindblad_generator(h0, spec, collective=collective)
+        return lindblad_generator(config, decomposition, collective=collective)
     if config.kind == "floquet_lindblad":
-        return floquet_lindblad_generator(h0, spec)
+        return floquet_lindblad_generator(config, decomposition)
     if config.kind == "redfield":
-        return redfield_generator(h0, spec)
-    return floquet_redfield_generator(h0, spec, full_secular=full_secular)
+        return redfield_generator(config, decomposition)
+    return floquet_redfield_generator(config, decomposition, full_secular=full_secular)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +336,9 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     for lo in range(0, len(times), RECORD_CHUNK):
         s = states[lo:lo + RECORD_CHUNK]
         s[...] = 0.5 * (s + s.conj().swapaxes(-1, -2))
+    if not np.isfinite(states.view(float)).all():
+        k = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0]
+        raise NumericalError(f"record {k} (t = {float(times[k])!r}) is not finite")
     min_eigs = min_eigenvalues(states)
 
     traces = np.einsum("tii->t", states)

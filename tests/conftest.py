@@ -26,6 +26,23 @@ def gibbs_state(h, beta: float) -> np.ndarray:
     return (v * (p / p.sum())) @ v.conj().T
 
 
+def transition_operators(i: int, j: int, d: int) -> tuple:
+    """|i><j| and its quadratures (|i><j| + |j><i|)/2 and i(|i><j| - |j><i|)/2,
+    the couplings of a bath's (i, j) transition in a d-level system."""
+    pair = np.zeros((d, d), dtype=complex)
+    pair[i, j] = 1.0
+    return pair, (pair + pair.T) / 2, 1j * (pair - pair.T) / 2
+
+
+def reference_dipole(bath, gap: float) -> float:
+    """Redfield dipole of a transition of ``bath`` at ``gap`` > 0: equal
+    emission rates give mu^2 = 6 pi^2 J(gap) / gap^3, with the Ohmic
+    J(x) = j0 x exp(-x^2 / omega_c^2)."""
+    spec = bath.spectral
+    j = spec.j0 * gap * np.exp(-gap**2 / spec.omega_cutoff**2)
+    return float(np.sqrt(6 * np.pi**2 * j / gap**3))
+
+
 def table_entries(table) -> dict:
     """The operators of a jump table keyed by the tuples of its ``keys``."""
     return dict(zip(map(tuple, table.keys.tolist()), table.ops))
@@ -182,20 +199,21 @@ def lamb_oracle(cfg_v0, dec_v0):
     """
     out = {}
     omega_drive = cfg_v0.drive.omega_drive
-    for ch in cfg_v0.channels():
-        want = np.zeros((ch.dim, ch.dim), dtype=complex)
+    for bath in cfg_v0.baths:
+        (transition,) = bath.transitions      # one per bath in the 3-level presets
+        want = np.zeros((cfg_v0.dim, cfg_v0.dim), dtype=complex)
         bound, weight, xi_max = 0.0, 0.0, 0.0
-        for op in ch.operators:
+        for op in transition_operators(*transition, cfg_v0.dim)[1:]:
             harmonics = fourier_operator_coefficients(dec_v0, op, cfg_v0.q_max)
             table = jump_operator_table(harmonics, dec_v0.quasi)
             for (q, gi), s_op in table_entries(table).items():
                 omega = table.gaps[gi]
-                xi = xi_oracle(ch.bath.spectral, ch.bath.beta, omega + q * omega_drive)
+                xi = xi_oracle(bath.spectral, bath.beta, omega + q * omega_drive)
                 sds = s_op.conj().T @ s_op
                 want += xi * sds
                 bound += abs(xi) * float(np.max(np.abs(sds)))
                 weight += sds[1, 1].real
                 xi_max = max(xi_max, abs(xi))
-        out[ch.bath.name] = {"want": want, "tol": XI_ORACLE_RTOL * bound + 1e-12,
+        out[bath.name] = {"want": want, "tol": XI_ORACLE_RTOL * bound + 1e-12,
                              "level1_weight": weight, "xi_max": xi_max}
     return out

@@ -40,15 +40,11 @@ from floqdyn.floquet import (
     fourier_operator_coefficients,
     jump_operator_table,
 )
-from floqdyn.generators import (
-    CouplingChannel,
-    GeneratorSpec,
-    lindblad_generator,
-    sop_commutator,
-)
+from floqdyn.generators import floquet_lindblad_generator, lindblad_generator, sop_commutator
 from floqdyn.operators import trace_distance
 from floqdyn.scenarios import (
     PRESETS,
+    ScenarioConfig,
     build_four_level,
     build_generator,
     build_three_level,
@@ -518,9 +514,9 @@ def test_criterion_5b_lindblad_positivity(long_runs):
 def test_criterion_5c_gibbs_stationarity():
     bath = BathSpec("hot", beta=1 / 30, spectral=OhmicSpec(4e-4, np.sqrt(2)),
                     transitions=((1, 0),))
-    h0 = np.diag([0.0, 3.0]).astype(complex)
-    gen = lindblad_generator(
-        h0, GeneratorSpec(kind="lindblad", channels=(CouplingChannel(bath, (1, 0), 2),)))
+    cfg = ScenarioConfig(energies=(0.0, 3.0), target_level=1, baths=(bath,), kind="lindblad")
+    h0 = cfg.h0
+    gen = lindblad_generator(cfg)
     resid = float(np.max(np.abs(gen.superop @ gibbs_state(h0, 1 / 30).ravel())))
     ok = resid < 1e-9
     _report("criterion 5c (Gibbs stationarity)", ok, f"|L(rho_Gibbs)| = {resid:.2e} (<1e-9)")
@@ -566,11 +562,7 @@ def test_criterion_5f_mu_to_zero_continuity():
     tau = 2 * np.pi / 2.25
     dec = floquet_decompose(lambda t: h0, tau, h0, grid_m=256)
     cfg_l = build_three_level("nondriven", kind="lindblad")
-    spec_fl = GeneratorSpec(kind="floquet_lindblad", channels=cfg_l.channels(),
-                            floquet=dec, q_max=2)
-    from floqdyn.generators import floquet_lindblad_generator
-
-    gen_fl = floquet_lindblad_generator(h0, spec_fl)
+    gen_fl = floquet_lindblad_generator(replace(cfg_l, kind="floquet_lindblad", q_max=2), dec)
     gen_li = build_generator(cfg_l)
     norm_fl = float(np.linalg.norm(gen_fl.superop - gen_li.superop, 2))
 
@@ -589,8 +581,6 @@ def test_criterion_5f_mu_to_zero_continuity():
 
 
 def test_criterion_5g_qubit_calibration():
-    from floqdyn.scenarios import ScenarioConfig
-
     bath = BathSpec("cold", beta=1 / 4, spectral=OhmicSpec(4e-3, np.sqrt(0.2)),
                     transitions=((1, 0),))
     common = dict(energies=(0.0, 0.5), target_level=1, baths=(bath,))

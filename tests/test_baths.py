@@ -14,12 +14,20 @@ from floqdyn.baths import (
     gamma_ohmic,
     gamma_xi_ohmic,
     pv_quadrature,
+    qubit_dipole_calibration,
     redfield_coefficients,
     spectral_density,
     thermal_occupation,
 )
 from floqdyn.errors import ValidationError
-from floqdyn.scenarios import PRESETS, REFERENCE_DRIVE, TABLE_BATHS, build_generator
+from floqdyn.scenarios import (
+    PRESETS,
+    REFERENCE_DRIVE,
+    TABLE_BATHS,
+    ScenarioConfig,
+    build_generator,
+    evolve,
+)
 from floqdyn.tolerances import tolerance_overrides
 
 from conftest import XI_ORACLE_RTOL, quad_cauchy, xi_oracle
@@ -231,11 +239,49 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             BathSpec("x", beta=1.0, spectral=HOT, transitions=((1, 0), (1, 0)))
         with pytest.raises(ValidationError):
+            # so no coupling operator is ever built for a level and itself
+            BathSpec("x", beta=1.0, spectral=HOT, transitions=((1, 1),))
+        with pytest.raises(ValidationError):
             OhmicSpec(-1.0, 1.0)
 
     def test_lamb_params_invariants(self):
         with pytest.raises(ValidationError):
             LambIntegralParams(w_cutoff=-1.0)
+
+
+class TestDipoleCalibration:
+    def test_zero_spectral_density_boundary(self):
+        assert qubit_dipole_calibration(OhmicSpec(0.0, 1.0), 1.0) == 0.0
+
+    @pytest.mark.parametrize("gap,error", [(0.0, ValidationError), (-0.5, ValidationError),
+                                           (1e200, OverflowError)])
+    def test_gap_without_a_dipole(self, gap, error):
+        # a gap of 0 has no dipole, and a gap of 1e200 overflows omega10**3
+        with pytest.raises(error):
+            qubit_dipole_calibration(COLD, gap)
+
+    def test_cold_bath_value(self):
+        spec = OhmicSpec(4e-3, np.sqrt(0.2))
+        j = 4e-3 * 0.5 * np.exp(-1.25)
+        want = np.sqrt(6 * np.pi**2 * j / 0.125)
+        assert qubit_dipole_calibration(spec, 0.5) == pytest.approx(want, rel=1e-12)
+
+    def test_rate_match_on_population_decay(self):
+        # calibrated qubit: Lindblad and Redfield relaxation rates within 1%
+        bath = BathSpec("cold", beta=1 / 4, spectral=OhmicSpec(4e-3, np.sqrt(0.2)),
+                        transitions=((1, 0),))
+        common = dict(energies=(0.0, 0.5), target_level=1, baths=(bath,),
+                      initial_level=1)
+        tl = evolve(ScenarioConfig(label="l", kind="lindblad", **common), 40.0, dt=0.02)
+        tr = evolve(ScenarioConfig(label="r", kind="redfield", **common), 40.0, dt=0.02)
+
+        def fit_rate(traj):
+            p = traj.populations[:, 1]
+            p_inf = p[-1]
+            y = np.log(np.abs(p[:-200] - p_inf))
+            return -np.polyfit(traj.times[:-200], y, 1)[0]
+
+        assert fit_rate(tl) == pytest.approx(fit_rate(tr), rel=0.01)
 
 
 class TestBatchedQuadrature:

@@ -392,7 +392,8 @@ def scenarios(draw):
     baths = st.lists(st.builds(
         BathSpec, name=st.text(max_size=5), beta=positive,
         spectral=st.builds(OhmicSpec, j0=st.floats(0.0, 1.0), omega_cutoff=positive),
-        transitions=st.lists(pairs, max_size=3, unique=True).map(tuple)), max_size=2)
+        transitions=st.lists(pairs, max_size=3, unique=True).map(tuple)),
+        max_size=2, unique_by=lambda bath: bath.name)
     drive = st.none() | st.builds(DriveSpec, mu=st.floats(0.0, 1.0), omega_drive=positive,
                                   pair=pairs)
     w_cutoff = draw(st.floats(10.0, 1e5))
@@ -719,7 +720,7 @@ class TestMalformedSections:
          "t_final 1e+300 over dt 0.05 is more than 2**53 steps"),
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
                       "integration": {"t_final": 10, "dt": 1e-300}},
-         "t_final 10 over dt 1e-300 is more than 2**53 steps"),
+         "t_final 10.0 over dt 1e-300 is more than 2**53 steps"),
         # fewer than 2**53 steps, but at a given stride more records than memory holds
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
                       "integration": {"t_final": 1e10, "stride": 1}},
@@ -826,6 +827,68 @@ class TestMalformedSections:
                                    "axes": {"scenario.kind": ["lindblad", "redfield"]}}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["ok", "error:2"]
+
+    # a gap of 1e200 has no Redfield dipole (its cube overflows); the Lindblad
+    # kind runs it into non-finite records, and so does a cold bath of j0 1e200
+    HUGE_GAP = {"preset": "three_level_nondriven", "energies": [0, 1e200, 2.5]}
+
+    @pytest.mark.parametrize("scenario,code,message", [
+        ({**HUGE_GAP, "kind": "redfield"}, 2,
+         "configuration error: channels ['hot/(1, 0)', 'cold/(1, 2)'] lack the dipole magnitude"),
+        ({**HUGE_GAP, "kind": "lindblad"}, 3, "numerical error: record 1 (t = 0.05) is not finite"),
+        ({"preset": "three_level_nondriven",
+          "baths": [hot_bath(), hot_bath(name="cold", beta=0.25, j0=1e200,
+                                         omega_cutoff=0.2 ** 0.5, transitions=[[1, 2]])]}, 3,
+         "numerical error: record 1 (t = 0.05) is not finite"),
+    ], ids=["gap_redfield", "gap_lindblad", "j0"])
+    def test_huge_finite_numbers(self, tmp_path, capsys, scenario, code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "integration": {"t_final": 1.0}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_sweep_rows_of_a_huge_gap(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": {"scenario": self.HUGE_GAP,
+                                            "integration": {"t_final": 1.0}},
+                                   "axes": {"scenario.kind": ["lindblad", "redfield"]}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["error:3", "error:2"]
+
+    # JSON integers past the float range, where they become float fields
+    @pytest.mark.parametrize("command,config,name", [
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "baths": [hot_bath(beta=10**400)]},
+                      "integration": {"t_final": 1.0}}, "scenario.baths[0].beta"),
+        ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"mu": 10**400}},
+                      "integration": {"t_final": 1.0}}, "scenario.drive.mu"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 10**400}}, "integration.t_final"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 1.0, "dt": 10**400}}, "integration.dt"),
+        ("compare", {"a": {"preset": "three_level_nondriven"},
+                     "b": {"preset": "three_level_nondriven", "baths": [hot_bath(beta=10**400)]},
+                     "integration": {"t_final": 1.0}}, "b.baths[0].beta"),
+    ], ids=["beta", "drive_mu", "t_final", "dt", "compare_beta"])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, command, config, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"configuration error: {name}: an integer of 401 "
+                                           "digits is too large for a float\n")
+        assert not out.exists()
+
+    def test_bath_names_must_be_distinct(self, tmp_path, capsys):
+        # two channels would share the Lamb key hot:(1, 0)
+        out = tmp_path / "out"
+        baths = json.dumps([hot_bath(), hot_bath(j0=1e-3)])
+        assert main(["floquet", "--preset", "three_level_v0", "--set", f"scenario.baths={baths}",
+                     "--out", str(out)]) == 2
+        assert "bath names must be distinct, got ['hot', 'hot']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bathless_scenario_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -940,6 +1003,22 @@ class TestCompare:
         assert max(abs(float(r["difference"])) for r in rows) == 0.0
         summary = json.loads((tmp_path / "compare_summary.json").read_text())
         assert summary["relative_gain_a_over_b"] == 0.0
+
+    def test_summary_is_strict_json_when_eta_b_is_zero(self, tmp_path):
+        # b has no bath, so its target level stays empty: eta_b = 0
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({"a": {"preset": "three_level_nondriven"},
+                                   "b": {"preset": "three_level_nondriven", "baths": []},
+                                   "integration": {"t_final": 20.0}}))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        text = (tmp_path / "compare_summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["eta_b"] == 0.0 and summary["eta_a"] > 0
+        assert summary["relative_gain_a_over_b"] is None
 
     def test_trace_distance_metric(self, tmp_path):
         cfg = tmp_path / "cmp.json"

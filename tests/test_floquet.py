@@ -37,7 +37,13 @@ from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import PRESETS, decompose_scenario
 from floqdyn.tolerances import TOLERANCES, tolerance_overrides
 
-from conftest import jump_entry, propagator_oracle, random_hermitian, table_entries
+from conftest import (
+    jump_entry,
+    propagator_oracle,
+    random_hermitian,
+    table_entries,
+    transition_operators,
+)
 
 H0 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 OMEGA = 2.25
@@ -356,7 +362,8 @@ class TestStackedOperators:
 
     def test_stacked_harmonics_equal_per_operator_results(self, dec_v0, cfg_v0):
         rng = np.random.default_rng(11)
-        ops = np.array([op for ch in cfg_v0.channels() for op in ch.operators + [ch.pair_op]]
+        ops = np.array([op for bath in cfg_v0.baths for t in bath.transitions
+                        for op in transition_operators(*t, 3)]
                        + [random_hermitian(rng, 3) for _ in range(3)])
         stacked = fourier_operator_coefficients(dec_v0, ops, q_max=24)
         assert stacked.shape == (len(ops), 49, 3, 3)
@@ -376,8 +383,10 @@ class TestStackedOperators:
     @pytest.mark.parametrize("preset,kind", PRESET_KINDS)
     def test_gathered_table_has_the_keys_of_the_reference_loop(self, preset, kind):
         cfg, harmonics_of, quasi = _preset_frame(preset)
-        ops = np.array([op for ch in cfg.channels()
-                        for op in (ch.operators if kind.endswith("lindblad") else [ch.pair_op])])
+        # the quadratures of each transition for the secular kinds, |i><j| for Redfield
+        lo, hi = (1, 3) if kind.endswith("lindblad") else (0, 1)
+        ops = np.array([op for bath in cfg.baths for t in bath.transitions
+                        for op in transition_operators(*t, cfg.dim)[lo:hi]])
         harmonics = harmonics_of(ops)
         table = jump_operator_table(harmonics, quasi)
         want = {(k,) + key: op for k, h in enumerate(harmonics)

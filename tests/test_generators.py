@@ -18,9 +18,6 @@ from floqdyn import generators
 from floqdyn.generators import (
     DIPOLE_PREFACTOR,
     GENERATOR_KINDS,
-    CouplingChannel,
-    GeneratorSpec,
-    coupling_decomposition,
     floquet_lindblad_generator,
     floquet_redfield_generator,
     lindblad_generator,
@@ -42,7 +39,14 @@ from floqdyn.scenarios import (
 )
 from floqdyn.tolerances import TOLERANCES
 
-from conftest import gibbs_state, random_density, random_hermitian, table_entries
+from conftest import (
+    gibbs_state,
+    random_density,
+    random_hermitian,
+    reference_dipole,
+    table_entries,
+    transition_operators,
+)
 
 H0_3 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 
@@ -59,26 +63,24 @@ REDFIELD_NODE_TOL = 1e-9
 # references: the Redfield constructions the harmonic-frame assembly replaced
 
 
-def _bath_groups(channels):
-    groups = {}
-    for ch in channels:
-        groups.setdefault(ch.bath, []).append(ch)
-    return groups
-
-
-def _coefficients(bath, x, spec):
-    rc = redfield_coefficients(x, bath.beta, spec.lamb_params)
-    if not spec.lamb_shift:
+def _coefficients(bath, x, config):
+    rc = redfield_coefficients(x, bath.beta, config.lamb_params)
+    if not config.lamb_shift:
         rc = RedfieldCoefficients(n1=rc.n1, n2=rc.n2, c1_imag=0.0, c2_imag=0.0)
     return rc
 
 
-def redfield_pairs_reference(h0, spec):
+def _dipole(config, bath, transition):
+    i, j = transition
+    return reference_dipole(bath, abs(config.energies[i] - config.energies[j]))
+
+
+def redfield_pairs_reference(config):
     """Static Redfield superoperator block by block over all ordered pairs of
     a bath's transitions: the one-sided and sandwich N1/N2 sums plus (iff
     lamb_shift) the C1/C2 blocks with the explicit factor i, coefficients at
-    the second pair's exact gap."""
-    d = h0.shape[0]
+    the second pair's exact gap, dipoles from ``reference_dipole``."""
+    h0, d = config.h0, config.dim
     energies = np.diag(h0).real
     k0 = DIPOLE_PREFACTOR
 
@@ -88,13 +90,11 @@ def redfield_pairs_reference(h0, spec):
         return m
 
     sop = sop_commutator(h0)
-    for bath, group in _bath_groups(spec.channels).items():
-        for ch2 in group:                 # the primed pair carries the frequency
-            i2, j2 = ch2.transition
-            rc = _coefficients(bath, energies[i2] - energies[j2], spec)
-            for ch1 in group:
-                i1, j1 = ch1.transition
-                m = ch1.dipole * ch2.dipole
+    for bath in config.baths:
+        for i2, j2 in bath.transitions:   # the primed pair carries the frequency
+            rc = _coefficients(bath, energies[i2] - energies[j2], config)
+            for i1, j1 in bath.transitions:
+                m = _dipole(config, bath, (i1, j1)) * _dipole(config, bath, (i2, j2))
                 sop += k0 * m * rc.n1 * (sop_sandwich(unit(i1, j1), unit(j2, i2))
                                          + sop_sandwich(unit(i2, j2), unit(j1, i1)))
                 sop += k0 * m * rc.n2 * (sop_sandwich(unit(j1, i1), unit(i2, j2))
@@ -130,39 +130,39 @@ def full_secular_block_reference(rc, a):
     )
 
 
-def full_secular_reference(h0, spec):
+def full_secular_reference(config, decomp):
     """Floquet-Redfield superoperator restricted to omega' = omega, in the
     micromotion frame: -i[Hbar, .] plus, per bath, the dipole-weighted
     sigma-bar(q, omega) summed per (q, gap index) and put through the
     eight-term block."""
-    decomp = spec.floquet
     sop = sop_commutator(decomp.hbar_floquet)
-    for bath, group in _bath_groups(spec.channels).items():
+    for bath in config.baths:
         sums = {}
-        for ch in group:
-            harmonics = fourier_operator_coefficients(decomp, ch.pair_op, spec.q_max)
+        for t in bath.transitions:
+            dipole = _dipole(config, bath, t)
+            harmonics = fourier_operator_coefficients(
+                decomp, transition_operators(*t, config.dim)[0], config.q_max)
             table = jump_operator_table(harmonics, decomp.quasi)
             for key, op in table_entries(table).items():
                 q, omega = key[0], table.gaps[key[1]]
-                rc = _coefficients(bath, omega + q * decomp.omega_drive, spec)
-                acc = ch.dipole * op if key not in sums else sums[key][1] + ch.dipole * op
+                rc = _coefficients(bath, omega + q * decomp.omega_drive, config)
+                acc = dipole * op if key not in sums else sums[key][1] + dipole * op
                 sums[key] = (rc, acc)
         for rc, op in sums.values():
             sop += full_secular_block_reference(rc, op)
     return sop
 
 
-def floquet_redfield_nodes_reference(h0, drive, spec, full_secular):
+def floquet_redfield_nodes_reference(config, decomp, full_secular):
     """The Schrodinger-picture Floquet-Redfield superoperator at every node
     of the decomposition grid, built node by node as the looped period-node
     assembly did: -i[H(t), .] plus the dissipator of the jump sums rotated
     to the node by P(t) o P(t)†."""
-    decomp = spec.floquet
     d = decomp.dim
     eye = np.eye(d)
-    terms = list(zip(*generators._redfield_sums(generators._harmonic_frame(h0, spec), spec,
-                                                full_secular)))
-    h_of_t = drive_hamiltonian(h0, drive)
+    frame = generators._harmonic_frame(config, decomp, "floquet_redfield")
+    terms = list(zip(*generators._redfield_sums(frame, config, full_secular)))
+    h_of_t = drive_hamiltonian(config.h0, config.drive)
     samples = np.empty((decomp.grid_m, d * d, d * d), dtype=complex)
     for k in range(decomp.grid_m):
         p = decomp.p_samples[k]
@@ -201,21 +201,19 @@ def apply(gen, rho):
     return (gen.superop @ np.asarray(rho, dtype=complex).ravel()).reshape(gen.dim, gen.dim)
 
 
-def three_level_spec(kind="lindblad", lamb=True):
-    cfg = replace(build_three_level("nondriven", kind=kind), lamb_shift=lamb)
-    return cfg, GeneratorSpec(kind=kind, channels=cfg.channels(), lamb_shift=lamb)
+class TestTransitionOperators:
+    """|i><j| and its quadratures sigma_x, sigma_y, the couplings of a transition."""
 
-
-class TestCouplingDecomposition:
-    def test_sigma_x_matches_convention(self):
-        sx = coupling_decomposition((0, 1), "sigma_x", 3)
+    def test_pair_and_sigma_x_match_convention(self):
+        pair, sx, _ = generators._transition_operators(0, 1, 3)
         want = np.zeros((3, 3), dtype=complex)
-        want[0, 1] = want[1, 0] = 0.5
-        assert_allclose(sx, want)
+        want[0, 1] = 1.0
+        assert_allclose(pair, want)
+        want[1, 0] = 1.0
+        assert_allclose(sx, want / 2)
 
     def test_projector_identity(self):
-        sx = coupling_decomposition((0, 2), "sigma_x", 4)
-        sy = coupling_decomposition((0, 2), "sigma_y", 4)
+        _, sx, sy = generators._transition_operators(0, 2, 4)
         proj = np.zeros((4, 4), dtype=complex)
         proj[0, 0] = proj[2, 2] = 0.5
         assert_allclose(sx @ sx + sy @ sy, proj, atol=1e-14)
@@ -224,25 +222,25 @@ class TestCouplingDecomposition:
         # [sigma_x, sigma_y] computed directly; with sigma_y = i(|i><j|-|j><i|)/2
         # the commutator is -(i/2)(|i><i| - |j><j|)
         i, j = 1, 2
-        sx = coupling_decomposition((i, j), "sigma_x", 3)
-        sy = coupling_decomposition((i, j), "sigma_y", 3)
+        _, sx, sy = generators._transition_operators(i, j, 3)
         comm = sx @ sy - sy @ sx
         want = np.zeros((3, 3), dtype=complex)
         want[i, i] = -0.5j
         want[j, j] = 0.5j
         assert_allclose(comm, want, atol=1e-14)
 
-    def test_same_level_rejected(self):
-        with pytest.raises(ValidationError):
-            coupling_decomposition((1, 1), "sigma_x", 3)
+    def test_signed_zeros(self):
+        # the entries are assigned, not computed: the one negative zero is the
+        # real part of sigma_y's -0.5j entry
+        ops = generators._transition_operators(2, 0, 3)
+        assert np.argwhere(np.signbit(ops.view(float))).tolist() == [[2, 0, 4], [2, 0, 5]]
 
 
 @pytest.fixture(scope="module")
 def _all_kind_generators(gen_v0):
-    cfg_l, spec_l = three_level_spec()
     cfg4 = build_four_level(0.05)
     gens = {
-        "lindblad": lindblad_generator(H0_3, spec_l),
+        "lindblad": lindblad_generator(build_three_level("nondriven")),
         "floquet_lindblad": gen_v0,
         "redfield": build_generator(cfg4),
     }
@@ -266,16 +264,15 @@ class TestLindblad:
     def test_gibbs_stationarity_single_bath_qubit(self):
         bath = BathSpec("hot", beta=1 / 30, spectral=OhmicSpec(4e-4, np.sqrt(2)),
                         transitions=((1, 0),))
-        spec = GeneratorSpec(kind="lindblad",
-                             channels=(CouplingChannel(bath, (1, 0), 2),))
-        gen = lindblad_generator(np.diag([0.0, 3.0]).astype(complex), spec)
+        gen = lindblad_generator(ScenarioConfig(energies=(0.0, 3.0), target_level=1,
+                                                baths=(bath,), kind="lindblad"))
         rho_g = gibbs_state(np.diag([0.0, 3.0]), 1 / 30)
         assert np.max(np.abs(apply(gen, rho_g))) < 1e-9
 
     def test_zero_coupling_reduces_to_commutator(self):
         bath = BathSpec("off", beta=1.0, spectral=OhmicSpec(0.0, 1.0), transitions=((1, 0),))
-        spec = GeneratorSpec(kind="lindblad", channels=(CouplingChannel(bath, (1, 0), 3),))
-        gen = lindblad_generator(H0_3, spec)
+        gen = lindblad_generator(ScenarioConfig(energies=(0.0, 3.0, 2.5), target_level=2,
+                                                baths=(bath,), kind="lindblad"))
         rng = np.random.default_rng(2)
         rho = random_density(rng, 3)
         want = -1j * (H0_3 @ rho - rho @ H0_3)
@@ -290,8 +287,7 @@ class TestLindblad:
         assert np.all(np.diff(pb) > -1e-12)  # monotone approach
 
     def test_static_lamb_commutes_with_h0(self):
-        _, spec = three_level_spec()
-        gen = lindblad_generator(H0_3, spec)
+        gen = lindblad_generator(build_three_level("nondriven"))
         lamb = sum(gen.h_lamb.values())
         comm = lamb @ H0_3 - H0_3 @ lamb
         assert np.max(np.abs(comm)) < 1e-9
@@ -304,11 +300,8 @@ class TestFloquetLindblad:
 
         dec = floquet_decompose(lambda t: H0_3, 2 * np.pi / 2.25, H0_3,
                                 grid_m=256)
-        spec_fl = GeneratorSpec(kind="floquet_lindblad", channels=cfg.channels(),
-                                floquet=dec, q_max=2)
-        gen_fl = floquet_lindblad_generator(H0_3, spec_fl)
-        spec_l = GeneratorSpec(kind="lindblad", channels=cfg.channels())
-        gen_li = lindblad_generator(H0_3, spec_l)
+        gen_fl = floquet_lindblad_generator(replace(cfg, kind="floquet_lindblad", q_max=2), dec)
+        gen_li = lindblad_generator(cfg)
         assert np.linalg.norm(gen_fl.superop - gen_li.superop, 2) < 1e-6
 
     def test_floquet_lamb_does_not_commute_with_h0(self, gen_v0):
@@ -323,11 +316,9 @@ class TestFloquetLindblad:
     def test_floor_starvation_raises(self, dec_v0, cfg_v0):
         from floqdyn.tolerances import tolerance_overrides
 
-        spec = GeneratorSpec(kind="floquet_lindblad", channels=cfg_v0.channels(),
-                             floquet=dec_v0, q_max=3)
         with tolerance_overrides(fourier_floor=10.0):
             with pytest.raises(ConfigError):
-                floquet_lindblad_generator(H0_3, spec)
+                floquet_lindblad_generator(replace(cfg_v0, q_max=3), dec_v0)
 
     @pytest.mark.parametrize("kind", ["floquet_lindblad", "floquet_redfield"])
     def test_floor_starvation_raises_for_both_floquet_kinds(self, kind):
@@ -371,20 +362,20 @@ class TestRedfield:
         traj = evolve(cfg, 200.0, dt=0.02)
         assert np.abs(traj.states[:, 1, 2]).max() > 1e-4
 
-    def test_missing_dipole_rejected(self):
+    # a zero gap has no dipole, and a gap of 1e200 overflows the calibration's cube
+    @pytest.mark.parametrize("upper", [0.0, 1e200])
+    def test_missing_dipole_rejected(self, upper):
         bath = BathSpec("b", beta=1.0, spectral=OhmicSpec(1e-3, 1.0), transitions=((1, 0),))
-        spec = GeneratorSpec(kind="redfield",
-                             channels=(CouplingChannel(bath, (1, 0), 2, dipole=None),))
-        with pytest.raises(ConfigError):
-            redfield_generator(np.diag([0.0, 1.0]).astype(complex), spec)
+        cfg = ScenarioConfig(energies=(0.0, upper), target_level=1, baths=(bath,),
+                             kind="redfield")
+        with pytest.raises(ConfigError, match=r"channels \['b/\(1, 0\)'\] lack the dipole"):
+            redfield_generator(cfg)
 
     @pytest.mark.parametrize("lamb", [True, False])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_matches_pair_reference(self, preset, lamb):
         cfg = replace(PRESETS[preset](), kind="redfield", lamb_shift=lamb, drive=None)
-        spec = GeneratorSpec(kind="redfield", channels=cfg.channels(), lamb_shift=lamb,
-                             lamb_params=cfg.lamb_params)
-        gap = np.max(np.abs(build_generator(cfg).superop - redfield_pairs_reference(cfg.h0, spec)))
+        gap = np.max(np.abs(build_generator(cfg).superop - redfield_pairs_reference(cfg)))
         assert gap <= REDFIELD_REF_TOL
 
     def test_collective_lindblad_equals_redfield_when_degenerate(self):
@@ -448,10 +439,7 @@ class TestFloquetRedfield:
         cfg, dec, _ = fr_setup
         cfg = replace(cfg, lamb_shift=lamb)
         gen = build_generator(cfg, decomposition=dec, full_secular=full_secular)
-        spec = GeneratorSpec(kind="floquet_redfield", channels=cfg.channels(),
-                             lamb_shift=lamb, floquet=dec, lamb_params=cfg.lamb_params,
-                             q_max=cfg.q_max)
-        want = floquet_redfield_nodes_reference(cfg.h0, cfg.drive, spec, full_secular)
+        want = floquet_redfield_nodes_reference(cfg, dec, full_secular)
         gap = np.max(np.abs(schrodinger_superops(gen, cfg.h0, cfg.drive) - want))
         assert gap <= REDFIELD_NODE_TOL
 
@@ -460,10 +448,7 @@ class TestFloquetRedfield:
         cfg, dec, _ = fr_setup
         cfg = replace(cfg, lamb_shift=lamb)
         gen = build_generator(cfg, decomposition=dec, full_secular=True)
-        spec = GeneratorSpec(kind="floquet_redfield", channels=cfg.channels(),
-                             lamb_shift=lamb, floquet=dec,
-                             lamb_params=cfg.lamb_params, q_max=cfg.q_max)
-        gap = np.max(np.abs(gen.superop - full_secular_reference(cfg.h0, spec)))
+        gap = np.max(np.abs(gen.superop - full_secular_reference(cfg, dec)))
         assert gap <= REDFIELD_REF_TOL
 
     def test_full_secular_matches_lindblad_form_populations(self, fr_setup):
@@ -482,11 +467,8 @@ class TestFloquetRedfield:
 
         singles = [
             floquet_redfield_generator(
-                cfg_nl.h0,
-                GeneratorSpec(kind="floquet_redfield", channels=(ch,), lamb_shift=False,
-                              floquet=dec, q_max=cfg_nl.q_max),
-                full_secular=True)
-            for ch in cfg_nl.channels()]
+                replace(cfg_nl, baths=(replace(bath, transitions=(t,)),)), dec, full_secular=True)
+            for bath in cfg_nl.baths for t in bath.transitions]
         sop = (sum(g.superop for g in singles)
                - (len(singles) - 1) * sop_commutator(dec.hbar_floquet))
         gen_lf = Generator(kind="floquet_redfield", dim=4, superop=sop, decomposition=dec)
@@ -498,20 +480,26 @@ class TestFloquetRedfield:
         assert 0.5 * np.sum(np.abs(p_fs - p_lf)) < 1e-3
 
 
-class TestGeneratorSpecValidation:
+class TestBuilderValidation:
     def test_floquet_kind_requires_decomposition(self):
-        cfg, _ = three_level_spec()
-        with pytest.raises(ValidationError):
-            GeneratorSpec(kind="floquet_lindblad", channels=cfg.channels())
+        cfg = build_three_level("nondriven", kind="floquet_lindblad")
+        with pytest.raises(ValidationError, match="requires a FloquetDecomposition"):
+            floquet_lindblad_generator(cfg)
 
     def test_static_kind_rejects_decomposition(self, dec_v0):
-        cfg, _ = three_level_spec()
-        with pytest.raises(ValidationError):
-            GeneratorSpec(kind="lindblad", channels=cfg.channels(), floquet=dec_v0)
+        with pytest.raises(ValidationError, match="must not carry a FloquetDecomposition"):
+            lindblad_generator(build_three_level("nondriven"), dec_v0)
+
+    @pytest.mark.parametrize("build,kind", [
+        (lindblad_generator, "redfield"), (floquet_lindblad_generator, "floquet_redfield"),
+        (redfield_generator, "lindblad"), (floquet_redfield_generator, "floquet_lindblad")])
+    def test_builder_rejects_another_kinds_scenario(self, build, kind, dec_v0):
+        with pytest.raises(ValidationError, match=f"expected kind '{build.__name__[:-10]}'"):
+            build(build_three_level("v0", kind=kind), dec_v0)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            GeneratorSpec(kind="pauli", channels=())
+        with pytest.raises(ValidationError, match="unknown generator kind 'pauli'"):
+            build_three_level("nondriven", kind="pauli")
 
 
 class TestFloquetLambReferenceValues:
@@ -543,7 +531,6 @@ class TestRandomizedModels:
                      unique=True)))
         gaps = np.unique(np.subtract.outer(energies, energies))
         assume(np.all(np.diff(gaps) > TOLERANCES.gap_cluster))
-        h0 = np.diag(np.array(energies, dtype=complex))
         n_tr = data.draw(st.integers(1, min(3, dim * (dim - 1) // 2)))
         pairs = sorted({(i, j) for i in range(dim) for j in range(i)})
         picks = data.draw(st.permutations(pairs))[:n_tr]
@@ -552,24 +539,18 @@ class TestRandomizedModels:
         wc = data.draw(st.floats(0.3, 2.0))
         bath = BathSpec("rand", beta=beta, spectral=OhmicSpec(j0, wc),
                         transitions=tuple(picks))
-        channels = tuple(
-            CouplingChannel(bath, tr, dim,
-                            dipole=float(np.sqrt(
-                                6 * np.pi**2 * max(
-                                    0.0, j0 * abs(energies[tr[0]] - energies[tr[1]]))
-                                / abs(energies[tr[0]] - energies[tr[1]])**3)))
-            for tr in picks)
+        cfg = ScenarioConfig(energies=tuple(energies), target_level=0, baths=(bath,),
+                             kind="redfield")
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
         rho = random_density(rng, dim)
         for build, kind in ((lindblad_generator, "lindblad"),
                             (redfield_generator, "redfield")):
-            gen = build(h0, GeneratorSpec(kind=kind, channels=channels))
+            gen = build(replace(cfg, kind=kind))
             drho = apply(gen, rho)
             assert abs(np.trace(drho)) < 1e-11
             assert np.max(np.abs(drho - drho.conj().T)) < 1e-10
-        spec = GeneratorSpec(kind="redfield", channels=channels)
-        ref = redfield_pairs_reference(h0, spec)
-        gap = np.max(np.abs(redfield_generator(h0, spec).superop - ref))
+        ref = redfield_pairs_reference(cfg)
+        gap = np.max(np.abs(redfield_generator(cfg).superop - ref))
         assert gap <= REDFIELD_REF_TOL * np.max(np.abs(ref))
 
 
@@ -584,8 +565,8 @@ class TestDissipatorForm:
         a, b = (rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d)) for _ in range(2))
         rho = random_hermitian(rng, d)
         zero = np.zeros((d, d), dtype=complex)
-        spec = GeneratorSpec(kind="lindblad", channels=())
-        gen = generators._harmonic_frame(zero, spec).generator(spec, {}, list(a), list(b))
+        cfg = ScenarioConfig(energies=(0.0,) * d, target_level=0, baths=(), kind="lindblad")
+        gen = generators._harmonic_frame(cfg, None, "lindblad").generator({}, list(a), list(b))
         got = apply(gen, rho)
         half = sum((ak @ rho @ bk.conj().T - bk.conj().T @ ak @ rho for ak, bk in zip(a, b)), zero)
         want = half + half.conj().T

@@ -19,7 +19,6 @@ from floqdyn.scenarios import (
     decompose_scenario,
     efficiency,
     evolve,
-    qubit_dipole_calibration,
     trajectory_diagnostics,
 )
 from floqdyn.tolerances import TOLERANCES, tolerance_overrides
@@ -32,8 +31,7 @@ class TestPresets:
         cfg = build_three_level("nondriven")
         assert cfg.drive is None
         assert len(cfg.baths) == 2
-        ops = [op for ch in cfg.channels() for op in ch.operators]
-        assert len(ops) == 4  # sigma_x/sigma_y per bath
+        assert [bath.transitions for bath in cfg.baths] == [((1, 0),), ((1, 2),)]
         assert cfg.energies == (0.0, 3.0, 2.5)
         assert cfg.target_level == 2
 
@@ -71,34 +69,6 @@ class TestPresets:
         for cfg in (build_three_level("nondriven"), build_four_level(0.05)):
             eb = cfg.energies[cfg.target_level]
             assert cfg.energies[0] < eb < cfg.energies[1]
-
-
-class TestDipoleCalibration:
-    def test_zero_spectral_density_boundary(self):
-        assert qubit_dipole_calibration(OhmicSpec(0.0, 1.0), 1.0) == 0.0
-
-    def test_cold_bath_value(self):
-        spec = OhmicSpec(4e-3, np.sqrt(0.2))
-        j = 4e-3 * 0.5 * np.exp(-1.25)
-        want = np.sqrt(6 * np.pi**2 * j / 0.125)
-        assert qubit_dipole_calibration(spec, 0.5) == pytest.approx(want, rel=1e-12)
-
-    def test_rate_match_on_population_decay(self):
-        # calibrated qubit: Lindblad and Redfield relaxation rates within 1%
-        bath = BathSpec("cold", beta=1 / 4, spectral=OhmicSpec(4e-3, np.sqrt(0.2)),
-                        transitions=((1, 0),))
-        common = dict(energies=(0.0, 0.5), target_level=1, baths=(bath,),
-                      initial_level=1)
-        tl = evolve(ScenarioConfig(label="l", kind="lindblad", **common), 40.0, dt=0.02)
-        tr = evolve(ScenarioConfig(label="r", kind="redfield", **common), 40.0, dt=0.02)
-
-        def fit_rate(traj):
-            p = traj.populations[:, 1]
-            p_inf = p[-1]
-            y = np.log(np.abs(p[:-200] - p_inf))
-            return -np.polyfit(traj.times[:-200], y, 1)[0]
-
-        assert fit_rate(tl) == pytest.approx(fit_rate(tr), rel=0.01)
 
 
 class TestEvolve:
