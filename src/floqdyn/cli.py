@@ -11,9 +11,11 @@ Configs are JSON, validated against a strict schema (unknown keys are
 rejected) before any computation.  The checker is in-house: it knows the
 nine JSON Schema keywords the schemas use and words each violation as
 jsonschema does, except that an integer must be a JSON integer (``3.0`` is
-not one).  Exit codes: 0 success, 2 configuration error, 3 numerical
-error.  CSV output uses 17-significant-digit floats, '\\n' line endings,
-and a '.' decimal separator; a cell that contains a comma is double-quoted.
+not one) and that a value whose repr passes 80 characters is quoted by its
+ends and its length.  Exit codes: 0 success, 2 configuration error, 3
+numerical error.  CSV output uses 17-significant-digit floats, '\\n' line
+endings, and a '.' decimal separator; a cell that contains a comma is
+double-quoted.
 """
 
 import argparse
@@ -161,7 +163,6 @@ _INTEGRATION_SCHEMA = {
     "properties": {
         "dt": {"type": ["number", "null"]},
         "t_final": {"type": "number"},
-        "stride": {"type": ["integer", "null"]},
     },
     "required": ["t_final"],
 }
@@ -270,17 +271,13 @@ def _section(data: dict, key: str, default: dict | None = None) -> dict:
     return value
 
 
-#: integration keys a config may leave out; None lets evolve choose the record grid
-_INTEGRATION_DEFAULTS = {"dt": None, "stride": None}
-
-
 def _integration(data: dict) -> dict:
-    """The integration section with its defaults, t_final and dt as floats.
-    t_final, and dt and stride when given, must be finite and > 0; a value of
-    the wrong type is left to the schema."""
-    integ = {**_INTEGRATION_DEFAULTS, **_section(data, "integration")}
-    for key in ("t_final", "dt", "stride"):
-        if key != "stride" and _is_type(integ.get(key), "integer"):
+    """The integration section, t_final and dt as floats; dt defaults to None,
+    which lets evolve choose the record grid.  t_final, and dt when given, must
+    be finite and > 0; a value of the wrong type is left to the schema."""
+    integ = {"dt": None, **_section(data, "integration")}
+    for key in ("t_final", "dt"):
+        if _is_type(integ.get(key), "integer"):
             integ[key] = _float(integ[key], f"integration.{key}")
         if _is_type(integ.get(key), "number") and not 0 < integ[key] < math.inf:
             raise ConfigError(f"integration.{key} must be finite and > 0, got {integ[key]!r}")
@@ -361,9 +358,15 @@ def _is_type(data, name: str) -> bool:
     return isinstance(data, _PY_TYPES[name]) and (name == "boolean" or not isinstance(data, bool))
 
 
+def _shown(value) -> str:
+    """repr of ``value``; past 80 characters, its ends and its length."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:40]}...{text[-20:]} ({len(text)} characters)"
+
+
 def _violations(data, schema: dict, path: tuple = ()):
     """(path, message) of each violation, in schema order, worded as jsonschema
-    words them."""
+    words them (a long value shortened by :func:`_shown`)."""
     if not schema.keys() <= _KEYWORDS:
         raise TypeError(f"unsupported schema keywords {sorted(schema.keys() - _KEYWORDS)}")
     types = schema.get("type", [])
@@ -372,15 +375,15 @@ def _violations(data, schema: dict, path: tuple = ()):
     for key, arg in schema.items():
         message = None
         if key == "type" and not any(_is_type(data, t) for t in types):
-            message = f"{data!r} is not of type {', '.join(map(repr, types))}"
+            message = f"{_shown(data)} is not of type {', '.join(map(repr, types))}"
         elif key == "enum" and data not in arg:
-            message = f"{data!r} is not one of {arg!r}"
+            message = f"{_shown(data)} is not one of {arg!r}"
         elif key == "minimum" and _is_type(data, "number") and data < arg:
-            message = f"{data!r} is less than the minimum of {arg!r}"
+            message = f"{_shown(data)} is less than the minimum of {arg!r}"
         elif key == "minItems" and is_array and len(data) < arg:
-            message = f"{data!r} " + ("should be non-empty" if arg == 1 else "is too short")
+            message = f"{_shown(data)} " + ("should be non-empty" if arg == 1 else "is too short")
         elif key == "maxItems" and is_array and len(data) > arg:
-            message = f"{data!r} " + ("is expected to be empty" if arg == 0 else "is too long")
+            message = f"{_shown(data)} " + ("is too long" if arg else "is expected to be empty")
         elif key == "items" and is_array:
             for i, item in enumerate(data):
                 yield from _violations(item, arg, (*path, i))
@@ -398,7 +401,7 @@ def _violations(data, schema: dict, path: tuple = ()):
                     yield from _violations(data[name], arg, (*path, name))
             elif extras:
                 verb = "was" if len(extras) == 1 else "were"
-                names = ", ".join(map(repr, sorted(extras)))
+                names = ", ".join(map(_shown, sorted(extras)))
                 message = f"Additional properties are not allowed ({names} {verb} unexpected)"
         if message is not None:
             yield path, message
@@ -513,7 +516,7 @@ def trajectory_header(d: int) -> list[str]:
 def _run_trajectory(run: dict):
     config = scenario_from_dict(run["scenario"])
     integ = run["integration"]
-    traj = evolve(config, t_final=integ["t_final"], dt=integ["dt"], stride=integ["stride"])
+    traj = evolve(config, t_final=integ["t_final"], dt=integ["dt"])
     report = efficiency(traj)
     return config, traj, report
 
@@ -595,7 +598,7 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
         dt = min(scen_a.default_dt(), scen_b.default_dt())
     results = []
     for scen in (scen_a, scen_b):
-        traj = evolve(scen, t_final=integ["t_final"], dt=dt, stride=integ["stride"])
+        traj = evolve(scen, t_final=integ["t_final"], dt=dt)
         results.append((traj, efficiency(traj)))
     (traj_a, eff_a), (traj_b, eff_b) = results
     if metric == "eta_series":

@@ -15,10 +15,10 @@ over the record interval serves the whole run.  The records are filled by
 doubling: the first m records times the transposed power S^m give the
 next m, so n records take about log2(n) block products and as many
 squarings.  The Floquet kinds have their recorded states mapped back by
-the micromotion P(t) of their decomposition.  P is tau-periodic, so on a
-record step of whole P-grid steps the records fall on a few drive phases,
-and one superoperator P ⊗ P* per phase maps all records of that phase in
-one product; the static kinds (P = I) record directly.
+the micromotion P(t) of their decomposition, one superoperator P ⊗ P* per
+drive phase for all records of that phase (P is tau-periodic: on a record
+step of whole P-grid steps a few phases recur, off the grid none); the
+static kinds (P = I) record directly.
 Each record is stored as its Hermitian part (its diagonal exactly real);
 a record that is not finite raises, and every record's minimum eigenvalue
 is scanned in closed form per coupled block (``operators.min_eigenvalues``).
@@ -31,7 +31,8 @@ import numpy as np
 
 from .baths import BathSpec, LambIntegralParams, OhmicSpec
 from .errors import ConfigError, NumericalError, ValidationError, warn
-from .floquet import DriveSpec, FloquetDecomposition, drive_hamiltonian, floquet_decompose
+from .floquet import (REFINEMENTS, DriveSpec, FloquetDecomposition, drive_hamiltonian,
+                      floquet_decompose)
 from .generators import (
     GENERATOR_KINDS,
     Generator,
@@ -193,11 +194,16 @@ def decompose_scenario(config: ScenarioConfig) -> FloquetDecomposition:
     """Floquet decomposition at the scenario's drive period, its P grid from
     1024 samples, or the power of two >= 8*q_max if larger.  A zero-amplitude
     drive is allowed (Hbar = H0, P = 1); a scenario with no drive has no period.
+    A grid that its doublings could take past ``MAX_RECORD_BYTES`` is refused first.
     """
     if config.drive is None:
         raise ConfigError(f"scenario {config.label!r} has no drive to decompose")
-    h = drive_hamiltonian(config.h0, config.drive)
     grid_m = max(1024, 1 << (8 * config.q_max - 1).bit_length())
+    samples = (grid_m << REFINEMENTS) + 1
+    if samples * config.dim ** 2 * 16 > MAX_RECORD_BYTES:
+        raise ConfigError(f"q_max {config.q_max} asks for a P grid of up to {samples} samples "
+                          f"of {config.dim}x{config.dim}, past {MAX_RECORD_BYTES} bytes")
+    h = drive_hamiltonian(config.h0, config.drive)
     return floquet_decompose(h, config.drive.tau, config.h0, grid_m=grid_m)
 
 
@@ -250,21 +256,21 @@ class Trajectory:
 #: ``evolve``; the positivity scan takes the whole record stack at once.
 RECORD_CHUNK = 2048
 
-#: Most record intervals ``evolve`` takes when no stride is given.
+#: Most record intervals ``evolve`` takes (past it, a record every few ``dt``).
 MAX_RECORDS = 20000
-#: Most bytes of recorded states per ``evolve`` call (only a given stride asks more).
+#: Most bytes of the records of ``evolve`` (reached only at d >= 58) or of a P grid.
 MAX_RECORD_BYTES = 2**30
 
 
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
-           stride: int | None = None, generator: Generator | None = None) -> Trajectory:
+           generator: Generator | None = None) -> Trajectory:
     """Solve the scenario's master equation exactly on a record grid.
 
     ``dt`` (default ``config.default_dt()``) sets only the record grid:
-    states are recorded at k * stride * dt, every ``stride`` multiples of
-    ``dt`` (by default the smallest stride giving at most ``MAX_RECORDS``
-    intervals), and the end state at exactly ``t_final``.  With
-    S = exp(L * stride * dt), record k is S^k rho(0): records m..2m-1 are
+    states are recorded at k * h, h = stride * dt for the smallest whole
+    stride giving at most ``MAX_RECORDS`` intervals (h = dt on shorter
+    runs), and the end state at exactly ``t_final``.
+    With S = exp(L h), record k is S^k rho(0): records m..2m-1 are
     records 0..m-1 advanced by S^m, one matrix product per doubling, with
     S^m formed by repeated squaring.  The end record is the last one on
     the stride advanced by exp(L * (t_final - last record)).
@@ -273,11 +279,10 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     decomposition has its frame states mapped back by P(t) at the record
     times (the sample on the decomposition grid, which the default Floquet
     dt divides; one Magnus step from the node below between grid nodes).
-    P is tau-periodic, so on a step of g whole grid steps the on-stride
-    records take only grid_m / gcd(g, grid_m) phases, and all records of a
-    phase map by one superoperator (``_map_back_by_phase``); off the grid
-    every record is its own phase.  The off-stride end record is mapped by
-    P(t_final).
+    All records of a drive phase map by one superoperator
+    (``_map_back_by_phase``): on a step of g whole grid steps the on-stride
+    records take grid_m / gcd(g, grid_m) phases, off the grid one each.  The
+    off-stride end record is mapped by P(t_final).
     Each record is stored as its Hermitian part (s + s†)/2, which leaves the
     real diagonal, and so the populations, unchanged bit for bit and makes
     the imaginary diagonal exactly zero.  ``positivity_log`` holds the
@@ -295,17 +300,13 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         raise ConfigError(f"t_final {t_final!r} over dt {dt!r} is more than 2**53 steps")
     n_dt = int(np.floor(t_final / dt + 1e-9))
     ends_on_dt = n_dt > 0 and t_final - n_dt * dt <= 1e-9 * dt
-    if stride is None:
-        stride = max(1, int(np.ceil((n_dt + (not ends_on_dt)) / MAX_RECORDS)))
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
-
+    stride = max(1, int(np.ceil((n_dt + (not ends_on_dt)) / MAX_RECORDS)))
     n_full = n_dt // stride
     ends_off_stride = n_dt % stride > 0 or not ends_on_dt
     n_records, d = n_full + 1 + ends_off_stride, config.dim
     if n_records * d * d * 16 > MAX_RECORD_BYTES:
         raise ConfigError(f"{n_records} records of {d}x{d} states (t_final {t_final!r}, "
-                          f"stride {stride}, dt {dt!r}) exceed {MAX_RECORD_BYTES} bytes")
+                          f"dt {dt!r}) exceed {MAX_RECORD_BYTES} bytes")
     if generator is None:
         generator = build_generator(config)
     times = np.arange(n_records) * stride * dt
@@ -387,19 +388,12 @@ def _map_back_by_phase(states: np.ndarray, times: np.ndarray,
     Phases go in groups whose K_j take no more room than a chunk of
     records, and the records of a group in blocks of whole cycles of about
     a chunk; the cycle left partial at the end takes one matrix-vector
-    product per record.  Phases that do not recur in two whole cycles are
-    not worth a K_j (off the P grid none recur): those records are mapped
-    one by one, P s P†, a chunk per array call.
+    product per record.  Off the P grid no phase recurs: the records are
+    one cycle of N = n phases, mapped a group at a time.
     """
     n, dd = states.shape
     n_phase = _phase_count(decomp, step, n)
     n_cycles = n // n_phase
-    if n_cycles < 2:
-        for lo in range(0, n, RECORD_CHUNK):
-            p = decomp.p_at(times[lo:min(lo + RECORD_CHUNK, n)])
-            s = states[lo:lo + RECORD_CHUNK].reshape(p.shape)
-            s[...] = p @ s @ p.conj().swapaxes(-1, -2)
-        return
     cycles = states[:n_cycles * n_phase].reshape(n_cycles, n_phase, dd)
     rest = states[n_cycles * n_phase:]             # phases 0 .. len(rest) - 1
     group = max(1, RECORD_CHUNK // dd)

@@ -64,6 +64,18 @@ def reference_trajectory_rows(traj, eta_cumulative):
         yield row + [float(eta_cumulative[k])]
 
 
+ZERO_COLUMN_CASES = [
+    ("three_level_nondriven", 14, 9, None),
+    ("three_level_v0", 14, 7, None),
+    ("three_level_v1", 14, 7, None),
+    ("four_level_degenerate", 22, 14, None),
+    ("four_level_nondegenerate", 22, 14, None),
+    ("four_level_degenerate_driven", 22, 12, None),
+] + [(preset, columns, zero, dt) for preset, columns, zero in (
+    ("three_level_v0", 14, 7), ("three_level_v1", 14, 7), ("four_level_degenerate_driven", 22, 12))
+     for dt in (0.0123, PRESETS["three_level_v0"]().drive.tau / 256.5)]
+
+
 class TestCsvWriter:
     SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
                1e300, -1e300, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0, 2.5e-17]
@@ -120,17 +132,13 @@ class TestCsvWriter:
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
     # coherences between levels no bath or drive connects stay +0.0 bit for bit,
-    # as do the imaginary diagonals; rounding noise there would print in full
-    @pytest.mark.parametrize("preset,columns,zero", [
-        ("three_level_nondriven", 14, 9),
-        ("three_level_v0", 14, 7),
-        ("three_level_v1", 14, 7),
-        ("four_level_degenerate", 22, 14),
-        ("four_level_nondegenerate", 22, 14),
-        ("four_level_degenerate_driven", 22, 12),
-    ])
-    def test_exact_zero_columns(self, preset, columns, zero):
-        traj = evolve(PRESETS[preset](), 40.0)
+    # as do the imaginary diagonals; rounding noise there would print in full.
+    # Off the P grid (dt 0.0123, or tau/256.5) the records are mapped back alike.
+    @pytest.mark.parametrize("preset,columns,zero,dt", ZERO_COLUMN_CASES, ids=[
+        "-".join(map(str, case[:3])) + (f"-dt={case[3]:.6g}" if case[3] else "")
+        for case in ZERO_COLUMN_CASES])
+    def test_exact_zero_columns(self, preset, columns, zero, dt):
+        traj = evolve(PRESETS[preset](), 40.0, dt=dt)
         table = cli.trajectory_table(traj, efficiency(traj).cumulative)
         assert table.shape[1] == columns
         assert np.sum(~np.any(table.view(np.uint64), axis=0)) == zero
@@ -497,12 +505,12 @@ class TestIntegerSlots:
 
     @pytest.mark.parametrize("path", [
         ("scenario", "q_max"), ("scenario", "target_level"), ("scenario", "initial_level"),
-        ("integration", "stride"), ("scenario", "drive", "pair", 1),
+        ("scenario", "drive", "pair", 1),
         ("scenario", "baths", 0, "transitions", 0, 0),
     ], ids=lambda p: ".".join(map(str, p)))
     def test_run_config_exits_2(self, tmp_path, capsys, path):
         run = canonical_run_dict({"scenario": {"preset": "three_level_v1"},
-                                  "integration": {"t_final": 1.0, "stride": 2}})
+                                  "integration": {"t_final": 1.0}})
         node = run
         for key in path[:-1]:
             node = node[key]
@@ -525,7 +533,7 @@ class TestIntegerSlots:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "2.0 is not of type 'integer'" in capsys.readouterr().err
 
-    def test_integral_float_is_the_one_departure_from_jsonschema(self):
+    def test_integral_float_departs_from_jsonschema(self):
         import jsonschema
 
         run = _canonical_run()
@@ -538,7 +546,7 @@ class TestIntegerSlots:
 def _valid_configs():
     """(config, schema) pairs that pass, in the form each command validates."""
     runs = [canonical_run_dict({"scenario": {"preset": name},
-                                "integration": {"t_final": 1.0, "dt": 0.1, "stride": 2},
+                                "integration": {"t_final": 1.0, "dt": 0.2},
                                 "outputs": {"formats": ["csv"]}})
             for name in ("three_level_v1", "four_level_nondegenerate")]
     compare = {"a": canonical_scenario_dict({"preset": "four_level_degenerate_driven"}),
@@ -553,8 +561,8 @@ def _valid_configs():
 
 VALID_CONFIGS = _valid_configs()
 #: replacement values: wrong types, bools for numbers, null, bad enums, a
-#: value below the sweep's minimum; never an integral float, the one place
-#: where the checker departs from jsonschema
+#: value below the sweep's minimum; never an integral float or a long value,
+#: the two places where the checker departs from jsonschema
 MUTANTS = st.sampled_from(["x", "lindblad", 2.5, -1, 0, 1, True, False, None, [], [0.5, "y"],
                            {}, {"k": 1}]).map(copy.deepcopy)
 
@@ -708,9 +716,9 @@ class TestMalformedSections:
         ("simulate", {"scenario": {"preset": "three_level_v1"},
                       "integration": {"t_final": 1.0, "dt": 0}},
          "integration.dt must be finite and > 0"),
+        # integration.dt is the one setting of the record grid
         ("simulate", {"scenario": {"preset": "three_level_v1"},
-                      "integration": {"t_final": 1.0, "stride": 0}},
-         "integration.stride must be finite and > 0"),
+                      "integration": {"t_final": 1.0, "stride": 0}}, "'stride' was unexpected"),
         ("compare", {"a": {"preset": "three_level_nondriven"},
                      "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 0}},
          "integration.t_final must be finite and > 0"),
@@ -721,10 +729,15 @@ class TestMalformedSections:
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
                       "integration": {"t_final": 10, "dt": 1e-300}},
          "t_final 10.0 over dt 1e-300 is more than 2**53 steps"),
-        # fewer than 2**53 steps, but at a given stride more records than memory holds
-        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
-                      "integration": {"t_final": 1e10, "stride": 1}},
-         "200000000001 records of 3x3 states (t_final 10000000000.0, stride 1, dt 0.05)"),
+        # at most 20001 records, but of 60x60 states they pass 1 GiB
+        ("simulate", {"scenario": {"energies": list(range(60)), "target_level": 59,
+                                   "baths": [], "kind": "lindblad"},
+                      "integration": {"t_final": 1000.0}},
+         "20001 records of 60x60 states (t_final 1000.0, dt 0.05)"),
+        # a P grid of 2**37 + 1 samples after its doublings
+        ("floquet", {"scenario": {"preset": "three_level_v1", "q_max": 10**9},
+                      "integration": {"t_final": 1.0}},
+         "q_max 1000000000 asks for a P grid of up to 137438953473 samples"),
         # non-finite scenario numbers (JSON 1e400 reads as inf); an infinite beta
         # used to grade quadrature panels of zero width without end
         ("simulate", {"scenario": {"preset": "three_level_nondriven",
@@ -762,10 +775,19 @@ class TestMalformedSections:
             "lamb_params_pv_window", "compare_outputs",
             "sweep_outputs", "sweep_base_outputs", "t_final_zero", "t_final_negative",
             "t_final_inf", "t_final_nan", "dt_zero", "stride_zero", "compare_t_final_zero",
-            "t_final_1e300", "dt_1e-300", "records_past_bytes_bound", "beta_inf", "beta_nan",
+            "t_final_1e300", "dt_1e-300", "records_past_bytes_bound", "q_max_past_grid_bound",
+            "beta_inf", "beta_nan",
             "j0_inf", "omega_cutoff_inf", "energy_inf", "energy_nan", "drive_mu_inf",
             "drive_omega_nan", "w_cutoff_inf"])
-    def test_exit_2_and_no_output(self, tmp_path, capsys, command, config, message):
+    def test_exit_2_and_no_output(self, tmp_path, capsys, monkeypatch, command, config,
+                                  message):
+        # each is refused before a generator is built or a propagator sampled
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work on a config it refuses")
+
+        for target in ("floqdyn.scenarios.build_generator", "floqdyn.cli.build_generator",
+                       "floqdyn.floquet.magnus_samples"):
+            monkeypatch.setattr(target, no_work)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -773,6 +795,19 @@ class TestMalformedSections:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        "integration.t_final=1" + "0" * 5000,       # past int's digit limit: read as text
+        "scenario.kind=" + "x" * 5000,
+        "integration." + "k" * 5000 + "=1",
+    ], ids=["t_final_of_5001_digits", "kind_of_5000_chars", "key_of_5000_chars"])
+    def test_long_values_are_elided(self, tmp_path, capsys, override):
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "three_level_v1", "--set", override,
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 300
         assert not out.exists()
 
     def test_static_kind_of_a_driven_preset_exits_2(self, tmp_path, capsys):

@@ -37,6 +37,7 @@ EPS = np.finfo(float).eps
 EXACT_REL_TOL = 1e-10
 #: DOP853 against the Magnus samples on the 1024-point grid
 ORACLE_TOL = 1e-11
+#: default record steps per record of the short runs
 STRIDE = 7
 T_SHORT = 3.0
 
@@ -70,11 +71,11 @@ def oracle_unitaries(config, times):
     return sol.sol(times).T.reshape(-1, config.dim, config.dim)
 
 
-def record_times(t_final, dt, stride):
-    """Record times of ``evolve``: every ``stride``-th multiple of dt, then t_final."""
+def record_times(t_final, dt):
+    """Record times of ``evolve`` below MAX_RECORDS intervals: k * dt, then t_final."""
     n_steps = int(np.floor(t_final / dt + 1e-9))
-    times = [0.0] + [(step + 1) * dt for step in range(n_steps) if (step + 1) % stride == 0]
-    if n_steps == 0 or t_final - n_steps * dt > 1e-9 * dt or n_steps % stride:
+    times = [k * dt for k in range(n_steps + 1)]
+    if n_steps == 0 or t_final - n_steps * dt > 1e-9 * dt:
         times.append(t_final)
     times[-1] = t_final
     return np.array(times)
@@ -111,11 +112,11 @@ def _rel_gap(a, b):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_evolve_matches_step_loop(preset, preset_generators):
-    # T_SHORT / dt is not a multiple of STRIDE, so the end record is off stride
+    # T_SHORT is not a multiple of dt, so the end record is off the record step
     config, gen = preset_generators[preset]
-    dt = config.default_dt()
-    traj = evolve(config, T_SHORT, dt=dt, stride=STRIDE, generator=gen)
-    times = record_times(T_SHORT, dt, STRIDE)
+    dt = STRIDE * config.default_dt()
+    traj = evolve(config, T_SHORT, dt=dt, generator=gen)
+    times = record_times(T_SHORT, dt)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == T_SHORT
     assert _rel_gap(frame_states(traj, gen), exact_records(config, gen, times)) <= EXACT_REL_TOL
@@ -125,7 +126,7 @@ def test_evolve_matches_step_loop(preset, preset_generators):
 def test_picture_transform_matches_per_record_propagator(preset, preset_generators):
     config, gen = preset_generators[preset]
     # each record is P(t) exp(L t) rho(0) P(t)†, with P taken one time at a time
-    traj = evolve(config, T_SHORT, stride=STRIDE, generator=gen)
+    traj = evolve(config, T_SHORT, dt=STRIDE * config.default_dt(), generator=gen)
     frame = exact_records(config, gen, traj.times)
     if gen.decomposition is not None:
         p = [gen.decomposition.p_at(float(t)) for t in traj.times]
@@ -148,6 +149,7 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
     ("three_level_v0", 6000.0, None, 64),                  # stride 28: 112 grid steps
     ("four_level_degenerate_driven", 1000.0, None, 256),   # stride 5: 20 grid steps
     ("three_level_v0", 60.0, 0.0123, None),                # off the P grid: every record
+    ("three_level_v0", 6000.0, 0.3075, None),              # off the grid, 19512 phases
 ])
 def test_map_back_by_phase_matches_per_record_map(preset, t_final, dt, n_phase,
                                                   preset_generators):
@@ -165,21 +167,24 @@ def test_map_back_by_phase_matches_per_record_map(preset, t_final, dt, n_phase,
     want = p @ frame @ p.conj().swapaxes(-1, -2)
     want = 0.5 * (want + want.conj().swapaxes(-1, -2))
     assert _max_gap(traj.states, want) <= 1e-13
-    assert np.all(traj.states.real[want.real == 0] == 0)
-    assert np.all(traj.states.imag[want.imag == 0] == 0)
+    # where the reference is zero the records are +0.0, every bit clear
+    for got, ref in ((traj.states.real, want.real), (traj.states.imag, want.imag)):
+        assert np.all(got[ref == 0] == 0)
+        assert not np.any(np.signbit(got[ref == 0]))
 
 
+# the record step dt is ``stride`` steps of the default, or of tau/n_per_tau
 @pytest.mark.parametrize("preset,n_per_tau,stride,t_final", [
-    ("three_level_nondriven", None, 7, T_SHORT),            # stride > 1 record map
-    ("four_level_degenerate_driven", None, 300, 10.0),      # stride > steps per period
-    ("four_level_degenerate_driven", 256.5, 3, T_SHORT),    # dt = tau/256.5, off the P grid
+    ("three_level_nondriven", None, 7, T_SHORT),            # dt past the default
+    ("four_level_degenerate_driven", None, 300, 10.0),      # dt > tau
+    ("four_level_degenerate_driven", 256.5, 3, T_SHORT),    # dt = 3 tau/256.5, off the P grid
     ("four_level_nondegenerate", None, 5, 0.02),            # t_final < dt: no whole dt
 ])
 def test_stride_and_period_edge_cases(preset, n_per_tau, stride, t_final, preset_generators):
     config, gen = preset_generators[preset]
-    dt = config.default_dt() if n_per_tau is None else config.drive.tau / n_per_tau
-    traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen)
-    times = record_times(t_final, dt, stride)
+    dt = stride * (config.default_dt() if n_per_tau is None else config.drive.tau / n_per_tau)
+    traj = evolve(config, t_final, dt=dt, generator=gen)
+    times = record_times(t_final, dt)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == t_final
     assert _rel_gap(frame_states(traj, gen), exact_records(config, gen, times)) <= EXACT_REL_TOL
@@ -190,7 +195,7 @@ def test_record_bytes_are_bounded_before_any_work(monkeypatch):
     runs, one byte under it evolve refuses before it builds the generator."""
     config = PRESETS["three_level_nondriven"]()
     monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 11 * 9 * 16)
-    assert len(evolve(config, 10 * 0.05, dt=0.05, stride=1).times) == 11
+    assert len(evolve(config, 10 * 0.05, dt=0.05).times) == 11
 
     def no_build(*args, **kwargs):
         raise AssertionError("built a generator for a grid it refuses")
@@ -198,22 +203,22 @@ def test_record_bytes_are_bounded_before_any_work(monkeypatch):
     monkeypatch.setattr(scenarios, "build_generator", no_build)
     monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 11 * 9 * 16 - 1)
     with pytest.raises(ConfigError, match="11 records of 3x3 states"):
-        evolve(config, 10 * 0.05, dt=0.05, stride=1)
+        evolve(config, 10 * 0.05, dt=0.05)
 
 
-# with no whole record interval (n_full = 0) the end record is always off the stride
+# with no whole record interval (n_full = 0) the end record is always off the step
 @pytest.mark.parametrize("n_full,off_stride", [(n, off) for n in (0, 1, 2, 3, 5, 64, 65)
                                                for off in (False, True) if n or off])
 def test_records_by_doubling_match_sequential_products(n_full, off_stride, preset_generators):
     config, gen = preset_generators["four_level_degenerate_driven"]
-    dt, stride = 0.25, 3
-    t_final = (n_full * stride + 0.4 * off_stride) * dt
-    traj = evolve(config, t_final, dt=dt, stride=stride, generator=gen)
-    record_map = scipy.linalg.expm(gen.superop * (stride * dt))
+    dt = 0.75
+    t_final = (n_full + 0.4 * off_stride) * dt
+    traj = evolve(config, t_final, dt=dt, generator=gen)
+    record_map = scipy.linalg.expm(gen.superop * dt)
     states = [config.initial_state().ravel().astype(complex)]
     for _ in range(n_full):
         states.append(record_map @ states[-1])
-    times = np.arange(n_full + 1 + off_stride) * stride * dt
+    times = np.arange(n_full + 1 + off_stride) * dt
     times[-1] = t_final
     if off_stride:
         states.append(scipy.linalg.expm(gen.superop * (t_final - times[-2])) @ states[-1])
@@ -283,14 +288,14 @@ def test_floquet_lindblad_frame_matches_interaction_picture_reference(preset):
     # Floquet-Lindblad was once built as L_int = L + i[Hbar, .] in the
     # interaction picture of U(t) = P(t) exp(-i Hbar t); the frame generator
     # L evolves alike because L_int commutes with ad_Hbar.  T_SHORT is off
-    # the stride, so the end record is reached by its own exponential.
+    # the record step, so the end record is reached by its own exponential.
     config = replace(PRESETS[preset](), kind="floquet_lindblad")
     gen = build_generator(config)
     decomp = gen.decomposition
     ad_hbar = sop_commutator(decomp.hbar_floquet)
     l_int = gen.superop - ad_hbar
     assert np.linalg.norm(l_int @ ad_hbar - ad_hbar @ l_int, 2) <= 1e-12
-    traj = evolve(config, T_SHORT, stride=STRIDE, generator=gen)
+    traj = evolve(config, T_SHORT, dt=STRIDE * config.default_dt(), generator=gen)
     v0 = config.initial_state().ravel().astype(complex)
     want = []
     for t in traj.times:
@@ -298,5 +303,5 @@ def test_floquet_lindblad_frame_matches_interaction_picture_reference(preset):
         rho = (scipy.linalg.expm(l_int * t) @ v0).reshape(u.shape)
         want.append(u @ rho @ u.conj().T)
     assert traj.times[-1] == T_SHORT
-    assert traj.times[-1] - traj.times[-2] < traj.times[1]  # the end record is off the stride
+    assert traj.times[-1] - traj.times[-2] < traj.times[1]  # the end record is off the step
     assert _max_gap(traj.states, np.array(want)) <= 1e-12

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from floqdyn import floquet
 from floqdyn.baths import BathSpec, OhmicSpec
-from floqdyn.errors import ValidationError
+from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.operators import trace_distance
 from floqdyn.scenarios import (
     PRESETS,
@@ -115,6 +116,20 @@ class TestEvolve:
         nodes = np.rint(times / dec.tau * m).astype(np.int64) % m
         assert np.array_equal(dec.p_at(times), dec.p_samples[nodes])
 
+    def test_p_grid_is_bounded_before_any_work(self, monkeypatch):
+        # 3x3 samples of 16 bytes: q_max 32768 starts at 2**18 samples, whose
+        # 2**22 + 1 after four doublings fit in 1 GiB; q_max 32769 starts at 2**19
+        def no_samples(*args, **kwargs):
+            raise AssertionError("sampled the propagator")
+
+        monkeypatch.setattr(floquet, "magnus_samples", no_samples)
+        with pytest.raises(AssertionError, match="sampled the propagator"):
+            decompose_scenario(replace(PRESETS["three_level_v1"](), q_max=32768))
+        for q_max, samples in ((32769, 2**23 + 1), (10**9, 2**37 + 1)):
+            with pytest.raises(ConfigError, match=f"q_max {q_max} asks for a P grid of up "
+                                                  f"to {samples} samples"):
+                decompose_scenario(replace(PRESETS["three_level_v1"](), q_max=q_max))
+
     def test_determinism_bit_identical(self):
         cfg = build_three_level("nondriven")
         t1 = evolve(cfg, 50.0, dt=0.05)
@@ -187,8 +202,8 @@ class TestEfficiency:
 
     def test_stride_refinement_stability(self):
         cfg = build_three_level("nondriven")
-        e1 = efficiency(evolve(cfg, 600.0, dt=0.05, stride=24)).eta
-        e2 = efficiency(evolve(cfg, 600.0, dt=0.05, stride=12)).eta
+        e1 = efficiency(evolve(cfg, 600.0, dt=1.2)).eta
+        e2 = efficiency(evolve(cfg, 600.0, dt=0.6)).eta
         assert abs(e1 - e2) < 1e-4
 
 
