@@ -6,7 +6,7 @@ Library layout:
   fidelities, trace distances).
 * ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi and Redfield
   N/C coefficients, the Redfield dipole calibration, principal-value quadrature.
-* ``propagation`` -- the fourth-order Magnus step for the Schrodinger
+* ``propagation`` -- the sixth-order Magnus step for the Schrodinger
   equation, exactly unitary and of any length: the steps of a sample grid
   in one array call, one product per sample.
 * ``floquet`` -- propagator integration, Floquet decomposition with branch

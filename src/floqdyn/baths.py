@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError, ValidationError
 from .tolerances import TOLERANCES
@@ -148,10 +147,32 @@ def _graded_edges(lo: float, hi: float, first: float):
     return lo + np.concatenate([[0.0], np.cumsum(widths)])
 
 
+def _legendre(x: np.ndarray, n: int):
+    """P_n(x) and P_n'(x), by the three-term recurrence and
+    (1 - x^2) P_n' = n (P_{n-1} - x P_n), with 1 - x^2 as (1 - x)(1 + x):
+    exact near the ends, where the Gauss weights are small."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=16)
 def _leggauss(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per order, read-only."""
-    x, w = leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per order, read-only.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    Legendre recurrence (Golub & Welsch, Math. Comp. 23, 221 (1969)), each
+    refined by one Newton step on P_n and made antisymmetric; the weights
+    are 2/((1 - x^2) P_n'(x)^2) at those nodes, so symmetric too.
+    """
+    k = np.arange(1.0, order)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    p, dp = _legendre(x, order)
+    x = x - p / dp
+    x = 0.5 * (x - x[::-1])
+    _, dp = _legendre(x, order)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -567,6 +567,9 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
             "quasienergies": decomp.quasi.energies.tolist(),
             "gaps": gaps,
             "q_range": [-config.q_max, config.q_max],
+            "p_grid": decomp.grid_m,
+            "halving_gap": {"gap": decomp.halving_gap,
+                            "bound": TOLERANCES.propagator_halving_gap},
             "lamb_shift_per_channel": {
                 key: _json_matrix(h) for key, h in gen.h_lamb.items()
             },

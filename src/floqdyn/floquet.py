@@ -4,7 +4,7 @@ Given a time-periodic Hamiltonian H(t) = H(t + tau), the propagator factors
 as U(t,0) = P(t,0) exp(-i*Hbar*t) with Hbar Hermitian (the Floquet
 Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
 
-* the monodromy U(tau,0) by fourth-order Magnus steps (the sampler of
+* the monodromy U(tau,0) by sixth-order Magnus steps (the sampler of
   :mod:`floqdyn.propagation`: the steps of one period in one array call,
   then one product per sample), on a grid doubled until the period agrees
   with the one at half as many steps, and Hbar by the principal matrix
@@ -96,27 +96,28 @@ def drive_hamiltonian(h0, drive: DriveSpec | None):
 REFINEMENTS = 4  # most times _checked_samples doubles its starting step count
 
 
-def _checked_samples(h_of_t, t0: float, t1: float, steps: int) -> np.ndarray:
+def _checked_samples(h_of_t, t0: float, t1: float, steps: int) -> tuple[np.ndarray, float]:
     """U(t0 + k*(t1 - t0)/n, t0) for k = 0..n, one Magnus step per interval, n doubled
     from ``steps`` until the end agrees with the span at n/2 steps (two half steps for
-    one step) within the halving-gap tolerance: the step is fourth order, so the end's
-    error is about gap/15 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))."""
+    one step) within the halving-gap tolerance, and that last gap: the step is sixth
+    order, so the end's error is about gap/63 (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470, 151 (2009))."""
     coarse = magnus_samples(h_of_t, t0, t1, steps // 2 or 2)[-1]
     for n in (steps << k for k in range(REFINEMENTS + 1)):
         u = magnus_samples(h_of_t, t0, t1, n)
         gap = float(np.max(np.abs(u[-1] - coarse)))
         if gap <= TOLERANCES.propagator_halving_gap:
-            return u
+            return u, gap
         coarse = u[-1]
     raise StepSizeError(f"propagator changes by {gap:.2e} between {n} and {n // 2} "
                         f"steps, beyond {TOLERANCES.propagator_halving_gap:.0e}")
 
 
 def propagate_schrodinger(h_of_t, t0: float, t1: float, steps: int) -> np.ndarray:
-    """U(t1, t0) by fourth-order Magnus steps, doubled from ``steps`` as
+    """U(t1, t0) by sixth-order Magnus steps, doubled from ``steps`` as
     ``_checked_samples`` needs; deterministic for fixed inputs.  ``h_of_t`` takes
     1-D arrays of times and returns the stacked Hamiltonians, or one matrix."""
-    return _checked_samples(h_of_t, t0, t1, steps)[-1]
+    return _checked_samples(h_of_t, t0, t1, steps)[0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +132,15 @@ class FloquetDecomposition:
     k = 0..m (both endpoints; P at k = m equals the identity up to
     integration error).  ``u_samples`` keeps the propagator on the same
     grid, and ``hamiltonian`` the callable H(t) it was integrated from.
+    ``halving_gap`` is the largest entry of |U_m(tau) - U_{m/2}(tau)|, from m
+    and m/2 steps: the gap at which ``_checked_samples`` kept the grid.
     """
 
     hbar_floquet: np.ndarray
     quasi: Spectrum
     p_samples: np.ndarray
     tau: float
+    halving_gap: float
     u_samples: np.ndarray = field(repr=False)
     hamiltonian: Callable = field(repr=False)
 
@@ -156,7 +160,7 @@ class FloquetDecomposition:
         """P(t mod tau): the sample on the grid, one Magnus step from the node below off it.
 
         Off the grid, P(t) = U(t, t_k) P_k exp(i Hbar (t - t_k)) with
-        U(t, t_k) one fourth-order Magnus step of ``hamiltonian`` from the
+        U(t, t_k) one sixth-order Magnus step of ``hamiltonian`` from the
         node t_k below t: unitary by construction, so mapping frame states
         back, rho = P rho~ P†, preserves the trace exactly even between
         samples, and as accurate as the samples.  An array of times gives
@@ -222,7 +226,7 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
     monodromy in (-pi, pi]).
     """
     reference = require_hermitian(reference)
-    u_samples = _checked_samples(h_of_t, 0.0, tau, grid_m)
+    u_samples, halving_gap = _checked_samples(h_of_t, 0.0, tau, grid_m)
     grid_m = len(u_samples) - 1
     u_tau = u_samples[-1]
 
@@ -253,6 +257,7 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
         quasi=quasi,
         p_samples=p_samples,
         tau=tau,
+        halving_gap=halving_gap,
         u_samples=u_samples,
         hamiltonian=h_of_t,
     )

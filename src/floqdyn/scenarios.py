@@ -192,13 +192,13 @@ PRESETS = {
 
 def decompose_scenario(config: ScenarioConfig) -> FloquetDecomposition:
     """Floquet decomposition at the scenario's drive period, its P grid from
-    1024 samples, or the power of two >= 8*q_max if larger.  A zero-amplitude
+    256 samples, or the power of two >= 8*q_max if larger.  A zero-amplitude
     drive is allowed (Hbar = H0, P = 1); a scenario with no drive has no period.
     A grid that its doublings could take past ``MAX_RECORD_BYTES`` is refused first.
     """
     if config.drive is None:
         raise ConfigError(f"scenario {config.label!r} has no drive to decompose")
-    grid_m = max(1024, 1 << (8 * config.q_max - 1).bit_length())
+    grid_m = max(256, 1 << (8 * config.q_max - 1).bit_length())
     samples = (grid_m << REFINEMENTS) + 1
     if samples * config.dim ** 2 * 16 > MAX_RECORD_BYTES:
         raise ConfigError(f"q_max {config.q_max} asks for a P grid of up to {samples} samples "

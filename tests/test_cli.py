@@ -30,6 +30,7 @@ from floqdyn.errors import ConfigError
 from floqdyn.floquet import DriveSpec
 from floqdyn.generators import GENERATOR_KINDS
 from floqdyn.scenarios import PRESETS, ScenarioConfig, efficiency, evolve
+from floqdyn.tolerances import TOLERANCES
 
 
 def read_csv(path):
@@ -995,6 +996,10 @@ class TestFloquetCommand:
         assert hbar.shape == (3, 3)
         assert data["q_range"] == [-3, 3]
         assert len(data["quasienergies"]) == 3
+        # the first grid passes the halving check, and the record says by how much
+        assert data["p_grid"] == 256
+        assert data["halving_gap"]["bound"] == TOLERANCES.propagator_halving_gap
+        assert 0 < data["halving_gap"]["gap"] <= data["halving_gap"]["bound"]
         assert "hot:(1, 0)" in data["lamb_shift_per_channel"]
         bench = read_csv(tmp_path / "benchmark.csv")
         assert min(float(r["fidelity_propagator"]) for r in bench) > 0.97

@@ -144,7 +144,7 @@ class TestPropagate:
         assert unitary_fidelity(u1, u2) >= 1 - 1e-9
 
     def test_coarse_steps_raise(self):
-        # refined four times from 3 steps, 48 against 24 still leaves a gap of 2.1e-5
+        # refined four times from 3 steps, 48 against 24 still leaves a gap of 4.7e-3
         h = drive_hamiltonian(100.0 * H0, V0)
         with pytest.raises(StepSizeError, match="between 48 and 24 steps"):
             propagate_schrodinger(h, 0.0, TAU, steps=3)
@@ -158,8 +158,9 @@ class TestDecompose:
             floquet_decompose(h, TAU, H0, grid_m=15)
 
     def test_coarse_odd_grid_refines(self):
-        # 15 steps against 7 leave a halving gap of ~2e-4; the grid doubles past it
-        h = drive_hamiltonian(H0, V0)
+        # under a drive of mu = 1, 15 steps against 7 leave a halving gap of ~8e-5;
+        # the grid doubles past it
+        h = drive_hamiltonian(H0, DriveSpec(1.0, OMEGA, (0, 2)))
         dec = floquet_decompose(h, TAU, H0, grid_m=15)
         assert dec.grid_m in (30, 60, 120, 240)
         coarse = magnus_samples(h, 0.0, TAU, dec.grid_m // 2)[-1]
@@ -168,12 +169,16 @@ class TestDecompose:
     @pytest.mark.parametrize("preset", ["three_level_v0", "three_level_v1",
                                         "four_level_degenerate_driven"])
     def test_presets_pass_the_halving_check_on_the_first_grid(self, preset):
-        assert decompose_scenario(PRESETS[preset]()).grid_m == 1024
+        dec = decompose_scenario(PRESETS[preset]())
+        assert dec.grid_m == 256
+        assert dec.halving_gap <= TOLERANCES.propagator_halving_gap
 
     def test_tighter_halving_gap_refines_the_grid(self, cfg_v0, dec_v0):
-        with tolerance_overrides(propagator_halving_gap=1e-12):
+        # v0's gap is ~2.1e-13 at 256 samples and ~5.6e-14 at 512
+        with tolerance_overrides(propagator_halving_gap=1e-13):
             fine = decompose_scenario(cfg_v0)
-        assert fine.grid_m == 2048
+        assert fine.grid_m == 512
+        assert dec_v0.halving_gap > 1e-13 >= fine.halving_gap
         assert np.max(np.abs(fine.quasi.energies - dec_v0.quasi.energies)) <= 1e-10
 
     @pytest.mark.parametrize("preset", ["three_level_v0", "three_level_v1",

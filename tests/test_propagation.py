@@ -1,7 +1,7 @@
 """The Magnus sampler against a one-step-at-a-time loop and DOP853, and
 ``evolve`` against the exact solution.
 
-The Schrodinger references are a Python loop of fourth-order Magnus
+The Schrodinger references are a Python loop of sixth-order Magnus
 steps, one at a time with the Hamiltonian evaluated at absolute times,
 and scipy's DOP853 at rtol 1e-13 (:func:`conftest.propagator_oracle`).
 The sampler batches the steps and composes them in a different order of
@@ -35,7 +35,7 @@ from conftest import mp_min_eigenvalue, propagator_oracle
 STATE_TOL = 1e-12
 EPS = np.finfo(float).eps
 EXACT_REL_TOL = 1e-10
-#: DOP853 against the Magnus samples on the 1024-point grid
+#: DOP853 against the Magnus samples on the 256-point grid
 ORACLE_TOL = 1e-11
 #: default record steps per record of the short runs
 STRIDE = 7
@@ -47,8 +47,13 @@ DRIVEN = ("three_level_v0", "three_level_v1", "four_level_degenerate_driven")
 def magnus_unitary_samples_loop(h_of_t, t0, n_samples, dt_sample):
     """U(t0 + k*dt_sample, t0) for k = 0..n_samples, one Magnus step at a time.
 
-    Each step is exp(-iK), K = h/2 (H1 + H2) - i sqrt(3)/12 h^2 [H2, H1]
-    with H1, H2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h.
+    Each step is exp(Omega) in the literal form of Blanes, Casas & Ros (BIT 40,
+    434 (2000)), with A_k = -i H_k at the Gauss nodes t + (1/2 - sqrt(15)/10) h,
+    t + h/2, t + (1/2 + sqrt(15)/10) h:
+
+        a1 = h A2,  a2 = sqrt(15)/3 h (A3 - A1),  a3 = 10/3 h (A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -1/60 [a1, 2 a3 + C1],
+        Omega = a1 + a3/12 + 1/240 [-20 a1 - a3 + C1, a2 + C2].
     """
     d = np.shape(h_of_t(np.array([t0])))[-1]
 
@@ -59,9 +64,17 @@ def magnus_unitary_samples_loop(h_of_t, t0, n_samples, dt_sample):
     out = [np.eye(d, dtype=complex)]
     for k in range(n_samples):
         t = t0 + k * h
-        h1, h2 = at(t + (0.5 - np.sqrt(3) / 6) * h), at(t + (0.5 + np.sqrt(3) / 6) * h)
-        kk = 0.5 * h * (h1 + h2) - 1j * np.sqrt(3) / 12 * h**2 * (h2 @ h1 - h1 @ h2)
-        out.append(scipy.linalg.expm(-1j * kk) @ out[-1])
+        r = np.sqrt(15) / 10
+        a_1, a_2, a_3 = (-1j * at(t + c * h) for c in (0.5 - r, 0.5, 0.5 + r))
+        a1 = h * a_2
+        a2 = np.sqrt(15) / 3 * h * (a_3 - a_1)
+        a3 = 10 / 3 * h * (a_3 - 2 * a_2 + a_1)
+        c1 = a1 @ a2 - a2 @ a1
+        x = 2 * a3 + c1
+        c2 = -(a1 @ x - x @ a1) / 60
+        x, y = -20 * a1 - a3 + c1, a2 + c2
+        omega = a1 + a3 / 12 + (x @ y - y @ x) / 240
+        out.append(scipy.linalg.expm(omega) @ out[-1])
     return np.array(out)
 
 
@@ -146,8 +159,8 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
 
 
 @pytest.mark.parametrize("preset,t_final,dt,n_phase", [
-    ("three_level_v0", 6000.0, None, 64),                  # stride 28: 112 grid steps
-    ("four_level_degenerate_driven", 1000.0, None, 256),   # stride 5: 20 grid steps
+    ("three_level_v0", 6000.0, None, 64),                  # stride 28: 28 grid steps
+    ("four_level_degenerate_driven", 1000.0, None, 256),   # stride 5: 5 grid steps
     ("three_level_v0", 60.0, 0.0123, None),                # off the P grid: every record
     ("three_level_v0", 6000.0, 0.3075, None),              # off the grid, 19512 phases
 ])
@@ -266,7 +279,8 @@ def test_decomposition_accepts_constant_hamiltonian():
     assert _max_gap(decomp.u_samples, want) <= STATE_TOL
 
 
-def test_magnus_samples_on_random_periodic_system():
+def _random_periodic_hamiltonian():
+    """A random 3x3 Hermitian H(t) of period 1.2."""
     rng = np.random.default_rng(3)
     m0, m1, m2 = (0.5 * (a + a.conj().T) for a in
                   rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
@@ -276,11 +290,34 @@ def test_magnus_samples_on_random_periodic_system():
         t = np.asarray(t)[:, None, None]
         return m0 + m1 * np.cos(omega * t) + m2 * np.sin(omega * t)
 
+    return h_of_t
+
+
+def test_magnus_samples_on_random_periodic_system():
+    h_of_t = _random_periodic_hamiltonian()
     # spans shorter and longer than the period 1.2, from t0 = 0.35
     for h, n in ((0.1, 14), (0.3, 9), (0.05, 25), (1.2, 3), (0.07, 1)):
         got = magnus_samples(h_of_t, 0.35, 0.35 + n * h, n)
         assert got.shape == (n + 1, 3, 3)
         assert _max_gap(got, magnus_unitary_samples_loop(h_of_t, 0.35, n, h)) <= STATE_TOL
+
+
+@pytest.mark.parametrize("system", ["three_level_v0", "random_periodic"])
+def test_halving_gap_falls_at_sixth_order(system):
+    # a step of order p leaves an error ~ h^p at the end, so each doubling of
+    # the steps divides the halving gap by ~2^6 = 64 (16 for a fourth-order
+    # step); gaps at 1e-11 or below are dominated by rounding
+    if system == "random_periodic":
+        h_of_t, t0, t1 = _random_periodic_hamiltonian(), 0.35, 1.55
+    else:
+        config = PRESETS[system]()
+        h_of_t, t0, t1 = drive_hamiltonian(config.h0, config.drive), 0.0, config.drive.tau
+    ends = [magnus_samples(h_of_t, t0, t1, n)[-1] for n in 2 ** np.arange(2, 11)]
+    gaps = np.array([_max_gap(fine, coarse) for coarse, fine in zip(ends, ends[1:])])
+    above = (gaps[:-1] > 1e-11) & (gaps[1:] > 1e-11)
+    ratios = (gaps[:-1] / gaps[1:])[above]
+    assert len(ratios) >= 3
+    assert np.all((ratios >= 50) & (ratios <= 80)), ratios
 
 
 @pytest.mark.parametrize("preset", DRIVEN)

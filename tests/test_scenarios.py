@@ -105,13 +105,13 @@ class TestEvolve:
 
     @pytest.mark.parametrize("q_max", [100, 1000, 1024])
     def test_default_records_land_on_the_p_grid(self, q_max):
-        # the P grid starts at 1024 samples, or at the power of two >= 8 q_max
-        # (8192 here for 1000 and 1024); every on-stride record is mapped back
-        # by a P sample, none by a Magnus step from the node below
+        # the P grid starts at 256 samples, or at the power of two >= 8 q_max
+        # (1024 here for 100, 8192 for 1000 and 1024); every on-stride record is
+        # mapped back by a P sample, none by a Magnus step from the node below
         cfg = replace(PRESETS["three_level_v1"](), q_max=q_max)
         dec = decompose_scenario(cfg)
         m = dec.grid_m
-        assert m == max(1024, 8192 * (q_max > 128))
+        assert m == {100: 1024, 1000: 8192, 1024: 8192}[q_max]
         times = evolve(cfg, 30.0, generator=build_generator(cfg, decomposition=dec)).times[:-1]
         nodes = np.rint(times / dec.tau * m).astype(np.int64) % m
         assert np.array_equal(dec.p_at(times), dec.p_samples[nodes])
