@@ -87,6 +87,5 @@ from .scenarios import (
     evolve,
     trajectory_diagnostics,
 )
-from .tolerances import TOLERANCES, ToleranceConfig, tolerance_overrides
 
 __version__ = "0.1.0"

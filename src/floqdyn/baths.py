@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .tolerances import TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,11 @@ def thermal_occupation(omega: float, beta: float) -> float:
 
 
 def spectral_density(spec: OhmicSpec, x) -> np.ndarray | float:
-    """Ohmic spectral density with Gaussian cutoff; odd in x by construction."""
+    """Ohmic spectral density with Gaussian cutoff; odd in x by construction.
+    A cutoff whose square overflows is the omega_cutoff -> inf limit, j0 * x."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(under="ignore"):
-        out = spec.j0 * x * np.exp(-(x**2) / spec.omega_cutoff**2)
+    with np.errstate(over="ignore", under="ignore"):
+        out = spec.j0 * x * np.exp(-(x**2) / np.square(spec.omega_cutoff))
     return float(out) if out.ndim == 0 else out
 
 
@@ -161,16 +161,17 @@ def _legendre(x: np.ndarray, n: int):
 def _leggauss(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], cached per order, read-only.
 
-    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
-    Legendre recurrence (Golub & Welsch, Math. Comp. 23, 221 (1969)), each
-    refined by one Newton step on P_n and made antisymmetric; the weights
-    are 2/((1 - x^2) P_n'(x)^2) at those nodes, so symmetric too.
+    The positive nodes are three Newton steps on P_n from Tricomi's estimate
+    (1 - (n - 1)/(8 n^3)) cos(pi (k - 1/4)/(n + 1/2)) (F. G. Tricomi, Ann. Mat.
+    Pura Appl. 31, 93 (1950)), mirrored, with 0 for odd n; the weights are
+    2/((1 - x^2) P_n'(x)^2) at those nodes, symmetric because P_n is even or odd.
     """
-    k = np.arange(1.0, order)
-    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    p, dp = _legendre(x, order)
-    x = x - p / dp
-    x = 0.5 * (x - x[::-1])
+    k = np.arange(1.0, order // 2 + 1)
+    x = (1.0 - (order - 1.0) / (8.0 * order**3)) * np.cos(np.pi * (k - 0.25) / (order + 0.5))
+    for _ in range(3):
+        p, dp = _legendre(x, order)
+        x = x - p / dp
+    x = np.concatenate([-x, [0.0] * (order % 2), x[::-1]])
     _, dp = _legendre(x, order)
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x.flags.writeable = False
@@ -181,6 +182,8 @@ def _leggauss(order: int):
 #: ``_checked``'s first and last Gauss order per panel, the least pole-node distance in panel
 #: half-widths (closer, (f(nu) - f(c))/(nu - c) cancels), and the poles per quotient array.
 GAUSS_ORDER_START, GAUSS_ORDER_CAP, NODE_GUARD, POLE_BLOCK = 96, 1536, 1e-5, 8
+#: Relative agreement of two successive Gauss orders that ``_checked`` accepts.
+QUADRATURE_REL_TOL = 1e-6
 
 
 def _checked(f, edges: np.ndarray, poles: np.ndarray, fc: np.ndarray) -> np.ndarray:
@@ -207,7 +210,7 @@ def _checked(f, edges: np.ndarray, poles: np.ndarray, fc: np.ndarray) -> np.ndar
                 terms *= weights  # in place: two (poles x nodes) arrays at a time
                 fine[block], scale[block] = terms.sum(axis=1), np.abs(terms, out=terms).sum(axis=1)
                 clear[block] = np.all(np.abs(gap, out=gap) >= guard, axis=1)
-        tol = TOLERANCES.quadrature_rel * np.maximum(np.maximum(np.abs(fine), 1e-9 * scale),
+        tol = QUADRATURE_REL_TOL * np.maximum(np.maximum(np.abs(fine), 1e-9 * scale),
                                                      1e-300)
         done = (np.abs(fine - value[todo]) <= tol) & clear
         if order >= GAUSS_ORDER_CAP and not done.all():
@@ -305,11 +308,14 @@ def qubit_dipole_calibration(spec: OhmicSpec, omega10: float) -> float:
 
     Equating the two emission rates at the transition gap gives
     mu^2 = 6*pi^2*J(omega10)/omega10^3 in natural units (J >= 0 for a gap
-    > 0); a gap whose cube overflows a float raises OverflowError.
+    > 0); a gap whose cube overflows a float raises OverflowError, and one
+    whose cube underflows to 0 ValidationError.
     """
     if omega10 <= 0:
         raise ValidationError("omega10 must be positive")
     cube = float(omega10)**3
+    if cube == 0:
+        raise ValidationError(f"omega10 = {omega10!r} has a cube that underflows to 0")
     return float(np.sqrt(6.0 * np.pi**2 * spectral_density(spec, omega10) / cube))
 
 

@@ -26,8 +26,7 @@ import math
 # it is part of start-up instead of the first command
 import locale  # noqa: F401
 import sys
-from contextlib import nullcontext
-from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -39,7 +38,7 @@ import numpy as np
 from .baths import BathSpec
 from .errors import ConfigError, FloqdynError, NumericalError
 from .floattext import FLOAT_FMT, TEXT_WIDTH, float_text
-from .floquet import DriveSpec, benchmark_fidelities
+from .floquet import HALVING_GAP_TOL, DriveSpec, benchmark_fidelities
 from .generators import GENERATOR_KINDS
 from .operators import trace_distance
 from .scenarios import (
@@ -51,7 +50,6 @@ from .scenarios import (
     evolve,
     trajectory_diagnostics,
 )
-from .tolerances import TOLERANCES, tolerance_overrides
 
 # ---------------------------------------------------------------------------
 # config schemas; the scenario's JSON form is derived from its dataclasses
@@ -569,7 +567,7 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
             "q_range": [-config.q_max, config.q_max],
             "p_grid": decomp.grid_m,
             "halving_gap": {"gap": decomp.halving_gap,
-                            "bound": TOLERANCES.propagator_halving_gap},
+                            "bound": HALVING_GAP_TOL},
             "lamb_shift_per_channel": {
                 key: _json_matrix(h) for key, h in gen.h_lamb.items()
             },
@@ -627,11 +625,9 @@ def _failed_point(values, code: int) -> dict:
             "final_populations": [], "positivity_min": float("nan")}
 
 
-def _sweep_point(run: dict, values, tolerances: dict | None = None) -> dict:
+def _sweep_point(run: dict, values) -> dict:
     try:
-        # a worker process does not share the caller's TOLERANCES
-        with tolerance_overrides(**tolerances) if tolerances else nullcontext():
-            _, traj, report = _run_trajectory(run)
+        _, traj, report = _run_trajectory(run)
         return {
             "values": values,
             "status": "ok",
@@ -666,8 +662,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         # here, only for a pool, to keep concurrent.futures.process out of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_sweep_point, *zip(*points),
-                                     [asdict(TOLERANCES)] * len(points)))
+            computed = list(pool.map(_sweep_point, *zip(*points)))
     else:
         computed = [_sweep_point(run, values) for run, values in points]
     for (i, _), res in zip(jobs, computed):

@@ -41,7 +41,6 @@ from .operators import (
     unitary_fidelity,
 )
 from .propagation import magnus_samples, magnus_steps
-from .tolerances import TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,8 @@ def drive_hamiltonian(h0, drive: DriveSpec | None):
 
 
 REFINEMENTS = 4  # most times _checked_samples doubles its starting step count
+#: Largest change of the propagator between n/2 and n steps that ``_checked_samples`` accepts.
+HALVING_GAP_TOL = 1e-5
 
 
 def _checked_samples(h_of_t, t0: float, t1: float, steps: int) -> tuple[np.ndarray, float]:
@@ -106,11 +107,11 @@ def _checked_samples(h_of_t, t0: float, t1: float, steps: int) -> tuple[np.ndarr
     for n in (steps << k for k in range(REFINEMENTS + 1)):
         u = magnus_samples(h_of_t, t0, t1, n)
         gap = float(np.max(np.abs(u[-1] - coarse)))
-        if gap <= TOLERANCES.propagator_halving_gap:
+        if gap <= HALVING_GAP_TOL:
             return u, gap
         coarse = u[-1]
     raise StepSizeError(f"propagator changes by {gap:.2e} between {n} and {n // 2} "
-                        f"steps, beyond {TOLERANCES.propagator_halving_gap:.0e}")
+                        f"steps, beyond {HALVING_GAP_TOL:.0e}")
 
 
 def propagate_schrodinger(h_of_t, t0: float, t1: float, steps: int) -> np.ndarray:
@@ -230,7 +231,10 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
     grid_m = len(u_samples) - 1
     u_tau = u_samples[-1]
 
-    k_log = principal_unitary_log(u_tau)
+    try:  # steps of a huge phase (||H|| h ~ 1e14) lose unitarity to expm's squarings
+        k_log = principal_unitary_log(u_tau)
+    except ValidationError as exc:
+        raise NumericalError(f"monodromy: {exc}") from None
     h_principal = k_log / tau
     omega = 2.0 * np.pi / tau
     h_bar = _unfold_quasienergies(h_principal, reference, omega) if unfold else h_principal
@@ -266,6 +270,11 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
 # ---------------------------------------------------------------------------
 # Fourier operator coefficients and the jump table
 
+#: Magnitude below which ``fourier_operator_coefficients`` sets an entry to zero.
+FOURIER_FLOOR = 1e-3
+#: Width of the quasienergy-gap clusters of ``jump_operator_table``.
+GAP_CLUSTER_TOL = 1e-4
+
 
 def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
                                   q_max: int) -> np.ndarray:
@@ -273,7 +282,7 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
     of S or of each of a stack of operators: trapezoidal (DFT) coefficients of
     one contraction over the sample grid and one FFT, shape
     s.shape[:-2] + (2*q_max + 1, d, d) with S(q) at index q_max + q.  Entries
-    with magnitude below ``TOLERANCES.fourier_floor`` are set to zero.
+    with magnitude below ``FOURIER_FLOOR`` are set to zero.
     """
     if q_max < 0:
         raise ValidationError("q_max must be >= 0")
@@ -289,7 +298,7 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
     rotated = (np.tensordot(p.conj(), s.reshape(-1, d, d), axes=(1, 1)).reshape(m, -1, d)
                @ p).reshape(m, d, -1, d)
     coeffs = fft(rotated, axis=0)[np.arange(-q_max, q_max + 1) % m].transpose(2, 0, 1, 3) / m
-    coeffs[np.abs(coeffs) < TOLERANCES.fourier_floor] = 0.0
+    coeffs[np.abs(coeffs) < FOURIER_FLOOR] = 0.0
     return coeffs.reshape(s.shape[:-2] + coeffs.shape[1:])
 
 
@@ -327,7 +336,7 @@ def jump_operator_table(harmonics: np.ndarray, quasi: Spectrum) -> JumpOperatorT
     of such arrays) onto quasienergy gaps, in one eigenbasis transform and one
     gather: S(q, omega) sums the |eps><eps| S(q) |eps'><eps'| blocks with
     eps - eps' in the omega cluster."""
-    gaps, labels = cluster_gaps(quasi.energies, TOLERANCES.gap_cluster)
+    gaps, labels = cluster_gaps(quasi.energies, GAP_CLUSTER_TOL)
     v = quasi.vectors
     s_eig = v.conj().T @ np.asarray(harmonics) @ v
     nonzero = np.nonzero(s_eig)

@@ -285,7 +285,8 @@ def _redfield_sums(frame: _HarmonicFrame, config, full_secular: bool) -> tuple:
             missing.append(f"{bath.name}/{(i, j)}")
     if missing:
         raise ConfigError(f"channels {missing} lack the dipole magnitude Redfield kinds require "
-                          "(a gap of 0, or one whose cube overflows a float, has none)")
+                          "(a gap of 0, or one whose cube overflows or underflows a float, "
+                          "has none)")
     table, bath_of, (n1, n2, c1, c2) = frame.resolve(
         [(bath, _transition_operators(*t, config.dim)[0], f"{bath.name}:{t}") for bath, t in pairs],
         lambda bath, x: redfield_arrays(x, bath.beta, config.lamb_params, config.lamb_shift))

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import TOLERANCES
+
+#: Largest entry of |m - m†| that ``require_hermitian`` accepts.
+HERMITIAN_TOL = 1e-10
+#: Largest entry of |u† u - 1| that the unitary checks accept.
+UNITARY_TOL = 1e-6
 
 
 def _as_operators(m) -> np.ndarray:
@@ -48,7 +52,7 @@ def unitarity_defect(m: np.ndarray) -> float:
 
 def require_hermitian(m) -> np.ndarray:
     a = as_operator(m)
-    tol = TOLERANCES.hermitian
+    tol = HERMITIAN_TOL
     defect = hermiticity_defect(a)
     if defect > tol:
         raise ValidationError(f"matrix not Hermitian: defect {defect:.3e} > {tol:.1e}")
@@ -56,7 +60,7 @@ def require_hermitian(m) -> np.ndarray:
 
 
 def _checked_unitary(a: np.ndarray) -> np.ndarray:
-    tol = TOLERANCES.unitary
+    tol = UNITARY_TOL
     defect = unitarity_defect(a)
     if defect > tol:
         raise ValidationError(f"matrix not unitary: defect {defect:.3e} > {tol:.1e}")

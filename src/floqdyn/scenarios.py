@@ -42,7 +42,6 @@ from .generators import (
     redfield_generator,
 )
 from .operators import expm, min_eigenvalues
-from .tolerances import TOLERANCES
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
 TABLE_BATHS = {
@@ -260,6 +259,11 @@ RECORD_CHUNK = 2048
 MAX_RECORDS = 20000
 #: Most bytes of the records of ``evolve`` (reached only at d >= 58) or of a P grid.
 MAX_RECORD_BYTES = 2**30
+#: Largest |tr rho - 1| of a record that ``evolve`` accepts.
+TRACE_DRIFT_TOL = 1e-6
+#: Least record eigenvalue ``evolve`` lets pass without a warning (Redfield
+#: dynamics is not completely positive, so a small negative one is expected).
+POSITIVITY_SOFT_BOUND = -1e-3
 
 
 def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
@@ -344,16 +348,16 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
 
     traces = np.einsum("tii->t", states)
     trace_err = np.abs(traces - 1.0)
-    if np.max(trace_err) > TOLERANCES.trace_drift:
+    if np.max(trace_err) > TRACE_DRIFT_TOL:
         raise NumericalError(
             f"trace drift {np.max(trace_err):.2e} exceeds "
-            f"{TOLERANCES.trace_drift:.0e}: the generator is not trace preserving"
+            f"{TRACE_DRIFT_TOL:.0e}: the generator is not trace preserving"
         )
     pops = np.einsum("tii->ti", states).real
     worst = float(min_eigs.min())
-    if worst < TOLERANCES.redfield_positivity:
+    if worst < POSITIVITY_SOFT_BOUND:
         msg = (f"state positivity violated beyond soft bound: min eigenvalue "
-               f"{worst:.3e} < {TOLERANCES.redfield_positivity:.0e}")
+               f"{worst:.3e} < {POSITIVITY_SOFT_BOUND:.0e}")
         warn(msg)
         issued.append(msg)
 
@@ -416,15 +420,18 @@ def _map_back_by_phase(states: np.ndarray, times: np.ndarray,
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Time-averaged target population up to t_final."""
+    """Time-averaged target population up to t_final.  A Redfield run may take
+    it as far past [0, 1] as its records' eigenvalues pass the positivity soft
+    bound; past that, it is a NumericalError."""
 
     eta: float
     t_final: float
     cumulative: np.ndarray
 
     def __post_init__(self):
-        if not (-1e-9 <= self.eta <= 1.0 + 1e-9):
-            raise ValidationError(f"efficiency {self.eta} outside [0, 1]")
+        if not (POSITIVITY_SOFT_BOUND <= self.eta <= 1.0 - POSITIVITY_SOFT_BOUND):
+            raise NumericalError(f"efficiency {self.eta} outside [0, 1] beyond "
+                                 f"{-POSITIVITY_SOFT_BOUND:.0e}")
 
 
 def efficiency(traj: Trajectory) -> EfficiencyReport:

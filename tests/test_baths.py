@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -28,7 +29,6 @@ from floqdyn.scenarios import (
     build_generator,
     evolve,
 )
-from floqdyn.tolerances import tolerance_overrides
 
 from conftest import XI_ORACLE_RTOL, quad_cauchy, xi_oracle
 
@@ -83,6 +83,12 @@ class TestSpectralDensity:
         # direct evaluation with the hot-bath constants at x = 1
         assert spectral_density(HOT, 1.0) == pytest.approx(4e-4 * np.exp(-0.5), rel=1e-12)
         assert spectral_density(HOT, 1.0) == pytest.approx(2.4261e-4, rel=1e-4)
+
+    @pytest.mark.parametrize("cutoff", [1e155, 1e300, 1.7976931348623157e308])
+    def test_cutoff_whose_square_overflows_is_the_infinite_cutoff_limit(self, cutoff):
+        x = np.array([-3.0, 0.5, 40.0])
+        assert np.array_equal(spectral_density(OhmicSpec(2e-3, cutoff), x), 2e-3 * x)
+        assert spectral_density(OhmicSpec(2e-3, cutoff), 0.5) == 1e-3
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-10, 10))
@@ -221,7 +227,7 @@ class TestRedfieldCoefficients:
         assert rc.c2_imag == pytest.approx(want, rel=1e-6)
         # start the doubling one order up, at a tighter tolerance
         monkeypatch.setattr(baths, "GAUSS_ORDER_START", 2 * baths.GAUSS_ORDER_START)
-        with tolerance_overrides(quadrature_rel=1e-7):
+        with mock.patch.object(baths, "QUADRATURE_REL_TOL", 1e-7):
             fine = redfield_coefficients(x, beta, PARAMS)
         assert rc.c2_imag == pytest.approx(fine.c2_imag, rel=1e-6)
 
@@ -254,9 +260,11 @@ class TestDipoleCalibration:
         assert qubit_dipole_calibration(OhmicSpec(0.0, 1.0), 1.0) == 0.0
 
     @pytest.mark.parametrize("gap,error", [(0.0, ValidationError), (-0.5, ValidationError),
+                                           (5e-324, ValidationError), (1e-110, ValidationError),
                                            (1e200, OverflowError)])
     def test_gap_without_a_dipole(self, gap, error):
-        # a gap of 0 has no dipole, and a gap of 1e200 overflows omega10**3
+        # a gap of 0 has no dipole, one of 1e-110 or less underflows omega10**3 to 0,
+        # and one of 1e200 overflows it
         with pytest.raises(error):
             qubit_dipole_calibration(COLD, gap)
 
@@ -381,7 +389,7 @@ class TestQuadratureConvergenceGuard:
         # agree to the last bit (a smooth integrand's orders can)
         x = 0.7371
         want = coefficients(x)
-        with tolerance_overrides(quadrature_rel=-1.0):
+        with mock.patch.object(baths, "QUADRATURE_REL_TOL", -1.0):
             with pytest.raises(NumericalError, match="did not converge"):
                 coefficients(x)
         assert coefficients(x) == want
@@ -586,7 +594,7 @@ class TestMpmathOracle:
         beta = ORACLE_BATHS[bath]["beta"]
         orders = _record_orders(monkeypatch)
         refined = []
-        with tolerance_overrides(quadrature_rel=1e-13):
+        with mock.patch.object(baths, "QUADRATURE_REL_TOL", 1e-13):
             for x in MPMATH_FREQUENCIES:
                 for name, get in (("xi", lambda: gamma_xi_ohmic(spec, beta, x, PARAMS).xi),
                                   ("c1", lambda: redfield_coefficients(x, beta, PARAMS).c1_imag)):

@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, replace
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -27,10 +29,9 @@ from floqdyn.cli import (
 )
 from floqdyn.baths import BathSpec, LambIntegralParams, OhmicSpec
 from floqdyn.errors import ConfigError
-from floqdyn.floquet import DriveSpec
+from floqdyn.floquet import HALVING_GAP_TOL, DriveSpec
 from floqdyn.generators import GENERATOR_KINDS
-from floqdyn.scenarios import PRESETS, ScenarioConfig, efficiency, evolve
-from floqdyn.tolerances import TOLERANCES
+from floqdyn.scenarios import PRESETS, ScenarioConfig, decompose_scenario, efficiency, evolve
 
 
 def read_csv(path):
@@ -865,7 +866,9 @@ class TestMalformedSections:
         assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["ok", "error:2"]
 
     # a gap of 1e200 has no Redfield dipole (its cube overflows); the Lindblad
-    # kind runs it into non-finite records, and so does a cold bath of j0 1e200
+    # kind runs it into non-finite records, and so does a cold bath of j0 1e200;
+    # a level of 4e16 turns a Magnus step by a phase of ~1e14, which the
+    # exponential's squarings leave far from unitary
     HUGE_GAP = {"preset": "three_level_nondriven", "energies": [0, 1e200, 2.5]}
 
     @pytest.mark.parametrize("scenario,code,message", [
@@ -876,7 +879,9 @@ class TestMalformedSections:
           "baths": [hot_bath(), hot_bath(name="cold", beta=0.25, j0=1e200,
                                          omega_cutoff=0.2 ** 0.5, transitions=[[1, 2]])]}, 3,
          "numerical error: record 1 (t = 0.05) is not finite"),
-    ], ids=["gap_redfield", "gap_lindblad", "j0"])
+        ({"preset": "three_level_v0", "energies": [0, 4e16, 2.5]}, 3,
+         "numerical error: monodromy: matrix not unitary"),
+    ], ids=["gap_redfield", "gap_lindblad", "j0", "level_floquet"])
     def test_huge_finite_numbers(self, tmp_path, capsys, scenario, code, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": scenario, "integration": {"t_final": 1.0}}))
@@ -884,6 +889,35 @@ class TestMalformedSections:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    # a cutoff whose square overflows is the infinite-cutoff limit J = j0 x, and
+    # so is one of 1e100 (x^2 / 1e200 leaves exp at 1): the same outputs
+    @pytest.mark.parametrize("preset,kind", [("three_level_nondriven", "lindblad"),
+                                             ("three_level_v0", "floquet_lindblad")])
+    def test_huge_cutoff_is_the_infinite_cutoff_limit(self, tmp_path, preset, kind):
+        outputs = []
+        for cutoff in (1e100, 1e300):
+            cfg = tmp_path / f"{cutoff:g}.json"
+            cfg.write_text(json.dumps({
+                "scenario": {"preset": preset, "kind": kind,
+                             "baths": [hot_bath(omega_cutoff=cutoff),
+                                       hot_bath(name="cold", beta=0.25, j0=4e-3,
+                                                omega_cutoff=0.2 ** 0.5, transitions=[[1, 2]])]},
+                "integration": {"t_final": 1.0}}))
+            out = tmp_path / f"out{cutoff:g}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trajectory.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_short_redfield_run_reports_its_slightly_negative_eta(self, tmp_path):
+        # the target population starts below 0 by ~1e-6, within the positivity soft bound
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "four_level_nondegenerate", "--set",
+                     'scenario.kind="redfield"', "--set", "integration.t_final=0.05",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert -1e-5 < summary["eta"] < 0 and summary["diagnostics"]["warnings"] == []
 
     def test_sweep_rows_of_a_huge_gap(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -998,7 +1032,7 @@ class TestFloquetCommand:
         assert len(data["quasienergies"]) == 3
         # the first grid passes the halving check, and the record says by how much
         assert data["p_grid"] == 256
-        assert data["halving_gap"]["bound"] == TOLERANCES.propagator_halving_gap
+        assert data["halving_gap"]["bound"] == HALVING_GAP_TOL
         assert 0 < data["halving_gap"]["gap"] <= data["halving_gap"]["bound"]
         assert "hot:(1, 0)" in data["lamb_shift_per_channel"]
         bench = read_csv(tmp_path / "benchmark.csv")
@@ -1240,16 +1274,21 @@ class TestSweep:
         assert float(rows[0]["pop_0"]) + float(rows[0]["pop_1"]) == pytest.approx(1.0)
         assert rows[1]["pop_2"] != "nan"
 
-    def test_spawned_workers_keep_tolerance_overrides(self, tmp_path, monkeypatch):
+    def test_spawned_workers_match_the_serial_sweep(self, tmp_path, monkeypatch):
         import concurrent.futures
         import functools
         import multiprocessing
 
-        from floqdyn.tolerances import tolerance_overrides
-
+        # q_max = 1e9 asks decompose_scenario for a P grid past its bound: a
+        # ConfigError raised inside the worker, one row of error:2 beside an ok one
         sweep = {"base": {"scenario": {"preset": "three_level_v1"},
                           "integration": {"t_final": 5.0}},
-                 "axes": {"scenario.lamb_shift": [True, False]}}
+                 "axes": {"scenario.q_max": [3, 1000000000]}}
+        run = {"scenario": {"preset": "three_level_v1", "q_max": 1000000000},
+               "integration": {"t_final": 5.0}}
+        validate_schema(canonical_run_dict(run), RUN_SCHEMA)  # the parent passes it on
+        with pytest.raises(ConfigError, match="P grid"):
+            decompose_scenario(replace(PRESETS["three_level_v1"](), q_max=1000000000))
         rows = {}
         # cmd_sweep imports the pool class from concurrent.futures when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
@@ -1258,11 +1297,9 @@ class TestSweep:
         for workers in (1, 2):
             out = tmp_path / str(workers)
             config = self._write(tmp_path, f"s{workers}.json", {**sweep, "parallelism": workers})
-            # a floor above every harmonic empties the Floquet jump table
-            with tolerance_overrides(fourier_floor=10.0):
-                assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
             rows[workers] = read_csv(out / "sweep.csv")
-        assert [r["status"] for r in rows[1]] == ["error:2", "error:2"]
+        assert [r["status"] for r in rows[1]] == ["ok", "error:2"]
         assert rows[2] == rows[1]
 
     @staticmethod
@@ -1281,3 +1318,74 @@ class TestExitCodes:
             "axes": {"scenario.kind": ["not_a_kind"]},
         }))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+#: Numbers at the edges of the float range: signed zeros, subnormals, the
+#: largest floats, and JSON integers of hundreds of digits, past the range.
+EXTREME_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                     1e300, -1e300, 1.7976931348623157e308, 0, 1]),
+    st.integers(100, 400).flatmap(lambda n: st.sampled_from([10**n, -10**n, 10**n + 1])),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+#: A level just above another: a gap near 0, down to one whose cube underflows.
+TINY_GAPS = st.sampled_from([5e-324, 1e-110, 1e-100, 1e-300, 1e-15, 0.0, -0.0])
+
+
+@st.composite
+def extreme_runs(draw):
+    """A schema-valid simulate config: a preset, maybe undriven, under a kind that
+    fits its drive, some of its numbers extreme, a level maybe a tiny gap above
+    another, and a short run."""
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    scenario = canonical_run_dict({"scenario": {"preset": preset},
+                                   "integration": {"t_final": 1.0}})["scenario"]
+    if draw(st.booleans()):
+        scenario["drive"] = None
+    scenario["kind"] = draw(st.sampled_from(("floquet_lindblad", "floquet_redfield")
+                                            if scenario["drive"] else ("lindblad", "redfield")))
+    slots = [(scenario["energies"], i) for i in range(len(scenario["energies"]))]
+    slots += [(bath, key) for bath in scenario["baths"] for key in ("beta", "j0", "omega_cutoff")]
+    slots.append((scenario["lamb_params"], "w_cutoff"))
+    if scenario["drive"] is not None:
+        slots += [(scenario["drive"], "mu"), (scenario["drive"], "omega")]
+    # at most two at a time, so that most runs get past the checks of their inputs
+    for k in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2, unique=True)):
+        node, key = slots[k]
+        node[key] = draw(EXTREME_NUMBERS)
+    if draw(st.booleans()):
+        levels = scenario["energies"]
+        i, j = draw(st.permutations(range(len(levels))))[:2]
+        levels[i] = levels[j] + draw(TINY_GAPS) if isinstance(levels[j], float) else \
+            draw(TINY_GAPS)
+    scenario["q_max"] = draw(st.sampled_from([scenario["q_max"]] * 2 + [0, 1, 10**300]))
+    return {"scenario": scenario,
+            "integration": {"t_final": draw(st.sampled_from([5e-324, 1e-300, 0.05, 1.0])),
+                            "dt": draw(st.sampled_from([None, None, 0.01, 1e300, 5e-324]))}}
+
+
+def _tiny_gap_run(gap: float) -> dict:
+    return {"scenario": {"preset": "three_level_nondriven", "energies": [0, gap, 2.5],
+                         "kind": "redfield", "drive": None},
+            "integration": {"t_final": 1.0}}
+
+
+class TestExtremeNumbers:
+    # in process: a traceback would be an exception here, not an exit code
+    @settings(max_examples=40, deadline=timedelta(seconds=30))
+    @given(extreme_runs())
+    @example({"scenario": {"preset": "three_level_nondriven", "kind": "lindblad",
+                           "baths": [hot_bath(omega_cutoff=1e300),
+                                     hot_bath(name="cold", beta=0.25, j0=4e-3,
+                                              omega_cutoff=1e300, transitions=[[1, 2]])]},
+              "integration": {"t_final": 1.0}})
+    @example(_tiny_gap_run(5e-324))
+    @example(_tiny_gap_run(1e-110))
+    def test_simulate_runs_or_exits_2_or_3(self, run):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(run))
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not out.exists()

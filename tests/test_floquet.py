@@ -3,6 +3,7 @@ import logging
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from floqdyn import floquet
 from floqdyn.errors import ResolutionError, StepSizeError, ValidationError
 from floqdyn.floquet import (
     BENCHMARK_GRID_POINTS,
+    FOURIER_FLOOR,
+    GAP_CLUSTER_TOL,
+    HALVING_GAP_TOL,
     DriveSpec,
     _unfold_quasienergies,
     benchmark_fidelities,
@@ -35,7 +40,6 @@ from floqdyn.operators import (
 )
 from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import PRESETS, decompose_scenario
-from floqdyn.tolerances import TOLERANCES, tolerance_overrides
 
 from conftest import (
     jump_entry,
@@ -164,18 +168,18 @@ class TestDecompose:
         dec = floquet_decompose(h, TAU, H0, grid_m=15)
         assert dec.grid_m in (30, 60, 120, 240)
         coarse = magnus_samples(h, 0.0, TAU, dec.grid_m // 2)[-1]
-        assert np.max(np.abs(dec.u_samples[-1] - coarse)) <= TOLERANCES.propagator_halving_gap
+        assert np.max(np.abs(dec.u_samples[-1] - coarse)) <= HALVING_GAP_TOL
 
     @pytest.mark.parametrize("preset", ["three_level_v0", "three_level_v1",
                                         "four_level_degenerate_driven"])
     def test_presets_pass_the_halving_check_on_the_first_grid(self, preset):
         dec = decompose_scenario(PRESETS[preset]())
         assert dec.grid_m == 256
-        assert dec.halving_gap <= TOLERANCES.propagator_halving_gap
+        assert dec.halving_gap <= HALVING_GAP_TOL
 
     def test_tighter_halving_gap_refines_the_grid(self, cfg_v0, dec_v0):
         # v0's gap is ~2.1e-13 at 256 samples and ~5.6e-14 at 512
-        with tolerance_overrides(propagator_halving_gap=1e-13):
+        with mock.patch.object(floquet, "HALVING_GAP_TOL", 1e-13):
             fine = decompose_scenario(cfg_v0)
         assert fine.grid_m == 512
         assert dec_v0.halving_gap > 1e-13 >= fine.halving_gap
@@ -272,7 +276,7 @@ class TestFourierCoefficients:
     def test_static_p_gives_single_harmonic(self):
         dec = floquet_decompose(lambda t: H0, TAU, H0, grid_m=256)
         s = random_hermitian(np.random.default_rng(5), 3)
-        with tolerance_overrides(fourier_floor=1e-9):
+        with mock.patch.object(floquet, "FOURIER_FLOOR", 1e-9):
             harmonics = fourier_operator_coefficients(dec, s, q_max=4)
         assert np.max(np.abs(harmonics[4] - s)) < 1e-7
         for q in (-3, -1, 1, 2):
@@ -280,14 +284,14 @@ class TestFourierCoefficients:
 
     def test_hermitian_source_symmetry(self, dec_v0):
         s = random_hermitian(np.random.default_rng(8), 3)
-        with tolerance_overrides(fourier_floor=0.0):
+        with mock.patch.object(floquet, "FOURIER_FLOOR", 0.0):
             harmonics = fourier_operator_coefficients(dec_v0, s, q_max=6)
         for q in range(-6, 7):
             assert np.max(np.abs(harmonics[6 + q].conj().T - harmonics[6 - q])) < 1e-6
 
     def test_inverse_transform_reconstruction(self, dec_v0):
         s = random_hermitian(np.random.default_rng(9), 3)
-        floor = TOLERANCES.fourier_floor
+        floor = FOURIER_FLOOR
         harmonics = fourier_operator_coefficients(dec_v0, s, q_max=24)
         m = dec_v0.grid_m
         for k in (m // 3 + 1, m // 2 + 5):  # mid-grid points
@@ -333,7 +337,7 @@ def test_cluster_gaps_match_the_loop(levels, splits):
 def jump_table_reference(harmonics, quasi) -> dict:
     """{(q, gap index): S(q, omega)} of one operator's harmonics, one np.where
     per (q, gap): the loop the gathered table replaced."""
-    gaps, labels = cluster_gaps_reference(quasi.energies, TOLERANCES.gap_cluster)
+    gaps, labels = cluster_gaps_reference(quasi.energies, GAP_CLUSTER_TOL)
     v = quasi.vectors
     q_max = len(harmonics) // 2
     entries = {}
@@ -383,7 +387,7 @@ class TestStackedOperators:
             rotated = np.einsum("tba,bc,tcd->tad", p.conj(), s, p)
             want = np.fft.fft(rotated, axis=0)[np.arange(-24, 25) % len(p)] / len(p)
             assert np.max(np.abs(got[got != 0] - want[got != 0])) <= 1e-15
-            assert np.all(np.abs(want[got == 0]) < TOLERANCES.fourier_floor)
+            assert np.all(np.abs(want[got == 0]) < FOURIER_FLOOR)
 
     @pytest.mark.parametrize("preset,kind", PRESET_KINDS)
     def test_gathered_table_has_the_keys_of_the_reference_loop(self, preset, kind):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from floqdyn.floquet import (
     fourier_operator_coefficients,
     jump_operator_table,
 )
-from floqdyn import generators
+from floqdyn import floquet, generators
 from floqdyn.generators import (
     DIPOLE_PREFACTOR,
     GENERATOR_KINDS,
@@ -37,7 +38,6 @@ from floqdyn.scenarios import (
     decompose_scenario,
     evolve,
 )
-from floqdyn.tolerances import TOLERANCES
 
 from conftest import (
     gibbs_state,
@@ -314,19 +314,15 @@ class TestFloquetLindblad:
         assert np.max(np.abs(lamb @ hbar - hbar @ lamb)) < 1e-8
 
     def test_floor_starvation_raises(self, dec_v0, cfg_v0):
-        from floqdyn.tolerances import tolerance_overrides
-
-        with tolerance_overrides(fourier_floor=10.0):
+        with mock.patch.object(floquet, "FOURIER_FLOOR", 10.0):
             with pytest.raises(ConfigError):
                 floquet_lindblad_generator(replace(cfg_v0, q_max=3), dec_v0)
 
     @pytest.mark.parametrize("kind", ["floquet_lindblad", "floquet_redfield"])
     def test_floor_starvation_raises_for_both_floquet_kinds(self, kind):
-        from floqdyn.tolerances import tolerance_overrides
-
         config = replace(PRESETS["four_level_degenerate_driven"](), kind=kind)
         decomp = decompose_scenario(config)
-        with tolerance_overrides(fourier_floor=10.0):
+        with mock.patch.object(floquet, "FOURIER_FLOOR", 10.0):
             with pytest.raises(ConfigError, match="Fourier floor removed every jump operator"):
                 build_generator(config, decomposition=decomp)
 
@@ -362,8 +358,9 @@ class TestRedfield:
         traj = evolve(cfg, 200.0, dt=0.02)
         assert np.abs(traj.states[:, 1, 2]).max() > 1e-4
 
-    # a zero gap has no dipole, and a gap of 1e200 overflows the calibration's cube
-    @pytest.mark.parametrize("upper", [0.0, 1e200])
+    # a zero gap has no dipole, and the calibration's cube of a gap of 1e200
+    # overflows, of 1e-110 or 5e-324 underflows to 0
+    @pytest.mark.parametrize("upper", [0.0, 5e-324, 1e-110, 1e200])
     def test_missing_dipole_rejected(self, upper):
         bath = BathSpec("b", beta=1.0, spectral=OhmicSpec(1e-3, 1.0), transitions=((1, 0),))
         cfg = ScenarioConfig(energies=(0.0, upper), target_level=1, baths=(bath,),
@@ -530,7 +527,7 @@ class TestRandomizedModels:
             st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim,
                      unique=True)))
         gaps = np.unique(np.subtract.outer(energies, energies))
-        assume(np.all(np.diff(gaps) > TOLERANCES.gap_cluster))
+        assume(np.all(np.diff(gaps) > floquet.GAP_CLUSTER_TOL))
         n_tr = data.draw(st.integers(1, min(3, dim * (dim - 1) // 2)))
         pairs = sorted({(i, j) for i in range(dim) for j in range(i)})
         picks = data.draw(st.permutations(pairs))[:n_tr]

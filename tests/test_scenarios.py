@@ -1,12 +1,13 @@
 import logging
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from floqdyn import floquet
+from floqdyn import floquet, scenarios
 from floqdyn.baths import BathSpec, OhmicSpec
 from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.operators import trace_distance
@@ -22,7 +23,6 @@ from floqdyn.scenarios import (
     evolve,
     trajectory_diagnostics,
 )
-from floqdyn.tolerances import TOLERANCES, tolerance_overrides
 
 from conftest import mp_min_eigenvalue
 
@@ -263,7 +263,7 @@ class TestIntegrationGuards:
     def test_redfield_negativity_is_warning_not_fatal(self):
         cfg = build_three_level("nondriven")
         gen = build_generator(cfg)
-        with tolerance_overrides(redfield_positivity=1e-3):
+        with mock.patch.object(scenarios, "POSITIVITY_SOFT_BOUND", 1e-3):
             # threshold above zero so the pure-state start itself trips it
             with pytest.warns(RuntimeWarning, match="positivity"):
                 traj = evolve(cfg, 5.0, dt=0.05, generator=gen)
@@ -271,22 +271,13 @@ class TestIntegrationGuards:
 
     def test_silenced_excursion_warning_still_reaches_the_logger(self, caplog):
         cfg = build_three_level("nondriven")
-        with tolerance_overrides(redfield_positivity=1e-3), warnings.catch_warnings():
+        with mock.patch.object(scenarios, "POSITIVITY_SOFT_BOUND", 1e-3), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with caplog.at_level(logging.WARNING, logger="floqdyn"):
                 traj = evolve(cfg, 5.0, dt=0.05)
         assert len(traj.warnings_issued) == 1
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == \
             [("floqdyn", logging.WARNING, traj.warnings_issued[0])]
-
-
-class TestToleranceOverrides:
-    def test_unknown_name_sets_no_field(self):
-        before = asdict(TOLERANCES)
-        with pytest.raises(AttributeError, match="bogus"):
-            with tolerance_overrides(hermitian=0.5, bogus=1):
-                pass
-        assert asdict(TOLERANCES) == before
 
 
 class TestRateEquationOracle:
