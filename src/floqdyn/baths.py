@@ -147,33 +147,54 @@ def _graded_edges(lo: float, hi: float, first: float):
     return lo + np.concatenate([[0.0], np.cumsum(widths)])
 
 
-def _legendre(x: np.ndarray, n: int):
-    """P_n(x) and P_n'(x), by the three-term recurrence and
-    (1 - x^2) P_n' = n (P_{n-1} - x P_n), with 1 - x^2 as (1 - x)(1 + x):
-    exact near the ends, where the Gauss weights are small."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+#: entries of the (nodes x cosines) arrays of one ``_leggauss`` product
+_GAUSS_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=16)
 def _leggauss(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], cached per order, read-only.
 
-    The positive nodes are three Newton steps on P_n from Tricomi's estimate
-    (1 - (n - 1)/(8 n^3)) cos(pi (k - 1/4)/(n + 1/2)) (F. G. Tricomi, Ann. Mat.
-    Pura Appl. 31, 93 (1950)), mirrored, with 0 for odd n; the weights are
-    2/((1 - x^2) P_n'(x)^2) at those nodes, symmetric because P_n is even or odd.
+    The nodes x = cos(theta), theta in (0, pi/2], are three Newton steps in
+    theta on the Fourier series P_n(cos theta) = sum_k a_k a_{n-k} cos((n - 2k) theta),
+    a_k = C(2k, k)/4^k (P. N. Swarztrauber, SIAM J. Sci. Comput. 24, 945 (2002)),
+    from Tricomi's estimate (1 - (n - 1)/(8 n^3)) cos(pi (k - 1/4)/(n + 1/2))
+    (F. G. Tricomi, Ann. Mat. Pura Appl. 31, 93 (1950)), mirrored, with 0 for odd
+    n.  Each step evaluates the series and its derivative at once, as cos and
+    sin of the (nodes x terms) arguments times the coefficients, the node rows
+    in blocks of ``_GAUSS_BLOCK`` entries.  Theta is first rounded to a multiple
+    of 2^(bits(n) - 52), so that every argument (n - 2k) theta is exact; the
+    step from there is as accurate as from theta.  The weights are
+    2/(dP_n/dtheta)^2 at the nodes, the derivative carried across the last step
+    by Legendre's equation, P'' = -cot(theta) P' - n (n + 1) P.
     """
-    k = np.arange(1.0, order // 2 + 1)
-    x = (1.0 - (order - 1.0) / (8.0 * order**3)) * np.cos(np.pi * (k - 0.25) / (order + 0.5))
+    a = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1.0, order + 1)])
+    k = np.arange((order + 1) // 2)    # the terms k and n - k are equal: paired
+    m = order - 2.0 * k
+    c = 2.0 * a[k] * a[order - k]
+    c0 = a[order // 2] ** 2 if order % 2 == 0 else 0.0
+    j = np.arange(1.0, order // 2 + 1)
+    theta = np.arccos((1.0 - (order - 1.0) / (8.0 * order**3))
+                      * np.cos(np.pi * (j - 0.25) / (order + 0.5)))
+    theta = np.r_[theta, [0.5 * np.pi] * (order % 2)]
+    grid = 2.0 ** (52 - order.bit_length())
+    rows = max(1, _GAUSS_BLOCK // len(m))
+    p, dp = np.empty((2, len(theta)))
     for _ in range(3):
-        p, dp = _legendre(x, order)
-        x = x - p / dp
+        theta = np.rint(theta * grid) / grid
+        for lo in range(0, len(theta), rows):
+            arg = theta[lo:lo + rows, None] * m
+            p[lo:lo + rows] = np.cos(arg) @ c
+            dp[lo:lo + rows] = np.sin(arg) @ (-m * c)
+        step = (p + c0) / dp
+        node, theta = theta, theta - step
+    # dP/dtheta moved from the last node to theta, P'' from Legendre's equation
+    dp -= step * (-dp * np.cos(node) / np.sin(node) - order * (order + 1.0) * (p + c0))
+    half = order // 2
+    x = np.cos(theta[:half])
     x = np.concatenate([-x, [0.0] * (order % 2), x[::-1]])
-    _, dp = _legendre(x, order)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    w = 2.0 / (dp * dp)
+    w = np.concatenate([w, w[:half][::-1]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -3,8 +3,9 @@
 A finite |x| in [1e-290, 1e290] is scaled to q = round(|x| 10^(16-k)), the
 17 significant digits, with k = floor(log10 |x|): one double-double
 product (Dekker, Numer. Math. 18, 224 (1971)) against 10^(16-k) held as
-hi + lo to ~2^-106.  Its error is below 2^-46, so q is the correctly
-rounded one (Steele & White, PLDI 1990) unless the fraction lies within
+hi + lo to ~2^-106, from a table whose bands of scales are built as calls
+need them.  Its error is below 2^-46, so q is the correctly rounded one
+(Steele & White, PLDI 1990) unless the fraction lies within
 1e-9 of 1/2.  Such a value, one whose q may leave [10^16, 10^17) (k one
 off, or rounding into the next decade), a non-finite one and one outside
 that range take the text of '%' instead.  The digits come from two
@@ -42,17 +43,21 @@ _VERBATIM = 2 * 17 * _N_CLASSES
 #: values per gather of their text from the source rows
 _GATHER = 2048
 
+#: scales per band of the 10^s table, each built on its first need
+_BAND = 32
+
 _U64 = np.uint64
 _ASCII_ZEROS = _U64(0x3030303030303030)
 
 
 @cache
-def _pow10_table() -> np.ndarray:
+def _pow10_band(band: int) -> np.ndarray:
     """Rows hi, hi's two halves of at most 26 bits (Veltkamp's split of its
-    mantissa) and lo, per s in [_S_MIN, _S_MAX]: hi and lo are each rounded
-    from exact integer arithmetic, so hi + lo is 10^s to ~2^-106."""
+    mantissa) and lo, per s of the ``_BAND`` scales from _S_MIN + _BAND band
+    (fewer in the last band): hi and lo are each rounded from exact integer
+    arithmetic, so hi + lo is 10^s to ~2^-106."""
     hi, lo = [], []
-    for s in range(_S_MIN, _S_MAX + 1):
+    for s in range(_S_MIN + _BAND * band, min(_S_MIN + _BAND * (band + 1), _S_MAX + 1)):
         if s >= 0:
             h = float(10 ** s)
             lo.append(float(10 ** s - int(h)))
@@ -65,22 +70,29 @@ def _pow10_table() -> np.ndarray:
     mant, exp = np.frexp(hi)
     c = mant * _SPLITTER
     upper = c - (c - mant)
-    table = np.stack([hi, np.ldexp(upper, exp), np.ldexp(mant - upper, exp), lo])
-    table.flags.writeable = False
-    return table
+    rows = np.stack([hi, np.ldexp(upper, exp), np.ldexp(mant - upper, exp), lo])
+    rows.flags.writeable = False
+    return rows
 
 
-def _layout(cls: int, nsig: int) -> list:
+def _pow10_rows(s_min: int, s_max: int) -> tuple:
+    """(rows, s0): the rows of ``_pow10_band`` for every scale from s_min to
+    s_max, built on first need, and the scale s0 of their column 0."""
+    first, last = (s_min - _S_MIN) // _BAND, (s_max - _S_MIN) // _BAND
+    bands = [_pow10_band(b) for b in range(first, last + 1)]
+    rows = bands[0] if len(bands) == 1 else np.concatenate(bands, axis=1)
+    return rows, _S_MIN + _BAND * first
+
+
+def _layout(cls: int) -> list:
     """Source-row offsets of the unsigned text of layout class ``cls`` with
-    ``nsig`` significant digits (trailing zeros stripped, as %g strips them)."""
-    digits = list(_DIGIT[:nsig])
+    all 17 significant digits."""
     if cls < 4:                         # 0.000ddd
-        return [_ZERO, _POINT] + [_ZERO] * (3 - cls) + digits
-    if cls <= 20:                       # ddd.ddd, k + 1 digits before the point
-        point = cls - 3
-        return list(_DIGIT[:point]) if nsig <= point else \
-            digits[:point] + [_POINT] + digits[point:]
-    mantissa = digits[:1] + ([_POINT] + digits[1:] if nsig > 1 else [])
+        return [_ZERO, _POINT] + [_ZERO] * (3 - cls) + list(_DIGIT)
+    point = cls - 3 if cls <= 20 else 1     # ddd.ddd, k + 1 digits before the point
+    mantissa = list(_DIGIT[:point]) + [_POINT] + list(_DIGIT[point:])
+    if cls <= 20:
+        return mantissa
     return mantissa + [_E, _EXP_SIGN] + [_EXP_100] * (cls == 22) + [_EXP_10, _EXP_1]
 
 
@@ -89,12 +101,35 @@ def _layouts() -> tuple:
     """Offsets per layout id, ``TEXT_WIDTH`` each padded with ``_NUL``: id
     2 (17 class + nsig - 1) + sign for a scaled value, ``_VERBATIM`` + length - 1
     for a verbatim one.  Then, per k from ``_K_MIN``: 34 class, and the bytes
-    of words 0 and 3 that depend on k alone."""
-    unsigned = [bytes(_layout(cls, nsig)) for cls in range(_N_CLASSES) for nsig in range(1, 18)]
-    texts = [text for u in unsigned for text in (u, bytes([_MINUS]) + u)]
-    texts += [bytes(range(n)) for n in range(1, TEXT_WIDTH + 1)]
-    offsets = np.frombuffer(b"".join(t.ljust(TEXT_WIDTH, bytes([_NUL])) for t in texts),
-                            np.uint8).reshape(-1, TEXT_WIDTH)
+    of words 0 and 3 that depend on k alone.
+
+    A scaled value's text is its class's 17-digit text after a '-', less the
+    '-' of a positive value and one run of slots: the digits after the point
+    past ``nsig`` (%g strips trailing zeros), with the point if none is left."""
+    template = np.full((_N_CLASSES, 2 * TEXT_WIDTH), _NUL, np.uint8)
+    template[:, 0] = _MINUS
+    for cls in range(_N_CLASSES):
+        text = _layout(cls)
+        template[cls, 1:len(text) + 1] = text
+    # the least nsig that keeps each slot: i + 1 for digit i after the point,
+    # one more than the digits before it for the point, 0 for any other slot
+    rank = np.zeros(_NUL + 1, np.intp)
+    rank[list(_DIGIT)] = np.arange(1, 18)          # digit i -> i + 1
+    rank = rank[template]
+    point = template == _POINT
+    after = np.cumsum(point, axis=1) > 0
+    need = np.where(after, rank, 0)
+    need[point] = np.sum((rank > 0) & ~after, axis=1) + 1      # one point per class
+    drop = need[:, None, :] > np.arange(1, 18)[:, None]         # per class, nsig, slot
+    start = np.argmax(drop, axis=-1)[..., None, None]
+    length = np.sum(drop, axis=-1)[..., None, None]
+    width = np.arange(TEXT_WIDTH)
+    src = width + np.array([1, 0])[:, None]     # per sign: past the '-' of a positive value
+    src = src + np.where(src >= start, length, 0) \
+        + template.shape[1] * np.arange(_N_CLASSES)[:, None, None, None]
+    scaled = np.take(template, src)
+    verbatim = np.where(width <= width[:, None], width, _NUL)
+    offsets = np.concatenate([scaled.reshape(-1, TEXT_WIDTH), verbatim]).astype(np.uint8)
     k = np.arange(_K_MIN, 17 - _S_MIN)
     ak = np.abs(k)
     cls = np.where((k >= -4) & (k <= 16), k + 4, np.where(ak < 100, 21, 22))
@@ -134,19 +169,21 @@ def _scaled(values: np.ndarray) -> tuple:
     """(q, k, scaled): the 17 digits q = round(|x| 10^(16 - k)) and k of each
     value, and whether they are its '%.17g' digits.  A value that is not
     scaled has q = 0 and k = 0."""
-    hi_t, upper_t, lower_t, lo_t = _pow10_table()
     ax = np.abs(values)
     scaled = (ax >= _SCALED_MIN) & (ax <= _SCALED_MAX)
     ax[~scaled] = 1.0
-    k = np.floor(np.log10(ax)).astype(np.intp)
-    s = 16 - _S_MIN - k                 # row of 10^(16 - k)
-    hi, upper, lower = hi_t[s], upper_t[s], lower_t[s]
+    k = np.log10(ax)
+    k = np.floor(k, out=k).astype(np.intp)
+    (hi_t, upper_t, lower_t, lo_t), s0 = _pow10_rows(16 - int(k.max(initial=0)),
+                                                     16 - int(k.min(initial=0)))
+    s = 16 - s0 - k                     # column of 10^(16 - k)
+    hi, upper, lower, lo = hi_t[s], upper_t[s], lower_t[s], lo_t[s]
     p = ax * hi                         # p + e = |x| hi exactly
     c = ax * _SPLITTER
     x_upper = c - (c - ax)
     x_lower = ax - x_upper
     e = ((x_upper * upper - p) + x_upper * lower + x_lower * upper) + x_lower * lower
-    t = e + ax * lo_t[s]                # |x| 10^(16 - k) = p + t, p an integer
+    t = e + ax * lo                     # |x| 10^(16 - k) = p + t, p an integer
     r = np.rint(t)
     # |t| < 20, so q = p + r is in [10^16, 10^17) when p is this far inside
     scaled &= (p >= 1e16 + 32) & (p <= 1e17 - 64) & (np.abs(np.abs(t - r) - 0.5) > 1e-9)

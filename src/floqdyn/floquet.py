@@ -102,13 +102,15 @@ def _checked_samples(h_of_t, t0: float, t1: float, steps: int) -> tuple[np.ndarr
     from ``steps`` until the end agrees with the span at n/2 steps (two half steps for
     one step) within the halving-gap tolerance, and that last gap: the step is sixth
     order, so the end's error is about gap/63 (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470, 151 (2009))."""
+    470, 151 (2009)).  A gap that is not finite raises at once."""
     coarse = magnus_samples(h_of_t, t0, t1, steps // 2 or 2)[-1]
     for n in (steps << k for k in range(REFINEMENTS + 1)):
         u = magnus_samples(h_of_t, t0, t1, n)
         gap = float(np.max(np.abs(u[-1] - coarse)))
         if gap <= HALVING_GAP_TOL:
             return u, gap
+        if not math.isfinite(gap):      # finer steps cannot mend a NaN or inf
+            break
         coarse = u[-1]
     raise StepSizeError(f"propagator changes by {gap:.2e} between {n} and {n // 2} "
                         f"steps, beyond {HALVING_GAP_TOL:.0e}")
@@ -244,7 +246,10 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
     coupled = np.any(u_samples != 0, axis=0)
     h_bar = np.where(coupled, h_bar, 0.0)
     order = np.argsort(np.argmax(coupled, axis=1), kind="stable")
-    quasi = hermitian_eigensystem(h_bar[np.ix_(order, order)])
+    try:  # a drive of Omega ~ 1e99 scales Hbar's rounding past the Hermitian check
+        quasi = hermitian_eigensystem(h_bar[np.ix_(order, order)])
+    except ValidationError as exc:
+        raise NumericalError(f"Floquet Hamiltonian: {exc}") from None
     quasi = Spectrum(energies=quasi.energies, vectors=quasi.vectors[np.argsort(order)])
 
     ts = np.arange(grid_m + 1) * (tau / grid_m)
@@ -370,15 +375,25 @@ _BCH_TERMS = (
 
 
 def bch_compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Baker-Campbell-Hausdorff series for log(e^x e^y), through its fifth order."""
-    ops = {"X": x, "Y": y}
+    """Baker-Campbell-Hausdorff series for log(e^x e^y), through its fifth order.
+
+    Each nested commutator is formed once: a word is [first letter, its
+    suffix], the suffix's commutator reused, and a word ending in "YX" is
+    minus the one ending in "XY", so 13 commutators serve the 12 terms."""
+    nested = {"X": x, "Y": y}
+
+    def commutator(word):
+        if word not in nested:
+            if word.endswith("YX"):
+                nested[word] = -commutator(word[:-2] + "XY")
+            else:
+                m, acc = nested[word[0]], commutator(word[1:])
+                nested[word] = m @ acc - acc @ m
+        return nested[word]
+
     total = np.zeros_like(x)
     for coeff, word in _BCH_TERMS:
-        acc = ops[word[-1]]
-        for ch in word[-2::-1]:
-            m = ops[ch]
-            acc = m @ acc - acc @ m
-        total = total + coeff * acc
+        total = total + coeff * commutator(word)
     return total
 
 
@@ -485,7 +500,8 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
     the stack of shape (len(t), d, d).  ``h0`` must be diagonal in the
     level basis the drive pair refers to.  Emits one warning (never fails)
     when, at any of the times, the leading neglected BCH order is no longer
-    small against the kept terms.
+    small against the kept terms; raises NumericalError when an exponent is
+    not finite, as at a drive amplitude or frequency near the float range.
     """
     h0 = require_hermitian(h0)
     if np.max(np.abs(h0 - np.diag(np.diag(h0)))) > 1e-12:
@@ -500,8 +516,14 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
     if drive.mu > 0:
         paulis = np.array(_pair_paulis(h0.shape[0], drive.pair))
         vecs = magnus_interaction_terms(drive, omega_gap, times)
-        for n, vec in enumerate(vecs, start=1):
-            lam = lam + (-1j * drive.mu) ** n * np.tensordot(vec, paulis, axes=1)
+        try:
+            for n, vec in enumerate(vecs, start=1):
+                lam = lam + (-1j * drive.mu) ** n * np.tensordot(vec, paulis, axes=1)
+        except OverflowError:   # mu^3 past the float range
+            lam = np.full_like(theta, np.nan)
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(lam))):
+        raise NumericalError(f"Magnus+BCH exponents are not finite (drive amplitude "
+                             f"{drive.mu:g}, frequency {drive.omega_drive:g})")
 
     _warn_if_bch_strained(theta, lam)
     e = bch_compose(theta, lam)

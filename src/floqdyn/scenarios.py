@@ -372,11 +372,11 @@ def _phase_count(decomp: FloquetDecomposition, step: float, n_records: int) -> i
     A step of g whole P-grid steps puts record k on the sample (k g) mod
     grid_m, so the phases repeat every grid_m / gcd(g, grid_m) records; the
     bound on g's defect is the one ``p_at`` puts on a grid time.  Any other
-    step gives every record its own phase.
+    step, one of infinitely many grid steps too, gives every record its own phase.
     """
     m = decomp.grid_m
     g = step * m / decomp.tau
-    whole = round(g)
+    whole = round(g) if math.isfinite(g) else 0     # a step of 1e300 at Omega 1e100
     if whole < 1 or abs(g - whole) > 1e-13 * g:
         return n_records
     return min(m // math.gcd(whole, m), n_records)

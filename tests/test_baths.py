@@ -426,9 +426,9 @@ class TestGaussLegendreRules:
     def test_rule_against_leggauss_and_a_40_digit_oracle(self, order):
         # the nodes within 4 eps of numpy's leggauss; the weights against the
         # 40-digit weight at the ends, the middle and every 64th node.  The
-        # recurrence loses digits at the ends (2.1e-11 relative at order 1536,
-        # <= 1.9e-12 below it), and leggauss's own weights are off by up to
-        # 1.5e-8 there, so leggauss is no reference for the weights
+        # series in theta keeps them within 2.2e-14 relative at every order, and
+        # leggauss's own weights are off by up to 1.5e-8 at the ends of order
+        # 1536, so leggauss is no reference for the weights
         eps = np.finfo(float).eps
         x, w = baths._leggauss(order)
         want_x, want_w = np.polynomial.legendre.leggauss(order)
@@ -436,8 +436,19 @@ class TestGaussLegendreRules:
         picks = np.unique(np.r_[0:3, order // 2 - 1:order // 2 + 1, 0:order:64])
         want = np.array([_mp_gauss_weight(x[i], order) for i in picks])
         ours = np.abs(w[picks] / want - 1)
-        assert np.max(ours) <= 1e-10
+        assert np.max(ours) <= 1e-12
         assert np.max(ours) <= np.max(np.abs(want_w[picks] / want - 1))
+
+    @pytest.mark.parametrize("order", GAUSS_ORDERS)
+    def test_rule_integrates_even_powers_exactly(self, order):
+        # an n-point rule is exact for x^(2j), j < n: the integral 2/(2j + 1),
+        # from the positive nodes and the symmetry.  The rule keeps every moment
+        # within 4e-14 relative; the powers' own rounding grows with j
+        x, w = baths._leggauss(order)
+        positive = x > 0
+        j = np.arange(order)
+        moments = 2.0 * (w[positive, None] * (x[positive, None] ** 2) ** j).sum(axis=0)
+        assert np.max(np.abs(moments * (2 * j + 1) / 2 - 1)) <= 1e-12
 
     def test_checked_evaluates_each_order_once(self):
         # once per order for all poles: (f(nu) - 0)/(nu - c) = exp(-nu) (nu + 2) at

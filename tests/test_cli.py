@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, replace
 from datetime import timedelta
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from floqdyn import cli, floattext
+from floqdyn import cli, floattext, floquet
 from floqdyn.cli import (
     RUN_SCHEMA,
     canonical_run_dict,
@@ -31,6 +32,7 @@ from floqdyn.baths import BathSpec, LambIntegralParams, OhmicSpec
 from floqdyn.errors import ConfigError
 from floqdyn.floquet import HALVING_GAP_TOL, DriveSpec
 from floqdyn.generators import GENERATOR_KINDS
+from floqdyn.propagation import magnus_samples
 from floqdyn.scenarios import PRESETS, ScenarioConfig, decompose_scenario, efficiency, evolve
 
 
@@ -221,9 +223,15 @@ class TestExactFormatter:
             m = abs(Fraction(v).numerator)
             return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
 
-        hi, upper, lower, lo = floattext._pow10_table()
+        # every scale's column as a one-scale call finds it in its band
         scales = range(floattext._S_MIN, floattext._S_MAX + 1)
-        for s, h, u, w, l in zip(scales, hi, upper, lower, lo):
+        columns = []
+        for s in scales:
+            rows, s0 = floattext._pow10_rows(s, s)
+            columns.append(rows[:, s - s0])
+        whole, s0 = floattext._pow10_rows(floattext._S_MIN, floattext._S_MAX)
+        assert s0 == floattext._S_MIN and np.array_equal(whole, np.transpose(columns))
+        for s, (h, u, w, l) in zip(scales, columns):
             exact = Fraction(10) ** s
             assert float(exact) == h
             assert float(exact - Fraction(h)) == l
@@ -231,6 +239,14 @@ class TestExactFormatter:
             # Dekker's product is exact for halves of at most 26 bits
             assert u + w == h
             assert significant_bits(u) <= 26 and significant_bits(w) <= 26
+
+    def test_block_spanning_the_scaled_range(self):
+        # the least and the largest scaled magnitudes in one call need every band
+        values = np.array([2e-290, 9e289, -2e-290, -9e289, 0.5, 2e-290 * 3, 9e289 / 7])
+        floattext._pow10_band.cache_clear()
+        assert written_cells(values) == ["%.17g" % v for v in values.tolist()]
+        bands = -(-(floattext._S_MAX + 1 - floattext._S_MIN) // floattext._BAND)
+        assert floattext._pow10_band.cache_info().currsize == bands
 
     def test_fast_and_fallback_cells_spliced_across_blocks(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -266,9 +282,13 @@ class TestExactFormatter:
 
     def test_tables_built_on_first_write_not_at_import(self):
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = ("import floqdyn.cli, floqdyn.floattext as f\n"
-                "assert f._pow10_table.cache_info().currsize == 0\n"
-                "assert f._layouts.cache_info().currsize == 0\n")
+        # the 10^s table is built band by band: values of one band build only it
+        code = ("import numpy, floqdyn.cli, floqdyn.floattext as f\n"
+                "assert f._pow10_band.cache_info().currsize == 0\n"
+                "assert f._layouts.cache_info().currsize == 0\n"
+                "f.float_text(numpy.array([0.5, -6000.0, 1e-3]))\n"
+                "assert f._pow10_band.cache_info().currsize == 1\n"
+                "assert f._layouts.cache_info().currsize == 1\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert out.returncode == 0, out.stderr
@@ -890,6 +910,26 @@ class TestMalformedSections:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    def test_non_finite_halving_gap_exits_3_on_the_first_grid(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a level of 1e100 makes every Magnus step NaN: no finer grid can mend
+        # it, so the P grid is not doubled past its first check
+        grids = []
+
+        def counted(h, t0, t1, n):
+            grids.append(n)
+            return magnus_samples(h, t0, t1, n)
+
+        monkeypatch.setattr(floquet, "magnus_samples", counted)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["simulate", "--preset", "three_level_v1", "--set",
+                         "scenario.energies=[0, 1e100, 2.5]", "--out", str(out)])
+        assert code == 3
+        assert "propagator changes by nan" in capsys.readouterr().err
+        assert 1 <= len(grids) <= 2 and not out.exists()
+
     # a cutoff whose square overflows is the infinite-cutoff limit J = j0 x, and
     # so is one of 1e100 (x^2 / 1e200 leaves exp at 1): the same outputs
     @pytest.mark.parametrize("preset,kind", [("three_level_nondriven", "lindblad"),
@@ -1333,14 +1373,16 @@ TINY_GAPS = st.sampled_from([5e-324, 1e-110, 1e-100, 1e-300, 1e-15, 0.0, -0.0])
 
 
 @st.composite
-def extreme_runs(draw):
+def extreme_runs(draw, driven: bool = False):
     """A schema-valid simulate config: a preset, maybe undriven, under a kind that
     fits its drive, some of its numbers extreme, a level maybe a tiny gap above
-    another, and a short run."""
-    preset = draw(st.sampled_from(sorted(PRESETS)))
+    another, and a short run.  ``driven`` keeps to the driven presets, with their
+    drive."""
+    preset = draw(st.sampled_from(sorted(name for name in PRESETS
+                                         if PRESETS[name]().drive or not driven)))
     scenario = canonical_run_dict({"scenario": {"preset": preset},
                                    "integration": {"t_final": 1.0}})["scenario"]
-    if draw(st.booleans()):
+    if not driven and draw(st.booleans()):
         scenario["drive"] = None
     scenario["kind"] = draw(st.sampled_from(("floquet_lindblad", "floquet_redfield")
                                             if scenario["drive"] else ("lindblad", "redfield")))
@@ -1370,6 +1412,12 @@ def _tiny_gap_run(gap: float) -> dict:
             "integration": {"t_final": 1.0}}
 
 
+def _floquet_run(energies=(0.0, 3.0, 2.5), mu=0.1, omega=2.25) -> dict:
+    return {"scenario": {"preset": "three_level_v0", "energies": list(energies),
+                         "drive": {"mu": mu, "omega": omega, "pair": [0, 2]}},
+            "integration": {"t_final": 1.0}}
+
+
 class TestExtremeNumbers:
     # in process: a traceback would be an exception here, not an exit code
     @settings(max_examples=40, deadline=timedelta(seconds=30))
@@ -1381,11 +1429,27 @@ class TestExtremeNumbers:
               "integration": {"t_final": 1.0}})
     @example(_tiny_gap_run(5e-324))
     @example(_tiny_gap_run(1e-110))
+    @example({**_floquet_run(omega=1e100),                  # infinitely many P-grid steps
+              "integration": {"t_final": 5e-324, "dt": 1e300}})
     def test_simulate_runs_or_exits_2_or_3(self, run):
+        self._runs_or_exits_2_or_3("simulate", run)
+
+    @settings(max_examples=40, deadline=timedelta(seconds=30))
+    @given(extreme_runs(driven=True))
+    @example(_floquet_run(energies=[0, 1e100, 2.5]))
+    @example(_floquet_run(energies=[0, 4e16, 2.5]))
+    @example(_floquet_run(mu=1e100, omega=1e100))   # Hbar past the Hermitian check
+    @example(_floquet_run(mu=1e103, omega=1e104))   # mu^3 overflows
+    @example(_floquet_run(mu=0.1, omega=1.7976931348623157e308))    # NaN Magnus terms
+    def test_floquet_runs_or_exits_2_or_3(self, run):
+        self._runs_or_exits_2_or_3("floquet", run)
+
+    @staticmethod
+    def _runs_or_exits_2_or_3(command, run):
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
             cfg.write_text(json.dumps(run))
-            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            code = main([command, "--config", str(cfg), "--out", str(out)])
             assert code in (0, 2, 3)
             if code == 2:
                 assert not out.exists()

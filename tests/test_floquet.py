@@ -22,6 +22,7 @@ from floqdyn.floquet import (
     HALVING_GAP_TOL,
     DriveSpec,
     _unfold_quasienergies,
+    bch_compose,
     benchmark_fidelities,
     cluster_gaps,
     drive_hamiltonian,
@@ -533,6 +534,48 @@ class TestMagnusBch:
         h[0, 1] = h[1, 0] = 0.3
         with pytest.raises(ValidationError):
             magnus_bch_propagator(V0, h, 1.0)
+
+
+def bch_per_word(x, y):
+    """The BCH sum as the terms' nested commutators, each formed from its own
+    word, innermost first: the reference that :func:`bch_compose` must match bit
+    for bit."""
+    ops = {"X": x, "Y": y}
+    total = np.zeros_like(x)
+    for coeff, word in floquet._BCH_TERMS:
+        acc = ops[word[-1]]
+        for ch in word[-2::-1]:
+            m = ops[ch]
+            acc = m @ acc - acc @ m
+        total = total + coeff * acc
+    return total
+
+
+class TestBchCompose:
+    @pytest.mark.parametrize("shape", [(3, 3), (129, 3, 3), (5, 4, 4), (2, 3, 16, 16)])
+    def test_equals_the_per_word_series_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1e-3, 1.0, 30.0):
+            x, y = (scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                    for _ in range(2))
+            assert np.array_equal(bch_compose(x, y), bch_per_word(x, y))
+
+    def test_zero_second_argument(self):
+        x = random_hermitian(np.random.default_rng(3), 4) * 1j
+        assert np.array_equal(bch_compose(x, np.zeros_like(x)), x)
+
+    def test_commuting_arguments_add(self):
+        rng = np.random.default_rng(4)
+        # -i times diagonal Hamiltonians: each product's entries are real
+        # products, whose order does not matter, so every commutator is exactly 0
+        x, y = (-1j * np.apply_along_axis(np.diag, -1, rng.normal(size=(6, 3)))
+                for _ in range(2))
+        assert np.array_equal(bch_compose(x, y), x + y)
+        # functions of one Hermitian matrix commute up to rounding
+        spec = hermitian_eigensystem(random_hermitian(rng, 4))
+        v = spec.vectors
+        x, y = ((v * f(spec.energies)) @ v.conj().T for f in (np.sin, np.exp))
+        assert_allclose(bch_compose(-1j * x, -1j * y), -1j * (x + y), atol=1e-13)
 
 
 class TestGaugeInvariance:
