@@ -84,15 +84,17 @@ def _pow10_rows(s_min: int, s_max: int) -> tuple:
     return rows, _S_MIN + _BAND * first
 
 
-def _layout(cls: int) -> list:
+def _layout(cls: int, nsig: int) -> list:
     """Source-row offsets of the unsigned text of layout class ``cls`` with
-    all 17 significant digits."""
+    ``nsig`` significant digits (trailing zeros stripped, as %g strips them)."""
+    digits = list(_DIGIT[:nsig])
     if cls < 4:                         # 0.000ddd
-        return [_ZERO, _POINT] + [_ZERO] * (3 - cls) + list(_DIGIT)
-    point = cls - 3 if cls <= 20 else 1     # ddd.ddd, k + 1 digits before the point
-    mantissa = list(_DIGIT[:point]) + [_POINT] + list(_DIGIT[point:])
-    if cls <= 20:
-        return mantissa
+        return [_ZERO, _POINT] + [_ZERO] * (3 - cls) + digits
+    if cls <= 20:                       # ddd.ddd, k + 1 digits before the point
+        point = cls - 3
+        return list(_DIGIT[:point]) if nsig <= point else \
+            digits[:point] + [_POINT] + digits[point:]
+    mantissa = digits[:1] + ([_POINT] + digits[1:] if nsig > 1 else [])
     return mantissa + [_E, _EXP_SIGN] + [_EXP_100] * (cls == 22) + [_EXP_10, _EXP_1]
 
 
@@ -101,35 +103,12 @@ def _layouts() -> tuple:
     """Offsets per layout id, ``TEXT_WIDTH`` each padded with ``_NUL``: id
     2 (17 class + nsig - 1) + sign for a scaled value, ``_VERBATIM`` + length - 1
     for a verbatim one.  Then, per k from ``_K_MIN``: 34 class, and the bytes
-    of words 0 and 3 that depend on k alone.
-
-    A scaled value's text is its class's 17-digit text after a '-', less the
-    '-' of a positive value and one run of slots: the digits after the point
-    past ``nsig`` (%g strips trailing zeros), with the point if none is left."""
-    template = np.full((_N_CLASSES, 2 * TEXT_WIDTH), _NUL, np.uint8)
-    template[:, 0] = _MINUS
-    for cls in range(_N_CLASSES):
-        text = _layout(cls)
-        template[cls, 1:len(text) + 1] = text
-    # the least nsig that keeps each slot: i + 1 for digit i after the point,
-    # one more than the digits before it for the point, 0 for any other slot
-    rank = np.zeros(_NUL + 1, np.intp)
-    rank[list(_DIGIT)] = np.arange(1, 18)          # digit i -> i + 1
-    rank = rank[template]
-    point = template == _POINT
-    after = np.cumsum(point, axis=1) > 0
-    need = np.where(after, rank, 0)
-    need[point] = np.sum((rank > 0) & ~after, axis=1) + 1      # one point per class
-    drop = need[:, None, :] > np.arange(1, 18)[:, None]         # per class, nsig, slot
-    start = np.argmax(drop, axis=-1)[..., None, None]
-    length = np.sum(drop, axis=-1)[..., None, None]
-    width = np.arange(TEXT_WIDTH)
-    src = width + np.array([1, 0])[:, None]     # per sign: past the '-' of a positive value
-    src = src + np.where(src >= start, length, 0) \
-        + template.shape[1] * np.arange(_N_CLASSES)[:, None, None, None]
-    scaled = np.take(template, src)
-    verbatim = np.where(width <= width[:, None], width, _NUL)
-    offsets = np.concatenate([scaled.reshape(-1, TEXT_WIDTH), verbatim]).astype(np.uint8)
+    of words 0 and 3 that depend on k alone."""
+    unsigned = [bytes(_layout(cls, nsig)) for cls in range(_N_CLASSES) for nsig in range(1, 18)]
+    texts = [text for u in unsigned for text in (u, bytes([_MINUS]) + u)]
+    texts += [bytes(range(n)) for n in range(1, TEXT_WIDTH + 1)]
+    offsets = np.frombuffer(b"".join(t.ljust(TEXT_WIDTH, bytes([_NUL])) for t in texts),
+                            np.uint8).reshape(-1, TEXT_WIDTH)
     k = np.arange(_K_MIN, 17 - _S_MIN)
     ak = np.abs(k)
     cls = np.where((k >= -4) & (k <= 16), k + 4, np.where(ak < 100, 21, 22))

@@ -520,7 +520,8 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
             for n, vec in enumerate(vecs, start=1):
                 lam = lam + (-1j * drive.mu) ** n * np.tensordot(vec, paulis, axes=1)
         except OverflowError:   # mu^3 past the float range
-            lam = np.full_like(theta, np.nan)
+            raise NumericalError(f"Magnus+BCH exponents are not finite (drive amplitude "
+                                 f"{drive.mu:g} cubed overflows)") from None
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(lam))):
         raise NumericalError(f"Magnus+BCH exponents are not finite (drive amplitude "
                              f"{drive.mu:g}, frequency {drive.omega_drive:g})")

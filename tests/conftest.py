@@ -1,14 +1,12 @@
 """Shared fixtures: the reference decompositions and long trajectories are
 expensive, so they are computed once per session and reused across modules."""
 
-import os
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import settings
 
 from floqdyn.baths import spectral_density
 from floqdyn.floquet import fourier_operator_coefficients, jump_operator_table
@@ -19,11 +17,6 @@ from floqdyn.scenarios import (
     efficiency,
     evolve,
 )
-
-# HYPOTHESIS_PROFILE=ci: a failing property test also prints the blob that
-# reproduces its example (@reproduce_failure); draws and deadlines are unchanged
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def gibbs_state(h, beta: float) -> np.ndarray:
