@@ -3,13 +3,13 @@
 Library layout:
 
 * ``operators`` -- dense matrix algebra (exponentials, logs, eigensystems,
-  fidelities, trace distances).
+  fidelities, trace distances, powers by doubling, prefix-product scans).
 * ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi and Redfield
   N/C coefficients, the Redfield dipole calibration, principal-value quadrature.
 * ``propagation`` -- the sixth-order Magnus step for the Schrodinger
   equation, of any length, with an exactly Hermitian exponent (unitary up
   to a rounding that grows with the phase per step): the steps of a sample
-  grid in one array call, one product per sample.
+  grid in one array call, their prefix products by a log-depth scan.
 * ``floquet`` -- propagator integration, Floquet decomposition with branch
   unfolding, the periodic operator P(t) on and between its sample grid,
   Fourier operator harmonics, jump-operator tables, Magnus+BCH

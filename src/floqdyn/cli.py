@@ -550,6 +550,8 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
     config = scenario_from_dict(run["scenario"])
     decomp = decompose_scenario(config)
     formats = run["outputs"]["formats"]
+    # every result before the first file, so that a failure writes nothing
+    bench = benchmark_fidelities(config.drive, config.h0, decomp) if "csv" in formats else None
     if "json" in formats:
         # the per-channel Lamb matrices are defined by the secular construction
         # regardless of which generator kind the scenario runs with
@@ -572,8 +574,7 @@ def cmd_floquet(run: dict, out_dir: Path) -> int:
                 key: _json_matrix(h) for key, h in gen.h_lamb.items()
             },
         })
-    if "csv" in formats:
-        bench = benchmark_fidelities(config.drive, config.h0, decomp)
+    if bench is not None:
         write_csv(out_dir / "benchmark.csv",
                   ["t", "fidelity_propagator", "fidelity_periodicity",
                    "fidelity_periodicity_magnus"],

@@ -6,20 +6,20 @@ Hamiltonian) and P unitary, tau-periodic, P(0,0) = 1.  This module computes:
 
 * the monodromy U(tau,0) by sixth-order Magnus steps (the sampler of
   :mod:`floqdyn.propagation`: the steps of one period in one array call,
-  then one product per sample), on a grid doubled until the period agrees
-  with the one at half as many steps, and Hbar by the principal matrix
-  logarithm, each quasienergy moved by a multiple of Omega to within
-  Omega/2 of the bare energy of the undriven level its eigenvector
-  overlaps most, so Hbar is continuous in the drive amplitude;
+  then their prefix products by a log-depth scan), on a grid doubled
+  until the period agrees with the one at half as many steps, and Hbar by
+  the principal matrix logarithm, each quasienergy moved by a multiple of
+  Omega to within Omega/2 of the bare energy of the undriven level its
+  eigenvector overlaps most, so Hbar is continuous in the drive amplitude;
 * the periodic operator P(t,0), sampled on the grid and one Magnus step
   from a grid node between samples, and the Fourier coefficients S(q) of
   P†(t) S P(t) for any system operator S;
 * the jump-operator table S(q, omega) resolved on quasienergy gaps;
 * a Magnus + Baker-Campbell-Hausdorff approximation of the propagator for
   a single cosine-driven level pair (the nested integrals exact, from
-  exponentials of small bidiagonal matrices, stepped along a uniform time
-  grid), and the fidelity benchmarks comparing it against the integrated
-  propagator in array calls over that grid.
+  exponentials of small bidiagonal matrices, their powers along a uniform
+  time grid by doubling), and the fidelity benchmarks comparing it against
+  the integrated propagator in array calls over that grid.
 """
 
 import math
@@ -34,9 +34,11 @@ from .errors import NumericalError, ResolutionError, StepSizeError, ValidationEr
 from .operators import (
     Spectrum,
     expm,
+    fill_powers,
     hermitian_eigensystem,
     principal_unitary_log,
     require_hermitian,
+    spectral_norms_2x2,
     unitarity_defect,
     unitary_fidelity,
 )
@@ -448,8 +450,9 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t) -> list[np.n
 
     ``t`` is a scalar, giving vectors of shape (3,), or a 1-D array of
     equally spaced times on one grid k*h, giving shape (len(t), 3): one
-    batched exponential of h*M, then row 0 of exp(k*h*M) by one row-vector
-    product per grid step.  A scalar is the one-step grid h = t.
+    batched exponential of h*M, then row 0 of exp(k*h*M) = exp(h*M)^k for
+    every k by doubling (``operators.fill_powers``).  A scalar is the
+    one-step grid h = t.
     """
     _, h, ks = _time_grid(t)
     lam, coef = _drive_exponentials(omega_gap, drive.omega_drive)
@@ -464,12 +467,10 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t) -> list[np.n
     diag = np.concatenate([np.zeros((len(tuples), 1)),
                            np.cumsum(1j * lam[tuples], axis=1)], axis=1)
     chain = diag[:, :, None] * np.eye(order + 1) + np.eye(order + 1, k=1)
-    step = expm(h * chain)
-    rows = np.empty((ks[-1] + 1, len(tuples), order + 1), dtype=complex)
-    rows[0] = np.eye(order + 1)[0]
-    for k in range(1, ks[-1] + 1):
-        rows[k] = (rows[k - 1][:, None, :] @ step)[:, 0]
-    rows = rows[ks].reshape((len(ks),) + (len(lam),) * order + (order + 1,))
+    rows = np.zeros((len(tuples), ks[-1] + 1, order + 1), dtype=complex)
+    rows[:, 0, 0] = 1.0     # rows[:, k] = e_0 exp(h*M)^k = (exp(h*M)^T)^k e_0
+    fill_powers(rows, expm(h * chain).swapaxes(-1, -2))
+    rows = rows[:, ks].swapaxes(0, 1).reshape((len(ks),) + (len(lam),) * order + (order + 1,))
 
     out = []
     for n in range(1, order + 1):
@@ -479,17 +480,13 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t) -> list[np.n
     return out
 
 
-def _pair_paulis(dim: int, pair: tuple[int, int]):
+def _pair_paulis(dim: int, pair: tuple[int, int]) -> np.ndarray:
+    """sigma_x, sigma_y and sigma_z of the level pair (i, j), as a (3, dim, dim) stack."""
     i, j = pair
-    sx = np.zeros((dim, dim), dtype=complex)
-    sy = np.zeros((dim, dim), dtype=complex)
-    sz = np.zeros((dim, dim), dtype=complex)
-    sx[i, j] = sx[j, i] = 1.0
-    sy[i, j] = -1j
-    sy[j, i] = 1j
-    sz[i, i] = 1.0
-    sz[j, j] = -1.0
-    return sx, sy, sz
+    paulis = np.zeros((3, dim, dim), dtype=complex)
+    paulis[:2, [i, j], [j, i]] = [[1.0, 1.0], [-1j, 1j]]
+    paulis[2, [i, j], [i, j]] = [1.0, -1.0]
+    return paulis
 
 
 def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
@@ -514,7 +511,7 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
     theta = -1j * times[:, None, None] * h0
     lam = np.zeros_like(theta)
     if drive.mu > 0:
-        paulis = np.array(_pair_paulis(h0.shape[0], drive.pair))
+        paulis = _pair_paulis(h0.shape[0], drive.pair)
         vecs = magnus_interaction_terms(drive, omega_gap, times)
         try:
             for n, vec in enumerate(vecs, start=1):
@@ -526,7 +523,7 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
         raise NumericalError(f"Magnus+BCH exponents are not finite (drive amplitude "
                              f"{drive.mu:g}, frequency {drive.omega_drive:g})")
 
-    _warn_if_bch_strained(theta, lam)
+    _warn_if_bch_strained(theta, lam, drive.pair)
     e = bch_compose(theta, lam)
     m = 0.5j * (e - e.conj().swapaxes(-1, -2))  # Hermitian generator: e = -i m up to rounding
     w, v = np.linalg.eigh(m)
@@ -534,10 +531,12 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
     return u if np.ndim(t) else u[0]
 
 
-def _warn_if_bch_strained(theta: np.ndarray, lam: np.ndarray):
-    """One warning for a stack of BCH arguments, naming the strained times."""
-    nt = np.linalg.norm(theta, 2, axis=(-2, -1))
-    nl = np.linalg.norm(lam, 2, axis=(-2, -1))
+def _warn_if_bch_strained(theta: np.ndarray, lam: np.ndarray, pair: tuple[int, int]):
+    """One warning for a stack of BCH arguments, naming the strained times.  Theta
+    is diagonal, so its spectral norm is its largest |entry|, and Lambda lives on
+    the 2x2 block of the drive pair."""
+    nt = np.max(np.abs(np.diagonal(theta, axis1=-2, axis2=-1)), axis=-1)
+    nl = spectral_norms_2x2(lam[:, [[pair[0]], [pair[1]]], list(pair)])
     # crude size of the first neglected (6th) BCH order
     estimate = nt**4 * nl**2 / 1440.0
     strained = (estimate > 1.0) & (nl > 0)

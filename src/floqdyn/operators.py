@@ -4,10 +4,12 @@ Operators are plain ``numpy`` complex arrays; this module supplies the
 validated algebra the rest of the package relies on: matrix exponentials
 (general ones for stacks of matrices, and Hermitian ones by eigensystem),
 the principal logarithm of a unitary, eigensystems, minimum eigenvalues of
-Hermitian stacks, and the trace fidelity between unitaries.  Everything
-works in natural units (hbar = c = k_B = epsilon_0 = 1) and targets
-dimensions of order d <= 8, where exact eigendecomposition-based matrix
-functions are both simplest and most accurate.
+Hermitian stacks, the trace fidelity between unitaries, the powers of a
+matrix applied to a vector by doubling, and the prefix products of a stack
+by a log-depth scan.  Everything works in natural units (hbar = c = k_B =
+epsilon_0 = 1) and targets dimensions of order d <= 8, where exact
+eigendecomposition-based matrix functions are both simplest and most
+accurate.
 """
 
 from dataclasses import dataclass
@@ -125,6 +127,18 @@ def min_eigenvalues(h) -> np.ndarray:
     return out
 
 
+def spectral_norms_2x2(b: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (n, 2, 2) stack: its square is
+    (p + q)/2 + hypot((p - q)/2, |r|), p and q the squared column norms and r their
+    inner product, which, unlike (F + sqrt(F^2 - 4|det|^2))/2, cancels nothing near
+    a scalar block.  Each matrix is scaled by its largest entry, so no square overflows."""
+    s = np.max(np.abs(b), axis=(-2, -1))
+    b = b / np.where(s > 0, s, 1.0)[:, None, None]
+    p, q = np.sum(np.abs(b) ** 2, axis=-2).T
+    r = np.abs(np.sum(b[:, :, 0].conj() * b[:, :, 1], axis=-1))
+    return s * np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), r))
+
+
 def unitary_from_hermitian(h, t: float) -> np.ndarray:
     """exp(-i*h*t) for Hermitian ``h``, via eigendecomposition."""
     spec = hermitian_eigensystem(h)
@@ -191,6 +205,31 @@ def expm(a) -> np.ndarray:
         else:
             r[sel] = r[sel] @ r[sel]
     return r
+
+
+def fill_powers(rows: np.ndarray, step: np.ndarray) -> None:
+    """rows[..., k, :] = step^k rows[..., 0, :] for each k of the n rows, in place:
+    rows [m, 2m) are rows [0, m) advanced by step^m, one block product per
+    doubling, with step^m by repeated squaring: about log2(n) of each kind."""
+    power, m, n = step, 1, rows.shape[-2]
+    while m < n:
+        count = min(m, n - m)
+        np.matmul(rows[..., :count, :], power.swapaxes(-1, -2), out=rows[..., m:m + count, :])
+        m += count
+        if m < n:
+            power = power @ power
+
+
+def prefix_products(u: np.ndarray) -> None:
+    """u[k] = u[k] @ ... @ u[1] @ u[0] for each matrix of a stack, in place, by a
+    work-efficient log-depth scan (Ladner & Fischer, J. ACM 27, 831 (1980)): the
+    pairs u[2j+1] @ u[2j] are scanned by recursion, then each even entry is advanced
+    by the pair prefix before it, 2 ceil(log2 n) batched products of 2n matrices."""
+    if len(u) > 1:
+        pairs = u[1::2] @ u[:-1:2]
+        prefix_products(pairs)
+        u[1::2] = pairs
+        u[2::2] = u[2::2] @ pairs[:(len(u) - 1) // 2]
 
 
 def principal_unitary_log(u) -> np.ndarray:

@@ -29,7 +29,7 @@ independent in the micromotion frame P† rho P, so
 import numpy as np
 
 from .errors import ValidationError
-from .operators import expm
+from .operators import expm, prefix_products
 
 #: offset of the outer Gauss nodes from the middle of a step, in step lengths
 _NODE = np.sqrt(15.0) / 10.0
@@ -81,13 +81,12 @@ def magnus_steps(h_of_t, t, h) -> np.ndarray:
 
 def magnus_samples(h_of_t, t0: float, t1: float, n: int) -> np.ndarray:
     """U(t0 + k*h, t0) for k = 0..n, h = (t1 - t0)/n: the n steps in one array
-    call, then one product per sample."""
+    call, then their prefix products by a log-depth scan (``prefix_products``):
+    2 ceil(log2 n) batched products in place of n single ones."""
     if n < 1 or not t1 > t0:
         raise ValidationError(f"Magnus steps need t1 > t0 and n >= 1; got [{t0}, {t1}], n={n}")
     h = (t1 - t0) / n
-    steps = magnus_steps(h_of_t, t0 + np.arange(n) * h, h)
-    out = np.empty((n + 1,) + steps.shape[1:], dtype=complex)
-    out[0] = np.eye(steps.shape[-1])
-    for k in range(n):
-        out[k + 1] = steps[k] @ out[k]
+    out = magnus_steps(h_of_t, t0 + np.arange(n) * h, h)
+    out = np.concatenate([np.eye(out.shape[-1])[None], out])     # the steps freed here
+    prefix_products(out[1:])
     return out

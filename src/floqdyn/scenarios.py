@@ -41,7 +41,7 @@ from .generators import (
     lindblad_generator,
     redfield_generator,
 )
-from .operators import expm, min_eigenvalues
+from .operators import expm, fill_powers, min_eigenvalues
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
 TABLE_BATHS = {
@@ -276,8 +276,9 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     runs), and the end state at exactly ``t_final``.
     With S = exp(L h), record k is S^k rho(0): records m..2m-1 are
     records 0..m-1 advanced by S^m, one matrix product per doubling, with
-    S^m formed by repeated squaring.  The end record is the last one on
-    the stride advanced by exp(L * (t_final - last record)).
+    S^m formed by repeated squaring (``operators.fill_powers``).  The end
+    record is the last one on the stride advanced by
+    exp(L * (t_final - last record)).
 
     Recorded states are Schrodinger picture: a generator with a
     decomposition has its frame states mapped back by P(t) at the record
@@ -317,15 +318,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     times[-1] = t_final
     states = np.empty((len(times), d * d), dtype=complex)
     states[0] = config.initial_state().ravel()
-    record_map = expm(generator.superop * (stride * dt))
-    # records [m, 2m) are records [0, m) advanced by power = record_map^m
-    power, m = record_map, 1
-    while m <= n_full:
-        count = min(m, n_full + 1 - m)
-        np.matmul(states[:count], power.T, out=states[m:m + count])
-        m += count
-        if m <= n_full:
-            power = power @ power
+    fill_powers(states[:n_full + 1], expm(generator.superop * (stride * dt)))
     if ends_off_stride:
         states[-1] = expm(generator.superop * (t_final - times[-2])) @ states[-2]
 

@@ -1087,6 +1087,16 @@ class TestFloquetCommand:
         assert code == 0
         assert {p.name for p in tmp_path.iterdir()} == written
 
+    def test_failing_benchmark_writes_nothing(self, tmp_path, capsys):
+        # the decomposition and the Lamb matrices succeed; the Magnus+BCH
+        # exponent (mu^3) overflows, and no file may be left in --out
+        out = tmp_path / "out"
+        code = main(["floquet", "--preset", "three_level_v0", "--set", "scenario.drive.mu=1e103",
+                     "--set", "scenario.drive.omega=1e104", "--out", str(out)])
+        assert code == 3
+        assert "cubed overflows" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_nondriven_exits_2(self, tmp_path):
         code = main(["floquet", "--preset", "three_level_nondriven",
                      "--set", "integration.t_final=10", "--out", str(tmp_path)])
@@ -1373,13 +1383,14 @@ TINY_GAPS = st.sampled_from([5e-324, 1e-110, 1e-100, 1e-300, 1e-15, 0.0, -0.0])
 
 
 @st.composite
-def extreme_runs(draw, driven: bool = False):
+def extreme_runs(draw, driven: bool = False, dim: int | None = None):
     """A schema-valid simulate config: a preset, maybe undriven, under a kind that
     fits its drive, some of its numbers extreme, a level maybe a tiny gap above
     another, and a short run.  ``driven`` keeps to the driven presets, with their
-    drive."""
-    preset = draw(st.sampled_from(sorted(name for name in PRESETS
-                                         if PRESETS[name]().drive or not driven)))
+    drive, and ``dim`` to the presets of that many levels."""
+    preset = draw(st.sampled_from(sorted(
+        name for name in PRESETS
+        if (PRESETS[name]().drive or not driven) and dim in (None, PRESETS[name]().dim))))
     scenario = canonical_run_dict({"scenario": {"preset": preset},
                                    "integration": {"t_final": 1.0}})["scenario"]
     if not driven and draw(st.booleans()):
@@ -1404,6 +1415,18 @@ def extreme_runs(draw, driven: bool = False):
     return {"scenario": scenario,
             "integration": {"t_final": draw(st.sampled_from([5e-324, 1e-300, 0.05, 1.0])),
                             "dt": draw(st.sampled_from([None, None, 0.01, 1e300, 5e-324]))}}
+
+
+@st.composite
+def extreme_compares(draw):
+    """A schema-valid compare config: the scenarios of two ``extreme_runs``, one
+    time in four of any dimension (the others of the first's), on the
+    integration of the first, under either metric."""
+    a = draw(extreme_runs())
+    levels = len(a["scenario"]["energies"])
+    b = draw(extreme_runs(dim=draw(st.sampled_from([None, levels, levels, levels]))))
+    return {"a": a["scenario"], "b": b["scenario"], "integration": a["integration"],
+            "metric": draw(st.sampled_from(["eta_series", "trace_distance"]))}
 
 
 def _tiny_gap_run(gap: float) -> dict:
@@ -1443,6 +1466,11 @@ class TestExtremeNumbers:
     @example(_floquet_run(mu=0.1, omega=1.7976931348623157e308))    # NaN Magnus terms
     def test_floquet_runs_or_exits_2_or_3(self, run):
         self._runs_or_exits_2_or_3("floquet", run)
+
+    @settings(max_examples=40, deadline=timedelta(seconds=30))
+    @given(extreme_compares())
+    def test_compare_runs_or_exits_2_or_3(self, run):
+        self._runs_or_exits_2_or_3("compare", run)
 
     @staticmethod
     def _runs_or_exits_2_or_3(command, run):

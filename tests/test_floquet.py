@@ -479,6 +479,22 @@ class TestMagnusBch:
             assert np.linalg.norm(g - w) <= MAGNUS_RTOL * np.linalg.norm(w), n
             assert np.linalg.norm(gg[-1] - w) <= MAGNUS_RTOL * np.linalg.norm(w), n
 
+    @pytest.mark.parametrize("grid", [np.array([TAU]), np.arange(2) * (TAU / 64),
+                                      np.arange(3, 6) * (TAU / 64), np.arange(129) * (TAU / 64)],
+                             ids=["1", "2", "3_from_k3", "129"])
+    def test_grid_rows_match_a_per_step_loop(self, grid, monkeypatch):
+        # rows by doubling against one product per grid step of the same exp(h*M)
+        def per_step(rows, step):
+            for k in range(1, rows.shape[-2]):
+                rows[..., k, :] = (step @ rows[..., k - 1, :, None])[..., 0]
+
+        got = magnus_interaction_terms(V0, -2.5, grid)
+        monkeypatch.setattr(floquet, "fill_powers", per_step)
+        want = magnus_interaction_terms(V0, -2.5, grid)
+        for n, (g, w) in enumerate(zip(got, want), start=1):
+            assert g.shape == (len(grid), 3)
+            assert np.max(np.abs(g - w)) <= 1e-13 * max(1.0, np.max(np.abs(w))), n
+
     @pytest.mark.parametrize("periods", [1, 2])
     def test_resonant_drive_matches_quadrature_reference(self, periods):
         # omega_drive == |omega_gap|: the chain matrices repeat diagonal

@@ -10,9 +10,12 @@ from floqdyn.errors import ValidationError
 from floqdyn.floquet import _drive_exponentials, propagate_schrodinger
 from floqdyn.operators import (
     expm,
+    fill_powers,
     hermitian_eigensystem,
     min_eigenvalues,
+    prefix_products,
     principal_unitary_log,
+    spectral_norms_2x2,
     trace_distance,
     unitary_fidelity,
     unitary_from_hermitian,
@@ -380,3 +383,92 @@ class TestDensityMatrix:
         assert type(trace_distance(a[0], b[0])) is float
         assert got.shape == (6,)
         assert np.max(np.abs(got - [trace_distance(x, y) for x, y in zip(a, b)])) <= 1e-15
+
+
+def random_unitaries(rng, n, d):
+    """n Haar-like random d x d unitaries, the Q factors of complex Gaussian matrices."""
+    return np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+
+
+class TestPrefixProducts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 128, 129])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_matches_sequential_product(self, n, d):
+        rng = np.random.default_rng(n * 10 + d)
+        u = random_unitaries(rng, n, d)
+        want = [u[0]]
+        for m in u[1:]:
+            want.append(m @ want[-1])
+        got = u.copy()
+        prefix_products(got)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+    def test_keeps_zeros_between_decoupled_blocks(self):
+        # block-diagonal factors in a permuted basis: no product couples the blocks
+        rng = np.random.default_rng(5)
+        u = np.zeros((37, 5, 5), dtype=complex)
+        u[:, :3, :3] = random_unitaries(rng, 37, 3)
+        u[:, 3:, 3:] = random_unitaries(rng, 37, 2)
+        perm = rng.permutation(5)
+        u = u[:, perm][:, :, perm]
+        got = u.copy()
+        prefix_products(got)
+        assert np.array_equal(got == 0, u == 0)
+
+
+class TestFillPowers:
+    @staticmethod
+    def doubling_loop(rows, step):
+        """The record loop ``evolve`` used before it called ``fill_powers``."""
+        n_full = len(rows) - 1
+        power, m = step, 1
+        while m <= n_full:
+            count = min(m, n_full + 1 - m)
+            np.matmul(rows[:count], power.T, out=rows[m:m + count])
+            m += count
+            if m <= n_full:
+                power = power @ power
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 100])
+    def test_record_rows_bit_identical_to_the_evolve_loop(self, n):
+        config = PRESETS["four_level_degenerate"]()
+        step = expm(build_generator(config).superop * 0.35)
+        rows = np.empty((n, step.shape[0]), dtype=complex)
+        rows[0] = config.initial_state().ravel()
+        want = rows.copy()
+        fill_powers(rows, step)
+        self.doubling_loop(want, step)
+        assert np.array_equal(rows, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 129])
+    def test_stack_of_steps_matches_matrix_powers(self, n):
+        rng = np.random.default_rng(n)
+        step = random_unitaries(rng, 6, 4)
+        rows = np.zeros((6, n, 4), dtype=complex)
+        rows[:, 0] = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        fill_powers(rows, step)
+        want = np.stack([np.linalg.matrix_power(step, k) @ rows[:, 0, :, None]
+                         for k in range(n)], axis=1)[..., 0]
+        assert np.max(np.abs(rows - want)) <= 1e-13
+
+
+class TestSpectralNorms2x2:
+    def test_matches_svd_norms(self):
+        rng = np.random.default_rng(11)
+        blocks = list(rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2)))
+        u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        blocks += [
+            np.outer(u, v.conj()),                          # singular: rank 1
+            np.array([[1.0, 2.0], [0.0, 0.0]]),             # singular, a zero row
+            (0.3 - 0.7j) * random_unitaries(rng, 1, 2)[0],  # equal singular values
+            (-1j * 2.78e-1) * np.eye(2),                    # scalar
+            np.zeros((2, 2)),
+            1e200 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))),  # squares overflow
+            1e-200 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))),  # squares underflow
+        ]
+        b = np.array(blocks, dtype=complex)
+        s = np.max(np.abs(b), axis=(1, 2))[:, None, None]
+        want = np.linalg.norm(b / np.where(s > 0, s, 1.0), 2, axis=(1, 2)) * s[:, 0, 0]
+        got = spectral_norms_2x2(b)
+        assert np.all(np.abs(got - want) <= 4 * EPS * want)
+        assert got[-3] == 0.0

@@ -21,7 +21,8 @@ from floqdyn import scenarios
 from floqdyn.errors import ConfigError
 from floqdyn.floquet import drive_hamiltonian, floquet_decompose, propagate_schrodinger
 from floqdyn.generators import sop_commutator
-from floqdyn.propagation import magnus_samples
+from floqdyn.operators import unitarity_defect
+from floqdyn.propagation import magnus_samples, magnus_steps
 from floqdyn.scenarios import (
     PRESETS,
     _phase_count,
@@ -300,6 +301,19 @@ def test_magnus_samples_on_random_periodic_system():
         got = magnus_samples(h_of_t, 0.35, 0.35 + n * h, n)
         assert got.shape == (n + 1, 3, 3)
         assert _max_gap(got, magnus_unitary_samples_loop(h_of_t, 0.35, n, h)) <= STATE_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 128, 129])
+def test_magnus_samples_scan_matches_sequential_product(n):
+    # the log-depth scan against one product per sample of the same unitary steps
+    h_of_t, t0, t1 = _random_periodic_hamiltonian(), 0.35, 1.85
+    h = (t1 - t0) / n
+    steps = magnus_steps(h_of_t, t0 + np.arange(n) * h, h)
+    assert unitarity_defect(steps) <= 1e-14
+    want = [np.eye(3)]
+    for step in steps:
+        want.append(step @ want[-1])
+    assert _max_gap(magnus_samples(h_of_t, t0, t1, n), np.array(want)) <= 1e-13
 
 
 @pytest.mark.parametrize("system", ["three_level_v0", "random_periodic"])
