@@ -26,10 +26,8 @@ Library layout:
 
 from .baths import (
     BathSpec,
-    CorrelationCoefficients,
     LambIntegralParams,
     OhmicSpec,
-    RedfieldCoefficients,
     gamma_xi_ohmic,
     pv_quadrature,
     qubit_dipole_calibration,
@@ -49,7 +47,6 @@ from .floquet import (
     BenchmarkReport,
     DriveSpec,
     FloquetDecomposition,
-    JumpOperatorTable,
     benchmark_fidelities,
     drive_hamiltonian,
     floquet_decompose,
@@ -76,7 +73,6 @@ from .operators import (
 )
 from .scenarios import (
     PRESETS,
-    DiagnosticsReport,
     EfficiencyReport,
     ScenarioConfig,
     Trajectory,

@@ -2,7 +2,7 @@
 frequency-domain coefficients entering the master equations.
 
 Two coefficient families live here, each over an array of frequencies
-(``gamma_xi_ohmic`` and ``redfield_coefficients`` are one-element cases):
+(``gamma_xi_ohmic`` and ``redfield_coefficients`` return their tuples at one x):
 ``gamma_xi_arrays``, the Ohmic rate gamma and shift xi, and
 ``redfield_arrays``, the N1/N2 rates and C1/C2 shifts of the dipole-coupled
 equations.  The vacuum part of C2 diverges with the radiation cutoff W; it is
@@ -84,24 +84,6 @@ class LambIntegralParams:
     def __post_init__(self):
         if not (math.isfinite(self.w_cutoff) and self.w_cutoff > 0):
             raise ValidationError(f"w_cutoff must be finite and > 0, got {self.w_cutoff}")
-
-
-@dataclass(frozen=True)
-class CorrelationCoefficients:
-    """Real decomposition Gamma(x) = gamma/2 + i*xi of a bath correlation FT."""
-
-    gamma: float
-    xi: float
-
-
-@dataclass(frozen=True)
-class RedfieldCoefficients:
-    """Rates N1/N2 and Lamb integrals C1/C2 (imaginary magnitudes) at one x."""
-
-    n1: float
-    n2: float
-    c1_imag: float
-    c2_imag: float
 
 
 def thermal_occupation(omega: float, beta: float) -> float:
@@ -318,10 +300,10 @@ def gamma_xi_arrays(spec: OhmicSpec, beta: float, x, params: LambIntegralParams,
 
 
 def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
-                   params: LambIntegralParams) -> CorrelationCoefficients:
-    """Diagonal correlation coefficients of an Ohmic bath at frequency x: the
-    one-element case of :func:`gamma_xi_arrays`."""
-    return CorrelationCoefficients(*(v.item() for v in gamma_xi_arrays(spec, beta, [x], params)))
+                   params: LambIntegralParams) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma, xi) of an Ohmic bath at frequency x, Gamma(x) = gamma/2 + i*xi: the
+    one-element arrays of :func:`gamma_xi_arrays`."""
+    return gamma_xi_arrays(spec, beta, [x], params)
 
 
 def qubit_dipole_calibration(spec: OhmicSpec, omega10: float) -> float:
@@ -378,7 +360,6 @@ def redfield_arrays(x, beta: float, params: LambIntegralParams, lamb_shift: bool
     return n1, n2, c1, c2
 
 
-def redfield_coefficients(x: float, beta: float,
-                          params: LambIntegralParams) -> RedfieldCoefficients:
-    """N1, N2, C1 and C2 at frequency x: the one-element case of :func:`redfield_arrays`."""
-    return RedfieldCoefficients(*(v.item() for v in redfield_arrays([x], beta, params)))
+def redfield_coefficients(x: float, beta: float, params: LambIntegralParams):
+    """(N1, N2, C1, C2) at frequency x: the one-element arrays of :func:`redfield_arrays`."""
+    return redfield_arrays([x], beta, params)

@@ -12,10 +12,11 @@ rejected) before any computation.  The checker is in-house: it knows the
 nine JSON Schema keywords the schemas use and words each violation as
 jsonschema does, except that an integer must be a JSON integer (``3.0`` is
 not one) and that a value whose repr passes 80 characters is quoted by its
-ends and its length.  Exit codes: 0 success, 2 configuration error, 3
-numerical error.  CSV output uses 17-significant-digit floats, '\\n' line
-endings, and a '.' decimal separator; a cell that contains a comma is
-double-quoted.
+ends and its length.  Exit codes: 0 success, 3 for a ``NumericalError``, 2
+for any other floqdyn error (a configuration error); a sweep row that fails
+reads ``error:2`` or ``error:3`` by the same rule.  CSV output uses
+17-significant-digit floats, '\\n' line endings, and a '.' decimal
+separator; a cell that contains a comma is double-quoted.
 """
 
 import argparse
@@ -521,7 +522,6 @@ def _run_trajectory(run: dict):
 
 def cmd_simulate(run: dict, out_dir: Path) -> int:
     config, traj, report = _run_trajectory(run)
-    diag = trajectory_diagnostics(traj)
     summary = {
         "label": config.label,
         "kind": config.kind,
@@ -529,12 +529,7 @@ def cmd_simulate(run: dict, out_dir: Path) -> int:
         "t_final": report.t_final,
         "final_state": _json_matrix(traj.states[-1]),
         "final_populations": traj.populations[-1].tolist(),
-        "diagnostics": {
-            "min_eigenvalue": diag.min_eigenvalue,
-            "max_trace_error": diag.max_trace_error,
-            "stationarity": diag.stationarity,
-            "warnings": list(traj.warnings_issued),
-        },
+        "diagnostics": trajectory_diagnostics(traj),
     }
     formats = run["outputs"]["formats"]
     if "csv" in formats:
@@ -621,67 +616,60 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _failed_point(values, code: int) -> dict:
-    return {"values": values, "status": f"error:{code}", "eta": float("nan"),
-            "final_populations": [], "positivity_min": float("nan")}
+def _exit_code(exc: FloqdynError) -> int:
+    """The exit code of a run that raised ``exc``: 3 for a numerical error, else 2."""
+    return 3 if isinstance(exc, NumericalError) else 2
 
 
-def _sweep_point(run: dict, values) -> dict:
+def _sweep_row(values, dim: int, status: str, eta: float = math.nan, pops: tuple = (),
+               positivity_min: float = math.nan) -> list:
+    """The ``sweep.csv`` cells of one grid point: its axis values (JSON text, a
+    float as it is), status, eta, final populations padded with NaN to ``dim``
+    (grid points may differ in dimension) and least record eigenvalue."""
+    return ([json.dumps(v) if not isinstance(v, float) else v for v in values]
+            + [status, eta, *pops] + [math.nan] * (dim - len(pops)) + [positivity_min])
+
+
+def _sweep_point(run: dict, values, dim: int) -> list:
     try:
         _, traj, report = _run_trajectory(run)
-        return {
-            "values": values,
-            "status": "ok",
-            "eta": report.eta,
-            "final_populations": traj.populations[-1].tolist(),
-            "positivity_min": float(traj.positivity_log.min()),
-        }
     except FloqdynError as exc:
-        return _failed_point(values, 2 if isinstance(exc, ConfigError) else 3)
+        return _sweep_row(values, dim, f"error:{_exit_code(exc)}")
+    return _sweep_row(values, dim, "ok", report.eta, traj.populations[-1].tolist(),
+                      float(traj.positivity_log.min()))
 
 
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
-    base = cfg["base"]
     axes = cfg["axes"]
     names = sorted(axes)
     grid = list(product(*(axes[name] for name in names)))
-    results = [None] * len(grid)     # in grid order; axis values may be unhashable
-    jobs = []
-    for i, values in enumerate(grid):
+    runs = []       # per grid point, in grid order: its run, or the exit code of its config
+    for values in grid:
         # override the raw config so preset-level axes still take effect,
         # then canonicalize (preset expansion deep-merges partial sections)
         try:
-            run = apply_overrides(copy.deepcopy(base),
+            run = apply_overrides(copy.deepcopy(cfg["base"]),
                                   [f"{n}={json.dumps(v)}" for n, v in zip(names, values)])
-            run = validate_schema(canonical_run_dict(run), RUN_SCHEMA)
-            jobs.append((i, (run, values)))
-        except FloqdynError:
-            results[i] = _failed_point(values, 2)
+            runs.append(validate_schema(canonical_run_dict(run), RUN_SCHEMA))
+        except FloqdynError as exc:
+            runs.append(_exit_code(exc))
+    points = [(run, values) for run, values in zip(runs, grid) if isinstance(run, dict)]
+    dim = max((len(run["scenario"]["energies"]) for run, _ in points), default=0)
     workers = cfg.get("parallelism", 1)
-    points = [job for _, job in jobs]
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(points) > 1:
         # here, only for a pool, to keep concurrent.futures.process out of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_sweep_point, *zip(*points)))
+            computed = list(pool.map(_sweep_point, *zip(*points), [dim] * len(points)))
     else:
-        computed = [_sweep_point(run, values) for run, values in points]
-    for (i, _), res in zip(jobs, computed):
-        results[i] = res
-
-    # grid points may differ in dimension; shorter rows are padded with NaN
-    dim = max((len(run["scenario"]["energies"]) for run, _ in points), default=0)
+        computed = [_sweep_point(run, values, dim) for run, values in points]
+    computed = iter(computed)
+    rows = [next(computed) if isinstance(run, dict) else _sweep_row(values, dim, f"error:{run}")
+            for run, values in zip(runs, grid)]
     header = list(names) + ["status", "eta"] + [f"pop_{i}" for i in range(dim)] \
         + ["positivity_min"]
-    rows = []
-    for res in results:
-        pops = res["final_populations"]
-        pops = pops + [float("nan")] * (dim - len(pops))
-        rows.append([json.dumps(v) if not isinstance(v, float) else v
-                     for v in res["values"]]
-                    + [res["status"], res["eta"]] + pops + [res["positivity_min"]])
     write_csv(out_dir / "sweep.csv", header, rows)
-    if all(r["status"] != "ok" for r in results):
+    if all(row[len(names)] != "ok" for row in rows):
         raise NumericalError("every sweep grid point failed")
     return 0
 
@@ -731,12 +719,10 @@ def main(argv: list[str] | None = None) -> int:
         data = load_config(args.config, None, args.overrides)
         validate_schema(data, SWEEP_SCHEMA)
         return cmd_sweep(data, out_dir)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+    except FloqdynError as exc:
+        code = _exit_code(exc)
+        print(f"{'numerical' if code == 3 else 'configuration'} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -184,18 +184,13 @@ class FloquetDecomposition:
         if off.size:
             node = k[off].astype(np.int64) % m
             h = frac[off] * (self.tau / m)
-            v = self.quasi.vectors
-            phases = np.exp(1j * self.quasi.energies * h[:, None])
             out[off] = (magnus_steps(self.hamiltonian, node * (self.tau / m), h)
-                        @ self.p_samples[node] @ ((v * phases[:, None, :]) @ v.conj().T))
+                        @ self.p_samples[node] @ self.quasi.unitary(-h))
         return out.reshape(t.shape + out.shape[1:])
 
     def propagator_at(self, t) -> np.ndarray:
         """U(t,0) = P(t mod tau) exp(-i*Hbar*t); an array of times gives the stack."""
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * self.quasi.energies * t[..., None])
-        v = self.quasi.vectors
-        return self.p_at(t) @ ((v * phases[..., None, :]) @ v.conj().T)
+        return self.p_at(t) @ self.quasi.unitary(t)
 
 
 def _unfold_quasienergies(h_principal: np.ndarray, reference: np.ndarray,
@@ -254,11 +249,7 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
         raise NumericalError(f"Floquet Hamiltonian: {exc}") from None
     quasi = Spectrum(energies=quasi.energies, vectors=quasi.vectors[np.argsort(order)])
 
-    ts = np.arange(grid_m + 1) * (tau / grid_m)
-    phases = np.exp(1j * np.outer(ts, quasi.energies))  # exp(+i eps t)
-    v = quasi.vectors
-    rot = np.einsum("ab,tb,cb->tac", v, phases, v.conj())
-    p_samples = u_samples @ rot
+    p_samples = u_samples @ quasi.unitary(-np.arange(grid_m + 1) * (tau / grid_m))
 
     worst = unitarity_defect(p_samples[::max(1, grid_m // 16)])
     if worst > 1e-7:
@@ -309,20 +300,6 @@ def fourier_operator_coefficients(decomp: FloquetDecomposition, s,
     return coeffs.reshape(s.shape[:-2] + coeffs.shape[1:])
 
 
-@dataclass(frozen=True)
-class JumpOperatorTable:
-    """Operators S(q, omega) indexed by harmonic q and quasienergy gap omega.
-
-    ``gaps`` is the clustered, sorted gap list.  Row e of the sorted ``keys``
-    is the (q, gap index) of ``ops[e]``, led by the operator's index for a
-    stack of operators.  All-zero projections are omitted.
-    """
-
-    gaps: np.ndarray
-    keys: np.ndarray
-    ops: np.ndarray
-
-
 def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise energy differences merged into clusters of width gap_tol.
 
@@ -338,11 +315,13 @@ def cluster_gaps(energies: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.n
     return means, labels.reshape(len(energies), -1)
 
 
-def jump_operator_table(harmonics: np.ndarray, quasi: Spectrum) -> JumpOperatorTable:
+def jump_operator_table(harmonics: np.ndarray, quasi: Spectrum) -> tuple:
     """Resolve each S(q) of ``harmonics`` (S(q) at index q_max + q, or a stack
     of such arrays) onto quasienergy gaps, in one eigenbasis transform and one
     gather: S(q, omega) sums the |eps><eps| S(q) |eps'><eps'| blocks with
-    eps - eps' in the omega cluster."""
+    eps - eps' in the omega cluster.  Returns (gaps, keys, ops): the clustered,
+    sorted gaps, and row e of the sorted keys the (q, gap index) of ops[e], led
+    by the operator's index for a stack; all-zero projections are omitted."""
     gaps, labels = cluster_gaps(quasi.energies, GAP_CLUSTER_TOL)
     v = quasi.vectors
     s_eig = v.conj().T @ np.asarray(harmonics) @ v
@@ -352,7 +331,7 @@ def jump_operator_table(harmonics: np.ndarray, quasi: Spectrum) -> JumpOperatorT
     keys = np.argwhere(present)
     blocks = np.where(labels == keys[:, -1, None, None], s_eig[tuple(keys[:, :-1].T)], 0.0)
     keys[:, -2] -= s_eig.shape[-3] // 2
-    return JumpOperatorTable(gaps=gaps, keys=keys, ops=v @ blocks @ v.conj().T)
+    return gaps, keys, v @ blocks @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +505,7 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
     _warn_if_bch_strained(theta, lam, drive.pair)
     e = bch_compose(theta, lam)
     m = 0.5j * (e - e.conj().swapaxes(-1, -2))  # Hermitian generator: e = -i m up to rounding
-    w, v = np.linalg.eigh(m)
-    u = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    u = Spectrum(*np.linalg.eigh(m)).unitary(1.0)
     return u if np.ndim(t) else u[0]
 
 
@@ -590,8 +568,7 @@ def benchmark_fidelities(drive: DriveSpec, h0, decomp: FloquetDecomposition) -> 
 
     def periodicity(u, spec):
         # F[P(t,0), P(t+tau,tau)] with P(t,0) = U(t,0) exp(i*H*t)
-        x = (spec.vectors * np.exp(1j * spec.energies * ts[:, None])[:, None, :]) \
-            @ spec.vectors.conj().T
+        x = spec.unitary(-ts)
         return unitary_fidelity(u[:n + 1] @ x, u[n:] @ u[n].conj().T @ x)
 
     return BenchmarkReport(

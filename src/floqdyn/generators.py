@@ -145,21 +145,21 @@ class _HarmonicFrame:
         baths in first-seen order; and the arrays ``coefficients(bath, x)`` gives
         at every entry's x = omega + q*Omega, one row each, in one call per bath.
         :class:`ConfigError` names the channel of an operator left without entries."""
-        table = jump_operator_table(self.harmonics(np.array([op for _, op, _ in terms])),
-                                    self.spectrum)
-        counts = np.bincount(table.keys[:, 0], minlength=len(terms))
+        gaps, keys, ops = jump_operator_table(
+            self.harmonics(np.array([op for _, op, _ in terms])), self.spectrum)
+        counts = np.bincount(keys[:, 0], minlength=len(terms))
         if not counts.all():
             raise ConfigError(
                 f"channel {terms[np.argmin(counts)][2]}: the Fourier floor removed every jump "
                 "operator; raise q_max or lower the floor"
             )
-        x = table.gaps[table.keys[:, 2]] + table.keys[:, 1] * self.omega
+        x = gaps[keys[:, 2]] + keys[:, 1] * self.omega
         baths = list(dict.fromkeys(bath for bath, _, _ in terms))
-        bath_of = np.array([baths.index(bath) for bath, _, _ in terms])[table.keys[:, 0]]
+        bath_of = np.array([baths.index(bath) for bath, _, _ in terms])[keys[:, 0]]
         rows = [np.array(coefficients(bath, x[bath_of == i])) for i, bath in enumerate(baths)]
         values = np.empty((len(rows[0]), len(x)))
         values[:, np.argsort(bath_of, kind="stable")] = np.concatenate(rows, axis=1)
-        return table, bath_of, values
+        return (gaps, keys, ops), bath_of, values
 
     def generator(self, h_lamb: dict, a, b) -> Generator:
         """-i[Hbar + H_lamb, .] + sum_k (a_k rho b_k† - b_k† a_k rho) + h.c.
@@ -227,9 +227,9 @@ def _secular_generator(frame: _HarmonicFrame, config, collective: bool) -> Gener
     if not channels:
         return frame.generator({}, [], [])
     terms = [(bath, op, key) for bath, ops, key in channels for op in ops]
-    table, _, (gamma, xi) = frame.resolve(terms, lambda bath, x: gamma_xi_arrays(
+    (_, keys, s), _, (gamma, xi) = frame.resolve(terms, lambda bath, x: gamma_xi_arrays(
         bath.spectral, bath.beta, x, config.lamb_params, config.lamb_shift))
-    s, key_of = table.ops, np.array([key for _, _, key in terms])[table.keys[:, 0]]
+    key_of = np.array([key for _, _, key in terms])[keys[:, 0]]
     h_lamb = {key: np.einsum("k,kji,kjl->il", xi[key_of == key], s[key_of == key].conj(),
                              s[key_of == key]) for _, _, key in channels}
     return frame.generator(h_lamb, (gamma / 2)[:, None, None] * s, s)
@@ -287,11 +287,11 @@ def _redfield_sums(frame: _HarmonicFrame, config, full_secular: bool) -> tuple:
         raise ConfigError(f"channels {missing} lack the dipole magnitude Redfield kinds require "
                           "(a gap of 0, or one whose cube overflows or underflows a float, "
                           "has none)")
-    table, bath_of, (n1, n2, c1, c2) = frame.resolve(
+    (_, keys, ops), bath_of, (n1, n2, c1, c2) = frame.resolve(
         [(bath, _transition_operators(*t, config.dim)[0], f"{bath.name}:{t}") for bath, t in pairs],
         lambda bath, x: redfield_arrays(x, bath.beta, config.lamb_params, config.lamb_shift))
-    op, q, gi = table.keys.T
-    s = np.array(dipoles)[op, None, None] * table.ops
+    op, q, gi = keys.T
+    s = np.array(dipoles)[op, None, None] * ops
     sd = s.conj().transpose(0, 2, 1)
     keys = np.stack([bath_of, q, gi if full_secular else 0 * gi])
     order = np.lexsort(keys[::-1])

@@ -80,6 +80,13 @@ class Spectrum:
     energies: np.ndarray
     vectors: np.ndarray
 
+    def unitary(self, t) -> np.ndarray:
+        """exp(-i*H*t) = V exp(-i*E*t) V†: one matrix at a time t, the stack at an
+        array of times, shape t.shape + (d, d); a stack of spectra (eigh of
+        (..., d, d)) gives the stack at one time."""
+        phases = np.exp(-1j * self.energies * np.asarray(t, dtype=float)[..., None])
+        return (self.vectors * phases[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
+
 
 def hermitian_eigensystem(h) -> Spectrum:
     """Ascending eigensystem of a Hermitian matrix.
@@ -141,9 +148,7 @@ def spectral_norms_2x2(b: np.ndarray) -> np.ndarray:
 
 def unitary_from_hermitian(h, t: float) -> np.ndarray:
     """exp(-i*h*t) for Hermitian ``h``, via eigendecomposition."""
-    spec = hermitian_eigensystem(h)
-    phases = np.exp(-1j * spec.energies * t)
-    return (spec.vectors * phases) @ spec.vectors.conj().T
+    return hermitian_eigensystem(h).unitary(t)
 
 
 #: Pade degrees of the scaling-and-squaring exponential, with the largest

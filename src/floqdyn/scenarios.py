@@ -51,6 +51,9 @@ TABLE_BATHS = {
 
 REFERENCE_DRIVE = {"mu": 0.1, "omega": 2.25}
 
+#: Samples per period that the P(t) grid of ``decompose_scenario`` starts from.
+P_GRID_SAMPLES = 256
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -107,7 +110,7 @@ class ScenarioConfig:
     def default_dt(self) -> float:
         if self.drive is not None and self.kind.startswith("floquet"):
             # whole steps of every P(t) grid of decompose_scenario: records hit samples
-            return self.drive.tau / 256
+            return self.drive.tau / P_GRID_SAMPLES
         return 0.05
 
 
@@ -191,13 +194,13 @@ PRESETS = {
 
 def decompose_scenario(config: ScenarioConfig) -> FloquetDecomposition:
     """Floquet decomposition at the scenario's drive period, its P grid from
-    256 samples, or the power of two >= 8*q_max if larger.  A zero-amplitude
+    ``P_GRID_SAMPLES`` samples, or the power of two >= 8*q_max if larger.  A zero-amplitude
     drive is allowed (Hbar = H0, P = 1); a scenario with no drive has no period.
     A grid that its doublings could take past ``MAX_RECORD_BYTES`` is refused first.
     """
     if config.drive is None:
         raise ConfigError(f"scenario {config.label!r} has no drive to decompose")
-    grid_m = max(256, 1 << (8 * config.q_max - 1).bit_length())
+    grid_m = max(P_GRID_SAMPLES, 1 << (8 * config.q_max - 1).bit_length())
     samples = (grid_m << REFINEMENTS) + 1
     if samples * config.dim ** 2 * 16 > MAX_RECORD_BYTES:
         raise ConfigError(f"q_max {config.q_max} asks for a P grid of up to {samples} samples "
@@ -438,29 +441,18 @@ def efficiency(traj: Trajectory) -> EfficiencyReport:
     return EfficiencyReport(eta=eta, t_final=float(ts[-1]), cumulative=cumulative)
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    min_eigenvalue: float
-    max_trace_error: float
-    stationarity: float
-
-
 #: Records back from the end over which ``trajectory_diagnostics`` measures
 #: stationarity.
 STATIONARITY_WINDOW = 10
 
 
-def trajectory_diagnostics(traj: Trajectory) -> DiagnosticsReport:
-    """Positivity, trace-drift and stationarity summary."""
-    n = len(traj.times)
-    w = min(STATIONARITY_WINDOW, n - 1)
-    if w >= 1:
-        diff = traj.states[-1] - traj.states[-1 - w]
-        stat = float(np.linalg.norm(diff))
-    else:
-        stat = 0.0
-    return DiagnosticsReport(
-        min_eigenvalue=float(traj.positivity_log.min()),
-        max_trace_error=float(traj.trace_errors.max()),
-        stationarity=stat,
-    )
+def trajectory_diagnostics(traj: Trajectory) -> dict:
+    """Positivity, trace-drift and stationarity summary, and the trajectory's
+    warnings: the ``diagnostics`` of ``summary.json``."""
+    w = min(STATIONARITY_WINDOW, len(traj.times) - 1)     # one record: w = 0, stationarity 0
+    return {
+        "min_eigenvalue": float(traj.positivity_log.min()),
+        "max_trace_error": float(traj.trace_errors.max()),
+        "stationarity": float(np.linalg.norm(traj.states[-1] - traj.states[-1 - w])),
+        "warnings": list(traj.warnings_issued),
+    }

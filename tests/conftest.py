@@ -44,16 +44,18 @@ def reference_dipole(bath, gap: float) -> float:
 
 
 def table_entries(table) -> dict:
-    """The operators of a jump table keyed by the tuples of its ``keys``."""
-    return dict(zip(map(tuple, table.keys.tolist()), table.ops))
+    """The operators of a jump table (gaps, keys, ops) keyed by the tuples of its keys."""
+    _, keys, ops = table
+    return dict(zip(map(tuple, keys.tolist()), ops))
 
 
 def jump_entry(table, q: int, omega: float) -> np.ndarray:
     """S(q, omega) of a jump table: its entry at the tabulated gap omega, or
     zero where the projection was omitted."""
-    gi = int(np.argmin(np.abs(table.gaps - omega)))
-    assert abs(table.gaps[gi] - omega) <= 1e-9, f"{omega} is not a tabulated gap"
-    return table_entries(table).get((q, gi), np.zeros_like(table.ops[0]))
+    gaps, _, ops = table
+    gi = int(np.argmin(np.abs(gaps - omega)))
+    assert abs(gaps[gi] - omega) <= 1e-9, f"{omega} is not a tabulated gap"
+    return table_entries(table).get((q, gi), np.zeros_like(ops[0]))
 
 
 @pytest.fixture(scope="session")
@@ -205,9 +207,9 @@ def lamb_oracle(cfg_v0, dec_v0):
         bound, weight, xi_max = 0.0, 0.0, 0.0
         for op in transition_operators(*transition, cfg_v0.dim)[1:]:
             harmonics = fourier_operator_coefficients(dec_v0, op, cfg_v0.q_max)
-            table = jump_operator_table(harmonics, dec_v0.quasi)
+            table = gaps, _, _ = jump_operator_table(harmonics, dec_v0.quasi)
             for (q, gi), s_op in table_entries(table).items():
-                omega = table.gaps[gi]
+                omega = gaps[gi]
                 xi = xi_oracle(bath.spectral, bath.beta, omega + q * omega_drive)
                 sds = s_op.conj().T @ s_op
                 want += xi * sds

@@ -540,7 +540,7 @@ def test_criterion_5e_jump_table_identities(dec_v0):
     sx = np.zeros((3, 3), dtype=complex)
     sx[0, 1] = sx[1, 0] = 0.5
     harmonics = fourier_operator_coefficients(dec_v0, sx, q_max=24)
-    table = jump_operator_table(harmonics, dec_v0.quasi)
+    table = gaps, _, _ = jump_operator_table(harmonics, dec_v0.quasi)
     worst_sum, worst_dag = 0.0, 0.0
     for q in range(-24, 25):
         total = np.zeros((3, 3), dtype=complex)
@@ -549,7 +549,7 @@ def test_criterion_5e_jump_table_identities(dec_v0):
                 total += op
         worst_sum = max(worst_sum, float(np.max(np.abs(total - harmonics[24 + q]))))
     for (q, gi), op in table_entries(table).items():
-        partner = jump_entry(table, -q, -table.gaps[gi])
+        partner = jump_entry(table, -q, -gaps[gi])
         worst_dag = max(worst_dag, float(np.max(np.abs(op.conj().T - partner))))
     ok = worst_sum < 1e-8 and worst_dag < 1e-8
     _report("criterion 5e (jump-table identities)", ok,
@@ -681,9 +681,9 @@ def test_criterion_6_cutoff_keeps_positivity():
         warnings.simplefilter("ignore")
         traj = evolve(build_four_level(0.05), 2800.0, dt=0.01)
     diag = trajectory_diagnostics(traj)
-    ok = diag.min_eigenvalue > -1e-3
+    ok = diag["min_eigenvalue"] > -1e-3
     _report("criterion 6 (W = 4e4 keeps Redfield dynamics positive)", ok,
-            f"min eigenvalue along nondegenerate Lamb run: {diag.min_eigenvalue:.2e} (> -1e-3)")
+            f"min eigenvalue along nondegenerate Lamb run: {diag['min_eigenvalue']:.2e} (> -1e-3)")
     assert ok
 
 

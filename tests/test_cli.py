@@ -29,7 +29,7 @@ from floqdyn.cli import (
     validate_schema,
 )
 from floqdyn.baths import BathSpec, LambIntegralParams, OhmicSpec
-from floqdyn.errors import ConfigError
+from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.floquet import HALVING_GAP_TOL, DriveSpec
 from floqdyn.generators import GENERATOR_KINDS
 from floqdyn.propagation import magnus_samples
@@ -1369,6 +1369,25 @@ class TestExitCodes:
         }))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_validation_error_exits_2_and_fails_a_sweep_point_as_error_2(self, tmp_path,
+                                                                          monkeypatch):
+        # a floqdyn error other than a NumericalError is exit 2, in a run and in a sweep row
+        def evolve_raises(*args, **kwargs):
+            raise ValidationError("t_final must be positive")
+
+        monkeypatch.setattr(cli, "evolve", evolve_raises)
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "three_level_nondriven", "--out", str(out)]) == 2
+        assert not out.exists()
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({
+            "base": {"scenario": {"preset": "three_level_nondriven"},
+                     "integration": {"t_final": 5.0}},
+            "axes": {"scenario.lamb_shift": [True]},
+        }))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 3
+        assert [r["status"] for r in read_csv(tmp_path / "sweep" / "sweep.csv")] == ["error:2"]
+
 
 #: Numbers at the edges of the float range: signed zeros, subnormals, the
 #: largest floats, and JSON integers of hundreds of digits, past the range.
@@ -1441,6 +1460,12 @@ def _floquet_run(energies=(0.0, 3.0, 2.5), mu=0.1, omega=2.25) -> dict:
             "integration": {"t_final": 1.0}}
 
 
+#: The number slots a sweep axis of ``test_sweep_runs_or_exits_2_or_3`` sets, the
+#: integer slot ``q_max`` among them; a drive slot of an undriven run fails its points.
+SWEEP_AXES = ["integration.t_final", "integration.dt", "scenario.q_max",
+              "scenario.lamb_params.w_cutoff", "scenario.drive.mu", "scenario.drive.omega"]
+
+
 class TestExtremeNumbers:
     # in process: a traceback would be an exception here, not an exit code
     @settings(max_examples=40, deadline=timedelta(seconds=30))
@@ -1471,6 +1496,13 @@ class TestExtremeNumbers:
     @given(extreme_compares())
     def test_compare_runs_or_exits_2_or_3(self, run):
         self._runs_or_exits_2_or_3("compare", run)
+
+    @settings(max_examples=40, deadline=timedelta(seconds=30))
+    @given(extreme_runs(), st.sampled_from(SWEEP_AXES), st.lists(EXTREME_NUMBERS, min_size=2,
+                                                                 max_size=2))
+    def test_sweep_runs_or_exits_2_or_3(self, run, axis, values):
+        self._runs_or_exits_2_or_3("sweep", {"base": run, "axes": {axis: values},
+                                             "parallelism": 1})
 
     @staticmethod
     def _runs_or_exits_2_or_3(command, run):

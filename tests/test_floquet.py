@@ -398,12 +398,12 @@ class TestStackedOperators:
         ops = np.array([op for bath in cfg.baths for t in bath.transitions
                         for op in transition_operators(*t, cfg.dim)[lo:hi]])
         harmonics = harmonics_of(ops)
-        table = jump_operator_table(harmonics, quasi)
+        table = _, keys, table_ops = jump_operator_table(harmonics, quasi)
         want = {(k,) + key: op for k, h in enumerate(harmonics)
                 for key, op in jump_table_reference(h, quasi).items()}
         got = table_entries(table)
         assert list(got) == sorted(want)
-        assert table.keys.shape == (len(want), 3) and table.ops.shape == (len(want),) + ops.shape[1:]
+        assert keys.shape == (len(want), 3) and table_ops.shape == (len(want),) + ops.shape[1:]
         for key, op in want.items():
             assert np.max(np.abs(got[key] - op)) <= 1e-15, key
 
@@ -412,8 +412,8 @@ class TestJumpTable:
     def test_static_two_level_case(self):
         h = np.diag([0.0, 3.0]).astype(complex)
         sx = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
-        table = jump_operator_table(sx[None], hermitian_eigensystem(h))
-        assert_allclose(np.sort(table.gaps), [-3.0, 0.0, 3.0], atol=1e-12)
+        table = gaps, _, _ = jump_operator_table(sx[None], hermitian_eigensystem(h))
+        assert_allclose(np.sort(gaps), [-3.0, 0.0, 3.0], atol=1e-12)
         # omega = -3 selects the component mapping level 1 down to level 0
         lower = jump_entry(table, 0, -3.0)
         assert_allclose(lower, [[0, 0.5], [0, 0]], atol=1e-12)
@@ -434,9 +434,9 @@ class TestJumpTable:
     def test_dagger_symmetry(self, dec_v0):
         sx = np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]], dtype=complex)
         harmonics = fourier_operator_coefficients(dec_v0, sx, q_max=10)
-        table = jump_operator_table(harmonics, dec_v0.quasi)
+        table = gaps, _, _ = jump_operator_table(harmonics, dec_v0.quasi)
         for (q, gi), op in table_entries(table).items():
-            omega = table.gaps[gi]
+            omega = gaps[gi]
             partner = jump_entry(table, -q, -omega)
             assert np.max(np.abs(op.conj().T - partner)) < 1e-8
 

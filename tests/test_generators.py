@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from floqdyn.baths import BathSpec, OhmicSpec, RedfieldCoefficients, redfield_coefficients
+from floqdyn.baths import BathSpec, OhmicSpec, redfield_coefficients
 from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.floquet import (
     drive_hamiltonian,
@@ -64,10 +64,10 @@ REDFIELD_NODE_TOL = 1e-9
 
 
 def _coefficients(bath, x, config):
-    rc = redfield_coefficients(x, bath.beta, config.lamb_params)
+    n1, n2, c1, c2 = redfield_coefficients(x, bath.beta, config.lamb_params)
     if not config.lamb_shift:
-        rc = RedfieldCoefficients(n1=rc.n1, n2=rc.n2, c1_imag=0.0, c2_imag=0.0)
-    return rc
+        c1 = c2 = 0.0
+    return n1, n2, c1, c2
 
 
 def _dipole(config, bath, transition):
@@ -92,25 +92,25 @@ def redfield_pairs_reference(config):
     sop = sop_commutator(h0)
     for bath in config.baths:
         for i2, j2 in bath.transitions:   # the primed pair carries the frequency
-            rc = _coefficients(bath, energies[i2] - energies[j2], config)
+            n1, n2, c1, c2 = _coefficients(bath, energies[i2] - energies[j2], config)
             for i1, j1 in bath.transitions:
                 m = _dipole(config, bath, (i1, j1)) * _dipole(config, bath, (i2, j2))
-                sop += k0 * m * rc.n1 * (sop_sandwich(unit(i1, j1), unit(j2, i2))
-                                         + sop_sandwich(unit(i2, j2), unit(j1, i1)))
-                sop += k0 * m * rc.n2 * (sop_sandwich(unit(j1, i1), unit(i2, j2))
-                                         + sop_sandwich(unit(j2, i2), unit(i1, j1)))
-                sop += 1j * k0 * m * rc.c1_imag * (sop_sandwich(unit(i1, j1), unit(j2, i2))
-                                                   - sop_sandwich(unit(i2, j2), unit(j1, i1)))
-                sop += 1j * k0 * m * rc.c2_imag * (sop_sandwich(unit(j2, i2), unit(i1, j1))
-                                                   - sop_sandwich(unit(j1, i1), unit(i2, j2)))
+                sop += k0 * m * n1 * (sop_sandwich(unit(i1, j1), unit(j2, i2))
+                                      + sop_sandwich(unit(i2, j2), unit(j1, i1)))
+                sop += k0 * m * n2 * (sop_sandwich(unit(j1, i1), unit(i2, j2))
+                                      + sop_sandwich(unit(j2, i2), unit(i1, j1)))
+                sop += 1j * k0 * m * c1 * (sop_sandwich(unit(i1, j1), unit(j2, i2))
+                                           - sop_sandwich(unit(i2, j2), unit(j1, i1)))
+                sop += 1j * k0 * m * c2 * (sop_sandwich(unit(j2, i2), unit(i1, j1))
+                                           - sop_sandwich(unit(j1, i1), unit(i2, j2)))
                 if i1 == i2:              # shared upper level
                     op_l, op_r = sop_left(unit(j1, j2)), sop_right(unit(j2, j1))
-                    sop += -k0 * m * rc.n1 * (op_l + op_r)
-                    sop += -1j * k0 * m * rc.c1_imag * (op_r - op_l)
+                    sop += -k0 * m * n1 * (op_l + op_r)
+                    sop += -1j * k0 * m * c1 * (op_r - op_l)
                 if j1 == j2:              # shared lower level
                     op_l, op_r = sop_left(unit(i1, i2)), sop_right(unit(i2, i1))
-                    sop += -k0 * m * rc.n2 * (op_l + op_r)
-                    sop += -1j * k0 * m * rc.c2_imag * (op_l - op_r)
+                    sop += -k0 * m * n2 * (op_l + op_r)
+                    sop += -1j * k0 * m * c2 * (op_l - op_r)
     return sop
 
 
@@ -118,10 +118,11 @@ def full_secular_block_reference(rc, a):
     """Eight-term block with both operators at the same (q, omega)."""
     eye = np.eye(a.shape[0])
     ad = a.conj().T
-    z_n2p = rc.n2 + 1j * rc.c2_imag
-    z_n2m = rc.n2 - 1j * rc.c2_imag
-    z_n1p = rc.n1 + 1j * rc.c1_imag
-    z_n1m = rc.n1 - 1j * rc.c1_imag
+    n1, n2, c1, c2 = rc
+    z_n2p = n2 + 1j * c2
+    z_n2m = n2 - 1j * c2
+    z_n1p = n1 + 1j * c1
+    z_n1m = n1 - 1j * c1
     return -DIPOLE_PREFACTOR * (
         z_n2p * np.kron(a @ ad, eye) + z_n1m * np.kron(ad @ a, eye)
         - (z_n1p + z_n1m) * np.kron(a, a.conj())
@@ -142,9 +143,9 @@ def full_secular_reference(config, decomp):
             dipole = _dipole(config, bath, t)
             harmonics = fourier_operator_coefficients(
                 decomp, transition_operators(*t, config.dim)[0], config.q_max)
-            table = jump_operator_table(harmonics, decomp.quasi)
+            table = gaps, _, _ = jump_operator_table(harmonics, decomp.quasi)
             for key, op in table_entries(table).items():
-                q, omega = key[0], table.gaps[key[1]]
+                q, omega = key[0], gaps[key[1]]
                 rc = _coefficients(bath, omega + q * decomp.omega_drive, config)
                 acc = dipole * op if key not in sums else sums[key][1] + dipole * op
                 sums[key] = (rc, acc)

@@ -215,14 +215,14 @@ class TestDiagnostics:
     def test_report_fields(self):
         traj = evolve(build_three_level("nondriven"), 50.0)
         diag = trajectory_diagnostics(traj)
-        assert diag.min_eigenvalue >= -1e-7
-        assert diag.max_trace_error < 1e-8
-        assert diag.stationarity >= 0.0
+        assert diag["min_eigenvalue"] >= -1e-7
+        assert diag["max_trace_error"] < 1e-8
+        assert diag["stationarity"] >= 0.0
 
     def test_nondegenerate_redfield_transient_excursion(self):
         # the 4-level nondegenerate Redfield state dips below zero at t = 0.3
         traj = evolve(build_four_level(0.05), 1.0)
-        worst = trajectory_diagnostics(traj).min_eigenvalue
+        worst = trajectory_diagnostics(traj)["min_eigenvalue"]
         assert worst == pytest.approx(-2.556455894650646e-06, abs=1e-15)
         k = int(np.argmin(traj.positivity_log))
         assert traj.times[k] == pytest.approx(0.3)
@@ -236,7 +236,7 @@ class TestDiagnostics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj = evolve(cfg, 800.0, dt=0.01)
-        assert trajectory_diagnostics(traj).min_eigenvalue > -1e-3
+        assert trajectory_diagnostics(traj)["min_eigenvalue"] > -1e-3
 
 
 class TestDegenerateLambInsensitivity:
