@@ -3,7 +3,8 @@
 Library layout:
 
 * ``operators`` -- dense matrix algebra (exponentials, logs, eigensystems,
-  fidelities, trace distances, powers by doubling, prefix-product scans).
+  fidelities, trace distances, powers by doubling, prefix-product scans), and
+  the real coordinates of Hermitian matrices and of their superoperators.
 * ``baths`` -- Ohmic spectral data, occupation numbers, gamma/xi and Redfield
   N/C coefficients, the Redfield dipole calibration, principal-value quadrature.
 * ``propagation`` -- the sixth-order Magnus step for the Schrodinger
@@ -17,10 +18,10 @@ Library layout:
 * ``generators`` -- the four master-equation superoperators (Lindblad,
   Floquet-Lindblad, Redfield, Floquet-Redfield), each built from a scenario
   (and a Floquet kind's decomposition) and static in the frame P† rho P.
-* ``scenarios`` -- model presets, exact trajectories (one matrix
-  exponential of the record interval; the records filled by doubling, with
-  its powers from repeated squaring), energy-transfer efficiency,
-  diagnostics.
+* ``scenarios`` -- model presets, exact trajectories (records held as real
+  coordinates; one matrix exponential of the real generator over the record
+  interval; the records filled by doubling, with its powers from repeated
+  squaring), energy-transfer efficiency, diagnostics.
 * ``cli`` -- the ``floqdyn`` command-line entry point.
 """
 

@@ -14,7 +14,9 @@ jsonschema does, except that an integer must be a JSON integer (``3.0`` is
 not one) and that a value whose repr passes 80 characters is quoted by its
 ends and its length.  Exit codes: 0 success, 3 for a ``NumericalError``, 2
 for any other floqdyn error (a configuration error); a sweep row that fails
-reads ``error:2`` or ``error:3`` by the same rule.  CSV output uses
+reads ``error:2`` or ``error:3`` by the same rule, and a sweep whose every row
+fails exits 3 if one reads ``error:3``, else 2.  A run that exits 2 or 3
+writes nothing.  CSV output uses
 17-significant-digit floats, '\\n' line endings, and a '.' decimal
 separator; a cell that contains a comma is double-quoted.
 """
@@ -41,7 +43,7 @@ from .errors import ConfigError, FloqdynError, NumericalError
 from .floattext import FLOAT_FMT, TEXT_WIDTH, float_text
 from .floquet import HALVING_GAP_TOL, DriveSpec, benchmark_fidelities
 from .generators import GENERATOR_KINDS
-from .operators import trace_distance
+from .operators import from_coordinates, trace_distance
 from .scenarios import (
     PRESETS,
     ScenarioConfig,
@@ -488,13 +490,19 @@ def write_json(path: Path, payload: dict) -> None:
 
 def trajectory_table(traj, eta_cumulative) -> np.ndarray:
     """Rows of ``trajectory.csv``: t, the upper triangle of each state (re and
-    im interleaved, row by row), eta_cumulative."""
+    im interleaved, row by row), eta_cumulative.  Row i of a state is its
+    population i, an imaginary +0.0 and the (re, im) pairs of its coherences
+    (i, j > i), which sit side by side in the record coordinates: one slice
+    copy each."""
     d = traj.dim
-    table = np.empty((len(traj.times), 2 + d * (d + 1)))
+    table = np.zeros((len(traj.times), 2 + d * (d + 1)))
     table[:, 0] = traj.times
-    upper = table[:, 1:-1].view(complex)      # the (re, im) column pairs
-    for col, (i, j) in enumerate(zip(*np.triu_indices(d))):
-        upper[:, col] = traj.states[:, i, j]
+    col, pair = 1, d
+    for i in range(d):
+        width = 2 * (d - 1 - i)
+        table[:, col] = traj.coords[:, i]
+        table[:, col + 2:col + 2 + width] = traj.coords[:, pair:pair + width]
+        col, pair = col + 2 + width, pair + width
     table[:, -1] = eta_cumulative
     return table
 
@@ -527,7 +535,7 @@ def cmd_simulate(run: dict, out_dir: Path) -> int:
         "kind": config.kind,
         "eta": report.eta,
         "t_final": report.t_final,
-        "final_state": _json_matrix(traj.states[-1]),
+        "final_state": _json_matrix(from_coordinates(traj.coords[-1])),
         "final_populations": traj.populations[-1].tolist(),
         "diagnostics": trajectory_diagnostics(traj),
     }
@@ -598,21 +606,24 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
         traj = evolve(scen, t_final=integ["t_final"], dt=dt)
         results.append((traj, efficiency(traj)))
     (traj_a, eff_a), (traj_b, eff_b) = results
+    # the trace distance of two records is that of their difference, taken on coordinates
+    change = traj_a.coords - traj_b.coords
     if metric == "eta_series":
         rows = np.column_stack([traj_a.times, eff_a.cumulative, eff_b.cumulative,
                                 eff_a.cumulative - eff_b.cumulative])
         header = ["t", "eta_a", "eta_b", "difference"]
     else:
-        rows = np.column_stack([traj_a.times, trace_distance(traj_a.states, traj_b.states)])
+        rows = np.column_stack([traj_a.times, trace_distance(from_coordinates(change), 0.0)])
         header = ["t", "trace_distance"]
-    write_csv(out_dir / "compare.csv", header, rows)
     rel = (eff_a.eta - eff_b.eta) / eff_b.eta if eff_b.eta != 0 else None
-    write_json(out_dir / "compare_summary.json", {
+    summary = {
         "label_a": scen_a.label, "label_b": scen_b.label, "metric": metric,
         "eta_a": eff_a.eta, "eta_b": eff_b.eta,
         "relative_gain_a_over_b": rel,
-        "final_trace_distance": trace_distance(traj_a.states[-1], traj_b.states[-1]),
-    })
+        "final_trace_distance": trace_distance(from_coordinates(change[-1]), 0.0),
+    }
+    write_csv(out_dir / "compare.csv", header, rows)
+    write_json(out_dir / "compare_summary.json", summary)
     return 0
 
 
@@ -666,11 +677,15 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     computed = iter(computed)
     rows = [next(computed) if isinstance(run, dict) else _sweep_row(values, dim, f"error:{run}")
             for run, values in zip(runs, grid)]
+    statuses = [row[len(names)] for row in rows]
+    if "ok" not in statuses:
+        # the run exits by the rule of its rows, 3 if any failed numerically, and writes nothing
+        counts = ", ".join(f"{statuses.count(s)} {s}" for s in dict.fromkeys(statuses))
+        message = f"every sweep grid point failed: {counts}"
+        raise NumericalError(message) if "error:3" in statuses else ConfigError(message)
     header = list(names) + ["status", "eta"] + [f"pop_{i}" for i in range(dim)] \
         + ["positivity_min"]
     write_csv(out_dir / "sweep.csv", header, rows)
-    if all(row[len(names)] != "ok" for row in rows):
-        raise NumericalError("every sweep grid point failed")
     return 0
 
 

@@ -3,16 +3,19 @@
 Operators are plain ``numpy`` complex arrays; this module supplies the
 validated algebra the rest of the package relies on: matrix exponentials
 (general ones for stacks of matrices, and Hermitian ones by eigensystem),
-the principal logarithm of a unitary, eigensystems, minimum eigenvalues of
-Hermitian stacks, the trace fidelity between unitaries, the powers of a
-matrix applied to a vector by doubling, and the prefix products of a stack
-by a log-depth scan.  Everything works in natural units (hbar = c = k_B =
-epsilon_0 = 1) and targets dimensions of order d <= 8, where exact
-eigendecomposition-based matrix functions are both simplest and most
-accurate.
+the principal logarithm of a unitary, eigensystems, the real coordinates
+of Hermitian matrices and of the superoperators that preserve them,
+minimum eigenvalues from those coordinates, the trace fidelity between
+unitaries, the powers of a matrix applied to a vector by doubling, and the
+prefix products of a stack by a log-depth scan.  Everything works in
+natural units (hbar = c = k_B = epsilon_0 = 1) and targets dimensions of
+order d <= 8, where exact eigendecomposition-based matrix functions are
+both simplest and most accurate.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -100,36 +103,124 @@ def hermitian_eigensystem(h) -> Spectrum:
     return Spectrum(energies=w, vectors=v)
 
 
-def min_eigenvalues(h) -> np.ndarray:
-    """Smallest eigenvalue of each matrix of an (n, d, d) Hermitian stack.
+@cache
+def _coordinate_index(d: int) -> tuple:
+    """Row-major vec positions of the diagonal (i, i), of the upper entries (i, j),
+    i < j, row by row, and of their mirrors (j, i)."""
+    iu, ju = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), iu * d + ju, ju * d + iu
 
-    Levels coupled by a nonzero entry in any matrix of the stack form one
+
+def to_coordinates(rho) -> np.ndarray:
+    """The d^2 real coordinates of each Hermitian matrix of a stack (..., d, d):
+    the diagonal, then Re and Im of each upper entry (i, j), i < j, row by row,
+    interleaved (the coherence vector of Alicki & Lendi, Quantum Dynamical
+    Semigroups and Applications, LNP 286 (1987), in the matrix-unit basis)."""
+    rho = np.asarray(rho)
+    d = rho.shape[-1]
+    diag, upper, _ = _coordinate_index(d)
+    flat = rho.reshape(*rho.shape[:-2], d * d)
+    x = np.empty(rho.shape[:-2] + (d * d,))
+    x[..., :d] = flat[..., diag].real
+    x[..., d::2] = flat[..., upper].real
+    x[..., d + 1::2] = flat[..., upper].imag
+    return x
+
+
+@cache
+def _matrix_parts(d: int) -> np.ndarray:
+    """Where each of the 2 d^2 real and imaginary parts of a row-major d x d matrix
+    sits among its d^2 coordinates, then 0.0 - im of each coherence, then a zero."""
+    diag, upper, lower = _coordinate_index(d)
+    pairs = np.arange(len(upper))
+    parts = np.empty((d * d, 2), dtype=np.intp)
+    parts[diag] = np.column_stack([np.arange(d), np.full(d, d * d + len(upper))])
+    parts[upper] = np.column_stack([d + 2 * pairs, d + 1 + 2 * pairs])
+    parts[lower] = np.column_stack([d + 2 * pairs, d * d + pairs])
+    return parts.ravel()
+
+
+def from_coordinates(x) -> np.ndarray:
+    """The Hermitian matrices (..., d, d) of coordinates (..., d^2), the inverse of
+    :func:`to_coordinates`.  Entry (j, i) is re + i (0.0 - im), so that an upper
+    imaginary part +0.0 has the mirror +0.0, not -0.0.  Every part is gathered
+    by one ``take``, from the coordinates extended by those 0.0 - im and a zero."""
+    x = np.asarray(x, dtype=float)
+    d = math.isqrt(x.shape[-1])
+    sources = np.empty(x.shape[:-1] + (d * d + d * (d - 1) // 2 + 1,))
+    sources[..., :d * d] = x
+    np.subtract(0.0, x[..., d + 1::2], out=sources[..., d * d:-1])
+    sources[..., -1] = 0.0
+    parts = np.take(sources, _matrix_parts(d), axis=-1)
+    return parts.view(complex).reshape(x.shape[:-1] + (d, d))
+
+
+def real_superop(k) -> np.ndarray:
+    """N K M for each superoperator of a stack (..., d^2, d^2) on row-major vecs that
+    maps Hermitian matrices to Hermitian ones: the real matrix of K on coordinates,
+    to_coordinates(K rho) = (N K M) to_coordinates(rho).  M puts coordinates into
+    the vec (a coherence (re, im) at (i, j) as re + i im, at (j, i) as re - i im)
+    and N takes them out (re = (z_ij + z_ji)/2, im = (z_ij - z_ji)/2i).  K M is
+    formed column by column, then N (K M) row by row, each entry one entry or
+    a sum or difference of two (halved, for N), so the zeros of K between
+    decoupled entries stay exact.  The imaginary part, the rounding by which K
+    fails to preserve Hermiticity, is dropped."""
+    k = np.asarray(k)
+    d = math.isqrt(k.shape[-1])
+    diag, upper, lower = _coordinate_index(d)
+    # K M, column by column; the (im) column i (K_ij - K_ji) is written as -Im + i Re
+    km = np.empty(k.shape, dtype=complex)
+    km[..., :d] = k[..., diag]
+    km[..., d::2] = k[..., upper] + k[..., lower]
+    minus = k[..., upper] - k[..., lower]
+    km.real[..., d + 1::2] = -minus.imag
+    km.imag[..., d + 1::2] = minus.real
+    # N (K M), row by row: the diagonal, then re = Re (z_ij + z_ji)/2, im = Im (z_ij - z_ji)/2
+    r = np.empty(k.shape)
+    r[..., :d, :] = km[..., diag, :].real
+    r[..., d::2, :] = 0.5 * (km[..., upper, :].real + km[..., lower, :].real)
+    r[..., d + 1::2, :] = 0.5 * (km[..., upper, :].imag - km[..., lower, :].imag)
+    return r
+
+
+def min_eigenvalues(x) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of an (n, d^2) stack of its
+    coordinates (:func:`to_coordinates`; a stack of matrices converts first).
+
+    Levels coupled by a nonzero coherence in any record of the stack form one
     block, and the spectrum of each matrix is the union of its blocks'
-    spectra.  A 1-level block is its real diagonal entry, a 2-level block
-    [[a, c], [c*, b]] has smallest eigenvalue (a + b)/2 - hypot((a - b)/2, |c|),
-    and a larger block goes to ``eigvalsh`` on its sub-stack.  Any nonzero
-    coupling, rounding noise included, merges blocks, so no coupling is
-    ever dropped: the structure sets only the speed, never the result.
+    spectra.  A 1-level block is its diagonal entry, a 2-level block
+    [[a, re + i im], [re - i im, b]] has smallest eigenvalue
+    (a + b)/2 - hypot((a - b)/2, hypot(re, im)), and a larger block goes to
+    ``eigvalsh`` on its sub-stack.  Any nonzero coupling, rounding noise
+    included, merges blocks, so no coupling is ever dropped: the structure
+    sets only the speed, never the result.
     """
-    h = np.asarray(h)
-    d = h.shape[-1]
-    reach = np.eye(d, dtype=bool) | np.any(h != 0, axis=0)
+    x = np.asarray(x, dtype=float)
+    d = math.isqrt(x.shape[-1])
+    iu, ju = np.triu_indices(d, 1)
+    nonzero = np.any(x != 0, axis=0)
+    coupled = nonzero[d::2] | nonzero[d + 1::2]
+    reach = np.eye(d, dtype=bool)
+    reach[iu[coupled], ju[coupled]] = True
     reach |= reach.T
     # transitive closure by squaring: path lengths double each time, up to d - 1
     for _ in range(d.bit_length()):
         reach = (reach.astype(int) @ reach) > 0
-    out = np.full(h.shape[0], np.inf)
+    out = np.full(len(x), np.inf)
     for block in {tuple(np.flatnonzero(row)) for row in reach}:
+        inside = np.isin(iu, block) & np.isin(ju, block)
         if len(block) == 1:
-            (k,) = block
-            lowest = h[:, k, k].real
+            lowest = x[:, block[0]]
         elif len(block) == 2:
             i, j = block
-            a, b = h[:, i, i].real, h[:, j, j].real
-            lowest = 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(h[:, j, i]))
+            c = d + 2 * int(np.flatnonzero(inside)[0])
+            a, b = x[:, i], x[:, j]
+            lowest = 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(x[:, c], x[:, c + 1]))
         else:
-            sub = np.array(block)
-            lowest = np.linalg.eigvalsh(h[:, sub[:, None], sub])[:, 0]
+            cols = np.concatenate([block, (d + 2 * np.flatnonzero(inside)[:, None]
+                                           + [0, 1]).ravel()])
+            lowest = np.linalg.eigvalsh(from_coordinates(x[:, cols]))[:, 0]
         np.minimum(out, lowest, out=out)
     return out
 

@@ -10,18 +10,23 @@ Basis ordering convention: 3-level scenarios use
 
 Trajectories solve d(rho~)/dt = L[rho~] exactly for the frame state
 rho~ = P† rho P.  Every generator is time independent in that frame, so
-the frame state at t is exp(L t) rho(0): one matrix exponential S of L
-over the record interval serves the whole run.  The records are filled by
-doubling: the first m records times the transposed power S^m give the
-next m, so n records take about log2(n) block products and as many
-squarings.  The Floquet kinds have their recorded states mapped back by
-the micromotion P(t) of their decomposition, one superoperator P ⊗ P* per
-drive phase for all records of that phase (P is tau-periodic: on a record
-step of whole P-grid steps a few phases recur, off the grid none); the
-static kinds (P = I) record directly.
-Each record is stored as its Hermitian part (its diagonal exactly real);
-a record that is not finite raises, and every record's minimum eigenvalue
-is scanned in closed form per coupled block (``operators.min_eigenvalues``).
+the frame state at t is exp(L t) rho(0).  Each record is held as the d^2
+real coordinates of its density matrix (``operators.to_coordinates``: the
+populations, then Re and Im of each upper-triangle coherence, the columns
+``trajectory.csv`` writes), so it is Hermitian by construction.  They
+evolve under the real generator L_r = N L M (``operators.real_superop``),
+built once per run: one matrix exponential S of L_r over the record
+interval serves the whole run.  The records are filled by doubling: the
+first m records times the transposed power S^m give the next m, so n
+records take about log2(n) block products and as many squarings.  The
+Floquet kinds have their records mapped back by the micromotion P(t) of
+their decomposition, one real map N (P ⊗ P*) M per drive phase for all
+records of that phase (P is tau-periodic: on a record step of whole P-grid
+steps a few phases recur, off the grid none); the static kinds (P = I)
+record directly.  A record that is not finite raises, and every record's
+minimum eigenvalue is scanned in closed form per coupled block
+(``operators.min_eigenvalues``).  ``Trajectory.states`` builds the complex
+(n, d, d) matrices only when a caller asks for them.
 """
 
 import math
@@ -41,7 +46,8 @@ from .generators import (
     lindblad_generator,
     redfield_generator,
 )
-from .operators import expm, fill_powers, min_eigenvalues
+from .operators import (expm, fill_powers, from_coordinates, min_eigenvalues, real_superop,
+                        to_coordinates)
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
 TABLE_BATHS = {
@@ -235,15 +241,15 @@ def build_generator(config: ScenarioConfig,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded Schrodinger-picture states on a uniform coarse grid.
+    """Recorded Schrodinger-picture states on a uniform coarse grid, each as the
+    d^2 real coordinates of its density matrix (``operators.to_coordinates``).
 
     The last record is at exactly the requested end time, so the last
     interval may be shorter than the others.
     """
 
     times: np.ndarray
-    states: np.ndarray                 # (n, d, d)
-    populations: np.ndarray            # (n, d), real
+    coords: np.ndarray                 # (n, d^2), real
     positivity_log: np.ndarray         # min eigenvalue of every recorded state, none skipped
     trace_errors: np.ndarray
     config: ScenarioConfig | None = None
@@ -251,16 +257,27 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return math.isqrt(self.coords.shape[1])
+
+    @property
+    def populations(self) -> np.ndarray:
+        """(n, d) diagonals of the records, a view of their coordinates."""
+        return self.coords[:, :self.dim]
+
+    @property
+    def states(self) -> np.ndarray:
+        """The records as complex (n, d, d) matrices, built on each call."""
+        return from_coordinates(self.coords)
 
 
-#: Records per array call of the micromotion map and the Hermitian part in
-#: ``evolve``; the positivity scan takes the whole record stack at once.
+#: Records per array call of the micromotion map in ``evolve``; the positivity
+#: scan takes the whole record stack at once.
 RECORD_CHUNK = 2048
 
 #: Most record intervals ``evolve`` takes (past it, a record every few ``dt``).
 MAX_RECORDS = 20000
-#: Most bytes of the records of ``evolve`` (reached only at d >= 58) or of a P grid.
+#: Most bytes of the records of ``evolve`` as complex matrices (``Trajectory.states``;
+#: reached only at d >= 58), or of a P grid.
 MAX_RECORD_BYTES = 2**30
 #: Largest |tr rho - 1| of a record that ``evolve`` accepts.
 TRACE_DRIFT_TOL = 1e-6
@@ -277,27 +294,28 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     states are recorded at k * h, h = stride * dt for the smallest whole
     stride giving at most ``MAX_RECORDS`` intervals (h = dt on shorter
     runs), and the end state at exactly ``t_final``.
-    With S = exp(L h), record k is S^k rho(0): records m..2m-1 are
-    records 0..m-1 advanced by S^m, one matrix product per doubling, with
-    S^m formed by repeated squaring (``operators.fill_powers``).  The end
-    record is the last one on the stride advanced by
-    exp(L * (t_final - last record)).
+    Each record is held as the d^2 real coordinates x of its density matrix
+    (``operators.to_coordinates``), which evolve under L_r = N L M
+    (``operators.real_superop``; Hermiticity holds by construction, and
+    nothing takes a Hermitian part).  With S = exp(L_r h), record k is
+    S^k x(0): records m..2m-1 are records 0..m-1 advanced by S^m, one
+    matrix product per doubling, with S^m formed by repeated squaring
+    (``operators.fill_powers``).  The end record is the last one on the
+    stride advanced by exp(L_r * (t_final - last record)).
 
     Recorded states are Schrodinger picture: a generator with a
     decomposition has its frame states mapped back by P(t) at the record
     times (the sample on the decomposition grid, which the default Floquet
     dt divides; one Magnus step from the node below between grid nodes).
-    All records of a drive phase map by one superoperator
-    (``_map_back_by_phase``): on a step of g whole grid steps the on-stride
-    records take grid_m / gcd(g, grid_m) phases, off the grid one each.  The
-    off-stride end record is mapped by P(t_final).
-    Each record is stored as its Hermitian part (s + s†)/2, which leaves the
-    real diagonal, and so the populations, unchanged bit for bit and makes
-    the imaginary diagonal exactly zero.  ``positivity_log`` holds the
-    minimum eigenvalue of every record, from ``min_eigenvalues``.  Trace
-    drift beyond tolerance raises; Redfield positivity excursions beyond
-    the soft bound are warned, logged on the ``floqdyn`` logger and on the
-    trajectory, and the run continues.
+    All records of a drive phase map by one real superoperator
+    N (P ⊗ P*) M (``_map_back_by_phase``): on a step of g whole grid steps
+    the on-stride records take grid_m / gcd(g, grid_m) phases, off the grid
+    one each.  The off-stride end record is mapped by P(t_final).
+    ``positivity_log`` holds the minimum eigenvalue of every record, from
+    ``min_eigenvalues`` on the coordinates.  Trace drift beyond tolerance
+    raises; Redfield positivity excursions beyond the soft bound are
+    warned, logged on the ``floqdyn`` logger and on the trajectory, and the
+    run continues.
     """
     if t_final <= 0:
         raise ValidationError("t_final must be positive")
@@ -319,37 +337,31 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         generator = build_generator(config)
     times = np.arange(n_records) * stride * dt
     times[-1] = t_final
-    states = np.empty((len(times), d * d), dtype=complex)
-    states[0] = config.initial_state().ravel()
-    fill_powers(states[:n_full + 1], expm(generator.superop * (stride * dt)))
+    real_generator = real_superop(generator.superop)
+    coords = np.empty((len(times), d * d))
+    coords[0] = to_coordinates(config.initial_state())
+    fill_powers(coords[:n_full + 1], expm(real_generator * (stride * dt)))
     if ends_off_stride:
-        states[-1] = expm(generator.superop * (t_final - times[-2])) @ states[-2]
+        coords[-1] = expm(real_generator * (t_final - times[-2])) @ coords[-2]
 
     issued = []
     decomp = generator.decomposition
     if decomp is not None:
-        _map_back_by_phase(states[:n_full + 1], times, decomp, stride * dt)
+        _map_back_by_phase(coords[:n_full + 1], times, decomp, stride * dt)
         if ends_off_stride:
-            p = decomp.p_at(t_final)
-            states[-1] = states[-1] @ np.kron(p, p.conj()).T
-    states = states.reshape(-1, d, d)
-    # chunks keep the temporaries of these array calls small beside the records
-    for lo in range(0, len(times), RECORD_CHUNK):
-        s = states[lo:lo + RECORD_CHUNK]
-        s[...] = 0.5 * (s + s.conj().swapaxes(-1, -2))
-    if not np.isfinite(states.view(float)).all():
-        k = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0]
+            coords[-1] = _conjugation_maps(decomp.p_at(t_final)[None])[0] @ coords[-1]
+    if not np.isfinite(coords).all():
+        k = np.flatnonzero(~np.isfinite(coords).all(axis=1))[0]
         raise NumericalError(f"record {k} (t = {float(times[k])!r}) is not finite")
-    min_eigs = min_eigenvalues(states)
+    min_eigs = min_eigenvalues(coords)
 
-    traces = np.einsum("tii->t", states)
-    trace_err = np.abs(traces - 1.0)
+    # the traces, as one matrix-vector product (a sum along the short axis costs more)
+    trace_err = np.abs(coords[:, :d] @ np.ones(d) - 1.0)
     if np.max(trace_err) > TRACE_DRIFT_TOL:
         raise NumericalError(
             f"trace drift {np.max(trace_err):.2e} exceeds "
             f"{TRACE_DRIFT_TOL:.0e}: the generator is not trace preserving"
         )
-    pops = np.einsum("tii->ti", states).real
     worst = float(min_eigs.min())
     if worst < POSITIVITY_SOFT_BOUND:
         msg = (f"state positivity violated beyond soft bound: min eigenvalue "
@@ -357,9 +369,15 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
         warn(msg)
         issued.append(msg)
 
-    return Trajectory(times=times, states=states, populations=pops,
-                      positivity_log=min_eigs, trace_errors=trace_err,
-                      config=config, warnings_issued=tuple(issued))
+    return Trajectory(times=times, coords=coords, positivity_log=min_eigs,
+                      trace_errors=trace_err, config=config, warnings_issued=tuple(issued))
+
+
+def _conjugation_maps(p: np.ndarray) -> np.ndarray:
+    """N (P ⊗ P*) M of each P of a stack (n, d, d): the real map of coordinates of
+    rho -> P rho P† (row-major vec(P s P†) = (P ⊗ P*) vec(s))."""
+    n, d = p.shape[:2]
+    return real_superop(np.einsum("jac,jbe->jabce", p, p.conj()).reshape(n, d * d, d * d))
 
 
 def _phase_count(decomp: FloquetDecomposition, step: float, n_records: int) -> int:
@@ -378,36 +396,37 @@ def _phase_count(decomp: FloquetDecomposition, step: float, n_records: int) -> i
     return min(m // math.gcd(whole, m), n_records)
 
 
-def _map_back_by_phase(states: np.ndarray, times: np.ndarray,
+def _map_back_by_phase(coords: np.ndarray, times: np.ndarray,
                        decomp: FloquetDecomposition, step: float) -> None:
-    """Map the raveled frame records k * step back in place, rho = P rho~ P†.
+    """Map the frame records k * step back in place, rho = P rho~ P†, on their
+    coordinates.
 
     Record k has phase k mod N (``_phase_count``), so every record of phase
-    j shares P_j = P(times[j]) and the superoperator K_j = P_j ⊗ P_j*
-    (row-major vec(P s P†) = (P ⊗ P*) vec(s)): one product maps them all.
-    Phases go in groups whose K_j take no more room than a chunk of
-    records, and the records of a group in blocks of whole cycles of about
-    a chunk; the cycle left partial at the end takes one matrix-vector
-    product per record.  Off the P grid no phase recurs: the records are
-    one cycle of N = n phases, mapped a group at a time.
+    j shares P_j = P(times[j]) and the real map R_j = N (P_j ⊗ P_j*) M
+    (``_conjugation_maps``): one product maps them all.  Phases go in groups
+    whose R_j take no more room than a chunk of records, and the records of
+    a group in blocks of whole cycles of about a chunk; the cycle left
+    partial at the end takes one matrix-vector product per record.  Off the
+    P grid no phase recurs: the records are one cycle of N = n phases,
+    mapped a group at a time.
     """
-    n, dd = states.shape
+    n, dd = coords.shape
     n_phase = _phase_count(decomp, step, n)
     n_cycles = n // n_phase
-    cycles = states[:n_cycles * n_phase].reshape(n_cycles, n_phase, dd)
-    rest = states[n_cycles * n_phase:]             # phases 0 .. len(rest) - 1
+    cycles = coords[:n_cycles * n_phase].reshape(n_cycles, n_phase, dd)
+    rest = coords[n_cycles * n_phase:]             # phases 0 .. len(rest) - 1
     group = max(1, RECORD_CHUNK // dd)
     for lo in range(0, n_phase, group):
         p = decomp.p_at(times[lo:min(lo + group, n_phase)])
         j = slice(lo, lo + len(p))
-        # K_j^T, so that the raveled records (rows) map by a right product
-        kt = np.einsum("jac,jbd->jcdab", p, p.conj()).reshape(len(p), dd, dd)
+        # R_j^T, so that the records (rows) map by a right product
+        rt = np.ascontiguousarray(_conjugation_maps(p).swapaxes(-1, -2))
         per_block = max(1, RECORD_CHUNK // len(p))
         for c in range(0, n_cycles, per_block):
             block = cycles[c:c + per_block, j]
-            block[...] = np.matmul(block.swapaxes(0, 1), kt).swapaxes(0, 1)
+            block[...] = np.matmul(block.swapaxes(0, 1), rt).swapaxes(0, 1)
         tail = rest[j]
-        tail[...] = np.matmul(tail[:, None], kt[:len(tail)])[:, 0]
+        tail[...] = np.matmul(tail[:, None], rt[:len(tail)])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +469,13 @@ def trajectory_diagnostics(traj: Trajectory) -> dict:
     """Positivity, trace-drift and stationarity summary, and the trajectory's
     warnings: the ``diagnostics`` of ``summary.json``."""
     w = min(STATIONARITY_WINDOW, len(traj.times) - 1)     # one record: w = 0, stationarity 0
+    d = traj.dim
+    change = traj.coords[-1] - traj.coords[-1 - w]
+    # the Frobenius norm: each coherence coordinate stands for two matrix entries
+    frobenius = math.sqrt(change[:d] @ change[:d] + 2.0 * (change[d:] @ change[d:]))
     return {
         "min_eigenvalue": float(traj.positivity_log.min()),
         "max_trace_error": float(traj.trace_errors.max()),
-        "stationarity": float(np.linalg.norm(traj.states[-1] - traj.states[-1 - w])),
+        "stationarity": frobenius,
         "warnings": list(traj.warnings_issued),
     }

@@ -148,6 +148,23 @@ def random_hermitian(rng, d, scale=1.0):
     return scale * 0.5 * (a + a.conj().T)
 
 
+def coordinate_maps(d: int) -> tuple:
+    """The dense maps (N, M) between row-major vecs of d x d matrices and the d^2
+    real coordinates of ``operators.to_coordinates``, entry by entry from their
+    definition: M puts a coherence (re, im) at (i, j) as re + i im and at (j, i)
+    as re - i im, N takes re = (z_ij + z_ji)/2 and im = (z_ij - z_ji)/2i out."""
+    n, m = np.zeros((2, d * d, d * d), dtype=complex)
+    for k in range(d):
+        n[k, k * d + k] = m[k * d + k, k] = 1.0
+    for c, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
+        re, im, ij, ji = d + 2 * c, d + 2 * c + 1, i * d + j, j * d + i
+        m[ij, re] = m[ji, re] = 1.0
+        m[ij, im], m[ji, im] = 1j, -1j
+        n[re, ij] = n[re, ji] = 0.5
+        n[im, ij], n[im, ji] = -0.5j, 0.5j
+    return n, m
+
+
 def mp_min_eigenvalue(h, dps=30):
     """Smallest eigenvalue of an exactly Hermitian matrix: mpmath's ``eighe``
     at ``dps`` digits on its entries, rounded once to a float."""

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from floqdyn import cli, floattext, floquet
+from floqdyn import cli, floattext, floquet, operators
+from floqdyn import scenarios as scenarios_module
 from floqdyn.cli import (
     RUN_SCHEMA,
     canonical_run_dict,
@@ -59,12 +60,12 @@ def reference_csv(header, rows) -> str:
 
 def reference_trajectory_rows(traj, eta_cumulative):
     """Rows of trajectory.csv, record by record and element by element."""
-    d = traj.dim
+    d, states = traj.dim, traj.states
     for k in range(len(traj.times)):
         row = [float(traj.times[k])]
         for i in range(d):
             for j in range(i, d):
-                row += [float(traj.states[k, i, j].real), float(traj.states[k, i, j].imag)]
+                row += [float(states[k, i, j].real), float(states[k, i, j].imag)]
         yield row + [float(eta_cumulative[k])]
 
 
@@ -840,12 +841,15 @@ class TestMalformedSections:
         assert 'set "drive": null' in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_base_without_integration_fails_every_point(self, tmp_path):
+    def test_sweep_base_without_integration_fails_every_point(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"base": {"scenario": {"preset": "three_level_nondriven"}},
                                    "axes": {"scenario.lamb_shift": [True, False]}}))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["error:2"] * 2
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            "configuration error: every sweep grid point failed: 2 error:2\n"
 
     def test_sweep_point_with_invalid_t_final_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -960,12 +964,16 @@ class TestMalformedSections:
         assert -1e-5 < summary["eta"] < 0 and summary["diagnostics"]["warnings"] == []
 
     def test_sweep_rows_of_a_huge_gap(self, tmp_path):
+        # beside the huge gap, the preset's own levels, so that the sweep has rows to write
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"base": {"scenario": self.HUGE_GAP,
                                             "integration": {"t_final": 1.0}},
-                                   "axes": {"scenario.kind": ["lindblad", "redfield"]}}))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == ["error:3", "error:2"]
+                                   "axes": {"scenario.kind": ["lindblad", "redfield"],
+                                            "scenario.energies": [[0, 1e200, 2.5],
+                                                                  [0, 3, 2.5]]}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert [r["status"] for r in read_csv(tmp_path / "sweep.csv")] == \
+            ["error:3", "error:2", "ok", "ok"]
 
     # JSON integers past the float range, where they become float fields
     @pytest.mark.parametrize("command,config,name", [
@@ -1013,6 +1021,42 @@ class TestMalformedSections:
                 main(argv)
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """The shapes of every stack of records that ``from_coordinates`` turns into
+    complex matrices (one record, such as the final state, does not count)."""
+    builds = []
+    build = operators.from_coordinates
+
+    def counted(x):
+        if np.ndim(x) > 1:
+            builds.append(np.shape(x))
+        return build(x)
+
+    for module in (operators, scenarios_module, cli):
+        monkeypatch.setattr(module, "from_coordinates", counted)
+    return builds
+
+
+class TestRecordCoordinates:
+    def test_the_guard_counts_a_stack_build(self, stack_builds):
+        traj = evolve(PRESETS["three_level_v0"](), 2.0)
+        assert stack_builds == []
+        assert traj.states.shape == (len(traj.times), 3, 3)
+        assert stack_builds == [traj.coords.shape]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_simulate_and_sweep_build_no_complex_stack(self, tmp_path, stack_builds, preset):
+        assert main(["simulate", "--preset", preset, "--set", "integration.t_final=20.0",
+                     "--out", str(tmp_path / "simulate")]) == 0
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": {"scenario": {"preset": preset},
+                                            "integration": {"t_final": 20.0}},
+                                   "axes": {"scenario.lamb_shift": [True, False]}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        assert stack_builds == []
 
 
 class TestSimulate:
@@ -1360,22 +1404,38 @@ class TestSweep:
 
 
 class TestExitCodes:
-    def test_all_failed_sweep_exits_3(self, tmp_path):
+    # a sweep whose every point fails exits by the rule of its rows, and writes nothing
+    @pytest.mark.parametrize("axes,code,message", [
+        ({"scenario.kind": ["not_a_kind"]}, 2,
+         "configuration error: every sweep grid point failed: 1 error:2"),
+        ({"scenario.energies": [[0, 1e200, 2.5], [0, 1e250, 2.5]]}, 3,
+         "numerical error: every sweep grid point failed: 2 error:3"),
+        ({"scenario.energies": [[0, 1e200, 2.5], [0, 1e250, 2.5]],
+          "scenario.kind": ["lindblad", "not_a_kind"]}, 3,
+         "numerical error: every sweep grid point failed: 2 error:3, 2 error:2"),
+    ], ids=["configuration", "numerical", "both"])
+    def test_all_failed_sweep_exits_by_its_rows_and_writes_nothing(self, tmp_path, capsys,
+                                                                   axes, code, message):
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps({
-            "base": {"scenario": {"preset": "three_level_nondriven"},
-                     "integration": {"t_final": 5.0}},
-            "axes": {"scenario.kind": ["not_a_kind"]},
+            "base": {"scenario": {"preset": "three_level_nondriven", "kind": "lindblad"},
+                     "integration": {"t_final": 1.0}},
+            "axes": axes,
         }))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == code
+        assert not out.exists()
+        assert capsys.readouterr().err == message + "\n"
 
     def test_validation_error_exits_2_and_fails_a_sweep_point_as_error_2(self, tmp_path,
                                                                           monkeypatch):
         # a floqdyn error other than a NumericalError is exit 2, in a run and in a sweep row
-        def evolve_raises(*args, **kwargs):
-            raise ValidationError("t_final must be positive")
+        def evolve_raises_with_lamb_shift(config, *args, **kwargs):
+            if config.lamb_shift:
+                raise ValidationError("t_final must be positive")
+            return evolve(config, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "evolve", evolve_raises)
+        monkeypatch.setattr(cli, "evolve", evolve_raises_with_lamb_shift)
         out = tmp_path / "out"
         assert main(["simulate", "--preset", "three_level_nondriven", "--out", str(out)]) == 2
         assert not out.exists()
@@ -1383,20 +1443,27 @@ class TestExitCodes:
         cfg.write_text(json.dumps({
             "base": {"scenario": {"preset": "three_level_nondriven"},
                      "integration": {"t_final": 5.0}},
-            "axes": {"scenario.lamb_shift": [True]},
+            "axes": {"scenario.lamb_shift": [True, False]},
         }))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 3
-        assert [r["status"] for r in read_csv(tmp_path / "sweep" / "sweep.csv")] == ["error:2"]
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        assert [r["status"] for r in read_csv(tmp_path / "sweep" / "sweep.csv")] == \
+            ["error:2", "ok"]
 
 
-#: Numbers at the edges of the float range: signed zeros, subnormals, the
-#: largest floats, and JSON integers of hundreds of digits, past the range.
-EXTREME_NUMBERS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
-                     1e300, -1e300, 1.7976931348623157e308, 0, 1]),
+#: Tiny and huge positive numbers, which every number slot takes, and so the
+#: numbers that carry a run furthest into its numerics.
+VALID_EXTREMES = st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e-100, 1e-15,
+                                  1e15, 1e100, 1e300, 1.7976931348623157e308])
+#: Numbers that some slots refuse: signed zeros, negative numbers, JSON integers
+#: of hundreds of digits, past the float range, and any finite float.
+REFUSED_EXTREMES = st.one_of(
+    st.sampled_from([0.0, -0.0, -5e-324, -1e-300, -1e300, 0, 1]),
     st.integers(100, 400).flatmap(lambda n: st.sampled_from([10**n, -10**n, 10**n + 1])),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+#: Numbers at the edges of the float range, five in six of them valid in any slot.
+EXTREME_NUMBERS = st.integers(0, 5).flatmap(
+    lambda k: VALID_EXTREMES if k else REFUSED_EXTREMES)
 #: A level just above another: a gap near 0, down to one whose cube underflows.
 TINY_GAPS = st.sampled_from([5e-324, 1e-110, 1e-100, 1e-300, 1e-15, 0.0, -0.0])
 
@@ -1404,8 +1471,8 @@ TINY_GAPS = st.sampled_from([5e-324, 1e-110, 1e-100, 1e-300, 1e-15, 0.0, -0.0])
 @st.composite
 def extreme_runs(draw, driven: bool = False, dim: int | None = None):
     """A schema-valid simulate config: a preset, maybe undriven, under a kind that
-    fits its drive, some of its numbers extreme, a level maybe a tiny gap above
-    another, and a short run.  ``driven`` keeps to the driven presets, with their
+    fits its drive, some of its numbers extreme (mostly ones every slot takes), a
+    level one time in four a tiny gap above another, and a short run.  ``driven`` keeps to the driven presets, with their
     drive, and ``dim`` to the presets of that many levels."""
     preset = draw(st.sampled_from(sorted(
         name for name in PRESETS
@@ -1425,25 +1492,25 @@ def extreme_runs(draw, driven: bool = False, dim: int | None = None):
     for k in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2, unique=True)):
         node, key = slots[k]
         node[key] = draw(EXTREME_NUMBERS)
-    if draw(st.booleans()):
+    if draw(st.integers(0, 3)) == 0:
         levels = scenario["energies"]
         i, j = draw(st.permutations(range(len(levels))))[:2]
         levels[i] = levels[j] + draw(TINY_GAPS) if isinstance(levels[j], float) else \
             draw(TINY_GAPS)
-    scenario["q_max"] = draw(st.sampled_from([scenario["q_max"]] * 2 + [0, 1, 10**300]))
+    scenario["q_max"] = draw(st.sampled_from([scenario["q_max"]] * 5 + [0, 1, 10**300]))
     return {"scenario": scenario,
             "integration": {"t_final": draw(st.sampled_from([5e-324, 1e-300, 0.05, 1.0])),
-                            "dt": draw(st.sampled_from([None, None, 0.01, 1e300, 5e-324]))}}
+                            "dt": draw(st.sampled_from([None] * 5 + [0.01, 1e300, 5e-324]))}}
 
 
 @st.composite
 def extreme_compares(draw):
     """A schema-valid compare config: the scenarios of two ``extreme_runs``, one
-    time in four of any dimension (the others of the first's), on the
+    time in eight of any dimension (the others of the first's), on the
     integration of the first, under either metric."""
     a = draw(extreme_runs())
     levels = len(a["scenario"]["energies"])
-    b = draw(extreme_runs(dim=draw(st.sampled_from([None, levels, levels, levels]))))
+    b = draw(extreme_runs(dim=draw(st.sampled_from([None] + [levels] * 7))))
     return {"a": a["scenario"], "b": b["scenario"], "integration": a["integration"],
             "metric": draw(st.sampled_from(["eta_series", "trace_distance"]))}
 
@@ -1460,10 +1527,17 @@ def _floquet_run(energies=(0.0, 3.0, 2.5), mu=0.1, omega=2.25) -> dict:
             "integration": {"t_final": 1.0}}
 
 
-#: The number slots a sweep axis of ``test_sweep_runs_or_exits_2_or_3`` sets, the
-#: integer slot ``q_max`` among them; a drive slot of an undriven run fails its points.
-SWEEP_AXES = ["integration.t_final", "integration.dt", "scenario.q_max",
-              "scenario.lamb_params.w_cutoff", "scenario.drive.mu", "scenario.drive.omega"]
+#: The number slots a sweep axis of ``test_sweep_runs_or_exits_2_or_3`` sets, with the
+#: values each draws: the integer slot ``q_max`` takes whole numbers as well; a drive
+#: slot of an undriven run fails its points.
+SWEEP_AXES = {
+    "integration.t_final": EXTREME_NUMBERS,
+    "integration.dt": EXTREME_NUMBERS,
+    "scenario.q_max": st.one_of(st.sampled_from([0, 1, 3, 24]), EXTREME_NUMBERS),
+    "scenario.lamb_params.w_cutoff": EXTREME_NUMBERS,
+    "scenario.drive.mu": EXTREME_NUMBERS,
+    "scenario.drive.omega": EXTREME_NUMBERS,
+}
 
 
 class TestExtremeNumbers:
@@ -1498,9 +1572,11 @@ class TestExtremeNumbers:
         self._runs_or_exits_2_or_3("compare", run)
 
     @settings(max_examples=40, deadline=timedelta(seconds=30))
-    @given(extreme_runs(), st.sampled_from(SWEEP_AXES), st.lists(EXTREME_NUMBERS, min_size=2,
-                                                                 max_size=2))
-    def test_sweep_runs_or_exits_2_or_3(self, run, axis, values):
+    @given(extreme_runs(), st.sampled_from(sorted(SWEEP_AXES)).flatmap(
+        lambda axis: st.tuples(st.just(axis), st.lists(SWEEP_AXES[axis], min_size=2,
+                                                       max_size=2))))
+    def test_sweep_runs_or_exits_2_or_3(self, run, axis_values):
+        axis, values = axis_values
         self._runs_or_exits_2_or_3("sweep", {"base": run, "axes": {axis: values},
                                              "parallelism": 1})
 
@@ -1511,5 +1587,5 @@ class TestExtremeNumbers:
             cfg.write_text(json.dumps(run))
             code = main([command, "--config", str(cfg), "--out", str(out)])
             assert code in (0, 2, 3)
-            if code == 2:
+            if code in (2, 3):
                 assert not out.exists()

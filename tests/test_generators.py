@@ -28,7 +28,7 @@ from floqdyn.generators import (
     sop_right,
     sop_sandwich,
 )
-from floqdyn.operators import trace_distance
+from floqdyn.operators import real_superop, trace_distance
 from floqdyn.scenarios import (
     PRESETS,
     ScenarioConfig,
@@ -40,6 +40,7 @@ from floqdyn.scenarios import (
 )
 
 from conftest import (
+    coordinate_maps,
     gibbs_state,
     random_density,
     random_hermitian,
@@ -259,6 +260,22 @@ class TestTracePreservation:
                 drho = apply(gen, rho)
                 assert abs(np.trace(drho)) < 1e-11, kind
                 assert np.max(np.abs(drho - drho.conj().T)) < 1e-10, kind
+
+
+@pytest.mark.parametrize("preset,kind", [
+    (preset, kind) for preset in sorted(PRESETS) for kind in GENERATOR_KINDS
+    if PRESETS[preset]().drive is not None or not kind.startswith("floquet")])
+def test_real_generator_is_real(preset, kind):
+    # N L M, the generator on record coordinates that evolve propagates: exactly
+    # real for the Redfield kinds, within one ulp of ||L|| for the secular ones
+    config = PRESETS[preset]()
+    config = replace(config, kind=kind, drive=config.drive if kind.startswith("floquet") else None)
+    superop = build_generator(config).superop
+    n, m = coordinate_maps(config.dim)
+    nlm = n @ (superop @ m)
+    bound = 0.0 if "redfield" in kind else np.spacing(np.linalg.norm(superop, 2))
+    assert np.max(np.abs(nlm.imag)) <= bound
+    assert np.array_equal(real_superop(superop), nlm.real)
 
 
 class TestLindblad:

@@ -11,11 +11,14 @@ from floqdyn.floquet import _drive_exponentials, propagate_schrodinger
 from floqdyn.operators import (
     expm,
     fill_powers,
+    from_coordinates,
     hermitian_eigensystem,
     min_eigenvalues,
     prefix_products,
     principal_unitary_log,
+    real_superop,
     spectral_norms_2x2,
+    to_coordinates,
     trace_distance,
     unitary_fidelity,
     unitary_from_hermitian,
@@ -23,7 +26,7 @@ from floqdyn.operators import (
 
 from floqdyn.scenarios import PRESETS, REFERENCE_DRIVE, build_generator
 
-from conftest import gibbs_state, mp_min_eigenvalue, random_hermitian
+from conftest import coordinate_maps, gibbs_state, mp_min_eigenvalue, random_hermitian
 
 TAU = 2 * np.pi / 2.25
 #: relative 1-norm error of expm against scipy's (measured <= 6.5e-14, at d = 1)
@@ -273,7 +276,7 @@ def assert_min_eigenvalues_exact(h):
     3rd ed., sec. 4.7.1), with u = eps/2 the unit roundoff and the modestly
     growing p(n) (sec. 4.1) taken as 10 n.
     """
-    got = min_eigenvalues(h)
+    got = min_eigenvalues(to_coordinates(h))
     want = np.array([mp_min_eigenvalue(m) for m in h])
     _, block_of = connected_components(np.any(h != 0, axis=0), directed=False)
     n = np.bincount(block_of).max()
@@ -281,6 +284,59 @@ def assert_min_eigenvalues_exact(h):
     bound = factor * EPS * np.linalg.norm(h, 2, axis=(-2, -1))
     assert np.all(np.abs(got - want) <= bound), (got, want)
     return got
+
+
+class TestCoordinates:
+    @settings(max_examples=100, deadline=None)
+    @given(block_stacks())
+    def test_matrices_round_trip_exactly(self, h):
+        x = to_coordinates(h)
+        assert x.dtype == float and x.shape == (len(h), h.shape[-1] ** 2)
+        assert np.array_equal(from_coordinates(x), h)
+
+    def test_coordinates_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((50, 16)) * 10.0 ** rng.integers(-300, 300, (50, 16))
+        x.flat[:8] = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, np.nan]
+        assert np.array_equal(to_coordinates(from_coordinates(x)).view(np.uint64),
+                              x.view(np.uint64))
+
+    def test_layout_is_the_upper_triangle_of_trajectory_csv(self):
+        # the diagonal, then (re, im) of (0, 1), (0, 2), (1, 2), row by row
+        h = random_hermitian(np.random.default_rng(4), 3)
+        want = [*np.diag(h).real]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            want += [h[i, j].real, h[i, j].imag]
+        assert np.array_equal(to_coordinates(h), want)
+
+    def test_mirror_of_a_zero_coherence_is_plus_zero(self):
+        # entry (j, i) is re + i (0.0 - im): a conjugate would give -0.0 there
+        rho = from_coordinates(np.zeros((2, 9)))
+        assert not np.any(np.signbit(rho.view(float)))
+        x = np.zeros(4)
+        x[3] = -0.0
+        assert not np.signbit(from_coordinates(x)[1, 0].imag)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_real_superop_is_n_k_m(self, d):
+        # K of a Lindblad form with a commutator: it maps Hermitian matrices to
+        # Hermitian ones, and its real matrix on coordinates is N K M
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        h = random_hermitian(rng, d)
+        eye = np.eye(d)
+        k = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for op in a:
+            ad = op.conj().T @ op
+            k = k + np.kron(op, op.conj()) - 0.5 * (np.kron(ad, eye) + np.kron(eye, ad.T))
+        n, m = coordinate_maps(d)
+        r = real_superop(k)
+        assert r.dtype == float
+        assert np.array_equal(r, (n @ (k @ m)).real)
+        assert np.array_equal(real_superop(np.stack([k, 2 * k])), [r, 2 * r])
+        rho = random_hermitian(rng, d)
+        assert_allclose(to_coordinates((k @ rho.ravel()).reshape(d, d)), r @ to_coordinates(rho),
+                        rtol=0, atol=1e-12)
 
 
 class TestMinEigenvalues:
@@ -292,11 +348,11 @@ class TestMinEigenvalues:
     @settings(max_examples=200, deadline=None)
     @given(block_stacks())
     def test_random_block_stacks_match_mpmath(self, h):
-        assert min_eigenvalues(h).shape == (len(h),)
+        assert min_eigenvalues(to_coordinates(h)).shape == (len(h),)
         assert_min_eigenvalues_exact(h)
 
     def test_zero_stack(self):
-        assert np.array_equal(min_eigenvalues(np.zeros((3, 4, 4), dtype=complex)),
+        assert np.array_equal(min_eigenvalues(to_coordinates(np.zeros((3, 4, 4)))),
                               np.zeros(3))
 
     def test_exactly_degenerate_two_level_block(self):

@@ -148,7 +148,8 @@ def test_picture_transform_matches_per_record_propagator(preset, preset_generato
     else:
         want = frame
     assert _max_gap(traj.states, want) <= STATE_TOL
-    # records are their Hermitian parts, so the scan sees exactly what is recorded
+    # records are coordinates, so their matrices are exactly Hermitian and the scan
+    # sees exactly what is recorded
     assert np.array_equal(traj.states, traj.states.conj().swapaxes(-1, -2))
     # the scan and LAPACK each within 4 eps ||rho||_2 of a 30-digit oracle
     bound = 4 * EPS * np.max(np.linalg.norm(traj.states, 2, axis=(-2, -1)))

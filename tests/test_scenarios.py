@@ -10,7 +10,7 @@ import scipy.linalg
 from floqdyn import floquet, scenarios
 from floqdyn.baths import BathSpec, OhmicSpec
 from floqdyn.errors import ConfigError, ValidationError
-from floqdyn.operators import trace_distance
+from floqdyn.operators import to_coordinates, trace_distance
 from floqdyn.scenarios import (
     PRESETS,
     ScenarioConfig,
@@ -173,8 +173,7 @@ class TestEfficiency:
             label="const", energies=(0.0, 1.0), target_level=1,
             baths=(BathSpec("b", 1.0, OhmicSpec(1e-4, 1.0), ((1, 0),)),),
             kind="lindblad")
-        return Trajectory(times=times, states=states,
-                          populations=np.einsum("tii->ti", states).real,
+        return Trajectory(times=times, coords=to_coordinates(states),
                           positivity_log=np.zeros(21), trace_errors=np.zeros(21),
                           config=cfg)
 
@@ -189,8 +188,7 @@ class TestEfficiency:
         states = traj.states.copy()
         states[:, 1, 1] = ramp
         states[:, 0, 0] = 1 - ramp
-        traj2 = Trajectory(times=traj.times, states=states,
-                           populations=np.einsum("tii->ti", states).real,
+        traj2 = Trajectory(times=traj.times, coords=to_coordinates(states),
                            positivity_log=traj.positivity_log,
                            trace_errors=traj.trace_errors, config=traj.config)
         assert efficiency(traj2).eta == pytest.approx(0.5, abs=1e-12)
