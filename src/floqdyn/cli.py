@@ -535,7 +535,7 @@ def cmd_simulate(run: dict, out_dir: Path) -> int:
         "kind": config.kind,
         "eta": report.eta,
         "t_final": report.t_final,
-        "final_state": _json_matrix(from_coordinates(traj.coords[-1])),
+        "final_state": _json_matrix(traj.states[-1]),
         "final_populations": traj.populations[-1].tolist(),
         "diagnostics": trajectory_diagnostics(traj),
     }

@@ -155,31 +155,59 @@ def from_coordinates(x) -> np.ndarray:
     return parts.view(complex).reshape(x.shape[:-1] + (d, d))
 
 
+def _times_m(diag, upper, lower) -> np.ndarray:
+    """K M from the columns of K at the vec positions of the diagonal, of the upper
+    entries and of their mirrors (``_coordinate_index``): M puts coordinates into
+    the vec (a coherence (re, im) at (i, j) as re + i im, at (j, i) as re - i im),
+    so each column of K M is one column of K or the sum or difference of two; the
+    (im) column i (K_ij - K_ji) is written as -Im + i Re."""
+    d = diag.shape[-1]
+    km = np.empty(diag.shape[:-1] + (d * d,), dtype=complex)
+    km[..., :d] = diag
+    km[..., d::2] = upper + lower
+    minus = upper - lower
+    km.real[..., d + 1::2] = -minus.imag
+    km.imag[..., d + 1::2] = minus.real
+    return km
+
+
 def real_superop(k) -> np.ndarray:
     """N K M for each superoperator of a stack (..., d^2, d^2) on row-major vecs that
     maps Hermitian matrices to Hermitian ones: the real matrix of K on coordinates,
     to_coordinates(K rho) = (N K M) to_coordinates(rho).  M puts coordinates into
-    the vec (a coherence (re, im) at (i, j) as re + i im, at (j, i) as re - i im)
-    and N takes them out (re = (z_ij + z_ji)/2, im = (z_ij - z_ji)/2i).  K M is
-    formed column by column, then N (K M) row by row, each entry one entry or
-    a sum or difference of two (halved, for N), so the zeros of K between
-    decoupled entries stay exact.  The imaginary part, the rounding by which K
-    fails to preserve Hermiticity, is dropped."""
+    the vec and N takes them out (re = (z_ij + z_ji)/2, im = (z_ij - z_ji)/2i).
+    K M is formed column by column (``_times_m``), then N (K M) row by row, each
+    entry one entry or a sum or difference of two (halved, for N), so the zeros
+    of K between decoupled entries stay exact.  The imaginary part, the rounding
+    by which K fails to preserve Hermiticity, is dropped."""
     k = np.asarray(k)
     d = math.isqrt(k.shape[-1])
     diag, upper, lower = _coordinate_index(d)
-    # K M, column by column; the (im) column i (K_ij - K_ji) is written as -Im + i Re
-    km = np.empty(k.shape, dtype=complex)
-    km[..., :d] = k[..., diag]
-    km[..., d::2] = k[..., upper] + k[..., lower]
-    minus = k[..., upper] - k[..., lower]
-    km.real[..., d + 1::2] = -minus.imag
-    km.imag[..., d + 1::2] = minus.real
-    # N (K M), row by row: the diagonal, then re = Re (z_ij + z_ji)/2, im = Im (z_ij - z_ji)/2
+    km = _times_m(k[..., diag], k[..., upper], k[..., lower])
     r = np.empty(k.shape)
     r[..., :d, :] = km[..., diag, :].real
     r[..., d::2, :] = 0.5 * (km[..., upper, :].real + km[..., lower, :].real)
     r[..., d + 1::2, :] = 0.5 * (km[..., upper, :].imag - km[..., lower, :].imag)
+    return r
+
+
+def conjugation_superop(p) -> np.ndarray:
+    """The real map on coordinates of rho -> P rho P† for each P of a stack (n, d, d):
+    ``real_superop`` of P ⊗ P*, of which only the rows (a, b), a <= b, are formed,
+    and of those only the columns ``_times_m`` reads.  Entry (a, b), (i, j) of
+    P ⊗ P* is P_ai P*_bj and that of the mirrored row and column its conjugate,
+    so N takes the upper row's real and imaginary parts, where ``real_superop``
+    takes the mean of two roundings of them.  A zero of P ⊗ P* stays exact."""
+    p = np.asarray(p)
+    n, d = p.shape[:2]
+    iu, ju = np.triu_indices(d, 1)
+    above, below = np.concatenate([np.arange(d), iu]), np.concatenate([np.arange(d), ju])
+    pa, pb = p[:, above], p[:, below].conj()    # P_a. and P*_b. of each row (a, b)
+    km = _times_m(pa * pb, pa[..., iu] * pb[..., ju], pa[..., ju] * pb[..., iu])
+    r = np.empty((n, d * d, d * d))
+    r[:, :d] = km[:, :d].real
+    r[:, d::2] = km[:, d:].real
+    r[:, d + 1::2] = km[:, d:].imag
     return r
 
 

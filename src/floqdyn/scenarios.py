@@ -25,8 +25,9 @@ records of that phase (P is tau-periodic: on a record step of whole P-grid
 steps a few phases recur, off the grid none); the static kinds (P = I)
 record directly.  A record that is not finite raises, and every record's
 minimum eigenvalue is scanned in closed form per coupled block
-(``operators.min_eigenvalues``).  ``Trajectory.states`` builds the complex
-(n, d, d) matrices only when a caller asks for them.
+(``operators.min_eigenvalues``).  ``Trajectory.states`` is a view
+(``RecordMatrices``) that builds the complex (n, d, d) matrices only when a
+caller reads them.
 """
 
 import math
@@ -46,8 +47,8 @@ from .generators import (
     lindblad_generator,
     redfield_generator,
 )
-from .operators import (expm, fill_powers, from_coordinates, min_eigenvalues, real_superop,
-                        to_coordinates)
+from .operators import (conjugation_superop, expm, fill_powers, from_coordinates, min_eigenvalues,
+                        real_superop, to_coordinates)
 
 #: Bath temperatures and Ohmic constants of the reference model (natural units).
 TABLE_BATHS = {
@@ -265,9 +266,50 @@ class Trajectory:
         return self.coords[:, :self.dim]
 
     @property
-    def states(self) -> np.ndarray:
-        """The records as complex (n, d, d) matrices, built on each call."""
-        return from_coordinates(self.coords)
+    def states(self) -> "RecordMatrices":
+        """The records as complex (n, d, d) matrices, built on access."""
+        return RecordMatrices(self.coords)
+
+
+class RecordMatrices(np.lib.mixins.NDArrayOperatorsMixin):
+    """The complex (n, d, d) matrices of an (n, d^2) coordinate stack, built on
+    access.  ``shape``, ``dtype``, ``nbytes`` and ``len`` are the stack's and build
+    nothing; an index whose first part is an integer or a slice builds only the
+    records it selects; anything else (``np.asarray``, operators and ufuncs,
+    iteration, array attributes such as ``.conj()``) builds the whole stack."""
+
+    dtype = np.dtype(complex)
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+        d = math.isqrt(coords.shape[1])
+        self.shape = (len(coords), d, d)
+        self.nbytes = len(coords) * d * d * self.dtype.itemsize
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return from_coordinates(self.coords).astype(dtype or self.dtype, copy=False)
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        if not isinstance(key[0], (int, np.integer, slice)):
+            return np.asarray(self)[key]
+        records = from_coordinates(self.coords[key[0]])
+        return records[(slice(None),) * (records.ndim - 2) + key[1:]]
+
+    def __iter__(self):
+        return iter(np.asarray(self))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) if isinstance(x, RecordMatrices) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(np.asarray(self), name)
 
 
 #: Records per array call of the micromotion map in ``evolve``; the positivity
@@ -349,7 +391,7 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
     if decomp is not None:
         _map_back_by_phase(coords[:n_full + 1], times, decomp, stride * dt)
         if ends_off_stride:
-            coords[-1] = _conjugation_maps(decomp.p_at(t_final)[None])[0] @ coords[-1]
+            coords[-1] = conjugation_superop(decomp.p_at(t_final)[None])[0] @ coords[-1]
     if not np.isfinite(coords).all():
         k = np.flatnonzero(~np.isfinite(coords).all(axis=1))[0]
         raise NumericalError(f"record {k} (t = {float(times[k])!r}) is not finite")
@@ -371,13 +413,6 @@ def evolve(config: ScenarioConfig, t_final: float, dt: float | None = None,
 
     return Trajectory(times=times, coords=coords, positivity_log=min_eigs,
                       trace_errors=trace_err, config=config, warnings_issued=tuple(issued))
-
-
-def _conjugation_maps(p: np.ndarray) -> np.ndarray:
-    """N (P ⊗ P*) M of each P of a stack (n, d, d): the real map of coordinates of
-    rho -> P rho P† (row-major vec(P s P†) = (P ⊗ P*) vec(s))."""
-    n, d = p.shape[:2]
-    return real_superop(np.einsum("jac,jbe->jabce", p, p.conj()).reshape(n, d * d, d * d))
 
 
 def _phase_count(decomp: FloquetDecomposition, step: float, n_records: int) -> int:
@@ -403,7 +438,7 @@ def _map_back_by_phase(coords: np.ndarray, times: np.ndarray,
 
     Record k has phase k mod N (``_phase_count``), so every record of phase
     j shares P_j = P(times[j]) and the real map R_j = N (P_j ⊗ P_j*) M
-    (``_conjugation_maps``): one product maps them all.  Phases go in groups
+    (``operators.conjugation_superop``): one product maps them all.  Phases go in groups
     whose R_j take no more room than a chunk of records, and the records of
     a group in blocks of whole cycles of about a chunk; the cycle left
     partial at the end takes one matrix-vector product per record.  Off the
@@ -420,7 +455,7 @@ def _map_back_by_phase(coords: np.ndarray, times: np.ndarray,
         p = decomp.p_at(times[lo:min(lo + group, n_phase)])
         j = slice(lo, lo + len(p))
         # R_j^T, so that the records (rows) map by a right product
-        rt = np.ascontiguousarray(_conjugation_maps(p).swapaxes(-1, -2))
+        rt = np.ascontiguousarray(conjugation_superop(p).swapaxes(-1, -2))
         per_block = max(1, RECORD_CHUNK // len(p))
         for c in range(0, n_cycles, per_block):
             block = cycles[c:c + per_block, j]

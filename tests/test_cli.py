@@ -1,5 +1,6 @@
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -1043,9 +1044,22 @@ def stack_builds(monkeypatch):
 class TestRecordCoordinates:
     def test_the_guard_counts_a_stack_build(self, stack_builds):
         traj = evolve(PRESETS["three_level_v0"](), 2.0)
+        states = traj.states
+        assert (states.shape, states.nbytes) == ((len(traj.times), 3, 3), traj.coords.nbytes * 2)
+        assert np.array_equal(states[-1], operators.from_coordinates(traj.coords[-1]))
         assert stack_builds == []
-        assert traj.states.shape == (len(traj.times), 3, 3)
-        assert stack_builds == [traj.coords.shape]
+        assert np.array_equal(np.asarray(states)[:2], states[:2])
+        assert stack_builds == [traj.coords.shape, (2, 9)]
+
+    def test_states_view_indexes_and_computes_as_the_stack(self):
+        traj = evolve(PRESETS["three_level_v0"](), 2.0)
+        stack = operators.from_coordinates(traj.coords)
+        for key in (-1, np.int64(3), slice(None, None, 7), (slice(2, 9), 0, 2), (5, 1),
+                    [0, 4], ([0, 4], [1, 2]), Ellipsis):
+            assert np.array_equal(traj.states[key], stack[key])
+        assert np.array_equal(traj.states - stack[0], stack - stack[0])
+        assert np.array_equal(traj.states.conj(), stack.conj())
+        assert all(np.array_equal(a, b) for a, b in zip(traj.states, stack, strict=True))
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_simulate_and_sweep_build_no_complex_stack(self, tmp_path, stack_builds, preset):
@@ -1469,11 +1483,12 @@ TINY_GAPS = st.sampled_from([5e-324, 1e-110, 1e-100, 1e-300, 1e-15, 0.0, -0.0])
 
 
 @st.composite
-def extreme_runs(draw, driven: bool = False, dim: int | None = None):
+def extreme_runs(draw, driven: bool = False, dim: int | None = None, extremes: int = 2):
     """A schema-valid simulate config: a preset, maybe undriven, under a kind that
-    fits its drive, some of its numbers extreme (mostly ones every slot takes), a
-    level one time in four a tiny gap above another, and a short run.  ``driven`` keeps to the driven presets, with their
-    drive, and ``dim`` to the presets of that many levels."""
+    fits its drive, up to ``extremes`` of its numbers extreme (mostly ones every
+    slot takes), a level one time in four a tiny gap above another, and a short
+    run.  ``driven`` keeps to the driven presets, with their drive, and ``dim`` to
+    the presets of that many levels."""
     preset = draw(st.sampled_from(sorted(
         name for name in PRESETS
         if (PRESETS[name]().drive or not driven) and dim in (None, PRESETS[name]().dim))))
@@ -1488,8 +1503,8 @@ def extreme_runs(draw, driven: bool = False, dim: int | None = None):
     slots.append((scenario["lamb_params"], "w_cutoff"))
     if scenario["drive"] is not None:
         slots += [(scenario["drive"], "mu"), (scenario["drive"], "omega")]
-    # at most two at a time, so that most runs get past the checks of their inputs
-    for k in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2, unique=True)):
+    # a few at a time, so that most runs get past the checks of their inputs
+    for k in draw(st.lists(st.integers(0, len(slots) - 1), max_size=extremes, unique=True)):
         node, key = slots[k]
         node[key] = draw(EXTREME_NUMBERS)
     if draw(st.integers(0, 3)) == 0:
@@ -1527,9 +1542,8 @@ def _floquet_run(energies=(0.0, 3.0, 2.5), mu=0.1, omega=2.25) -> dict:
             "integration": {"t_final": 1.0}}
 
 
-#: The number slots a sweep axis of ``test_sweep_runs_or_exits_2_or_3`` sets, with the
-#: values each draws: the integer slot ``q_max`` takes whole numbers as well; a drive
-#: slot of an undriven run fails its points.
+#: The number slots a sweep axis of ``extreme_sweeps`` sets, with the values each
+#: draws: the integer slot ``q_max`` takes whole numbers as well.
 SWEEP_AXES = {
     "integration.t_final": EXTREME_NUMBERS,
     "integration.dt": EXTREME_NUMBERS,
@@ -1538,6 +1552,21 @@ SWEEP_AXES = {
     "scenario.drive.mu": EXTREME_NUMBERS,
     "scenario.drive.omega": EXTREME_NUMBERS,
 }
+
+
+@st.composite
+def extreme_sweeps(draw):
+    """A sweep config: an ``extreme_runs`` base with one extreme number (a driven one
+    under a drive axis) and one ``SWEEP_AXES`` axis of two values, an extreme one
+    and the base's own value of that slot (a second extreme one where the base
+    sets none), so that a point has at most two extreme numbers and a base that
+    runs has a point that runs."""
+    axis = draw(st.sampled_from(sorted(SWEEP_AXES)))
+    base = draw(extreme_runs(driven=axis.startswith("scenario.drive."), extremes=1))
+    *path, key = axis.split(".")
+    own = functools.reduce(dict.__getitem__, path, base)[key]
+    values = [draw(SWEEP_AXES[axis]), draw(SWEEP_AXES[axis]) if own is None else own]
+    return {"base": base, "axes": {axis: values}, "parallelism": 1}
 
 
 class TestExtremeNumbers:
@@ -1572,13 +1601,9 @@ class TestExtremeNumbers:
         self._runs_or_exits_2_or_3("compare", run)
 
     @settings(max_examples=40, deadline=timedelta(seconds=30))
-    @given(extreme_runs(), st.sampled_from(sorted(SWEEP_AXES)).flatmap(
-        lambda axis: st.tuples(st.just(axis), st.lists(SWEEP_AXES[axis], min_size=2,
-                                                       max_size=2))))
-    def test_sweep_runs_or_exits_2_or_3(self, run, axis_values):
-        axis, values = axis_values
-        self._runs_or_exits_2_or_3("sweep", {"base": run, "axes": {axis: values},
-                                             "parallelism": 1})
+    @given(extreme_sweeps())
+    def test_sweep_runs_or_exits_2_or_3(self, run):
+        self._runs_or_exits_2_or_3("sweep", run)
 
     @staticmethod
     def _runs_or_exits_2_or_3(command, run):

@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from floqdyn.errors import ValidationError
 from floqdyn.floquet import _drive_exponentials, propagate_schrodinger
 from floqdyn.operators import (
+    conjugation_superop,
     expm,
     fill_powers,
     from_coordinates,
@@ -336,6 +337,21 @@ class TestCoordinates:
         assert np.array_equal(real_superop(np.stack([k, 2 * k])), [r, 2 * r])
         rho = random_hermitian(rng, d)
         assert_allclose(to_coordinates((k @ rho.ravel()).reshape(d, d)), r @ to_coordinates(rho),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_conjugation_superop_is_real_superop_of_p_kron_p_conj(self, d):
+        # to rounding, and with the zeros of a P with zero rows and columns exact
+        rng = np.random.default_rng(10 + d)
+        p = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        p[0, :, :d // 2] = p[0, :d // 2] = 0.0
+        r = conjugation_superop(p)
+        want = real_superop(np.stack([np.kron(u, u.conj()) for u in p]))
+        assert r.dtype == float
+        assert_allclose(r, want, rtol=0, atol=4 * EPS * np.max(np.abs(want)))
+        assert np.array_equal(r == 0, want == 0)
+        rho = random_hermitian(rng, d)
+        assert_allclose(r[1] @ to_coordinates(rho), to_coordinates(p[1] @ rho @ p[1].conj().T),
                         rtol=0, atol=1e-12)
 
 
