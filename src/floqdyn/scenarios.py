@@ -290,7 +290,8 @@ class RecordMatrices(np.lib.mixins.NDArrayOperatorsMixin):
         return self.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        return from_coordinates(self.coords).astype(dtype or self.dtype, copy=False)
+        return from_coordinates(self.coords).astype(self.dtype if dtype is None else dtype,
+                                                    copy=False)
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
@@ -438,12 +439,12 @@ def _map_back_by_phase(coords: np.ndarray, times: np.ndarray,
 
     Record k has phase k mod N (``_phase_count``), so every record of phase
     j shares P_j = P(times[j]) and the real map R_j = N (P_j ⊗ P_j*) M
-    (``operators.conjugation_superop``): one product maps them all.  Phases go in groups
-    whose R_j take no more room than a chunk of records, and the records of
-    a group in blocks of whole cycles of about a chunk; the cycle left
-    partial at the end takes one matrix-vector product per record.  Off the
-    P grid no phase recurs: the records are one cycle of N = n phases,
-    mapped a group at a time.
+    (``operators.conjugation_superop``): one product maps them all.  Phases
+    go in groups whose R_j take no more room than a chunk of records, and
+    the records of a group in blocks of whole cycles of about a chunk; the
+    cycle left partial at the end takes one matrix-vector product per
+    record.  Off the P grid no phase recurs: the records are one cycle of
+    N = n phases, mapped a group at a time.
     """
     n, dd = coords.shape
     n_phase = _phase_count(decomp, step, n)

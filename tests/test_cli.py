@@ -1059,6 +1059,7 @@ class TestRecordCoordinates:
             assert np.array_equal(traj.states[key], stack[key])
         assert np.array_equal(traj.states - stack[0], stack - stack[0])
         assert np.array_equal(traj.states.conj(), stack.conj())
+        assert np.asarray(traj.states, dtype=np.complex64).dtype == np.complex64
         assert all(np.array_equal(a, b) for a, b in zip(traj.states, stack, strict=True))
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
