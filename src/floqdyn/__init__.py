@@ -74,7 +74,6 @@ from .operators import (
 )
 from .scenarios import (
     PRESETS,
-    EfficiencyReport,
     ScenarioConfig,
     Trajectory,
     build_four_level,

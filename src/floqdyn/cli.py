@@ -7,6 +7,8 @@ Commands::
     floqdyn compare  --config cmp.json ...
     floqdyn sweep    --config sweep.json ...
 
+``--preset`` applies to ``simulate`` and ``floquet`` only; ``compare`` and
+``sweep`` name their presets in the config and refuse the flag (exit 2).
 Configs are JSON, validated against a strict schema (unknown keys are
 rejected) before any computation.  The checker is in-house: it knows the
 nine JSON Schema keywords the schemas use and words each violation as
@@ -524,24 +526,23 @@ def _run_trajectory(run: dict):
     config = scenario_from_dict(run["scenario"])
     integ = run["integration"]
     traj = evolve(config, t_final=integ["t_final"], dt=integ["dt"])
-    report = efficiency(traj)
-    return config, traj, report
+    return config, traj, efficiency(traj)
 
 
 def cmd_simulate(run: dict, out_dir: Path) -> int:
-    config, traj, report = _run_trajectory(run)
+    config, traj, (eta, cumulative) = _run_trajectory(run)
     summary = {
         "label": config.label,
         "kind": config.kind,
-        "eta": report.eta,
-        "t_final": report.t_final,
+        "eta": eta,
+        "t_final": float(traj.times[-1]),
         "final_state": _json_matrix(traj.states[-1]),
         "final_populations": traj.populations[-1].tolist(),
         "diagnostics": trajectory_diagnostics(traj),
     }
     formats = run["outputs"]["formats"]
     if "csv" in formats:
-        header, table = trajectory_header(traj.dim), trajectory_table(traj, report.cumulative)
+        header, table = trajectory_header(traj.dim), trajectory_table(traj, cumulative)
         del traj    # the table holds the records; the CSV's text blocks reuse their memory
         write_csv(out_dir / "trajectory.csv", header, table)
     if "json" in formats:
@@ -605,20 +606,19 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
     for scen in (scen_a, scen_b):
         traj = evolve(scen, t_final=integ["t_final"], dt=dt)
         results.append((traj, efficiency(traj)))
-    (traj_a, eff_a), (traj_b, eff_b) = results
+    (traj_a, (eta_a, cum_a)), (traj_b, (eta_b, cum_b)) = results
     # the trace distance of two records is that of their difference, taken on coordinates
     change = traj_a.coords - traj_b.coords
     if metric == "eta_series":
-        rows = np.column_stack([traj_a.times, eff_a.cumulative, eff_b.cumulative,
-                                eff_a.cumulative - eff_b.cumulative])
+        rows = np.column_stack([traj_a.times, cum_a, cum_b, cum_a - cum_b])
         header = ["t", "eta_a", "eta_b", "difference"]
     else:
         rows = np.column_stack([traj_a.times, trace_distance(from_coordinates(change), 0.0)])
         header = ["t", "trace_distance"]
-    rel = (eff_a.eta - eff_b.eta) / eff_b.eta if eff_b.eta != 0 else None
+    rel = (eta_a - eta_b) / eta_b if eta_b != 0 else None
     summary = {
         "label_a": scen_a.label, "label_b": scen_b.label, "metric": metric,
-        "eta_a": eff_a.eta, "eta_b": eff_b.eta,
+        "eta_a": eta_a, "eta_b": eta_b,
         "relative_gain_a_over_b": rel,
         "final_trace_distance": trace_distance(from_coordinates(change[-1]), 0.0),
     }
@@ -632,52 +632,43 @@ def _exit_code(exc: FloqdynError) -> int:
     return 3 if isinstance(exc, NumericalError) else 2
 
 
-def _sweep_row(values, dim: int, status: str, eta: float = math.nan, pops: tuple = (),
-               positivity_min: float = math.nan) -> list:
-    """The ``sweep.csv`` cells of one grid point: its axis values (JSON text, a
-    float as it is), status, eta, final populations padded with NaN to ``dim``
-    (grid points may differ in dimension) and least record eigenvalue."""
-    return ([json.dumps(v) if not isinstance(v, float) else v for v in values]
-            + [status, eta, *pops] + [math.nan] * (dim - len(pops)) + [positivity_min])
-
-
-def _sweep_point(run: dict, values, dim: int) -> list:
+def _sweep_point(base: dict, names, values) -> tuple:
+    """One sweep grid point: (its dimension, 0 if its config fails; status; eta;
+    final populations; least record eigenvalue).  The axis values override the
+    raw base, so that preset-level axes still take effect, before it is
+    canonicalized (preset expansion deep-merges partial sections) and validated."""
+    dim = 0
     try:
-        _, traj, report = _run_trajectory(run)
+        run = apply_overrides(base, [f"{n}={json.dumps(v)}" for n, v in zip(names, values)])
+        run = validate_schema(canonical_run_dict(run), RUN_SCHEMA)
+        dim = len(run["scenario"]["energies"])
+        _, traj, (eta, _) = _run_trajectory(run)
     except FloqdynError as exc:
-        return _sweep_row(values, dim, f"error:{_exit_code(exc)}")
-    return _sweep_row(values, dim, "ok", report.eta, traj.populations[-1].tolist(),
-                      float(traj.positivity_log.min()))
+        return dim, f"error:{_exit_code(exc)}", math.nan, [], math.nan
+    return dim, "ok", eta, traj.populations[-1].tolist(), float(traj.positivity_log.min())
 
 
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     axes = cfg["axes"]
     names = sorted(axes)
     grid = list(product(*(axes[name] for name in names)))
-    runs = []       # per grid point, in grid order: its run, or the exit code of its config
-    for values in grid:
-        # override the raw config so preset-level axes still take effect,
-        # then canonicalize (preset expansion deep-merges partial sections)
-        try:
-            run = apply_overrides(copy.deepcopy(cfg["base"]),
-                                  [f"{n}={json.dumps(v)}" for n, v in zip(names, values)])
-            runs.append(validate_schema(canonical_run_dict(run), RUN_SCHEMA))
-        except FloqdynError as exc:
-            runs.append(_exit_code(exc))
-    points = [(run, values) for run, values in zip(runs, grid) if isinstance(run, dict)]
-    dim = max((len(run["scenario"]["energies"]) for run, _ in points), default=0)
     workers = cfg.get("parallelism", 1)
-    if workers > 1 and len(points) > 1:
+    if workers > 1 and len(grid) > 1:
         # here, only for a pool, to keep concurrent.futures.process out of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_sweep_point, *zip(*points), [dim] * len(points)))
+            points = list(pool.map(_sweep_point, [cfg["base"]] * len(grid), [names] * len(grid),
+                                   grid))
     else:
-        computed = [_sweep_point(run, values, dim) for run, values in points]
-    computed = iter(computed)
-    rows = [next(computed) if isinstance(run, dict) else _sweep_row(values, dim, f"error:{run}")
-            for run, values in zip(runs, grid)]
-    statuses = [row[len(names)] for row in rows]
+        points = [_sweep_point(cfg["base"], names, values) for values in grid]
+    # the header is as wide as the widest point whose config validates; each row's
+    # axis values are JSON text (a float as it is), its populations padded with NaN
+    dim = max(point[0] for point in points)
+    statuses = [point[1] for point in points]
+    rows = []
+    for values, (_, status, eta, pops, positivity_min) in zip(grid, points):
+        rows.append([json.dumps(v) if not isinstance(v, float) else v for v in values]
+                    + [status, eta, *pops] + [math.nan] * (dim - len(pops)) + [positivity_min])
     if "ok" not in statuses:
         # the run exits by the rule of its rows, 3 if any failed numerically, and writes nothing
         counts = ", ".join(f"{statuses.count(s)} {s}" for s in dict.fromkeys(statuses))
@@ -704,7 +695,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "compare: two scenarios; sweep: a grid over config axes")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--preset", help="scenario preset name", default=None)
+    parser.add_argument("--preset", help="scenario preset name (simulate, floquet)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path config override")
     return parser
@@ -723,6 +714,9 @@ def main(argv: list[str] | None = None) -> int:
             run = validate_schema(canonical_run_dict(data), RUN_SCHEMA)
             return cmd_simulate(run, out_dir) if args.command == "simulate" \
                 else cmd_floquet(run, out_dir)
+        if args.preset is not None:
+            raise ConfigError(f"--preset applies only to simulate and floquet, not "
+                              f"{args.command}: name the preset in the config's scenarios")
         if args.command == "compare":
             data = load_config(args.config, None, args.overrides)
             data.setdefault("metric", "eta_series")

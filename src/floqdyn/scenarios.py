@@ -26,8 +26,10 @@ steps a few phases recur, off the grid none); the static kinds (P = I)
 record directly.  A record that is not finite raises, and every record's
 minimum eigenvalue is scanned in closed form per coupled block
 (``operators.min_eigenvalues``).  ``Trajectory.states`` is a view
-(``RecordMatrices``) that builds the complex (n, d, d) matrices only when a
-caller reads them.
+(``RecordMatrices``): its shape and size build nothing, an integer or slice
+index builds the records it selects, and ``np.asarray`` the whole complex
+(n, d, d) stack.  ``efficiency`` returns eta and its running value as a plain
+pair.
 """
 
 import math
@@ -220,7 +222,12 @@ def build_generator(config: ScenarioConfig,
                     decomposition: FloquetDecomposition | None = None,
                     full_secular: bool = False,
                     collective: bool = False) -> Generator:
-    """Assemble the generator selected by ``config.kind``; a static kind takes no drive."""
+    """Assemble the generator selected by ``config.kind``; a static kind takes no
+    drive, and a variant flag is refused for a kind that has no such variant."""
+    for flag, value, kind in (("collective", collective, "lindblad"),
+                              ("full_secular", full_secular, "floquet_redfield")):
+        if value and config.kind != kind:
+            raise ValidationError(f"{flag} applies only to kind {kind!r}, not {config.kind!r}")
     is_floquet = config.kind.startswith("floquet")
     if not is_floquet and config.drive is not None:
         raise ConfigError(f'static kind {config.kind!r} would drop the drive of scenario '
@@ -267,16 +274,16 @@ class Trajectory:
 
     @property
     def states(self) -> "RecordMatrices":
-        """The records as complex (n, d, d) matrices, built on access."""
+        """The records as complex (n, d, d) matrices, a view that builds only what
+        is read (``RecordMatrices``)."""
         return RecordMatrices(self.coords)
 
 
-class RecordMatrices(np.lib.mixins.NDArrayOperatorsMixin):
+class RecordMatrices:
     """The complex (n, d, d) matrices of an (n, d^2) coordinate stack, built on
     access.  ``shape``, ``dtype``, ``nbytes`` and ``len`` are the stack's and build
     nothing; an index whose first part is an integer or a slice builds only the
-    records it selects; anything else (``np.asarray``, operators and ufuncs,
-    iteration, array attributes such as ``.conj()``) builds the whole stack."""
+    records it selects; any other index, and ``np.asarray``, build the whole stack."""
 
     dtype = np.dtype(complex)
 
@@ -299,18 +306,6 @@ class RecordMatrices(np.lib.mixins.NDArrayOperatorsMixin):
             return np.asarray(self)[key]
         records = from_coordinates(self.coords[key[0]])
         return records[(slice(None),) * (records.ndim - 2) + key[1:]]
-
-    def __iter__(self):
-        return iter(np.asarray(self))
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = [np.asarray(x) if isinstance(x, RecordMatrices) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-    def __getattr__(self, name):
-        if name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(np.asarray(self), name)
 
 
 #: Records per array call of the micromotion map in ``evolve``; the positivity
@@ -469,31 +464,21 @@ def _map_back_by_phase(coords: np.ndarray, times: np.ndarray,
 # efficiency and diagnostics
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Time-averaged target population up to t_final.  A Redfield run may take
-    it as far past [0, 1] as its records' eigenvalues pass the positivity soft
-    bound; past that, it is a NumericalError."""
-
-    eta: float
-    t_final: float
-    cumulative: np.ndarray
-
-    def __post_init__(self):
-        if not (POSITIVITY_SOFT_BOUND <= self.eta <= 1.0 - POSITIVITY_SOFT_BOUND):
-            raise NumericalError(f"efficiency {self.eta} outside [0, 1] beyond "
-                                 f"{-POSITIVITY_SOFT_BOUND:.0e}")
-
-
-def efficiency(traj: Trajectory) -> EfficiencyReport:
-    """eta(t_f) = (1/t_f) * int_0^{t_f} rho_bb(s) ds, trapezoid on the record grid."""
+def efficiency(traj: Trajectory) -> tuple[float, np.ndarray]:
+    """(eta, cumulative): eta(t_f) = (1/t_f) * int_0^{t_f} rho_bb(s) ds by the
+    trapezoid rule on the record grid, and its running value at every record.
+    A Redfield run may take eta as far past [0, 1] as its records' eigenvalues
+    pass the positivity soft bound; past that, it is a NumericalError."""
     ts = traj.times
     pb = traj.populations[:, traj.config.target_level]
     areas = np.concatenate([[0.0], np.cumsum(0.5 * (pb[1:] + pb[:-1]) * np.diff(ts))])
     with np.errstate(invalid="ignore", divide="ignore"):
         cumulative = np.where(ts > 0, areas / np.where(ts > 0, ts, 1.0), pb[0])
     eta = float(areas[-1] / ts[-1]) if ts[-1] > 0 else float(pb[0])
-    return EfficiencyReport(eta=eta, t_final=float(ts[-1]), cumulative=cumulative)
+    if not (POSITIVITY_SOFT_BOUND <= eta <= 1.0 - POSITIVITY_SOFT_BOUND):
+        raise NumericalError(f"efficiency {eta} outside [0, 1] beyond "
+                             f"{-POSITIVITY_SOFT_BOUND:.0e}")
+    return eta, cumulative
 
 
 #: Records back from the end over which ``trajectory_diagnostics`` measures

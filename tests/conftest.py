@@ -106,7 +106,7 @@ def long_runs(cfg_v0, cfg_v1, gen_v0, gen_v1):
         out["nondriven"] = evolve(cfg_nd, 6000.0)
         out["v0"] = evolve(cfg_v0, 6000.0, generator=gen_v0)
         out["v1"] = evolve(cfg_v1, 6000.0, generator=gen_v1)
-    out["eta"] = {k: efficiency(v).eta for k, v in out.items()}
+    out["eta"] = {k: efficiency(v)[0] for k, v in out.items()}
     out["elapsed"] = time.time() - t0
     return out
 

@@ -23,9 +23,11 @@ tabulated Lamb matrices commute with each other but not with the exact
 Floquet Hamiltonian.
 """
 
+import re
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,18 @@ REF_ROUNDING = 5e-5
 def _report(criterion: str, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     return ok
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_gains() -> dict:
+    """The gains README's "Efficiency gains" bullet quotes, as their percent
+    text, by the label in parentheses after each (v0, v1, degenerate,
+    nondegenerate); the bullet's channel-convention table is left out."""
+    text = README.read_text()
+    bullet = text[text.index("- Efficiency gains:"):].split("|", 1)[0]
+    return {label: value for value, label in re.findall(r"(\d+\.\d+) %\s+\((\w+)\)", bullet)}
 
 
 def _commutator_max(a, b) -> float:
@@ -399,6 +413,8 @@ def test_criterion_3_three_level_gains(long_runs, gen_v0, gen_v1):
     assert elapsed <= 300.0
     assert worst <= 1e-8
     assert gain_v0 > 0 and gain_v1 > 0
+    quoted = readme_gains()
+    assert (quoted["v0"], quoted["v1"]) == (f"{100 * gain_v0:.2f}", f"{100 * gain_v1:.2f}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +433,7 @@ def four_level_etas():
                 cfg = build_four_level(gap, kind=kind)
                 gen = build_generator(cfg)
                 traj = evolve(cfg, 2800.0, dt=dt, generator=gen)
-                out[label, kind] = (efficiency(traj).eta, gen, cfg, float(traj.times[-1]))
+                out[label, kind] = (efficiency(traj)[0], gen, cfg, float(traj.times[-1]))
     out["elapsed"] = time.time() - t0
     return out
 
@@ -440,6 +456,9 @@ def test_criterion_4_four_level_gains(four_level_etas):
     assert elapsed <= 600.0
     assert worst <= 1e-8
     assert min(gains.values()) > 0
+    quoted = readme_gains()
+    assert {label: quoted[label] for label in gains} == \
+        {label: f"{100 * gain:.2f}" for label, gain in gains.items()}
 
 
 @pytest.mark.parametrize("preset", ["four_level_degenerate_driven", "three_level_v0"])
@@ -449,7 +468,7 @@ def test_floquet_redfield_eta_matches_schrodinger_oracle(preset):
     cfg = replace(PRESETS[preset](), kind="floquet_redfield")
     gen = build_generator(cfg)
     t = 80.0
-    gap = abs(efficiency(evolve(cfg, t, generator=gen)).eta
+    gap = abs(efficiency(evolve(cfg, t, generator=gen))[0]
               - exact_eta_floquet_redfield(cfg, gen, t)[0])
     ok = gap <= 1e-8
     _report(f"Floquet-Redfield exact eta ({preset})", ok,

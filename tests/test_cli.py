@@ -113,7 +113,7 @@ class TestCsvWriter:
 
     def test_trajectory_table_matches_per_record_rows(self, tmp_path, cfg_v0, gen_v0):
         traj = evolve(cfg_v0, 50.0, generator=gen_v0)
-        cumulative = efficiency(traj).cumulative
+        cumulative = efficiency(traj)[1]
         header = cli.trajectory_header(traj.dim)
         cli.write_csv(tmp_path / "t.csv", header, cli.trajectory_table(traj, cumulative))
         want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
@@ -130,7 +130,7 @@ class TestCsvWriter:
     def test_driven_trajectory_table_matches_per_record_rows(self, tmp_path):
         config = PRESETS["four_level_degenerate_driven"]()
         traj = evolve(config, 40.0)
-        cumulative = efficiency(traj).cumulative
+        cumulative = efficiency(traj)[1]
         table = cli.trajectory_table(traj, cumulative)
         header = cli.trajectory_header(traj.dim)
         cli.write_csv(tmp_path / "t.csv", header, table)
@@ -145,7 +145,7 @@ class TestCsvWriter:
         for case in ZERO_COLUMN_CASES])
     def test_exact_zero_columns(self, preset, columns, zero, dt):
         traj = evolve(PRESETS[preset](), 40.0, dt=dt)
-        table = cli.trajectory_table(traj, efficiency(traj).cumulative)
+        table = cli.trajectory_table(traj, efficiency(traj)[1])
         assert table.shape[1] == columns
         assert np.sum(~np.any(table.view(np.uint64), axis=0)) == zero
 
@@ -793,6 +793,15 @@ class TestMalformedSections:
         ("simulate", {"scenario": {"preset": "three_level_nondriven",
                                    "lamb_params": {"w_cutoff": 1e400}},
                       "integration": {"t_final": 1.0}}, "w_cutoff must be finite and > 0, got inf"),
+        # compare and sweep name their presets in the config: the flag is refused, not ignored
+        ("compare --preset four_level_degenerate",
+         {"a": {"preset": "three_level_nondriven"}, "b": {"preset": "three_level_nondriven"},
+          "integration": {"t_final": 1.0}},
+         "--preset applies only to simulate and floquet, not compare"),
+        ("sweep --preset no_such_preset",
+         {"base": {"scenario": {"preset": "three_level_nondriven"},
+                   "integration": {"t_final": 1.0}}, "axes": {"scenario.lamb_shift": [True]}},
+         "--preset applies only to simulate and floquet, not sweep"),
     ], ids=["no_integration", "integration_not_object", "outputs_null", "outputs_path",
             "compare_side_not_object", "drive_pair_past_dim", "drive_pair_negative",
             "grid_m_zero", "q_max_negative", "substeps_unknown", "scenario_dt",
@@ -802,7 +811,7 @@ class TestMalformedSections:
             "t_final_1e300", "dt_1e-300", "records_past_bytes_bound", "q_max_past_grid_bound",
             "beta_inf", "beta_nan",
             "j0_inf", "omega_cutoff_inf", "energy_inf", "energy_nan", "drive_mu_inf",
-            "drive_omega_nan", "w_cutoff_inf"])
+            "drive_omega_nan", "w_cutoff_inf", "compare_preset_flag", "sweep_preset_flag"])
     def test_exit_2_and_no_output(self, tmp_path, capsys, monkeypatch, command, config,
                                   message):
         # each is refused before a generator is built or a propagator sampled
@@ -815,7 +824,7 @@ class TestMalformedSections:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert message in err
@@ -1045,8 +1054,12 @@ class TestRecordCoordinates:
     def test_the_guard_counts_a_stack_build(self, stack_builds):
         traj = evolve(PRESETS["three_level_v0"](), 2.0)
         states = traj.states
-        assert (states.shape, states.nbytes) == ((len(traj.times), 3, 3), traj.coords.nbytes * 2)
+        assert (states.shape, states.nbytes, len(states)) == \
+            ((len(traj.times), 3, 3), traj.coords.nbytes * 2, len(traj.times))
         assert np.array_equal(states[-1], operators.from_coordinates(traj.coords[-1]))
+        assert np.array_equal(states[5, 1], operators.from_coordinates(traj.coords[5])[1])
+        with pytest.raises(AttributeError):     # no array attribute builds the stack unasked
+            states.ndim
         assert stack_builds == []
         assert np.array_equal(np.asarray(states)[:2], states[:2])
         assert stack_builds == [traj.coords.shape, (2, 9)]
@@ -1058,7 +1071,7 @@ class TestRecordCoordinates:
                     [0, 4], ([0, 4], [1, 2]), Ellipsis):
             assert np.array_equal(traj.states[key], stack[key])
         assert np.array_equal(traj.states - stack[0], stack - stack[0])
-        assert np.array_equal(traj.states.conj(), stack.conj())
+        assert np.array_equal(np.conj(traj.states), stack.conj())
         assert np.asarray(traj.states, dtype=np.complex64).dtype == np.complex64
         assert all(np.array_equal(a, b) for a, b in zip(traj.states, stack, strict=True))
 
@@ -1257,7 +1270,7 @@ class TestCompare:
                  "b": {"preset": "three_level_v1", "q_max": 2}}
         trajs = [evolve(scenario_from_dict(canonical_scenario_dict(side)), 30.0, dt=0.05)
                  for side in sides.values()]
-        (ta, tb), (ea, eb) = trajs, [efficiency(t).cumulative for t in trajs]
+        (ta, tb), (ea, eb) = trajs, [efficiency(t)[1] for t in trajs]
         for metric in ("eta_series", "trace_distance"):
             cfg = tmp_path / "cmp.json"
             cfg.write_text(json.dumps({**sides, "integration": {"t_final": 30.0, "dt": 0.05},
@@ -1487,9 +1500,10 @@ TINY_GAPS = st.sampled_from([5e-324, 1e-110, 1e-100, 1e-300, 1e-15, 0.0, -0.0])
 def extreme_runs(draw, driven: bool = False, dim: int | None = None, extremes: int = 2):
     """A schema-valid simulate config: a preset, maybe undriven, under a kind that
     fits its drive, up to ``extremes`` of its numbers extreme (mostly ones every
-    slot takes), a level one time in four a tiny gap above another, and a short
-    run.  ``driven`` keeps to the driven presets, with their drive, and ``dim`` to
-    the presets of that many levels."""
+    slot takes), a level one time in four a tiny gap above another, each integer
+    slot one time in four out of its range or degenerate, and a short run.
+    ``driven`` keeps to the driven presets, with their drive, and ``dim`` to the
+    presets of that many levels."""
     preset = draw(st.sampled_from(sorted(
         name for name in PRESETS
         if (PRESETS[name]().drive or not driven) and dim in (None, PRESETS[name]().dim))))
@@ -1513,6 +1527,23 @@ def extreme_runs(draw, driven: bool = False, dim: int | None = None, extremes: i
         i, j = draw(st.permutations(range(len(levels))))[:2]
         levels[i] = levels[j] + draw(TINY_GAPS) if isinstance(levels[j], float) else \
             draw(TINY_GAPS)
+    # the integer slots, each one time in four: the number of levels (a level
+    # dropped, or an uncoupled one added), the bath transitions (out of range, a
+    # self-pair, duplicates), the drive pair, and the target and initial levels
+    if draw(st.integers(0, 3)) == 0:
+        levels = scenario["energies"] + [draw(st.sampled_from([0.0, 1.0, 2.5]))]
+        scenario["energies"] = levels[:draw(st.integers(1, len(levels)))]
+    level = st.integers(-1, len(scenario["energies"]))     # one past each end
+    pair = st.tuples(level, level).map(list)
+    for bath in scenario["baths"]:
+        if draw(st.integers(0, 3)) == 0:
+            bath["transitions"] = draw(st.lists(
+                st.one_of(pair, st.sampled_from(bath["transitions"])), max_size=3))
+    if scenario["drive"] is not None and draw(st.integers(0, 3)) == 0:
+        scenario["drive"]["pair"] = draw(pair)
+    for key in ("target_level", "initial_level"):
+        if draw(st.integers(0, 3)) == 0:
+            scenario[key] = draw(level)
     scenario["q_max"] = draw(st.sampled_from([scenario["q_max"]] * 5 + [0, 1, 10**300]))
     return {"scenario": scenario,
             "integration": {"t_final": draw(st.sampled_from([5e-324, 1e-300, 0.05, 1.0])),
@@ -1522,10 +1553,11 @@ def extreme_runs(draw, driven: bool = False, dim: int | None = None, extremes: i
 @st.composite
 def extreme_compares(draw):
     """A schema-valid compare config: the scenarios of two ``extreme_runs``, one
-    time in eight of any dimension (the others of the first's), on the
-    integration of the first, under either metric."""
+    time in eight of any dimension (the others of the first's, where a preset
+    has as many levels), on the integration of the first, under either metric."""
     a = draw(extreme_runs())
     levels = len(a["scenario"]["energies"])
+    levels = levels if any(make().dim == levels for make in PRESETS.values()) else None
     b = draw(extreme_runs(dim=draw(st.sampled_from([None] + [levels] * 7))))
     return {"a": a["scenario"], "b": b["scenario"], "integration": a["integration"],
             "metric": draw(st.sampled_from(["eta_series", "trace_distance"]))}

@@ -512,6 +512,16 @@ class TestBuilderValidation:
         with pytest.raises(ValidationError, match=f"expected kind '{build.__name__[:-10]}'"):
             build(build_three_level("v0", kind=kind), dec_v0)
 
+    @pytest.mark.parametrize("flag,owner,kind", [
+        (flag, owner, kind)
+        for flag, owner in (("collective", "lindblad"), ("full_secular", "floquet_redfield"))
+        for kind in GENERATOR_KINDS if kind != owner])
+    def test_build_generator_rejects_a_variant_of_another_kind(self, flag, owner, kind):
+        cfg = build_three_level("v0" if kind.startswith("floquet") else "nondriven", kind=kind)
+        with pytest.raises(ValidationError,
+                           match=f"{flag} applies only to kind '{owner}', not '{kind}'"):
+            build_generator(cfg, **{flag: True})
+
     def test_unknown_kind(self):
         with pytest.raises(ValidationError, match="unknown generator kind 'pauli'"):
             build_three_level("nondriven", kind="pauli")

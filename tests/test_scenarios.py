@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from floqdyn import floquet, scenarios
@@ -178,30 +179,30 @@ class TestEfficiency:
                           config=cfg)
 
     def test_constant_population(self):
-        rep = efficiency(self._const_traj(0.37))
-        assert rep.eta == pytest.approx(0.37, abs=1e-12)
+        eta, _ = efficiency(self._const_traj(0.37))
+        assert eta == pytest.approx(0.37, abs=1e-12)
 
     def test_linear_ramp(self):
         traj = self._const_traj(0.0)
         tf = traj.times[-1]
         ramp = traj.times / tf
-        states = traj.states.copy()
+        states = np.asarray(traj.states)
         states[:, 1, 1] = ramp
         states[:, 0, 0] = 1 - ramp
         traj2 = Trajectory(times=traj.times, coords=to_coordinates(states),
                            positivity_log=traj.positivity_log,
                            trace_errors=traj.trace_errors, config=traj.config)
-        assert efficiency(traj2).eta == pytest.approx(0.5, abs=1e-12)
+        assert efficiency(traj2)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_bound(self, cfg_v1, gen_v1):
         traj = evolve(cfg_v1, 200.0, generator=gen_v1)
-        rep = efficiency(traj)
-        assert 0.0 <= rep.eta <= traj.populations[:, 2].max() + 1e-9
+        eta, _ = efficiency(traj)
+        assert 0.0 <= eta <= traj.populations[:, 2].max() + 1e-9
 
     def test_stride_refinement_stability(self):
         cfg = build_three_level("nondriven")
-        e1 = efficiency(evolve(cfg, 600.0, dt=1.2)).eta
-        e2 = efficiency(evolve(cfg, 600.0, dt=0.6)).eta
+        e1 = efficiency(evolve(cfg, 600.0, dt=1.2))[0]
+        e2 = efficiency(evolve(cfg, 600.0, dt=0.6))[0]
         assert abs(e1 - e2) < 1e-4
 
 
@@ -299,7 +300,7 @@ class TestRateEquationOracle:
             [0.0, dn_c, -up_c]])
         ts = np.linspace(0.0, 3000.0, 101)
         pb = np.array([(scipy.linalg.expm(rate * t) @ [1.0, 0.0, 0.0])[2] for t in ts])
-        eta_oracle = np.trapezoid(pb, ts) / ts[-1]
+        eta_oracle = scipy.integrate.trapezoid(pb, ts) / ts[-1]
         traj = evolve(build_three_level("nondriven"), 3000.0)
-        eta_impl = efficiency(traj).eta
+        eta_impl = efficiency(traj)[0]
         assert eta_impl == pytest.approx(eta_oracle, rel=1e-4)
