@@ -27,8 +27,6 @@ Library layout:
 
 from .baths import (
     BathSpec,
-    LambIntegralParams,
-    OhmicSpec,
     gamma_xi_ohmic,
     pv_quadrature,
     qubit_dipole_calibration,

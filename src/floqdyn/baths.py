@@ -1,6 +1,11 @@
 """Thermal-bath data: spectral densities, occupation numbers, and the
 frequency-domain coefficients entering the master equations.
 
+A ``BathSpec`` is one bath: its inverse temperature, its Ohmic spectral
+density (``j0``, ``omega_cutoff``) and the transitions it drives.  The
+radiation cutoff W of the coefficient integrals is the scenario's
+``w_cutoff``, passed to each coefficient function as a float.
+
 Two coefficient families live here, each over an array of frequencies
 (``gamma_xi_ohmic`` and ``redfield_coefficients`` return their tuples at one x):
 ``gamma_xi_arrays``, the Ohmic rate gamma and shift xi, and
@@ -31,35 +36,25 @@ from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
-class OhmicSpec:
-    """Ohmic spectral density J(x) = j0 * x * exp(-x^2 / omega_cutoff^2).
+class BathSpec:
+    """A thermal bath: inverse temperature, the Ohmic spectral density
+    J(x) = j0 * x * exp(-x^2 / omega_cutoff^2), and the transitions it drives.
 
+    ``transitions`` lists (upper, lower) level-index pairs this bath drives.
     j0 = 0 is allowed as the decoupled boundary case.
     """
 
+    name: str
+    beta: float
     j0: float
     omega_cutoff: float
+    transitions: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.j0) and self.j0 >= 0):
             raise ValidationError(f"j0 must be finite and >= 0, got {self.j0}")
         if not (math.isfinite(self.omega_cutoff) and self.omega_cutoff > 0):
             raise ValidationError(f"omega_cutoff must be finite and > 0, got {self.omega_cutoff}")
-
-
-@dataclass(frozen=True)
-class BathSpec:
-    """A thermal bath: inverse temperature, Ohmic spectrum, coupled transitions.
-
-    ``transitions`` lists (upper, lower) level-index pairs this bath drives.
-    """
-
-    name: str
-    beta: float
-    spectral: OhmicSpec
-    transitions: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValidationError(f"beta must be finite and > 0, got {self.beta}")
         object.__setattr__(self, "transitions", tuple(tuple(t) for t in self.transitions))
@@ -68,22 +63,6 @@ class BathSpec:
         for up, lo in self.transitions:
             if up == lo:
                 raise ValidationError(f"transition ({up},{lo}) couples a level to itself")
-
-
-@dataclass(frozen=True)
-class LambIntegralParams:
-    """Controls of the principal-value (Lamb-shift) integrals.
-
-    ``w_cutoff`` is the radiation cutoff W bounding every coefficient
-    integral; the default follows the value used to keep the Redfield
-    dynamics positive.  The Gauss order is not a setting: it doubles until
-    two orders agree."""
-
-    w_cutoff: float = 4.0e4
-
-    def __post_init__(self):
-        if not (math.isfinite(self.w_cutoff) and self.w_cutoff > 0):
-            raise ValidationError(f"w_cutoff must be finite and > 0, got {self.w_cutoff}")
 
 
 def thermal_occupation(omega: float, beta: float) -> float:
@@ -98,7 +77,7 @@ def thermal_occupation(omega: float, beta: float) -> float:
         return float(1.0 / np.expm1(beta * omega))
 
 
-def spectral_density(spec: OhmicSpec, x) -> np.ndarray | float:
+def spectral_density(spec: BathSpec, x) -> np.ndarray | float:
     """Ohmic spectral density with Gaussian cutoff; odd in x by construction.
     A cutoff whose square overflows is the omega_cutoff -> inf limit, j0 * x."""
     x = np.asarray(x, dtype=float)
@@ -258,7 +237,7 @@ def pv_quadrature(f, poles, interval, first: float = 0.25):
 # Ohmic gamma / xi
 
 
-def _bose_times(spec: OhmicSpec, beta: float):
+def _bose_times(spec: BathSpec, beta: float):
     """F(nu) = J(nu)*(nbar(nu)+1), smooth through nu = 0 where it is j0/beta.
 
     Written J(|nu|)*(nbar(|nu|) + [nu > 0]), so that F(-nu) = J(nu)*nbar(nu)
@@ -273,7 +252,7 @@ def _bose_times(spec: OhmicSpec, beta: float):
     return f
 
 
-def gamma_ohmic(spec: OhmicSpec, beta: float, x):
+def gamma_ohmic(spec: BathSpec, beta: float, x):
     """Closed-form rate 4*pi*nbar(x)*J(x), with the 4*pi*j0/beta limit at x=0;
     elementwise on an array."""
     x = np.asarray(x, dtype=float)
@@ -283,7 +262,7 @@ def gamma_ohmic(spec: OhmicSpec, beta: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def gamma_xi_arrays(spec: OhmicSpec, beta: float, x, params: LambIntegralParams,
+def gamma_xi_arrays(spec: BathSpec, beta: float, x, w_cutoff: float,
                     lamb_shift: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """gamma and xi of an Ohmic bath at every frequency of the 1-D array ``x``.
 
@@ -293,20 +272,19 @@ def gamma_xi_arrays(spec: OhmicSpec, beta: float, x, params: LambIntegralParams,
     x = np.asarray(x, dtype=float)
     xi = np.zeros_like(x)
     if lamb_shift:
-        w = params.w_cutoff
-        xi = -2.0 * pv_quadrature(_bose_times(spec, beta), -x, (-w, w),
+        xi = -2.0 * pv_quadrature(_bose_times(spec, beta), -x, (-w_cutoff, w_cutoff),
                                   min(0.25, 1.0 / beta, spec.omega_cutoff))
     return gamma_ohmic(spec, beta, x), xi
 
 
-def gamma_xi_ohmic(spec: OhmicSpec, beta: float, x: float,
-                   params: LambIntegralParams) -> tuple[np.ndarray, np.ndarray]:
+def gamma_xi_ohmic(spec: BathSpec, beta: float, x: float,
+                   w_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """(gamma, xi) of an Ohmic bath at frequency x, Gamma(x) = gamma/2 + i*xi: the
     one-element arrays of :func:`gamma_xi_arrays`."""
-    return gamma_xi_arrays(spec, beta, [x], params)
+    return gamma_xi_arrays(spec, beta, [x], w_cutoff)
 
 
-def qubit_dipole_calibration(spec: OhmicSpec, omega10: float) -> float:
+def qubit_dipole_calibration(spec: BathSpec, omega10: float) -> float:
     """Dipole magnitude making the Redfield qubit decay match the Lindblad one.
 
     Equating the two emission rates at the transition gap gives
@@ -338,7 +316,7 @@ def _vacuum_replacement(x: np.ndarray, w_cutoff: float) -> np.ndarray:
         return np.where(x == 0, 0.0, -x * x * w_cutoff - x**3 * np.log(w_cutoff / np.abs(x)))
 
 
-def redfield_arrays(x, beta: float, params: LambIntegralParams, lamb_shift: bool = True):
+def redfield_arrays(x, beta: float, w_cutoff: float, lamb_shift: bool = True):
     """N1, N2 rates and C1, C2 shift magnitudes at every frequency of the 1-D array ``x``.
 
     N1 = x^3*nbar(x), N2 = x^3*(nbar(x)+1), both -> 0 as x -> 0.
@@ -354,12 +332,12 @@ def redfield_arrays(x, beta: float, params: LambIntegralParams, lamb_shift: bool
 
     c1 = c2 = np.zeros_like(x)
     if lamb_shift:
-        c1 = -pv_quadrature(lambda nu: nu**3 / np.expm1(beta * nu), x, (0.0, params.w_cutoff),
+        c1 = -pv_quadrature(lambda nu: nu**3 / np.expm1(beta * nu), x, (0.0, w_cutoff),
                             min(0.25, 1.0 / beta)) / np.pi
-        c2 = c1 + _vacuum_replacement(x, params.w_cutoff) / np.pi
+        c2 = c1 + _vacuum_replacement(x, w_cutoff) / np.pi
     return n1, n2, c1, c2
 
 
-def redfield_coefficients(x: float, beta: float, params: LambIntegralParams):
+def redfield_coefficients(x: float, beta: float, w_cutoff: float):
     """(N1, N2, C1, C2) at frequency x: the one-element arrays of :func:`redfield_arrays`."""
-    return redfield_arrays([x], beta, params)
+    return redfield_arrays([x], beta, w_cutoff)

@@ -10,15 +10,19 @@ Commands::
 ``--preset`` applies to ``simulate`` and ``floquet`` only; ``compare`` and
 ``sweep`` name their presets in the config and refuse the flag (exit 2).
 Configs are JSON, validated against a strict schema (unknown keys are
-rejected) before any computation.  The checker is in-house: it knows the
-nine JSON Schema keywords the schemas use and words each violation as
-jsonschema does, except that an integer must be a JSON integer (``3.0`` is
-not one) and that a value whose repr passes 80 characters is quoted by its
-ends and its length.  Exit codes: 0 success, 3 for a ``NumericalError``, 2
-for any other floqdyn error (a configuration error); a sweep row that fails
-reads ``error:2`` or ``error:3`` by the same rule, and a sweep whose every row
-fails exits 3 if one reads ``error:3``, else 2.  A run that exits 2 or 3
-writes nothing.  CSV output uses
+rejected) before any computation.  Every scenario key is the name of a
+field of ``ScenarioConfig`` or of its nested ``DriveSpec`` and ``BathSpec``,
+and the schema and the (de)serialisers follow from the field types alone.
+The checker is in-house: it knows the nine JSON Schema keywords the
+schemas use and words each violation as jsonschema does, except that an
+integer must be a JSON integer (``3.0`` is not one) and that a value whose
+repr passes 80 characters is quoted by its ends and its length.  A sweep's
+process pool has at most as many workers as grid points and CPUs.  Exit
+codes: 0 success, 3 for a ``NumericalError``, 2 for any other floqdyn error
+(a configuration error, an ``--out`` that is a file or lies under one
+among them); a sweep row that fails reads ``error:2`` or ``error:3`` by the
+same rule, and a sweep whose every row fails exits 3 if one reads
+``error:3``, else 2.  A run that exits 2 or 3 writes nothing.  CSV output uses
 17-significant-digit floats, '\\n' line endings, and a '.' decimal
 separator; a cell that contains a comma is double-quoted.
 """
@@ -30,21 +34,20 @@ import math
 # argparse's gettext imports locale on the first parser build; imported here,
 # it is part of start-up instead of the first command
 import locale  # noqa: F401
+import os
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import cache
 from itertools import product
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .baths import BathSpec
 from .errors import ConfigError, FloqdynError, NumericalError
 from .floattext import FLOAT_FMT, TEXT_WIDTH, float_text
-from .floquet import HALVING_GAP_TOL, DriveSpec, benchmark_fidelities
-from .generators import GENERATOR_KINDS
+from .floquet import HALVING_GAP_TOL, benchmark_fidelities
 from .operators import from_coordinates, trace_distance
 from .scenarios import (
     PRESETS,
@@ -57,27 +60,16 @@ from .scenarios import (
 )
 
 # ---------------------------------------------------------------------------
-# config schemas; the scenario's JSON form is derived from its dataclasses
-
-#: The only places where the JSON form departs from the dataclass fields,
-#: as (JSON key, schema override): a field under a key of its own, a nested
-#: dataclass whose fields sit in its parent's object (key None), and a schema
-#: narrower than the field's type.  Every other field is (its name, None).
-_JSON_FORM = {
-    (DriveSpec, "omega_drive"): ("omega", None),
-    (BathSpec, "spectral"): (None, None),
-    (ScenarioConfig, "kind"): ("kind", {"enum": list(GENERATOR_KINDS)}),
-}
+# config schemas; the scenario's JSON form is its dataclasses, key for field
 
 _JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean"}
 
 
 @cache
 def _json_fields(cls) -> tuple:
-    """(JSON key, schema override, field, type) per field of a dataclass."""
+    """(field, type) per field of a dataclass; the field's name is its JSON key."""
     hints = get_type_hints(cls)
-    return tuple((*_JSON_FORM.get((cls, f.name), (f.name, None)), f, hints[f.name])
-                 for f in fields(cls))
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
 @cache
@@ -88,6 +80,8 @@ def _type_form(tp) -> tuple:
         return "scalar", tp
     if is_dataclass(tp):
         return "object", tp
+    if get_origin(tp) is Literal:
+        return "enum", tp
     if isinstance(tp, UnionType) and len(args) == 2 and type(None) in args:
         return "optional", next(a for a in args if a is not type(None))
     if get_origin(tp) is tuple and len(set(args) - {Ellipsis}) == 1:
@@ -100,6 +94,8 @@ def _json_schema(tp) -> dict:
     form, inner = _type_form(tp)
     if form == "scalar":
         return {"type": _JSON_TYPES[inner]}
+    if form == "enum":
+        return {"enum": list(get_args(inner))}
     if form == "optional":
         schema = _json_schema(inner)
         return {**schema, "type": [schema["type"], "null"]}
@@ -108,10 +104,7 @@ def _json_schema(tp) -> dict:
         if Ellipsis not in get_args(tp):
             schema["minItems"] = schema["maxItems"] = len(get_args(tp))
         return schema
-    props = {}
-    for key, override, _, hint in _json_fields(inner):
-        schema = override or _json_schema(hint)
-        props.update(schema["properties"] if key is None else {key: schema})
+    props = {f.name: _json_schema(hint) for f, hint in _json_fields(inner)}
     return {"type": "object", "additionalProperties": False,
             "properties": props, "required": list(props)}
 
@@ -122,11 +115,7 @@ def _to_json(value):
         return [_to_json(v) for v in value]
     if not is_dataclass(value):
         return value
-    out = {}
-    for key, _, f, _ in _json_fields(type(value)):
-        item = _to_json(getattr(value, f.name))
-        out.update(item if key is None else {key: item})
-    return out
+    return {f.name: _to_json(getattr(value, f.name)) for f, _ in _json_fields(type(value))}
 
 
 def _float(data, name: str) -> float:
@@ -142,22 +131,20 @@ def _from_json(data, tp, name: str = "scenario"):
     """Field value of type ``tp`` from its JSON form (inverse of :func:`_to_json`);
     a float field converts a JSON integer.  ``name`` is the field's path."""
     form, inner = _type_form(tp)
-    if data is None or form == "scalar":
+    if data is None or form in ("scalar", "enum"):
         return _float(data, name) if inner is float and data is not None else data
     if form == "optional":
         return _from_json(data, inner, name)
     if form == "array":
         return tuple(_from_json(v, inner, f"{name}[{i}]") for i, v in enumerate(data))
-    # a flattened field reads its own keys from the same object
-    return inner(**{f.name: _from_json(data if key is None else data[key], hint,
-                                       name if key is None else f"{name}.{key}")
-                    for key, _, f, hint in _json_fields(inner)})
+    return inner(**{f.name: _from_json(data[f.name], hint, f"{name}.{f.name}")
+                    for f, hint in _json_fields(inner)})
 
 
 SCENARIO_SCHEMA = _json_schema(ScenarioConfig)
 
 #: canonical form of a custom scenario before its own keys are merged in
-_SCENARIO_DEFAULTS = {key: _to_json(f.default) for key, _, f, _ in _json_fields(ScenarioConfig)
+_SCENARIO_DEFAULTS = {f.name: _to_json(f.default) for f, _ in _json_fields(ScenarioConfig)
                       if f.default is not MISSING}
 
 _INTEGRATION_SCHEMA = {
@@ -258,8 +245,8 @@ def canonical_scenario_dict(data: dict) -> dict:
             raise ConfigError(
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
         return _deep_merge(scenario_to_dict(PRESETS[preset]()), data)
-    missing = [key for key, _, f, _ in _json_fields(ScenarioConfig)
-               if f.default is MISSING and key not in data]
+    missing = [f.name for f, _ in _json_fields(ScenarioConfig)
+               if f.default is MISSING and f.name not in data]
     if missing:
         raise ConfigError(f"scenario missing required keys: {missing}")
     return _deep_merge(_SCENARIO_DEFAULTS, data)
@@ -652,8 +639,9 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     axes = cfg["axes"]
     names = sorted(axes)
     grid = list(product(*(axes[name] for name in names)))
-    workers = cfg.get("parallelism", 1)
-    if workers > 1 and len(grid) > 1:
+    # a fork pool starts every worker at once: no more than the points or the CPUs
+    workers = min(cfg.get("parallelism", 1), len(grid), os.cpu_count() or 1)
+    if workers > 1:
         # here, only for a pool, to keep concurrent.futures.process out of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -704,10 +692,19 @@ def _build_parser() -> argparse.ArgumentParser:
 _DEFAULT_RUN = {"scenario": {}, "integration": {"t_final": 100.0}}
 
 
+def _check_out(out_dir: Path) -> None:
+    """Refuse an ``--out`` that cannot become the output directory: it, or the
+    nearest of its parents that exists, is not a directory."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out_dir}: {existing} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
+        _check_out(out_dir)
         if args.command in ("simulate", "floquet"):
             data = load_config(args.config, args.preset, args.overrides,
                                default=_DEFAULT_RUN)

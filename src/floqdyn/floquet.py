@@ -50,21 +50,21 @@ class DriveSpec:
     """Monochromatic cosine drive mu*cos(Omega*t) coupling one level pair."""
 
     mu: float
-    omega_drive: float
+    omega: float
     pair: tuple[int, int]
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValidationError(f"drive amplitude must be finite and >= 0, got {self.mu}")
-        if not (math.isfinite(self.omega_drive) and self.omega_drive > 0):
-            raise ValidationError(f"drive frequency must be finite and > 0, got {self.omega_drive}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValidationError(f"drive frequency must be finite and > 0, got {self.omega}")
         if self.pair[0] == self.pair[1]:
             raise ValidationError("drive must couple two distinct levels")
         object.__setattr__(self, "pair", tuple(self.pair))
 
     @property
     def tau(self) -> float:
-        return 2.0 * np.pi / self.omega_drive
+        return 2.0 * np.pi / self.omega
 
     def coupling_matrix(self, dim: int) -> np.ndarray:
         i, j = self.pair
@@ -84,7 +84,7 @@ def drive_hamiltonian(h0, drive: DriveSpec | None):
     x = drive.coupling_matrix(h0.shape[0])
 
     def h(t):
-        c = drive.mu * np.cos(drive.omega_drive * np.asarray(t, dtype=float))
+        c = drive.mu * np.cos(drive.omega * np.asarray(t, dtype=float))
         return h0 + c[..., None, None] * x
 
     return h
@@ -434,7 +434,7 @@ def magnus_interaction_terms(drive: DriveSpec, omega_gap: float, t) -> list[np.n
     one-step grid h = t.
     """
     _, h, ks = _time_grid(t)
-    lam, coef = _drive_exponentials(omega_gap, drive.omega_drive)
+    lam, coef = _drive_exponentials(omega_gap, drive.omega)
     # coefficient tensors: Lambda_1 = int a, Lambda_2 = 1/2 int a1 x a2,
     # Lambda_3 = 1/6 int [a1 x (a2 x a3) + (a1 x a2) x a3], over t > s1 > s2 > s3
     c2 = np.cross(coef[:, None], coef[None, :])
@@ -500,7 +500,7 @@ def magnus_bch_propagator(drive: DriveSpec, h0, t) -> np.ndarray:
                                  f"{drive.mu:g} cubed overflows)") from None
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(lam))):
         raise NumericalError(f"Magnus+BCH exponents are not finite (drive amplitude "
-                             f"{drive.mu:g}, frequency {drive.omega_drive:g})")
+                             f"{drive.mu:g}, frequency {drive.omega:g})")
 
     _warn_if_bch_strained(theta, lam, drive.pair)
     e = bch_compose(theta, lam)

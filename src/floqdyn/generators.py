@@ -43,6 +43,7 @@ Density matrices are vectorized row-major: vec(A rho B) = (A kron B^T) vec(rho).
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -60,7 +61,8 @@ from .operators import Spectrum, hermitian_eigensystem
 #: 1/(6*pi*c^3*hbar*epsilon_0) in natural units, the dipole-dissipator prefactor.
 DIPOLE_PREFACTOR = 1.0 / (6.0 * np.pi)
 
-GENERATOR_KINDS = ("lindblad", "floquet_lindblad", "redfield", "floquet_redfield")
+Kind = Literal["lindblad", "floquet_lindblad", "redfield", "floquet_redfield"]
+GENERATOR_KINDS = get_args(Kind)
 
 
 def _transition_operators(i: int, j: int, dim: int) -> np.ndarray:
@@ -228,7 +230,7 @@ def _secular_generator(frame: _HarmonicFrame, config, collective: bool) -> Gener
         return frame.generator({}, [], [])
     terms = [(bath, op, key) for bath, ops, key in channels for op in ops]
     (_, keys, s), _, (gamma, xi) = frame.resolve(terms, lambda bath, x: gamma_xi_arrays(
-        bath.spectral, bath.beta, x, config.lamb_params, config.lamb_shift))
+        bath, bath.beta, x, config.w_cutoff, config.lamb_shift))
     key_of = np.array([key for _, _, key in terms])[keys[:, 0]]
     h_lamb = {key: np.einsum("k,kji,kjl->il", xi[key_of == key], s[key_of == key].conj(),
                              s[key_of == key]) for _, _, key in channels}
@@ -280,7 +282,7 @@ def _redfield_sums(frame: _HarmonicFrame, config, full_secular: bool) -> tuple:
     e, dipoles, missing = config.energies, [], []
     for bath, (i, j) in pairs:
         try:
-            dipoles.append(qubit_dipole_calibration(bath.spectral, abs(e[i] - e[j])))
+            dipoles.append(qubit_dipole_calibration(bath, abs(e[i] - e[j])))
         except (ValidationError, OverflowError):
             missing.append(f"{bath.name}/{(i, j)}")
     if missing:
@@ -289,7 +291,7 @@ def _redfield_sums(frame: _HarmonicFrame, config, full_secular: bool) -> tuple:
                           "has none)")
     (_, keys, ops), bath_of, (n1, n2, c1, c2) = frame.resolve(
         [(bath, _transition_operators(*t, config.dim)[0], f"{bath.name}:{t}") for bath, t in pairs],
-        lambda bath, x: redfield_arrays(x, bath.beta, config.lamb_params, config.lamb_shift))
+        lambda bath, x: redfield_arrays(x, bath.beta, config.w_cutoff, config.lamb_shift))
     op, q, gi = keys.T
     s = np.array(dipoles)[op, None, None] * ops
     sd = s.conj().transpose(0, 2, 1)

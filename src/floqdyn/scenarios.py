@@ -37,13 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, LambIntegralParams, OhmicSpec
+from .baths import BathSpec
 from .errors import ConfigError, NumericalError, ValidationError, warn
 from .floquet import (REFINEMENTS, DriveSpec, FloquetDecomposition, drive_hamiltonian,
                       floquet_decompose)
 from .generators import (
     GENERATOR_KINDS,
     Generator,
+    Kind,
     floquet_lindblad_generator,
     floquet_redfield_generator,
     lindblad_generator,
@@ -66,22 +67,29 @@ P_GRID_SAMPLES = 256
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully specified simulation scenario."""
+    """A fully specified simulation scenario.
+
+    ``w_cutoff`` is the radiation cutoff W bounding every coefficient
+    integral; the default follows the value used to keep the Redfield
+    dynamics positive.  The Gauss order is not a setting: it doubles until
+    two orders agree."""
 
     energies: tuple[float, ...]
     target_level: int
     baths: tuple[BathSpec, ...]
-    kind: str
+    kind: Kind
     label: str = "custom"
     drive: DriveSpec | None = None
     lamb_shift: bool = True
     q_max: int = 0
-    lamb_params: LambIntegralParams = LambIntegralParams()
+    w_cutoff: float = 4.0e4
     initial_level: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "baths", tuple(self.baths))
+        if not (math.isfinite(self.w_cutoff) and self.w_cutoff > 0):
+            raise ValidationError(f"w_cutoff must be finite and > 0, got {self.w_cutoff}")
         if self.kind not in GENERATOR_KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
         names = [bath.name for bath in self.baths]
@@ -123,24 +131,14 @@ class ScenarioConfig:
         return 0.05
 
 
-def _bath(name: str, transitions) -> BathSpec:
-    params = TABLE_BATHS[name]
-    return BathSpec(
-        name=name,
-        beta=params["beta"],
-        spectral=OhmicSpec(params["j0"], params["omega_cutoff"]),
-        transitions=tuple(transitions),
-    )
-
-
 def build_three_level(variant: str, kind: str | None = None) -> ScenarioConfig:
     """3-level presets: hot bath on 0<->1, cold on b<->1, optional drive.
 
     variant 'v0' drives the (0, b) pair near resonance; 'v1' drives (1, b)
     off resonance; 'nondriven' has no field.  Basis order {|0>, |1>, |b>}.
     """
-    hot = _bath("hot", [(1, 0)])
-    cold = _bath("cold", [(1, 2)])
+    hot = BathSpec("hot", **TABLE_BATHS["hot"], transitions=((1, 0),))
+    cold = BathSpec("cold", **TABLE_BATHS["cold"], transitions=((1, 2),))
     drive = None
     q_max = 0
     if variant == "v0":
@@ -174,8 +172,8 @@ def build_four_level(gap12: float, driven: bool = False,
     """
     if gap12 < 0:
         raise ConfigError("gap12 must be >= 0")
-    hot = _bath("hot", [(1, 0), (2, 0)])
-    cold = _bath("cold", [(1, 3), (2, 3)])
+    hot = BathSpec("hot", **TABLE_BATHS["hot"], transitions=((1, 0), (2, 0)))
+    cold = BathSpec("cold", **TABLE_BATHS["cold"], transitions=((1, 3), (2, 3)))
     drive = DriveSpec(REFERENCE_DRIVE["mu"], REFERENCE_DRIVE["omega"], (0, 3)) if driven else None
     if kind is None:
         kind = "floquet_redfield" if driven else "redfield"

@@ -38,8 +38,7 @@ def reference_dipole(bath, gap: float) -> float:
     """Redfield dipole of a transition of ``bath`` at ``gap`` > 0: equal
     emission rates give mu^2 = 6 pi^2 J(gap) / gap^3, with the Ohmic
     J(x) = j0 x exp(-x^2 / omega_c^2)."""
-    spec = bath.spectral
-    j = spec.j0 * gap * np.exp(-gap**2 / spec.omega_cutoff**2)
+    j = bath.j0 * gap * np.exp(-gap**2 / bath.omega_cutoff**2)
     return float(np.sqrt(6 * np.pi**2 * j / gap**3))
 
 
@@ -124,7 +123,7 @@ def propagator_oracle(cfg):
     i, j = cfg.drive.pair
     x = np.zeros((d, d))
     x[i, j] = x[j, i] = 1.0
-    mu, omega = cfg.drive.mu, cfg.drive.omega_drive
+    mu, omega = cfg.drive.mu, cfg.drive.omega
     tau = 2.0 * np.pi / omega
 
     def rhs(t, y):
@@ -217,7 +216,7 @@ def lamb_oracle(cfg_v0, dec_v0):
     |H_lamb[1, 1]| <= level1_weight * xi_max.
     """
     out = {}
-    omega_drive = cfg_v0.drive.omega_drive
+    omega_drive = cfg_v0.drive.omega
     for bath in cfg_v0.baths:
         (transition,) = bath.transitions      # one per bath in the 3-level presets
         want = np.zeros((cfg_v0.dim, cfg_v0.dim), dtype=complex)
@@ -227,7 +226,7 @@ def lamb_oracle(cfg_v0, dec_v0):
             table = gaps, _, _ = jump_operator_table(harmonics, dec_v0.quasi)
             for (q, gi), s_op in table_entries(table).items():
                 omega = gaps[gi]
-                xi = xi_oracle(bath.spectral, bath.beta, omega + q * omega_drive)
+                xi = xi_oracle(bath, bath.beta, omega + q * omega_drive)
                 sds = s_op.conj().T @ s_op
                 want += xi * sds
                 bound += abs(xi) * float(np.max(np.abs(sds)))

@@ -34,7 +34,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from floqdyn.baths import BathSpec, OhmicSpec, gamma_ohmic
+from floqdyn.baths import BathSpec, gamma_ohmic
 from floqdyn.floquet import (
     benchmark_fidelities,
     drive_hamiltonian,
@@ -46,6 +46,7 @@ from floqdyn.generators import floquet_lindblad_generator, lindblad_generator, s
 from floqdyn.operators import trace_distance
 from floqdyn.scenarios import (
     PRESETS,
+    TABLE_BATHS,
     ScenarioConfig,
     build_four_level,
     build_generator,
@@ -90,6 +91,17 @@ def readme_gains() -> dict:
     text = README.read_text()
     bullet = text[text.index("- Efficiency gains:"):].split("|", 1)[0]
     return {label: value for value, label in re.findall(r"(\d+\.\d+) %\s+\((\w+)\)", bullet)}
+
+
+def readme_channel_gains() -> tuple:
+    """README's channel-convention table, {(hot, cold): percent text} with each
+    bath "per transition" or "collective", and the nondegenerate gain it quotes
+    under all four conventions."""
+    text = README.read_text()
+    rows = re.findall(r"^ *\| (per transition|collective) *\| (per transition|collective) *"
+                      r"\| (\d+\.\d+) % *\|$", text, re.M)
+    under_all = re.search(r"nondegenerate gain is (\d+\.\d+) % under all four", text)
+    return {(hot, cold): gain for hot, cold, gain in rows}, under_all.group(1)
 
 
 def _commutator_max(a, b) -> float:
@@ -193,7 +205,7 @@ def exact_eta_floquet_redfield(cfg, gen, t: float, times=None) -> tuple[float, n
     i, j = cfg.drive.pair
     x = np.zeros((d, d))
     x[i, j] = x[j, i] = 1.0
-    mu, omega = cfg.drive.mu, cfg.drive.omega_drive
+    mu, omega = cfg.drive.mu, cfg.drive.omega
     b = cfg.target_level
 
     def rhs(s, y):
@@ -285,7 +297,7 @@ def test_criterion_2_reference_v1_hbar(criterion2_data, floquet_oracles, cfg_v1)
     got = criterion2_data["hbar_v1"]
     diff = float(np.max(np.abs(got - floquet_oracles["v1"]["hbar"])))
     # first order in mu: Hbar_1b = mu w^2 / (w^2 - Omega^2), w the 1-b gap
-    mu, omega = cfg_v1.drive.mu, cfg_v1.drive.omega_drive
+    mu, omega = cfg_v1.drive.mu, cfg_v1.drive.omega
     w = cfg_v1.energies[1] - cfg_v1.energies[2]
     first_order = mu * w**2 / (w**2 - omega**2)
     off_gap = abs(got[1, 2] - first_order)
@@ -461,6 +473,30 @@ def test_criterion_4_four_level_gains(four_level_etas):
         {label: f"{100 * gain:.2f}" for label, gain in gains.items()}
 
 
+def _channels(bath, convention: str) -> tuple:
+    """``bath`` under ``collective=True`` as its "collective" channel, or split into
+    one bath per transition: its "per transition" channels."""
+    if convention == "collective":
+        return (bath,)
+    return tuple(replace(bath, name=f"{bath.name}{t}", transitions=(t,))
+                 for t in bath.transitions)
+
+
+def test_readme_channel_convention_table(four_level_etas):
+    # each Lindblad convention against the Redfield eta of criterion 4
+    table, under_all = readme_channel_gains()
+    assert len(table) == 4
+    for label in ("degenerate", "nondegenerate"):
+        eta_redfield, _, cfg, t = four_level_etas[label, "redfield"]
+        hot_bath, cold_bath = cfg.baths
+        for hot, cold in table:
+            run = replace(cfg, kind="lindblad",
+                          baths=_channels(hot_bath, hot) + _channels(cold_bath, cold))
+            eta = efficiency(evolve(run, t, generator=build_generator(run, collective=True)))[0]
+            want = table[hot, cold] if label == "degenerate" else under_all
+            assert f"{100 * (eta_redfield - eta) / eta:.2f}" == want, (label, hot, cold)
+
+
 @pytest.mark.parametrize("preset", ["four_level_degenerate_driven", "three_level_v0"])
 def test_floquet_redfield_eta_matches_schrodinger_oracle(preset):
     # about 29 drive periods; t is off the decomposition grid, so the last
@@ -531,7 +567,7 @@ def test_criterion_5b_lindblad_positivity(long_runs):
 
 
 def test_criterion_5c_gibbs_stationarity():
-    bath = BathSpec("hot", beta=1 / 30, spectral=OhmicSpec(4e-4, np.sqrt(2)),
+    bath = BathSpec("hot", beta=1 / 30, j0=4e-4, omega_cutoff=np.sqrt(2),
                     transitions=((1, 0),))
     cfg = ScenarioConfig(energies=(0.0, 3.0), target_level=1, baths=(bath,), kind="lindblad")
     h0 = cfg.h0
@@ -543,7 +579,7 @@ def test_criterion_5c_gibbs_stationarity():
 
 
 def test_criterion_5d_kms_ratio():
-    spec = OhmicSpec(4e-3, np.sqrt(0.2))
+    spec = BathSpec("cold", **TABLE_BATHS["cold"])
     worst = 0.0
     for beta in (1 / 30, 1 / 4):
         for x in (0.1, 0.5, 1.0, 2.5, 3.0):
@@ -600,7 +636,7 @@ def test_criterion_5f_mu_to_zero_continuity():
 
 
 def test_criterion_5g_qubit_calibration():
-    bath = BathSpec("cold", beta=1 / 4, spectral=OhmicSpec(4e-3, np.sqrt(0.2)),
+    bath = BathSpec("cold", beta=1 / 4, j0=4e-3, omega_cutoff=np.sqrt(0.2),
                     transitions=((1, 0),))
     common = dict(energies=(0.0, 0.5), target_level=1, baths=(bath,))
     tl = evolve(ScenarioConfig(label="l", kind="lindblad", **common), 500.0, dt=0.02)

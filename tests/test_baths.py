@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from floqdyn import baths
 from floqdyn.baths import (
     BathSpec,
-    LambIntegralParams,
-    OhmicSpec,
     gamma_ohmic,
     gamma_xi_ohmic,
     pv_quadrature,
@@ -32,9 +30,16 @@ from floqdyn.scenarios import (
 
 from conftest import XI_ORACLE_RTOL, quad_cauchy, xi_oracle
 
-HOT = OhmicSpec(4e-4, np.sqrt(2.0))
-COLD = OhmicSpec(4e-3, np.sqrt(0.2))
-PARAMS = LambIntegralParams()
+HOT = BathSpec("hot", **TABLE_BATHS["hot"])
+COLD = BathSpec("cold", **TABLE_BATHS["cold"])
+W_CUTOFF = ScenarioConfig.w_cutoff
+
+
+def ohmic(j0: float, omega_cutoff: float) -> BathSpec:
+    """A bath of the Ohmic spectrum (j0, omega_cutoff) and no transitions; the
+    spectral functions take their inverse temperature as an argument of their
+    own, so its beta (1) is unused."""
+    return BathSpec("ohmic", 1.0, j0, omega_cutoff)
 
 
 def _record_orders(monkeypatch) -> list:
@@ -87,8 +92,8 @@ class TestSpectralDensity:
     @pytest.mark.parametrize("cutoff", [1e155, 1e300, 1.7976931348623157e308])
     def test_cutoff_whose_square_overflows_is_the_infinite_cutoff_limit(self, cutoff):
         x = np.array([-3.0, 0.5, 40.0])
-        assert np.array_equal(spectral_density(OhmicSpec(2e-3, cutoff), x), 2e-3 * x)
-        assert spectral_density(OhmicSpec(2e-3, cutoff), 0.5) == 1e-3
+        assert np.array_equal(spectral_density(ohmic(2e-3, cutoff), x), 2e-3 * x)
+        assert spectral_density(ohmic(2e-3, cutoff), 0.5) == 1e-3
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-10, 10))
@@ -98,13 +103,13 @@ class TestSpectralDensity:
 
 class TestPvQuadrature:
     def test_constant_integrand(self):
-        w = PARAMS.w_cutoff
+        w = W_CUTOFF
         for c in (0.5, 2.5, 40.0):
             got = pv_quadrature(lambda nu: np.ones_like(nu), c, (0.0, w))
             assert got == pytest.approx(np.log((w - c) / c), rel=1e-10)
 
     def test_linear_integrand(self):
-        w = PARAMS.w_cutoff
+        w = W_CUTOFF
         c = 2.5
         got = pv_quadrature(lambda nu: np.asarray(nu, float), c, (0.0, w))
         assert got == pytest.approx(w + c * np.log((w - c) / c), rel=1e-10)
@@ -147,7 +152,7 @@ class TestPvQuadrature:
 
 class TestGammaXi:
     def test_gamma_zero_frequency(self):
-        spec = OhmicSpec(4e-4, np.sqrt(2.0))
+        spec = ohmic(4e-4, np.sqrt(2.0))
         assert gamma_ohmic(spec, 4.0, 0.0) == pytest.approx(4 * np.pi * 1e-4, rel=1e-12)
         assert gamma_ohmic(spec, 4.0, 0.0) == pytest.approx(1.25664e-3, rel=1e-4)
 
@@ -159,7 +164,7 @@ class TestGammaXi:
 
     @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 3.0, -3.0, 7.25])
     def test_xi_against_quadpack_oracle(self, x):
-        _, xi = gamma_xi_ohmic(HOT, 1 / 30, x, PARAMS)
+        _, xi = gamma_xi_ohmic(HOT, 1 / 30, x, W_CUTOFF)
         assert xi == pytest.approx(xi_oracle(HOT, 1 / 30, x), rel=XI_ORACLE_RTOL, abs=1e-12)
 
     def test_xi_decay_far_above_cutoff(self):
@@ -168,8 +173,8 @@ class TestGammaXi:
         # below 1e-6 relative.
         x_ref = HOT.omega_cutoff
         x_far = 100 * HOT.omega_cutoff
-        _, xi_ref = gamma_xi_ohmic(HOT, 1 / 30, x_ref, PARAMS)
-        _, xi_far = gamma_xi_ohmic(HOT, 1 / 30, x_far, PARAMS)
+        _, xi_ref = gamma_xi_ohmic(HOT, 1 / 30, x_ref, W_CUTOFF)
+        _, xi_far = gamma_xi_ohmic(HOT, 1 / 30, x_far, W_CUTOFF)
         assert abs(xi_far) < 0.05 * abs(xi_ref)
         assert xi_far == pytest.approx(xi_oracle(HOT, 1 / 30, x_far), rel=XI_ORACLE_RTOL)
         g_ratio = abs(gamma_ohmic(HOT, 1 / 30, x_far) / gamma_ohmic(HOT, 1 / 30, x_ref))
@@ -192,47 +197,47 @@ class TestGammaXi:
 
 class TestRedfieldCoefficients:
     def test_zero_frequency_rates_vanish(self):
-        n1, n2, _, _ = redfield_coefficients(0.0, 4.0, PARAMS)
+        n1, n2, _, _ = redfield_coefficients(0.0, 4.0, W_CUTOFF)
         assert n1 == 0.0 and n2 == 0.0
 
     def test_rate_difference_identity(self):
         for x in (0.5, 2.5, -1.0):
-            n1, n2, _, _ = redfield_coefficients(x, 4.0, PARAMS)
+            n1, n2, _, _ = redfield_coefficients(x, 4.0, W_CUTOFF)
             assert n2 - n1 == pytest.approx(x**3, rel=1e-12)
 
     def test_continuity_near_zero(self):
         # N1(x) -> x^2/beta as x -> 0, so |N1(1e-6)| ~ 2.5e-13 at beta = 4
         # (a tighter bound of 1e-17 would be below this limit law)
         for x in (1e-6, -1e-6):
-            n1, _, _, _ = redfield_coefficients(x, 4.0, PARAMS)
+            n1, _, _, _ = redfield_coefficients(x, 4.0, W_CUTOFF)
             assert abs(n1) < 1e-12
             assert n1 == pytest.approx(x**2 / 4.0, rel=1e-5)
 
     def test_reflection_n1_n2(self):
-        n1_p, n2_p, _, _ = redfield_coefficients(2.5, 4.0, PARAMS)
-        n1_m, n2_m, _, _ = redfield_coefficients(-2.5, 4.0, PARAMS)
+        n1_p, n2_p, _, _ = redfield_coefficients(2.5, 4.0, W_CUTOFF)
+        n1_m, n2_m, _, _ = redfield_coefficients(-2.5, 4.0, W_CUTOFF)
         assert n1_m == pytest.approx(n2_p, rel=1e-12)
         assert n2_m == pytest.approx(n1_p, rel=1e-12)
 
     def test_c2_against_brute_force_and_refinement(self, monkeypatch):
         # oracle: QUADPACK thermal PV plus mpmath's regularized vacuum PV
-        x, beta, w = 2.5, 4.0, PARAMS.w_cutoff
+        x, beta, w = 2.5, 4.0, W_CUTOFF
 
         def thermal_integrand(nu):
             return nu**3 / np.expm1(beta * nu) if 0 < beta * nu < 700 else 0.0
 
-        *_, c2 = redfield_coefficients(x, beta, PARAMS)
+        *_, c2 = redfield_coefficients(x, beta, W_CUTOFF)
         thermal = -quad_cauchy(thermal_integrand, x, 120.0)
         want = thermal / np.pi + float(vacuum_mpmath(x, w))
         assert c2 == pytest.approx(want, rel=1e-6)
         # start the doubling one order up, at a tighter tolerance
         monkeypatch.setattr(baths, "GAUSS_ORDER_START", 2 * baths.GAUSS_ORDER_START)
         with mock.patch.object(baths, "QUADRATURE_REL_TOL", 1e-7):
-            *_, c2_fine = redfield_coefficients(x, beta, PARAMS)
+            *_, c2_fine = redfield_coefficients(x, beta, W_CUTOFF)
         assert c2 == pytest.approx(c2_fine, rel=1e-6)
 
     def test_c1_negative_argument_no_pole(self):
-        _, _, c1, _ = redfield_coefficients(-1.5, 4.0, PARAMS)
+        _, _, c1, _ = redfield_coefficients(-1.5, 4.0, W_CUTOFF)
         want = scipy.integrate.quad(
             lambda nu: nu**3 / np.expm1(4.0 * nu) / (-1.5 - nu), 0, 60, limit=200)[0] / np.pi
         assert c1 == pytest.approx(want, rel=1e-7)
@@ -241,23 +246,21 @@ class TestRedfieldCoefficients:
 class TestSpecValidation:
     def test_bath_invariants(self):
         with pytest.raises(ValidationError):
-            BathSpec("x", beta=-1.0, spectral=HOT)
+            replace(HOT, beta=-1.0)
         with pytest.raises(ValidationError):
-            BathSpec("x", beta=1.0, spectral=HOT, transitions=((1, 0), (1, 0)))
+            replace(HOT, transitions=((1, 0), (1, 0)))
         with pytest.raises(ValidationError):
             # so no coupling operator is ever built for a level and itself
-            BathSpec("x", beta=1.0, spectral=HOT, transitions=((1, 1),))
+            replace(HOT, transitions=((1, 1),))
         with pytest.raises(ValidationError):
-            OhmicSpec(-1.0, 1.0)
-
-    def test_lamb_params_invariants(self):
+            replace(HOT, j0=-1.0)
         with pytest.raises(ValidationError):
-            LambIntegralParams(w_cutoff=-1.0)
+            replace(HOT, omega_cutoff=0.0)
 
 
 class TestDipoleCalibration:
     def test_zero_spectral_density_boundary(self):
-        assert qubit_dipole_calibration(OhmicSpec(0.0, 1.0), 1.0) == 0.0
+        assert qubit_dipole_calibration(ohmic(0.0, 1.0), 1.0) == 0.0
 
     @pytest.mark.parametrize("gap,error", [(0.0, ValidationError), (-0.5, ValidationError),
                                            (5e-324, ValidationError), (1e-110, ValidationError),
@@ -269,14 +272,14 @@ class TestDipoleCalibration:
             qubit_dipole_calibration(COLD, gap)
 
     def test_cold_bath_value(self):
-        spec = OhmicSpec(4e-3, np.sqrt(0.2))
+        spec = ohmic(4e-3, np.sqrt(0.2))
         j = 4e-3 * 0.5 * np.exp(-1.25)
         want = np.sqrt(6 * np.pi**2 * j / 0.125)
         assert qubit_dipole_calibration(spec, 0.5) == pytest.approx(want, rel=1e-12)
 
     def test_rate_match_on_population_decay(self):
         # calibrated qubit: Lindblad and Redfield relaxation rates within 1%
-        bath = BathSpec("cold", beta=1 / 4, spectral=OhmicSpec(4e-3, np.sqrt(0.2)),
+        bath = BathSpec("cold", beta=1 / 4, j0=4e-3, omega_cutoff=np.sqrt(0.2),
                         transitions=((1, 0),))
         common = dict(energies=(0.0, 0.5), target_level=1, baths=(bath,),
                       initial_level=1)
@@ -379,8 +382,8 @@ class TestQuadratureConvergenceGuard:
                                     rel=1e-12)
 
     @pytest.mark.parametrize("coefficients", [
-        lambda x: gamma_xi_ohmic(HOT, 1.3, x, PARAMS),
-        lambda x: redfield_coefficients(x, 1.3, PARAMS),
+        lambda x: gamma_xi_ohmic(HOT, 1.3, x, W_CUTOFF),
+        lambda x: redfield_coefficients(x, 1.3, W_CUTOFF),
     ], ids=["xi", "c1"])
     def test_cached_coefficient_rechecked_under_tighter_tolerance(self, coefficients):
         from floqdyn.errors import NumericalError
@@ -564,11 +567,11 @@ class TestMpmathOracle:
 
     @pytest.mark.parametrize("bath", sorted(ORACLE_BATHS))
     def test_xi_at_preset_frequencies(self, bath):
-        spec = OhmicSpec(ORACLE_BATHS[bath]["j0"], ORACLE_BATHS[bath]["omega_cutoff"])
+        spec = BathSpec(bath, **ORACLE_BATHS[bath])
         beta = ORACLE_BATHS[bath]["beta"]
         for x in MPMATH_FREQUENCIES:
             want = float(xi_mpmath(spec, beta, x))
-            assert gamma_xi_ohmic(spec, beta, x, PARAMS)[1] == pytest.approx(
+            assert gamma_xi_ohmic(spec, beta, x, W_CUTOFF)[1] == pytest.approx(
                 want, rel=MPMATH_RTOL), x
 
     @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
@@ -578,37 +581,37 @@ class TestMpmathOracle:
         # subtracted; split at the pole, the oracle's two parts each grow as
         # ln|x|.  The oracle's pole sits |x| from the end of its first interval,
         # where 20 digits leave it 2e-10 off at |x| = 1e-12; it runs at 40
-        spec = OhmicSpec(TABLE_BATHS[bath]["j0"], TABLE_BATHS[bath]["omega_cutoff"])
+        spec = BathSpec(bath, **TABLE_BATHS[bath])
         beta = TABLE_BATHS[bath]["beta"]
         with mpmath.workdps(40):
             want = float(xi_mpmath(spec, beta, x))
-        assert gamma_xi_ohmic(spec, beta, x, PARAMS)[1] == pytest.approx(want, rel=MPMATH_RTOL)
+        assert gamma_xi_ohmic(spec, beta, x, W_CUTOFF)[1] == pytest.approx(want, rel=MPMATH_RTOL)
 
     @pytest.mark.parametrize("bath", sorted(ORACLE_BATHS))
     def test_c1_at_positive_preset_frequencies(self, bath):
         beta = ORACLE_BATHS[bath]["beta"]
         for x in (x for x in MPMATH_FREQUENCIES if x > 0):
-            assert redfield_coefficients(x, beta, PARAMS)[2] == pytest.approx(
+            assert redfield_coefficients(x, beta, W_CUTOFF)[2] == pytest.approx(
                 float(c1_mpmath(beta, x)), rel=MPMATH_RTOL), x
 
     @pytest.mark.parametrize("bath", sorted(ORACLE_BATHS))
     def test_c1_at_non_positive_preset_frequencies(self, bath):
         beta = ORACLE_BATHS[bath]["beta"]
         for x in (x for x in MPMATH_FREQUENCIES if x <= 0):
-            assert redfield_coefficients(x, beta, PARAMS)[2] == pytest.approx(
+            assert redfield_coefficients(x, beta, W_CUTOFF)[2] == pytest.approx(
                 float(c1_mpmath(beta, x)), rel=MPMATH_RTOL), x
 
     @pytest.mark.parametrize("bath", ["cold", "hot"])
     def test_refined_coefficients_stay_on_the_oracle(self, bath, monkeypatch):
         # at 1e-13 some xi and C1 need orders past 192 (up to 768), not the cap
-        spec = OhmicSpec(ORACLE_BATHS[bath]["j0"], ORACLE_BATHS[bath]["omega_cutoff"])
+        spec = BathSpec(bath, **ORACLE_BATHS[bath])
         beta = ORACLE_BATHS[bath]["beta"]
         orders = _record_orders(monkeypatch)
         refined = []
         with mock.patch.object(baths, "QUADRATURE_REL_TOL", 1e-13):
             for x in MPMATH_FREQUENCIES:
-                for name, get in (("xi", lambda: gamma_xi_ohmic(spec, beta, x, PARAMS)[1]),
-                                  ("c1", lambda: redfield_coefficients(x, beta, PARAMS)[2])):
+                for name, get in (("xi", lambda: gamma_xi_ohmic(spec, beta, x, W_CUTOFF)[1]),
+                                  ("c1", lambda: redfield_coefficients(x, beta, W_CUTOFF)[2])):
                     orders.clear()
                     got = get()
                     if max(orders) > 192:
@@ -621,18 +624,18 @@ class TestMpmathOracle:
     def test_c2_at_non_positive_preset_frequencies(self):
         # the closed form keeps |x|^3 ln(W/|x|) of |x|^3 ln((W + |x|)/|x|),
         # which leaves out |x|^3 ln(1 + |x|/W) <= x^4/W
-        beta, w = TABLE_BATHS["cold"]["beta"], PARAMS.w_cutoff
+        beta, w = TABLE_BATHS["cold"]["beta"], W_CUTOFF
         for x in (x for x in MPMATH_FREQUENCIES if x <= 0):
             want = float(c1_mpmath(beta, x) + vacuum_mpmath(x, w))
-            got = redfield_coefficients(x, beta, PARAMS)[3]
+            got = redfield_coefficients(x, beta, W_CUTOFF)[3]
             assert abs(got - want) <= MPMATH_RTOL * abs(want) + x**4 / (np.pi * w), x
 
     @pytest.mark.parametrize("bath", sorted(TABLE_BATHS))
     def test_c2_at_positive_preset_frequencies(self, bath):
         # the closed form keeps -x^3 ln(W/x) of -x^3 ln((W - x)/x),
         # which leaves out x^3 ln(W/(W - x)) ~ x^4/W
-        beta, w = TABLE_BATHS[bath]["beta"], PARAMS.w_cutoff
+        beta, w = TABLE_BATHS[bath]["beta"], W_CUTOFF
         for x in (x for x in MPMATH_FREQUENCIES if x > 0):
             want = float(c1_mpmath(beta, x) + vacuum_mpmath(x, w))
-            got = redfield_coefficients(x, beta, PARAMS)[3]
+            got = redfield_coefficients(x, beta, W_CUTOFF)[3]
             assert abs(got - want) <= MPMATH_RTOL * abs(want) + x**4 / (np.pi * w), x

@@ -12,7 +12,8 @@ import sys
 import time
 from pathlib import Path
 
-from floqdyn import cli
+from floqdyn import cli, generators
+from floqdyn.scenarios import PRESETS, ScenarioConfig
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
@@ -65,3 +66,21 @@ def test_tracer_hooks_read_a_driven_simulate_and_a_floquet_report(tmp_path):
     for name in ("scenarios.records", "floquet.samples_bytes", "generators.superop_bytes",
                  "floquet.fidelity_min"):
         assert metrics[name] > 0, name
+
+
+def test_tracer_hooks_read_the_pinned_coefficient_wrappers():
+    # no command calls these two, so their hooks, which unpack and hash the
+    # arguments, run only here
+    tracer = _tracer_module()
+    bath = PRESETS["three_level_nondriven"]().baths[0]
+    w_cutoff = ScenarioConfig.w_cutoff
+    tr = tracer.Tracer("t")
+    tr.install()
+    try:
+        generators.gamma_xi_ohmic(bath, bath.beta, 1.5, w_cutoff)
+        generators.redfield_coefficients(1.5, bath.beta, w_cutoff)
+    finally:
+        tr.uninstall()
+    assert tr.coeff_keys == {("xi", bath, bath.beta, 1.5, w_cutoff),
+                             ("c1", 1.5, bath.beta, w_cutoff)}
+    assert tr.metrics(1.0)["baths.coeff_calls"] == 2

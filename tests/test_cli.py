@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from floqdyn.cli import (
     scenario_to_dict,
     validate_schema,
 )
-from floqdyn.baths import BathSpec, LambIntegralParams, OhmicSpec
+from floqdyn.baths import BathSpec
 from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.floquet import HALVING_GAP_TOL, DriveSpec
 from floqdyn.generators import GENERATOR_KINDS
@@ -351,7 +352,7 @@ class TestConfigRoundTrip:
         assert d1 == d2
 
     def test_minimal_custom_scenario_takes_dataclass_defaults(self):
-        bath = BathSpec("b", beta=1.0, spectral=OhmicSpec(1e-3, 1.0), transitions=((1, 0),))
+        bath = BathSpec("b", beta=1.0, j0=1e-3, omega_cutoff=1.0, transitions=((1, 0),))
         full = scenario_to_dict(ScenarioConfig(label="custom", energies=(0.0, 1.0),
                                                target_level=1, baths=(bath,), kind="lindblad"))
         minimal = {key: full[key] for key in ("energies", "target_level", "kind", "baths")}
@@ -422,19 +423,17 @@ def scenarios(draw):
     level = st.integers(0, dim - 1)
     pairs = st.tuples(level, level).filter(lambda p: p[0] != p[1])
     baths = st.lists(st.builds(
-        BathSpec, name=st.text(max_size=5), beta=positive,
-        spectral=st.builds(OhmicSpec, j0=st.floats(0.0, 1.0), omega_cutoff=positive),
+        BathSpec, name=st.text(max_size=5), beta=positive, j0=st.floats(0.0, 1.0),
+        omega_cutoff=positive,
         transitions=st.lists(pairs, max_size=3, unique=True).map(tuple)),
         max_size=2, unique_by=lambda bath: bath.name)
-    drive = st.none() | st.builds(DriveSpec, mu=st.floats(0.0, 1.0), omega_drive=positive,
+    drive = st.none() | st.builds(DriveSpec, mu=st.floats(0.0, 1.0), omega=positive,
                                   pair=pairs)
-    w_cutoff = draw(st.floats(10.0, 1e5))
-    lamb = st.builds(LambIntegralParams, w_cutoff=st.just(w_cutoff))
     return draw(st.builds(
         ScenarioConfig, energies=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
         target_level=level, baths=baths.map(tuple), kind=st.sampled_from(GENERATOR_KINDS),
         label=st.text(max_size=8), drive=drive, lamb_shift=st.booleans(),
-        q_max=st.integers(0, 30), lamb_params=lamb, initial_level=level))
+        q_max=st.integers(0, 30), w_cutoff=st.floats(10.0, 1e5), initial_level=level))
 
 
 def _canonical_run():
@@ -470,10 +469,9 @@ class TestDerivedConfig:
         (("scenario", "baths", 0), "beta", "hot", "'hot' is not of type 'number'"),
         (("scenario", "baths", 0), "transitions", [[1, 0, 2]], "[1, 0, 2] is too long"),
         (("scenario", "baths", 0), "j0", _DELETE, "'j0' is a required property"),
-        (("scenario", "lamb_params"), "mystery", 1, "('mystery' was unexpected)"),
-        (("scenario", "lamb_params"), "quadrature_points", 96,
-         "('quadrature_points' was unexpected)"),
-        (("scenario", "lamb_params"), "pv_window", 0.1, "('pv_window' was unexpected)"),
+        (("scenario",), "w_cutoff", "far", "'far' is not of type 'number'"),
+        (("scenario",), "w_cutoff", _DELETE, "'w_cutoff' is a required property"),
+        (("scenario",), "lamb_params", {"w_cutoff": 4e4}, "('lamb_params' was unexpected)"),
     ])
     def test_rejections_at_every_nesting_level(self, path, key, value, message):
         run = _canonical_run()
@@ -500,17 +498,19 @@ class TestDerivedConfig:
             inner: Inner
             links: tuple[tuple[int, int], ...] = ()
             flag: bool = True
+            mode: Literal["fast", "slow"] = "fast"
 
-        value = Outer("x", Inner(3, 0.5), links=((0, 1), (2, 3)))
+        value = Outer("x", Inner(3, 0.5), links=((0, 1), (2, 3)), mode="slow")
         data = cli._to_json(value)
         assert data == {"name": "x", "inner": {"count": 3, "scale": 0.5},
-                        "links": [[0, 1], [2, 3]], "flag": True}
+                        "links": [[0, 1], [2, 3]], "flag": True, "mode": "slow"}
         assert cli._from_json(data, Outer) == value
         schema = cli._json_schema(Outer)
-        assert schema["required"] == ["name", "inner", "links", "flag"]
+        assert schema["required"] == ["name", "inner", "links", "flag", "mode"]
         assert schema["properties"]["inner"]["properties"]["scale"] == {
             "type": ["number", "null"]}
         assert schema["properties"]["links"]["items"]["maxItems"] == 2
+        assert schema["properties"]["mode"] == {"enum": ["fast", "slow"]}
         validate_schema(data, schema)
         with pytest.raises(ConfigError, match="'extra' was unexpected"):
             validate_schema({**data, "extra": 1}, schema)
@@ -711,10 +711,10 @@ class TestMalformedSections:
         # integration.dt is the one source of the record step
         ("simulate", {"scenario": {"preset": "three_level_v1", "dt": 0.1},
                       "integration": {"t_final": 1.0}}, "'dt' was unexpected"),
-        # the principal values take no window
+        # the radiation cutoff is the scenario's w_cutoff: there is no lamb_params section
         ("simulate", {"scenario": {"preset": "three_level_v1",
                                    "lamb_params": {"pv_window": 0.1}},
-                      "integration": {"t_final": 1.0}}, "'pv_window' was unexpected"),
+                      "integration": {"t_final": 1.0}}, "'lamb_params' was unexpected"),
         # compare and sweep write only into --out, so they take no outputs section
         ("compare", {"a": {"preset": "three_level_nondriven"},
                      "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 1.0},
@@ -790,8 +790,7 @@ class TestMalformedSections:
         ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"omega": float("nan")}},
                       "integration": {"t_final": 1.0}},
          "drive frequency must be finite and > 0, got nan"),
-        ("simulate", {"scenario": {"preset": "three_level_nondriven",
-                                   "lamb_params": {"w_cutoff": 1e400}},
+        ("simulate", {"scenario": {"preset": "three_level_nondriven", "w_cutoff": 1e400},
                       "integration": {"t_final": 1.0}}, "w_cutoff must be finite and > 0, got inf"),
         # compare and sweep name their presets in the config: the flag is refused, not ignored
         ("compare --preset four_level_degenerate",
@@ -829,6 +828,37 @@ class TestMalformedSections:
         assert err.startswith("configuration error: ")
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,config", [
+        ("simulate", {"scenario": {"preset": "three_level_nondriven"},
+                      "integration": {"t_final": 1.0}}),
+        ("floquet", {"scenario": {"preset": "three_level_v1"}, "integration": {"t_final": 1.0}}),
+        ("compare", {"a": {"preset": "three_level_nondriven"},
+                     "b": {"preset": "three_level_nondriven"}, "integration": {"t_final": 1.0}}),
+        ("sweep", {"base": {"scenario": {"preset": "three_level_nondriven"},
+                            "integration": {"t_final": 1.0}},
+                   "axes": {"scenario.lamb_shift": [True, False]}}),
+    ])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_that_is_no_directory_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                              config, under):
+        # refused before any work, as a config error, in one line
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work with an unusable --out")
+
+        for target in ("floqdyn.scenarios.build_generator", "floqdyn.cli.build_generator",
+                       "floqdyn.cli._sweep_point"):
+            monkeypatch.setattr(target, no_work)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"configuration error: --out {out}: {taken} "
+                                           "is not a directory\n")
+        assert sorted(tmp_path.iterdir()) == [cfg, taken]
+        assert taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("override", [
         "integration.t_final=1" + "0" * 5000,       # past int's digit limit: read as text
@@ -992,6 +1022,11 @@ class TestMalformedSections:
                       "integration": {"t_final": 1.0}}, "scenario.baths[0].beta"),
         ("simulate", {"scenario": {"preset": "three_level_v1", "drive": {"mu": 10**400}},
                       "integration": {"t_final": 1.0}}, "scenario.drive.mu"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven",
+                                   "baths": [hot_bath(j0=10**400)]},
+                      "integration": {"t_final": 1.0}}, "scenario.baths[0].j0"),
+        ("simulate", {"scenario": {"preset": "three_level_nondriven", "w_cutoff": 10**400},
+                      "integration": {"t_final": 1.0}}, "scenario.w_cutoff"),
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
                       "integration": {"t_final": 10**400}}, "integration.t_final"),
         ("simulate", {"scenario": {"preset": "three_level_nondriven"},
@@ -999,7 +1034,7 @@ class TestMalformedSections:
         ("compare", {"a": {"preset": "three_level_nondriven"},
                      "b": {"preset": "three_level_nondriven", "baths": [hot_bath(beta=10**400)]},
                      "integration": {"t_final": 1.0}}, "b.baths[0].beta"),
-    ], ids=["beta", "drive_mu", "t_final", "dt", "compare_beta"])
+    ], ids=["beta", "drive_mu", "j0", "w_cutoff", "t_final", "dt", "compare_beta"])
     def test_integer_too_large_for_a_float(self, tmp_path, capsys, command, config, name):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -1412,6 +1447,8 @@ class TestSweep:
         with pytest.raises(ConfigError, match="P grid"):
             decompose_scenario(replace(PRESETS["three_level_v1"](), q_max=1000000000))
         rows = {}
+        # two workers, on any machine: the pool is no larger than the CPUs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # cmd_sweep imports the pool class from concurrent.futures when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             concurrent.futures.ProcessPoolExecutor,
@@ -1423,6 +1460,42 @@ class TestSweep:
             rows[workers] = read_csv(out / "sweep.csv")
         assert [r["status"] for r in rows[1]] == ["ok", "error:2"]
         assert rows[2] == rows[1]
+
+    @pytest.mark.parametrize("parallelism,cpus,workers", [
+        (100000, 64, 3), (8, 2, 2), (2, 64, 2), (8, 1, None), (8, None, None), (1, 64, None),
+    ])
+    def test_pool_is_no_larger_than_the_grid_or_the_cpus(self, tmp_path, monkeypatch,
+                                                         parallelism, cpus, workers):
+        import concurrent.futures
+
+        # a fork pool starts all its workers at the first submit: a stand-in pool
+        # records the size asked for and maps serially, so no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sweep = {"base": {"scenario": {"preset": "three_level_nondriven"},
+                          "integration": {"t_final": 1.0}},
+                 "axes": {"integration.t_final": [1.0, 2.0, 3.0]}}
+        for name, n in (("serial", 1), ("pooled", parallelism)):
+            config = self._write(tmp_path, f"{name}.json", {**sweep, "parallelism": n})
+            assert main(["sweep", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        assert sizes == ([] if workers is None else [workers])
+        assert (tmp_path / "pooled" / "sweep.csv").read_bytes() == \
+            (tmp_path / "serial" / "sweep.csv").read_bytes()
 
     @staticmethod
     def _write(tmp_path, name, payload):
@@ -1515,7 +1588,7 @@ def extreme_runs(draw, driven: bool = False, dim: int | None = None, extremes: i
                                             if scenario["drive"] else ("lindblad", "redfield")))
     slots = [(scenario["energies"], i) for i in range(len(scenario["energies"]))]
     slots += [(bath, key) for bath in scenario["baths"] for key in ("beta", "j0", "omega_cutoff")]
-    slots.append((scenario["lamb_params"], "w_cutoff"))
+    slots.append((scenario, "w_cutoff"))
     if scenario["drive"] is not None:
         slots += [(scenario["drive"], "mu"), (scenario["drive"], "omega")]
     # a few at a time, so that most runs get past the checks of their inputs
@@ -1581,7 +1654,7 @@ SWEEP_AXES = {
     "integration.t_final": EXTREME_NUMBERS,
     "integration.dt": EXTREME_NUMBERS,
     "scenario.q_max": st.one_of(st.sampled_from([0, 1, 3, 24]), EXTREME_NUMBERS),
-    "scenario.lamb_params.w_cutoff": EXTREME_NUMBERS,
+    "scenario.w_cutoff": EXTREME_NUMBERS,
     "scenario.drive.mu": EXTREME_NUMBERS,
     "scenario.drive.omega": EXTREME_NUMBERS,
 }

@@ -53,8 +53,8 @@ from conftest import (
 H0 = np.diag([0.0, 3.0, 2.5]).astype(complex)
 OMEGA = 2.25
 TAU = 2 * np.pi / OMEGA
-V0 = DriveSpec(mu=0.1, omega_drive=OMEGA, pair=(0, 2))
-V1 = DriveSpec(mu=0.1, omega_drive=OMEGA, pair=(1, 2))
+V0 = DriveSpec(mu=0.1, omega=OMEGA, pair=(0, 2))
+V1 = DriveSpec(mu=0.1, omega=OMEGA, pair=(1, 2))
 
 #: agreement per Magnus order between the exact integrals and the quadrature
 MAGNUS_RTOL = 1e-10
@@ -75,14 +75,14 @@ def magnus_terms_quadrature(drive, omega_gap, t, nodes=64):
     xi, wi = 0.5 * (x + 1.0), 0.5 * w
     t1 = t * xi
     w1 = t * wi
-    a1 = _drive_vector(omega_gap, drive.omega_drive, t1)
+    a1 = _drive_vector(omega_gap, drive.omega, t1)
     t2 = t1[:, None] * xi[None, :]
     w2 = t1[:, None] * wi[None, :]
-    a2 = _drive_vector(omega_gap, drive.omega_drive, t2)
+    a2 = _drive_vector(omega_gap, drive.omega, t2)
     cross12 = np.cross(a1[:, None, :], a2)
     t3 = t2[..., None] * xi[None, None, :]
     w3 = t2[..., None] * wi[None, None, :]
-    a3 = _drive_vector(omega_gap, drive.omega_drive, t3)
+    a3 = _drive_vector(omega_gap, drive.omega, t3)
     term1 = np.cross(a1[:, None, None, :], np.cross(a2[:, :, None, :], a3))
     term2 = np.cross(cross12[:, :, None, :], a3)
     return [np.einsum("i,ik->k", w1, a1),

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from floqdyn.baths import BathSpec, OhmicSpec, redfield_coefficients
+from floqdyn.baths import BathSpec, redfield_coefficients
 from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.floquet import (
     drive_hamiltonian,
@@ -65,7 +65,7 @@ REDFIELD_NODE_TOL = 1e-9
 
 
 def _coefficients(bath, x, config):
-    n1, n2, c1, c2 = redfield_coefficients(x, bath.beta, config.lamb_params)
+    n1, n2, c1, c2 = redfield_coefficients(x, bath.beta, config.w_cutoff)
     if not config.lamb_shift:
         c1 = c2 = 0.0
     return n1, n2, c1, c2
@@ -280,7 +280,7 @@ def test_real_generator_is_real(preset, kind):
 
 class TestLindblad:
     def test_gibbs_stationarity_single_bath_qubit(self):
-        bath = BathSpec("hot", beta=1 / 30, spectral=OhmicSpec(4e-4, np.sqrt(2)),
+        bath = BathSpec("hot", beta=1 / 30, j0=4e-4, omega_cutoff=np.sqrt(2),
                         transitions=((1, 0),))
         gen = lindblad_generator(ScenarioConfig(energies=(0.0, 3.0), target_level=1,
                                                 baths=(bath,), kind="lindblad"))
@@ -288,7 +288,7 @@ class TestLindblad:
         assert np.max(np.abs(apply(gen, rho_g))) < 1e-9
 
     def test_zero_coupling_reduces_to_commutator(self):
-        bath = BathSpec("off", beta=1.0, spectral=OhmicSpec(0.0, 1.0), transitions=((1, 0),))
+        bath = BathSpec("off", beta=1.0, j0=0.0, omega_cutoff=1.0, transitions=((1, 0),))
         gen = lindblad_generator(ScenarioConfig(energies=(0.0, 3.0, 2.5), target_level=2,
                                                 baths=(bath,), kind="lindblad"))
         rng = np.random.default_rng(2)
@@ -356,7 +356,7 @@ class TestRedfield:
 
     def test_qubit_matches_lindblad_after_calibration(self):
         # cross-method oracle: same relaxation from the dipole calibration
-        bath = BathSpec("cold", beta=1 / 4, spectral=OhmicSpec(4e-3, np.sqrt(0.2)),
+        bath = BathSpec("cold", beta=1 / 4, j0=4e-3, omega_cutoff=np.sqrt(0.2),
                         transitions=((1, 0),))
         common = dict(energies=(0.0, 0.5), target_level=1, baths=(bath,))
         traj_l = evolve(ScenarioConfig(label="l", kind="lindblad", **common), 500.0, dt=0.02)
@@ -380,7 +380,7 @@ class TestRedfield:
     # overflows, of 1e-110 or 5e-324 underflows to 0
     @pytest.mark.parametrize("upper", [0.0, 5e-324, 1e-110, 1e200])
     def test_missing_dipole_rejected(self, upper):
-        bath = BathSpec("b", beta=1.0, spectral=OhmicSpec(1e-3, 1.0), transitions=((1, 0),))
+        bath = BathSpec("b", beta=1.0, j0=1e-3, omega_cutoff=1.0, transitions=((1, 0),))
         cfg = ScenarioConfig(energies=(0.0, upper), target_level=1, baths=(bath,),
                              kind="redfield")
         with pytest.raises(ConfigError, match=r"channels \['b/\(1, 0\)'\] lack the dipole"):
@@ -562,7 +562,7 @@ class TestRandomizedModels:
         beta = data.draw(st.floats(0.05, 5.0))
         j0 = data.draw(st.floats(1e-5, 1e-2))
         wc = data.draw(st.floats(0.3, 2.0))
-        bath = BathSpec("rand", beta=beta, spectral=OhmicSpec(j0, wc),
+        bath = BathSpec("rand", beta=beta, j0=j0, omega_cutoff=wc,
                         transitions=tuple(picks))
         cfg = ScenarioConfig(energies=tuple(energies), target_level=0, baths=(bath,),
                              kind="redfield")

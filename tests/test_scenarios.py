@@ -9,11 +9,12 @@ import scipy.integrate
 import scipy.linalg
 
 from floqdyn import floquet, scenarios
-from floqdyn.baths import BathSpec, OhmicSpec
+from floqdyn.baths import BathSpec
 from floqdyn.errors import ConfigError, ValidationError
 from floqdyn.operators import to_coordinates, trace_distance
 from floqdyn.scenarios import (
     PRESETS,
+    TABLE_BATHS,
     ScenarioConfig,
     Trajectory,
     build_four_level,
@@ -42,13 +43,13 @@ class TestPresets:
         assert cfg.drive.pair == (0, 2)
         # near-resonant: Omega/omega_b0 = 0.9
         omega_b0 = cfg.energies[2] - cfg.energies[0]
-        assert cfg.drive.omega_drive / omega_b0 == pytest.approx(0.9)
+        assert cfg.drive.omega / omega_b0 == pytest.approx(0.9)
 
     def test_v1_drives_upper_target_pair(self):
         cfg = build_three_level("v1")
         assert cfg.drive.pair == (1, 2)
         omega_1b = cfg.energies[1] - cfg.energies[2]
-        assert cfg.drive.omega_drive / omega_1b == pytest.approx(4.5)
+        assert cfg.drive.omega / omega_1b == pytest.approx(4.5)
 
     def test_four_level_degenerate(self):
         cfg = build_four_level(0.0)
@@ -72,10 +73,15 @@ class TestPresets:
             eb = cfg.energies[cfg.target_level]
             assert cfg.energies[0] < eb < cfg.energies[1]
 
+    def test_w_cutoff_must_be_finite_and_positive(self):
+        for w_cutoff in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="w_cutoff must be finite and > 0"):
+                replace(build_three_level("nondriven"), w_cutoff=w_cutoff)
+
 
 class TestEvolve:
     def test_zero_coupling_static_state(self):
-        bath = BathSpec("off", beta=1.0, spectral=OhmicSpec(0.0, 1.0), transitions=((1, 0),))
+        bath = BathSpec("off", beta=1.0, j0=0.0, omega_cutoff=1.0, transitions=((1, 0),))
         cfg = ScenarioConfig(label="frozen", energies=(0.0, 1.0, 2.0), target_level=2,
                              baths=(bath,), kind="lindblad", initial_level=1)
         traj = evolve(cfg, 20.0, dt=0.05)
@@ -172,7 +178,7 @@ class TestEfficiency:
         states[:, 1, 1] = p
         cfg = ScenarioConfig(
             label="const", energies=(0.0, 1.0), target_level=1,
-            baths=(BathSpec("b", 1.0, OhmicSpec(1e-4, 1.0), ((1, 0),)),),
+            baths=(BathSpec("b", 1.0, 1e-4, 1.0, ((1, 0),)),),
             kind="lindblad")
         return Trajectory(times=times, coords=to_coordinates(states),
                           positivity_log=np.zeros(21), trace_errors=np.zeros(21),
@@ -288,8 +294,8 @@ class TestRateEquationOracle:
 
         from floqdyn.baths import gamma_ohmic
 
-        hot = OhmicSpec(4e-4, np.sqrt(2.0))
-        cold = OhmicSpec(4e-3, np.sqrt(0.2))
+        hot = BathSpec("hot", **TABLE_BATHS["hot"])
+        cold = BathSpec("cold", **TABLE_BATHS["cold"])
         up_h = 0.5 * gamma_ohmic(hot, 1 / 30, 3.0)
         dn_h = 0.5 * gamma_ohmic(hot, 1 / 30, -3.0)
         up_c = 0.5 * gamma_ohmic(cold, 1 / 4, 0.5)
