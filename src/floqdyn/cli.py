@@ -24,7 +24,10 @@ among them); a sweep row that fails reads ``error:2`` or ``error:3`` by the
 same rule, and a sweep whose every row fails exits 3 if one reads
 ``error:3``, else 2.  A run that exits 2 or 3 writes nothing.  CSV output uses
 17-significant-digit floats, '\\n' line endings, and a '.' decimal
-separator; a cell that contains a comma is double-quoted.
+separator; a cell that contains a comma is double-quoted.  The warnings of a
+run or sweep point that fails go to the ``floqdyn`` logger at DEBUG level
+only, since its exit code or row status reports the failure; those of one
+that succeeds are issued as they came.
 """
 
 import argparse
@@ -36,6 +39,7 @@ import math
 import locale  # noqa: F401
 import os
 import sys
+import warnings
 from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import cache
 from itertools import product
@@ -45,10 +49,10 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, FloqdynError, NumericalError
+from .errors import LOGGER, ConfigError, FloqdynError, NumericalError
 from .floattext import FLOAT_FMT, TEXT_WIDTH, float_text
 from .floquet import HALVING_GAP_TOL, benchmark_fidelities
-from .operators import from_coordinates, trace_distance
+from .operators import any_over_rows, from_coordinates, trace_distance
 from .scenarios import (
     PRESETS,
     ScenarioConfig,
@@ -433,7 +437,7 @@ def _table_bytes(table: np.ndarray):
     but +0.0 (every bit clear) is never formatted: its ``0`` is part of the
     text after the kept cell before it."""
     n_cols = table.shape[1]
-    kept = np.flatnonzero(np.any(table.view(np.uint64), axis=0))
+    kept = np.flatnonzero(any_over_rows(table.view(np.uint64)))
     if not kept.size:
         line = (",".join("0" * n_cols) + "\n").encode()
         for lo in range(0, len(table), CSV_BLOCK):
@@ -619,6 +623,33 @@ def _exit_code(exc: FloqdynError) -> int:
     return 3 if isinstance(exc, NumericalError) else 2
 
 
+class _RunWarnings(warnings.catch_warnings):
+    """Hold the warnings of a run until it ends: if it raises a ``FloqdynError``,
+    send them to ``LOGGER.debug`` only (numpy's overflow on the way to that
+    error says nothing the error does not); otherwise issue them unchanged."""
+
+    def __init__(self):
+        super().__init__(record=True)
+
+    def __enter__(self):
+        self.caught = super().__enter__()
+        return self
+
+    def drop(self, start: int = 0) -> None:
+        """Send the warnings held from the ``start``-th on to ``LOGGER.debug`` only."""
+        for w in self.caught[start:]:
+            LOGGER.debug("warning of a failed run: %s:%s: %s: %s", w.filename, w.lineno,
+                         w.category.__name__, w.message)
+        del self.caught[start:]
+
+    def __exit__(self, exc_type, exc, tb):
+        super().__exit__(exc_type, exc, tb)
+        if exc_type is not None and issubclass(exc_type, FloqdynError):
+            self.drop()
+        for w in self.caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+
+
 def _sweep_point(base: dict, names, values) -> tuple:
     """One sweep grid point: (its dimension, 0 if its config fails; status; eta;
     final populations; least record eigenvalue).  The axis values override the
@@ -635,6 +666,20 @@ def _sweep_point(base: dict, names, values) -> tuple:
     return dim, "ok", eta, traj.populations[-1].tolist(), float(traj.positivity_log.min())
 
 
+def _sweep_points(base: dict, names, grid) -> list:
+    """The sweep points of ``grid`` in turn (:func:`_sweep_point`), their
+    warnings held in one record: a failed point's go to ``LOGGER.debug`` only,
+    the others are issued unchanged at the end."""
+    points = []
+    with _RunWarnings() as held:
+        for values in grid:
+            start = len(held.caught)
+            points.append(_sweep_point(base, names, values))
+            if points[-1][1] != "ok":
+                held.drop(start)
+    return points
+
+
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     axes = cfg["axes"]
     names = sorted(axes)
@@ -645,10 +690,12 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         # here, only for a pool, to keep concurrent.futures.process out of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, [cfg["base"]] * len(grid), [names] * len(grid),
-                                   grid))
+            # one point a call, so that its worker issues the point's warnings
+            points = [point for batch in pool.map(_sweep_points, [cfg["base"]] * len(grid),
+                                                  [names] * len(grid), [[v] for v in grid])
+                      for point in batch]
     else:
-        points = [_sweep_point(cfg["base"], names, values) for values in grid]
+        points = _sweep_points(cfg["base"], names, grid)
     # the header is as wide as the widest point whose config validates; each row's
     # axis values are JSON text (a float as it is), its populations padded with NaN
     dim = max(point[0] for point in points)
@@ -709,8 +756,9 @@ def main(argv: list[str] | None = None) -> int:
             data = load_config(args.config, args.preset, args.overrides,
                                default=_DEFAULT_RUN)
             run = validate_schema(canonical_run_dict(data), RUN_SCHEMA)
-            return cmd_simulate(run, out_dir) if args.command == "simulate" \
-                else cmd_floquet(run, out_dir)
+            with _RunWarnings():
+                return cmd_simulate(run, out_dir) if args.command == "simulate" \
+                    else cmd_floquet(run, out_dir)
         if args.preset is not None:
             raise ConfigError(f"--preset applies only to simulate and floquet, not "
                               f"{args.command}: name the preset in the config's scenarios")
@@ -721,7 +769,8 @@ def main(argv: list[str] | None = None) -> int:
                 data[side] = canonical_scenario_dict(_section(data, side))
             data["integration"] = _integration(data)
             validate_schema(data, COMPARE_SCHEMA)
-            return cmd_compare(data, out_dir)
+            with _RunWarnings():
+                return cmd_compare(data, out_dir)
         data = load_config(args.config, None, args.overrides)
         validate_schema(data, SWEEP_SCHEMA)
         return cmd_sweep(data, out_dir)

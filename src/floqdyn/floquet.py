@@ -33,6 +33,7 @@ from numpy.fft import fft
 from .errors import NumericalError, ResolutionError, StepSizeError, ValidationError, warn
 from .operators import (
     Spectrum,
+    any_over_rows,
     expm,
     fill_powers,
     hermitian_eigensystem,
@@ -240,7 +241,7 @@ def floquet_decompose(h_of_t, tau: float, reference, grid_m: int,
     # Hbar and P are zero where U is, between levels H(t) never connects; the
     # log leaves rounding there.  With each block's levels adjacent, eigh keeps
     # the blocks apart exactly, so decoupled coherences of every record stay 0.
-    coupled = np.any(u_samples != 0, axis=0)
+    coupled = any_over_rows(u_samples != 0)
     h_bar = np.where(coupled, h_bar, 0.0)
     order = np.argsort(np.argmax(coupled, axis=1), kind="stable")
     try:  # a drive of Omega ~ 1e99 scales Hbar's rounding past the Hermitian check

@@ -16,6 +16,7 @@ both simplest and most accurate.
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -211,6 +212,25 @@ def conjugation_superop(p) -> np.ndarray:
     return r
 
 
+#: Rows that ``any_over_rows`` lays side by side in one row of its reduction.
+FOLD_ROWS = 8
+
+
+def any_over_rows(x) -> np.ndarray:
+    """``np.any(x, axis=0)`` of an (n, ...) array: whether each element is nonzero
+    in any row.  A reduction down many short rows pays a loop call per row, so
+    the first n - n % FOLD_ROWS rows are read as rows FOLD_ROWS times as wide,
+    and the FOLD_ROWS parts of that one reduction are reduced with the rows left
+    over.  An element counts as nonzero as ``np.any`` counts it."""
+    x = np.asarray(x)
+    n, width = len(x), math.prod(x.shape[1:])
+    flat = x.reshape(n, width)
+    m = n - n % FOLD_ROWS
+    folded = np.any(flat[:m].reshape(m // FOLD_ROWS, FOLD_ROWS * width), axis=0)
+    parts = np.concatenate([folded.reshape(FOLD_ROWS, width), np.any(flat[m:], axis=0)[None]])
+    return np.any(parts, axis=0).reshape(x.shape[1:])
+
+
 def min_eigenvalues(x) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix of an (n, d^2) stack of its
     coordinates (:func:`to_coordinates`; a stack of matrices converts first).
@@ -222,34 +242,39 @@ def min_eigenvalues(x) -> np.ndarray:
     (a + b)/2 - hypot((a - b)/2, hypot(re, im)), and a larger block goes to
     ``eigvalsh`` on its sub-stack.  Any nonzero coupling, rounding noise
     included, merges blocks, so no coupling is ever dropped: the structure
-    sets only the speed, never the result.
+    sets only the speed, never the result.  One scan of the stack
+    (:func:`any_over_rows`) finds the coherences that are nonzero anywhere,
+    -0.0 counting as zero; the blocks are merged level by level, each named
+    by its least level.
     """
     x = np.asarray(x, dtype=float)
     d = math.isqrt(x.shape[-1])
-    iu, ju = np.triu_indices(d, 1)
-    nonzero = np.any(x != 0, axis=0)
-    coupled = nonzero[d::2] | nonzero[d + 1::2]
-    reach = np.eye(d, dtype=bool)
-    reach[iu[coupled], ju[coupled]] = True
-    reach |= reach.T
-    # transitive closure by squaring: path lengths double each time, up to d - 1
-    for _ in range(d.bit_length()):
-        reach = (reach.astype(int) @ reach) > 0
-    out = np.full(len(x), np.inf)
-    for block in {tuple(np.flatnonzero(row)) for row in reach}:
-        inside = np.isin(iu, block) & np.isin(ju, block)
+    nonzero = any_over_rows(x != 0)
+    pairs = list(combinations(range(d), 2))     # the coherences' order in x
+    block_of = list(range(d))
+    for (i, j), coupled in zip(pairs, (nonzero[d::2] | nonzero[d + 1::2]).tolist()):
+        if coupled:
+            low, high = sorted((block_of[i], block_of[j]))
+            block_of = [low if b == high else b for b in block_of]
+    blocks = {}
+    for level, b in enumerate(block_of):
+        blocks.setdefault(b, []).append(level)
+    column = {pair: d + 2 * k for k, pair in enumerate(pairs)}
+
+    def lowest(block):
         if len(block) == 1:
-            lowest = x[:, block[0]]
-        elif len(block) == 2:
-            i, j = block
-            c = d + 2 * int(np.flatnonzero(inside)[0])
-            a, b = x[:, i], x[:, j]
-            lowest = 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(x[:, c], x[:, c + 1]))
-        else:
-            cols = np.concatenate([block, (d + 2 * np.flatnonzero(inside)[:, None]
-                                           + [0, 1]).ravel()])
-            lowest = np.linalg.eigvalsh(from_coordinates(x[:, cols]))[:, 0]
-        np.minimum(out, lowest, out=out)
+            return x[:, block[0]]
+        cols = [column[pair] for pair in combinations(block, 2)]
+        if len(block) == 2:
+            a, b, c = x[:, block[0]], x[:, block[1]], cols[0]
+            return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(x[:, c], x[:, c + 1]))
+        cols = block + [c + part for c in cols for part in (0, 1)]
+        return np.linalg.eigvalsh(from_coordinates(x[:, cols]))[:, 0]
+
+    lows = map(lowest, blocks.values())
+    out = np.minimum(next(lows), next(lows, np.inf))
+    for low in lows:
+        np.minimum(out, low, out=out)
     return out
 
 

@@ -1,12 +1,14 @@
 """Shared fixtures: the reference decompositions and long trajectories are
 expensive, so they are computed once per session and reused across modules."""
 
+import os
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import settings
 
 from floqdyn.baths import spectral_density
 from floqdyn.floquet import fourier_operator_coefficients, jump_operator_table
@@ -17,6 +19,13 @@ from floqdyn.scenarios import (
     efficiency,
     evolve,
 )
+
+# In CI (CI set, as GitHub Actions sets it) a failing property example prints the
+# @reproduce_failure blob that replays it.  The profile builds on the one loaded
+# at import, which recent hypothesis releases already make their own "ci" profile.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def gibbs_state(h, beta: float) -> np.ndarray:

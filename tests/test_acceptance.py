@@ -104,6 +104,19 @@ def readme_channel_gains() -> tuple:
     return {(hot, cold): gain for hot, cold, gain in rows}, under_all.group(1)
 
 
+def readme_lamb_shift_figures() -> tuple:
+    """The figures README's "Efficiency gains" bullet quotes for the Lamb shift,
+    as their text: the nondegenerate Redfield and Lindblad etas without it and
+    their gain, the nondegenerate Redfield eta with it, and the degenerate
+    Redfield and Lindblad etas."""
+    text = " ".join(README.read_text().split())
+    found = re.search(r"without the Lamb shift Redfield gives eta (\S+) and Lindblad (\S+) "
+                      r"\(\+(\S+) %\); with it Redfield gives (\S+)\. The degenerate preset's "
+                      r"eta does not depend on the Lamb shift under either kind "
+                      r"\(Redfield (\S+), Lindblad (\S+)\)", text)
+    return found.groups()
+
+
 def _commutator_max(a, b) -> float:
     return float(np.max(np.abs(a @ b - b @ a)))
 
@@ -495,6 +508,27 @@ def test_readme_channel_convention_table(four_level_etas):
             eta = efficiency(evolve(run, t, generator=build_generator(run, collective=True)))[0]
             want = table[hot, cold] if label == "degenerate" else under_all
             assert f"{100 * (eta_redfield - eta) / eta:.2f}" == want, (label, hot, cold)
+
+
+def test_readme_lamb_shift_figures():
+    # criterion 4's runs with the Lamb shift switched on and off: the
+    # nondegenerate gain comes from it, and the degenerate eta does not move
+    eta = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for gap, label in ((0.0, "degenerate"), (0.05, "nondegenerate")):
+            for kind in ("redfield", "lindblad"):
+                for lamb in (True, False):
+                    cfg = replace(build_four_level(gap, kind=kind), lamb_shift=lamb)
+                    eta[label, kind, lamb] = efficiency(evolve(cfg, 2800.0))[0]
+    for kind in ("redfield", "lindblad"):
+        assert abs(eta["degenerate", kind, True] - eta["degenerate", kind, False]) <= 1e-10
+    redfield, lindblad = eta["nondegenerate", "redfield", False], \
+        eta["nondegenerate", "lindblad", False]
+    assert readme_lamb_shift_figures() == (
+        f"{redfield:.6f}", f"{lindblad:.6f}", f"{100 * (redfield - lindblad) / lindblad:.2f}",
+        f"{eta['nondegenerate', 'redfield', True]:.6f}",
+        *(f"{eta['degenerate', kind, False]:.6f}" for kind in ("redfield", "lindblad")))
 
 
 @pytest.mark.parametrize("preset", ["four_level_degenerate_driven", "three_level_v0"])

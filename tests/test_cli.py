@@ -2,6 +2,7 @@ import copy
 import csv
 import functools
 import json
+import logging
 import math
 import os
 import subprocess
@@ -104,6 +105,36 @@ class TestCsvWriter:
         cli.write_csv(tmp_path / "t.csv", header, table)
         assert (tmp_path / "t.csv").read_bytes() == \
             reference_csv(header, table.tolist()).encode()
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, -0.0])
+    @pytest.mark.parametrize("n_rows", [1, operators.FOLD_ROWS - 1, operators.FOLD_ROWS,
+                                        operators.FOLD_ROWS + 1, 2 * operators.FOLD_ROWS + 1])
+    def test_column_set_only_in_its_last_row(self, tmp_path, n_rows, value):
+        # the kept-column scan folds rows 8 at a time: the last row is left over
+        # unless the height is a multiple of 8
+        table = np.zeros((n_rows, 3))
+        table[:, 0] = 1.5
+        table[-1, 1] = value
+        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_text() == reference_csv(["a", "b", "c"],
+                                                                 table.tolist())
+
+    def test_minus_zero_coherence_is_no_coupling_and_keeps_its_column(self, tmp_path):
+        # the positivity scan counts a -0.0 coherence as zero (the block {0, 1}
+        # would give 0.35 - 0.15 = 0.19999999999999998), and trajectory.csv still
+        # writes it as -0
+        coords = np.zeros((operators.FOLD_ROWS + 1, 9))
+        coords[:, :3] = [0.5, 0.2, 0.3]
+        coords[-1, 4] = -0.0                                 # Im rho_01 of the last record
+        traj = scenarios_module.Trajectory(
+            times=np.arange(len(coords), dtype=float), coords=coords,
+            positivity_log=operators.min_eigenvalues(coords), trace_errors=np.zeros(len(coords)),
+            config=PRESETS["three_level_nondriven"]())
+        assert traj.positivity_log.tobytes() == np.full(len(coords), 0.2).tobytes()
+        cli.write_csv(tmp_path / "trajectory.csv", cli.trajectory_header(3),
+                      cli.trajectory_table(traj, efficiency(traj)[1]))
+        column = [row["rho_01_im"] for row in read_csv(tmp_path / "trajectory.csv")]
+        assert column == ["0"] * operators.FOLD_ROWS + ["-0"]
 
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_short_tables(self, tmp_path, n_rows):
@@ -1527,6 +1558,53 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == code
         assert not out.exists()
         assert capsys.readouterr().err == message + "\n"
+
+    # numpy's overflow on the way to a failed sweep point says nothing that its row
+    # or the exit code does not, so it stays off stderr
+    @pytest.mark.parametrize("energies,code,stderr", [
+        ([[0, 3, 2.5], [0, 1e100, 2.5]], 0, ""),
+        ([[0, 1e100, 2.5]], 3, "numerical error: every sweep grid point failed: 1 error:3\n"),
+    ], ids=["one_failed", "all_failed"])
+    def test_failed_sweep_points_print_no_warnings(self, tmp_path, energies, code, stderr):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({
+            "base": {"scenario": {"preset": "three_level_v1"}, "integration": {"t_final": 10.0}},
+            "axes": {"scenario.energies": energies}}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "floqdyn.cli", "sweep", "--config", str(cfg),
+                              "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (out.returncode, out.stderr) == (code, stderr)
+
+    def test_warnings_of_a_failed_run_go_to_the_debug_log(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="floqdyn"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--preset", "three_level_v1", "--set",
+                         "scenario.energies=[0, 1e100, 2.5]", "--out", str(tmp_path)]) == 3
+        assert caught == []
+        assert any(r.levelno == logging.DEBUG and "RuntimeWarning: overflow" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_warnings_of_a_run_that_succeeds_are_issued_unchanged(self, tmp_path, monkeypatch):
+        def evolve_warns(*args, **kwargs):
+            warnings.warn("probe", RuntimeWarning)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", evolve_warns)
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({
+            "base": {"scenario": {"preset": "three_level_nondriven"},
+                     "integration": {"t_final": 5.0}},
+            "axes": {"scenario.lamb_shift": [True, False]}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--preset", "three_level_nondriven", "--set",
+                         "integration.t_final=5", "--out", str(tmp_path / "run")]) == 0
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        assert [str(w.message) for w in caught] == ["probe"] * 3
+        assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
+        assert len({w.lineno for w in caught}) == 1
 
     def test_validation_error_exits_2_and_fails_a_sweep_point_as_error_2(self, tmp_path,
                                                                           monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,8 @@ from scipy.sparse.csgraph import connected_components
 from floqdyn.errors import ValidationError
 from floqdyn.floquet import _drive_exponentials, propagate_schrodinger
 from floqdyn.operators import (
+    FOLD_ROWS,
+    any_over_rows,
     conjugation_superop,
     expm,
     fill_powers,
@@ -355,11 +359,102 @@ class TestCoordinates:
                         rtol=0, atol=1e-12)
 
 
+def pre_fold_min_eigenvalues(x) -> np.ndarray:
+    """``operators.min_eigenvalues`` as it was before its one folded scan and its
+    merge of blocks level by level, kept verbatim as the oracle of their bits."""
+    x = np.asarray(x, dtype=float)
+    d = math.isqrt(x.shape[-1])
+    iu, ju = np.triu_indices(d, 1)
+    nonzero = np.any(x != 0, axis=0)
+    coupled = nonzero[d::2] | nonzero[d + 1::2]
+    reach = np.eye(d, dtype=bool)
+    reach[iu[coupled], ju[coupled]] = True
+    reach |= reach.T
+    # transitive closure by squaring: path lengths double each time, up to d - 1
+    for _ in range(d.bit_length()):
+        reach = (reach.astype(int) @ reach) > 0
+    out = np.full(len(x), np.inf)
+    for block in {tuple(np.flatnonzero(row)) for row in reach}:
+        inside = np.isin(iu, block) & np.isin(ju, block)
+        if len(block) == 1:
+            lowest = x[:, block[0]]
+        elif len(block) == 2:
+            i, j = block
+            c = d + 2 * int(np.flatnonzero(inside)[0])
+            a, b = x[:, i], x[:, j]
+            lowest = 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(x[:, c], x[:, c + 1]))
+        else:
+            cols = np.concatenate([block, (d + 2 * np.flatnonzero(inside)[:, None]
+                                           + [0, 1]).ravel()])
+            lowest = np.linalg.eigvalsh(from_coordinates(x[:, cols]))[:, 0]
+        np.minimum(out, lowest, out=out)
+    return out
+
+
+#: Stack heights about the fold: all rows left over, none, and both kinds.
+FOLD_HEIGHTS = [1, FOLD_ROWS - 1, FOLD_ROWS, FOLD_ROWS + 1, 2 * FOLD_ROWS + 1]
+
+
+class TestAnyOverRows:
+    @pytest.mark.parametrize("n", [0, *FOLD_HEIGHTS])
+    @pytest.mark.parametrize("dtype", [bool, np.uint64, float, complex])
+    def test_is_np_any_over_the_first_axis(self, n, dtype):
+        # a random stack, one with no nonzero, and one nonzero in each row in turn:
+        # each lane of the fold, and the rows it leaves over
+        stacks = [np.random.default_rng(n).random((n, 3, 2)) < 0.05, np.zeros((n, 3, 2))]
+        for row in range(n):
+            stacks.append(np.zeros((n, 3, 2)))
+            stacks[-1][row, 2, 1] = 1
+        for x in stacks:
+            x = x.astype(dtype)
+            assert np.array_equal(any_over_rows(x), np.any(x, axis=0))
+
+    def test_minus_zero_is_zero_only_as_a_float(self):
+        x = np.zeros((FOLD_ROWS + 1, 2))
+        x[-1, 1] = -0.0
+        assert any_over_rows(x).tolist() == [False, False]
+        assert any_over_rows(x.view(np.uint64)).tolist() == [False, True]
+
+
 class TestMinEigenvalues:
     # Mutation check: dropping the hypot (taking min(a, b) for a 2-level
     # block) or ignoring one coupling (blocks from the first matrix of the
-    # stack alone, or without the transitive closure) fails
-    # test_random_block_stacks_match_mpmath.
+    # stack alone) fails test_random_block_stacks_match_mpmath; a merge that
+    # relabels one level of the block it takes in fails
+    # test_blocks_joined_by_a_later_coupling; dropping the rows the fold
+    # leaves over fails test_coupling_only_in_the_last_row.
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_stacks(), st.integers(0, 3 * FOLD_ROWS))
+    def test_matches_the_pre_fold_scan_bit_for_bit(self, h, pad):
+        # rows with only h[0]'s diagonal first, so that the couplings fall in the
+        # folded rows, in the rows left over, or in both
+        x = to_coordinates(np.concatenate([np.repeat(h[:1] * np.eye(h.shape[-1]), pad, 0), h]))
+        assert min_eigenvalues(x).tobytes() == pre_fold_min_eigenvalues(x).tobytes()
+
+    @pytest.mark.parametrize("coupling", [5e-324, 1e-300, -5e-324])
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("n", FOLD_HEIGHTS)
+    def test_coupling_only_in_the_last_row(self, n, part, coupling):
+        # levels 1 and 2 of zero energy, coupled in the last row only: its least
+        # eigenvalue is -|coupling|, which no uncoupled block gives
+        x = np.zeros((n, 9))
+        x[:, 0] = 1.0
+        x[-1, 3 + 2 * 2 + part] = coupling
+        want = np.zeros(n)
+        want[-1] = -abs(coupling)
+        got = min_eigenvalues(x)
+        assert got.tobytes() == want.tobytes() == pre_fold_min_eigenvalues(x).tobytes()
+
+    def test_blocks_joined_by_a_later_coupling(self):
+        # (0, 3) and (1, 2) form two blocks before (2, 3) joins them: the merge
+        # relabels every level of the block it takes in
+        h = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
+        for i, j, c in ((0, 3, 0.05), (1, 2, 0.07j), (2, 3, 0.11)):
+            h[i, j], h[j, i] = c, np.conj(c)
+        x = to_coordinates(h[None])
+        assert min_eigenvalues(x).tobytes() == pre_fold_min_eigenvalues(x).tobytes()
+        assert_min_eigenvalues_exact(h[None])
 
     @settings(max_examples=200, deadline=None)
     @given(block_stacks())
