@@ -134,15 +134,28 @@ def _float(data, name: str) -> float:
 def _from_json(data, tp, name: str = "scenario"):
     """Field value of type ``tp`` from its JSON form (inverse of :func:`_to_json`);
     a float field converts a JSON integer.  ``name`` is the field's path."""
+    return _decoder(tp)(data, name)
+
+
+@cache
+def _decoder(tp):
+    """The function (JSON form, field path) -> value of :func:`_from_json` for
+    ``tp``, composed once per type, so that a call reads no type hints.  Every
+    decoder passes None through."""
     form, inner = _type_form(tp)
-    if data is None or form in ("scalar", "enum"):
-        return _float(data, name) if inner is float and data is not None else data
+    if form == "scalar" and inner is float:
+        return lambda data, name: None if data is None else _float(data, name)
+    if form in ("scalar", "enum"):
+        return lambda data, name: data
+    if form == "object":
+        keys = tuple((f.name, "." + f.name, _decoder(hint)) for f, hint in _json_fields(inner))
+        return lambda data, name: None if data is None else \
+            inner(**{key: dec(data[key], name + path) for key, path, dec in keys})
+    item = _decoder(inner)
     if form == "optional":
-        return _from_json(data, inner, name)
-    if form == "array":
-        return tuple(_from_json(v, inner, f"{name}[{i}]") for i, v in enumerate(data))
-    return inner(**{f.name: _from_json(data[f.name], hint, f"{name}.{f.name}")
-                    for f, hint in _json_fields(inner)})
+        return item
+    return lambda data, name: None if data is None else \
+        tuple(item(v, f"{name}[{i}]") for i, v in enumerate(data))
 
 
 SCENARIO_SCHEMA = _json_schema(ScenarioConfig)
@@ -635,19 +648,16 @@ class _RunWarnings(warnings.catch_warnings):
         self.caught = super().__enter__()
         return self
 
-    def drop(self, start: int = 0) -> None:
-        """Send the warnings held from the ``start``-th on to ``LOGGER.debug`` only."""
-        for w in self.caught[start:]:
-            LOGGER.debug("warning of a failed run: %s:%s: %s: %s", w.filename, w.lineno,
-                         w.category.__name__, w.message)
-        del self.caught[start:]
-
     def __exit__(self, exc_type, exc, tb):
         super().__exit__(exc_type, exc, tb)
-        if exc_type is not None and issubclass(exc_type, FloqdynError):
-            self.drop()
+        failed = exc_type is not None and issubclass(exc_type, FloqdynError)
         for w in self.caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+            if failed:
+                LOGGER.debug("warning of a failed run: %s:%s: %s: %s", w.filename, w.lineno,
+                             w.category.__name__, w.message)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file,
+                                     w.line)
 
 
 def _sweep_point(base: dict, names, values) -> tuple:
@@ -660,24 +670,11 @@ def _sweep_point(base: dict, names, values) -> tuple:
         run = apply_overrides(base, [f"{n}={json.dumps(v)}" for n, v in zip(names, values)])
         run = validate_schema(canonical_run_dict(run), RUN_SCHEMA)
         dim = len(run["scenario"]["energies"])
-        _, traj, (eta, _) = _run_trajectory(run)
+        with _RunWarnings():
+            _, traj, (eta, _) = _run_trajectory(run)
     except FloqdynError as exc:
         return dim, f"error:{_exit_code(exc)}", math.nan, [], math.nan
     return dim, "ok", eta, traj.populations[-1].tolist(), float(traj.positivity_log.min())
-
-
-def _sweep_points(base: dict, names, grid) -> list:
-    """The sweep points of ``grid`` in turn (:func:`_sweep_point`), their
-    warnings held in one record: a failed point's go to ``LOGGER.debug`` only,
-    the others are issued unchanged at the end."""
-    points = []
-    with _RunWarnings() as held:
-        for values in grid:
-            start = len(held.caught)
-            points.append(_sweep_point(base, names, values))
-            if points[-1][1] != "ok":
-                held.drop(start)
-    return points
 
 
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
@@ -690,12 +687,10 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         # here, only for a pool, to keep concurrent.futures.process out of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # one point a call, so that its worker issues the point's warnings
-            points = [point for batch in pool.map(_sweep_points, [cfg["base"]] * len(grid),
-                                                  [names] * len(grid), [[v] for v in grid])
-                      for point in batch]
+            points = list(pool.map(_sweep_point, [cfg["base"]] * len(grid), [names] * len(grid),
+                                   grid))
     else:
-        points = _sweep_points(cfg["base"], names, grid)
+        points = [_sweep_point(cfg["base"], names, values) for values in grid]
     # the header is as wide as the widest point whose config validates; each row's
     # axis values are JSON text (a float as it is), its populations padded with NaN
     dim = max(point[0] for point in points)
@@ -736,6 +731,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at import, like the schemas: building it compiles argparse's regexes
+# (~0.5 ms), which would otherwise land in every command
+_PARSER = _build_parser()
+
 _DEFAULT_RUN = {"scenario": {}, "integration": {"t_final": 100.0}}
 
 
@@ -748,7 +747,7 @@ def _check_out(out_dir: Path) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     out_dir = Path(args.out)
     try:
         _check_out(out_dir)

@@ -33,7 +33,7 @@ from floqdyn.cli import (
     validate_schema,
 )
 from floqdyn.baths import BathSpec
-from floqdyn.errors import ConfigError, ValidationError
+from floqdyn.errors import ConfigError, NumericalError, ValidationError
 from floqdyn.floquet import HALVING_GAP_TOL, DriveSpec
 from floqdyn.generators import GENERATOR_KINDS
 from floqdyn.propagation import magnus_samples
@@ -1098,6 +1098,16 @@ class TestMalformedSections:
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
 
+    def test_parser_carries_nothing_between_calls(self, tmp_path):
+        # main reuses one parser: a --set of one call must not reach the next
+        with_set = tmp_path / "with_set"
+        assert main(["simulate", "--preset", "three_level_nondriven", "--out", str(with_set),
+                     "--set", "integration.t_final=4"]) == 0
+        plain = tmp_path / "plain"
+        assert main(["simulate", "--preset", "three_level_nondriven", "--out", str(plain)]) == 0
+        for out, t_final in ((with_set, 4.0), (plain, cli._DEFAULT_RUN["integration"]["t_final"])):
+            assert float(read_csv(out / "trajectory.csv")[-1]["t"]) == t_final
+
 
 @pytest.fixture
 def stack_builds(monkeypatch):
@@ -1605,6 +1615,33 @@ class TestExitCodes:
         assert [str(w.message) for w in caught] == ["probe"] * 3
         assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
         assert len({w.lineno for w in caught}) == 1
+
+    @pytest.mark.parametrize("failing,shown,statuses", [
+        (True, ["probe"], ["error:3", "ok"]),
+        (None, ["probe", "probe"], ["ok", "ok"]),
+    ], ids=["failed_then_ok", "both_ok"])
+    def test_each_points_warnings_pass_the_filters_on_their_own(self, tmp_path, monkeypatch,
+                                                                failing, shown, statuses):
+        # under the default action a warning shows once per location; the failed
+        # point's copy, held and dropped, must not use up the next point's showing
+        def evolve_warns(config, *args, **kwargs):
+            warnings.warn("probe", RuntimeWarning)
+            if config.lamb_shift is failing:
+                raise NumericalError("probe failure")
+            return evolve(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", evolve_warns)
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({
+            "base": {"scenario": {"preset": "three_level_nondriven"},
+                     "integration": {"t_final": 5.0}},
+            "axes": {"scenario.lamb_shift": [True, False]}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.resetwarnings()
+            warnings.simplefilter("default")
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        assert [str(w.message) for w in caught] == shown
+        assert [row["status"] for row in read_csv(tmp_path / "sweep" / "sweep.csv")] == statuses
 
     def test_validation_error_exits_2_and_fails_a_sweep_point_as_error_2(self, tmp_path,
                                                                           monkeypatch):
