@@ -134,28 +134,15 @@ def _float(data, name: str) -> float:
 def _from_json(data, tp, name: str = "scenario"):
     """Field value of type ``tp`` from its JSON form (inverse of :func:`_to_json`);
     a float field converts a JSON integer.  ``name`` is the field's path."""
-    return _decoder(tp)(data, name)
-
-
-@cache
-def _decoder(tp):
-    """The function (JSON form, field path) -> value of :func:`_from_json` for
-    ``tp``, composed once per type, so that a call reads no type hints.  Every
-    decoder passes None through."""
     form, inner = _type_form(tp)
-    if form == "scalar" and inner is float:
-        return lambda data, name: None if data is None else _float(data, name)
-    if form in ("scalar", "enum"):
-        return lambda data, name: data
-    if form == "object":
-        keys = tuple((f.name, "." + f.name, _decoder(hint)) for f, hint in _json_fields(inner))
-        return lambda data, name: None if data is None else \
-            inner(**{key: dec(data[key], name + path) for key, path, dec in keys})
-    item = _decoder(inner)
+    if data is None or form in ("scalar", "enum"):
+        return _float(data, name) if inner is float and data is not None else data
     if form == "optional":
-        return item
-    return lambda data, name: None if data is None else \
-        tuple(item(v, f"{name}[{i}]") for i, v in enumerate(data))
+        return _from_json(data, inner, name)
+    if form == "array":
+        return tuple(_from_json(v, inner, f"{name}[{i}]") for i, v in enumerate(data))
+    return inner(**{f.name: _from_json(data[f.name], hint, f"{name}.{f.name}")
+                    for f, hint in _json_fields(inner)})
 
 
 SCENARIO_SCHEMA = _json_schema(ScenarioConfig)
@@ -731,8 +718,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built at import, like the schemas: building it compiles argparse's regexes
-# (~0.5 ms), which would otherwise land in every command
+# built once, at import like the schemas: a build costs ~0.7 ms in a fresh
+# process (argparse compiles its regexes), which every command would pay
 _PARSER = _build_parser()
 
 _DEFAULT_RUN = {"scenario": {}, "integration": {"t_final": 100.0}}
