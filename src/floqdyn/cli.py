@@ -431,38 +431,32 @@ def _csv_cell(value) -> str:
 CSV_BLOCK = 1024
 
 
-def _table_bytes(table: np.ndarray):
-    """CSV lines of a 2-D float array, a block of rows per bytes object, each
-    cell formatted as :func:`_csv_cell` formats a float.  A column of nothing
-    but +0.0 (every bit clear) is never formatted: its ``0`` is part of the
-    text after the kept cell before it."""
-    n_cols = table.shape[1]
-    kept = np.flatnonzero(any_over_rows(table.view(np.uint64)))
-    if not kept.size:
-        line = (",".join("0" * n_cols) + "\n").encode()
-        for lo in range(0, len(table), CSV_BLOCK):
-            yield line * len(table[lo:lo + CSV_BLOCK])
-        return
+def _table_bytes(table: np.ndarray, kept, n_cols: int):
+    """CSV lines of an ``n_cols``-column float table given as its columns at
+    indices ``kept``, 0 first, a block of rows per bytes object, each cell
+    formatted as :func:`_csv_cell` formats a float.  Every other column is +0.0
+    throughout: its ``0`` is part of the text after the kept cell before it."""
     # the text after each kept cell, NUL-padded: the separator and the zero
-    # columns up to the next kept one; zero columns that start a line end the
-    # line before, and each block moves them to its front
-    lead = b"0," * kept[0]
+    # columns up to the next kept one, or to the end of the line
     after = [b"," + b"0," * (end - col - 1) for col, end in zip(kept, kept[1:])]
-    after.append(b",0" * (n_cols - kept[-1] - 1) + b"\n" + lead)
+    after.append(b",0" * (n_cols - kept[-1] - 1) + b"\n")
     after = np.array(after, dtype=bytes).view(np.uint8).reshape(len(kept), -1)
     for lo in range(0, len(table), CSV_BLOCK):
-        block = table[lo:lo + CSV_BLOCK, kept]
+        block = table[lo:lo + CSV_BLOCK]
         out = np.empty((*block.shape, TEXT_WIDTH + after.shape[1]), np.uint8)
         out[:, :, :TEXT_WIDTH] = float_text(block.ravel()).reshape(*block.shape, -1)
         out[:, :, TEXT_WIDTH:] = after
-        text = out[out != 0].tobytes()
-        yield lead + text[:len(text) - len(lead)]
+        yield out[out != 0].tobytes()
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` under ``header``: a 2-D float array, or an iterable of rows."""
+def write_csv(path: Path, header: list[str], rows, kept=None) -> None:
+    """Write ``rows`` under ``header``: an iterable of rows, or a 2-D float array
+    of the columns at indices ``kept`` (by default all but those of +0.0 only)."""
     if isinstance(rows, np.ndarray):
-        lines = _table_bytes(rows)
+        if kept is None:    # column 0 too: each zero column's 0 follows a kept cell
+            kept = np.flatnonzero([True, *any_over_rows(rows.view(np.uint64))[1:]])
+            rows = rows[:, kept] if len(kept) < rows.shape[1] else rows
+        lines = _table_bytes(rows, kept, len(header))
     else:
         # only rows that hold strings (the sweep's axis values and status) take this path
         lines = [(",".join(_csv_cell(v) for v in row) + "\n").encode() for row in rows]
@@ -481,23 +475,26 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def trajectory_table(traj, eta_cumulative) -> np.ndarray:
-    """Rows of ``trajectory.csv``: t, the upper triangle of each state (re and
-    im interleaved, row by row), eta_cumulative.  Row i of a state is its
-    population i, an imaginary +0.0 and the (re, im) pairs of its coherences
-    (i, j > i), which sit side by side in the record coordinates: one slice
-    copy each."""
-    d = traj.dim
-    table = np.zeros((len(traj.times), 2 + d * (d + 1)))
-    table[:, 0] = traj.times
-    col, pair = 1, d
+def trajectory_table(traj, eta_cumulative) -> tuple:
+    """The columns of ``trajectory.csv`` not +0.0 in every row, and their
+    indices: t (t_final > 0), the upper triangle of each state (re and im
+    interleaved, row by row), eta_cumulative.  Row i of a state is its
+    population i, an imaginary 0 and the (re, im) pairs of its coherences
+    (i, j > i), side by side in the record coordinates: one scan finds those
+    nonzero, each kept column is copied on its own."""
+    d, sources = traj.dim, [traj.times, *traj.coords.T, eta_cumulative, None]
+    nonzero = [True, *any_over_rows(traj.coords.view(np.uint64)),
+               eta_cumulative.view(np.uint64).any(), False]
+    order, pair = [0], 1 + d                # each column's source; -1: an imaginary 0
     for i in range(d):
-        width = 2 * (d - 1 - i)
-        table[:, col] = traj.coords[:, i]
-        table[:, col + 2:col + 2 + width] = traj.coords[:, pair:pair + width]
-        col, pair = col + 2 + width, pair + width
-    table[:, -1] = eta_cumulative
-    return table
+        order += [1 + i, -1, *range(pair, pair + 2 * (d - 1 - i))]
+        pair += 2 * (d - 1 - i)
+    order.append(pair)                      # eta_cumulative
+    kept = [c for c, j in enumerate(order) if nonzero[j]]
+    table = np.empty((len(traj.times), len(kept)))
+    for k, c in enumerate(kept):
+        table[:, k] = sources[order[c]]
+    return table, np.array(kept)
 
 
 def trajectory_header(d: int) -> list[str]:
@@ -533,9 +530,9 @@ def cmd_simulate(run: dict, out_dir: Path) -> int:
     }
     formats = run["outputs"]["formats"]
     if "csv" in formats:
-        header, table = trajectory_header(traj.dim), trajectory_table(traj, cumulative)
-        del traj    # the table holds the records; the CSV's text blocks reuse their memory
-        write_csv(out_dir / "trajectory.csv", header, table)
+        header, (table, kept) = trajectory_header(traj.dim), trajectory_table(traj, cumulative)
+        del traj    # so the writer's blocks reuse the records' memory, not fresh pages
+        write_csv(out_dir / "trajectory.csv", header, table, kept)
     if "json" in formats:
         write_json(out_dir / "summary.json", summary)
     return 0

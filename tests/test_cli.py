@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 from datetime import timedelta
@@ -59,6 +60,13 @@ def reference_csv(header, rows) -> str:
         return '"' + text.replace('"', '""') + '"' if "," in text else text
 
     return "\n".join([",".join(header)] + [",".join(cell(v) for v in row) for row in rows]) + "\n"
+
+
+def write_trajectory(path, traj, eta_cumulative) -> list[str]:
+    """Write trajectory.csv of ``traj`` as ``simulate`` does; return its header."""
+    header = cli.trajectory_header(traj.dim)
+    cli.write_csv(path, header, *cli.trajectory_table(traj, eta_cumulative))
+    return header
 
 
 def reference_trajectory_rows(traj, eta_cumulative):
@@ -131,8 +139,7 @@ class TestCsvWriter:
             positivity_log=operators.min_eigenvalues(coords), trace_errors=np.zeros(len(coords)),
             config=PRESETS["three_level_nondriven"]())
         assert traj.positivity_log.tobytes() == np.full(len(coords), 0.2).tobytes()
-        cli.write_csv(tmp_path / "trajectory.csv", cli.trajectory_header(3),
-                      cli.trajectory_table(traj, efficiency(traj)[1]))
+        write_trajectory(tmp_path / "trajectory.csv", traj, efficiency(traj)[1])
         column = [row["rho_01_im"] for row in read_csv(tmp_path / "trajectory.csv")]
         assert column == ["0"] * operators.FOLD_ROWS + ["-0"]
 
@@ -146,8 +153,7 @@ class TestCsvWriter:
     def test_trajectory_table_matches_per_record_rows(self, tmp_path, cfg_v0, gen_v0):
         traj = evolve(cfg_v0, 50.0, generator=gen_v0)
         cumulative = efficiency(traj)[1]
-        header = cli.trajectory_header(traj.dim)
-        cli.write_csv(tmp_path / "t.csv", header, cli.trajectory_table(traj, cumulative))
+        header = write_trajectory(tmp_path / "t.csv", traj, cumulative)
         want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
@@ -163,9 +169,7 @@ class TestCsvWriter:
         config = PRESETS["four_level_degenerate_driven"]()
         traj = evolve(config, 40.0)
         cumulative = efficiency(traj)[1]
-        table = cli.trajectory_table(traj, cumulative)
-        header = cli.trajectory_header(traj.dim)
-        cli.write_csv(tmp_path / "t.csv", header, table)
+        header = write_trajectory(tmp_path / "t.csv", traj, cumulative)
         want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
@@ -175,11 +179,43 @@ class TestCsvWriter:
     @pytest.mark.parametrize("preset,columns,zero,dt", ZERO_COLUMN_CASES, ids=[
         "-".join(map(str, case[:3])) + (f"-dt={case[3]:.6g}" if case[3] else "")
         for case in ZERO_COLUMN_CASES])
-    def test_exact_zero_columns(self, preset, columns, zero, dt):
+    def test_exact_zero_columns(self, tmp_path, preset, columns, zero, dt):
         traj = evolve(PRESETS[preset](), 40.0, dt=dt)
-        table = cli.trajectory_table(traj, efficiency(traj)[1])
-        assert table.shape[1] == columns
-        assert np.sum(~np.any(table.view(np.uint64), axis=0)) == zero
+        table, kept = cli.trajectory_table(traj, efficiency(traj)[1])
+        header = cli.trajectory_header(traj.dim)
+        assert len(header) == columns and len(kept) == columns - zero
+        assert table.shape == (len(traj.times), columns - zero)
+        cli.write_csv(tmp_path / "t.csv", header, table, kept)
+        rows = read_csv(tmp_path / "t.csv")
+        for name in set(header) - {header[c] for c in kept}:
+            assert [row[name] for row in rows] == ["0"] * len(traj.times)
+
+    def test_table_built_without_full_width_temporaries(self):
+        traj = evolve(PRESETS["four_level_degenerate_driven"](), 200.0)
+        cumulative = efficiency(traj)[1]
+        tracemalloc.start()
+        try:
+            table, _ = cli.trajectory_table(traj, cumulative)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full-width table, or a fancy-indexed copy of the records, is larger
+        assert table.shape[1] < 2 + 4 * 5 and peak <= table.nbytes + 64 * 1024
+
+    def test_all_zero_last_column(self, tmp_path):
+        # with no bath coupling the state stays |0><0|: besides t only rho_00_re
+        # is nonzero, and eta_cumulative is +0.0 in every row, so the last
+        # column is dropped
+        config = PRESETS["three_level_nondriven"]()
+        config = replace(config, baths=tuple(replace(b, j0=0.0) for b in config.baths))
+        traj = evolve(config, 40.0)
+        cumulative = efficiency(traj)[1]
+        table, kept = cli.trajectory_table(traj, cumulative)
+        assert kept.tolist() == [0, 1]
+        header = cli.trajectory_header(traj.dim)
+        cli.write_csv(tmp_path / "t.csv", header, table, kept)
+        want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
 
 def tie_values() -> list:
@@ -218,7 +254,7 @@ def three_digit_exponents() -> list:
 def written_cells(values) -> list:
     """The writer's text of each value, written as a one-column table."""
     table = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    return b"".join(cli._table_bytes(table)).decode().splitlines()
+    return b"".join(cli._table_bytes(table, [0], 1)).decode().splitlines()
 
 
 class TestExactFormatter:

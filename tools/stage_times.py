@@ -18,8 +18,12 @@ times; each repeat times, in this process:
 - ``efficiency``, ``trajectory_table`` and ``write_csv`` of
   ``trajectory.csv`` (into a temporary directory).
 
-Standard output is one JSON object: the machine, the repeat count, and the
-median seconds of each stage of each case.
+One more, untimed, run of each case takes the ``tracemalloc`` peak of
+``trajectory_table`` and ``write_csv`` together, so that tracing perturbs no
+timed repeat.
+
+Standard output is one JSON object: the machine, the repeat count, and for
+each case the median seconds of each stage and that peak in MB (2^20 bytes).
 """
 
 import argparse
@@ -31,6 +35,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -95,12 +100,25 @@ def run_once(config, t_final: float, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     _, cumulative = efficiency(traj)
     t1 = time.perf_counter()
-    table = trajectory_table(traj, cumulative)
+    table, kept = trajectory_table(traj, cumulative)
     t2 = time.perf_counter()
-    write_csv(out_dir / "trajectory.csv", trajectory_header(traj.dim), table)
+    write_csv(out_dir / "trajectory.csv", trajectory_header(traj.dim), table, kept)
     t3 = time.perf_counter()
     times.update(efficiency=t1 - t0, trajectory_table=t2 - t1, write_csv=t3 - t2)
     return times
+
+
+def csv_peak_mb(config, t_final: float, out_dir: Path) -> float:
+    """The ``tracemalloc`` peak of ``trajectory_table`` and ``write_csv`` of one run, in MB."""
+    traj = evolve(config, t_final)
+    _, cumulative = efficiency(traj)
+    tracemalloc.start()
+    try:
+        table, kept = trajectory_table(traj, cumulative)
+        write_csv(out_dir / "trajectory.csv", trajectory_header(traj.dim), table, kept)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def machine() -> dict:
@@ -127,7 +145,8 @@ def main(argv=None) -> int:
             run_once(config, t_final, Path(tmp))      # fills the coefficient caches
             runs = [run_once(config, t_final, Path(tmp)) for _ in range(args.repeats)]
             result["cases"][name] = {"t_final": t_final, **{
-                stage: statistics.median(run[stage] for run in runs) for stage in STAGES}}
+                stage: statistics.median(run[stage] for run in runs) for stage in STAGES},
+                "csv_peak_mb": csv_peak_mb(config, t_final, Path(tmp))}
     print(json.dumps(result, indent=2))
     return 0
 
