@@ -50,7 +50,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import LOGGER, ConfigError, FloqdynError, NumericalError
-from .floattext import FLOAT_FMT, TEXT_WIDTH, float_text
+from .floattext import FLOAT_FMT, SLOT_WORDS, float_text
 from .floquet import HALVING_GAP_TOL, benchmark_fidelities
 from .operators import any_over_rows, from_coordinates, trace_distance
 from .scenarios import (
@@ -435,18 +435,25 @@ def _table_bytes(table: np.ndarray, kept, n_cols: int):
     """CSV lines of an ``n_cols``-column float table given as its columns at
     indices ``kept``, 0 first, a block of rows per bytes object, each cell
     formatted as :func:`_csv_cell` formats a float.  Every other column is +0.0
-    throughout: its ``0`` is part of the text after the kept cell before it."""
-    # the text after each kept cell, NUL-padded: the separator and the zero
-    # columns up to the next kept one, or to the end of the line
+    throughout: its ``0`` is part of the text after the kept cell before it.
+    A block's text is whole uint64 words, NUL where a byte holds no text
+    (:func:`float_text`'s slots), and one ``bytes.translate`` deletes the NULs."""
+    # the text after each kept cell in whole words: the separator and the
+    # zero columns up to the next kept one, or to the end of the line
     after = [b"," + b"0," * (end - col - 1) for col, end in zip(kept, kept[1:])]
     after.append(b",0" * (n_cols - kept[-1] - 1) + b"\n")
-    after = np.array(after, dtype=bytes).view(np.uint8).reshape(len(kept), -1)
+    size = -(-max(map(len, after)) // 8) * 8
+    after = np.array(after, f"S{size}").view("<u8").reshape(len(kept), -1, 1)
     for lo in range(0, len(table), CSV_BLOCK):
-        block = table[lo:lo + CSV_BLOCK]
-        out = np.empty((*block.shape, TEXT_WIDTH + after.shape[1]), np.uint8)
-        out[:, :, :TEXT_WIDTH] = float_text(block.ravel()).reshape(*block.shape, -1)
-        out[:, :, TEXT_WIDTH:] = after
-        yield out[out != 0].tobytes()
+        block = table[lo:lo + CSV_BLOCK].T
+        # per column, its text slots and the text after it, a row of words each
+        words = np.empty((len(kept), SLOT_WORDS + after.shape[1], block.shape[1]), "<u8")
+        words[:, SLOT_WORDS:] = after
+        float_text(block, words[:, :SLOT_WORDS].transpose(1, 0, 2))
+        words = words.reshape(-1, block.shape[1])
+        # the rows not NUL in every line of the block, transposed into line order
+        used = np.flatnonzero(np.bitwise_or.reduce(words, axis=1))
+        yield np.take(words, used, axis=0).T.tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header: list[str], rows, kept=None) -> None:
@@ -481,7 +488,8 @@ def trajectory_table(traj, eta_cumulative) -> tuple:
     interleaved, row by row), eta_cumulative.  Row i of a state is its
     population i, an imaginary 0 and the (re, im) pairs of its coherences
     (i, j > i), side by side in the record coordinates: one scan finds those
-    nonzero, each kept column is copied on its own."""
+    nonzero, each kept column is copied on its own, into a column-major
+    table whose blocks of rows the writer reads a column at a time."""
     d, sources = traj.dim, [traj.times, *traj.coords.T, eta_cumulative, None]
     nonzero = [True, *any_over_rows(traj.coords.view(np.uint64)),
                eta_cumulative.view(np.uint64).any(), False]
@@ -491,7 +499,7 @@ def trajectory_table(traj, eta_cumulative) -> tuple:
         pair += 2 * (d - 1 - i)
     order.append(pair)                      # eta_cumulative
     kept = [c for c, j in enumerate(order) if nonzero[j]]
-    table = np.empty((len(traj.times), len(kept)))
+    table = np.empty((len(traj.times), len(kept)), order="F")
     for k, c in enumerate(kept):
         table[:, k] = sources[order[c]]
     return table, np.array(kept)

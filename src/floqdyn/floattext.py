@@ -9,8 +9,22 @@ need them.  Its error is below 2^-46, so q is the correctly rounded one
 1e-9 of 1/2.  Such a value, one whose q may leave [10^16, 10^17) (k one
 off, or rounding into the next decade), a non-finite one and one outside
 that range take the text of '%' instead.  The digits come from two
-8-digit halves of q, several per uint64 at once; the text of each value is
-gathered from a 32-byte source row through a table of layouts.
+8-digit halves of q, several per uint64 at once.
+
+The text of a value is laid out in six little-endian uint64 words of fixed
+slots, NUL wherever a byte holds no text, so that no digit ever moves:
+
+- word 0: the sign, the prefix '0.' to '0.000' (k in [-4, -1]) and, in
+  byte 7, the lead digit;
+- words 1 and 2: the other 16 digits, masked to those before the point;
+- word 2's top byte: the point, when there is one (then at most 15 digits
+  come before it, so that byte is free);
+- words 3 and 4: the same 16 digits, masked to those from the point up to
+  the last significant one (trailing zeros are stripped, as %g strips them);
+- word 5: the exponent, 'e+XX' or 'e-XXX'.
+
+Deleting every NUL of the words' bytes leaves the text, so a writer can
+place whole words and delete the NULs of many values at once.
 """
 
 from functools import cache
@@ -22,26 +36,14 @@ FLOAT_FMT = "%.17g"
 #: decimal scales s of the 10^s table: k = floor(log10 |x|) of a scaled value
 #: lies in [-291, 290] (log10 may be one off next to a power of ten), s = 16 - k
 _S_MIN, _S_MAX = -275, 307
-_K_MIN = 16 - _S_MAX
+_K_MIN, _K_MAX = 16 - _S_MAX, 16 - _S_MIN
 #: the |x| that are scaled: |x| 10^s and its Veltkamp split stay finite and normal
 _SCALED_MIN, _SCALED_MAX = 1e-290, 1e290
 _SPLITTER = 2.0 ** 27 + 1
 
-# Byte offsets in a value's source row, four little-endian uint64 words: word 0
-# holds '-', the first digit, '.', '0', 'e', the exponent's sign, hundreds and
-# tens; words 1 and 2 the other 16 digits; word 3 the exponent's units, then NULs.
-_MINUS, _D0, _POINT, _ZERO, _E, _EXP_SIGN, _EXP_100, _EXP_10 = range(8)
-_EXP_1, _NUL = 24, 31
-_DIGIT = (_D0, *range(8, 24))
-#: the longest '%.17g' text: "-1.2345678901234567e-123", "-0.00012345678901234567"
-TEXT_WIDTH = 24
-#: layout classes: fixed notation for k = class - 4 in [-4, 16], then 'e' with
-#: a 2-digit and with a 3-digit exponent
-_N_CLASSES = 23
-#: first layout id of a value whose text is its '%' text, copied verbatim
-_VERBATIM = 2 * 17 * _N_CLASSES
-#: values per gather of their text from the source rows
-_GATHER = 2048
+#: uint64 words of the text slots of one value (the module docstring gives
+#: their layout)
+SLOT_WORDS = 6
 
 #: scales per band of the 10^s table, each built on its first need
 _BAND = 32
@@ -84,45 +86,43 @@ def _pow10_rows(s_min: int, s_max: int) -> tuple:
     return rows, _S_MIN + _BAND * first
 
 
-def _layout(cls: int, nsig: int) -> list:
-    """Source-row offsets of the unsigned text of layout class ``cls`` with
-    ``nsig`` significant digits (trailing zeros stripped, as %g strips them)."""
-    digits = list(_DIGIT[:nsig])
-    if cls < 4:                         # 0.000ddd
-        return [_ZERO, _POINT] + [_ZERO] * (3 - cls) + digits
-    if cls <= 20:                       # ddd.ddd, k + 1 digits before the point
-        point = cls - 3
-        return list(_DIGIT[:point]) if nsig <= point else \
-            digits[:point] + [_POINT] + digits[point:]
-    mantissa = digits[:1] + ([_POINT] + digits[1:] if nsig > 1 else [])
-    return mantissa + [_E, _EXP_SIGN] + [_EXP_100] * (cls == 22) + [_EXP_10, _EXP_1]
-
-
 @cache
 def _layouts() -> tuple:
-    """Offsets per layout id, ``TEXT_WIDTH`` each padded with ``_NUL``: id
-    2 (17 class + nsig - 1) + sign for a scaled value, ``_VERBATIM`` + length - 1
-    for a verbatim one.  Then, per k from ``_K_MIN``: 34 class, and the bytes
-    of words 0 and 3 that depend on k alone."""
-    unsigned = [bytes(_layout(cls, nsig)) for cls in range(_N_CLASSES) for nsig in range(1, 18)]
-    texts = [text for u in unsigned for text in (u, bytes([_MINUS]) + u)]
-    texts += [bytes(range(n)) for n in range(1, TEXT_WIDTH + 1)]
-    offsets = np.frombuffer(b"".join(t.ljust(TEXT_WIDTH, bytes([_NUL])) for t in texts),
-                            np.uint8).reshape(-1, TEXT_WIDTH)
-    k = np.arange(_K_MIN, 17 - _S_MIN)
+    """(per_k, mask_row, masks).  Per k from ``_K_MIN``: words 0 (the prefix
+    '0.' to '0.000', without sign or lead digit) and 5 (the exponent) of the
+    text, and the row of ``masks`` for its mask class and nsig = 1, nsig
+    significant digits taking the next rows.  A mask class is the number a of
+    the 16 digits after the lead one that come before the point, or 17 for
+    k < 0, whose point is in the prefix.  Each row of ``masks`` holds the
+    masks of words 1 and 2 (digits before the point), word 2's point, and the
+    masks of words 3 and 4 (the digits from the point up to nsig)."""
+    k = np.arange(_K_MIN, _K_MAX + 1)
     ak = np.abs(k)
-    cls = np.where((k >= -4) & (k <= 16), k + 4, np.where(ak < 100, 21, 22))
-
-    def byte(values, offset):
-        return values.astype(np.uint64) << _U64(8 * offset)
-
-    word0 = (_U64(int.from_bytes(b"-\0.0e", "little"))
-             | byte(np.where(k < 0, ord("-"), ord("+")), _EXP_SIGN)
-             | byte(ak // 100 + ord("0"), _EXP_100) | byte(ak // 10 % 10 + ord("0"), _EXP_10))
-    out = (offsets, 34 * cls, word0, byte(ak % 10 + ord("0"), 0))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    fixed = (k >= -4) & (k <= 16)
+    small = fixed & (k < 0)
+    zeros = np.array([0, 0x30, 0x3030, 0x303030], np.uint64)[np.clip(-k - 1, 0, 3)]
+    word0 = np.where(small, _U64(0x2E3000) | (zeros << _U64(24)), _U64(0))
+    digit = [(ak // 100 + 48).astype(np.uint64), (ak // 10 % 10 + 48).astype(np.uint64),
+             (ak % 10 + 48).astype(np.uint64)]
+    sign = np.where(k < 0, _U64(ord("-")), _U64(ord("+")))
+    exponent = np.where(ak >= 100,
+                        digit[0] << _U64(16) | digit[1] << _U64(24) | digit[2] << _U64(32),
+                        digit[1] << _U64(16) | digit[2] << _U64(24))
+    word5 = np.where(fixed, _U64(0), _U64(ord("e")) | sign << _U64(8) | exponent)
+    per_k = np.stack([word0, word5])
+    mask_row = 17 * np.where(small, 17, np.where(fixed, k, 0))
+    # masks per class c and j = nsig - 1: digit byte i is before the point if
+    # i < a, after it if a <= i < j
+    c, j = np.divmod(np.arange(18 * 17), 17)
+    a = np.where(c < 17, c, 0)[:, None]
+    byte = np.arange(16)
+    before = np.where(byte < a, 0xFF, 0).astype(np.uint8)
+    after = np.where((byte >= a) & (byte < j[:, None]), 0xFF, 0).astype(np.uint8)
+    point = np.where((c < 17) & (j > a[:, 0]), _U64(ord(".") << 56), _U64(0))
+    masks = np.vstack([before.view("<u8").T, point, after.view("<u8").T]).astype(np.uint64)
+    for t in (per_k, mask_row, masks):
+        t.flags.writeable = False
+    return per_k, mask_row, masks
 
 
 def _digit_bytes(n: np.ndarray) -> np.ndarray:
@@ -170,43 +170,36 @@ def _scaled(values: np.ndarray) -> tuple:
     return q, np.where(scaled, k, 0), scaled
 
 
-def _source_rows(q: np.ndarray, k: np.ndarray) -> tuple:
-    """(source rows, number of significant digits) of the digits q and
-    exponents k: the 32-byte row of each value, as four uint64 words."""
-    _, _, word0_k, word3_k = _layouts()
-    k = k - _K_MIN
-    lead = q // _U64(10 ** 16)
-    q = q - lead * _U64(10 ** 16)
-    middle = q // _U64(10 ** 8)
-    digits = _digit_bytes(middle), _digit_bytes(q - middle * _U64(10 ** 8))
-    # significant digits: up to the highest nonzero digit byte
-    nsig = np.where(digits[1] != 0, 10 + _top_byte(digits[1]),
-                    np.where(digits[0] != 0, 2 + _top_byte(digits[0]), 1))
-    words = np.empty((len(q), 4), "<u8")
-    words[:, 0] = word0_k[k] | ((lead + _U64(48)) << _U64(8))
-    words[:, 1] = digits[0] + _ASCII_ZEROS
-    words[:, 2] = digits[1] + _ASCII_ZEROS
-    words[:, 3] = word3_k[k]
-    return words, nsig
-
-
-def float_text(values: np.ndarray) -> np.ndarray:
-    """The '%.17g' text of each value of a flat float array, one NUL-padded
-    row of ``TEXT_WIDTH`` bytes each.  ±0 is scaled as q = 0 and k = 0,
-    which lays out as '0' and '-0'."""
-    offsets, class_ids, _, _ = _layouts()
+def float_text(values: np.ndarray, out=None) -> np.ndarray:
+    """The '%.17g' text of each value of a float64 array in ``SLOT_WORDS``
+    uint64 words, NUL where a byte holds no text: word j of every value in
+    row j of a new (``SLOT_WORDS``, *values.shape) array, or of ``out`` of
+    that shape.  ±0 is scaled as q = 0 and k = 0, which lays out as '0' and
+    '-0'."""
+    per_k, mask_row, masks = _layouts()
     q, k, scaled = _scaled(values)
-    words, nsig = _source_rows(q, k)
-    layout = class_ids[k - _K_MIN] + 2 * nsig - 2 + np.signbit(values)
-    rows = words.view(np.uint8)
-    for i in np.flatnonzero(~scaled & (values != 0)):
-        verbatim = (FLOAT_FMT % values[i]).encode()
-        rows[i, :len(verbatim)] = np.frombuffer(verbatim, np.uint8)
-        layout[i] = _VERBATIM + len(verbatim) - 1
-    # gathered a few thousand values at a time: the flat index takes 8 bytes a byte
-    index = np.take(offsets, layout, axis=0)
-    text = np.empty_like(index)
-    for lo in range(0, len(values), _GATHER):
-        text[lo:lo + _GATHER] = np.take(rows, index[lo:lo + _GATHER] + 32 * np.arange(
-            lo, min(lo + _GATHER, len(values)))[:, None])
-    return text
+    k -= _K_MIN
+    lead = q // _U64(10 ** 16)
+    q -= lead * _U64(10 ** 16)
+    middle = q // _U64(10 ** 8)
+    low, high = _digit_bytes(middle), _digit_bytes(q - middle * _U64(10 ** 8))
+    # significant digits: up to the highest nonzero digit byte
+    nsig = np.where(high != 0, 10 + _top_byte(high),
+                    np.where(low != 0, 2 + _top_byte(low), 1))
+    words = np.take(per_k, k, axis=1)
+    mask = np.take(masks, mask_row[k] + nsig - 1, axis=1)
+    low += _ASCII_ZEROS
+    high += _ASCII_ZEROS
+    if out is None:
+        out = np.empty((SLOT_WORDS, *values.shape), "<u8")
+    out[0] = (words[0] | (values.view(np.uint64) >> _U64(63)) * _U64(ord("-"))
+              | (lead + _U64(48)) << _U64(56))
+    out[1] = low & mask[0]
+    out[2] = (high & mask[1]) | mask[2]
+    out[3] = low & mask[3]
+    out[4] = high & mask[4]
+    out[5] = words[1]
+    for i in zip(*np.nonzero(~scaled & (values != 0))):
+        verbatim = (FLOAT_FMT % values[i]).encode().ljust(8 * SLOT_WORDS, b"\0")
+        out[(slice(None), *i)] = np.frombuffer(verbatim, "<u8")
+    return out

@@ -217,6 +217,67 @@ class TestCsvWriter:
         want = reference_csv(header, reference_trajectory_rows(traj, cumulative))
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
+    COLUMN_KINDS = ["zero", "minus_zero", "mixed_zero", "one_cell", "wide", "narrow"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 * cli.CSV_BLOCK + 1),
+           st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=24),
+           st.integers(0, 2**32 - 1))
+    @example(2 * cli.CSV_BLOCK + 1, COLUMN_KINDS * 4, 1)
+    @example(cli.CSV_BLOCK + 1, ["one_cell"] + ["zero"] * 9 + ["narrow"] + ["zero"] * 5, 2)
+    @example(0, ["wide", "zero", "zero"], 3)
+    def test_random_tables_match_per_cell_reference(self, n_rows, kinds, seed):
+        # zero columns of every run length and position (the text after a kept
+        # cell spans several words past 3 zero columns), the '%' text among
+        # scaled cells, and block boundaries
+        rng = np.random.default_rng(seed)
+        fallback = np.array([float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310,
+                             1e-300, -1e300, 1e16, 1e17, 1.0, 100.0, -0.0]
+                            + tie_values()[3::7][:12])
+        columns = []
+        for kind in kinds:
+            column = np.zeros(n_rows)
+            if kind == "minus_zero":
+                column = -column
+            elif kind == "mixed_zero":
+                column = np.where(rng.random(n_rows) < 0.5, 0.0, -0.0)
+            elif kind != "zero":
+                low, high = (-300, 301) if kind == "wide" else (-6, 18)
+                values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(low, high, n_rows)
+                values = np.where(rng.random(n_rows) < 0.05,
+                                  rng.choice(fallback, n_rows), values)
+                if kind != "one_cell":
+                    column = values
+                elif n_rows:
+                    column[rng.integers(n_rows)] = values[0]
+            columns.append(column)
+        table = np.column_stack(columns)
+        header = [f"c{i}" for i in range(len(kinds))]
+        with tempfile.TemporaryDirectory() as tmp:
+            cli.write_csv(Path(tmp) / "t.csv", header, table)
+            assert (Path(tmp) / "t.csv").read_bytes() == \
+                reference_csv(header, table.tolist()).encode()
+
+    def test_writer_streams_block_by_block(self, tmp_path):
+        # one block's working set at a time: four times the blocks leave the
+        # peak within one block's slots of the shorter table's
+        traj = evolve(PRESETS["four_level_degenerate_driven"](), 500.0)
+        table, kept = cli.trajectory_table(traj, efficiency(traj)[1])
+        header = cli.trajectory_header(traj.dim)
+        assert len(table) >= 8 * cli.CSV_BLOCK
+        cli.write_csv(tmp_path / "t.csv", header, table, kept)     # fills the formatter's caches
+        peaks = []
+        for blocks in (2, 8):
+            part = np.asfortranarray(table[:blocks * cli.CSV_BLOCK])
+            tracemalloc.start()
+            try:
+                cli.write_csv(tmp_path / "t.csv", header, part, kept)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slots = len(kept) * floattext.SLOT_WORDS * cli.CSV_BLOCK * 8
+        assert peaks[1] - peaks[0] < slots, (peaks, slots)
+
 
 def tie_values() -> list:
     """Doubles whose 18-digit decimal expansion ends in 5, so that 17 digits

@@ -20,10 +20,15 @@ times; each repeat times, in this process:
 
 One more, untimed, run of each case takes the ``tracemalloc`` peak of
 ``trajectory_table`` and ``write_csv`` together, so that tracing perturbs no
-timed repeat.
+timed repeat.  That run's ``trajectory.csv`` is then checked against the
+per-cell ``'%.17g'`` text of the records, built from ``traj.states`` and
+``efficiency`` without the writer.
 
 Standard output is one JSON object: the machine, the repeat count, and for
-each case the median seconds of each stage and that peak in MB (2^20 bytes).
+each case the median seconds of each stage, that peak in MB (2^20 bytes) and
+the size of that ``trajectory.csv`` in bytes.  The exit status is 1 when
+some case's file differs from its per-cell text (each such case is named on
+standard error), else 0.
 """
 
 import argparse
@@ -108,17 +113,33 @@ def run_once(config, t_final: float, out_dir: Path) -> dict:
     return times
 
 
-def csv_peak_mb(config, t_final: float, out_dir: Path) -> float:
-    """The ``tracemalloc`` peak of ``trajectory_table`` and ``write_csv`` of one run, in MB."""
+def per_cell_csv(traj, cumulative) -> bytes:
+    """``trajectory.csv`` of ``traj`` formatted cell by cell with ``'%.17g'``."""
+    d, states = traj.dim, traj.states
+    upper = np.triu_indices(d)
+    lines = [",".join(trajectory_header(d))]
+    for t, state, eta in zip(traj.times.tolist(), states, cumulative.tolist()):
+        cells = np.column_stack([state[upper].real, state[upper].imag]).ravel().tolist()
+        lines.append(",".join(["%.17g" % x for x in (t, *cells, eta)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def checked_csv_run(config, t_final: float, out_dir: Path) -> tuple:
+    """(peak MB, bytes, matches): the ``tracemalloc`` peak of ``trajectory_table``
+    and ``write_csv`` of one run, the size of the ``trajectory.csv`` written,
+    and whether it is the per-cell text of the records."""
     traj = evolve(config, t_final)
     _, cumulative = efficiency(traj)
+    path = out_dir / "trajectory.csv"
     tracemalloc.start()
     try:
         table, kept = trajectory_table(traj, cumulative)
-        write_csv(out_dir / "trajectory.csv", trajectory_header(traj.dim), table, kept)
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        write_csv(path, trajectory_header(traj.dim), table, kept)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+    written = path.read_bytes()
+    return peak, len(written), written == per_cell_csv(traj, cumulative)
 
 
 def machine() -> dict:
@@ -140,15 +161,22 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     result = {"machine": machine(), "repeats": args.repeats, "unit": "s", "cases": {}}
+    mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, config, t_final in cases():
             run_once(config, t_final, Path(tmp))      # fills the coefficient caches
             runs = [run_once(config, t_final, Path(tmp)) for _ in range(args.repeats)]
+            peak, size, matches = checked_csv_run(config, t_final, Path(tmp))
+            if not matches:
+                mismatches.append(name)
             result["cases"][name] = {"t_final": t_final, **{
                 stage: statistics.median(run[stage] for run in runs) for stage in STAGES},
-                "csv_peak_mb": csv_peak_mb(config, t_final, Path(tmp))}
+                "csv_peak_mb": peak, "csv_bytes": size}
     print(json.dumps(result, indent=2))
-    return 0
+    for name in mismatches:
+        print(f"trajectory.csv of {name} differs from its per-cell '%.17g' text",
+              file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
